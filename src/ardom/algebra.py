@@ -73,34 +73,34 @@ class Quiver:
         for name, src, tgt in self.arrows:
             if src not in vs or tgt not in vs:
                 raise ValueError(f"arrow {name}: unknown endpoint")
-
-    @property
-    def vertex_index(self) -> dict:
-        idx = self.__dict__.get("_vertex_index")
-        if idx is None:
-            idx = {v: i for i, v in enumerate(self.vertices)}
-            self.__dict__["_vertex_index"] = idx
-        return idx
-
-    @property
-    def arrow_index(self) -> dict:
-        idx = self.__dict__.get("_arrow_index")
-        if idx is None:
-            idx = {a[0]: i for i, a in enumerate(self.arrows)}
-            self.__dict__["_arrow_index"] = idx
-        return idx
+        # Derived lookups, computed once; not dataclass fields, so equality
+        # and hashing still see only vertices and arrows.
+        vertex_index = {v: i for i, v in enumerate(self.vertices)}
+        sources = tuple(vertex_index[a[1]] for a in self.arrows)
+        targets = tuple(vertex_index[a[2]] for a in self.arrows)
+        n = len(self.vertices)
+        derived = {
+            "vertex_index": vertex_index,
+            "arrow_index": {a[0]: i for i, a in enumerate(self.arrows)},
+            "_sources": sources,
+            "_targets": targets,
+            "_out": tuple(tuple(i for i, s in enumerate(sources) if s == v) for v in range(n)),
+            "_in": tuple(tuple(i for i, t in enumerate(targets) if t == v) for v in range(n)),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def arrow_source(self, i: int) -> int:
-        return self.vertex_index[self.arrows[i][1]]
+        return self._sources[i]
 
     def arrow_target(self, i: int) -> int:
-        return self.vertex_index[self.arrows[i][2]]
+        return self._targets[i]
 
-    def arrows_from(self, v: int) -> list[int]:
-        return [i for i in range(len(self.arrows)) if self.arrow_source(i) == v]
+    def arrows_from(self, v: int) -> tuple[int, ...]:
+        return self._out[v]
 
-    def arrows_into(self, v: int) -> list[int]:
-        return [i for i in range(len(self.arrows)) if self.arrow_target(i) == v]
+    def arrows_into(self, v: int) -> tuple[int, ...]:
+        return self._in[v]
 
     def is_connected(self) -> bool:
         n = len(self.vertices)

@@ -33,6 +33,7 @@ from .modules import (
 __all__ = [
     "Ext1Data",
     "ArSequence",
+    "ArSequenceError",
     "ext1_with_end_action",
     "almost_split_from_projective",
     "has_n_tf_ar_sequences",
@@ -129,6 +130,10 @@ def ext1_with_end_action(v_module: ModuleRep, vertex: int) -> Ext1Data:
     )
 
 
+class ArSequenceError(RuntimeError):
+    """A constructed almost split sequence fails one of its invariants."""
+
+
 @dataclass(frozen=True)
 class ArSequence:
     vertex: int
@@ -141,20 +146,25 @@ class ArSequence:
     ext_data: Ext1Data
 
     def check(self) -> None:
-        """Re-verify the structural invariants; raises AssertionError on failure."""
-        assert self.x.total_dim == self.u.total_dim + self.v.total_dim
-        assert self.inclusion.is_injective_map()
-        assert self.surjection.is_surjective_map()
-        assert self.inclusion.compose(self.surjection).is_zero
+        """Re-verify the structural invariants; raises ArSequenceError on failure."""
+        if self.x.total_dim != self.u.total_dim + self.v.total_dim:
+            raise ArSequenceError("dim X != dim U + dim V")
+        if not self.inclusion.is_injective_map():
+            raise ArSequenceError("U -> X is not injective")
+        if not self.surjection.is_surjective_map():
+            raise ArSequenceError("X -> V is not surjective")
+        if not self.inclusion.compose(self.surjection).is_zero:
+            raise ArSequenceError("the composite U -> X -> V is not zero")
         ker = factorize(self.surjection).kernel
-        assert ker.total_dim == self.u.total_dim
+        if ker.total_dim != self.u.total_dim:
+            raise ArSequenceError("the kernel of X -> V is not the image of U")
         coords = self.ext_data.class_coords(self.class_map)
-        assert np.any(coords), "extension class is zero: the sequence would split"
+        if not np.any(coords):
+            raise ArSequenceError("extension class is zero: the sequence would split")
         fld = self.u.algebra.field
         for mat in self.ext_data.actions:
-            assert not np.any(fld.mul(coords.reshape(1, -1), mat)), (
-                "class not annihilated by rad End(U)"
-            )
+            if np.any(fld.mul(coords.reshape(1, -1), mat)):
+                raise ArSequenceError("class not annihilated by rad End(U)")
 
 
 def _socle_coords(data: Ext1Data) -> np.ndarray:
@@ -189,7 +199,9 @@ def almost_split_from_projective(tbl: AlgebraTable, vertex: int, choice: int = 0
     data = ext1_with_end_action(v_mod, vertex)
     socle = _socle_coords(data)
     candidates = [socle[i] for i in range(socle.shape[0])]
-    candidates.append((2 * socle[0]) % fld.p)
+    doubled = (2 * socle[0]) % fld.p
+    if np.any(doubled):  # zero over GF(2): that class would split
+        candidates.append(doubled)
     xi = candidates[choice % len(candidates)]
     # lift the socle class to a representing morphism ΩV -> U; representative
     # j realizes the j-th quotient coordinate, so the combination mirrors xi

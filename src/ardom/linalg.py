@@ -6,6 +6,11 @@ Matrices are plain numpy ``int64`` arrays with entries reduced into
 * vectors are ROWS and linear maps act by right multiplication ``x @ m``,
 * elimination is fully deterministic (scan columns left to right, pivot on
   the first row with a nonzero entry), so every output is bit-reproducible,
+* elimination is size-selected: matrices up to ``_LIST_ELIMINATION_ENTRIES``
+  entries are reduced on Python ``int`` lists (numpy's per-call overhead
+  dominates there), larger ones with numpy row operations.  Both paths
+  return the same bytes, because the reduced row echelon form of a matrix
+  is unique,
 * zero-row and zero-column matrices are legal everywhere — empty vector
   spaces occur constantly as vertex spaces of representations.
 
@@ -24,6 +29,11 @@ __all__ = ["PrimeField", "Quotient", "is_probable_prime"]
 # Keep (p-1)^2 * dim comfortably inside int64 for dense products at desk
 # scale (dimensions up to a few thousand).
 _MAX_MODULUS = 1 << 20
+
+# Largest entry count reduced on Python lists rather than numpy arrays.  On
+# the sparse matrices the verifier reduces the list path is faster at every
+# size; on dense random matrices numpy overtakes it above about 256 entries.
+_LIST_ELIMINATION_ENTRIES = 256
 
 
 def is_probable_prime(n: int) -> bool:
@@ -135,26 +145,71 @@ class PrimeField:
         the first not-yet-used row with a nonzero entry.  The row space is
         preserved exactly.
         """
-        r = np.mod(np.array(m, dtype=np.int64), self.p)
+        r = np.array(m, dtype=np.int64)
         rows, cols = r.shape
+        if r.size == 0:
+            return r, ()
+        r %= self.p
+        if not r.any():
+            return r, ()
+        if r.size <= _LIST_ELIMINATION_ENTRIES:
+            return self._rref_lists(r.tolist(), rows, cols)
+        return self._rref_array(r, rows, cols)
+
+    def _rref_lists(self, a: list, rows: int, cols: int):
+        """rref of a nonzero matrix given as rows of ints in range(p)."""
+        p = self.p
         pivots = []
         pr = 0  # next pivot row
         for pc in range(cols):
-            if pr >= rows:
+            src = pr
+            while src < rows and not a[src][pc]:
+                src += 1
+            if src == rows:
+                continue
+            a[pr], a[src] = a[src], a[pr]
+            # left of pc the pivot row is zero, so row operations start at pc
+            tail = a[pr][pc:]
+            if tail[0] != 1:
+                c = self.inv(tail[0])
+                tail = a[pr][pc:] = [x * c % p for x in tail]
+            for i in range(rows):
+                c = a[i][pc]
+                if c and i != pr:
+                    row = a[i]
+                    row[pc:] = [(x - c * y) % p for x, y in zip(row[pc:], tail)]
+            pivots.append(pc)
+            pr += 1
+            if pr == rows:
                 break
-            nz = np.nonzero(r[pr:, pc])[0]
+        return np.array(a, dtype=np.int64), tuple(pivots)
+
+    def _rref_array(self, r: np.ndarray, rows: int, cols: int):
+        """rref of a matrix reduced mod p, in place on the numpy array."""
+        p = self.p
+        pivots = []
+        pr = 0  # next pivot row
+        for pc in range(cols):
+            nz = np.flatnonzero(r[pr:, pc])
             if nz.size == 0:
                 continue
             src = pr + int(nz[0])
             if src != pr:
                 r[[pr, src]] = r[[src, pr]]
-            r[pr] = r[pr] * self.inv(int(r[pr, pc])) % self.p
+            # left of pc the pivot row is zero, so row operations start at pc
+            c = int(r[pr, pc])
+            if c != 1:
+                r[pr, pc:] = r[pr, pc:] * self.inv(c) % p
+            # only rows with a nonzero in the pivot column change
             col = r[:, pc].copy()
             col[pr] = 0
-            if np.any(col):
-                r = (r - np.outer(col, r[pr])) % self.p
+            hit = np.flatnonzero(col)
+            if hit.size:
+                r[hit, pc:] = (r[hit, pc:] - np.outer(col[hit], r[pr, pc:])) % p
             pivots.append(pc)
             pr += 1
+            if pr == rows:
+                break
         return r, tuple(pivots)
 
     def rank(self, m: np.ndarray) -> int:
@@ -173,12 +228,12 @@ class PrimeField:
         """
         r, pivots = self.rref(m)
         cols = m.shape[1]
-        free = [j for j in range(cols) if j not in set(pivots)]
+        pivot_set = set(pivots)
+        free = [j for j in range(cols) if j not in pivot_set]
         k = self.zeros(len(free), cols)
-        for row, f in enumerate(free):
-            k[row, f] = 1
-            for i, pc in enumerate(pivots):
-                k[row, pc] = (-r[i, f]) % self.p
+        k[np.arange(len(free)), free] = 1
+        if pivots and free:
+            k[:, list(pivots)] = -r[: len(pivots), free].T % self.p
         return k
 
     def left_kernel_basis(self, m: np.ndarray) -> np.ndarray:
@@ -202,8 +257,8 @@ class PrimeField:
         if any(pc >= ncols for pc in pivots):
             return None
         x = self.zeros(ncols, rhs.shape[1])
-        for i, pc in enumerate(pivots):
-            x[pc] = r[i, ncols:]
+        if pivots:
+            x[list(pivots)] = r[: len(pivots), ncols:]
         return x
 
     def solve_left(self, m: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
@@ -233,12 +288,13 @@ class PrimeField:
         """
         assert sub.shape[1] == n, (sub.shape, n)
         r, pivots = self.rref(sub)
-        free = [j for j in range(n) if j not in set(pivots)]
+        pivot_set = set(pivots)
+        free = [j for j in range(n) if j not in pivot_set]
         reducer = self.eye(n)
-        for i, pc in enumerate(pivots):
-            reducer[pc] = (reducer[pc] - r[i]) % self.p
+        if pivots:
+            rows = list(pivots)
+            reducer[rows] = (reducer[rows] - r[: len(pivots)]) % self.p
         proj = reducer[:, free]
         section = self.zeros(len(free), n)
-        for row, f in enumerate(free):
-            section[row, f] = 1
+        section[np.arange(len(free)), free] = 1
         return Quotient(dim=len(free), proj=proj, section=section)

@@ -167,6 +167,16 @@ class ModuleMorphism:
             fixed.append(np.mod(m, source.algebra.field.p))
         self.mats = tuple(fixed)
 
+    @classmethod
+    def _trusted(cls, source: ModuleRep, target: ModuleRep, mats) -> "ModuleMorphism":
+        """Build from blocks already shaped (source.dims[v], target.dims[v])
+        and reduced mod p, skipping the constructor's conversions and checks."""
+        out = object.__new__(cls)
+        out.source = source
+        out.target = target
+        out.mats = tuple(mats)
+        return out
+
     @property
     def field(self):
         return self.source.algebra.field
@@ -187,7 +197,7 @@ class ModuleMorphism:
         """self followed by other (source -> self.target = other.source -> ...)."""
         assert self.target is other.source or self.target.dims == other.source.dims
         f = self.field
-        return ModuleMorphism(
+        return ModuleMorphism._trusted(
             self.source,
             other.target,
             [f.mul(a, b) for a, b in zip(self.mats, other.mats)],
@@ -195,13 +205,15 @@ class ModuleMorphism:
 
     def add(self, other: "ModuleMorphism") -> "ModuleMorphism":
         f = self.field
-        return ModuleMorphism(
+        return ModuleMorphism._trusted(
             self.source, self.target, [f.add(a, b) for a, b in zip(self.mats, other.mats)]
         )
 
     def scale(self, c: int) -> "ModuleMorphism":
         f = self.field
-        return ModuleMorphism(self.source, self.target, [f.scale(c, a) for a in self.mats])
+        return ModuleMorphism._trusted(
+            self.source, self.target, [f.scale(c, a) for a in self.mats]
+        )
 
     def flatten(self) -> np.ndarray:
         """All blocks as one long row vector (row-major, vertex order)."""
@@ -245,13 +257,14 @@ def zero_morphism(m: ModuleRep, n: ModuleRep) -> ModuleMorphism:
 
 
 def morphism_from_flat(m: ModuleRep, n: ModuleRep, flat: np.ndarray) -> ModuleMorphism:
+    """Inverse of ``flatten`` for a row ``flat`` already reduced mod p."""
     mats = []
     at = 0
     for v in range(len(m.dims)):
         size = m.dims[v] * n.dims[v]
         mats.append(flat[at : at + size].reshape(m.dims[v], n.dims[v]))
         at += size
-    return ModuleMorphism(m, n, mats)
+    return ModuleMorphism._trusted(m, n, mats)
 
 
 @dataclass(frozen=True)
@@ -295,15 +308,19 @@ def hom_basis(m: ModuleRep, n: ModuleRep) -> HomBasis:
         r = m.dims[v] * n.dims[w]
         if r == 0:
             continue
+        # equation row (i, j) of block a, i < m.dims[v] and j < n.dims[w]
         block = f.zeros(r, total)
+        i = np.arange(m.dims[v])[:, None, None]
+        j = np.arange(n.dims[w])[None, :, None]
+        eq = i * n.dims[w] + j
         if sizes[w]:
-            kw = np.kron(m.mats[a], f.eye(n.dims[w]))
-            block[:, offsets[w] : offsets[w + 1]] = kw
+            # M_a kron I: unknown (s, j) of f_w with coefficient M_a[i, s]
+            s = np.arange(m.dims[w])[None, None, :]
+            block[eq, offsets[w] + s * n.dims[w] + j] = m.mats[a][:, None, :]
         if sizes[v]:
-            kv = np.kron(f.eye(m.dims[v]), n.mats[a].T)
-            block[:, offsets[v] : offsets[v + 1]] = (
-                block[:, offsets[v] : offsets[v + 1]] - kv
-            ) % f.p
+            # I kron N_a^T: unknown (i, l) of f_v with coefficient -N_a[l, j]
+            l = np.arange(n.dims[v])[None, None, :]
+            block[eq, offsets[v] + i * n.dims[v] + l] -= n.mats[a].T[None, :, :]
         rows.append(block % f.p)
     system = np.concatenate(rows, axis=0) if rows else f.zeros(0, total)
     kernel = f.kernel_basis(system)
@@ -792,8 +809,12 @@ def sample_modules(tbl: AlgebraTable, seed: int = 0, size: int = 64) -> list:
     and tops of projectives, syzygies and cosyzygies of simples to depth 3;
     then random cokernels of random morphisms between projective sums, until
     ``size`` entries.  Zero modules are dropped, duplicates (bit-identical
-    representations) appear once.
+    representations) appear once.  The sample is computed once per table and
+    arguments; each call returns a fresh list of the same modules.
     """
+    key = ("sample", seed, size)
+    if key in tbl._cache:
+        return list(tbl._cache[key])
     nv = len(tbl.quiver.vertices)
     out = []
     seen = set()
@@ -855,6 +876,7 @@ def sample_modules(tbl: AlgebraTable, seed: int = 0, size: int = 64) -> list:
         fmor = hom.combo(coeffs)
         coker = factorize(fmor).cokernel
         push(coker, label=f"sample[{len(out)}]")
+    tbl._cache[key] = tuple(out)
     return out
 
 
@@ -913,7 +935,8 @@ def parse_module(text: str, tbl: AlgebraTable, label: str = "module") -> ModuleR
                     f"line {lineno}: arrow {name!r} needs {r * c} entries, got {len(entries)}"
                 )
             try:
-                vals = [int(t) for t in entries]
+                # reduce as Python ints: entries may exceed the int64 range
+                vals = [int(t) % tbl.field.p for t in entries]
             except ValueError:
                 raise ModuleFileError(f"line {lineno}: entries must be integers") from None
             mats[a] = np.array(vals, dtype=np.int64).reshape(r, c)
@@ -925,7 +948,7 @@ def parse_module(text: str, tbl: AlgebraTable, label: str = "module") -> ModuleR
     f = tbl.field
     for a in range(len(q.arrows)):
         r, c = dims[q.arrow_source(a)], dims[q.arrow_target(a)]
-        full.append(np.mod(mats[a], f.p) if a in mats else f.zeros(r, c))
+        full.append(mats[a] if a in mats else f.zeros(r, c))
     mod = ModuleRep(tbl, dims, full, label=label)
     problem = validate(mod)
     if problem is not None:

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ardom.algebra import nakayama_from_kupisch
 from ardom.arseq import (
+    ArSequenceError,
     almost_split_from_projective,
     ext1_with_end_action,
     first_failure,
@@ -17,6 +20,7 @@ from ardom.modules import (
     projective,
     simple,
     validate,
+    zero_morphism,
 )
 
 
@@ -145,6 +149,22 @@ def test_choice_independence(kronecker, dim5, nak344):
             first = almost_split_from_projective(tbl, v, choice=0)
             second = almost_split_from_projective(tbl, v, choice=1)
             assert is_isomorphic(first.x, second.x) is True
+
+
+def test_gf2_choices_are_nonzero_classes():
+    # over GF(2) the doubled socle class is zero; it must not be a candidate
+    tbl = nakayama_from_kupisch([2, 1], cyclic=False, p=2)
+    for choice in (0, 1, 2):
+        seq = almost_split_from_projective(tbl, 1, choice=choice)
+        assert np.any(seq.ext_data.class_coords(seq.class_map))
+        assert is_isomorphic(seq.x, projective(tbl, 0)) is True
+
+
+def test_check_raises_on_a_split_class(kronecker):
+    seq = almost_split_from_projective(kronecker, 0)
+    zero = zero_morphism(seq.class_map.source, seq.class_map.target)
+    with pytest.raises(ArSequenceError, match="split"):
+        dataclasses.replace(seq, class_map=zero).check()
 
 
 def test_kronecker_middle_terms(kronecker):

@@ -223,6 +223,20 @@ def test_sample_index_errors(capsys):
     assert exc.value.code == 2
 
 
+def test_module_entry_beyond_int64_is_reduced_mod_p(capsys, tmp_path):
+    # 10^23 = 91 mod 101; both files share a name, so labels agree
+    outputs = []
+    for entry in (10**23, 10**23 % 101):
+        folder = tmp_path / str(entry)
+        folder.mkdir()
+        (folder / "m.mod").write_text(f"dims 1 1\narrow a {entry}\n")
+        for command in ("domdim", "torsion"):
+            code, lines = run(capsys, command, alg("ka2"), "--module", str(folder / "m.mod"))
+            assert code == 0
+            outputs.append(lines)
+    assert outputs[:2] == outputs[2:]
+
+
 def test_missing_algebra_file_is_input_error(capsys):
     code = main(["domdim", "/no/such/file.alg"])
     err = capsys.readouterr().err
