@@ -6,11 +6,11 @@ Matrices are plain numpy ``int64`` arrays with entries reduced into
 * vectors are ROWS and linear maps act by right multiplication ``x @ m``,
 * elimination is fully deterministic (scan columns left to right, pivot on
   the first row with a nonzero entry), so every output is bit-reproducible,
-* elimination is size-selected: matrices up to ``_LIST_ELIMINATION_ENTRIES``
-  entries are reduced on Python ``int`` lists (numpy's per-call overhead
-  dominates there), larger ones with numpy row operations.  Both paths
-  return the same bytes, because the reduced row echelon form of a matrix
-  is unique,
+* elimination is size-selected: matrices with at most
+  ``_LIST_ELIMINATION_NONZEROS`` nonzero entries are reduced on Python
+  ``int`` lists (numpy's per-call overhead dominates there), the others
+  with numpy row operations.  Both paths return the same bytes, because
+  the reduced row echelon form of a matrix is unique,
 * zero-row and zero-column matrices are legal everywhere — empty vector
   spaces occur constantly as vertex spaces of representations.
 
@@ -30,10 +30,12 @@ __all__ = ["PrimeField", "Quotient", "is_probable_prime"]
 # scale (dimensions up to a few thousand).
 _MAX_MODULUS = 1 << 20
 
-# Largest entry count reduced on Python lists rather than numpy arrays.  On
-# the sparse matrices the verifier reduces the list path is faster at every
-# size; on dense random matrices numpy overtakes it above about 256 entries.
-_LIST_ELIMINATION_ENTRIES = 256
+# Largest count of nonzero entries reduced on Python lists rather than numpy
+# arrays.  Zero rows are never touched, so the list path's cost follows the
+# nonzero count, not the shape: on the benchmark workloads' inputs (sparse,
+# up to 254 x 202) and on random matrices of any density numpy overtakes it
+# between about 100 and 200 nonzero entries.
+_LIST_ELIMINATION_NONZEROS = 128
 
 
 def is_probable_prime(n: int) -> bool:
@@ -150,9 +152,10 @@ class PrimeField:
         if r.size == 0:
             return r, ()
         r %= self.p
-        if not r.any():
+        nonzeros = np.count_nonzero(r)
+        if not nonzeros:
             return r, ()
-        if r.size <= _LIST_ELIMINATION_ENTRIES:
+        if nonzeros <= _LIST_ELIMINATION_NONZEROS:
             return self._rref_lists(r.tolist(), rows, cols)
         return self._rref_array(r, rows, cols)
 
