@@ -374,12 +374,6 @@ class AlgebraTable:
                 out.pop(path, None)
         return out
 
-    def el_scale(self, c: int, x: dict) -> dict:
-        c %= self.field.p
-        if c == 0:
-            return {}
-        return {path: c * coeff % self.field.p for path, coeff in x.items()}
-
     def idempotent(self, v: int) -> dict:
         return {Path(v, (), v): 1}
 
@@ -559,9 +553,6 @@ class AlgebraTable:
         self._paths_from = [
             tuple(p for p in words if p.source == v) for v in range(nv)
         ]
-        self._paths_into = [
-            tuple(p for p in words if p.target == v) for v in range(nv)
-        ]
 
     @property
     def dimension(self) -> int:
@@ -569,9 +560,6 @@ class AlgebraTable:
 
     def basis_paths_from(self, v: int) -> tuple[Path, ...]:
         return self._paths_from[v]
-
-    def basis_paths_into(self, v: int) -> tuple[Path, ...]:
-        return self._paths_into[v]
 
     def path_label(self, path: Path) -> str:
         if path.is_trivial:
@@ -643,16 +631,13 @@ def opposite(tbl: AlgebraTable) -> AlgebraTable:
         return tbl._opposite
     q = tbl.quiver
     rev = Quiver(q.vertices, tuple((name, tgt, src) for name, src, tgt in q.arrows))
-    relations = []
-    for element in tbl.relations:
-        rel = {}
-        for path, coeff in element.items():
-            rel[Path(path.target, tuple(reversed(path.arrows)), path.source)] = coeff
-        relations.append(rel)
+    relations = tuple(
+        {reverse_path(path): coeff for path, coeff in element.items()} for element in tbl.relations
+    )
     opp = AlgebraTable(
         rev,
         tbl.field,
-        tuple(relations),
+        relations,
         flags=tbl.flags,
         max_path_length=tbl.max_path_length,
         label=tbl.label + "^op",
@@ -662,7 +647,7 @@ def opposite(tbl: AlgebraTable) -> AlgebraTable:
     return opp
 
 
-def reverse_path(opp_quiver: Quiver, path: Path) -> Path:
+def reverse_path(path: Path) -> Path:
     """The same walk traversed backwards, as a path of the reversed quiver."""
     return Path(path.target, tuple(reversed(path.arrows)), path.source)
 

@@ -85,18 +85,22 @@ def load_corpus(root: str) -> list:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{manifest_path}: invalid JSON: {exc}") from exc
-    raw_entries = manifest.get("entries")
+    raw_entries = manifest.get("entries") if isinstance(manifest, dict) else None
     if not isinstance(raw_entries, list) or not raw_entries:
         raise CorpusError(f"{manifest_path}: no entries")
     entries = []
     seen = set()
-    for raw in raw_entries:
+    for i, raw in enumerate(raw_entries):
+        if not isinstance(raw, dict):
+            raise CorpusError(f"{manifest_path}: entry #{i + 1} must be an object, got {raw!r}")
         entry_id = _expect_str(raw.get("id"), "entry id")
         if entry_id in seen:
             raise CorpusError(f"duplicate corpus entry id {entry_id!r}")
         seen.add(entry_id)
         file_name = _expect_str(raw.get("file"), f"{entry_id}: file")
         expected = raw.get("expected", {})
+        if not isinstance(expected, dict):
+            raise CorpusError(f"{entry_id}: expected must be an object, got {expected!r}")
         unknown = set(expected) - _EXPECTED_KEYS
         if unknown:
             raise CorpusError(f"{entry_id}: unknown expected keys {sorted(unknown)}")

@@ -446,7 +446,7 @@ def transpose(m: ModuleRep) -> ModuleRep:
     y = [
         [
             opp.normal_form(
-                {reverse_path(opp.quiver, p): c for p, c in x[t][s].items()}
+                {reverse_path(p): c for p, c in x[t][s].items()}
             )
             for t in range(len(ps0.vertices))
         ]
@@ -566,7 +566,7 @@ def evaluation_and_torsion(m: ModuleRep) -> EvalData:
                         c = int(c)
                         if not c:
                             continue
-                        rev = reverse_path(opp.quiver, src_paths[j])
+                        rev = reverse_path(src_paths[j])
                         for q, c2 in opp.normal_form({rev: c}).items():
                             out_el[q] = (out_el.get(q, 0) + c2) % f.p
                     for q, c in out_el.items():
@@ -700,7 +700,6 @@ def is_n_torsion_free(m: ModuleRep, n: int) -> bool:
     tr = transpose(m)
     if tr.is_zero:
         return True
-    opp = m.algebra
     areg = regular(tr.algebra)
     for i in range(1, n + 1):
         if ext_dim(tr, areg, i) != 0:

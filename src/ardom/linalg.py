@@ -132,9 +132,6 @@ class PrimeField:
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.mod(a + b, self.p)
 
-    def neg(self, a: np.ndarray) -> np.ndarray:
-        return np.mod(-a, self.p)
-
     def scale(self, c: int, a: np.ndarray) -> np.ndarray:
         return np.mod(int(c) % self.p * a, self.p)
 
@@ -277,9 +274,6 @@ class PrimeField:
         """Exact inverse of a square matrix, or None if singular."""
         assert m.shape[0] == m.shape[1]
         return self.solve(m, self.eye(m.shape[0]))
-
-    def is_invertible(self, m: np.ndarray) -> bool:
-        return m.shape[0] == m.shape[1] and self.rank(m) == m.shape[0]
 
     # -- quotients ---------------------------------------------------------
 

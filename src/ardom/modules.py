@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -86,6 +87,19 @@ class ModuleRep:
         self.mats = tuple(fixed)
         self.label = label
         self._memo = {}
+
+    @classmethod
+    def _trusted(cls, algebra: AlgebraTable, dims: tuple, mats, label: str = "") -> "ModuleRep":
+        """Build from a tuple of ints ``dims`` and int64 blocks already shaped
+        (dims[source], dims[target]) and reduced mod p, skipping the
+        constructor's conversions and checks."""
+        out = object.__new__(cls)
+        out.algebra = algebra
+        out.dims = dims
+        out.mats = tuple(mats)
+        out.label = label
+        out._memo = {}
+        return out
 
     @property
     def total_dim(self) -> int:
@@ -346,22 +360,24 @@ def _as_row_block(arr, width: int, p: int) -> np.ndarray:
 def submodule_from_rows(m: ModuleRep, rows_per_vertex, label: str = "") -> tuple:
     """(S, inclusion) for the submodule spanned by the given rows.
 
-    The rows at each vertex must be linearly independent and the span must
-    be closed under every arrow action (asserted).
+    The rows at each vertex must be linearly independent.  Raises
+    ValueError when their span is not closed under every arrow action.
     """
     f = m.algebra.field
     q = m.algebra.quiver
     basis = [_as_row_block(b, m.dims[v], f.p) for v, b in enumerate(rows_per_vertex)]
-    dims = [b.shape[0] for b in basis]
+    dims = tuple(b.shape[0] for b in basis)
     mats = []
     for a in range(len(q.arrows)):
         v, w = q.arrow_source(a), q.arrow_target(a)
         acted = f.mul(basis[v], m.mats[a])
         coords = f.coords_in_rowspace(basis[w], acted)
-        assert coords is not None, "rows do not span a submodule"
+        if coords is None:
+            arrow = q.arrows[a][0]
+            raise ValueError(f"rows do not span a submodule: not closed under arrow {arrow}")
         mats.append(coords)
-    sub = ModuleRep(m.algebra, dims, mats, label=label)
-    incl = ModuleMorphism(sub, m, basis)
+    sub = ModuleRep._trusted(m.algebra, dims, mats, label=label)
+    incl = ModuleMorphism._trusted(sub, m, basis)
     return sub, incl
 
 
@@ -373,80 +389,147 @@ def quotient_by_rows(m: ModuleRep, rows_per_vertex, label: str = "") -> tuple:
     for v in range(len(m.dims)):
         rows = _as_row_block(rows_per_vertex[v], m.dims[v], f.p)
         quots.append(f.quotient_by_rowspace(rows, m.dims[v]))
-    dims = [qt.dim for qt in quots]
+    dims = tuple(qt.dim for qt in quots)
     mats = []
     for a in range(len(q.arrows)):
         v, w = q.arrow_source(a), q.arrow_target(a)
         mats.append(f.mul(f.mul(quots[v].section, m.mats[a]), quots[w].proj))
-    quo = ModuleRep(m.algebra, dims, mats, label=label)
-    proj = ModuleMorphism(m, quo, [qt.proj for qt in quots])
+    quo = ModuleRep._trusted(m.algebra, dims, mats, label=label)
+    proj = ModuleMorphism._trusted(m, quo, [qt.proj for qt in quots])
     return quo, proj
 
 
-@dataclass(frozen=True)
 class Factorization:
-    kernel: ModuleRep
-    kernel_inclusion: ModuleMorphism
-    image: ModuleRep
-    image_inclusion: ModuleMorphism  # image -> target
-    image_projection: ModuleMorphism  # source ->> image
-    cokernel: ModuleRep
-    cokernel_projection: ModuleMorphism
+    """Kernel, image and cokernel of a morphism, with their maps.
+
+    Each part is built on first read and then kept.  The kernel and its
+    inclusion are built together; the image, its inclusion and projection,
+    and the cokernel with its projection share one list of image rows.  A
+    caller that reads only the kernel or only the cokernel pays for nothing
+    else, and every check on a part runs whenever that part is built.  The
+    parts' labels use the source's label at construction time.
+    """
+
+    def __init__(self, morphism: ModuleMorphism):
+        self.morphism = morphism
+        self._label = morphism.source.label
+
+    @cached_property
+    def _kernel(self) -> tuple:
+        f = self.morphism.field
+        rows = [f.left_kernel_basis(b) for b in self.morphism.mats]
+        return submodule_from_rows(self.morphism.source, rows, label=f"ker({self._label})")
+
+    kernel = property(lambda self: self._kernel[0])
+    kernel_inclusion = property(lambda self: self._kernel[1])
+
+    @cached_property
+    def _image_rows(self) -> list:
+        f = self.morphism.field
+        return [f.row_space_basis(b) for b in self.morphism.mats]
+
+    @cached_property
+    def _image(self) -> tuple:
+        label = f"im({self._label})"
+        return submodule_from_rows(self.morphism.target, self._image_rows, label=label)
+
+    image = property(lambda self: self._image[0])
+    image_inclusion = property(lambda self: self._image[1])  # image -> target
+
+    @cached_property
+    def image_projection(self) -> ModuleMorphism:  # source ->> image
+        f = self.morphism.field
+        mats = []
+        for v, (rows, block) in enumerate(zip(self._image_rows, self.morphism.mats)):
+            coords = f.coords_in_rowspace(rows, block)
+            if coords is None:
+                raise ValueError(f"vertex {v}: morphism block leaves its own row space")
+            mats.append(coords)
+        return ModuleMorphism._trusted(self.morphism.source, self.image, mats)
+
+    @cached_property
+    def _cokernel(self) -> tuple:
+        label = f"coker({self._label})"
+        return quotient_by_rows(self.morphism.target, self._image_rows, label=label)
+
+    cokernel = property(lambda self: self._cokernel[0])
+    cokernel_projection = property(lambda self: self._cokernel[1])
 
 
 def factorize(fmor: ModuleMorphism) -> Factorization:
-    """Vertexwise kernel/image/cokernel with the induced arrow actions."""
-    f = fmor.field
-    m, n = fmor.source, fmor.target
-    ker_rows = [f.left_kernel_basis(fmor.mats[v]) for v in range(len(m.dims))]
-    kernel, ker_incl = submodule_from_rows(m, ker_rows, label=f"ker({m.label})")
-    im_rows = [f.row_space_basis(fmor.mats[v]) for v in range(len(m.dims))]
-    image, im_incl = submodule_from_rows(n, im_rows, label=f"im({m.label})")
-    epi_mats = []
-    for v in range(len(m.dims)):
-        coords = f.coords_in_rowspace(im_rows[v], fmor.mats[v])
-        assert coords is not None
-        epi_mats.append(coords)
-    im_proj = ModuleMorphism(m, image, epi_mats)
-    cokernel, coker_proj = quotient_by_rows(n, im_rows, label=f"coker({m.label})")
-    return Factorization(kernel, ker_incl, image, im_incl, im_proj, cokernel, coker_proj)
+    """Vertexwise kernel/image/cokernel with the induced arrow actions,
+    each built on first read."""
+    return Factorization(fmor)
 
 
-@dataclass(frozen=True)
+def _radical_rows(m: ModuleRep) -> list:
+    """Per vertex w, the rref basis of the radical m·rad A at w: the row
+    space of the stacked actions of the arrows into w."""
+    f = m.algebra.field
+    q = m.algebra.quiver
+    rows = []
+    for w in range(len(m.dims)):
+        into = q.arrows_into(w)
+        if into:
+            stacked = np.concatenate([m.mats[a] for a in into], axis=0)
+        else:
+            stacked = f.zeros(0, m.dims[w])
+        rows.append(f.row_space_basis(stacked))
+    return rows
+
+
 class RST:
-    radical: ModuleRep
-    radical_inclusion: ModuleMorphism
-    socle: ModuleRep
-    socle_inclusion: ModuleMorphism
-    top: ModuleRep
-    top_projection: ModuleMorphism
+    """Radical (= m·rad A), socle (annihilator of all arrows) and top of m.
+
+    Each part is built on first read and then kept; the radical and the top
+    share one list of radical rows.  The parts' labels use the module's
+    label at construction time.
+    """
+
+    def __init__(self, module: ModuleRep):
+        self.module = module
+        self._label = module.label
+
+    @cached_property
+    def _rad_rows(self) -> list:
+        return _radical_rows(self.module)
+
+    @cached_property
+    def _radical(self) -> tuple:
+        return submodule_from_rows(self.module, self._rad_rows, label=f"rad({self._label})")
+
+    radical = property(lambda self: self._radical[0])
+    radical_inclusion = property(lambda self: self._radical[1])
+
+    @cached_property
+    def _top(self) -> tuple:
+        return quotient_by_rows(self.module, self._rad_rows, label=f"top({self._label})")
+
+    top = property(lambda self: self._top[0])
+    top_projection = property(lambda self: self._top[1])
+
+    @cached_property
+    def _socle(self) -> tuple:
+        m = self.module
+        f = m.algebra.field
+        q = m.algebra.quiver
+        rows = []
+        for v in range(len(m.dims)):
+            outs = q.arrows_from(v)
+            if outs:
+                spread = np.concatenate([m.mats[a] for a in outs], axis=1)
+            else:
+                spread = f.zeros(m.dims[v], 0)
+            rows.append(f.left_kernel_basis(spread))
+        return submodule_from_rows(m, rows, label=f"soc({self._label})")
+
+    socle = property(lambda self: self._socle[0])
+    socle_inclusion = property(lambda self: self._socle[1])
 
 
 def rst(m: ModuleRep) -> RST:
-    """Radical (= m·rad A), socle (annihilator of all arrows), and top."""
-    f = m.algebra.field
-    q = m.algebra.quiver
-    nv = len(m.dims)
-    rad_rows = []
-    for w in range(nv):
-        stacked = (
-            np.concatenate([m.mats[a] for a in q.arrows_into(w)], axis=0)
-            if q.arrows_into(w)
-            else f.zeros(0, m.dims[w])
-        )
-        rad_rows.append(f.row_space_basis(stacked))
-    radical, rad_incl = submodule_from_rows(m, rad_rows, label=f"rad({m.label})")
-    top, top_proj = quotient_by_rows(m, rad_rows, label=f"top({m.label})")
-    soc_rows = []
-    for v in range(nv):
-        outs = q.arrows_from(v)
-        if outs:
-            spread = np.concatenate([m.mats[a] for a in outs], axis=1)
-        else:
-            spread = f.zeros(m.dims[v], 0)
-        soc_rows.append(f.left_kernel_basis(spread))
-    socle, soc_incl = submodule_from_rows(m, soc_rows, label=f"soc({m.label})")
-    return RST(radical, rad_incl, socle, soc_incl, top, top_proj)
+    """Radical, socle and top of m, each built on first read."""
+    return RST(m)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +589,7 @@ def dual(m: ModuleRep, label: str = "") -> ModuleRep:
     """
     opp = opposite(m.algebra)
     mats = [m.mats[a].T for a in range(len(m.algebra.quiver.arrows))]
-    return ModuleRep(opp, m.dims, mats, label=label or f"D({m.label})")
+    return ModuleRep._trusted(opp, m.dims, mats, label=label or f"D({m.label})")
 
 
 def dual_morphism(f: ModuleMorphism) -> ModuleMorphism:
@@ -543,7 +626,8 @@ def direct_sum(tbl: AlgebraTable, mods: Sequence[ModuleRep], label: str = "") ->
             r += mr
             c += mc
         mats.append(mat)
-    return ModuleRep(tbl, dims, mats, label=label or "+".join(m.label for m in mods) or "0")
+    label = label or "+".join(m.label for m in mods) or "0"
+    return ModuleRep._trusted(tbl, dims, mats, label=label)
 
 
 def sum_inclusions(tbl: AlgebraTable, mods: Sequence[ModuleRep], total: ModuleRep):
@@ -716,12 +800,11 @@ def proj_cover(m: ModuleRep) -> tuple:
     """(P, cover) with P = ⊕ P(v)^{dim top(m)_v}; ker(cover) ⊆ rad P."""
     tbl = m.algebra
     f = tbl.field
-    parts = rst(m)
     # canonical section of the top projection: quotient sections per vertex
     vertices = []
     gen_rows = []
-    for v in range(len(m.dims)):
-        qt = f.quotient_by_rowspace(parts.radical_inclusion.mats[v], m.dims[v])
+    for v, rows in enumerate(_radical_rows(m)):
+        qt = f.quotient_by_rowspace(rows, m.dims[v])
         for i in range(qt.dim):
             vertices.append(v)
             gen_rows.append(qt.section[i])

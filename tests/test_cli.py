@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +13,7 @@ from ardom.homology import domdim_module
 from ardom.modules import parse_module
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
 def alg(name):
@@ -247,6 +249,38 @@ def test_missing_algebra_file_is_input_error(capsys):
 def test_corpus_without_manifest_is_input_error(capsys, tmp_path):
     code = main(["verify", "--suite", "main", str(tmp_path)])
     assert code == 2
+
+
+def test_manifest_entry_that_is_not_an_object_is_input_error(capsys, tmp_path):
+    (tmp_path / "manifest.json").write_text('{"entries": [1]}')
+    code = main(["verify", str(tmp_path)])
+    assert code == 2
+    assert "must be an object" in capsys.readouterr().err
+
+
+def test_verify_output_is_the_same_under_python_O(tmp_path):
+    root = tmp_path / "corpus"
+    root.mkdir()
+    shutil.copy(alg("ka2"), root)
+    shutil.copytree(os.path.join(CORPUS, "modules", "ka2"), root / "modules" / "ka2")
+    with open(os.path.join(CORPUS, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["entries"] = [e for e in manifest["entries"] if e["id"] == "ka2"]
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "ardom.cli", "verify", "--n", "1..3", str(root)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert len(records(runs[0].stdout.splitlines())) > 1
 
 
 def test_bad_degree_is_input_error(capsys):

@@ -95,6 +95,19 @@ def test_load_corpus_error_cases(tmp_path):
         load_corpus(str(empty))
 
 
+def test_manifest_shapes_that_are_not_objects(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"entries": [1]}')
+    with pytest.raises(CorpusError, match="entry #1 must be an object"):
+        load_corpus(str(tmp_path))
+    manifest.write_text("[1]")
+    with pytest.raises(CorpusError, match="no entries"):
+        load_corpus(str(tmp_path))
+    manifest.write_text('{"entries": [{"id": "x", "file": "x.alg", "expected": [1]}]}')
+    with pytest.raises(CorpusError, match="expected must be an object"):
+        load_corpus(str(tmp_path))
+
+
 # ---------------------------------------------------------------------------
 # the 14-dimensional endomorphism algebra, pinned to structure constants
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ardom.algebra import table_from_text
+import ardom.modules
+from ardom.algebra import table_from_file, table_from_text
+from ardom.linalg import PrimeField
 from ardom.modules import (
     ModuleFileError,
     ModuleMorphism,
@@ -24,15 +28,26 @@ from ardom.modules import (
     proj_sum,
     projective,
     projsum_morphism,
+    quotient_by_rows,
     regular,
     rst,
     sample_modules,
     serialize_module,
     simple,
+    submodule_from_rows,
     sum_inclusions,
     validate,
     zero_module,
+    zero_morphism,
 )
+
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+
+
+@pytest.fixture(scope="module", params=["ka2", "auslander-x2"])
+def corpus_table(request):
+    return table_from_file(os.path.join(CORPUS, request.param + ".alg"))
+
 
 # ---------------------------------------------------------------------------
 # independent oracle: hom dimension by entrywise assembly (no kron shortcuts)
@@ -237,6 +252,123 @@ def test_factorize_exactness(dim5, nak32):
                     assert validate(piece) is None
 
 
+FACTORIZATION_PARTS = (
+    "kernel",
+    "kernel_inclusion",
+    "image",
+    "image_inclusion",
+    "image_projection",
+    "cokernel",
+    "cokernel_projection",
+)
+
+
+def sampled_morphisms(tbl, seed=0, count=12):
+    """Morphisms as sample_modules draws them: covers and hull embeddings of
+    the simples, then random combinations of a hom basis between projective
+    sums with multiplicities in 0..2; plus an identity and a zero map."""
+    nv = len(tbl.quiver.vertices)
+    out = []
+    for v in range(nv):
+        out.append(proj_cover(simple(tbl, v))[1])
+        out.append(inj_hull(simple(tbl, v))[1])
+    reg = regular(tbl)
+    out += [identity_morphism(reg), zero_morphism(reg, injective(tbl, 0))]
+    rng = np.random.default_rng(seed)
+    for _ in range(40 * count):
+        if len(out) >= count + 2 * nv + 2:
+            break
+        mult0 = rng.integers(0, 3, size=nv)
+        mult1 = rng.integers(0, 3, size=nv)
+        verts0 = [v for v in range(nv) for _ in range(mult0[v])]
+        verts1 = [v for v in range(nv) for _ in range(mult1[v])]
+        if not verts0 or not verts1:
+            continue
+        hom = hom_basis(proj_sum(tbl, verts0).module, proj_sum(tbl, verts1).module)
+        if hom.dim:
+            out.append(hom.combo(rng.integers(0, tbl.field.p, size=hom.dim)))
+    return out
+
+
+def eager_factorization(fmor):
+    """Every part of factorize(fmor), built at once from the row bases."""
+    f = fmor.field
+    m, n = fmor.source, fmor.target
+    ker_rows = [f.left_kernel_basis(b) for b in fmor.mats]
+    im_rows = [f.row_space_basis(b) for b in fmor.mats]
+    kernel, kernel_inclusion = submodule_from_rows(m, ker_rows, label=f"ker({m.label})")
+    image, image_inclusion = submodule_from_rows(n, im_rows, label=f"im({m.label})")
+    coords = [f.coords_in_rowspace(r, b) for r, b in zip(im_rows, fmor.mats)]
+    image_projection = ModuleMorphism(m, image, coords)
+    cokernel, cokernel_projection = quotient_by_rows(n, im_rows, label=f"coker({m.label})")
+    return dict(
+        kernel=kernel,
+        kernel_inclusion=kernel_inclusion,
+        image=image,
+        image_inclusion=image_inclusion,
+        image_projection=image_projection,
+        cokernel=cokernel,
+        cokernel_projection=cokernel_projection,
+    )
+
+
+def assert_bit_identical(x, y):
+    if isinstance(x, ModuleRep):
+        assert x.signature() == y.signature()
+        assert x.label == y.label
+    else:
+        assert x.source.signature() == y.source.signature()
+        assert x.target.signature() == y.target.signature()
+    for a, b in zip(x.mats, y.mats, strict=True):
+        assert a.shape == b.shape and a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b)
+
+
+def test_factorize_parts_match_eager_reference(corpus_table):
+    for fmor in sampled_morphisms(corpus_table):
+        ref = eager_factorization(fmor)
+        for name in FACTORIZATION_PARTS:
+            first = factorize(fmor)
+            assert_bit_identical(getattr(first, name), ref[name])
+            last = factorize(fmor)
+            for other in FACTORIZATION_PARTS:
+                if other != name:
+                    getattr(last, other)
+            assert_bit_identical(getattr(last, name), ref[name])
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call appends to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_factorize_builds_only_the_parts_read(corpus_table, monkeypatch):
+    morphisms = sampled_morphisms(corpus_table)
+    kernel_calls = count_calls(monkeypatch, PrimeField, "left_kernel_basis")
+    quotient_calls = count_calls(monkeypatch, PrimeField, "quotient_by_rowspace")
+    for fmor in morphisms:
+        factorize(fmor).cokernel
+    assert quotient_calls and not kernel_calls
+    quotient_calls.clear()
+    for fmor in morphisms:
+        factorize(fmor).kernel
+    assert kernel_calls and not quotient_calls
+
+
+def test_rows_not_closed_under_arrows_raise(a2):
+    p1 = projective(a2, 0)  # e_v1 at v1, the arrow a at v2
+    with pytest.raises(ValueError, match="do not span a submodule"):
+        submodule_from_rows(p1, [[[1]], np.zeros((0, 1), dtype=np.int64)])
+
+
 # ---------------------------------------------------------------------------
 # radical, socle, top
 # ---------------------------------------------------------------------------
@@ -268,6 +400,15 @@ def test_rst_structure(dim5, nak32):
                 assert validate(piece) is None
 
 
+def test_rst_builds_only_the_parts_read(corpus_table, monkeypatch):
+    mods = sample_modules(corpus_table, seed=0, size=24)
+    socle_calls = count_calls(monkeypatch, PrimeField, "left_kernel_basis")
+    top_calls = count_calls(monkeypatch, PrimeField, "quotient_by_rowspace")
+    for m in mods:
+        rst(m).radical
+    assert not socle_calls and not top_calls
+
+
 # ---------------------------------------------------------------------------
 # covers and hulls
 # ---------------------------------------------------------------------------
@@ -292,6 +433,31 @@ def test_proj_cover_minimality(dim5, nak32):
             for v in range(len(m.dims)):
                 rows = parts.kernel_inclusion.mats[v]
                 assert f.coords_in_rowspace(rad_p.mats[v], rows) is not None
+
+
+def test_proj_cover_generators_are_radical_quotient_sections(corpus_table):
+    f = corpus_table.field
+    for m in sample_modules(corpus_table, seed=0, size=24):
+        ps, cover = proj_cover(m)
+        assert cover.is_surjective_map()
+        rad = rst(m).radical_inclusion
+        expected = [
+            (v, row)
+            for v in range(len(m.dims))
+            for row in f.quotient_by_rowspace(rad.mats[v], m.dims[v]).section
+        ]
+        generators = [(v, cover.mats[v][ps.gen_pos[j]]) for j, v in enumerate(ps.vertices)]
+        assert [v for v, _ in generators] == [v for v, _ in expected]
+        for (_, got), (_, want) in zip(generators, expected):
+            assert np.array_equal(got, want)
+
+
+def test_proj_cover_builds_no_radical_submodule(corpus_table, monkeypatch):
+    mods = sample_modules(corpus_table, seed=0, size=24)
+    calls = count_calls(monkeypatch, ardom.modules, "submodule_from_rows")
+    for m in mods:
+        proj_cover(m)
+    assert not calls
 
 
 def test_inj_hull_socle_iso(dim5, nak32, a2):
@@ -373,6 +539,25 @@ def test_direct_sum_dims_and_projections(dim5):
             else:
                 assert comp.is_zero
     assert validate(total) is None
+
+
+def test_unchecked_constructions_match_the_checked_constructor(a2, dim5):
+    for tbl in (a2, dim5):
+        f = tbl.field
+        mods = sample_modules(tbl, seed=3, size=8)
+        built = [dual(m) for m in mods]
+        built += [direct_sum(tbl, mods[:3]), direct_sum(tbl, [])]
+        for m in mods:
+            parts = rst(m)
+            built += [parts.radical, parts.top, parts.socle]
+            built.append(quotient_by_rows(m, [f.eye(d) for d in m.dims])[0])
+        for m in built:
+            q = m.algebra.quiver
+            assert isinstance(m.dims, tuple) and all(type(d) is int for d in m.dims)
+            for a, mat in enumerate(m.mats):
+                assert mat.dtype == np.int64
+                assert mat.shape == (m.dims[q.arrow_source(a)], m.dims[q.arrow_target(a)])
+            assert ModuleRep(m.algebra, m.dims, m.mats).signature() == m.signature()
 
 
 def test_hom_additivity(kronecker):
