@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraTable
-from .homology import _builder, ext_dim, tau_inverse, transpose
+from .homology import _builder, ext_dim, tau_inverse, torsion_free_failure_degree
 from .modules import (
     ModuleMorphism,
     ModuleRep,
@@ -26,7 +26,6 @@ from .modules import (
     is_injective,
     left_mult_morphism,
     projective,
-    regular,
     sum_inclusions,
 )
 
@@ -88,7 +87,7 @@ def ext1_with_end_action(v_module: ModuleRep, vertex: int) -> Ext1Data:
     hom = hom_basis(omega, u)
     if hom.dim == 0:
         raise ValueError("Ext^1 vanishes: no morphisms from the syzygy")
-    flats = np.stack([g.flatten() for g in hom.morphisms])
+    flats = hom.rows
     restricted = []
     for g in hom_basis(b.sums[0].module, u).morphisms:
         coords = fld.coords_in_rowspace(flats, incl.compose(g).flatten().reshape(1, -1))
@@ -272,7 +271,7 @@ def has_n_tf_ar_sequences(tbl: AlgebraTable, n: int):
         seq = almost_split_from_projective(tbl, vertex)
         entry = {"vertex": name, "terms": {}}
         for term_name, term in (("U", seq.u), ("X", seq.x), ("V", seq.v)):
-            bad = _first_nonvanishing_degree(term, n)
+            bad = torsion_free_failure_degree(term, n)
             entry["terms"][term_name] = bad
             if bad is not None:
                 verdict = False
@@ -289,16 +288,4 @@ def first_failure(report):
             bad = entry.get("terms", {}).get(term_name)
             if bad is not None:
                 return entry["vertex"], term_name, bad
-    return None
-
-
-def _first_nonvanishing_degree(m: ModuleRep, n: int):
-    """Least 1 <= i <= n with Ext^i over the opposite of (Tr m, A°) nonzero."""
-    tr = transpose(m)
-    if tr.is_zero:
-        return None
-    areg = regular(tr.algebra)
-    for i in range(1, n + 1):
-        if ext_dim(tr, areg, i) != 0:
-            return i
     return None

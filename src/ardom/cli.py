@@ -70,6 +70,16 @@ def _parse_n_range(text: str):
         ) from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -88,7 +98,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="json", help="output format"
     )
     common.add_argument(
-        "--jobs", type=int, default=1, metavar="J", help="parallel corpus workers"
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        metavar="J",
+        help="parallel corpus workers (at most one per entry)",
     )
     common.add_argument(
         "--max-path-length",

@@ -36,6 +36,7 @@ from .modules import (
     projsum_map_from_elements,
     regular,
     simple,
+    submodule_from_rows,
     zero_module,
     zero_morphism,
 )
@@ -43,6 +44,7 @@ from .modules import (
 __all__ = [
     "DEFAULT_CAP",
     "CappedNat",
+    "InvariantError",
     "Resolution",
     "min_proj_resolution",
     "min_inj_coresolution",
@@ -63,12 +65,18 @@ __all__ = [
     "injdim",
     "gldim",
     "gorenstein_dim",
+    "torsion_free_failure_degree",
     "is_n_torsion_free",
     "is_n_torsion_free_via_dual",
     "domdim_R_via_mueller",
 ]
 
 DEFAULT_CAP = 30
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: two routes to the same value
+    disagree, or a computed vector leaves the space it must lie in."""
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +107,9 @@ class CappedNat:
 
     @staticmethod
     def infinite(certificate: str) -> "CappedNat":
-        assert certificate, "infinite requires a certificate"
+        if not certificate:
+            # an explicit raise, unlike an assert, survives python -O
+            raise AssertionError("infinite requires a certificate")
         return CappedNat("infinite", 0, certificate)
 
     @property
@@ -187,7 +197,8 @@ class _ProjResBuilder:
 
     def differential(self, i: int) -> ModuleMorphism:
         """d_i: P_i -> P_{i-1} (i >= 1), the cover followed by the inclusion."""
-        assert i >= 1
+        if i < 1:
+            raise ValueError("differentials start in degree 1")
         self.extend(i)
         src = self.term(i).module
         tgt = self.term(i - 1).module
@@ -385,9 +396,11 @@ def ext_module(m: ModuleRep, i: int) -> ModuleRep:
         d_in = _cochain_matrix(ps_prev, ps_i, el_in, pv)
         image = f.row_space_basis(d_in)
         coords = f.coords_in_rowspace(kernel, image)
-        assert coords is not None, "cochain image escapes the kernel"
+        if coords is None:
+            raise InvariantError("cochain image escapes the kernel")
         quot = f.quotient_by_rowspace(f.row_space_basis(coords), kernel.shape[0])
-        assert quot.dim == ext_dim(m, pv, i), "graded Ext dimension mismatch"
+        if quot.dim != ext_dim(m, pv, i):
+            raise InvariantError("graded Ext dimension mismatch")
         kernels.append(kernel)
         quots.append(quot)
 
@@ -410,7 +423,8 @@ def ext_module(m: ModuleRep, i: int) -> ModuleRep:
             cochain = f.mul(quots[w].section[j : j + 1], kernels[w])
             moved = f.mul(cochain, lam)
             coords = f.coords_in_rowspace(kernels[v], moved)
-            assert coords is not None, "arrow action leaves the cocycle space"
+            if coords is None:
+                raise InvariantError("arrow action leaves the cocycle space")
             mat[j] = f.mul(coords, quots[v].proj)[0]
         mats[a] = mat
     out = ModuleRep(opp, dims, mats, label=f"Ext{i}({m.label},A)")
@@ -489,13 +503,7 @@ def _star_with_bases(m: ModuleRep):
     f = tbl.field
     nv = len(tbl.quiver.vertices)
     bases = [hom_basis(m, projective(tbl, v)) for v in range(nv)]
-    flats = []
-    for v in range(nv):
-        width = sum(m.dims[u] * projective(tbl, v).dims[u] for u in range(nv))
-        if bases[v].dim:
-            flats.append(np.stack([g.flatten() for g in bases[v].morphisms]))
-        else:
-            flats.append(f.zeros(0, width))
+    flats = [hb.rows for hb in bases]
     dims = [hb.dim for hb in bases]
     mats = [None] * len(opp.quiver.arrows)
     for a in range(len(tbl.quiver.arrows)):
@@ -506,7 +514,8 @@ def _star_with_bases(m: ModuleRep):
         for i, g in enumerate(bases[w].morphisms):
             composed = g.compose(lm).flatten().reshape(1, -1)
             coords = f.coords_in_rowspace(flats[v], composed)
-            assert coords is not None
+            if coords is None:
+                raise InvariantError("post-composition leaves the hom basis span")
             mat[i] = coords[0]
         mats[a] = mat
     star = ModuleRep(opp, dims, mats, label=f"{m.label}*")
@@ -541,7 +550,8 @@ def evaluation_and_torsion(m: ModuleRep) -> EvalData:
     nv = len(tbl.quiver.vertices)
     star, bases, _ = _star_with_bases(m)
     dstar, bases2, flats2 = _star_with_bases(star)
-    assert dstar.algebra is tbl
+    if dstar.algebra is not tbl:
+        raise InvariantError("the double dual lives over another algebra")
     opp_proj_index = [
         [
             {p: i for i, p in enumerate(paths)}
@@ -574,7 +584,8 @@ def evaluation_and_torsion(m: ModuleRep) -> EvalData:
                 blocks.append(rows.reshape(-1))
             flat = np.concatenate(blocks) if blocks else f.zeros(1, 0)[0]
             coords = f.coords_in_rowspace(flats2[v], flat.reshape(1, -1))
-            assert coords is not None, "evaluation image escaped the hom basis"
+            if coords is None:
+                raise InvariantError("evaluation image escaped the hom basis")
             mat[t] = coords[0]
         ev_mats.append(mat)
     evaluation = ModuleMorphism(m, dstar, ev_mats)
@@ -594,7 +605,29 @@ def evaluation_and_torsion(m: ModuleRep) -> EvalData:
 
 
 def torsion(m: ModuleRep) -> ModuleRep:
-    return evaluation_and_torsion(m).torsion
+    """t(m), the kernel of the evaluation m -> m**, without building m**.
+
+    x lies in that kernel exactly when φ(x) = 0 for every φ: m -> A, and
+    A is the sum of the P(v), so t(m) is the intersection of the kernels of
+    all of Hom(m, A): at vertex u, the left kernel of the blocks φ_u of
+    every ``hom_basis(m, P(v))`` morphism, side by side.  The canonical
+    kernel basis depends only on that subspace, so the module is
+    bit-identical to ``evaluation_and_torsion(m).torsion``.
+    """
+    tbl = m.algebra
+    key = ("torsion", m.signature())
+    if key in tbl._cache:
+        return tbl._cache[key]
+    f = tbl.field
+    bases = [hom_basis(m, projective(tbl, v)) for v in range(len(tbl.quiver.vertices))]
+    rows = []
+    for u, d in enumerate(m.dims):
+        blocks = [g.mats[u] for hb in bases for g in hb.morphisms]
+        side_by_side = np.concatenate(blocks, axis=1) if blocks else f.zeros(d, 0)
+        rows.append(f.left_kernel_basis(side_by_side))
+    out, _ = submodule_from_rows(m, rows, label=f"t({m.label})")
+    tbl._cache[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -679,10 +712,11 @@ def gorenstein_dim(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat:
     right = injdim(regular(tbl), cap)
     left = injdim(regular(opposite(tbl)), cap)
     if right.is_exact and left.is_exact:
-        assert right.value == left.value, (
-            "one-sided finite injective dimensions disagree; this contradicts "
-            "the two-sided theory and indicates a bug"
-        )
+        if right.value != left.value:
+            raise InvariantError(
+                "one-sided finite injective dimensions disagree; this contradicts "
+                "the two-sided theory and indicates a bug"
+            )
         return right
     bound = min(right.value, left.value)
     return CappedNat.at_least(bound, "not verified Gorenstein at cap")
@@ -693,18 +727,24 @@ def gorenstein_dim(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat:
 # ---------------------------------------------------------------------------
 
 
-def is_n_torsion_free(m: ModuleRep, n: int) -> bool:
-    """Vanishing of Ext^i over the opposite algebra of (Tr m, A°), i = 1..n."""
+def torsion_free_failure_degree(m: ModuleRep, n: int):
+    """Least 1 <= i <= n with Ext^i over the opposite algebra of (Tr m, A°)
+    nonzero, or None when all of them vanish (m is n-torsion-free)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     tr = transpose(m)
     if tr.is_zero:
-        return True
+        return None
     areg = regular(tr.algebra)
     for i in range(1, n + 1):
         if ext_dim(tr, areg, i) != 0:
-            return False
-    return True
+            return i
+    return None
+
+
+def is_n_torsion_free(m: ModuleRep, n: int) -> bool:
+    """Vanishing of Ext^i over the opposite algebra of (Tr m, A°), i = 1..n."""
+    return torsion_free_failure_degree(m, n) is None
 
 
 def is_n_torsion_free_via_dual(m: ModuleRep, n: int) -> bool:

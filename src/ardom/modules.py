@@ -55,6 +55,7 @@ __all__ = [
     "quotient_by_rows",
     "proj_sum",
     "projsum_morphism",
+    "projsum_hom_rows",
     "projsum_map_elements",
     "projsum_map_from_elements",
     "left_mult_morphism",
@@ -291,13 +292,19 @@ class HomBasis:
     def dim(self) -> int:
         return len(self.morphisms)
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The flattened basis morphisms, one row each (dim x sum of block sizes)."""
+        if self.morphisms:
+            return np.stack([g.flatten() for g in self.morphisms])
+        width = sum(a * b for a, b in zip(self.source.dims, self.target.dims))
+        return np.zeros((0, width), dtype=np.int64)
+
     def combo(self, coeffs: Sequence[int]) -> ModuleMorphism:
-        f = self.source.algebra.field
-        out = zero_morphism(self.source, self.target)
-        for c, g in zip(coeffs, self.morphisms):
-            if c % f.p:
-                out = out.add(g.scale(c))
-        return out
+        """The combination sum_i coeffs[i] * morphisms[i], built as one morphism."""
+        p = self.source.algebra.field.p
+        c = np.array([int(x) % p for x in coeffs], dtype=np.int64)
+        return morphism_from_flat(self.source, self.target, c @ self.rows % p)
 
 
 def hom_basis(m: ModuleRep, n: ModuleRep) -> HomBasis:
@@ -733,6 +740,36 @@ def projsum_morphism(ps: ProjSum, target: ModuleRep, gen_rows) -> ModuleMorphism
     return ModuleMorphism(ps.module, target, mats)
 
 
+def projsum_hom_rows(ps: ProjSum, n: ModuleRep) -> np.ndarray:
+    """The flattened rows of ``hom_basis(ps.module, n)``, by Yoneda.
+
+    Hom(⊕_j P(u_j), N) = ⊕_j N_{u_j}: the morphism sending copy j's
+    generator to basis vector k of N_{u_j} (and the other generators to 0)
+    has row ``n.path_matrix(path)[k]`` at each label (j, path).  Those
+    morphisms span the Hom space, and the canonical kernel basis that
+    ``hom_basis`` returns is the unique basis of that space which is the
+    identity on its free columns, the columns that are last nonzero entries
+    of some vector.  Those are the pivots of the rref with the columns
+    reversed, so reversing that rref's rows and columns gives the same rows.
+    """
+    tbl = n.algebra
+    f = tbl.field
+    nv = len(tbl.quiver.vertices)
+    offsets = np.cumsum([0] + [ps.module.dims[w] * n.dims[w] for w in range(nv)])
+    starts = np.cumsum([0] + [n.dims[u] for u in ps.vertices])
+    spanning = f.zeros(int(starts[-1]), int(offsets[-1]))
+    actions = {}  # copies of one projective share their paths
+    for w in range(nv):
+        d = n.dims[w]
+        for i, (j, path) in enumerate(ps.labels[w]):
+            if path not in actions:
+                actions[path] = n.path_matrix(path)
+            at = offsets[w] + i * d
+            spanning[starts[j] : starts[j + 1], at : at + d] = actions[path]
+    r, pivots = f.rref(spanning[:, ::-1])
+    return np.ascontiguousarray(r[: len(pivots)][::-1, ::-1])
+
+
 def projsum_map_elements(ps_src: ProjSum, ps_tgt: ProjSum, d: ModuleMorphism):
     """Decode a morphism between projective sums into algebra elements.
 
@@ -800,14 +837,17 @@ def proj_cover(m: ModuleRep) -> tuple:
     """(P, cover) with P = ⊕ P(v)^{dim top(m)_v}; ker(cover) ⊆ rad P."""
     tbl = m.algebra
     f = tbl.field
-    # canonical section of the top projection: quotient sections per vertex
+    # canonical section of the top projection: the standard basis vectors at
+    # the non-pivot columns of the radical rows, which are already in rref
     vertices = []
     gen_rows = []
     for v, rows in enumerate(_radical_rows(m)):
-        qt = f.quotient_by_rowspace(rows, m.dims[v])
-        for i in range(qt.dim):
+        eye = f.eye(m.dims[v])
+        if len(rows):
+            eye[np.argmax(rows != 0, axis=1)] = 0  # the first nonzero of each row
+        for row in eye[eye.any(axis=1)]:
             vertices.append(v)
-            gen_rows.append(qt.section[i])
+            gen_rows.append(row)
     ps = proj_sum(tbl, vertices)
     cover = projsum_morphism(ps, m, gen_rows)
     return ps, cover
@@ -891,9 +931,12 @@ def sample_modules(tbl: AlgebraTable, seed: int = 0, size: int = 64) -> list:
     Always includes (in order): simples, projectives, injectives, radicals
     and tops of projectives, syzygies and cosyzygies of simples to depth 3;
     then random cokernels of random morphisms between projective sums, until
-    ``size`` entries.  Zero modules are dropped, duplicates (bit-identical
-    representations) appear once.  The sample is computed once per table and
-    arguments; each call returns a fresh list of the same modules.
+    ``size`` entries.  Each random morphism is a random combination of the
+    Yoneda rows of :func:`projsum_hom_rows`, which equal the ``hom_basis``
+    rows, so no Hom system is solved.  Zero modules are dropped, duplicates
+    (bit-identical representations) appear once.  The sample is computed
+    once per table and arguments; each call returns a fresh list of the same
+    modules.
     """
     key = ("sample", seed, size)
     if key in tbl._cache:
@@ -950,13 +993,13 @@ def sample_modules(tbl: AlgebraTable, seed: int = 0, size: int = 64) -> list:
         verts1 = [v for v in range(nv) for _ in range(mult1[v])]
         if not verts0 or not verts1:
             continue
-        src = proj_sum(tbl, verts0).module
+        ps = proj_sum(tbl, verts0)
         tgt = proj_sum(tbl, verts1).module
-        hom = hom_basis(src, tgt)
-        if hom.dim == 0:
+        rows = projsum_hom_rows(ps, tgt)
+        if rows.shape[0] == 0:
             continue
-        coeffs = rng.integers(0, tbl.field.p, size=hom.dim)
-        fmor = hom.combo(coeffs)
+        coeffs = rng.integers(0, tbl.field.p, size=rows.shape[0])
+        fmor = morphism_from_flat(ps.module, tgt, coeffs @ rows % tbl.field.p)
         coker = factorize(fmor).cokernel
         push(coker, label=f"sample[{len(out)}]")
     tbl._cache[key] = tuple(out)

@@ -503,8 +503,11 @@ def run_suite(
     """Run the selected suites over corpus entries, in manifest order.
 
     Returns (verdicts, exit_code).  Workers only parallelize independent
-    entries; the merged report order never depends on the job count.
+    entries, so at most one worker per entry is started; the merged report
+    order never depends on the job count.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     for suite in suites:
         if suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r}")
@@ -512,6 +515,7 @@ def run_suite(
     if not entries:
         raise ValueError("empty corpus")
     verdicts = []
+    jobs = min(jobs, len(entries))
     if jobs > 1:
         payload = [
             (e.root, e.entry_id, tuple(suites), tuple(ns), cap, seed, sample_size)

@@ -1,6 +1,10 @@
+import os
+
 import pytest
 
 from ardom.algebra import nakayama_from_kupisch, table_from_text
+
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
 A2_TEXT = """
 field 101
@@ -64,3 +68,15 @@ def nak22():
 @pytest.fixture(scope="session")
 def nak32():
     return nakayama_from_kupisch([3, 2], cyclic=True)
+
+
+@pytest.fixture(scope="session")
+def fresh_corpus_table():
+    """Read a corpus algebra over GF(p) into a new table with empty caches."""
+
+    def read(name, p):
+        with open(os.path.join(CORPUS, name + ".alg"), encoding="utf-8") as fh:
+            text = fh.read().replace("field 101", f"field {p}")
+        return table_from_text(text, label=f"{name}@{p}")
+
+    return read

@@ -317,3 +317,11 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["algebra"] == "ka2"
+
+
+@pytest.mark.parametrize("jobs", ["-3", "0", "two"])
+def test_jobs_below_one_is_input_error(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "main", "--jobs", jobs, CORPUS])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err

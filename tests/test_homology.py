@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import ardom.homology
 from ardom.algebra import nakayama_from_kupisch, opposite, table_from_text
 from ardom.homology import (
     CappedNat,
+    InvariantError,
+    _builder,
     domdim_algebra,
     domdim_module,
     domdim_R_via_mueller,
@@ -23,8 +26,10 @@ from ardom.homology import (
     tau,
     tau_inverse,
     torsion,
+    torsion_free_failure_degree,
     transpose,
 )
+from ardom.linalg import PrimeField
 from ardom.modules import (
     dual,
     dual_regular,
@@ -533,3 +538,92 @@ def test_ext_module_vanishes_on_projectives(a2, dim5):
 def test_ext_module_rejects_negative_degree(a2):
     with pytest.raises(ValueError):
         ext_module(simple(a2, 0), -1)
+
+
+# ---------------------------------------------------------------------------
+# torsion without the double dual
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+@pytest.mark.parametrize("name", ["ka2", "auslander-x2", "nak-233"])
+def test_torsion_matches_the_evaluation_kernel(name, p, fresh_corpus_table):
+    tbl = fresh_corpus_table(name, p)
+    nv = len(tbl.quiver.vertices)
+    mods = [simple(tbl, v) for v in range(nv)] + sample_modules(tbl)
+    for m in mods:
+        t = torsion(m)
+        data = evaluation_and_torsion(m)
+        ref = factorize(data.evaluation).kernel
+        assert t.signature() == ref.signature() == data.torsion.signature()
+        assert t.dims == ref.dims
+        assert t.label == data.torsion.label == f"t({m.label})"
+        for a, b in zip(t.mats, ref.mats, strict=True):
+            assert a.shape == b.shape and a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b)
+        assert torsion(m) is t  # kept in the table's cache
+
+
+def test_torsion_builds_no_dual(monkeypatch, fresh_corpus_table):
+    tbl = fresh_corpus_table("auslander-x2", 3)
+    mods = sample_modules(tbl)
+    calls = []
+    original = ardom.homology._star_with_bases
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(ardom.homology, "_star_with_bases", counted)
+    for m in mods:
+        torsion(m)
+    assert not calls
+    evaluation_and_torsion(mods[0])
+    assert calls  # the counter does see the double-dual route
+
+
+# ---------------------------------------------------------------------------
+# explicit invariant checks
+# ---------------------------------------------------------------------------
+
+
+def test_ext_module_check_raises_without_asserts(monkeypatch):
+    tbl = table_from_text("field 101\nvertices v1 v2\narrow a v1 v2\n", label="a2-fresh")
+    s1 = simple(tbl, 0)
+    assert ext_dim(s1, regular(tbl), 1) == 1
+    _builder(s1).extend(2)  # resolve before the linear algebra is broken
+    monkeypatch.setattr(PrimeField, "coords_in_rowspace", lambda self, basis, vecs: None)
+    with pytest.raises(InvariantError, match="cochain image escapes the kernel"):
+        ext_module(s1, 1)
+
+
+def test_gorenstein_disagreement_raises(monkeypatch, a2):
+    sides = iter([CappedNat.exact(1), CappedNat.exact(2)])
+    monkeypatch.setattr(ardom.homology, "injdim", lambda m, cap: next(sides))
+    with pytest.raises(InvariantError, match="disagree"):
+        gorenstein_dim(a2)
+
+
+def test_homology_has_no_assert_statements():
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(ardom.homology))
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+# ---------------------------------------------------------------------------
+# one torsion-free degree function
+# ---------------------------------------------------------------------------
+
+
+def test_torsion_free_failure_degree_drives_is_n_torsion_free(dim5, nak32, kronecker):
+    for tbl in (dim5, nak32, kronecker):
+        for m in sample_modules(tbl, seed=28, size=6):
+            degree = torsion_free_failure_degree(m, 3)
+            assert degree is None or 1 <= degree <= 3
+            for n in range(1, 4):
+                expected = degree is None or degree > n
+                assert is_n_torsion_free(m, n) == expected
+                assert (torsion_free_failure_degree(m, n) is None) == expected
+    with pytest.raises(ValueError):
+        torsion_free_failure_degree(simple(dim5, 0), 0)

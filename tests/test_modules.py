@@ -27,6 +27,7 @@ from ardom.modules import (
     proj_cover,
     proj_sum,
     projective,
+    projsum_hom_rows,
     projsum_morphism,
     quotient_by_rows,
     regular,
@@ -711,3 +712,94 @@ def test_module_file_errors(dim5, a2):
         parse_module("dims 1 1\ndims 1 1\n", a2)
     with pytest.raises(ModuleFileError, match="relation"):
         parse_module("dims 1 1\narrow a 1\narrow b 1\n", dim5)
+
+
+# ---------------------------------------------------------------------------
+# Yoneda rows for maps out of projective sums
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+@pytest.mark.parametrize("name", ["ka2", "auslander-x2", "nak-233"])
+def test_projsum_hom_rows_equal_the_hom_basis_rows(name, p, fresh_corpus_table):
+    tbl = fresh_corpus_table(name, p)
+    nv = len(tbl.quiver.vertices)
+    sums = [(), (0,), (nv - 1, 0), (0, 0, 1)] + [(v, v) for v in range(nv)]
+    targets = [zero_module(tbl)]
+    targets += [simple(tbl, v) for v in range(nv)]
+    targets += [injective(tbl, v) for v in range(nv)]
+    targets += [proj_sum(tbl, verts).module for verts in sums]
+    targets += sample_modules(tbl, seed=0, size=40)[-6:]
+    for verts in sums:
+        ps = proj_sum(tbl, verts)
+        for n in targets:
+            rows = projsum_hom_rows(ps, n)
+            ref = hom_basis(ps.module, n).rows
+            assert rows.shape == ref.shape and rows.dtype == ref.dtype == np.int64
+            assert np.array_equal(rows, ref)
+
+
+def test_sample_modules_solves_no_hom_system(monkeypatch, fresh_corpus_table):
+    tbl = fresh_corpus_table("auslander-x2", 3)
+    calls = count_calls(monkeypatch, ardom.modules, "hom_basis")
+    mods = sample_modules(tbl)
+    assert len(mods) == 64 and not calls
+
+
+def reference_rows(ps, n):
+    return hom_basis(ps.module, n).rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+@pytest.mark.parametrize("name", ["ka2", "auslander-x2", "nak-233"])
+def test_sample_matches_a_sample_drawn_from_hom_basis(name, p, monkeypatch, fresh_corpus_table):
+    def content(mods):  # signatures without the table's id, and labels
+        return [(m.signature()[1:], m.label) for m in mods]
+
+    got = content(sample_modules(fresh_corpus_table(name, p)))
+    monkeypatch.setattr(ardom.modules, "projsum_hom_rows", reference_rows)
+    want = content(sample_modules(fresh_corpus_table(name, p)))
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# one morphism per combination, covers from the rref of the radical
+# ---------------------------------------------------------------------------
+
+
+def old_combo(hom, coeffs):
+    """The former HomBasis.combo: one scaled and one summed morphism per term."""
+    p = hom.source.algebra.field.p
+    out = zero_morphism(hom.source, hom.target)
+    for c, g in zip(coeffs, hom.morphisms):
+        if c % p:
+            out = out.add(g.scale(c))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_combo_equals_the_old_fold(p, fresh_corpus_table):
+    tbl = fresh_corpus_table("auslander-x2", p)
+    mods = sample_modules(tbl, seed=1, size=16)
+    rng = np.random.default_rng(p)
+    for m in mods[::3]:
+        for n in mods[::4]:
+            hom = hom_basis(m, n)
+            for coeffs in (
+                rng.integers(-3 * p, 3 * p, size=hom.dim),
+                [int(c) for c in rng.integers(0, p, size=hom.dim)],
+                [0] * hom.dim,
+            ):
+                got, want = hom.combo(coeffs), old_combo(hom, coeffs)
+                assert got.source is m and got.target is n
+                for a, b in zip(got.mats, want.mats, strict=True):
+                    assert a.shape == b.shape and a.dtype == b.dtype == np.int64
+                    assert np.array_equal(a, b)
+
+
+def test_proj_cover_reduces_nothing_twice(corpus_table, monkeypatch):
+    mods = sample_modules(corpus_table, seed=0, size=24)
+    calls = count_calls(monkeypatch, PrimeField, "quotient_by_rowspace")
+    for m in mods:
+        proj_cover(m)
+    assert not calls

@@ -322,3 +322,34 @@ def test_verdict_serialization():
     assert line.startswith("PASS") and "ka2" in line and "alpha=a" in line
     assert Verdict("x", "y", "inconclusive").to_text().startswith("????")
     assert Verdict("x", "y", "fail").to_text().startswith("FAIL")
+
+
+def test_run_suite_starts_at_most_one_worker_per_entry(corpus, monkeypatch):
+    import ardom.verify as verify_mod
+
+    started = []
+
+    class RecordingPool:  # runs the workers in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", RecordingPool)
+    subset = corpus[:2]
+    serial, code1 = run_suite(subset, suites=("main",), ns=(1,))
+    pooled, code2 = run_suite(subset, suites=("main",), ns=(1,), jobs=3)
+    assert started == [2]
+    assert code1 == code2
+    assert [v.to_json() for v in serial] == [v.to_json() for v in pooled]
+    run_suite(subset[:1], suites=("main",), ns=(1,), jobs=3)
+    assert started == [2]  # one entry: no pool at all
+    with pytest.raises(ValueError, match="jobs"):
+        run_suite(subset, suites=("main",), jobs=0)
