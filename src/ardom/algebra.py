@@ -317,8 +317,10 @@ class AlgebraTable:
     """A bound quiver algebra with a completed normal-form path basis.
 
     Treat instances as immutable: every attribute is written once during
-    construction.  The private dictionaries are memo caches only, so the
-    table is safe to share read-only across worker processes/threads.
+    construction.  The one private dict ``_memo`` is a cache only: it holds
+    path normal forms and products (``("nf", path)``, ``("product", a, b)``)
+    and the results of ``modules.memoized`` functions over this table, so
+    the table is safe to share read-only across worker processes/threads.
     """
 
     def __init__(
@@ -342,9 +344,7 @@ class AlgebraTable:
         for rank, i in enumerate(order):
             self._lexrank[i] = rank
         self.rules: dict[tuple[int, ...], dict] = {}
-        self._nf_cache: dict = {}
-        self._product_cache: dict = {}
-        self._cache: dict = {}  # cross-module memo (modules/homology layers)
+        self._memo: dict = {}
         self._opposite: Optional[AlgebraTable] = None
         self._complete()
         self._enumerate_basis()
@@ -394,7 +394,8 @@ class AlgebraTable:
 
     def normal_form_path(self, path: Path) -> dict:
         """Normal form of a single path as an element dict."""
-        cached = self._nf_cache.get(path)
+        memo, key = self._memo, ("nf", path)
+        cached = memo.get(key)
         if cached is not None:
             return dict(cached)
         result: dict[Path, int] = {}
@@ -415,7 +416,7 @@ class AlgebraTable:
                 word = prefix + term.arrows + suffix
                 nxt = Path(cur.source, word, cur.target)
                 stack.append((nxt, coeff * tc % self.field.p))
-        self._nf_cache[path] = dict(result)
+        memo[key] = dict(result)
         return result
 
     def normal_form(self, element: dict) -> dict:
@@ -427,11 +428,11 @@ class AlgebraTable:
     def multiply_paths(self, a: Path, b: Path) -> dict:
         if a.target != b.source:
             return {}
-        key = (a, b)
-        cached = self._product_cache.get(key)
+        memo, key = self._memo, ("product", a, b)
+        cached = memo.get(key)
         if cached is None:
             cached = self.normal_form_path(Path(a.source, a.arrows + b.arrows, b.target))
-            self._product_cache[key] = cached
+            memo[key] = cached
         return dict(cached)
 
     def multiply(self, x: dict, y: dict) -> dict:
@@ -480,8 +481,7 @@ class AlgebraTable:
             el = self.el_add(el, other_rhs, -1)
             pending.append(el)
         self.rules[lw] = rhs
-        self._nf_cache.clear()
-        self._product_cache.clear()
+        self._memo.clear()
 
     def _complete(self):
         pending: list[dict] = [dict(r) for r in self.relations]
@@ -598,7 +598,9 @@ def build_table(
     max_path_length: int = DEFAULT_MAX_PATH_LENGTH,
     label: str = "",
 ) -> AlgebraTable:
-    return AlgebraTable(
+    """The table of a parsed presentation.  ``selfinjective`` and ``symmetric``
+    (which implies it) short-circuit invariants, so D(A) must be projective."""
+    tbl = AlgebraTable(
         pres.quiver,
         pres.field,
         pres.relations,
@@ -606,6 +608,11 @@ def build_table(
         max_path_length=max_path_length,
         label=label,
     )
+    from .modules import dual_regular, is_projective  # modules imports this module
+    for flag in sorted(tbl.flags & {"selfinjective", "symmetric"}):
+        if not is_projective(dual_regular(tbl)):
+            raise PresentationError(f"flag {flag} does not hold: D(A) is not projective")
+    return tbl
 
 
 def table_from_text(

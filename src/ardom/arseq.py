@@ -18,6 +18,7 @@ import numpy as np
 from .algebra import AlgebraTable
 from .homology import _builder, ext_dim, tau_inverse, torsion_free_failure_degree
 from .modules import (
+    InvariantError,
     ModuleMorphism,
     ModuleRep,
     direct_sum,
@@ -25,6 +26,7 @@ from .modules import (
     hom_basis,
     is_injective,
     left_mult_morphism,
+    memoized,
     projective,
     sum_inclusions,
 )
@@ -64,7 +66,8 @@ class Ext1Data:
         """Coordinates in the Ext^1 basis of the class of f: ΩV → U."""
         fld = self.v_module.algebra.field
         coords = fld.coords_in_rowspace(self._hom_flats, f.flatten().reshape(1, -1))
-        assert coords is not None
+        if coords is None:
+            raise ArSequenceError("the class map leaves the span of Hom(ΩV, U)")
         return fld.mul(coords, self._quotient.proj)[0]
 
 
@@ -91,7 +94,8 @@ def ext1_with_end_action(v_module: ModuleRep, vertex: int) -> Ext1Data:
     restricted = []
     for g in hom_basis(b.sums[0].module, u).morphisms:
         coords = fld.coords_in_rowspace(flats, incl.compose(g).flatten().reshape(1, -1))
-        assert coords is not None
+        if coords is None:
+            raise InvariantError("a restricted cover map leaves the span of Hom(ΩV, U)")
         restricted.append(coords[0])
     rows = (
         np.stack(restricted) if restricted else fld.zeros(0, hom.dim)
@@ -100,7 +104,8 @@ def ext1_with_end_action(v_module: ModuleRep, vertex: int) -> Ext1Data:
     if quot.dim == 0:
         raise ValueError("Ext^1 vanishes: every class lifts to the cover")
     # independent route: the cochain computation must agree
-    assert quot.dim == ext_dim(v_module, u, 1), "Ext^1 dimension mismatch between routes"
+    if quot.dim != ext_dim(v_module, u, 1):
+        raise InvariantError("Ext^1 dimension mismatch between routes")
     reps = []
     for j in range(quot.dim):
         combo = hom.combo(quot.section[j])
@@ -112,7 +117,8 @@ def ext1_with_end_action(v_module: ModuleRep, vertex: int) -> Ext1Data:
         for j, rep in enumerate(reps):
             composed = rep.compose(lm)
             coords = fld.coords_in_rowspace(flats, composed.flatten().reshape(1, -1))
-            assert coords is not None
+            if coords is None:
+                raise InvariantError("rad End(U) action leaves the span of Hom(ΩV, U)")
             mat[j] = fld.mul(coords, quot.proj)[0]
         actions.append(mat)
     return Ext1Data(
@@ -173,10 +179,12 @@ def _socle_coords(data: Ext1Data) -> np.ndarray:
         return fld.eye(data.dim)
     spread = np.concatenate(data.actions, axis=1)
     rows = fld.left_kernel_basis(spread)
-    assert rows.shape[0] >= 1, "empty Ext-socle: impossible for an AR starting term"
+    if rows.shape[0] == 0:
+        raise ArSequenceError("empty Ext-socle: impossible for an AR starting term")
     return rows
 
 
+@memoized
 def almost_split_from_projective(tbl: AlgebraTable, vertex: int, choice: int = 0) -> ArSequence:
     """The almost split sequence 0 → P(vertex) → X → τ⁻¹P(vertex) → 0.
 
@@ -189,12 +197,10 @@ def almost_split_from_projective(tbl: AlgebraTable, vertex: int, choice: int = 0
             f"projective at vertex {tbl.quiver.vertices[vertex]} is injective; "
             "no almost split sequence starts there"
         )
-    key = ("ar_sequence", vertex, choice)
-    if key in tbl._cache:
-        return tbl._cache[key]
     fld = tbl.field
     v_mod = tau_inverse(u)
-    assert not v_mod.is_zero
+    if v_mod.is_zero:
+        raise ArSequenceError("the inverse translate of a non-injective projective is zero")
     data = ext1_with_end_action(v_mod, vertex)
     socle = _socle_coords(data)
     candidates = [socle[i] for i in range(socle.shape[0])]
@@ -235,7 +241,6 @@ def almost_split_from_projective(tbl: AlgebraTable, vertex: int, choice: int = 0
         ext_data=data,
     )
     seq.check()
-    tbl._cache[key] = seq
     return seq
 
 
@@ -243,7 +248,8 @@ def _cokernel_section(parts, w: int, fld):
     """Right inverse of the cokernel projection at vertex w."""
     proj = parts.cokernel_projection.mats[w]
     section = fld.solve_left(proj, fld.eye(proj.shape[1]))
-    assert section is not None
+    if section is None:
+        raise InvariantError(f"vertex {w}: the cokernel projection has no right inverse")
     return section
 
 

@@ -18,20 +18,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraTable, Path, opposite, reverse_path
+from .algebra import AlgebraTable, opposite, reverse_path
 from .modules import (
+    InvariantError,
     ModuleMorphism,
     ModuleRep,
+    arrow_left_mult,
     dual,
     dual_regular,
     factorize,
     hom_basis,
     is_isomorphic,
     is_projective,
-    left_mult_morphism,
+    memoized,
     proj_cover,
     proj_sum,
     projective,
+    projective_paths,
     projsum_map_elements,
     projsum_map_from_elements,
     regular,
@@ -72,11 +75,6 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 30
-
-
-class InvariantError(RuntimeError):
-    """An internal consistency check failed: two routes to the same value
-    disagree, or a computed vector leaves the space it must lie in."""
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +211,9 @@ class _ProjResBuilder:
         return zero_module(self.tbl)
 
 
+@memoized
 def _builder(m: ModuleRep) -> _ProjResBuilder:
-    key = ("projres", m.signature())
-    cache = m.algebra._cache
-    if key not in cache:
-        cache[key] = _ProjResBuilder(m)
-    return cache[key]
+    return _ProjResBuilder(m)
 
 
 @dataclass(frozen=True)
@@ -321,6 +316,7 @@ def _cochain_matrix(ps_tgt, ps_src, elements, n: ModuleRep):
     return out % f.p
 
 
+@memoized
 def ext_dim(m: ModuleRep, n: ModuleRep, i: int) -> int:
     """dim_k Ext^i(m, n) via the minimal projective resolution of m.
 
@@ -331,10 +327,6 @@ def ext_dim(m: ModuleRep, n: ModuleRep, i: int) -> int:
         raise ValueError("negative Ext degree")
     if m.algebra is not n.algebra:
         raise ValueError("ext_dim: modules live over different algebras")
-    key = ("ext", m.signature(), n.signature(), i)
-    cache = m.algebra._cache
-    if key in cache:
-        return cache[key]
     b = _builder(m)
     b.extend(i + 1)
     f = m.algebra.field
@@ -350,11 +342,10 @@ def ext_dim(m: ModuleRep, n: ModuleRep, i: int) -> int:
             return 0
         elements = projsum_map_elements(src_ps, tgt_ps, b.differential(j + 1))
         return f.rank(_cochain_matrix(tgt_ps, src_ps, elements, n))
-    out = hom_dim_at(i) - delta_rank(i) - (delta_rank(i - 1) if i >= 1 else 0)
-    cache[key] = out
-    return out
+    return hom_dim_at(i) - delta_rank(i) - (delta_rank(i - 1) if i >= 1 else 0)
 
 
+@memoized
 def ext_module(m: ModuleRep, i: int) -> ModuleRep:
     """Ext^i(m, A) as a right module over the opposite algebra.
 
@@ -366,13 +357,8 @@ def ext_module(m: ModuleRep, i: int) -> ModuleRep:
     if i < 0:
         raise ValueError("negative Ext degree")
     tbl = m.algebra
-    key = ("ext_module", m.signature(), i)
-    if key in tbl._cache:
-        return tbl._cache[key]
     if i == 0:
-        out, _, _ = _star_with_bases(m)
-        tbl._cache[key] = out
-        return out
+        return _star_with_bases(m)[0]
     opp = opposite(tbl)
     f = tbl.field
     nv = len(tbl.quiver.vertices)
@@ -380,9 +366,7 @@ def ext_module(m: ModuleRep, i: int) -> ModuleRep:
     b.extend(i + 1)
     ps_i = b.term(i)
     if not ps_i.vertices:
-        out = zero_module(opp, label=f"Ext{i}({m.label},A)")
-        tbl._cache[key] = out
-        return out
+        return zero_module(opp, label=f"Ext{i}({m.label},A)")
     ps_prev = b.term(i - 1)
     ps_next = b.term(i + 1)
     el_in = projsum_map_elements(ps_i, ps_prev, b.differential(i))
@@ -408,16 +392,8 @@ def ext_module(m: ModuleRep, i: int) -> ModuleRep:
     mats = [None] * len(opp.quiver.arrows)
     for a in range(len(tbl.quiver.arrows)):
         v, w = tbl.quiver.arrow_source(a), tbl.quiver.arrow_target(a)
-        lm = left_mult_morphism(tbl, {Path(v, (a,), w): 1}, src=w, dst=v)
-        blocks = [lm.mats[u] for u in ps_i.vertices]
-        rows = sum(blk.shape[0] for blk in blocks)
-        cols = sum(blk.shape[1] for blk in blocks)
-        lam = f.zeros(rows, cols)
-        r = c = 0
-        for blk in blocks:
-            lam[r : r + blk.shape[0], c : c + blk.shape[1]] = blk
-            r += blk.shape[0]
-            c += blk.shape[1]
+        lm = arrow_left_mult(tbl, a)
+        lam = f.block_diag([lm.mats[u] for u in ps_i.vertices])
         mat = f.zeros(dims[w], dims[v])
         for j in range(dims[w]):
             cochain = f.mul(quots[w].section[j : j + 1], kernels[w])
@@ -427,9 +403,7 @@ def ext_module(m: ModuleRep, i: int) -> ModuleRep:
                 raise InvariantError("arrow action leaves the cocycle space")
             mat[j] = f.mul(coords, quots[v].proj)[0]
         mats[a] = mat
-    out = ModuleRep(opp, dims, mats, label=f"Ext{i}({m.label},A)")
-    tbl._cache[key] = out
-    return out
+    return ModuleRep(opp, dims, mats, label=f"Ext{i}({m.label},A)")
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +411,7 @@ def ext_module(m: ModuleRep, i: int) -> ModuleRep:
 # ---------------------------------------------------------------------------
 
 
+@memoized
 def transpose(m: ModuleRep) -> ModuleRep:
     """Cokernel over the opposite algebra of the reversed minimal presentation.
 
@@ -444,18 +419,12 @@ def transpose(m: ModuleRep) -> ModuleRep:
     x[t][s] in e_{V_t}·A·e_{U_s}, the reversed elements give the map
     ⊕_t P°(V_t) -> ⊕_s P°(U_s) whose cokernel is returned.
     """
-    tbl = m.algebra
-    key = ("transpose", m.signature())
-    if key in tbl._cache:
-        return tbl._cache[key]
-    opp = opposite(tbl)
+    opp = opposite(m.algebra)
     b = _builder(m)
     b.extend(1)
     ps0, ps1 = b.term(0), b.term(1)
     if not ps1.vertices:  # projective module: presentation has P_1 = 0
-        out = zero_module(opp, label=f"Tr({m.label})")
-        tbl._cache[key] = out
-        return out
+        return zero_module(opp, label=f"Tr({m.label})")
     x = projsum_map_elements(ps1, ps0, b.differential(1))
     y = [
         [
@@ -471,7 +440,6 @@ def transpose(m: ModuleRep) -> ModuleRep:
     dop = projsum_map_from_elements(src, tgt, y)
     out = factorize(dop).cokernel
     out.label = f"Tr({m.label})"
-    tbl._cache[key] = out
     return out
 
 
@@ -496,30 +464,28 @@ def _star_with_bases(m: ModuleRep):
     Vertex space at v: Hom(m, P(v)), with the chosen hom_basis as basis.
     The opposite arrow a°: w -> v (for a: v -> w) acts by post-composition
     with the left-multiplication P(w) -> P(v) by the arrow.  Returns the
-    module together with the hom bases and their flattened row matrices.
+    module together with the hom bases.
     """
     tbl = m.algebra
     opp = opposite(tbl)
     f = tbl.field
     nv = len(tbl.quiver.vertices)
     bases = [hom_basis(m, projective(tbl, v)) for v in range(nv)]
-    flats = [hb.rows for hb in bases]
     dims = [hb.dim for hb in bases]
     mats = [None] * len(opp.quiver.arrows)
     for a in range(len(tbl.quiver.arrows)):
         v, w = tbl.quiver.arrow_source(a), tbl.quiver.arrow_target(a)
-        path = Path(v, (a,), w)
-        lm = left_mult_morphism(tbl, {path: 1}, src=w, dst=v)
+        lm = arrow_left_mult(tbl, a)
         mat = f.zeros(dims[w], dims[v])
         for i, g in enumerate(bases[w].morphisms):
             composed = g.compose(lm).flatten().reshape(1, -1)
-            coords = f.coords_in_rowspace(flats[v], composed)
+            coords = f.coords_in_rowspace(bases[v].rows, composed)
             if coords is None:
                 raise InvariantError("post-composition leaves the hom basis span")
             mat[i] = coords[0]
         mats[a] = mat
     star = ModuleRep(opp, dims, mats, label=f"{m.label}*")
-    return star, bases, flats
+    return star, bases
 
 
 @dataclass(frozen=True)
@@ -532,6 +498,7 @@ class EvalData:
     reflexive: bool
 
 
+@memoized
 def evaluation_and_torsion(m: ModuleRep) -> EvalData:
     """The canonical map into the double Hom-dual and its kernel.
 
@@ -542,23 +509,13 @@ def evaluation_and_torsion(m: ModuleRep) -> EvalData:
     coordinates of φ(x).
     """
     tbl = m.algebra
-    key = ("evaluation", m.signature())
-    if key in tbl._cache:
-        return tbl._cache[key]
     opp = opposite(tbl)
     f = tbl.field
     nv = len(tbl.quiver.vertices)
-    star, bases, _ = _star_with_bases(m)
-    dstar, bases2, flats2 = _star_with_bases(star)
+    star, bases = _star_with_bases(m)
+    dstar, bases2 = _star_with_bases(star)
     if dstar.algebra is not tbl:
         raise InvariantError("the double dual lives over another algebra")
-    opp_proj_index = [
-        [
-            {p: i for i, p in enumerate(paths)}
-            for paths in projective(opp, v)._memo["paths_by_vertex"]
-        ]
-        for v in range(nv)
-    ]
     ev_mats = []
     for v in range(nv):
         mat = f.zeros(m.dims[v], dstar.dims[v])
@@ -571,19 +528,18 @@ def evaluation_and_torsion(m: ModuleRep) -> EvalData:
                 for i, g in enumerate(bases[u].morphisms):
                     val = g.mats[v][t]  # φ_i(e_t) over basis paths u -> v
                     out_el = {}
-                    src_paths = projective(tbl, u)._memo["paths_by_vertex"][v]
-                    for j, c in enumerate(val):
+                    for path, c in zip(projective_paths(tbl, u)[v], val):
                         c = int(c)
                         if not c:
                             continue
-                        rev = reverse_path(src_paths[j])
+                        rev = reverse_path(path)
                         for q, c2 in opp.normal_form({rev: c}).items():
                             out_el[q] = (out_el.get(q, 0) + c2) % f.p
                     for q, c in out_el.items():
-                        rows[i, opp_proj_index[v][u][q]] = c
+                        rows[i, projective_paths(opp, v)[u][q]] = c
                 blocks.append(rows.reshape(-1))
             flat = np.concatenate(blocks) if blocks else f.zeros(1, 0)[0]
-            coords = f.coords_in_rowspace(flats2[v], flat.reshape(1, -1))
+            coords = f.coords_in_rowspace(bases2[v].rows, flat.reshape(1, -1))
             if coords is None:
                 raise InvariantError("evaluation image escaped the hom basis")
             mat[t] = coords[0]
@@ -592,7 +548,7 @@ def evaluation_and_torsion(m: ModuleRep) -> EvalData:
     parts = factorize(evaluation)
     t_mod = parts.kernel
     t_mod.label = f"t({m.label})"
-    out = EvalData(
+    return EvalData(
         evaluation=evaluation,
         double_dual=dstar,
         torsion=t_mod,
@@ -600,10 +556,9 @@ def evaluation_and_torsion(m: ModuleRep) -> EvalData:
         torsionless=t_mod.is_zero,
         reflexive=evaluation.is_isomorphism(),
     )
-    tbl._cache[key] = out
-    return out
 
 
+@memoized
 def torsion(m: ModuleRep) -> ModuleRep:
     """t(m), the kernel of the evaluation m -> m**, without building m**.
 
@@ -615,9 +570,6 @@ def torsion(m: ModuleRep) -> ModuleRep:
     bit-identical to ``evaluation_and_torsion(m).torsion``.
     """
     tbl = m.algebra
-    key = ("torsion", m.signature())
-    if key in tbl._cache:
-        return tbl._cache[key]
     f = tbl.field
     bases = [hom_basis(m, projective(tbl, v)) for v in range(len(tbl.quiver.vertices))]
     rows = []
@@ -625,9 +577,7 @@ def torsion(m: ModuleRep) -> ModuleRep:
         blocks = [g.mats[u] for hb in bases for g in hb.morphisms]
         side_by_side = np.concatenate(blocks, axis=1) if blocks else f.zeros(d, 0)
         rows.append(f.left_kernel_basis(side_by_side))
-    out, _ = submodule_from_rows(m, rows, label=f"t({m.label})")
-    tbl._cache[key] = out
-    return out
+    return submodule_from_rows(m, rows, label=f"t({m.label})")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,15 @@ class PrimeField:
     def eye(self, n: int) -> np.ndarray:
         return np.eye(n, dtype=np.int64)
 
+    def block_diag(self, blocks) -> np.ndarray:
+        """The blocks in order down the diagonal of one matrix, zero elsewhere."""
+        out = self.zeros(sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks))
+        r = c = 0
+        for b in blocks:
+            out[r : r + b.shape[0], c : c + b.shape[1]] = b
+            r, c = r + b.shape[0], c + b.shape[1]
+        return out
+
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact matrix product (a @ b) mod p."""
         assert a.shape[1] == b.shape[0], (a.shape, b.shape)

@@ -13,6 +13,8 @@ arrow a: v -> w.  That single orientation is used everywhere.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,32 +64,42 @@ __all__ = [
     "parse_module",
     "serialize_module",
     "ModuleFileError",
+    "InvariantError",
+    "memoized",
+    "projective_paths",
+    "arrow_left_mult",
 ]
+
+
+class InvariantError(RuntimeError):
+    """An internal check failed: two routes disagree, or a vector leaves its space."""
+
+
+def _block(m, shape: tuple, p: int, what: str) -> np.ndarray:
+    """``m`` as an int64 block reduced mod p; ValueError unless it has ``shape``."""
+    m = np.asarray(m, dtype=np.int64)
+    if m.size == 0:
+        m = m.reshape(shape)
+    if m.shape != shape:
+        raise ValueError(f"{what} {m.shape} != {shape}")
+    return np.mod(m, p)
 
 
 class ModuleRep:
     """A right module presented vertexwise.  Treat as immutable."""
 
-    __slots__ = ("algebra", "dims", "mats", "label", "_memo")
+    __slots__ = ("algebra", "dims", "mats", "label")
 
     def __init__(self, algebra: AlgebraTable, dims, mats, label: str = ""):
         self.algebra = algebra
         self.dims = tuple(int(d) for d in dims)
-        fixed = []
-        for a, m in enumerate(mats):
-            src = algebra.quiver.arrow_source(a)
-            tgt = algebra.quiver.arrow_target(a)
-            m = np.asarray(m, dtype=np.int64)
-            if m.size == 0:
-                m = m.reshape(self.dims[src], self.dims[tgt])
-            assert m.shape == (self.dims[src], self.dims[tgt]), (
-                f"arrow {algebra.quiver.arrows[a][0]}: matrix shape {m.shape} != "
-                f"({self.dims[src]}, {self.dims[tgt]})"
-            )
-            fixed.append(np.mod(m, algebra.field.p))
-        self.mats = tuple(fixed)
+        q = algebra.quiver
+        self.mats = tuple(
+            _block(m, (self.dims[q.arrow_source(a)], self.dims[q.arrow_target(a)]),
+                   algebra.field.p, f"arrow {q.arrows[a][0]}: matrix shape")
+            for a, m in enumerate(mats)
+        )
         self.label = label
-        self._memo = {}
 
     @classmethod
     def _trusted(cls, algebra: AlgebraTable, dims: tuple, mats, label: str = "") -> "ModuleRep":
@@ -99,7 +111,6 @@ class ModuleRep:
         out.dims = dims
         out.mats = tuple(mats)
         out.label = label
-        out._memo = {}
         return out
 
     @property
@@ -123,7 +134,8 @@ class ModuleRep:
         f = self.algebra.field
         out = f.zeros(self.dims[source], self.dims[target])
         for path, coeff in element.items():
-            assert path.source == source and path.target == target
+            if path.source != source or path.target != target:
+                raise ValueError(f"element path {path} does not run {source} -> {target}")
             out = f.add(out, f.scale(coeff, self.path_matrix(path)))
         return out
 
@@ -134,6 +146,35 @@ class ModuleRep:
     def __repr__(self):
         name = self.label or "module"
         return f"<{name} dims={self.dims} over {self.algebra.label}>"
+
+
+def memoized(fn):
+    """Keep each result of ``fn`` in the memo of the table it works over.
+
+    A call is keyed by the function's name and its arguments, with defaults
+    filled in, so ``f(tbl, 1)`` and ``f(tbl, 1, choice=0)`` share one entry;
+    a :class:`ModuleRep` argument counts by its ``signature()``.  The entry
+    lives in ``_memo`` of the first argument's table (the argument itself or
+    a module's algebra).  A call that raises stores nothing.
+    """
+    sig = inspect.signature(fn)
+    arity = len(sig.parameters)
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if kwargs or len(args) != arity:
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
+        first = args[0]
+        memo = (first if isinstance(first, AlgebraTable) else first.algebra)._memo
+        key = (name, *[a.signature() if isinstance(a, ModuleRep) else a for a in args])
+        if key not in memo:
+            memo[key] = fn(*args)
+        return memo[key]
+
+    return wrapper
 
 
 def zero_module(tbl: AlgebraTable, label: str = "0") -> ModuleRep:
@@ -167,20 +208,15 @@ class ModuleMorphism:
     __slots__ = ("source", "target", "mats")
 
     def __init__(self, source: ModuleRep, target: ModuleRep, mats):
-        assert source.algebra is target.algebra, "algebra mismatch"
+        if source.algebra is not target.algebra:
+            raise ValueError("morphism: algebra mismatch")
         self.source = source
         self.target = target
-        fixed = []
-        for v, m in enumerate(mats):
-            m = np.asarray(m, dtype=np.int64)
-            if m.size == 0:
-                m = m.reshape(source.dims[v], target.dims[v])
-            assert m.shape == (source.dims[v], target.dims[v]), (
-                f"vertex {v}: morphism block {m.shape} != "
-                f"({source.dims[v]}, {target.dims[v]})"
-            )
-            fixed.append(np.mod(m, source.algebra.field.p))
-        self.mats = tuple(fixed)
+        self.mats = tuple(
+            _block(m, (source.dims[v], target.dims[v]), source.algebra.field.p,
+                   f"vertex {v}: morphism block")
+            for v, m in enumerate(mats)
+        )
 
     @classmethod
     def _trusted(cls, source: ModuleRep, target: ModuleRep, mats) -> "ModuleMorphism":
@@ -210,7 +246,8 @@ class ModuleMorphism:
 
     def compose(self, other: "ModuleMorphism") -> "ModuleMorphism":
         """self followed by other (source -> self.target = other.source -> ...)."""
-        assert self.target is other.source or self.target.dims == other.source.dims
+        if self.target is not other.source and self.target.dims != other.source.dims:
+            raise ValueError("compose: target and source dimensions differ")
         f = self.field
         return ModuleMorphism._trusted(
             self.source,
@@ -544,49 +581,48 @@ def rst(m: ModuleRep) -> RST:
 # ---------------------------------------------------------------------------
 
 
+@memoized
 def simple(tbl: AlgebraTable, v: int) -> ModuleRep:
-    key = ("simple", v)
-    if key not in tbl._cache:
-        nv = len(tbl.quiver.vertices)
-        if not 0 <= v < nv:
-            raise ValueError(f"unknown vertex index {v}")
-        dims = tuple(1 if u == v else 0 for u in range(nv))
-        mats = [
-            tbl.field.zeros(dims[tbl.quiver.arrow_source(a)], dims[tbl.quiver.arrow_target(a)])
-            for a in range(len(tbl.quiver.arrows))
-        ]
-        name = tbl.quiver.vertices[v]
-        tbl._cache[key] = ModuleRep(tbl, dims, mats, label=f"S({name})")
-    return tbl._cache[key]
+    nv = len(tbl.quiver.vertices)
+    if not 0 <= v < nv:
+        raise ValueError(f"unknown vertex index {v}")
+    dims = tuple(1 if u == v else 0 for u in range(nv))
+    mats = [
+        tbl.field.zeros(dims[tbl.quiver.arrow_source(a)], dims[tbl.quiver.arrow_target(a)])
+        for a in range(len(tbl.quiver.arrows))
+    ]
+    name = tbl.quiver.vertices[v]
+    return ModuleRep(tbl, dims, mats, label=f"S({name})")
 
 
+@memoized
+def projective_paths(tbl: AlgebraTable, v: int) -> tuple:
+    """The basis of P(v) = e_v·A by vertex: entry w maps each basis path
+    v -> w, in basis order, to its position.  Treat as read-only."""
+    nv = len(tbl.quiver.vertices)
+    if not 0 <= v < nv:
+        raise ValueError(f"unknown vertex index {v}")
+    paths = [[p for p in tbl.basis_paths_from(v) if p.target == w] for w in range(nv)]
+    return tuple({p: i for i, p in enumerate(at)} for at in paths)
+
+
+@memoized
 def projective(tbl: AlgebraTable, v: int) -> ModuleRep:
     """e_v·A: vertex spaces spanned by basis paths from v, arrows concatenate."""
-    key = ("projective", v)
-    if key not in tbl._cache:
-        nv = len(tbl.quiver.vertices)
-        if not 0 <= v < nv:
-            raise ValueError(f"unknown vertex index {v}")
-        by_vertex = [
-            tuple(p for p in tbl.basis_paths_from(v) if p.target == w) for w in range(nv)
-        ]
-        index = [{p: i for i, p in enumerate(paths)} for paths in by_vertex]
-        dims = tuple(len(paths) for paths in by_vertex)
-        f = tbl.field
-        mats = []
-        for a in range(len(tbl.quiver.arrows)):
-            src, tgt = tbl.quiver.arrow_source(a), tbl.quiver.arrow_target(a)
-            mat = f.zeros(dims[src], dims[tgt])
-            arrow_path = Path(src, (a,), tgt)
-            for i, p in enumerate(by_vertex[src]):
-                for term, coeff in tbl.multiply_paths(p, arrow_path).items():
-                    mat[i, index[tgt][term]] = coeff
-            mats.append(mat)
-        name = tbl.quiver.vertices[v]
-        mod = ModuleRep(tbl, dims, mats, label=f"P({name})")
-        mod._memo["paths_by_vertex"] = by_vertex
-        tbl._cache[key] = mod
-    return tbl._cache[key]
+    by_vertex = projective_paths(tbl, v)
+    dims = tuple(len(paths) for paths in by_vertex)
+    f = tbl.field
+    mats = []
+    for a in range(len(tbl.quiver.arrows)):
+        src, tgt = tbl.quiver.arrow_source(a), tbl.quiver.arrow_target(a)
+        mat = f.zeros(dims[src], dims[tgt])
+        arrow_path = Path(src, (a,), tgt)
+        for i, p in enumerate(by_vertex[src]):
+            for term, coeff in tbl.multiply_paths(p, arrow_path).items():
+                mat[i, by_vertex[tgt][term]] = coeff
+        mats.append(mat)
+    name = tbl.quiver.vertices[v]
+    return ModuleRep(tbl, dims, mats, label=f"P({name})")
 
 
 def dual(m: ModuleRep, label: str = "") -> ModuleRep:
@@ -604,15 +640,14 @@ def dual_morphism(f: ModuleMorphism) -> ModuleMorphism:
     return ModuleMorphism(dual(f.target), dual(f.source), [b.T for b in f.mats])
 
 
+@memoized
 def injective(tbl: AlgebraTable, v: int) -> ModuleRep:
     """D of the opposite algebra's projective at v."""
-    key = ("injective", v)
-    if key not in tbl._cache:
-        name = tbl.quiver.vertices[v]
-        mod = dual(projective(opposite(tbl), v), label=f"I({name})")
-        assert mod.algebra is tbl
-        tbl._cache[key] = mod
-    return tbl._cache[key]
+    name = tbl.quiver.vertices[v]
+    mod = dual(projective(opposite(tbl), v), label=f"I({name})")
+    if mod.algebra is not tbl:
+        raise InvariantError("the dual of an opposite projective lives over another algebra")
+    return mod
 
 
 def direct_sum(tbl: AlgebraTable, mods: Sequence[ModuleRep], label: str = "") -> ModuleRep:
@@ -622,17 +657,7 @@ def direct_sum(tbl: AlgebraTable, mods: Sequence[ModuleRep], label: str = "") ->
     f = tbl.field
     nv = len(tbl.quiver.vertices)
     dims = tuple(sum(m.dims[v] for m in mods) for v in range(nv))
-    mats = []
-    for a in range(len(tbl.quiver.arrows)):
-        src, tgt = tbl.quiver.arrow_source(a), tbl.quiver.arrow_target(a)
-        mat = f.zeros(dims[src], dims[tgt])
-        r = c = 0
-        for m in mods:
-            mr, mc = m.dims[src], m.dims[tgt]
-            mat[r : r + mr, c : c + mc] = m.mats[a]
-            r += mr
-            c += mc
-        mats.append(mat)
+    mats = [f.block_diag([m.mats[a] for m in mods]) for a in range(len(tbl.quiver.arrows))]
     label = label or "+".join(m.label for m in mods) or "0"
     return ModuleRep._trusted(tbl, dims, mats, label=label)
 
@@ -659,20 +684,16 @@ def sum_inclusions(tbl: AlgebraTable, mods: Sequence[ModuleRep], total: ModuleRe
     return incls, projs
 
 
+@memoized
 def regular(tbl: AlgebraTable) -> ModuleRep:
-    key = ("regular",)
-    if key not in tbl._cache:
-        mods = [projective(tbl, v) for v in range(len(tbl.quiver.vertices))]
-        tbl._cache[key] = direct_sum(tbl, mods, label="A")
-    return tbl._cache[key]
+    mods = [projective(tbl, v) for v in range(len(tbl.quiver.vertices))]
+    return direct_sum(tbl, mods, label="A")
 
 
+@memoized
 def dual_regular(tbl: AlgebraTable) -> ModuleRep:
     """D(A) as a right module: the dual of the opposite algebra's regular."""
-    key = ("dual_regular",)
-    if key not in tbl._cache:
-        tbl._cache[key] = dual(regular(opposite(tbl)), label="DA")
-    return tbl._cache[key]
+    return dual(regular(opposite(tbl)), label="DA")
 
 
 # ---------------------------------------------------------------------------
@@ -702,13 +723,15 @@ class ProjSum:
 
 
 def proj_sum(tbl: AlgebraTable, vertices: Sequence[int]) -> ProjSum:
-    vertices = tuple(int(v) for v in vertices)
-    key = ("proj_sum", vertices)
-    if key in tbl._cache:
-        return tbl._cache[key]
+    """⊕_j P(vertices[j]) with its labelled path basis; any sequence of ints."""
+    return _proj_sum(tbl, tuple(int(v) for v in vertices))
+
+
+@memoized
+def _proj_sum(tbl: AlgebraTable, vertices: tuple) -> ProjSum:
     nv = len(tbl.quiver.vertices)
     projs = [projective(tbl, v) for v in vertices]
-    paths = [p._memo["paths_by_vertex"] for p in projs]
+    paths = [projective_paths(tbl, v) for v in vertices]
     labels = tuple(
         tuple((j, path) for j in range(len(vertices)) for path in paths[j][w])
         for w in range(nv)
@@ -719,9 +742,7 @@ def proj_sum(tbl: AlgebraTable, vertices: Sequence[int]) -> ProjSum:
         offset = sum(len(paths[i][v]) for i in range(j))
         local = next(i for i, p in enumerate(paths[j][v]) if p.is_trivial)
         gen_pos.append(offset + local)
-    ps = ProjSum(module, vertices, labels, tuple(gen_pos))
-    tbl._cache[key] = ps
-    return ps
+    return ProjSum(module, vertices, labels, tuple(gen_pos))
 
 
 def projsum_morphism(ps: ProjSum, target: ModuleRep, gen_rows) -> ModuleMorphism:
@@ -811,21 +832,26 @@ def left_mult_morphism(tbl: AlgebraTable, element: dict, src: int, dst: int) -> 
     """
     f = tbl.field
     psrc, pdst = projective(tbl, src), projective(tbl, dst)
-    src_paths = psrc._memo["paths_by_vertex"]
-    dst_index = [
-        {p: i for i, p in enumerate(paths)} for paths in pdst._memo["paths_by_vertex"]
-    ]
+    src_paths, dst_index = projective_paths(tbl, src), projective_paths(tbl, dst)
     nv = len(tbl.quiver.vertices)
     mats = []
     for w in range(nv):
         mat = f.zeros(psrc.dims[w], pdst.dims[w])
         for i, q in enumerate(src_paths[w]):
             for elpath, coeff in element.items():
-                assert elpath.source == dst and elpath.target == src
+                if elpath.source != dst or elpath.target != src:
+                    raise ValueError(f"element path {elpath} does not run {dst} -> {src}")
                 for term, c2 in tbl.multiply_paths(elpath, q).items():
                     mat[i, dst_index[w][term]] = (mat[i, dst_index[w][term]] + coeff * c2) % f.p
         mats.append(mat)
     return ModuleMorphism(psrc, pdst, mats)
+
+
+@memoized
+def arrow_left_mult(tbl: AlgebraTable, a: int) -> ModuleMorphism:
+    """Left multiplication P(w) -> P(v) by the arrow a: v -> w."""
+    v, w = tbl.quiver.arrow_source(a), tbl.quiver.arrow_target(a)
+    return left_mult_morphism(tbl, {Path(v, (a,), w): 1}, src=w, dst=v)
 
 
 # ---------------------------------------------------------------------------
@@ -938,9 +964,11 @@ def sample_modules(tbl: AlgebraTable, seed: int = 0, size: int = 64) -> list:
     once per table and arguments; each call returns a fresh list of the same
     modules.
     """
-    key = ("sample", seed, size)
-    if key in tbl._cache:
-        return list(tbl._cache[key])
+    return list(_sample_modules(tbl, seed, size))
+
+
+@memoized
+def _sample_modules(tbl: AlgebraTable, seed: int, size: int) -> tuple:
     nv = len(tbl.quiver.vertices)
     out = []
     seen = set()
@@ -1002,8 +1030,7 @@ def sample_modules(tbl: AlgebraTable, seed: int = 0, size: int = 64) -> list:
         fmor = morphism_from_flat(ps.module, tgt, coeffs @ rows % tbl.field.p)
         coker = factorize(fmor).cokernel
         push(coker, label=f"sample[{len(out)}]")
-    tbl._cache[key] = tuple(out)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ quotient dimension with plain linear algebra.
 """
 
 import itertools
+import os
 import random
 
 import pytest
@@ -204,6 +205,30 @@ def test_parse_zero_relation_rejected():
 def test_disconnected_warns():
     with pytest.warns(UserWarning, match="disconnected"):
         parse_presentation("field 5\nvertices v1 v2\n")
+
+
+@pytest.mark.parametrize("flag", ["selfinjective", "symmetric"])
+def test_selfinjective_flags_are_checked(flag):
+    # hereditary A_2 is not selfinjective: D(A) is not projective
+    with pytest.raises(PresentationError, match=f"flag {flag} does not hold"):
+        table_from_text(A2_TEXT + f"flags {flag}\n")
+    # the gendo-symmetric flag is not one of the checked ones
+    assert "gendo_symmetric" in table_from_text(A2_TEXT + "flags gendo_symmetric\n").flags
+
+
+@pytest.mark.parametrize("name", ["nak-22", "nak-33"])
+def test_selfinjective_corpus_entries_still_load(name):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "corpus", name + ".alg")
+    with open(path, encoding="utf-8") as fh:
+        tbl = table_from_text(fh.read(), label=name)
+    assert "selfinjective" in tbl.flags
+
+
+def test_nakayama_from_kupisch_sets_its_flag_without_the_check():
+    tbl = nakayama_from_kupisch([3, 3], cyclic=True)
+    assert "selfinjective" in tbl.flags
+    assert not any(key[0] == "dual_regular" for key in tbl._memo)
+    assert "selfinjective" not in nakayama_from_kupisch([3, 2], cyclic=True).flags
 
 
 # -- completion ---------------------------------------------------------------

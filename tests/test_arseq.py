@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import ardom.arseq
 from ardom.algebra import nakayama_from_kupisch
 from ardom.arseq import (
     ArSequenceError,
@@ -13,6 +14,7 @@ from ardom.arseq import (
 )
 from ardom.homology import ext_dim, tau_inverse
 from ardom.modules import (
+    InvariantError,
     direct_sum,
     factorize,
     is_injective,
@@ -95,6 +97,14 @@ def test_ext1_data_matches_cochain_route(a2, kronecker, dim5):
 def test_ext1_rejects_projective_argument(a2):
     with pytest.raises(ValueError, match="projective dimension 0"):
         ext1_with_end_action(projective(a2, 0), 1)
+
+
+def test_ext1_route_disagreement_raises_without_asserts(monkeypatch):
+    tbl = nakayama_from_kupisch([3, 2], cyclic=True)
+    v = tau_inverse(projective(tbl, 1))
+    monkeypatch.setattr(ardom.arseq, "ext_dim", lambda *args: -1)
+    with pytest.raises(InvariantError, match="Ext\\^1 dimension mismatch"):
+        ext1_with_end_action(v, 1)
 
 
 def test_ext1_rejects_vanishing_group(a2):

@@ -1,5 +1,6 @@
 """End-to-end tests of the ardom command line interface."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -325,3 +326,25 @@ def test_jobs_below_one_is_input_error(capsys, jobs):
         main(["verify", "--suite", "main", "--jobs", jobs, CORPUS])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_selfinjective_flag_on_a_non_selfinjective_algebra_is_input_error(capsys, tmp_path):
+    path = tmp_path / "a2.alg"
+    path.write_text("field 101\nvertices v1 v2\narrow a v1 v2\nflags selfinjective\n")
+    code = main(["domdim", str(path)])
+    assert code == 2
+    assert "flag selfinjective does not hold" in capsys.readouterr().err
+
+
+# The digest of `ardom verify --n 1..3 corpus/`: 78 records, one of them
+# inconclusive (nak-233 gorenstein).  A change that alters this output on
+# purpose updates the digest and says why in CHANGES.md.
+VERIFY_N_1_3_SHA256 = "6b23f233b7ae48351fcb594e89a6fd039cc33f467997ef7a6980e46889524dab"
+
+
+def test_verify_output_is_byte_identical_to_the_golden_digest(capsys):
+    code = main(["verify", "--n", "1..3", CORPUS])
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 78
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_N_1_3_SHA256
+    assert code == 3

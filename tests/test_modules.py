@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ardom.modules
-from ardom.algebra import table_from_file, table_from_text
+from ardom.algebra import Path, table_from_file, table_from_text
 from ardom.linalg import PrimeField
 from ardom.modules import (
     ModuleFileError,
@@ -540,6 +540,24 @@ def test_direct_sum_dims_and_projections(dim5):
             else:
                 assert comp.is_zero
     assert validate(total) is None
+
+
+def test_checked_constructors_raise_value_errors(a2, kronecker):
+    # explicit raises, so the checks hold under python -O as well
+    with pytest.raises(ValueError, match="arrow a: matrix shape"):
+        ModuleRep(a2, (1, 1), [np.zeros((2, 1), dtype=np.int64)])
+    s0, s1 = simple(a2, 0), simple(a2, 1)
+    with pytest.raises(ValueError, match="vertex 0: morphism block"):
+        ModuleMorphism(s0, s1, [np.zeros((1, 1), dtype=np.int64), np.zeros((0, 1))])
+    with pytest.raises(ValueError, match="algebra mismatch"):
+        ModuleMorphism(s0, simple(kronecker, 0), [np.zeros((1, 1)), np.zeros((0, 0))])
+    with pytest.raises(ValueError, match="dimensions differ"):
+        identity_morphism(s0).compose(identity_morphism(s1))
+    arrow = Path(0, (0,), 1)
+    with pytest.raises(ValueError, match="does not run"):
+        projective(a2, 0).element_matrix({arrow: 1}, 1, 1)
+    with pytest.raises(ValueError, match="does not run"):
+        left_mult_morphism(a2, {arrow: 1}, src=0, dst=1)
 
 
 def test_unchecked_constructions_match_the_checked_constructor(a2, dim5):
