@@ -28,6 +28,7 @@ __all__ = [
     "AlgebraTable",
     "PresentationError",
     "CompletionError",
+    "InvariantError",
     "parse_presentation",
     "build_table",
     "table_from_text",
@@ -56,6 +57,10 @@ class PresentationError(ValueError):
 
 class CompletionError(ValueError):
     """Raised when the path basis is not verifiably finite at the cap."""
+
+
+class InvariantError(RuntimeError):
+    """An internal check failed: two routes disagree, or a vector leaves its space."""
 
 
 @dataclass(frozen=True)
@@ -729,5 +734,9 @@ def nakayama_from_kupisch(
         max_path_length=max_path_length,
         label=f"nakayama-{shape}-{'-'.join(map(str, series))}",
     )
-    assert tbl.dimension == sum(series), "Kupisch series dimension check failed"
+    if tbl.dimension != sum(series):
+        raise InvariantError(
+            f"Kupisch series dimension check failed: dimension {tbl.dimension}, "
+            f"series sum {sum(series)}"
+        )
     return tbl

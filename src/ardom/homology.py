@@ -31,13 +31,13 @@ from .modules import (
     is_isomorphic,
     is_projective,
     memoized,
-    proj_cover,
     proj_sum,
     projective,
     projective_paths,
     projsum_map_elements,
     projsum_map_from_elements,
     regular,
+    resolution_step,
     simple,
     submodule_from_rows,
     zero_module,
@@ -162,7 +162,10 @@ class _ProjResBuilder:
     """Incrementally extended minimal projective resolution.
 
     Stage i holds P_i = proj_sum over the top of the i-th syzygy, the cover
-    P_i ->> syzygy_i, and the next syzygy with its inclusion into P_i.
+    P_i ->> syzygy_i, and the next syzygy with its inclusion into P_i.  Each
+    stage is the shared :func:`resolution_step` of the syzygy, so builders
+    whose syzygies coincide compute each step once, and every syzygy past
+    degree 0 is a shared module.
     """
 
     def __init__(self, target: ModuleRep):
@@ -176,9 +179,7 @@ class _ProjResBuilder:
 
     def extend(self, length: int) -> None:
         while not self.complete and len(self.sums) <= length:
-            current = self.syzygies[-1]
-            ps, cover = proj_cover(current)
-            parts = factorize(cover)
+            ps, cover, parts = resolution_step(self.syzygies[-1])
             self.sums.append(ps)
             self.covers.append(cover)
             self.syzygies.append(parts.kernel)
@@ -317,6 +318,19 @@ def _cochain_matrix(ps_tgt, ps_src, elements, n: ModuleRep):
 
 
 @memoized
+def _cochain(m: ModuleRep, n: ModuleRep, j: int) -> tuple:
+    """(matrix, rank) of Hom(P_j, N) -> Hom(P_{j+1}, N) for the minimal
+    projective resolution P of m, in generator coordinates (see
+    :func:`_cochain_matrix`).  Shared by :func:`ext_dim` and
+    :func:`ext_module`."""
+    b = _builder(m)
+    tgt_ps, src_ps = b.term(j), b.term(j + 1)
+    elements = projsum_map_elements(src_ps, tgt_ps, b.differential(j + 1))
+    mat = _cochain_matrix(tgt_ps, src_ps, elements, n)
+    return mat, m.algebra.field.rank(mat)
+
+
+@memoized
 def ext_dim(m: ModuleRep, n: ModuleRep, i: int) -> int:
     """dim_k Ext^i(m, n) via the minimal projective resolution of m.
 
@@ -329,20 +343,8 @@ def ext_dim(m: ModuleRep, n: ModuleRep, i: int) -> int:
         raise ValueError("ext_dim: modules live over different algebras")
     b = _builder(m)
     b.extend(i + 1)
-    f = m.algebra.field
-
-    def hom_dim_at(j):
-        return sum(n.dims[v] for v in b.term(j).vertices)
-
-    def delta_rank(j):
-        # rank of Hom(P_j, N) -> Hom(P_{j+1}, N)
-        src_ps = b.term(j + 1)
-        tgt_ps = b.term(j)
-        if not src_ps.vertices or not tgt_ps.vertices:
-            return 0
-        elements = projsum_map_elements(src_ps, tgt_ps, b.differential(j + 1))
-        return f.rank(_cochain_matrix(tgt_ps, src_ps, elements, n))
-    return hom_dim_at(i) - delta_rank(i) - (delta_rank(i - 1) if i >= 1 else 0)
+    hom_dim = sum(n.dims[v] for v in b.term(i).vertices)
+    return hom_dim - _cochain(m, n, i)[1] - (_cochain(m, n, i - 1)[1] if i >= 1 else 0)
 
 
 @memoized
@@ -367,18 +369,11 @@ def ext_module(m: ModuleRep, i: int) -> ModuleRep:
     ps_i = b.term(i)
     if not ps_i.vertices:
         return zero_module(opp, label=f"Ext{i}({m.label},A)")
-    ps_prev = b.term(i - 1)
-    ps_next = b.term(i + 1)
-    el_in = projsum_map_elements(ps_i, ps_prev, b.differential(i))
-    el_out = projsum_map_elements(ps_next, ps_i, b.differential(i + 1))
-
     kernels, quots = [], []
     for v in range(nv):
         pv = projective(tbl, v)
-        d_out = _cochain_matrix(ps_i, ps_next, el_out, pv)
-        kernel = f.kernel_basis(d_out.T)
-        d_in = _cochain_matrix(ps_prev, ps_i, el_in, pv)
-        image = f.row_space_basis(d_in)
+        kernel = f.kernel_basis(_cochain(m, pv, i)[0].T)
+        image = f.row_space_basis(_cochain(m, pv, i - 1)[0])
         coords = f.coords_in_rowspace(kernel, image)
         if coords is None:
             raise InvariantError("cochain image escapes the kernel")

@@ -133,7 +133,8 @@ class PrimeField:
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact matrix product (a @ b) mod p."""
-        assert a.shape[1] == b.shape[0], (a.shape, b.shape)
+        if a.shape[1] != b.shape[0]:
+            raise ValueError(f"mul: shapes {a.shape} and {b.shape} do not compose")
         if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
             return self.zeros(a.shape[0], b.shape[1])
         return np.mod(a @ b, self.p)
@@ -259,7 +260,8 @@ class PrimeField:
         rhs = np.mod(np.array(rhs, dtype=np.int64), self.p)
         if rhs.ndim == 1:
             rhs = rhs.reshape(-1, 1)
-        assert m.shape[0] == rhs.shape[0], (m.shape, rhs.shape)
+        if m.shape[0] != rhs.shape[0]:
+            raise ValueError(f"solve: {m.shape} matrix with {rhs.shape} right-hand side")
         aug = np.concatenate([np.mod(m, self.p), rhs], axis=1)
         r, pivots = self.rref(aug)
         ncols = m.shape[1]
@@ -281,7 +283,8 @@ class PrimeField:
 
     def inverse(self, m: np.ndarray) -> Optional[np.ndarray]:
         """Exact inverse of a square matrix, or None if singular."""
-        assert m.shape[0] == m.shape[1]
+        if m.shape[0] != m.shape[1]:
+            raise ValueError(f"inverse: {m.shape} matrix is not square")
         return self.solve(m, self.eye(m.shape[0]))
 
     # -- quotients ---------------------------------------------------------
@@ -292,7 +295,8 @@ class PrimeField:
         Deterministic: coset coordinates live on the non-pivot columns of
         the rref of ``sub``.
         """
-        assert sub.shape[1] == n, (sub.shape, n)
+        if sub.shape[1] != n:
+            raise ValueError(f"quotient_by_rowspace: {sub.shape} rows are not in k^{n}")
         r, pivots = self.rref(sub)
         pivot_set = set(pivots)
         free = [j for j in range(n) if j not in pivot_set]

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraTable, Path, opposite
+from .algebra import AlgebraTable, InvariantError, Path, opposite
 
 __all__ = [
     "ModuleRep",
@@ -41,6 +41,7 @@ __all__ = [
     "factorize",
     "rst",
     "proj_cover",
+    "resolution_step",
     "inj_hull",
     "is_projective",
     "is_injective",
@@ -71,10 +72,6 @@ __all__ = [
 ]
 
 
-class InvariantError(RuntimeError):
-    """An internal check failed: two routes disagree, or a vector leaves its space."""
-
-
 def _block(m, shape: tuple, p: int, what: str) -> np.ndarray:
     """``m`` as an int64 block reduced mod p; ValueError unless it has ``shape``."""
     m = np.asarray(m, dtype=np.int64)
@@ -88,7 +85,7 @@ def _block(m, shape: tuple, p: int, what: str) -> np.ndarray:
 class ModuleRep:
     """A right module presented vertexwise.  Treat as immutable."""
 
-    __slots__ = ("algebra", "dims", "mats", "label")
+    __slots__ = ("algebra", "dims", "mats", "label", "_signature")
 
     def __init__(self, algebra: AlgebraTable, dims, mats, label: str = ""):
         self.algebra = algebra
@@ -100,6 +97,7 @@ class ModuleRep:
             for a, m in enumerate(mats)
         )
         self.label = label
+        self._signature = None
 
     @classmethod
     def _trusted(cls, algebra: AlgebraTable, dims: tuple, mats, label: str = "") -> "ModuleRep":
@@ -111,6 +109,13 @@ class ModuleRep:
         out.dims = dims
         out.mats = tuple(mats)
         out.label = label
+        out._signature = None
+        return out
+
+    def relabeled(self, label: str) -> "ModuleRep":
+        """The same module (same blocks and signature) under another label."""
+        out = ModuleRep._trusted(self.algebra, self.dims, self.mats, label)
+        out._signature = self._signature
         return out
 
     @property
@@ -121,31 +126,57 @@ class ModuleRep:
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
-    def path_matrix(self, path: Path) -> np.ndarray:
-        """Action of a path as a dims[source] x dims[target] matrix."""
-        f = self.algebra.field
-        out = f.eye(self.dims[path.source])
-        for a in path.arrows:
-            out = f.mul(out, self.mats[a])
-        return out
-
     def element_matrix(self, element: dict, source: int, target: int) -> np.ndarray:
         """Action of an algebra element whose paths all run source -> target."""
         f = self.algebra.field
-        out = f.zeros(self.dims[source], self.dims[target])
-        for path, coeff in element.items():
+        for path in element:
             if path.source != source or path.target != target:
                 raise ValueError(f"element path {path} does not run {source} -> {target}")
-            out = f.add(out, f.scale(coeff, self.path_matrix(path)))
+        actions = _path_actions(self, f.eye(self.dims[source]), element)
+        out = f.zeros(self.dims[source], self.dims[target])
+        for path, coeff in element.items():
+            out = f.add(out, f.scale(coeff, actions[path]))
         return out
 
     def signature(self) -> tuple:
-        """Hashable structural identity (used for dedup, caching)."""
-        return (id(self.algebra), self.dims, tuple(m.tobytes() for m in self.mats))
+        """Hashable structural identity (used for dedup, caching).  Built on
+        the first call and kept: the blocks never change."""
+        if self._signature is None:
+            self._signature = (id(self.algebra), self.dims, tuple(m.tobytes() for m in self.mats))
+        return self._signature
 
     def __repr__(self):
         name = self.label or "module"
         return f"<{name} dims={self.dims} over {self.algebra.label}>"
+
+
+def _path_actions(m: ModuleRep, start: np.ndarray, paths) -> dict:
+    """``start`` times the action on m of each path, keyed by path.
+
+    The paths share one source vertex u, and ``start`` has m.dims[u]
+    columns.  Each product is its longest proper prefix's product times one
+    arrow matrix, and each prefix is multiplied out once: paths in basis
+    order (shortest first; basis paths are closed under prefixes) cost one
+    product each, and other paths, such as relation paths, compute their
+    missing prefixes on the way.
+    """
+    mul, mats = m.algebra.field.mul, m.mats
+    done = {(): start}  # arrow word -> product
+    out = {}
+    for path in paths:
+        word = path.arrows
+        k = len(word)
+        while word[:k] not in done:
+            k -= 1
+        acted = done[word[:k]]
+        for i in range(k, len(word)):
+            acted = mul(acted, mats[word[i]])
+            done[word[: i + 1]] = acted
+        out[path] = acted
+    return out
+
+
+_MISSING = object()
 
 
 def memoized(fn):
@@ -156,6 +187,11 @@ def memoized(fn):
     a :class:`ModuleRep` argument counts by its ``signature()``.  The entry
     lives in ``_memo`` of the first argument's table (the argument itself or
     a module's algebra).  A call that raises stores nothing.
+
+    Every caller with equal arguments gets the same object back, so a
+    result is shared: treat it, and every module, morphism or
+    factorization inside it, as immutable, labels included.  To show a
+    module under another label, take :meth:`ModuleRep.relabeled`.
     """
     sig = inspect.signature(fn)
     arity = len(sig.parameters)
@@ -170,9 +206,10 @@ def memoized(fn):
         first = args[0]
         memo = (first if isinstance(first, AlgebraTable) else first.algebra)._memo
         key = (name, *[a.signature() if isinstance(a, ModuleRep) else a for a in args])
-        if key not in memo:
-            memo[key] = fn(*args)
-        return memo[key]
+        out = memo.get(key, _MISSING)
+        if out is _MISSING:
+            out = memo[key] = fn(*args)
+        return out
 
     return wrapper
 
@@ -514,7 +551,9 @@ def _radical_rows(m: ModuleRep) -> list:
     rows = []
     for w in range(len(m.dims)):
         into = q.arrows_into(w)
-        if into:
+        if len(into) == 1:
+            stacked = m.mats[into[0]]
+        elif into:
             stacked = np.concatenate([m.mats[a] for a in into], axis=0)
         else:
             stacked = f.zeros(0, m.dims[w])
@@ -708,13 +747,16 @@ class ProjSum:
     ``vertices[j]`` is the source vertex of copy j.  At each vertex w the
     module's basis is the concatenation over copies j of the basis paths
     vertices[j] -> w, recorded in ``labels[w]`` as (copy, path) pairs.
-    ``gen_pos[j]`` locates copy j's generator (its trivial path) inside the
-    basis at vertices[j].
+    ``first[j][w]`` is the position of copy j's first label at w, so the
+    label (j, path) sits at ``first[j][w]`` plus the position of path in
+    ``projective_paths(tbl, vertices[j])[w]``.  ``gen_pos[j]`` locates copy
+    j's generator (its trivial path) inside the basis at vertices[j].
     """
 
     module: ModuleRep
     vertices: tuple
     labels: tuple
+    first: tuple
     gen_pos: tuple
 
     @property
@@ -737,28 +779,50 @@ def _proj_sum(tbl: AlgebraTable, vertices: tuple) -> ProjSum:
         for w in range(nv)
     )
     module = direct_sum(tbl, projs, label="+".join(f"P({tbl.quiver.vertices[v]})" for v in vertices) or "0")
-    gen_pos = []
-    for j, v in enumerate(vertices):
-        offset = sum(len(paths[i][v]) for i in range(j))
-        local = next(i for i, p in enumerate(paths[j][v]) if p.is_trivial)
-        gen_pos.append(offset + local)
-    return ProjSum(module, vertices, labels, tuple(gen_pos))
+    first = []
+    at = [0] * nv
+    for j in range(len(vertices)):
+        first.append(tuple(at))
+        at = [a + len(by_target) for a, by_target in zip(at, paths[j])]
+    gen_pos = tuple(
+        first[j][v] + next(i for i, p in enumerate(paths[j][v]) if p.is_trivial)
+        for j, v in enumerate(vertices)
+    )
+    return ProjSum(module, vertices, labels, tuple(first), gen_pos)
 
 
 def projsum_morphism(ps: ProjSum, target: ModuleRep, gen_rows) -> ModuleMorphism:
     """The unique morphism ps.module -> target sending copy j's generator to
     the row vector gen_rows[j] (an element of target at vertices[j])."""
+    p = target.algebra.field.p
+    starts = {}
+    for u in dict.fromkeys(ps.vertices):
+        rows = [np.asarray(gen_rows[j], dtype=np.int64).reshape(-1)
+                for j, v in enumerate(ps.vertices) if v == u]
+        starts[u] = np.array(rows, dtype=np.int64).reshape(len(rows), target.dims[u]) % p
+    return _projsum_morphism(ps, target, starts)
+
+
+def _projsum_morphism(ps: ProjSum, target: ModuleRep, starts: dict) -> ModuleMorphism:
+    """projsum_morphism with the generator rows of the copies of each vertex
+    u stacked, in copy order and reduced mod p, as ``starts[u]``.
+
+    The row at label (j, path) is copy j's generator row times the action
+    of path.  The copies of one vertex go through its basis paths together,
+    each path one product from its prefix (see :func:`_path_actions`).
+    """
     tbl = target.algebra
     f = tbl.field
-    nv = len(tbl.quiver.vertices)
-    mats = []
-    for w in range(nv):
-        rows = f.zeros(ps.module.dims[w], target.dims[w])
-        for i, (j, path) in enumerate(ps.labels[w]):
-            x = np.asarray(gen_rows[j], dtype=np.int64).reshape(1, -1)
-            rows[i] = f.mul(x, target.path_matrix(path))[0]
-        mats.append(rows)
-    return ModuleMorphism(ps.module, target, mats)
+    mats = [f.zeros(d, target.dims[w]) for w, d in enumerate(ps.module.dims)]
+    for u, start in starts.items():
+        first = [ps.first[j] for j, v in enumerate(ps.vertices) if v == u]
+        index = projective_paths(tbl, u)
+        for path, acted in _path_actions(target, start, tbl.basis_paths_from(u)).items():
+            w = path.target
+            i = index[w][path]
+            for r, at in enumerate(first):
+                mats[w][at[w] + i] = acted[r]
+    return ModuleMorphism._trusted(ps.module, target, mats)
 
 
 def projsum_hom_rows(ps: ProjSum, n: ModuleRep) -> np.ndarray:
@@ -766,7 +830,7 @@ def projsum_hom_rows(ps: ProjSum, n: ModuleRep) -> np.ndarray:
 
     Hom(⊕_j P(u_j), N) = ⊕_j N_{u_j}: the morphism sending copy j's
     generator to basis vector k of N_{u_j} (and the other generators to 0)
-    has row ``n.path_matrix(path)[k]`` at each label (j, path).  Those
+    has row k of the action of path on N at each label (j, path).  Those
     morphisms span the Hom space, and the canonical kernel basis that
     ``hom_basis`` returns is the unique basis of that space which is the
     identity on its free columns, the columns that are last nonzero entries
@@ -780,11 +844,11 @@ def projsum_hom_rows(ps: ProjSum, n: ModuleRep) -> np.ndarray:
     starts = np.cumsum([0] + [n.dims[u] for u in ps.vertices])
     spanning = f.zeros(int(starts[-1]), int(offsets[-1]))
     actions = {}  # copies of one projective share their paths
+    for u in dict.fromkeys(ps.vertices):
+        actions.update(_path_actions(n, f.eye(n.dims[u]), tbl.basis_paths_from(u)))
     for w in range(nv):
         d = n.dims[w]
         for i, (j, path) in enumerate(ps.labels[w]):
-            if path not in actions:
-                actions[path] = n.path_matrix(path)
             at = offsets[w] + i * d
             spanning[starts[j] : starts[j + 1], at : at + d] = actions[path]
     r, pivots = f.rref(spanning[:, ::-1])
@@ -808,19 +872,24 @@ def projsum_map_elements(ps_src: ProjSum, ps_tgt: ProjSum, d: ModuleMorphism):
 
 
 def projsum_map_from_elements(ps_src: ProjSum, ps_tgt: ProjSum, elements) -> ModuleMorphism:
-    """Inverse of projsum_map_elements: rebuild the morphism from elements."""
+    """Inverse of projsum_map_elements: rebuild the morphism from elements.
+
+    For a basis path p, gen_t · p is the basis vector at label (t, p), so
+    the image of gen_s is read off the normal forms of the elements[t][s].
+    """
     tbl = ps_tgt.module.algebra
-    f = tbl.field
     gen_rows = []
     for s, u in enumerate(ps_src.vertices):
-        row = f.zeros(1, ps_tgt.module.dims[u])
+        row = tbl.field.zeros(1, ps_tgt.module.dims[u])[0]
         for t, v in enumerate(ps_tgt.vertices):
             el = elements[t][s]
-            if not el:
-                continue
-            act = ps_tgt.module.element_matrix(el, v, u)
-            row = f.add(row, act[ps_tgt.gen_pos[t]].reshape(1, -1))
-        gen_rows.append(row[0])
+            for path in el:
+                if path.source != v or path.target != u:
+                    raise ValueError(f"element path {path} does not run {v} -> {u}")
+            index = projective_paths(tbl, v)[u]
+            for path, c in tbl.normal_form(el).items():
+                row[ps_tgt.first[t][u] + index[path]] = c
+        gen_rows.append(row)
     return projsum_morphism(ps_src, ps_tgt.module, gen_rows)
 
 
@@ -860,29 +929,46 @@ def arrow_left_mult(tbl: AlgebraTable, a: int) -> ModuleMorphism:
 
 
 def proj_cover(m: ModuleRep) -> tuple:
-    """(P, cover) with P = ⊕ P(v)^{dim top(m)_v}; ker(cover) ⊆ rad P."""
+    """(P, cover) with P = ⊕ P(v)^{dim top(m)_v}; ker(cover) ⊆ rad P.
+
+    Builds the cover afresh on every call; :func:`resolution_step` keeps one
+    per module signature.
+    """
     tbl = m.algebra
     f = tbl.field
     # canonical section of the top projection: the standard basis vectors at
     # the non-pivot columns of the radical rows, which are already in rref
     vertices = []
-    gen_rows = []
+    starts = {}
     for v, rows in enumerate(_radical_rows(m)):
-        eye = f.eye(m.dims[v])
+        if len(rows) == m.dims[v]:
+            continue  # the top is zero at v
+        free = np.ones(m.dims[v], dtype=bool)
         if len(rows):
-            eye[np.argmax(rows != 0, axis=1)] = 0  # the first nonzero of each row
-        for row in eye[eye.any(axis=1)]:
-            vertices.append(v)
-            gen_rows.append(row)
+            free[np.argmax(rows != 0, axis=1)] = False  # the first nonzero of each row
+        starts[v] = f.eye(m.dims[v])[free]
+        vertices += [v] * len(starts[v])
     ps = proj_sum(tbl, vertices)
-    cover = projsum_morphism(ps, m, gen_rows)
-    return ps, cover
+    return ps, _projsum_morphism(ps, m, starts)
+
+
+@memoized
+def resolution_step(m: ModuleRep) -> tuple:
+    """(P, cover, parts): one step of the minimal projective resolution of m.
+
+    ``proj_cover(m)`` with the :class:`Factorization` of the cover, whose
+    kernel (the syzygy) and inclusion are built on first read.  Kept once
+    per module signature, so the cover may target a bit-identical module
+    other than m; like every memoised result it is shared, so nothing in it
+    may be changed, labels included.
+    """
+    ps, cover = proj_cover(m)
+    return ps, cover, factorize(cover)
 
 
 def inj_hull(m: ModuleRep) -> tuple:
     """(I, embedding): the dual of the opposite-side projective cover."""
-    dm = dual(m)
-    ps, cover = proj_cover(dm)
+    ps, cover, _ = resolution_step(dual(m))
     hull = dual(ps.module, label=f"E({m.label})")
     embedding = ModuleMorphism(m, hull, [b.T for b in cover.mats])
     return hull, embedding
@@ -891,15 +977,15 @@ def inj_hull(m: ModuleRep) -> tuple:
 def is_projective(m: ModuleRep) -> bool:
     if m.is_zero:
         return True
-    ps, cover = proj_cover(m)
+    ps, _, _ = resolution_step(m)
     return ps.module.total_dim == m.total_dim
 
 
 def is_injective(m: ModuleRep) -> bool:
     if m.is_zero:
         return True
-    hull, _ = inj_hull(m)
-    return hull.total_dim == m.total_dim
+    ps, _, _ = resolution_step(dual(m))  # the hull is the dual of ps.module
+    return ps.module.total_dim == m.total_dim
 
 
 # ---------------------------------------------------------------------------
@@ -970,6 +1056,7 @@ def sample_modules(tbl: AlgebraTable, seed: int = 0, size: int = 64) -> list:
 @memoized
 def _sample_modules(tbl: AlgebraTable, seed: int, size: int) -> tuple:
     nv = len(tbl.quiver.vertices)
+    f = tbl.field
     out = []
     seen = set()
 
@@ -980,9 +1067,8 @@ def _sample_modules(tbl: AlgebraTable, seed: int, size: int) -> tuple:
         if sig in seen:
             return
         seen.add(sig)
-        if label:
-            mod.label = label
-        out.append(mod)
+        # a relabelled copy: mod may be a shared memo result
+        out.append(mod.relabeled(label) if label else mod)
 
     for v in range(nv):
         push(simple(tbl, v))
@@ -997,8 +1083,7 @@ def _sample_modules(tbl: AlgebraTable, seed: int, size: int) -> tuple:
     for v in range(nv):
         mod = simple(tbl, v)
         for depth in range(1, 4):
-            _, cover = proj_cover(mod)
-            mod = factorize(cover).kernel
+            mod = resolution_step(mod)[2].kernel
             push(mod, label=f"syz^{depth}(S_{tbl.quiver.vertices[v]})")
             if mod.is_zero:
                 break
@@ -1013,22 +1098,31 @@ def _sample_modules(tbl: AlgebraTable, seed: int, size: int) -> tuple:
 
     rng = np.random.default_rng(seed)
     attempts = 0
+    hom_rows = {}  # (verts0, verts1) -> (source sum, target module, Yoneda rows)
+    images = set()  # (verts1, image rows): cokernels already taken
     while len(out) < size and attempts < 40 * size:
         attempts += 1
         mult0 = rng.integers(0, 3, size=nv)
         mult1 = rng.integers(0, 3, size=nv)
-        verts0 = [v for v in range(nv) for _ in range(mult0[v])]
-        verts1 = [v for v in range(nv) for _ in range(mult1[v])]
+        verts0 = tuple(v for v in range(nv) for _ in range(mult0[v]))
+        verts1 = tuple(v for v in range(nv) for _ in range(mult1[v]))
         if not verts0 or not verts1:
             continue
-        ps = proj_sum(tbl, verts0)
-        tgt = proj_sum(tbl, verts1).module
-        rows = projsum_hom_rows(ps, tgt)
+        if (verts0, verts1) not in hom_rows:
+            ps = proj_sum(tbl, verts0)
+            tgt = proj_sum(tbl, verts1).module
+            hom_rows[verts0, verts1] = ps, tgt, projsum_hom_rows(ps, tgt)
+        ps, tgt, rows = hom_rows[verts0, verts1]
         if rows.shape[0] == 0:
             continue
-        coeffs = rng.integers(0, tbl.field.p, size=rows.shape[0])
-        fmor = morphism_from_flat(ps.module, tgt, coeffs @ rows % tbl.field.p)
-        coker = factorize(fmor).cokernel
+        coeffs = rng.integers(0, f.p, size=rows.shape[0])
+        fmor = morphism_from_flat(ps.module, tgt, coeffs @ rows % f.p)
+        image = [f.row_space_basis(b) for b in fmor.mats]
+        key = (verts1, tuple(r.tobytes() for r in image))
+        if key in images:
+            continue  # the same cokernel again, which push would drop
+        images.add(key)
+        coker, _ = quotient_by_rows(tgt, image)
         push(coker, label=f"sample[{len(out)}]")
     return tuple(out)
 

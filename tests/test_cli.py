@@ -348,3 +348,52 @@ def test_verify_output_is_byte_identical_to_the_golden_digest(capsys):
     assert len(out.splitlines()) == 78
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_N_1_3_SHA256
     assert code == 3
+
+
+# The digest of `ardom scan nakayama --simples 4 --max-len 6 --question`: 36
+# records, exit 0.  Like VERIFY_N_1_3_SHA256, a change that alters this output
+# on purpose updates the digest and says why in CHANGES.md.
+SCAN_M4_L6_SHA256 = "14f2d2051b0991e8dc89360308158385877802b47147912f750dab437854ad0b"
+
+
+def test_scan_output_is_byte_identical_to_the_golden_digest(capsys):
+    code = main(["scan", "nakayama", "--simples", "4", "--max-len", "6", "--question"])
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 36
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SCAN_M4_L6_SHA256
+    assert code == 0
+
+
+def test_scan_output_is_the_same_under_python_O():
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    argv = ["-m", "ardom.cli", "scan", "nakayama", "--simples", "3", "--max-len", "4", "--question"]
+    runs = [
+        subprocess.run([sys.executable, *flags, *argv], capture_output=True, text=True, env=env)
+        for flags in ([], ["-O"])
+    ]
+    assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert len(records(runs[0].stdout.splitlines())) > 1
+
+
+def test_console_script_entry_point_runs_info():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(SRC, os.pardir, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    module, _, attr = scripts["ardom"].partition(":")
+    assert (module, attr) == ("ardom.cli", "main")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    launcher = (
+        "import importlib, sys\n"
+        f"sys.exit(getattr(importlib.import_module({module!r}), {attr!r})())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, "info", alg("ka2")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["algebra"] == "ka2"

@@ -229,3 +229,52 @@ def test_row_space_basis_spans():
     b = F5.row_space_basis(m)
     assert b.shape[0] == F5.rank(m) == 2
     assert F5.coords_in_rowspace(b, m) is not None
+
+
+# -- shape checks that survive python -O ----------------------------------------
+
+
+SHAPE_ERRORS = [
+    ("mul", lambda f: f.mul(f.zeros(0, 3), f.zeros(4, 2))),
+    ("mul", lambda f: f.mul(f.eye(2), f.zeros(3, 3))),
+    ("solve", lambda f: f.solve(f.eye(2), f.zeros(3, 1))),
+    ("inverse", lambda f: f.inverse(f.mat([[1, 2, 3]]))),
+    ("quotient_by_rowspace", lambda f: f.quotient_by_rowspace(f.eye(2), 3)),
+]
+
+
+@pytest.mark.parametrize("name, call", SHAPE_ERRORS, ids=[n for n, _ in SHAPE_ERRORS])
+def test_shape_mismatches_raise_value_errors(name, call):
+    with pytest.raises(ValueError, match=name):
+        call(F7)
+
+
+def test_shape_mismatches_raise_under_python_O():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    script = (
+        "from ardom.linalg import PrimeField\n"
+        "f = PrimeField(7)\n"
+        "calls = [lambda: f.mul(f.zeros(0, 3), f.zeros(4, 2)),\n"
+        "         lambda: f.solve(f.eye(2), f.zeros(3, 1)),\n"
+        "         lambda: f.inverse(f.mat([[1, 2, 3]])),\n"
+        "         lambda: f.quotient_by_rowspace(f.eye(2), 3)]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit('no ValueError')\n"
+        "assert False, 'asserts are stripped'\n"
+        "print('ok')\n"
+    )
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

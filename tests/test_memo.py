@@ -5,19 +5,42 @@ import inspect
 
 import pytest
 
+import numpy as np
+
+import ardom.algebra
 import ardom.arseq
+import ardom.homology
+import ardom.linalg
 import ardom.modules
 from ardom.algebra import Path, nakayama_from_kupisch, table_from_text
 from ardom.arseq import almost_split_from_projective
-from ardom.homology import ext_module, torsion, transpose
+from ardom.homology import (
+    _builder,
+    ext_dim,
+    ext_module,
+    min_inj_coresolution,
+    min_proj_resolution,
+    torsion,
+    transpose,
+)
 from ardom.modules import (
     ModuleRep,
     arrow_left_mult,
+    factorize,
+    inj_hull,
+    injective,
     is_injective,
+    is_projective,
     left_mult_morphism,
     memoized,
+    morphism_from_flat,
+    proj_cover,
+    proj_sum,
     projective,
     projective_paths,
+    projsum_hom_rows,
+    resolution_step,
+    rst,
     sample_modules,
     simple,
 )
@@ -179,7 +202,217 @@ def test_projective_paths_replace_the_per_module_memo(fresh_corpus_table):
         assert all(p.source == v and p.target == w for w, at in enumerate(paths) for p in at)
 
 
-@pytest.mark.parametrize("module", [ardom.modules, ardom.arseq], ids=["modules", "arseq"])
+@pytest.mark.parametrize(
+    "module",
+    [ardom.modules, ardom.arseq, ardom.linalg, ardom.algebra],
+    ids=["modules", "arseq", "linalg", "algebra"],
+)
 def test_modules_and_arseq_have_no_assert_statements(module):
     tree = ast.parse(inspect.getsource(module))
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+# ---------------------------------------------------------------------------
+# shared resolution steps and cochain matrices
+# ---------------------------------------------------------------------------
+
+
+def count_covers(monkeypatch):
+    """The signature of every module that proj_cover builds a cover for."""
+    covered = []
+    original = ardom.modules.proj_cover
+
+    def counting(m):
+        covered.append(m.signature())
+        return original(m)
+
+    monkeypatch.setattr(ardom.modules, "proj_cover", counting)
+    return covered
+
+
+@pytest.mark.parametrize("name", ["nak-233", "auslander-x3", "comm-square"])
+def test_builders_whose_syzygies_coincide_share_each_cover(name, monkeypatch, fresh_corpus_table):
+    tbl = fresh_corpus_table(name, 101)
+    covered = count_covers(monkeypatch)
+    shifted_pairs = 0
+    for v in range(len(tbl.quiver.vertices)):
+        b = _builder(simple(tbl, v))
+        b.extend(4)
+        omega = b.syzygy(1)
+        if omega.is_zero:
+            continue
+        # a second builder, on the first syzygy: its degree i is degree i+1 of b
+        shifted = _builder(omega)
+        before = len(covered)
+        shifted.extend(3)
+        assert len(covered) == before
+        assert shifted.syzygies[0].signature() == omega.signature()
+        assert len(shifted.syzygies) == len(b.syzygies) - 1
+        assert all(x is y for x, y in zip(shifted.syzygies[1:], b.syzygies[2:]))
+        shifted_pairs += 1
+    assert shifted_pairs
+    assert covered and len(covered) == len(set(covered))
+
+
+@pytest.mark.parametrize("p", [2, 101])
+def test_is_projective_and_is_injective_read_the_shared_step(p, monkeypatch, fresh_corpus_table):
+    tbl = fresh_corpus_table("auslander-x2", p)
+    covered = count_covers(monkeypatch)
+    for v in range(len(tbl.quiver.vertices)):
+        for m in (simple(tbl, v), projective(tbl, v), injective(tbl, v)):
+            is_projective(m)
+            is_injective(m)
+            before = len(covered)
+            min_proj_resolution(m, 0)
+            min_inj_coresolution(m, 0)
+            inj_hull(m)
+            assert is_projective(m) == (resolution_step(m)[0].module.dims == m.dims)
+            assert len(covered) == before
+    assert covered and len(covered) == len(set(covered))
+
+
+def test_a_shared_cover_may_target_a_bit_identical_twin(fresh_corpus_table):
+    tbl = fresh_corpus_table("nak-233", 3)
+    m = simple(tbl, 1)
+    twin = ModuleRep(tbl, m.dims, [a.copy() for a in m.mats], label="twin")
+    first = resolution_step(m)
+    ps, cover, parts = resolution_step(twin)
+    assert (ps, cover, parts) == first
+    assert cover.target is m and cover.target.signature() == twin.signature()
+    assert proj_cover(twin)[1].target is twin  # the unshared builder
+
+
+@pytest.mark.parametrize("name", ["auslander-x3", "nak-233"])
+def test_a_cochain_matrix_is_built_once_per_module_target_and_degree(
+    name, monkeypatch, fresh_corpus_table
+):
+    probe = fresh_corpus_table(name, 101)
+    nv = len(probe.quiver.vertices)
+    i = 1
+    v0 = max(range(nv), key=lambda v: ext_module(simple(probe, v), i).total_dim)
+    assert ext_module(simple(probe, v0), i).total_dim > 0
+    tbl = fresh_corpus_table(name, 101)
+    m = simple(tbl, v0)
+    built = []
+    original = ardom.homology._cochain_matrix
+
+    def counting(ps_tgt, ps_src, elements, n):
+        built.append(n.signature())
+        return original(ps_tgt, ps_src, elements, n)
+
+    monkeypatch.setattr(ardom.homology, "_cochain_matrix", counting)
+    for v in range(nv):
+        pv = projective(tbl, v)
+        ext_dim(m, pv, i)
+        ext_dim(m, pv, i + 1)
+    assert len(built) == 3 * nv  # degrees i-1, i and i+1 for each P(v)
+    assert ext_module(m, i).total_dim > 0
+    assert len(built) == 3 * nv
+    assert len(set(built)) == nv
+
+
+# ---------------------------------------------------------------------------
+# the sample: reused Yoneda rows, skipped repeated cokernels, no relabelling
+# ---------------------------------------------------------------------------
+
+
+def reference_sample(tbl, seed, size):
+    """The sample drawn as before: every cover, Yoneda row set and cokernel
+    built afresh, and labels set on the modules themselves."""
+    nv = len(tbl.quiver.vertices)
+    out, seen = [], set()
+
+    def push(mod, label=None):
+        if mod.is_zero or len(out) >= size or mod.signature() in seen:
+            return
+        seen.add(mod.signature())
+        if label:
+            mod.label = label
+        out.append(mod)
+
+    for make in (simple, projective, injective):
+        for v in range(nv):
+            push(make(tbl, v))
+    for v in range(nv):
+        parts = rst(projective(tbl, v))
+        push(parts.radical)
+        push(parts.top)
+    for v in range(nv):
+        mod = simple(tbl, v)
+        for depth in range(1, 4):
+            mod = factorize(proj_cover(mod)[1]).kernel
+            push(mod, label=f"syz^{depth}(S_{tbl.quiver.vertices[v]})")
+            if mod.is_zero:
+                break
+    for v in range(nv):
+        mod = simple(tbl, v)
+        for depth in range(1, 4):
+            mod = factorize(inj_hull(mod)[1]).cokernel
+            push(mod, label=f"cosyz^{depth}(S_{tbl.quiver.vertices[v]})")
+            if mod.is_zero:
+                break
+    rng = np.random.default_rng(seed)
+    attempts = 0
+    while len(out) < size and attempts < 40 * size:
+        attempts += 1
+        mult0 = rng.integers(0, 3, size=nv)
+        mult1 = rng.integers(0, 3, size=nv)
+        verts0 = [v for v in range(nv) for _ in range(mult0[v])]
+        verts1 = [v for v in range(nv) for _ in range(mult1[v])]
+        if not verts0 or not verts1:
+            continue
+        ps = proj_sum(tbl, verts0)
+        tgt = proj_sum(tbl, verts1).module
+        rows = projsum_hom_rows(ps, tgt)
+        if rows.shape[0] == 0:
+            continue
+        coeffs = rng.integers(0, tbl.field.p, size=rows.shape[0])
+        fmor = morphism_from_flat(ps.module, tgt, coeffs @ rows % tbl.field.p)
+        push(factorize(fmor).cokernel, label=f"sample[{len(out)}]")
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, p, seed, size",
+    [
+        ("auslander-x3", 101, 0, 64),
+        ("auslander-x2", 2, 1, 40),
+        ("nak-233", 3, 0, 64),
+        ("comm-square", 101, 5, 30),
+        ("kronecker", 3, 0, 64),
+    ],
+)
+def test_sample_equals_a_reference_loop_without_reuse(name, p, seed, size, fresh_corpus_table):
+    def content(mods):  # signatures without the table's id, and labels
+        return [(m.signature()[1:], m.label) for m in mods]
+
+    got = content(sample_modules(fresh_corpus_table(name, p), seed, size))
+    want = content(reference_sample(fresh_corpus_table(name, p), seed, size))
+    assert got == want
+
+
+@pytest.mark.parametrize("name", ["ka2", "auslander-x3", "nak-344"])
+def test_no_module_shared_through_the_memo_is_relabelled(name, fresh_corpus_table):
+    tbl = fresh_corpus_table(name, 101)
+    sample = sample_modules(tbl)
+    # nak-344 samples a syzygy of a simple, which is a shared builder syzygy
+    assert any(m.label.startswith("syz^") for m in sample) == (name == "nak-344")
+    for m in sample:
+        min_proj_resolution(m, 3)
+    for v in range(len(tbl.quiver.vertices)):
+        b = _builder(simple(tbl, v))
+        b.extend(3)
+        assert all(s.label.startswith("ker(") for s in b.syzygies[1:])
+    kernels = [
+        val[2].kernel for key, val in tbl._memo.items()
+        if key[0] == "resolution_step" and "_kernel" in vars(val[2])
+    ]
+    assert kernels and all(k.label.startswith("ker(") for k in kernels)
+    assert not any(m is k for m in sample for k in kernels)
+
+
+def test_relabeled_copies_leave_the_module_alone(fresh_corpus_table):
+    tbl = fresh_corpus_table("nak-233", 101)
+    kernel = resolution_step(simple(tbl, 0))[2].kernel
+    copy = kernel.relabeled("syz^1(S_v1)")
+    assert kernel.label.startswith("ker(") and copy.label == "syz^1(S_v1)"
+    assert copy.mats is kernel.mats and copy.signature() == kernel.signature()

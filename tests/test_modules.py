@@ -28,6 +28,8 @@ from ardom.modules import (
     proj_sum,
     projective,
     projsum_hom_rows,
+    projsum_map_elements,
+    projsum_map_from_elements,
     projsum_morphism,
     quotient_by_rows,
     regular,
@@ -821,3 +823,106 @@ def test_proj_cover_reduces_nothing_twice(corpus_table, monkeypatch):
     for m in mods:
         proj_cover(m)
     assert not calls
+
+
+# ---------------------------------------------------------------------------
+# path actions by prefix
+# ---------------------------------------------------------------------------
+
+
+def arrow_by_arrow(m, path):
+    """The action of path on m, one arrow matrix at a time from an identity."""
+    p = m.algebra.field.p
+    out = np.eye(m.dims[path.source], dtype=np.int64)
+    for a in path.arrows:
+        out = out @ m.mats[a] % p
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+@pytest.mark.parametrize("name", ["auslander-x3", "nak-233", "comm-square"])
+def test_prefix_products_equal_arrow_by_arrow_products(name, p, fresh_corpus_table):
+    tbl = fresh_corpus_table(name, p)
+    f = tbl.field
+    nv = len(tbl.quiver.vertices)
+    relation_paths = [path for rel in tbl.relations for path in rel]
+    assert any(path not in tbl.basis_index for path in relation_paths)
+    rng = np.random.default_rng(p)
+    for m in sample_modules(tbl, seed=2, size=24):
+        for u in range(nv):
+            paths = tbl.basis_paths_from(u)
+            got = ardom.modules._path_actions(m, f.eye(m.dims[u]), paths)
+            assert all(np.array_equal(got[q], arrow_by_arrow(m, q)) for q in paths)
+            # longest first: every prefix is computed on the way
+            start = rng.integers(0, p, size=(2, m.dims[u]))
+            rows = ardom.modules._path_actions(m, start, paths[::-1])
+            assert all(np.array_equal(rows[q], start @ arrow_by_arrow(m, q) % p) for q in paths)
+        # validate's relation paths are not basis paths
+        for rel in tbl.relations:
+            some = next(iter(rel))
+            got = ardom.modules._path_actions(m, f.eye(m.dims[some.source]), rel)
+            assert all(np.array_equal(got[q], arrow_by_arrow(m, q)) for q in rel)
+            want = sum(c * arrow_by_arrow(m, q) for q, c in rel.items()) % p
+            assert np.array_equal(m.element_matrix(rel, some.source, some.target), want)
+        assert validate(m) is None
+        # the cover's row at label (j, path) is copy j's generator times the path
+        if not m.is_zero:
+            ps, cover = proj_cover(m)
+            for w in range(nv):
+                for i, (j, path) in enumerate(ps.labels[w]):
+                    gen = cover.mats[ps.vertices[j]][ps.gen_pos[j]]
+                    assert np.array_equal(cover.mats[w][i], gen @ arrow_by_arrow(m, path) % p)
+            assert cover.defect() is None
+
+
+def old_map_from_elements(ps_src, ps_tgt, elements):
+    """projsum_map_from_elements as before: each generator row read off the
+    full action matrix of the element on the target sum."""
+    p = ps_tgt.module.algebra.field.p
+    rows = []
+    for s, u in enumerate(ps_src.vertices):
+        row = np.zeros(ps_tgt.module.dims[u], dtype=np.int64)
+        for t, v in enumerate(ps_tgt.vertices):
+            if elements[t][s]:
+                row = (row + ps_tgt.module.element_matrix(elements[t][s], v, u)[ps_tgt.gen_pos[t]]) % p
+        rows.append(row)
+    return projsum_morphism(ps_src, ps_tgt.module, rows)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+@pytest.mark.parametrize("name", ["auslander-x3", "nak-233", "comm-square"])
+def test_map_from_elements_reads_the_normal_forms(name, p, fresh_corpus_table):
+    tbl = fresh_corpus_table(name, p)
+    nv = len(tbl.quiver.vertices)
+    rng = np.random.default_rng(p + 7)
+    # every path of length at most 3, basis or not
+    paths = [Path(v, (), v) for v in range(nv)]
+    frontier = list(paths)
+    for _ in range(3):
+        frontier = [
+            Path(q.source, q.arrows + (a,), tbl.quiver.arrow_target(a))
+            for q in frontier for a in tbl.quiver.arrows_from(q.target)
+        ]
+        paths += frontier
+    assert any(q not in tbl.basis_index for q in paths)
+    for _ in range(12):
+        ps_src = proj_sum(tbl, rng.integers(0, nv, size=rng.integers(1, 4)))
+        ps_tgt = proj_sum(tbl, rng.integers(0, nv, size=rng.integers(1, 4)))
+        elements = [
+            [
+                {q: int(rng.integers(1, p)) for q in paths
+                 if q.source == v and q.target == u and rng.random() < 0.5}
+                for u in ps_src.vertices
+            ]
+            for v in ps_tgt.vertices
+        ]
+        got = projsum_map_from_elements(ps_src, ps_tgt, elements)
+        want = old_map_from_elements(ps_src, ps_tgt, elements)
+        assert all(np.array_equal(a, b) for a, b in zip(got.mats, want.mats))
+        assert got.defect() is None
+        # and back: the decoded elements are the normal forms
+        decoded = projsum_map_elements(ps_src, ps_tgt, got)
+        assert decoded == [[tbl.normal_form(el) for el in row] for row in elements]
+    wrong = [[{Path(0, (), 0): 1}]]
+    with pytest.raises(ValueError, match="does not run"):
+        projsum_map_from_elements(proj_sum(tbl, [1]), proj_sum(tbl, [1]), wrong)
