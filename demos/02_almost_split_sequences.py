@@ -2,9 +2,10 @@
 
 The construction: for a non-injective projective U = P(v), the sequence
 0 -> U -> X -> V -> 0 with V the inverse translate of U is built from a
-class in the socle of Ext^1(V, U) under the End(U)-action, realized as a
-pushout along the syzygy inclusion. `check()` re-verifies exactness,
-non-splitness, and the socle condition from scratch.
+class in the socle of Ext^1(V, U) under the End(U)-action. The class is a
+cocycle P_1 -> U on the minimal resolution P_1 -> P_0 -> V, and X is the
+pushout along the differential P_1 -> P_0. `check()` re-verifies
+exactness, non-splitness, and the socle condition from scratch.
 
 Run:  python3 demos/02_almost_split_sequences.py
 """

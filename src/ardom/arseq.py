@@ -2,11 +2,12 @@
 
 For a non-injective projective U = P(v) the sequence 0 → U → X → V → 0 with
 V the inverse translate of U is constructed from an extension class: Ext^1
-is realized as Hom(ΩV, U) modulo restrictions of Hom(Q_0, U) along the
-minimal presentation Q_1 → Q_0 → V, the local ring End(U) = e_v·A·e_v acts
-by post-composition, and any nonzero element of the socle of that action
-represents the almost split extension.  The middle term is the pushout
-X = coker(ΩV → U ⊕ Q_0).
+is read off the minimal resolution P_1 → P_0 → V of V as cocycles P_1 → U
+modulo the maps that factor through d_1 (:func:`ext_graded`), the local ring
+End(U) = e_v·A·e_v acts by post-composition, and any nonzero element of the
+socle of that action represents the almost split extension.  A cocycle c
+factors through the cover P_1 ↠ ΩV, so the middle term is the pushout
+X = coker((c, −d_1): P_1 → U ⊕ P_0), the pushout along ΩV ⊆ P_0.
 """
 
 from __future__ import annotations
@@ -16,18 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraTable
-from .homology import _builder, ext_dim, tau_inverse, torsion_free_failure_degree
+from .homology import _builder, ext_graded, post_compose, tau_inverse, torsion_free_failure_degree
 from .modules import (
     InvariantError,
     ModuleMorphism,
     ModuleRep,
     direct_sum,
     factorize,
-    hom_basis,
     is_injective,
     left_mult_morphism,
     memoized,
     projective,
+    projsum_morphism,
     sum_inclusions,
 )
 
@@ -44,31 +45,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Ext1Data:
-    """Ext^1(V, U) presented as a quotient of Hom(ΩV, U), with End-action.
+    """Ext^1(V, U) for U = P(vertex) as cocycles P_1 → U modulo coboundaries,
+    with the rad End(U) action.
 
-    ``representatives[j]`` is a morphism ΩV → U representing the j-th basis
-    vector; ``actions[r]`` is the matrix (acting on coordinate rows) of
-    post-composition with the r-th basis element of rad End(U).
+    ``representatives[j]`` is the cocycle P_1 → U of the j-th basis class
+    (the :func:`ext_graded` basis); ``actions[r]`` is the matrix (acting on
+    coordinate rows) of post-composition with the r-th basis element of
+    rad End(U).
     """
 
     vertex: int
     v_module: ModuleRep
-    omega: ModuleRep
-    omega_inclusion: ModuleMorphism  # ΩV -> Q_0
-    q0_cover: ModuleMorphism  # Q_0 ->> V
+    q0_cover: ModuleMorphism  # P_0 ->> V
     dim: int
     representatives: tuple
     actions: tuple
-    _hom_flats: np.ndarray
-    _quotient: object
 
     def class_coords(self, f: ModuleMorphism) -> np.ndarray:
-        """Coordinates in the Ext^1 basis of the class of f: ΩV → U."""
-        fld = self.v_module.algebra.field
-        coords = fld.coords_in_rowspace(self._hom_flats, f.flatten().reshape(1, -1))
+        """Coordinates in the Ext^1 basis of the class of a cocycle f: P_1 → U."""
+        tbl = self.v_module.algebra
+        ps1 = _builder(self.v_module).term(1)
+        shape = (ps1.module.dims, projective(tbl, self.vertex).dims)
+        if (f.source.dims, f.target.dims) != shape or f.defect() is not None:
+            raise ArSequenceError("the class map is not a morphism P_1 → U")
+        cocycles, quot = ext_graded(self.v_module, 1, self.vertex)
+        gens = np.concatenate([f.mats[u][ps1.gen_pos[s]] for s, u in enumerate(ps1.vertices)])
+        coords = tbl.field.coords_in_rowspace(cocycles, gens.reshape(1, -1))
         if coords is None:
-            raise ArSequenceError("the class map leaves the span of Hom(ΩV, U)")
-        return fld.mul(coords, self._quotient.proj)[0]
+            raise ArSequenceError("the class map is not a cocycle P_1 → U")
+        return tbl.field.mul(coords, quot.proj)[0]
 
 
 def _rad_end_paths(tbl: AlgebraTable, v: int):
@@ -76,62 +81,38 @@ def _rad_end_paths(tbl: AlgebraTable, v: int):
     return [p for p in tbl.basis_paths_from(v) if p.target == v and len(p.arrows) >= 1]
 
 
+def _cocycle(v_module: ModuleRep, vertex: int, coeffs) -> ModuleMorphism:
+    """The cocycle P_1 → P(vertex) of the Ext^1 class with coordinates
+    ``coeffs``: a map out of P_1 is fixed by its generator images."""
+    fld = v_module.algebra.field
+    ps1 = _builder(v_module).term(1)
+    cocycles, quot = ext_graded(v_module, 1, vertex)
+    row = fld.mul(fld.mul(np.reshape(coeffs, (1, -1)), quot.section), cocycles)[0]
+    u = projective(v_module.algebra, vertex)
+    bounds = np.cumsum([0] + [u.dims[w] for w in ps1.vertices])
+    return projsum_morphism(ps1, u, [row[a:b] for a, b in zip(bounds, bounds[1:])])
+
+
 def ext1_with_end_action(v_module: ModuleRep, vertex: int) -> Ext1Data:
-    """Ext^1(V, P(vertex)) with the rad End action, from V's presentation."""
+    """Ext^1(V, P(vertex)) with the rad End action, from V's resolution."""
     tbl = v_module.algebra
-    fld = tbl.field
-    u = projective(tbl, vertex)
     b = _builder(v_module)
-    omega = b.syzygy(1)
-    if omega.is_zero:
+    if b.term(1).is_zero:
         raise ValueError("Ext^1 vanishes: the module has projective dimension 0")
-    incl = b.inclusions[0]
-    cover = b.covers[0]
-    hom = hom_basis(omega, u)
-    if hom.dim == 0:
-        raise ValueError("Ext^1 vanishes: no morphisms from the syzygy")
-    flats = hom.rows
-    restricted = []
-    for g in hom_basis(b.sums[0].module, u).morphisms:
-        coords = fld.coords_in_rowspace(flats, incl.compose(g).flatten().reshape(1, -1))
-        if coords is None:
-            raise InvariantError("a restricted cover map leaves the span of Hom(ΩV, U)")
-        restricted.append(coords[0])
-    rows = (
-        np.stack(restricted) if restricted else fld.zeros(0, hom.dim)
-    )
-    quot = fld.quotient_by_rowspace(fld.row_space_basis(rows), hom.dim)
-    if quot.dim == 0:
+    dim = ext_graded(v_module, 1, vertex)[1].dim
+    if dim == 0:
         raise ValueError("Ext^1 vanishes: every class lifts to the cover")
-    # independent route: the cochain computation must agree
-    if quot.dim != ext_dim(v_module, u, 1):
-        raise InvariantError("Ext^1 dimension mismatch between routes")
-    reps = []
-    for j in range(quot.dim):
-        combo = hom.combo(quot.section[j])
-        reps.append(combo)
-    actions = []
-    for path in _rad_end_paths(tbl, vertex):
-        lm = left_mult_morphism(tbl, {path: 1}, src=vertex, dst=vertex)
-        mat = fld.zeros(quot.dim, quot.dim)
-        for j, rep in enumerate(reps):
-            composed = rep.compose(lm)
-            coords = fld.coords_in_rowspace(flats, composed.flatten().reshape(1, -1))
-            if coords is None:
-                raise InvariantError("rad End(U) action leaves the span of Hom(ΩV, U)")
-            mat[j] = fld.mul(coords, quot.proj)[0]
-        actions.append(mat)
+    actions = tuple(
+        post_compose(v_module, 1, vertex, vertex, left_mult_morphism(tbl, {p: 1}, vertex, vertex))
+        for p in _rad_end_paths(tbl, vertex)
+    )
     return Ext1Data(
         vertex=vertex,
         v_module=v_module,
-        omega=omega,
-        omega_inclusion=incl,
-        q0_cover=cover,
-        dim=quot.dim,
-        representatives=tuple(reps),
-        actions=tuple(actions),
-        _hom_flats=flats,
-        _quotient=quot,
+        q0_cover=b.covers[0],
+        dim=dim,
+        representatives=tuple(_cocycle(v_module, vertex, e) for e in tbl.field.eye(dim)),
+        actions=actions,
     )
 
 
@@ -147,7 +128,7 @@ class ArSequence:
     v: ModuleRep
     inclusion: ModuleMorphism  # U -> X
     surjection: ModuleMorphism  # X -> V
-    class_map: ModuleMorphism  # ΩV -> U representing the extension class
+    class_map: ModuleMorphism  # a cocycle P_1 -> U representing the extension class
     ext_data: Ext1Data
 
     def check(self) -> None:
@@ -208,21 +189,17 @@ def almost_split_from_projective(tbl: AlgebraTable, vertex: int, choice: int = 0
     if np.any(doubled):  # zero over GF(2): that class would split
         candidates.append(doubled)
     xi = candidates[choice % len(candidates)]
-    # lift the socle class to a representing morphism ΩV -> U; representative
-    # j realizes the j-th quotient coordinate, so the combination mirrors xi
-    class_map = None
-    for c, rep in zip(xi, data.representatives):
-        piece = rep.scale(int(c))
-        class_map = piece if class_map is None else class_map.add(piece)
-    q0 = data.q0_cover.source
-    total = direct_sum(tbl, [u, q0])
-    incls, projs = sum_inclusions(tbl, [u, q0], total)
-    g = class_map.compose(incls[0]).add(data.omega_inclusion.compose(incls[1]).scale(-1))
+    class_map = _cocycle(v_mod, vertex, xi)
+    p0 = data.q0_cover.source
+    total = direct_sum(tbl, [u, p0])
+    incls, projs = sum_inclusions(tbl, [u, p0], total)
+    d1 = _builder(v_mod).differential(1)
+    g = class_map.compose(incls[0]).add(d1.compose(incls[1]).scale(-1))
     parts = factorize(g)
     x = parts.cokernel
     x.label = f"X({u.label})"
     inclusion = incls[0].compose(parts.cokernel_projection)
-    # the map U ⊕ Q_0 -> V (zero on U, the cover on Q_0) kills im(g), so it
+    # the map U ⊕ P_0 -> V (zero on U, the cover on P_0) kills im(g), so it
     # descends along the quotient's section
     phi = projs[1].compose(data.q0_cover)
     surj_mats = []

@@ -6,8 +6,9 @@ corpus-level machinery (``verify``, ``scan``).  Output is one JSON record
 per line by default; ``--format text`` switches to a readable rendering.
 
 Exit codes follow the suite runner: 0 all good, 1 a check failed, 2 bad
-input, 3 a capped computation could not decide.  For plain invariant
-queries "could not decide" means the reported value is only a lower bound.
+input, 3 a capped computation could not decide, 4 an internal check failed
+(a bug).  For plain invariant queries "could not decide" means the reported
+value is only a lower bound.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import json
 import os
 import sys
 
-from .algebra import DEFAULT_MAX_PATH_LENGTH, PresentationError, table_from_file
-from .arseq import first_failure, has_n_tf_ar_sequences
-from .corpus import CorpusError, load_corpus
+from .algebra import DEFAULT_MAX_PATH_LENGTH, InvariantError, table_from_file
+from .arseq import ArSequenceError, first_failure, has_n_tf_ar_sequences
+from .corpus import load_corpus
 from .homology import (
     DEFAULT_CAP,
     domdim_algebra,
@@ -31,7 +32,6 @@ from .homology import (
     torsion,
 )
 from .modules import (
-    ModuleFileError,
     parse_module,
     sample_modules,
     serialize_module,
@@ -41,6 +41,7 @@ from .verify import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
     EXIT_INPUT_ERROR,
+    EXIT_INTERNAL,
     EXIT_PASS,
     SUITES,
     _min_capped,
@@ -499,15 +500,12 @@ def main(argv=None) -> int:
         # the reader went away (e.g. | head); not our error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PASS
-    except (PresentationError, ModuleFileError, CorpusError) as exc:
+    except (OSError, ValueError) as exc:  # bad input, parse errors included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except (InvariantError, ArSequenceError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

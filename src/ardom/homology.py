@@ -54,6 +54,8 @@ __all__ = [
     "syzygy",
     "cosyzygy",
     "ext_dim",
+    "ext_graded",
+    "post_compose",
     "ext_module",
     "transpose",
     "tau",
@@ -322,7 +324,7 @@ def _cochain(m: ModuleRep, n: ModuleRep, j: int) -> tuple:
     """(matrix, rank) of Hom(P_j, N) -> Hom(P_{j+1}, N) for the minimal
     projective resolution P of m, in generator coordinates (see
     :func:`_cochain_matrix`).  Shared by :func:`ext_dim` and
-    :func:`ext_module`."""
+    :func:`ext_graded`."""
     b = _builder(m)
     tgt_ps, src_ps = b.term(j), b.term(j + 1)
     elements = projsum_map_elements(src_ps, tgt_ps, b.differential(j + 1))
@@ -348,57 +350,61 @@ def ext_dim(m: ModuleRep, n: ModuleRep, i: int) -> int:
 
 
 @memoized
+def ext_graded(m: ModuleRep, i: int, v: int) -> tuple:
+    """(cocycles, quotient) of Ext^i(m, P(v)) in generator coordinates: the
+    kernel rows of the shared cochain matrix out of Hom(P_i, P(v)), and their
+    quotient by the coboundaries (none in degree 0, where this is Hom(m, P(v)))."""
+    f = m.algebra.field
+    pv = projective(m.algebra, v)
+    kernel = f.kernel_basis(_cochain(m, pv, i)[0].T)
+    coords = f.zeros(0, kernel.shape[0])
+    if i >= 1:
+        coords = f.coords_in_rowspace(kernel, _cochain(m, pv, i - 1)[0])
+        if coords is None:
+            raise InvariantError("cochain image escapes the kernel")
+    quot = f.quotient_by_rowspace(coords, kernel.shape[0])
+    if quot.dim != ext_dim(m, pv, i):
+        raise InvariantError("graded Ext dimension mismatch")
+    return kernel, quot
+
+
+def post_compose(m: ModuleRep, i: int, v: int, w: int, lm: ModuleMorphism) -> np.ndarray:
+    """Post-composition with lm: P(v) -> P(w) as a matrix Ext^i(m, P(v)) ->
+    Ext^i(m, P(w)) on the :func:`ext_graded` bases; lm moves the block of a
+    cochain at each copy P(u) of P_i by its block at u."""
+    f = m.algebra.field
+    src, dst = ext_graded(m, i, v), ext_graded(m, i, w)
+    if not src[1].dim or not dst[1].dim:
+        return f.zeros(src[1].dim, dst[1].dim)
+    lam = f.block_diag([lm.mats[u] for u in _builder(m).term(i).vertices])
+    moved = f.mul(f.mul(src[1].section, src[0]), lam)
+    coords = f.coords_in_rowspace(dst[0], moved)
+    if coords is None:
+        raise InvariantError("post-composition leaves the cocycle space")
+    return f.mul(coords, dst[1].proj)
+
+
+@memoized
 def ext_module(m: ModuleRep, i: int) -> ModuleRep:
     """Ext^i(m, A) as a right module over the opposite algebra.
 
     The regular module splits vertexwise, so the Ext group is graded by
-    Ext^i(m, P(v)); that grading is the vertex decomposition, and for an
-    arrow a: v -> w the opposite arrow acts by post-composition with left
+    Ext^i(m, P(v)) (:func:`ext_graded`), the vertex decomposition, and for
+    an arrow a: v -> w the opposite arrow acts by post-composition with left
     multiplication P(w) -> P(v).  Degree 0 is the plain Hom-dual m*.
     """
     if i < 0:
         raise ValueError("negative Ext degree")
     tbl = m.algebra
-    if i == 0:
-        return _star_with_bases(m)[0]
-    opp = opposite(tbl)
-    f = tbl.field
-    nv = len(tbl.quiver.vertices)
-    b = _builder(m)
-    b.extend(i + 1)
-    ps_i = b.term(i)
-    if not ps_i.vertices:
-        return zero_module(opp, label=f"Ext{i}({m.label},A)")
-    kernels, quots = [], []
-    for v in range(nv):
-        pv = projective(tbl, v)
-        kernel = f.kernel_basis(_cochain(m, pv, i)[0].T)
-        image = f.row_space_basis(_cochain(m, pv, i - 1)[0])
-        coords = f.coords_in_rowspace(kernel, image)
-        if coords is None:
-            raise InvariantError("cochain image escapes the kernel")
-        quot = f.quotient_by_rowspace(f.row_space_basis(coords), kernel.shape[0])
-        if quot.dim != ext_dim(m, pv, i):
-            raise InvariantError("graded Ext dimension mismatch")
-        kernels.append(kernel)
-        quots.append(quot)
-
-    dims = [q.dim for q in quots]
-    mats = [None] * len(opp.quiver.arrows)
-    for a in range(len(tbl.quiver.arrows)):
-        v, w = tbl.quiver.arrow_source(a), tbl.quiver.arrow_target(a)
-        lm = arrow_left_mult(tbl, a)
-        lam = f.block_diag([lm.mats[u] for u in ps_i.vertices])
-        mat = f.zeros(dims[w], dims[v])
-        for j in range(dims[w]):
-            cochain = f.mul(quots[w].section[j : j + 1], kernels[w])
-            moved = f.mul(cochain, lam)
-            coords = f.coords_in_rowspace(kernels[v], moved)
-            if coords is None:
-                raise InvariantError("arrow action leaves the cocycle space")
-            mat[j] = f.mul(coords, quots[v].proj)[0]
-        mats[a] = mat
-    return ModuleRep(opp, dims, mats, label=f"Ext{i}({m.label},A)")
+    q = tbl.quiver
+    if _builder(m).term(i).is_zero:
+        return zero_module(opposite(tbl), label=f"Ext{i}({m.label},A)")
+    dims = [ext_graded(m, i, v)[1].dim for v in range(len(q.vertices))]
+    mats = [
+        post_compose(m, i, q.arrow_target(a), q.arrow_source(a), arrow_left_mult(tbl, a))
+        for a in range(len(q.arrows))
+    ]
+    return ModuleRep(opposite(tbl), dims, mats, label=f"Ext{i}({m.label},A)")
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ __all__ = [
     "is_projective",
     "is_injective",
     "dual",
-    "dual_morphism",
     "direct_sum",
     "is_isomorphic",
     "sample_modules",
@@ -672,11 +671,6 @@ def dual(m: ModuleRep, label: str = "") -> ModuleRep:
     opp = opposite(m.algebra)
     mats = [m.mats[a].T for a in range(len(m.algebra.quiver.arrows))]
     return ModuleRep._trusted(opp, m.dims, mats, label=label or f"D({m.label})")
-
-
-def dual_morphism(f: ModuleMorphism) -> ModuleMorphism:
-    """D is contravariant: dual(f): dual(target) -> dual(source), blocks f_v^T."""
-    return ModuleMorphism(dual(f.target), dual(f.source), [b.T for b in f.mats])
 
 
 @memoized

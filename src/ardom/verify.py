@@ -47,12 +47,14 @@ __all__ = [
     "EXIT_FAIL",
     "EXIT_INPUT_ERROR",
     "EXIT_INCONCLUSIVE",
+    "EXIT_INTERNAL",
 ]
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass

@@ -231,18 +231,20 @@ def test_nakayama_from_kupisch_sets_its_flag_without_the_check():
     assert "selfinjective" not in nakayama_from_kupisch([3, 2], cyclic=True).flags
 
 
-def test_kupisch_dimension_check_is_an_internal_error(monkeypatch):
+def test_kupisch_dimension_check_is_an_internal_error(monkeypatch, capsys):
     import ardom.algebra
     from ardom.algebra import InvariantError
     from ardom.cli import main
+    from ardom.verify import EXIT_INPUT_ERROR, EXIT_INTERNAL
 
     monkeypatch.setattr(ardom.algebra.AlgebraTable, "dimension", property(lambda self: -1))
     with pytest.raises(InvariantError, match="Kupisch series dimension check") as exc:
         nakayama_from_kupisch([3, 2], cyclic=True)
     assert not isinstance(exc.value, ValueError)
-    # an internal error is not reported as bad input (exit 2)
-    with pytest.raises(InvariantError):
-        main(["scan", "nakayama", "--simples", "2", "--max-len", "3"])
+    # an internal error is not reported as bad input (exit 2), but as exit 4
+    code = main(["scan", "nakayama", "--simples", "2", "--max-len", "3"])
+    assert code == EXIT_INTERNAL != EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith("internal error: Kupisch series dimension check")
 
 
 # -- completion ---------------------------------------------------------------

@@ -1,29 +1,39 @@
 import dataclasses
+import os
+import sys
 
 import numpy as np
 import pytest
 
-import ardom.arseq
-from ardom.algebra import nakayama_from_kupisch
+import ardom.homology
+import ardom.modules
+from ardom.algebra import nakayama_from_kupisch, reverse_path, table_from_text
 from ardom.arseq import (
     ArSequenceError,
+    _rad_end_paths,
     almost_split_from_projective,
     ext1_with_end_action,
     first_failure,
     has_n_tf_ar_sequences,
 )
-from ardom.homology import ext_dim, tau_inverse
+from ardom.corpus import load_corpus
+from ardom.homology import ext_dim, ext_module, tau_inverse
 from ardom.modules import (
     InvariantError,
     direct_sum,
     factorize,
+    hom_basis,
+    identity_morphism,
     is_injective,
     is_isomorphic,
     projective,
+    sample_modules,
     simple,
     validate,
     zero_morphism,
 )
+
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
 
 @pytest.fixture(scope="module")
@@ -102,8 +112,8 @@ def test_ext1_rejects_projective_argument(a2):
 def test_ext1_route_disagreement_raises_without_asserts(monkeypatch):
     tbl = nakayama_from_kupisch([3, 2], cyclic=True)
     v = tau_inverse(projective(tbl, 1))
-    monkeypatch.setattr(ardom.arseq, "ext_dim", lambda *args: -1)
-    with pytest.raises(InvariantError, match="Ext\\^1 dimension mismatch"):
+    monkeypatch.setattr(ardom.homology, "ext_dim", lambda *args: -1)
+    with pytest.raises(InvariantError, match="graded Ext dimension mismatch"):
         ext1_with_end_action(v, 1)
 
 
@@ -249,3 +259,158 @@ def test_sweep_never_blames_starting_term(a2, kronecker, dim5, nak32, nak344):
             for entry in report:
                 if "terms" in entry:
                     assert entry["terms"]["U"] is None
+
+
+# ---------------------------------------------------------------------------
+# Ext^1 read off the shared cochains
+# ---------------------------------------------------------------------------
+
+
+def count_hom_systems(monkeypatch):
+    """Count hom_basis calls through every ardom namespace that binds it."""
+    calls = []
+    original = ardom.modules.hom_basis
+
+    def counted(m, n):
+        calls.append((m.dims, n.dims))
+        return original(m, n)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "ardom" and getattr(mod, "hom_basis", None) is original:
+            monkeypatch.setattr(mod, "hom_basis", counted)
+    return calls
+
+
+def test_the_construction_solves_no_hom_system(monkeypatch):
+    calls = count_hom_systems(monkeypatch)
+    tables = [
+        table_from_text(
+            "field 101\nvertices v1 v2\narrow a v1 v2\narrow b v1 v2\n", label="kronecker-fresh"
+        ),
+        table_from_text(
+            "field 101\nvertices v1 v2\narrow a v1 v2\narrow b v2 v1\nrelation a*b\n",
+            label="dim5-fresh",
+        ),
+        nakayama_from_kupisch([3, 4, 4], cyclic=True),
+        nakayama_from_kupisch([5, 4], cyclic=True),
+    ]
+    built = 0
+    for tbl in tables:
+        for v in _noninjective_vertices(tbl):
+            almost_split_from_projective(tbl, v).check()
+            built += 1
+    assert built >= 5
+    assert calls == []
+
+
+def _assert_actions_match_the_ext_module(v_module, vertex):
+    data = ext1_with_end_action(v_module, vertex)
+    e = ext_module(v_module, 1)
+    assert data.dim == e.dims[vertex]
+    paths = _rad_end_paths(v_module.algebra, vertex)
+    assert len(data.actions) == len(paths)
+    for mat, z in zip(data.actions, paths):
+        expected = e.element_matrix({reverse_path(z): 1}, vertex, vertex)
+        assert mat.shape == expected.shape
+        assert np.array_equal(mat, expected)
+    return data
+
+
+def test_end_action_is_the_ext_module_action_on_ar_sequences(kronecker, dim5, nak54, nak344):
+    checked = 0
+    for tbl in (kronecker, dim5, nak54, nak344):
+        for v in _noninjective_vertices(tbl):
+            u = projective(tbl, v)
+            _assert_actions_match_the_ext_module(tau_inverse(u), v)
+            checked += bool(_rad_end_paths(tbl, v))
+    assert checked >= 1  # nak54 at v2 carries a nonzero rad End
+
+
+def test_end_action_is_the_ext_module_action_where_it_is_nonzero():
+    # a local algebra, not selfinjective, where rad End(A) moves Ext^1 classes
+    tbl = table_from_text(
+        "field 101\nvertices v\narrow x v v\narrow y v v\n"
+        "relation x*x\nrelation y*x\nrelation y*y*y\n",
+        label="local-xy",
+    )
+    nonzero = 0
+    for m in sample_modules(tbl, seed=1, size=24):
+        if ext_dim(m, projective(tbl, 0), 1) == 0:
+            continue
+        data = _assert_actions_match_the_ext_module(m, 0)
+        nonzero += any(np.any(a) for a in data.actions)
+    assert nonzero >= 1
+
+
+# middle-term dimensions of the sequence at each non-injective vertex,
+# frozen from the construction by pushout along the syzygy inclusion
+X_DIMS = {
+    ("ka2", 1): (1, 1),
+    ("linear-a3", 1): (1, 2, 1),
+    ("linear-a3", 2): (0, 1, 1),
+    ("linear-a4", 1): (1, 2, 2, 1),
+    ("linear-a4", 2): (0, 1, 2, 1),
+    ("linear-a4", 3): (0, 0, 1, 1),
+    ("kronecker", 0): (4, 6),
+    ("kronecker", 1): (2, 4),
+    ("wild3", 0): (4, 8, 6),
+    ("wild3", 1): (2, 5, 4),
+    ("wild3", 2): (0, 1, 1),
+    ("auslander-x2", 0): (2, 2),
+    ("auslander-x3", 0): (2, 2, 2),
+    ("auslander-x3", 1): (2, 4, 4),
+    ("comm-square", 1): (0, 1, 1, 1),
+    ("comm-square", 2): (0, 1, 1, 1),
+    ("comm-square", 3): (0, 1, 1, 2),
+    ("nak-32", 1): (2, 2),
+    ("nak-432", 1): (2, 2, 2),
+    ("nak-432", 2): (1, 1, 2),
+    ("nak-344", 0): (2, 2, 2),
+    ("nak-233", 0): (2, 1, 1),
+    ("nak54", 1): (4, 4),
+    ("nak344", 0): (2, 2, 2),
+    ("gf2-21", 1): (1, 1),
+}
+
+
+def test_sequences_do_not_split_by_a_hom_route():
+    # a section of X -> V would make id_V a combination of the g∘surjection,
+    # g in Hom(V, X); that span is solved for directly, sharing no cochain
+    tables = [(e.entry_id, e.load_table()) for e in load_corpus(CORPUS)]
+    tables += [
+        ("nak54", nakayama_from_kupisch([5, 4], cyclic=True)),
+        ("nak344", nakayama_from_kupisch([3, 4, 4], cyclic=True)),
+        ("gf2-21", nakayama_from_kupisch([2, 1], cyclic=False, p=2)),
+    ]
+    seen = {}
+    for name, tbl in tables:
+        f = tbl.field
+        for v in _noninjective_vertices(tbl):
+            seq = almost_split_from_projective(tbl, v)
+            seen[(name, v)] = seq.x.dims
+            hom = hom_basis(seq.v, seq.x)
+            ident = identity_morphism(seq.v).flatten().reshape(1, -1)
+            if hom.dim:
+                rows = np.stack([g.compose(seq.surjection).flatten() for g in hom.morphisms])
+                assert f.coords_in_rowspace(rows, ident) is None, (name, v)
+    assert seen == X_DIMS
+
+
+def test_class_coords_reads_only_cocycles(nak54):
+    seq = almost_split_from_projective(nak54, 1)
+    data = seq.ext_data
+    for j, rep in enumerate(data.representatives):
+        assert np.array_equal(data.class_coords(rep), np.eye(data.dim, dtype=np.int64)[j])
+    with pytest.raises(ArSequenceError, match="not a morphism"):
+        data.class_coords(zero_morphism(seq.u, seq.u))
+    # Hom(P_1, U) has a map that does not vanish on the image of d_2
+    p1 = seq.class_map.source
+    outcomes = []
+    for g in hom_basis(p1, seq.u).morphisms:
+        try:
+            data.class_coords(g)
+            outcomes.append("cocycle")
+        except ArSequenceError as exc:
+            assert "not a cocycle" in str(exc)
+            outcomes.append("not")
+    assert outcomes.count("not") >= 1 and outcomes.count("cocycle") >= 1

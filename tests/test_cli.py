@@ -292,6 +292,19 @@ def test_bad_degree_is_input_error(capsys):
     assert exc.value.code == 2
 
 
+def test_internal_check_failure_exits_4(capsys, monkeypatch):
+    import ardom.homology
+    from ardom.verify import EXIT_INTERNAL
+
+    monkeypatch.setattr(ardom.homology, "ext_dim", lambda *args: -1)
+    code = main(["grade", alg("ka2"), "--sample-index", "0", "--ext-degree", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL == 4
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == "internal error: graded Ext dimension mismatch"
+
+
 def test_env_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("ARDOM_CAP", "2")
     code, lines = run(capsys, "gldim", alg("nak-233"))

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from ardom.homology import (
     torsion_free_failure_degree,
     transpose,
 )
+from ardom.corpus import load_corpus
 from ardom.linalg import PrimeField
 from ardom.modules import (
     dual,
@@ -47,6 +50,8 @@ from ardom.modules import (
     validate,
     zero_module,
 )
+
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
 
 @pytest.fixture(scope="session")
@@ -533,6 +538,18 @@ def test_ext_module_vanishes_on_projectives(a2, dim5):
         for v in range(2):
             assert ext_module(projective(tbl, v), 1).is_zero
             assert ext_module(projective(tbl, v), 2).is_zero
+
+
+def test_ext_module_degree_zero_matches_the_hom_basis_dual():
+    # the cochain route in degree 0 against the Kronecker hom_basis route
+    checked = 0
+    for entry in load_corpus(CORPUS):
+        for m in sample_modules(entry.load_table(), seed=5, size=12):
+            e0 = ext_module(m, 0)
+            assert validate(e0) is None
+            assert is_isomorphic(e0, ardom.homology._star_with_bases(m)[0]) is True
+            checked += 1
+    assert checked == 168
 
 
 def test_ext_module_rejects_negative_degree(a2):
