@@ -26,6 +26,7 @@ __all__ = [
     "Path",
     "Presentation",
     "AlgebraTable",
+    "InputError",
     "PresentationError",
     "CompletionError",
     "InvariantError",
@@ -43,7 +44,11 @@ DEFAULT_MAX_PATH_LENGTH = 30
 KNOWN_FLAGS = ("selfinjective", "gendo_symmetric", "symmetric")
 
 
-class PresentationError(ValueError):
+class InputError(ValueError):
+    """Bad input: a malformed file, flag or argument.  The cli exits 2 on it."""
+
+
+class PresentationError(InputError):
     """Malformed presentation text; carries the offending line (1-based)."""
 
     def __init__(self, message, line=None, col=None):
@@ -55,7 +60,7 @@ class PresentationError(ValueError):
         self.col = col
 
 
-class CompletionError(ValueError):
+class CompletionError(InputError):
     """Raised when the path basis is not verifiably finite at the cap."""
 
 
@@ -603,8 +608,9 @@ def build_table(
     max_path_length: int = DEFAULT_MAX_PATH_LENGTH,
     label: str = "",
 ) -> AlgebraTable:
-    """The table of a parsed presentation.  ``selfinjective`` and ``symmetric``
-    (which implies it) short-circuit invariants, so D(A) must be projective."""
+    """The table of a parsed presentation.  The ideal must be admissible, and
+    ``selfinjective`` and ``symmetric`` (which implies it) short-circuit
+    invariants, so D(A) must be projective."""
     tbl = AlgebraTable(
         pres.quiver,
         pres.field,
@@ -613,11 +619,47 @@ def build_table(
         max_path_length=max_path_length,
         label=label,
     )
+    _check_admissible(tbl)
     from .modules import dual_regular, is_projective  # modules imports this module
     for flag in sorted(tbl.flags & {"selfinjective", "symmetric"}):
         if not is_projective(dual_regular(tbl)):
             raise PresentationError(f"flag {flag} does not hold: D(A) is not projective")
     return tbl
+
+
+def _check_admissible(tbl: AlgebraTable) -> None:
+    """Raise PresentationError unless the ideal of the table is admissible.
+
+    Relations are combinations of paths of length >= 2, so the ideal is
+    admissible exactly when the arrow ideal J is nilpotent.  R_1 is spanned
+    by the arrows and R_{k+1} by the products of a basis of R_k with each
+    arrow, so R_k is spanned by the paths of length k and J^k = R_k + R_{k+1}
+    + ...  The powers of a nilpotent J shrink strictly until they vanish, so
+    J^k = 0, and with it R_k = 0, for some k <= dim A + 1.
+    """
+    q, f = tbl.quiver, tbl.field
+    arrows = [Path(q.arrow_source(a), (a,), q.arrow_target(a)) for a in range(len(q.arrows))]
+
+    def span(elements) -> list:
+        rows = f.zeros(len(elements), tbl.dimension)
+        for i, element in enumerate(elements):
+            for path, c in element.items():
+                rows[i, tbl.basis_index[path]] = c
+        return [
+            {tbl.basis[j]: int(c) for j, c in enumerate(row) if c}
+            for row in f.row_space_basis(rows)
+        ]
+
+    power = span([tbl.normal_form_path(a) for a in arrows])
+    for _ in range(tbl.dimension):
+        if not power:
+            break
+        power = span([tbl.multiply(x, {a: 1}) for x in power for a in arrows])
+    if power:
+        raise PresentationError(
+            f"the ideal is not admissible: paths of length {tbl.dimension + 1} "
+            f"span a space of dimension {len(power)}, so the arrow ideal is not nilpotent"
+        )
 
 
 def table_from_text(

@@ -6,9 +6,10 @@ corpus-level machinery (``verify``, ``scan``).  Output is one JSON record
 per line by default; ``--format text`` switches to a readable rendering.
 
 Exit codes follow the suite runner: 0 all good, 1 a check failed, 2 bad
-input, 3 a capped computation could not decide, 4 an internal check failed
-(a bug).  For plain invariant queries "could not decide" means the reported
-value is only a lower bound.
+input (an ``InputError`` or an unreadable file), 3 a capped computation
+could not decide, 4 an internal error: a failed internal check or any other
+exception, which is a bug.  For plain invariant queries "could not decide"
+means the reported value is only a lower bound.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import json
 import os
 import sys
 
-from .algebra import DEFAULT_MAX_PATH_LENGTH, InvariantError, table_from_file
-from .arseq import ArSequenceError, first_failure, has_n_tf_ar_sequences
+from .algebra import DEFAULT_MAX_PATH_LENGTH, InputError, table_from_file
+from .arseq import first_failure, has_n_tf_ar_sequences
 from .corpus import load_corpus
 from .homology import (
     DEFAULT_CAP,
@@ -204,11 +205,11 @@ def _resolve_cap(args) -> int:
             try:
                 cap = int(env)
             except ValueError:
-                raise ValueError(f"ARDOM_CAP must be an integer, got {env!r}") from None
+                raise InputError(f"ARDOM_CAP must be an integer, got {env!r}") from None
         else:
             cap = DEFAULT_CAP
     if cap < 0:
-        raise ValueError("cap must be nonnegative")
+        raise InputError("cap must be nonnegative")
     return cap
 
 
@@ -296,7 +297,7 @@ def _cmd_invariant(args, cap):
     elif args.sample_index is not None:
         sample = sample_modules(tbl, seed=args.seed, size=args.sample_size)
         if not 0 <= args.sample_index < len(sample):
-            raise ValueError(
+            raise InputError(
                 f"--sample-index {args.sample_index} out of range "
                 f"(sample has {len(sample)} modules)"
             )
@@ -340,13 +341,15 @@ def _cmd_invariant(args, cap):
             deg = getattr(args, "ext_degree", None)
             if deg is not None:
                 if deg < 1:
-                    raise ValueError("--ext-degree must be >= 1")
+                    raise InputError("--ext-degree must be >= 1")
                 value = grade(ext_module(mod, deg), cap=cap)
                 shown = f"grade-ext{deg}"
             else:
                 value = grade(mod, cap=cap)
                 shown = "grade"
         else:  # gldim over a module file means its projective dimension
+            if mod.is_zero:
+                raise InputError("projective dimension of the zero module is undefined")
             value = pdim(mod, cap=cap)
             shown = "pdim"
         record = {
@@ -363,7 +366,7 @@ def _cmd_invariant(args, cap):
         return _capped_exit([record["result"]])
 
     if getattr(args, "ext_degree", None) is not None:
-        raise ValueError("--ext-degree needs --module or --sample-index")
+        raise InputError("--ext-degree needs --module or --sample-index")
 
     if name == "domdim":
         value = domdim_algebra(tbl, cap=cap)
@@ -411,6 +414,8 @@ def _cmd_invariant(args, cap):
 
 
 def _cmd_ar_check(args, cap):
+    if args.n < 1:
+        raise InputError("--n must be >= 1")
     tbl = _load(args)
     holds, report = has_n_tf_ar_sequences(tbl, args.n)
     record = {
@@ -500,11 +505,12 @@ def main(argv=None) -> int:
         # the reader went away (e.g. | head); not our error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PASS
-    except (OSError, ValueError) as exc:  # bad input, parse errors included
+    except (InputError, OSError, UnicodeDecodeError) as exc:  # bad input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (InvariantError, ArSequenceError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # failed internal checks and every other fault
+        message = " ".join(str(exc).split()) or type(exc).__name__
+        print(f"internal error: {message}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -13,7 +13,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .algebra import AlgebraTable, DEFAULT_MAX_PATH_LENGTH, table_from_text
+from .algebra import AlgebraTable, DEFAULT_MAX_PATH_LENGTH, InputError, table_from_text
 from .modules import ModuleRep, parse_module
 
 __all__ = ["CorpusError", "CorpusEntry", "load_corpus", "MANIFEST_NAME"]
@@ -23,7 +23,7 @@ MANIFEST_NAME = "manifest.json"
 _EXPECTED_KEYS = {"dim", "selfinjective", "domdim", "gldim", "mueller", "gorenstein"}
 
 
-class CorpusError(ValueError):
+class CorpusError(InputError):
     """Raised for any malformed or unusable corpus input."""
 
 

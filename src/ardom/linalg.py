@@ -10,7 +10,13 @@ Matrices are plain numpy ``int64`` arrays with entries reduced into
   ``_LIST_ELIMINATION_NONZEROS`` nonzero entries are reduced on Python
   ``int`` lists (numpy's per-call overhead dominates there), the others
   with numpy row operations.  Both paths return the same bytes, because
-  the reduced row echelon form of a matrix is unique,
+  the reduced row echelon form of a matrix is unique.  Every derived
+  routine (rank, kernels, solves, inverses, quotients) reduces its input
+  once this way, and on the list path builds its output from the int
+  lists with one ``np.array`` call,
+* coordinates in a small basis whose rows each have a unit column (an
+  entry 1 where every other row has 0), as rref rows and canonical kernel
+  rows do, are read off those columns and checked by one product,
 * zero-row and zero-column matrices are legal everywhere — empty vector
   spaces occur constantly as vertex spaces of representations.
 
@@ -36,6 +42,10 @@ _MAX_MODULUS = 1 << 20
 # up to 254 x 202) and on random matrices of any density numpy overtakes it
 # between about 100 and 200 nonzero entries.
 _LIST_ELIMINATION_NONZEROS = 128
+
+# Largest basis, in entries, that ``coords_in_rowspace`` scans for unit
+# columns before it falls back to elimination.
+_UNIT_COLUMN_ENTRIES = 64
 
 
 def is_probable_prime(n: int) -> bool:
@@ -163,11 +173,30 @@ class PrimeField:
         if not nonzeros:
             return r, ()
         if nonzeros <= _LIST_ELIMINATION_NONZEROS:
-            return self._rref_lists(r.tolist(), rows, cols)
+            a, pivots = self._rref_lists(r.tolist(), rows, cols)
+            return np.array(a, dtype=np.int64), pivots
         return self._rref_array(r, rows, cols)
 
-    def _rref_lists(self, a: list, rows: int, cols: int):
-        """rref of a nonzero matrix given as rows of ints in range(p)."""
+    def _small_rref(self, m: np.ndarray) -> Optional[tuple[list, tuple[int, ...]]]:
+        """(rows, pivots) of the rref of a small matrix, or None for a large one.
+
+        The rows are int lists, the first ``len(pivots)`` of them the pivot
+        rows.  An empty or zero matrix gives ``([], ())``; a matrix with more
+        than ``_LIST_ELIMINATION_NONZEROS`` nonzero residues gives None, and
+        the caller reduces it with numpy.
+        """
+        if m.size == 0:
+            return [], ()
+        r = np.mod(m, self.p)
+        nonzeros = np.count_nonzero(r)
+        if not nonzeros:
+            return [], ()
+        if nonzeros > _LIST_ELIMINATION_NONZEROS:
+            return None
+        return self._rref_lists(r.tolist(), *r.shape)
+
+    def _rref_lists(self, a: list, rows: int, cols: int) -> tuple[list, tuple[int, ...]]:
+        """rref of a nonzero matrix given as rows of ints in range(p), in place."""
         p = self.p
         pivots = []
         pr = 0  # next pivot row
@@ -192,7 +221,7 @@ class PrimeField:
             pr += 1
             if pr == rows:
                 break
-        return np.array(a, dtype=np.int64), tuple(pivots)
+        return a, tuple(pivots)
 
     def _rref_array(self, r: np.ndarray, rows: int, cols: int):
         """rref of a matrix reduced mod p, in place on the numpy array."""
@@ -223,7 +252,8 @@ class PrimeField:
         return r, tuple(pivots)
 
     def rank(self, m: np.ndarray) -> int:
-        return len(self.rref(m)[1])
+        small = self._small_rref(m)
+        return len(self.rref(m)[1] if small is None else small[1])
 
     def row_space_basis(self, m: np.ndarray) -> np.ndarray:
         """Nonzero rows of the rref: a deterministic basis of the row space."""
@@ -236,15 +266,28 @@ class PrimeField:
         Row count is cols(m) − rank(m).  The basis is canonical: one row per
         free column f, with entry 1 at f and −rref[i, f] at pivot column i.
         """
-        r, pivots = self.rref(m)
         cols = m.shape[1]
+        small = self._small_rref(m)
+        r, pivots = self.rref(m) if small is None else small
+        if not pivots:
+            return self.eye(cols)
         pivot_set = set(pivots)
         free = [j for j in range(cols) if j not in pivot_set]
-        k = self.zeros(len(free), cols)
-        k[np.arange(len(free)), free] = 1
-        if pivots and free:
-            k[:, list(pivots)] = -r[: len(pivots), free].T % self.p
-        return k
+        if small is None:
+            k = self.zeros(len(free), cols)
+            k[np.arange(len(free)), free] = 1
+            if free:
+                k[:, list(pivots)] = -r[: len(pivots), free].T % self.p
+            return k
+        p = self.p
+        k = []
+        for f in free:
+            row = [0] * cols
+            row[f] = 1
+            for pc, pivot_row in zip(pivots, r):
+                row[pc] = -pivot_row[f] % p
+            k.append(row)
+        return np.array(k, dtype=np.int64).reshape(len(free), cols)
 
     def left_kernel_basis(self, m: np.ndarray) -> np.ndarray:
         """Basis (rows) of {x : x·m = 0}."""
@@ -257,20 +300,28 @@ class PrimeField:
         solution sets every free variable to 0, so it is deterministic;
         the full solution set is x + span of kernel_basis(m) columns.
         """
-        rhs = np.mod(np.array(rhs, dtype=np.int64), self.p)
+        rhs = np.asarray(rhs, dtype=np.int64)
         if rhs.ndim == 1:
             rhs = rhs.reshape(-1, 1)
         if m.shape[0] != rhs.shape[0]:
             raise ValueError(f"solve: {m.shape} matrix with {rhs.shape} right-hand side")
-        aug = np.concatenate([np.mod(m, self.p), rhs], axis=1)
-        r, pivots = self.rref(aug)
-        ncols = m.shape[1]
-        if any(pc >= ncols for pc in pivots):
+        ncols, width = m.shape[1], rhs.shape[1]
+        if m.shape[0] == 0:
+            return self.zeros(ncols, width)
+        aug = np.concatenate([m, rhs], axis=1)
+        small = self._small_rref(aug)
+        r, pivots = self.rref(aug) if small is None else small
+        if pivots and pivots[-1] >= ncols:
             return None
-        x = self.zeros(ncols, rhs.shape[1])
-        if pivots:
-            x[list(pivots)] = r[: len(pivots), ncols:]
-        return x
+        if small is None:
+            x = self.zeros(ncols, width)
+            if pivots:
+                x[list(pivots)] = r[: len(pivots), ncols:]
+            return x
+        x = [[0] * width for _ in range(ncols)]
+        for pc, pivot_row in zip(pivots, r):
+            x[pc] = pivot_row[ncols:]
+        return np.array(x, dtype=np.int64).reshape(ncols, width)
 
     def solve_left(self, m: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
         """One exact solution x of x·m = rhs (row-vector systems), or None."""
@@ -278,8 +329,45 @@ class PrimeField:
         return None if sol is None else sol.T
 
     def coords_in_rowspace(self, basis: np.ndarray, vecs: np.ndarray) -> Optional[np.ndarray]:
-        """Coordinates X with X @ basis = vecs, or None if not in the span."""
+        """Coordinates X with X @ basis = vecs, or None if not in the span.
+
+        A small basis in which every row has a unit column (an entry 1 where
+        every other row has 0), as rref rows and canonical kernel rows do,
+        needs no elimination: its rows are independent, and X must be vecs
+        read on those columns, so one product decides membership.
+        """
+        vecs = np.asarray(vecs, dtype=np.int64)
+        if vecs.ndim == 1:
+            vecs = vecs.reshape(1, -1)
+        k, n = basis.shape
+        if vecs.shape[1] != n:
+            raise ValueError(f"coords_in_rowspace: {vecs.shape} vectors in a {basis.shape} span")
+        if vecs.shape[0] == 0:
+            return self.zeros(0, k)
+        if k == 0:
+            return None if np.any(vecs % self.p) else self.zeros(vecs.shape[0], 0)
+        if basis.size <= _UNIT_COLUMN_ENTRIES:
+            cols = self._unit_columns(basis.tolist())
+            if cols is not None:
+                target = vecs % self.p
+                x = target[:, cols]
+                return x if np.array_equal(self.mul(x, basis), target) else None
         return self.solve_left(basis, vecs)
+
+    def _unit_columns(self, rows: list) -> Optional[list]:
+        """One unit column per row (1 there, 0 in every other row), or None."""
+        p = self.p
+        cols = []
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if x % p == 1 and not any(
+                    other[j] % p for t, other in enumerate(rows) if t != i
+                ):
+                    cols.append(j)
+                    break
+            else:
+                return None
+        return cols
 
     def inverse(self, m: np.ndarray) -> Optional[np.ndarray]:
         """Exact inverse of a square matrix, or None if singular."""
@@ -297,14 +385,31 @@ class PrimeField:
         """
         if sub.shape[1] != n:
             raise ValueError(f"quotient_by_rowspace: {sub.shape} rows are not in k^{n}")
-        r, pivots = self.rref(sub)
+        small = self._small_rref(sub)
+        r, pivots = self.rref(sub) if small is None else small
+        if not pivots:
+            return Quotient(dim=n, proj=self.eye(n), section=self.eye(n))
         pivot_set = set(pivots)
         free = [j for j in range(n) if j not in pivot_set]
-        reducer = self.eye(n)
-        if pivots:
+        q = len(free)
+        section = self.zeros(q, n)
+        section[np.arange(q), free] = 1
+        if small is None:
+            reducer = self.eye(n)
             rows = list(pivots)
             reducer[rows] = (reducer[rows] - r[: len(pivots)]) % self.p
-        proj = reducer[:, free]
-        section = self.zeros(len(free), n)
-        section[np.arange(len(free)), free] = 1
-        return Quotient(dim=len(free), proj=proj, section=section)
+            return Quotient(dim=q, proj=reducer[:, free], section=section)
+        p = self.p
+        proj = []
+        pivot_rows = dict(zip(pivots, r))
+        t = 0
+        for j in range(n):
+            pivot_row = pivot_rows.get(j)
+            if pivot_row is None:
+                row = [0] * q
+                row[t] = 1
+                t += 1
+            else:
+                row = [-pivot_row[f] % p for f in free]
+            proj.append(row)
+        return Quotient(dim=q, proj=np.array(proj, dtype=np.int64).reshape(n, q), section=section)

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraTable, InvariantError, Path, opposite
+from .algebra import AlgebraTable, InputError, InvariantError, Path, opposite
 
 __all__ = [
     "ModuleRep",
@@ -1126,7 +1126,7 @@ def _sample_modules(tbl: AlgebraTable, seed: int, size: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class ModuleFileError(ValueError):
+class ModuleFileError(InputError):
     pass
 
 

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
-from .algebra import AlgebraTable, nakayama_from_kupisch
+from .algebra import AlgebraTable, InputError, nakayama_from_kupisch
 from .arseq import first_failure, has_n_tf_ar_sequences
 from .corpus import CorpusEntry, load_corpus
 from .homology import (
@@ -402,9 +402,9 @@ def scan_nakayama_question(
     (verdict, rows) with one row per algebra in deterministic order.
     """
     if m < 1:
-        raise ValueError("need at least one simple")
+        raise InputError("need at least one simple")
     if max_len < 2:
-        raise ValueError("max length must be at least 2")
+        raise InputError("max length must be at least 2")
     rows = []
     status = "pass"
     detail = {"simples": m, "max_len": max_len, "cap": cap, "bound": 2 * m}
@@ -509,13 +509,13 @@ def run_suite(
     order never depends on the job count.
     """
     if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+        raise InputError("jobs must be >= 1")
     for suite in suites:
         if suite not in SUITES:
-            raise ValueError(f"unknown suite {suite!r}")
+            raise InputError(f"unknown suite {suite!r}")
     entries = list(entries)
     if not entries:
-        raise ValueError("empty corpus")
+        raise InputError("empty corpus")
     verdicts = []
     jobs = min(jobs, len(entries))
     if jobs > 1:

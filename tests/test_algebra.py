@@ -224,6 +224,31 @@ def test_selfinjective_corpus_entries_still_load(name):
     assert "selfinjective" in tbl.flags
 
 
+@pytest.mark.parametrize(
+    "relation, dimension",
+    [("x*x*x - x*x*x*x", None), ("x*x - x*x*x", None), ("x*x*x", 3), ("x*x*x*x*x", 5)],
+)
+def test_only_admissible_ideals_build_a_table(relation, dimension):
+    text = f"field 101\nvertices v\narrow x v v\nrelation {relation}\n"
+    if dimension is None:  # x^k never vanishes
+        with pytest.raises(PresentationError, match="not admissible"):
+            table_from_text(text)
+    else:
+        assert table_from_text(text).dimension == dimension
+
+
+def test_input_errors_share_one_base_class():
+    from ardom.algebra import InputError, InvariantError
+    from ardom.arseq import ArSequenceError
+    from ardom.corpus import CorpusError
+    from ardom.modules import ModuleFileError
+
+    for error in (PresentationError, CompletionError, ModuleFileError, CorpusError):
+        assert issubclass(error, InputError) and issubclass(error, ValueError)
+    for error in (InvariantError, ArSequenceError):
+        assert not issubclass(error, ValueError)
+
+
 def test_nakayama_from_kupisch_sets_its_flag_without_the_check():
     tbl = nakayama_from_kupisch([3, 3], cyclic=True)
     assert "selfinjective" in tbl.flags

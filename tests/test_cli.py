@@ -305,6 +305,57 @@ def test_internal_check_failure_exits_4(capsys, monkeypatch):
     assert line == "internal error: graded Ext dimension mismatch"
 
 
+def test_plain_value_error_inside_the_engine_exits_4(capsys, monkeypatch):
+    import ardom.modules
+    from ardom.verify import EXIT_INTERNAL
+
+    def broken(*args, **kwargs):
+        raise ValueError("broken submodule")
+
+    monkeypatch.setattr(ardom.modules, "submodule_from_rows", broken)
+    code = main(["grade", alg("ka2"), "--sample-index", "0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL == 4
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["internal error: broken submodule"]
+
+
+NON_ADMISSIBLE_LOOP = "field 101\nvertices v\narrow x v v\nrelation x*x*x - x*x*x*x\n"
+
+
+@pytest.mark.parametrize("command", ["info", "domdim", "gldim"])
+def test_non_admissible_ideal_is_input_error(command, capsys, tmp_path):
+    # x^3 = x^4 leaves a 4-dim table in which x^k = x^3 != 0 for every k >= 3
+    path = tmp_path / "loop.alg"
+    path.write_text(NON_ADMISSIBLE_LOOP)
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "not admissible" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "nakayama", "--simples", "0", "--max-len", "3"],
+        ["scan", "nakayama", "--simples", "2", "--max-len", "1"],
+        ["ar-check", "ALG", "--n", "-1"],
+        ["gldim", "ALG", "--module", "ZERO"],
+        ["info", "BINARY"],
+    ],
+)
+def test_argument_and_file_errors_exit_2(argv, capsys, tmp_path):
+    (tmp_path / "zero.mod").write_text("dims 0 0\n")
+    (tmp_path / "binary.alg").write_bytes(b"\xff\xfe field 101\n")
+    paths = {"ALG": alg("ka2"), "ZERO": str(tmp_path / "zero.mod")}
+    paths["BINARY"] = str(tmp_path / "binary.alg")
+    code = main([paths.get(arg, arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+
+
 def test_env_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("ARDOM_CAP", "2")
     code, lines = run(capsys, "gldim", alg("nak-233"))

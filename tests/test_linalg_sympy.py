@@ -2,7 +2,8 @@
 
 Every elimination routine of ``PrimeField`` is compared with an independent
 implementation, over GF(2), GF(3) and GF(101), on random matrices of both
-sides of the list-elimination cut-off and on empty and all-zero shapes.
+sides of the list-elimination cut-off and on empty and all-zero shapes, and
+each routine's list path is checked against its numpy path byte for byte.
 sympy is a development dependency; without it this module is skipped.
 """
 
@@ -15,6 +16,7 @@ pytest.importorskip("sympy")
 from sympy import GF  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+import ardom.linalg  # noqa: E402
 from ardom.linalg import _LIST_ELIMINATION_NONZEROS, PrimeField  # noqa: E402
 
 PRIMES = (2, 3, 101)
@@ -161,3 +163,152 @@ def test_quotient_by_rowspace_matches_sympy(case):
     assert np.array_equal(
         sympy_span(p, np.vstack([np.mod(sub, p), residue])), sympy_span(p, sub)
     )
+
+
+def sympy_particular_solution(p, m, rhs):
+    """The solution of m·x = rhs with every free variable 0, or None."""
+    a = to_sympy(p, m)
+    aug = a.hstack(to_sympy(p, rhs))
+    if a.rank() != aug.rank():
+        return None
+    r, pivots = aug.rref()
+    r = from_sympy(p, r)
+    cols = m.shape[1]
+    x = np.zeros((cols, rhs.shape[1]), dtype=np.int64)
+    for i, pc in enumerate(pivots):
+        x[pc] = r[i, cols:]
+    return x
+
+
+def sympy_canonical_kernel(p, m):
+    """One row per free column f of sympy's rref: 1 at f, −rref[i, f] at pivot i."""
+    r, pivots = to_sympy(p, m).rref()
+    r = from_sympy(p, r)
+    cols = m.shape[1]
+    free = [j for j in range(cols) if j not in pivots]
+    k = np.zeros((len(free), cols), dtype=np.int64)
+    for t, j in enumerate(free):
+        k[t, j] = 1
+        for i, pc in enumerate(pivots):
+            k[t, pc] = -r[i, j] % p
+    return k
+
+
+@given(gf_matrices())
+@with_edge_cases()
+@settings(max_examples=100, deadline=None)
+def test_left_kernel_basis_matches_sympy(case):
+    p, m = case
+    f = FIELDS[p]
+    k = f.left_kernel_basis(m)
+    assert k.dtype == np.int64
+    assert np.array_equal(k, sympy_canonical_kernel(p, m.T))
+    assert k.shape == (m.shape[0] - to_sympy(p, m).rank(), m.shape[0])
+    assert not np.any(f.mul(k, np.mod(m, p)))
+
+
+def coords_cases(p, m, seed):
+    """(basis, vecs) pairs: rref rows, canonical kernel rows and the raw rows
+    of m, each with vectors inside the span, outside it, and none at all."""
+    f = FIELDS[p]
+    rng = np.random.default_rng(seed)
+    for basis in (sympy_span(p, m), sympy_canonical_kernel(p, m), m):
+        k, n = basis.shape
+        inside = f.mul(rng.integers(0, p, size=(3, k)), np.mod(basis, p))
+        # entries outside range(p) must be reduced before they are compared
+        yield basis, inside + p * rng.integers(-1, 2, size=inside.shape)
+        yield basis, rng.integers(0, p, size=(2, n))
+        yield basis, np.zeros((0, n), dtype=np.int64)
+
+
+@given(gf_matrices(), st.integers(min_value=0, max_value=2**32 - 1))
+@with_edge_cases(0)
+@settings(max_examples=100, deadline=None)
+def test_coords_in_rowspace_matches_sympy(case, seed):
+    p, m = case
+    f = FIELDS[p]
+    for basis, vecs in coords_cases(p, m, seed):
+        x = f.coords_in_rowspace(basis, vecs)
+        expected = sympy_particular_solution(p, basis.T, np.mod(vecs, p).T)
+        if expected is None:
+            assert x is None
+            continue
+        assert x.dtype == np.int64
+        assert np.array_equal(x, expected.T)
+
+
+def all_outputs(f, m, seed):
+    """Every derived routine on m, as comparable byte strings."""
+    rng = np.random.default_rng(seed)
+    rows, cols = m.shape
+    rhs = rng.integers(0, f.p, size=(rows, 2))
+    consistent = f.mul(np.mod(m, f.p), rng.integers(0, f.p, size=(cols, 2)))
+    q = f.quotient_by_rowspace(m, cols)
+    outputs = [
+        f.kernel_basis(m),
+        f.left_kernel_basis(m),
+        f.rank(m),
+        f.solve(m, rhs),
+        f.solve(m, consistent),
+        q.dim,
+        q.proj,
+        q.section,
+    ]
+    if rows == cols:
+        outputs.append(f.inverse(m))
+    for basis, vecs in coords_cases(f.p, m, seed):
+        outputs.append(f.coords_in_rowspace(basis, vecs))
+    return [
+        out if out is None or isinstance(out, int) else (out.dtype, out.shape, out.tobytes())
+        for out in outputs
+    ]
+
+
+@given(gf_matrices(), st.integers(min_value=0, max_value=2**32 - 1))
+@with_edge_cases(0)
+@settings(max_examples=100, deadline=None)
+def test_list_and_numpy_paths_give_identical_bytes(case, seed):
+    p, m = case
+    f = FIELDS[p]
+    small = all_outputs(f, m, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        # every elimination on numpy, every coordinate by elimination
+        mp.setattr(ardom.linalg, "_LIST_ELIMINATION_NONZEROS", 0)
+        mp.setattr(ardom.linalg, "_UNIT_COLUMN_ENTRIES", -1)
+        large = all_outputs(f, m, seed)
+    assert small == large
+
+
+UNIT_COLUMN_BASES = {  # (basis, coordinates of two vectors) over GF(5)
+    "rref rows": ([[1, 0, 2, 0], [0, 1, 3, 0], [0, 0, 0, 1]], [[1, 2, 3], [0, 4, 1]]),
+    "canonical kernel rows": ([[4, 3, 1, 0], [2, 0, 0, 1]], [[1, 2], [0, 4]]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNIT_COLUMN_BASES))
+def test_coords_read_off_unit_columns_without_elimination(kind, monkeypatch):
+    f = PrimeField(5)
+    basis, x = (f.mat(rows) for rows in UNIT_COLUMN_BASES[kind])
+    monkeypatch.setattr(PrimeField, "solve", lambda *args: pytest.fail("solve called"))
+    assert np.array_equal(f.coords_in_rowspace(basis, f.mul(x, basis)), x)
+    # a vector outside the span has no coordinates
+    outside = f.mul(x, basis)
+    outside[1, 0] = (outside[1, 0] + 1) % 5
+    assert f.coords_in_rowspace(basis, outside) is None
+
+
+def test_coords_without_unit_columns_fall_back_to_elimination(monkeypatch):
+    f = PrimeField(5)
+    # no row has an entry 1 that every other row has 0 at
+    basis = f.mat([[2, 1, 1], [1, 2, 1]])
+    calls = []
+    solve = PrimeField.solve
+    monkeypatch.setattr(
+        PrimeField, "solve", lambda self, *args: calls.append(1) or solve(self, *args)
+    )
+    vecs = f.mul(f.mat([[1, 3]]), basis)
+    assert np.array_equal(f.coords_in_rowspace(basis, vecs), f.mat([[1, 3]]))
+    assert calls == [1]
+    assert f.coords_in_rowspace(basis, f.mat([[1, 0, 0]])) is None
+    expected = sympy_particular_solution(5, basis.T, f.mat([[1, 0, 0]]).T)
+    assert expected is None

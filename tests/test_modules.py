@@ -463,6 +463,19 @@ def test_proj_cover_builds_no_radical_submodule(corpus_table, monkeypatch):
     assert not calls
 
 
+@pytest.mark.parametrize("name", ["ka2", "nak-344"])
+def test_syzygy_of_a_cover_solves_no_system(name, monkeypatch, fresh_corpus_table):
+    # canonical kernel rows have unit columns: the arrow actions are read off them
+    tbl = fresh_corpus_table(name, 101)
+    nv = len(tbl.quiver.vertices)
+    mods = [simple(tbl, v) for v in range(nv)] + [injective(tbl, v) for v in range(nv)]
+    covers = [proj_cover(m)[1] for m in mods + sample_modules(tbl, seed=0, size=24)]
+    calls = count_calls(monkeypatch, PrimeField, "solve")
+    syzygies = [factorize(cover).kernel for cover in covers]
+    assert not calls
+    assert any(not s.is_zero for s in syzygies)
+
+
 def test_inj_hull_socle_iso(dim5, nak32, a2):
     for tbl in (a2, dim5, nak32):
         for m in sample_modules(tbl, seed=8, size=6):
