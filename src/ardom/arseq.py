@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraTable
-from .homology import _builder, ext_graded, post_compose, tau_inverse, torsion_free_failure_degree
+from .homology import (
+    ext_graded,
+    min_proj_resolution,
+    post_compose,
+    syzygy,
+    tau_inverse,
+    torsion_free_failure_degree,
+)
 from .modules import (
     InvariantError,
     ModuleMorphism,
@@ -29,6 +36,7 @@ from .modules import (
     memoized,
     projective,
     projsum_morphism,
+    resolution_step,
     sum_inclusions,
 )
 
@@ -40,6 +48,7 @@ __all__ = [
     "almost_split_from_projective",
     "has_n_tf_ar_sequences",
     "first_failure",
+    "failure_witness",
 ]
 
 
@@ -64,7 +73,7 @@ class Ext1Data:
     def class_coords(self, f: ModuleMorphism) -> np.ndarray:
         """Coordinates in the Ext^1 basis of the class of a cocycle f: P_1 → U."""
         tbl = self.v_module.algebra
-        ps1 = _builder(self.v_module).term(1)
+        ps1 = resolution_step(syzygy(self.v_module))[0]
         shape = (ps1.module.dims, projective(tbl, self.vertex).dims)
         if (f.source.dims, f.target.dims) != shape or f.defect() is not None:
             raise ArSequenceError("the class map is not a morphism P_1 → U")
@@ -85,7 +94,7 @@ def _cocycle(v_module: ModuleRep, vertex: int, coeffs) -> ModuleMorphism:
     """The cocycle P_1 → P(vertex) of the Ext^1 class with coordinates
     ``coeffs``: a map out of P_1 is fixed by its generator images."""
     fld = v_module.algebra.field
-    ps1 = _builder(v_module).term(1)
+    ps1 = resolution_step(syzygy(v_module))[0]
     cocycles, quot = ext_graded(v_module, 1, vertex)
     row = fld.mul(fld.mul(np.reshape(coeffs, (1, -1)), quot.section), cocycles)[0]
     u = projective(v_module.algebra, vertex)
@@ -96,8 +105,7 @@ def _cocycle(v_module: ModuleRep, vertex: int, coeffs) -> ModuleMorphism:
 def ext1_with_end_action(v_module: ModuleRep, vertex: int) -> Ext1Data:
     """Ext^1(V, P(vertex)) with the rad End action, from V's resolution."""
     tbl = v_module.algebra
-    b = _builder(v_module)
-    if b.term(1).is_zero:
+    if syzygy(v_module).is_zero:
         raise ValueError("Ext^1 vanishes: the module has projective dimension 0")
     dim = ext_graded(v_module, 1, vertex)[1].dim
     if dim == 0:
@@ -109,7 +117,7 @@ def ext1_with_end_action(v_module: ModuleRep, vertex: int) -> Ext1Data:
     return Ext1Data(
         vertex=vertex,
         v_module=v_module,
-        q0_cover=b.covers[0],
+        q0_cover=resolution_step(v_module)[1],
         dim=dim,
         representatives=tuple(_cocycle(v_module, vertex, e) for e in tbl.field.eye(dim)),
         actions=actions,
@@ -193,7 +201,7 @@ def almost_split_from_projective(tbl: AlgebraTable, vertex: int, choice: int = 0
     p0 = data.q0_cover.source
     total = direct_sum(tbl, [u, p0])
     incls, projs = sum_inclusions(tbl, [u, p0], total)
-    d1 = _builder(v_mod).differential(1)
+    d1 = min_proj_resolution(v_mod, 1).maps[1]
     g = class_map.compose(incls[0]).add(d1.compose(incls[1]).scale(-1))
     parts = factorize(g)
     x = parts.cokernel
@@ -272,3 +280,10 @@ def first_failure(report):
             if bad is not None:
                 return entry["vertex"], term_name, bad
     return None
+
+
+def failure_witness(report):
+    """The first reported failure as {"vertex", "term", "degree"}, or None:
+    the witness of every verdict and ``ar-check`` record."""
+    failure = first_failure(report)
+    return None if failure is None else dict(zip(("vertex", "term", "degree"), failure))

@@ -20,7 +20,7 @@ import os
 import sys
 
 from .algebra import DEFAULT_MAX_PATH_LENGTH, InputError, table_from_file
-from .arseq import first_failure, has_n_tf_ar_sequences
+from .arseq import failure_witness, has_n_tf_ar_sequences
 from .corpus import load_corpus
 from .homology import (
     DEFAULT_CAP,
@@ -72,14 +72,23 @@ def _parse_n_range(text: str):
         ) from None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return n
+def _int_at_least(low: int, kind: str):
+    """An argparse type: an integer >= low, described as a ``kind`` integer."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return n
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "non-negative")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,9 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="search cap for unbounded invariants "
         f"(default: $ARDOM_CAP or {DEFAULT_CAP})",
     )
-    common.add_argument("--seed", type=int, default=0, help="sampling seed")
+    common.add_argument("--seed", type=_nonnegative_int, default=0, help="sampling seed")
     common.add_argument(
-        "--sample-size", type=int, default=64, metavar="K", help="modules per sample"
+        "--sample-size", type=_positive_int, default=64, metavar="K", help="modules per sample"
     )
     common.add_argument(
         "--format", choices=("text", "json"), default="json", help="output format"
@@ -425,13 +434,9 @@ def _cmd_ar_check(args, cap):
         "holds": holds,
         "report": report,
     }
-    witness = None if holds else first_failure(report)
+    witness = failure_witness(report)
     if witness is not None:
-        record["first_failure"] = {
-            "vertex": witness[0],
-            "term": witness[1],
-            "degree": witness[2],
-        }
+        record["first_failure"] = witness
 
     def text(r):
         verdict = "hold" if r["holds"] else "FAIL"

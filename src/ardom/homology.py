@@ -14,7 +14,7 @@ are always exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .modules import (
     simple,
     submodule_from_rows,
     zero_module,
-    zero_morphism,
 )
 
 __all__ = [
@@ -160,65 +159,6 @@ class CappedNat:
 # ---------------------------------------------------------------------------
 
 
-class _ProjResBuilder:
-    """Incrementally extended minimal projective resolution.
-
-    Stage i holds P_i = proj_sum over the top of the i-th syzygy, the cover
-    P_i ->> syzygy_i, and the next syzygy with its inclusion into P_i.  Each
-    stage is the shared :func:`resolution_step` of the syzygy, so builders
-    whose syzygies coincide compute each step once, and every syzygy past
-    degree 0 is a shared module.
-    """
-
-    def __init__(self, target: ModuleRep):
-        self.target = target
-        self.tbl = target.algebra
-        self.sums = []  # ProjSum per degree
-        self.covers = []  # P_i ->> syzygy_i
-        self.syzygies = [target]  # syzygy_0 = target, then kernels
-        self.inclusions = []  # syzygy_{i+1} -> P_i
-        self.complete = target.is_zero
-
-    def extend(self, length: int) -> None:
-        while not self.complete and len(self.sums) <= length:
-            ps, cover, parts = resolution_step(self.syzygies[-1])
-            self.sums.append(ps)
-            self.covers.append(cover)
-            self.syzygies.append(parts.kernel)
-            self.inclusions.append(parts.kernel_inclusion)
-            if parts.kernel.is_zero:
-                self.complete = True
-
-    def term(self, i: int):
-        """ProjSum at degree i (zero sum past the end of a finite resolution)."""
-        self.extend(i)
-        if i < len(self.sums):
-            return self.sums[i]
-        return proj_sum(self.tbl, [])
-
-    def differential(self, i: int) -> ModuleMorphism:
-        """d_i: P_i -> P_{i-1} (i >= 1), the cover followed by the inclusion."""
-        if i < 1:
-            raise ValueError("differentials start in degree 1")
-        self.extend(i)
-        src = self.term(i).module
-        tgt = self.term(i - 1).module
-        if i >= len(self.sums):
-            return zero_morphism(src, tgt)
-        return self.covers[i].compose(self.inclusions[i - 1])
-
-    def syzygy(self, i: int) -> ModuleRep:
-        self.extend(i)
-        if i < len(self.syzygies):
-            return self.syzygies[i]
-        return zero_module(self.tbl)
-
-
-@memoized
-def _builder(m: ModuleRep) -> _ProjResBuilder:
-    return _ProjResBuilder(m)
-
-
 @dataclass(frozen=True)
 class Resolution:
     """A minimal projective resolution or injective coresolution segment.
@@ -235,27 +175,47 @@ class Resolution:
     injective_case: bool
     cap: int
     complete: bool
-    sums: tuple = field(default=(), repr=False)
+
+
+def syzygy(m: ModuleRep, k: int = 1) -> ModuleRep:
+    """Ω^k m, the kernel of the projective cover taken k times.
+
+    Degree i of the minimal resolution of m is degree 0 of Ω^i m: P_i is
+    the cover of Ω^i m and d_i is d_1 of Ω^{i-1} m.  Each step is the shared
+    :func:`resolution_step` of a module signature, so resolutions whose
+    syzygies coincide compute each step once.
+    """
+    if k < 0:
+        raise ValueError("negative syzygy degree")
+    for _ in range(k):
+        if m.is_zero:
+            break
+        m = resolution_step(m)[2].kernel
+    return m
+
+
+def cosyzygy(m: ModuleRep, k: int = 1) -> ModuleRep:
+    cos = syzygy(dual(m), k)
+    return dual(cos, label=f"cosyz^{k}({m.label})")
 
 
 def min_proj_resolution(m: ModuleRep, cap: int = DEFAULT_CAP) -> Resolution:
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    b = _builder(m)
-    b.extend(cap)
-    upto = min(cap + 1, len(b.sums))
-    terms = tuple(b.sums[i].module for i in range(upto))
-    maps = tuple([b.covers[0]] if upto else []) + tuple(
-        b.differential(i) for i in range(1, upto)
-    )
+    terms, maps = [], []
+    syz, inclusion = m, None
+    while len(terms) <= cap and not syz.is_zero:
+        ps, cover, parts = resolution_step(syz)
+        terms.append(ps.module)
+        maps.append(cover if inclusion is None else cover.compose(inclusion))
+        syz, inclusion = parts.kernel, parts.kernel_inclusion
     return Resolution(
         target=m,
-        terms=terms,
-        maps=maps,
+        terms=tuple(terms),
+        maps=tuple(maps),
         injective_case=False,
         cap=cap,
-        complete=b.complete and upto == len(b.sums),
-        sums=tuple(b.sums[:upto]),
+        complete=syz.is_zero,
     )
 
 
@@ -280,13 +240,16 @@ def min_inj_coresolution(m: ModuleRep, cap: int = DEFAULT_CAP) -> Resolution:
     )
 
 
-def syzygy(m: ModuleRep, k: int = 1) -> ModuleRep:
-    return _builder(m).syzygy(k)
-
-
-def cosyzygy(m: ModuleRep, k: int = 1) -> ModuleRep:
-    cos = _builder(dual(m)).syzygy(k)
-    return dual(cos, label=f"cosyz^{k}({m.label})")
+@memoized
+def _presentation(m: ModuleRep) -> tuple:
+    """(P_0, P_1, elements): the minimal presentation P_1 -> P_0 -> m, with
+    d_1 decoded by :func:`projsum_map_elements` into elements[t][s] of
+    e_{V_t}·A·e_{U_s}.  P_1 is the empty sum when m is projective.  Shared
+    by :func:`_cochain` and :func:`transpose`."""
+    p0, _, parts = resolution_step(m)
+    p1, cover, _ = resolution_step(parts.kernel)
+    d1 = cover.compose(parts.kernel_inclusion)
+    return p0, p1, projsum_map_elements(p1, p0, d1)
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +283,14 @@ def _cochain_matrix(ps_tgt, ps_src, elements, n: ModuleRep):
 
 
 @memoized
-def _cochain(m: ModuleRep, n: ModuleRep, j: int) -> tuple:
-    """(matrix, rank) of Hom(P_j, N) -> Hom(P_{j+1}, N) for the minimal
-    projective resolution P of m, in generator coordinates (see
-    :func:`_cochain_matrix`).  Shared by :func:`ext_dim` and
-    :func:`ext_graded`."""
-    b = _builder(m)
-    tgt_ps, src_ps = b.term(j), b.term(j + 1)
-    elements = projsum_map_elements(src_ps, tgt_ps, b.differential(j + 1))
-    mat = _cochain_matrix(tgt_ps, src_ps, elements, n)
+def _cochain(m: ModuleRep, n: ModuleRep) -> tuple:
+    """(matrix, rank) of Hom(P_0, N) -> Hom(P_1, N) for the minimal
+    presentation of m, in generator coordinates (see :func:`_cochain_matrix`).
+    Degree j of the resolution of m is degree 0 of its syzygy, so
+    :func:`ext_dim` and :func:`ext_graded` read Hom(P_j, N) -> Hom(P_{j+1}, N)
+    as ``_cochain(syzygy(m, j), n)``."""
+    p0, p1, elements = _presentation(m)
+    mat = _cochain_matrix(p0, p1, elements, n)
     return mat, m.algebra.field.rank(mat)
 
 
@@ -343,10 +305,9 @@ def ext_dim(m: ModuleRep, n: ModuleRep, i: int) -> int:
         raise ValueError("negative Ext degree")
     if m.algebra is not n.algebra:
         raise ValueError("ext_dim: modules live over different algebras")
-    b = _builder(m)
-    b.extend(i + 1)
-    hom_dim = sum(n.dims[v] for v in b.term(i).vertices)
-    return hom_dim - _cochain(m, n, i)[1] - (_cochain(m, n, i - 1)[1] if i >= 1 else 0)
+    syz = syzygy(m, i)
+    hom_dim = sum(n.dims[v] for v in _presentation(syz)[0].vertices)
+    return hom_dim - _cochain(syz, n)[1] - (_cochain(syzygy(m, i - 1), n)[1] if i >= 1 else 0)
 
 
 @memoized
@@ -354,12 +315,14 @@ def ext_graded(m: ModuleRep, i: int, v: int) -> tuple:
     """(cocycles, quotient) of Ext^i(m, P(v)) in generator coordinates: the
     kernel rows of the shared cochain matrix out of Hom(P_i, P(v)), and their
     quotient by the coboundaries (none in degree 0, where this is Hom(m, P(v)))."""
+    if i < 0:
+        raise ValueError("negative Ext degree")
     f = m.algebra.field
     pv = projective(m.algebra, v)
-    kernel = f.kernel_basis(_cochain(m, pv, i)[0].T)
+    kernel = f.kernel_basis(_cochain(syzygy(m, i), pv)[0].T)
     coords = f.zeros(0, kernel.shape[0])
     if i >= 1:
-        coords = f.coords_in_rowspace(kernel, _cochain(m, pv, i - 1)[0])
+        coords = f.coords_in_rowspace(kernel, _cochain(syzygy(m, i - 1), pv)[0])
         if coords is None:
             raise InvariantError("cochain image escapes the kernel")
     quot = f.quotient_by_rowspace(coords, kernel.shape[0])
@@ -372,11 +335,13 @@ def post_compose(m: ModuleRep, i: int, v: int, w: int, lm: ModuleMorphism) -> np
     """Post-composition with lm: P(v) -> P(w) as a matrix Ext^i(m, P(v)) ->
     Ext^i(m, P(w)) on the :func:`ext_graded` bases; lm moves the block of a
     cochain at each copy P(u) of P_i by its block at u."""
+    if i < 0:
+        raise ValueError("negative Ext degree")
     f = m.algebra.field
     src, dst = ext_graded(m, i, v), ext_graded(m, i, w)
     if not src[1].dim or not dst[1].dim:
         return f.zeros(src[1].dim, dst[1].dim)
-    lam = f.block_diag([lm.mats[u] for u in _builder(m).term(i).vertices])
+    lam = f.block_diag([lm.mats[u] for u in _presentation(syzygy(m, i))[0].vertices])
     moved = f.mul(f.mul(src[1].section, src[0]), lam)
     coords = f.coords_in_rowspace(dst[0], moved)
     if coords is None:
@@ -397,7 +362,7 @@ def ext_module(m: ModuleRep, i: int) -> ModuleRep:
         raise ValueError("negative Ext degree")
     tbl = m.algebra
     q = tbl.quiver
-    if _builder(m).term(i).is_zero:
+    if syzygy(m, i).is_zero:
         return zero_module(opposite(tbl), label=f"Ext{i}({m.label},A)")
     dims = [ext_graded(m, i, v)[1].dim for v in range(len(q.vertices))]
     mats = [
@@ -421,12 +386,9 @@ def transpose(m: ModuleRep) -> ModuleRep:
     ⊕_t P°(V_t) -> ⊕_s P°(U_s) whose cokernel is returned.
     """
     opp = opposite(m.algebra)
-    b = _builder(m)
-    b.extend(1)
-    ps0, ps1 = b.term(0), b.term(1)
+    ps0, ps1, x = _presentation(m)
     if not ps1.vertices:  # projective module: presentation has P_1 = 0
         return zero_module(opp, label=f"Tr({m.label})")
-    x = projsum_map_elements(ps1, ps0, b.differential(1))
     y = [
         [
             opp.normal_form(
@@ -606,16 +568,13 @@ def domdim_module(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
     """
     if m.is_zero:
         return CappedNat.infinite("zero module")
-    b = _builder(dual(m))  # coresolution of m = dual of this resolution
+    cos = dual(m)  # coresolution of m = dual of the resolution of D(m)
     earlier = []
     for j in range(cap + 1):
-        b.extend(j)
-        if j >= len(b.sums):  # coresolution already ended, all terms projective
-            return CappedNat.infinite("finite coresolution with all terms projective")
-        term_j = dual(b.sums[j].module)
-        if not is_projective(term_j):
+        ps, _, parts = resolution_step(cos)
+        if not is_projective(dual(ps.module)):
             return CappedNat.exact(j)
-        cos = b.syzygy(j + 1)
+        cos = parts.kernel
         if cos.is_zero:
             return CappedNat.infinite("finite coresolution with all terms projective")
         for prev in earlier:
@@ -635,9 +594,10 @@ def pdim(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
     """Projective dimension via resolution termination."""
     if m.is_zero:
         raise ValueError("projective dimension of the zero module is undefined")
-    b = _builder(m)
+    syz = m
     for i in range(cap + 1):
-        if b.syzygy(i + 1).is_zero:
+        syz = syzygy(syz)
+        if syz.is_zero:
             return CappedNat.exact(i)
     return CappedNat.at_least(cap + 1)
 

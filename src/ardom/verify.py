@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .algebra import AlgebraTable, InputError, nakayama_from_kupisch
-from .arseq import first_failure, has_n_tf_ar_sequences
+from .arseq import failure_witness, has_n_tf_ar_sequences
 from .corpus import CorpusEntry, load_corpus
 from .homology import (
     DEFAULT_CAP,
@@ -164,13 +164,9 @@ def verify_main_theorem(tbl: AlgebraTable, n: int, cap: int = DEFAULT_CAP) -> Ve
     if status == "inconclusive":
         detail["why"] = f"a capped search was exhausted at cap {cap}"
     if not lhs:
-        witness = first_failure(report)
+        witness = failure_witness(report)
         if witness is not None:
-            detail["witness"] = {
-                "vertex": witness[0],
-                "term": witness[1],
-                "degree": witness[2],
-            }
+            detail["witness"] = witness
     return Verdict("main-theorem", tbl.label, status, detail)
 
 
@@ -197,11 +193,8 @@ def verify_gendo_cor(tbl: AlgebraTable, n: int, cap: int = DEFAULT_CAP) -> Verdi
         return Verdict("gendo-corollary", tbl.label, "fail", detail)
     status = _status_from_equiv(lhs, ar_side)
     if status == "fail":
-        witness = first_failure(report)
         detail["witness"] = (
-            {"vertex": witness[0], "term": witness[1], "degree": witness[2]}
-            if witness
-            else "AR sequences n-torsion-free although domdim < n + 2"
+            failure_witness(report) or "AR sequences n-torsion-free although domdim < n + 2"
         )
     elif status == "inconclusive" or fk is None:
         status = "inconclusive"
@@ -240,13 +233,9 @@ def verify_gorenstein(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> Verdict:
             "ar_property_fails": not ar_fails,
         }
     else:
-        witness = first_failure(report)
+        witness = failure_witness(report)
         if witness is not None:
-            detail["failing_term"] = {
-                "vertex": witness[0],
-                "term": witness[1],
-                "degree": witness[2],
-            }
+            detail["failing_term"] = witness
     return Verdict("gorenstein", tbl.label, "pass" if ok else "fail", detail)
 
 
@@ -433,13 +422,9 @@ def scan_nakayama_question(
                 row["violates"] = "2m-torsion-free AR sequences without selfinjectivity"
                 detail["witness"] = row
             else:
-                witness = first_failure(report)
+                witness = failure_witness(report)
                 if witness is not None:
-                    row["first_failure"] = {
-                        "vertex": witness[0],
-                        "term": witness[1],
-                        "degree": witness[2],
-                    }
+                    row["first_failure"] = witness
         rows.append(row)
     detail["scanned"] = len(rows)
     if status == "pass":
@@ -510,6 +495,10 @@ def run_suite(
     """
     if jobs < 1:
         raise InputError("jobs must be >= 1")
+    if seed < 0:
+        raise InputError("seed must be >= 0")
+    if sample_size < 1:
+        raise InputError("sample_size must be >= 1")
     for suite in suites:
         if suite not in SUITES:
             raise InputError(f"unknown suite {suite!r}")

@@ -13,6 +13,7 @@ from ardom.arseq import (
     _rad_end_paths,
     almost_split_from_projective,
     ext1_with_end_action,
+    failure_witness,
     first_failure,
     has_n_tf_ar_sequences,
 )
@@ -226,15 +227,16 @@ def test_sweep_vacuous_when_selfinjective(nak22):
 def test_sweep_frozen_failures(a2, kronecker, dim5):
     verdict, report = has_n_tf_ar_sequences(a2, 1)
     assert verdict is False
-    assert first_failure(report) == ("v2", "V", 1)
+    assert failure_witness(report) == {"vertex": "v2", "term": "V", "degree": 1}
+    assert first_failure(report) == ("v2", "V", 1)  # perfbench prints the tuple
 
     verdict, report = has_n_tf_ar_sequences(kronecker, 1)
     assert verdict is False
-    assert first_failure(report) == ("v1", "X", 1)
+    assert failure_witness(report) == {"vertex": "v1", "term": "X", "degree": 1}
 
     verdict, report = has_n_tf_ar_sequences(dim5, 1)
     assert verdict is False
-    assert first_failure(report) == ("v1", "X", 1)
+    assert failure_witness(report) == {"vertex": "v1", "term": "X", "degree": 1}
 
 
 def test_sweep_nontrivial_positives(nak344, nak233):
@@ -244,12 +246,12 @@ def test_sweep_nontrivial_positives(nak344, nak233):
     assert has_n_tf_ar_sequences(nak344, 2)[0] is True
     verdict, report = has_n_tf_ar_sequences(nak344, 3)
     assert verdict is False
-    assert first_failure(report) == ("v1", "X", 3)
+    assert failure_witness(report) == {"vertex": "v1", "term": "X", "degree": 3}
 
     assert has_n_tf_ar_sequences(nak233, 1)[0] is True
     verdict, report = has_n_tf_ar_sequences(nak233, 2)
     assert verdict is False
-    assert first_failure(report) == ("v1", "X", 2)
+    assert failure_witness(report) == {"vertex": "v1", "term": "X", "degree": 2}
 
 
 def test_sweep_never_blames_starting_term(a2, kronecker, dim5, nak32, nak344):

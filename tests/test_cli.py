@@ -343,17 +343,29 @@ def test_non_admissible_ideal_is_input_error(command, capsys, tmp_path):
         ["ar-check", "ALG", "--n", "-1"],
         ["gldim", "ALG", "--module", "ZERO"],
         ["info", "BINARY"],
+        ["verify", "--suite", "grade", "--seed", "-1", "CORPUS"],
+        ["torsion", "ALG", "--sample-index", "0", "--seed", "-2"],
+        ["verify", "--suite", "grade", "--sample-size", "-3", "CORPUS"],
     ],
 )
 def test_argument_and_file_errors_exit_2(argv, capsys, tmp_path):
     (tmp_path / "zero.mod").write_text("dims 0 0\n")
     (tmp_path / "binary.alg").write_bytes(b"\xff\xfe field 101\n")
-    paths = {"ALG": alg("ka2"), "ZERO": str(tmp_path / "zero.mod")}
+    paths = {"ALG": alg("ka2"), "ZERO": str(tmp_path / "zero.mod"), "CORPUS": CORPUS}
     paths["BINARY"] = str(tmp_path / "binary.alg")
-    code = main([paths.get(arg, arg) for arg in argv])
-    captured = capsys.readouterr()
+    try:
+        code = main([paths.get(arg, arg) for arg in argv])
+    except SystemExit as exc:  # argparse: a usage line, then one error line
+        code = exc.code
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert [line for line in err.splitlines() if "error: " in line] == [
+            err.splitlines()[-1]
+        ]
+        assert ": error: argument --" in err.splitlines()[-1]
+    else:
+        assert capsys.readouterr().err.startswith("error: ")
     assert code == 2
-    assert captured.err.startswith("error: ")
 
 
 def test_env_cap_override(capsys, monkeypatch):

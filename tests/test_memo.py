@@ -1,25 +1,28 @@
 """The memo layer: one dict per table, filled by ``@memoized`` functions."""
 
 import ast
+import importlib
 import inspect
+import os
+import pkgutil
 
 import pytest
 
 import numpy as np
 
-import ardom.algebra
-import ardom.arseq
+import ardom
 import ardom.homology
-import ardom.linalg
 import ardom.modules
-from ardom.algebra import Path, nakayama_from_kupisch, table_from_text
+from ardom.algebra import Path, nakayama_from_kupisch, opposite, table_from_text
 from ardom.arseq import almost_split_from_projective
+from ardom.corpus import load_corpus
 from ardom.homology import (
-    _builder,
+    DEFAULT_CAP,
     ext_dim,
     ext_module,
     min_inj_coresolution,
     min_proj_resolution,
+    syzygy,
     torsion,
     transpose,
 )
@@ -44,7 +47,9 @@ from ardom.modules import (
     sample_modules,
     simple,
 )
+from ardom.verify import SUITES, _entry_verdicts
 
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 KRONECKER_TEXT = "field 101\nvertices v1 v2\narrow a v1 v2\narrow b v1 v2\n"
 # the Auslander algebra of k[x]/(x^2)
 DIM5_TEXT = "field 101\nvertices v1 v2\narrow a v1 v2\narrow b v2 v1\nrelation a*b\n"
@@ -202,13 +207,10 @@ def test_projective_paths_replace_the_per_module_memo(fresh_corpus_table):
         assert all(p.source == v and p.target == w for w, at in enumerate(paths) for p in at)
 
 
-@pytest.mark.parametrize(
-    "module",
-    [ardom.modules, ardom.arseq, ardom.linalg, ardom.algebra],
-    ids=["modules", "arseq", "linalg", "algebra"],
-)
-def test_modules_and_arseq_have_no_assert_statements(module):
-    tree = ast.parse(inspect.getsource(module))
+@pytest.mark.parametrize("name", sorted(info.name for info in pkgutil.iter_modules(ardom.__path__)))
+def test_modules_and_arseq_have_no_assert_statements(name):
+    # every module of the package: python -O strips an assert
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"ardom.{name}")))
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 # ---------------------------------------------------------------------------
@@ -231,23 +233,22 @@ def count_covers(monkeypatch):
 
 @pytest.mark.parametrize("name", ["nak-233", "auslander-x3", "comm-square"])
 def test_builders_whose_syzygies_coincide_share_each_cover(name, monkeypatch, fresh_corpus_table):
+    # degree i of the resolution of Ω m is degree i + 1 of the resolution of m
     tbl = fresh_corpus_table(name, 101)
     covered = count_covers(monkeypatch)
     shifted_pairs = 0
     for v in range(len(tbl.quiver.vertices)):
-        b = _builder(simple(tbl, v))
-        b.extend(4)
-        omega = b.syzygy(1)
+        m = simple(tbl, v)
+        res = min_proj_resolution(m, 4)
+        omega = syzygy(m)
         if omega.is_zero:
             continue
-        # a second builder, on the first syzygy: its degree i is degree i+1 of b
-        shifted = _builder(omega)
         before = len(covered)
-        shifted.extend(3)
+        assert all(syzygy(omega, k) is syzygy(m, k + 1) for k in range(5))
+        shifted = min_proj_resolution(omega, 3)
         assert len(covered) == before
-        assert shifted.syzygies[0].signature() == omega.signature()
-        assert len(shifted.syzygies) == len(b.syzygies) - 1
-        assert all(x is y for x, y in zip(shifted.syzygies[1:], b.syzygies[2:]))
+        assert shifted.complete == res.complete
+        assert all(x is y for x, y in zip(shifted.terms, res.terms[1:], strict=True))
         shifted_pairs += 1
     assert shifted_pairs
     assert covered and len(covered) == len(set(covered))
@@ -308,6 +309,25 @@ def test_a_cochain_matrix_is_built_once_per_module_target_and_degree(
     assert ext_module(m, i).total_dim > 0
     assert len(built) == 3 * nv
     assert len(set(built)) == nv
+
+
+def test_each_minimal_presentation_is_decoded_once(monkeypatch):
+    (entry,) = [e for e in load_corpus(CORPUS) if e.entry_id == "auslander-x3"]
+    decoded = []
+    original = ardom.homology.projsum_map_elements
+
+    def counting(ps_src, ps_tgt, d):
+        decoded.append(d)
+        return original(ps_src, ps_tgt, d)
+
+    monkeypatch.setattr(ardom.homology, "projsum_map_elements", counting)
+    verdicts = _entry_verdicts(entry, SUITES, (1, 2, 3), DEFAULT_CAP, 0, 64)
+    assert len(verdicts) == 9  # main and gendo at n = 1..3, gorenstein, grade, cor47
+    tbl = entry.load_table()
+    entries = [
+        key for t in (tbl, opposite(tbl)) for key in t._memo if key[0] == "_presentation"
+    ]
+    assert entries and len(decoded) == len(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +419,7 @@ def test_no_module_shared_through_the_memo_is_relabelled(name, fresh_corpus_tabl
     for m in sample:
         min_proj_resolution(m, 3)
     for v in range(len(tbl.quiver.vertices)):
-        b = _builder(simple(tbl, v))
-        b.extend(3)
-        assert all(s.label.startswith("ker(") for s in b.syzygies[1:])
+        assert all(syzygy(simple(tbl, v), k).label.startswith("ker(") for k in range(1, 5))
     kernels = [
         val[2].kernel for key, val in tbl._memo.items()
         if key[0] == "resolution_step" and "_kernel" in vars(val[2])

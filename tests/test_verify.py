@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from ardom.algebra import InputError
 from ardom.corpus import load_corpus
 from ardom.homology import CappedNat
 from ardom.verify import (
@@ -275,6 +276,11 @@ def test_run_suite_validation(corpus):
         run_suite(corpus, suites=("nope",))
     with pytest.raises(ValueError, match="empty corpus"):
         run_suite([])
+    with pytest.raises(InputError, match="seed"):
+        run_suite(corpus, suites=("grade",), seed=-1)
+    for size in (0, -3):
+        with pytest.raises(InputError, match="sample_size"):
+            run_suite(corpus, suites=("grade",), sample_size=size)
 
 
 def test_run_suite_all_suites_deterministic(corpus):
