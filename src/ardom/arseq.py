@@ -18,20 +18,20 @@ import numpy as np
 
 from .algebra import AlgebraTable
 from .homology import (
+    _presentation,
     ext_graded,
-    min_proj_resolution,
     post_compose,
     syzygy,
     tau_inverse,
     torsion_free_failure_degree,
 )
 from .modules import (
-    InvariantError,
     ModuleMorphism,
     ModuleRep,
+    cokernel,
     direct_sum,
-    factorize,
     is_injective,
+    kernel,
     left_mult_morphism,
     memoized,
     projective,
@@ -57,17 +57,15 @@ class Ext1Data:
     """Ext^1(V, U) for U = P(vertex) as cocycles P_1 → U modulo coboundaries,
     with the rad End(U) action.
 
-    ``representatives[j]`` is the cocycle P_1 → U of the j-th basis class
-    (the :func:`ext_graded` basis); ``actions[r]`` is the matrix (acting on
-    coordinate rows) of post-composition with the r-th basis element of
-    rad End(U).
+    Coordinates are in the :func:`ext_graded` basis; ``actions[r]`` is the
+    matrix (acting on coordinate rows) of post-composition with the r-th
+    basis element of rad End(U).
     """
 
     vertex: int
     v_module: ModuleRep
     q0_cover: ModuleMorphism  # P_0 ->> V
     dim: int
-    representatives: tuple
     actions: tuple
 
     def class_coords(self, f: ModuleMorphism) -> np.ndarray:
@@ -119,7 +117,6 @@ def ext1_with_end_action(v_module: ModuleRep, vertex: int) -> Ext1Data:
         v_module=v_module,
         q0_cover=resolution_step(v_module)[1],
         dim=dim,
-        representatives=tuple(_cocycle(v_module, vertex, e) for e in tbl.field.eye(dim)),
         actions=actions,
     )
 
@@ -149,7 +146,7 @@ class ArSequence:
             raise ArSequenceError("X -> V is not surjective")
         if not self.inclusion.compose(self.surjection).is_zero:
             raise ArSequenceError("the composite U -> X -> V is not zero")
-        ker = factorize(self.surjection).kernel
+        ker = kernel(self.surjection)[0]
         if ker.total_dim != self.u.total_dim:
             raise ArSequenceError("the kernel of X -> V is not the image of U")
         coords = self.ext_data.class_coords(self.class_map)
@@ -201,20 +198,15 @@ def almost_split_from_projective(tbl: AlgebraTable, vertex: int, choice: int = 0
     p0 = data.q0_cover.source
     total = direct_sum(tbl, [u, p0])
     incls, projs = sum_inclusions(tbl, [u, p0], total)
-    d1 = min_proj_resolution(v_mod, 1).maps[1]
+    d1 = _presentation(v_mod)[3]
     g = class_map.compose(incls[0]).add(d1.compose(incls[1]).scale(-1))
-    parts = factorize(g)
-    x = parts.cokernel
+    x, projection, sections = cokernel(g)
     x.label = f"X({u.label})"
-    inclusion = incls[0].compose(parts.cokernel_projection)
+    inclusion = incls[0].compose(projection)
     # the map U ⊕ P_0 -> V (zero on U, the cover on P_0) kills im(g), so it
     # descends along the quotient's section
     phi = projs[1].compose(data.q0_cover)
-    surj_mats = []
-    for w in range(len(tbl.quiver.vertices)):
-        section = _cokernel_section(parts, w, fld)
-        surj_mats.append(fld.mul(section, phi.mats[w]))
-    surjection = ModuleMorphism(x, v_mod, surj_mats)
+    surjection = ModuleMorphism(x, v_mod, [fld.mul(s, b) for s, b in zip(sections, phi.mats)])
     seq = ArSequence(
         vertex=vertex,
         u=u,
@@ -227,15 +219,6 @@ def almost_split_from_projective(tbl: AlgebraTable, vertex: int, choice: int = 0
     )
     seq.check()
     return seq
-
-
-def _cokernel_section(parts, w: int, fld):
-    """Right inverse of the cokernel projection at vertex w."""
-    proj = parts.cokernel_projection.mats[w]
-    section = fld.solve_left(proj, fld.eye(proj.shape[1]))
-    if section is None:
-        raise InvariantError(f"vertex {w}: the cokernel projection has no right inverse")
-    return section
 
 
 def has_n_tf_ar_sequences(tbl: AlgebraTable, n: int):

@@ -26,11 +26,13 @@ from .modules import (
     arrow_left_mult,
     dual,
     dual_regular,
-    factorize,
+    cokernel,
     hom_basis,
     is_isomorphic,
     is_projective,
+    kernel,
     memoized,
+    omega,
     proj_sum,
     projective,
     projective_paths,
@@ -182,15 +184,15 @@ def syzygy(m: ModuleRep, k: int = 1) -> ModuleRep:
 
     Degree i of the minimal resolution of m is degree 0 of Ω^i m: P_i is
     the cover of Ω^i m and d_i is d_1 of Ω^{i-1} m.  Each step is the shared
-    :func:`resolution_step` of a module signature, so resolutions whose
-    syzygies coincide compute each step once.
+    :func:`omega` of a module signature, so resolutions whose syzygies
+    coincide compute each step once.
     """
     if k < 0:
         raise ValueError("negative syzygy degree")
     for _ in range(k):
         if m.is_zero:
             break
-        m = resolution_step(m)[2].kernel
+        m = omega(m)[0]
     return m
 
 
@@ -205,10 +207,10 @@ def min_proj_resolution(m: ModuleRep, cap: int = DEFAULT_CAP) -> Resolution:
     terms, maps = [], []
     syz, inclusion = m, None
     while len(terms) <= cap and not syz.is_zero:
-        ps, cover, parts = resolution_step(syz)
+        ps, cover = resolution_step(syz)
         terms.append(ps.module)
         maps.append(cover if inclusion is None else cover.compose(inclusion))
-        syz, inclusion = parts.kernel, parts.kernel_inclusion
+        syz, inclusion = omega(syz)
     return Resolution(
         target=m,
         terms=tuple(terms),
@@ -242,14 +244,16 @@ def min_inj_coresolution(m: ModuleRep, cap: int = DEFAULT_CAP) -> Resolution:
 
 @memoized
 def _presentation(m: ModuleRep) -> tuple:
-    """(P_0, P_1, elements): the minimal presentation P_1 -> P_0 -> m, with
-    d_1 decoded by :func:`projsum_map_elements` into elements[t][s] of
-    e_{V_t}·A·e_{U_s}.  P_1 is the empty sum when m is projective.  Shared
-    by :func:`_cochain` and :func:`transpose`."""
-    p0, _, parts = resolution_step(m)
-    p1, cover, _ = resolution_step(parts.kernel)
-    d1 = cover.compose(parts.kernel_inclusion)
-    return p0, p1, projsum_map_elements(p1, p0, d1)
+    """(P_0, P_1, elements, d_1): the minimal presentation P_1 -> P_0 -> m,
+    with d_1 also decoded by :func:`projsum_map_elements` into elements[t][s]
+    of e_{V_t}·A·e_{U_s}.  P_1 is the empty sum when m is projective.
+    Shared by :func:`_cochain`, :func:`transpose` and the almost split
+    sequences."""
+    p0, _ = resolution_step(m)
+    syz, inclusion = omega(m)
+    p1, cover = resolution_step(syz)
+    d1 = cover.compose(inclusion)
+    return p0, p1, projsum_map_elements(p1, p0, d1), d1
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +293,7 @@ def _cochain(m: ModuleRep, n: ModuleRep) -> tuple:
     Degree j of the resolution of m is degree 0 of its syzygy, so
     :func:`ext_dim` and :func:`ext_graded` read Hom(P_j, N) -> Hom(P_{j+1}, N)
     as ``_cochain(syzygy(m, j), n)``."""
-    p0, p1, elements = _presentation(m)
+    p0, p1, elements, _ = _presentation(m)
     mat = _cochain_matrix(p0, p1, elements, n)
     return mat, m.algebra.field.rank(mat)
 
@@ -319,16 +323,16 @@ def ext_graded(m: ModuleRep, i: int, v: int) -> tuple:
         raise ValueError("negative Ext degree")
     f = m.algebra.field
     pv = projective(m.algebra, v)
-    kernel = f.kernel_basis(_cochain(syzygy(m, i), pv)[0].T)
-    coords = f.zeros(0, kernel.shape[0])
+    cocycles = f.kernel_basis(_cochain(syzygy(m, i), pv)[0].T)
+    coords = f.zeros(0, cocycles.shape[0])
     if i >= 1:
-        coords = f.coords_in_rowspace(kernel, _cochain(syzygy(m, i - 1), pv)[0])
+        coords = f.coords_in_rowspace(cocycles, _cochain(syzygy(m, i - 1), pv)[0])
         if coords is None:
             raise InvariantError("cochain image escapes the kernel")
-    quot = f.quotient_by_rowspace(coords, kernel.shape[0])
+    quot = f.quotient_by_rowspace(coords, cocycles.shape[0])
     if quot.dim != ext_dim(m, pv, i):
         raise InvariantError("graded Ext dimension mismatch")
-    return kernel, quot
+    return cocycles, quot
 
 
 def post_compose(m: ModuleRep, i: int, v: int, w: int, lm: ModuleMorphism) -> np.ndarray:
@@ -386,7 +390,7 @@ def transpose(m: ModuleRep) -> ModuleRep:
     ⊕_t P°(V_t) -> ⊕_s P°(U_s) whose cokernel is returned.
     """
     opp = opposite(m.algebra)
-    ps0, ps1, x = _presentation(m)
+    ps0, ps1, x, _ = _presentation(m)
     if not ps1.vertices:  # projective module: presentation has P_1 = 0
         return zero_module(opp, label=f"Tr({m.label})")
     y = [
@@ -401,7 +405,7 @@ def transpose(m: ModuleRep) -> ModuleRep:
     src = proj_sum(opp, ps0.vertices)
     tgt = proj_sum(opp, ps1.vertices)
     dop = projsum_map_from_elements(src, tgt, y)
-    out = factorize(dop).cokernel
+    out = cokernel(dop)[0]
     out.label = f"Tr({m.label})"
     return out
 
@@ -508,14 +512,13 @@ def evaluation_and_torsion(m: ModuleRep) -> EvalData:
             mat[t] = coords[0]
         ev_mats.append(mat)
     evaluation = ModuleMorphism(m, dstar, ev_mats)
-    parts = factorize(evaluation)
-    t_mod = parts.kernel
+    t_mod, t_inclusion = kernel(evaluation)
     t_mod.label = f"t({m.label})"
     return EvalData(
         evaluation=evaluation,
         double_dual=dstar,
         torsion=t_mod,
-        torsion_inclusion=parts.kernel_inclusion,
+        torsion_inclusion=t_inclusion,
         torsionless=t_mod.is_zero,
         reflexive=evaluation.is_isomorphism(),
     )
@@ -571,10 +574,10 @@ def domdim_module(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
     cos = dual(m)  # coresolution of m = dual of the resolution of D(m)
     earlier = []
     for j in range(cap + 1):
-        ps, _, parts = resolution_step(cos)
+        ps, _ = resolution_step(cos)
         if not is_projective(dual(ps.module)):
             return CappedNat.exact(j)
-        cos = parts.kernel
+        cos = omega(cos)[0]
         if cos.is_zero:
             return CappedNat.infinite("finite coresolution with all terms projective")
         for prev in earlier:

@@ -17,7 +17,6 @@ import functools
 import inspect
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -28,8 +27,6 @@ __all__ = [
     "ModuleRep",
     "ModuleMorphism",
     "HomBasis",
-    "Factorization",
-    "RST",
     "ProjSum",
     "validate",
     "simple",
@@ -38,10 +35,15 @@ __all__ = [
     "regular",
     "dual_regular",
     "hom_basis",
-    "factorize",
-    "rst",
+    "kernel",
+    "image",
+    "cokernel",
+    "radical",
+    "top",
+    "socle",
     "proj_cover",
     "resolution_step",
+    "omega",
     "inj_hull",
     "is_projective",
     "is_injective",
@@ -188,9 +190,9 @@ def memoized(fn):
     a module's algebra).  A call that raises stores nothing.
 
     Every caller with equal arguments gets the same object back, so a
-    result is shared: treat it, and every module, morphism or
-    factorization inside it, as immutable, labels included.  To show a
-    module under another label, take :meth:`ModuleRep.relabeled`.
+    result is shared: treat it, and every module or morphism inside it, as
+    immutable, labels included.  To show a module under another label,
+    take :meth:`ModuleRep.relabeled`.
     """
     sig = inspect.signature(fn)
     arity = len(sig.parameters)
@@ -357,21 +359,17 @@ def morphism_from_flat(m: ModuleRep, n: ModuleRep, flat: np.ndarray) -> ModuleMo
 
 @dataclass(frozen=True)
 class HomBasis:
+    """A basis of Hom(source, target): ``rows`` holds the flattened basis
+    morphisms, one row each (dim x sum of block sizes)."""
+
     source: ModuleRep
     target: ModuleRep
     morphisms: tuple
+    rows: np.ndarray
 
     @property
     def dim(self) -> int:
         return len(self.morphisms)
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """The flattened basis morphisms, one row each (dim x sum of block sizes)."""
-        if self.morphisms:
-            return np.stack([g.flatten() for g in self.morphisms])
-        width = sum(a * b for a, b in zip(self.source.dims, self.target.dims))
-        return np.zeros((0, width), dtype=np.int64)
 
     def combo(self, coeffs: Sequence[int]) -> ModuleMorphism:
         """The combination sum_i coeffs[i] * morphisms[i], built as one morphism."""
@@ -417,9 +415,8 @@ def hom_basis(m: ModuleRep, n: ModuleRep) -> HomBasis:
             block[eq, offsets[v] + i * n.dims[v] + l] -= n.mats[a].T[None, :, :]
         rows.append(block % f.p)
     system = np.concatenate(rows, axis=0) if rows else f.zeros(0, total)
-    kernel = f.kernel_basis(system)
-    morphisms = tuple(morphism_from_flat(m, n, row) for row in kernel)
-    return HomBasis(m, n, morphisms)
+    rows = f.kernel_basis(system)
+    return HomBasis(m, n, tuple(morphism_from_flat(m, n, row) for row in rows), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +459,9 @@ def submodule_from_rows(m: ModuleRep, rows_per_vertex, label: str = "") -> tuple
 
 
 def quotient_by_rows(m: ModuleRep, rows_per_vertex, label: str = "") -> tuple:
-    """(Q, projection) for the quotient of m by the span of the given rows."""
+    """(Q, projection, sections) for the quotient of m by the span of the
+    given rows; ``sections[v]`` is the right inverse of the projection at v
+    whose rows are the canonical coset representatives."""
     f = m.algebra.field
     q = m.algebra.quiver
     quots = []
@@ -476,70 +475,42 @@ def quotient_by_rows(m: ModuleRep, rows_per_vertex, label: str = "") -> tuple:
         mats.append(f.mul(f.mul(quots[v].section, m.mats[a]), quots[w].proj))
     quo = ModuleRep._trusted(m.algebra, dims, mats, label=label)
     proj = ModuleMorphism._trusted(m, quo, [qt.proj for qt in quots])
-    return quo, proj
+    return quo, proj, tuple(qt.section for qt in quots)
 
 
-class Factorization:
-    """Kernel, image and cokernel of a morphism, with their maps.
-
-    Each part is built on first read and then kept.  The kernel and its
-    inclusion are built together; the image, its inclusion and projection,
-    and the cokernel with its projection share one list of image rows.  A
-    caller that reads only the kernel or only the cokernel pays for nothing
-    else, and every check on a part runs whenever that part is built.  The
-    parts' labels use the source's label at construction time.
-    """
-
-    def __init__(self, morphism: ModuleMorphism):
-        self.morphism = morphism
-        self._label = morphism.source.label
-
-    @cached_property
-    def _kernel(self) -> tuple:
-        f = self.morphism.field
-        rows = [f.left_kernel_basis(b) for b in self.morphism.mats]
-        return submodule_from_rows(self.morphism.source, rows, label=f"ker({self._label})")
-
-    kernel = property(lambda self: self._kernel[0])
-    kernel_inclusion = property(lambda self: self._kernel[1])
-
-    @cached_property
-    def _image_rows(self) -> list:
-        f = self.morphism.field
-        return [f.row_space_basis(b) for b in self.morphism.mats]
-
-    @cached_property
-    def _image(self) -> tuple:
-        label = f"im({self._label})"
-        return submodule_from_rows(self.morphism.target, self._image_rows, label=label)
-
-    image = property(lambda self: self._image[0])
-    image_inclusion = property(lambda self: self._image[1])  # image -> target
-
-    @cached_property
-    def image_projection(self) -> ModuleMorphism:  # source ->> image
-        f = self.morphism.field
-        mats = []
-        for v, (rows, block) in enumerate(zip(self._image_rows, self.morphism.mats)):
-            coords = f.coords_in_rowspace(rows, block)
-            if coords is None:
-                raise ValueError(f"vertex {v}: morphism block leaves its own row space")
-            mats.append(coords)
-        return ModuleMorphism._trusted(self.morphism.source, self.image, mats)
-
-    @cached_property
-    def _cokernel(self) -> tuple:
-        label = f"coker({self._label})"
-        return quotient_by_rows(self.morphism.target, self._image_rows, label=label)
-
-    cokernel = property(lambda self: self._cokernel[0])
-    cokernel_projection = property(lambda self: self._cokernel[1])
+def kernel(fmor: ModuleMorphism) -> tuple:
+    """(K, inclusion): the vertexwise kernel of fmor with the induced arrow
+    actions, labelled ``ker(<source label>)``."""
+    f = fmor.field
+    rows = [f.left_kernel_basis(b) for b in fmor.mats]
+    return submodule_from_rows(fmor.source, rows, label=f"ker({fmor.source.label})")
 
 
-def factorize(fmor: ModuleMorphism) -> Factorization:
-    """Vertexwise kernel/image/cokernel with the induced arrow actions,
-    each built on first read."""
-    return Factorization(fmor)
+def _image_rows(fmor: ModuleMorphism) -> list:
+    """Per vertex, the rref basis of the row space of fmor's block."""
+    f = fmor.field
+    return [f.row_space_basis(b) for b in fmor.mats]
+
+
+def image(fmor: ModuleMorphism) -> tuple:
+    """(I, inclusion, projection): the image of fmor as a submodule of its
+    target, with fmor = projection followed by inclusion."""
+    f = fmor.field
+    rows = _image_rows(fmor)
+    im, incl = submodule_from_rows(fmor.target, rows, label=f"im({fmor.source.label})")
+    mats = []
+    for v, (basis, block) in enumerate(zip(rows, fmor.mats)):
+        coords = f.coords_in_rowspace(basis, block)
+        if coords is None:
+            raise ValueError(f"vertex {v}: morphism block leaves its own row space")
+        mats.append(coords)
+    return im, incl, ModuleMorphism._trusted(fmor.source, im, mats)
+
+
+def cokernel(fmor: ModuleMorphism) -> tuple:
+    """(C, projection, sections): the quotient of fmor's target by its image
+    (see :func:`quotient_by_rows`), labelled ``coker(<source label>)``."""
+    return quotient_by_rows(fmor.target, _image_rows(fmor), label=f"coker({fmor.source.label})")
 
 
 def _radical_rows(m: ModuleRep) -> list:
@@ -560,58 +531,29 @@ def _radical_rows(m: ModuleRep) -> list:
     return rows
 
 
-class RST:
-    """Radical (= m·rad A), socle (annihilator of all arrows) and top of m.
-
-    Each part is built on first read and then kept; the radical and the top
-    share one list of radical rows.  The parts' labels use the module's
-    label at construction time.
-    """
-
-    def __init__(self, module: ModuleRep):
-        self.module = module
-        self._label = module.label
-
-    @cached_property
-    def _rad_rows(self) -> list:
-        return _radical_rows(self.module)
-
-    @cached_property
-    def _radical(self) -> tuple:
-        return submodule_from_rows(self.module, self._rad_rows, label=f"rad({self._label})")
-
-    radical = property(lambda self: self._radical[0])
-    radical_inclusion = property(lambda self: self._radical[1])
-
-    @cached_property
-    def _top(self) -> tuple:
-        return quotient_by_rows(self.module, self._rad_rows, label=f"top({self._label})")
-
-    top = property(lambda self: self._top[0])
-    top_projection = property(lambda self: self._top[1])
-
-    @cached_property
-    def _socle(self) -> tuple:
-        m = self.module
-        f = m.algebra.field
-        q = m.algebra.quiver
-        rows = []
-        for v in range(len(m.dims)):
-            outs = q.arrows_from(v)
-            if outs:
-                spread = np.concatenate([m.mats[a] for a in outs], axis=1)
-            else:
-                spread = f.zeros(m.dims[v], 0)
-            rows.append(f.left_kernel_basis(spread))
-        return submodule_from_rows(m, rows, label=f"soc({self._label})")
-
-    socle = property(lambda self: self._socle[0])
-    socle_inclusion = property(lambda self: self._socle[1])
+def radical(m: ModuleRep) -> tuple:
+    """(rad m, inclusion): the submodule m·rad A."""
+    return submodule_from_rows(m, _radical_rows(m), label=f"rad({m.label})")
 
 
-def rst(m: ModuleRep) -> RST:
-    """Radical, socle and top of m, each built on first read."""
-    return RST(m)
+def top(m: ModuleRep) -> tuple:
+    """(top m, projection, sections): m modulo its radical."""
+    return quotient_by_rows(m, _radical_rows(m), label=f"top({m.label})")
+
+
+def socle(m: ModuleRep) -> tuple:
+    """(soc m, inclusion): the elements that every arrow annihilates."""
+    f = m.algebra.field
+    q = m.algebra.quiver
+    rows = []
+    for v in range(len(m.dims)):
+        outs = q.arrows_from(v)
+        if outs:
+            spread = np.concatenate([m.mats[a] for a in outs], axis=1)
+        else:
+            spread = f.zeros(m.dims[v], 0)
+        rows.append(f.left_kernel_basis(spread))
+    return submodule_from_rows(m, rows, label=f"soc({m.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -948,21 +890,26 @@ def proj_cover(m: ModuleRep) -> tuple:
 
 @memoized
 def resolution_step(m: ModuleRep) -> tuple:
-    """(P, cover, parts): one step of the minimal projective resolution of m.
+    """(P, cover): one step of the minimal projective resolution of m.
 
-    ``proj_cover(m)`` with the :class:`Factorization` of the cover, whose
-    kernel (the syzygy) and inclusion are built on first read.  Kept once
-    per module signature, so the cover may target a bit-identical module
-    other than m; like every memoised result it is shared, so nothing in it
-    may be changed, labels included.
+    ``proj_cover(m)``, kept once per module signature, so the cover may
+    target a bit-identical module other than m; like every memoised result
+    it is shared, so nothing in it may be changed, labels included.  The
+    kernel of the cover is :func:`omega`, built only when read.
     """
-    ps, cover = proj_cover(m)
-    return ps, cover, factorize(cover)
+    return proj_cover(m)
+
+
+@memoized
+def omega(m: ModuleRep) -> tuple:
+    """(Ω m, inclusion): the kernel of the shared cover of m, kept once per
+    module signature."""
+    return kernel(resolution_step(m)[1])
 
 
 def inj_hull(m: ModuleRep) -> tuple:
     """(I, embedding): the dual of the opposite-side projective cover."""
-    ps, cover, _ = resolution_step(dual(m))
+    ps, cover = resolution_step(dual(m))
     hull = dual(ps.module, label=f"E({m.label})")
     embedding = ModuleMorphism(m, hull, [b.T for b in cover.mats])
     return hull, embedding
@@ -971,14 +918,14 @@ def inj_hull(m: ModuleRep) -> tuple:
 def is_projective(m: ModuleRep) -> bool:
     if m.is_zero:
         return True
-    ps, _, _ = resolution_step(m)
+    ps, _ = resolution_step(m)
     return ps.module.total_dim == m.total_dim
 
 
 def is_injective(m: ModuleRep) -> bool:
     if m.is_zero:
         return True
-    ps, _, _ = resolution_step(dual(m))  # the hull is the dual of ps.module
+    ps, _ = resolution_step(dual(m))  # the hull is the dual of ps.module
     return ps.module.total_dim == m.total_dim
 
 
@@ -1071,13 +1018,12 @@ def _sample_modules(tbl: AlgebraTable, seed: int, size: int) -> tuple:
     for v in range(nv):
         push(injective(tbl, v))
     for v in range(nv):
-        parts = rst(projective(tbl, v))
-        push(parts.radical)
-        push(parts.top)
+        push(radical(projective(tbl, v))[0])
+        push(top(projective(tbl, v))[0])
     for v in range(nv):
         mod = simple(tbl, v)
         for depth in range(1, 4):
-            mod = resolution_step(mod)[2].kernel
+            mod = omega(mod)[0]
             push(mod, label=f"syz^{depth}(S_{tbl.quiver.vertices[v]})")
             if mod.is_zero:
                 break
@@ -1085,7 +1031,7 @@ def _sample_modules(tbl: AlgebraTable, seed: int, size: int) -> tuple:
         mod = simple(tbl, v)
         for depth in range(1, 4):
             _, emb = inj_hull(mod)
-            mod = factorize(emb).cokernel
+            mod = cokernel(emb)[0]
             push(mod, label=f"cosyz^{depth}(S_{tbl.quiver.vertices[v]})")
             if mod.is_zero:
                 break
@@ -1111,13 +1057,12 @@ def _sample_modules(tbl: AlgebraTable, seed: int, size: int) -> tuple:
             continue
         coeffs = rng.integers(0, f.p, size=rows.shape[0])
         fmor = morphism_from_flat(ps.module, tgt, coeffs @ rows % f.p)
-        image = [f.row_space_basis(b) for b in fmor.mats]
-        key = (verts1, tuple(r.tobytes() for r in image))
+        im_rows = _image_rows(fmor)
+        key = (verts1, tuple(r.tobytes() for r in im_rows))
         if key in images:
             continue  # the same cokernel again, which push would drop
         images.add(key)
-        coker, _ = quotient_by_rows(tgt, image)
-        push(coker, label=f"sample[{len(out)}]")
+        push(quotient_by_rows(tgt, im_rows)[0], label=f"sample[{len(out)}]")
     return tuple(out)
 
 

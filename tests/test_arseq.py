@@ -10,6 +10,7 @@ import ardom.modules
 from ardom.algebra import nakayama_from_kupisch, reverse_path, table_from_text
 from ardom.arseq import (
     ArSequenceError,
+    _cocycle,
     _rad_end_paths,
     almost_split_from_projective,
     ext1_with_end_action,
@@ -18,21 +19,24 @@ from ardom.arseq import (
     has_n_tf_ar_sequences,
 )
 from ardom.corpus import load_corpus
-from ardom.homology import ext_dim, ext_module, tau_inverse
+from ardom.homology import ext_dim, ext_module, min_proj_resolution, tau_inverse
 from ardom.modules import (
     InvariantError,
+    cokernel,
     direct_sum,
-    factorize,
     hom_basis,
     identity_morphism,
     is_injective,
     is_isomorphic,
+    kernel,
     projective,
     sample_modules,
     simple,
+    sum_inclusions,
     validate,
     zero_morphism,
 )
+from ardom.verify import _cyclic_series
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -72,8 +76,7 @@ def test_a2_sequence_is_short_exact(a2):
     assert seq.inclusion.is_injective_map()
     assert seq.surjection.is_surjective_map()
     assert seq.inclusion.compose(seq.surjection).is_zero
-    kernel = factorize(seq.surjection).kernel
-    assert kernel.total_dim == seq.u.total_dim
+    assert kernel(seq.surjection)[0].total_dim == seq.u.total_dim
 
 
 def test_a2_class_is_nonzero(a2):
@@ -100,9 +103,8 @@ def test_ext1_data_matches_cochain_route(a2, kronecker, dim5):
         data = ext1_with_end_action(v, vertex)
         assert data.dim == ext_dim(v, u, 1)
         assert data.dim >= 1
-        assert len(data.representatives) == data.dim
-        for rep in data.representatives:
-            assert rep.defect() is None
+        for e in tbl.field.eye(data.dim):
+            assert _cocycle(v, vertex, e).defect() is None
 
 
 def test_ext1_rejects_projective_argument(a2):
@@ -401,8 +403,9 @@ def test_sequences_do_not_split_by_a_hom_route():
 def test_class_coords_reads_only_cocycles(nak54):
     seq = almost_split_from_projective(nak54, 1)
     data = seq.ext_data
-    for j, rep in enumerate(data.representatives):
-        assert np.array_equal(data.class_coords(rep), np.eye(data.dim, dtype=np.int64)[j])
+    for j, e in enumerate(np.eye(data.dim, dtype=np.int64)):
+        rep = _cocycle(seq.v, data.vertex, e)
+        assert np.array_equal(data.class_coords(rep), e)
     with pytest.raises(ArSequenceError, match="not a morphism"):
         data.class_coords(zero_morphism(seq.u, seq.u))
     # Hom(P_1, U) has a map that does not vanish on the image of d_2
@@ -416,3 +419,54 @@ def test_class_coords_reads_only_cocycles(nak54):
             assert "not a cocycle" in str(exc)
             outcomes.append("not")
     assert outcomes.count("not") >= 1 and outcomes.count("cocycle") >= 1
+
+
+# ---------------------------------------------------------------------------
+# the surjection X → V descends along the quotient's own section
+# ---------------------------------------------------------------------------
+
+
+def solve_left_surjection(seq):
+    """(blocks, sections differ): the blocks of X → V descended along right
+    inverses of the cokernel projection that ``solve_left`` finds, with d_1
+    read off the resolution, and whether any of those right inverses differs
+    from the quotient's own section."""
+    tbl = seq.u.algebra
+    fld = tbl.field
+    cover = seq.ext_data.q0_cover
+    total = direct_sum(tbl, [seq.u, cover.source])
+    incls, projs = sum_inclusions(tbl, [seq.u, cover.source], total)
+    d1 = min_proj_resolution(seq.v, 1).maps[1]
+    g = seq.class_map.compose(incls[0]).add(d1.compose(incls[1]).scale(-1))
+    x, projection, sections = cokernel(g)
+    assert x.signature() == seq.x.signature()
+    phi = projs[1].compose(cover)
+    mats, differ = [], False
+    for block, own, target in zip(projection.mats, sections, phi.mats, strict=True):
+        section = fld.solve_left(block, fld.eye(block.shape[1]))
+        assert section is not None
+        differ = differ or not np.array_equal(section, own)
+        mats.append(fld.mul(section, target))
+    return mats, differ
+
+
+def test_surjection_equals_the_solve_left_descent():
+    # the map X → V through which the cover factors is unique, so any right
+    # inverse of the projection gives the same blocks
+    tables = [e.load_table() for e in load_corpus(CORPUS)]
+    tables += [
+        nakayama_from_kupisch(list(series), cyclic=True)
+        for m in (3, 4) for series in _cyclic_series(m, 5)
+    ]
+    checked = differ = 0
+    for tbl in tables:
+        for v in _noninjective_vertices(tbl):
+            seq = almost_split_from_projective(tbl, v)
+            want, sections_differ = solve_left_surjection(seq)
+            for got, block in zip(seq.surjection.mats, want, strict=True):
+                assert got.dtype == block.dtype == np.int64
+                assert np.array_equal(got, block)
+            checked += 1
+            differ += sections_differ
+    assert checked == 66
+    assert differ  # the two right inverses are not the same matrices

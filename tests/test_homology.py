@@ -39,15 +39,16 @@ from ardom.modules import (
     arrow_left_mult,
     dual,
     dual_regular,
-    factorize,
     hom_basis,
+    image,
     injective,
     is_injective,
     is_isomorphic,
     is_projective,
+    kernel,
     projective,
+    radical,
     regular,
-    rst,
     sample_modules,
     simple,
     validate,
@@ -147,11 +148,11 @@ def test_resolution_exactness_and_minimality(dim5, nak32):
             for i in range(1, len(res.maps)):
                 comp = res.maps[i].compose(res.maps[i - 1])
                 assert comp.is_zero
-                ker = factorize(res.maps[i - 1]).kernel
-                im = factorize(res.maps[i]).image
+                ker = kernel(res.maps[i - 1])[0]
+                im = image(res.maps[i])[0]
                 assert ker.total_dim == im.total_dim
                 # minimality: the image lands inside the radical of P_{i-1}
-                rad = rst(res.terms[i - 1]).radical_inclusion
+                rad = radical(res.terms[i - 1])[1]
                 for v in range(len(m.dims)):
                     assert (
                         f.coords_in_rowspace(rad.mats[v], res.maps[i].mats[v])
@@ -588,7 +589,7 @@ def test_torsion_matches_the_evaluation_kernel(name, p, fresh_corpus_table):
     for m in mods:
         t = torsion(m)
         data = evaluation_and_torsion(m)
-        ref = factorize(data.evaluation).kernel
+        ref = kernel(data.evaluation)[0]
         assert t.signature() == ref.signature() == data.torsion.signature()
         assert t.dims == ref.dims
         assert t.label == data.torsion.label == f"t({m.label})"

@@ -12,6 +12,7 @@ import numpy as np
 
 import ardom
 import ardom.homology
+import ardom.linalg
 import ardom.modules
 from ardom.algebra import Path, nakayama_from_kupisch, opposite, table_from_text
 from ardom.arseq import almost_split_from_projective
@@ -29,23 +30,26 @@ from ardom.homology import (
 from ardom.modules import (
     ModuleRep,
     arrow_left_mult,
-    factorize,
+    cokernel,
     inj_hull,
     injective,
     is_injective,
     is_projective,
+    kernel,
     left_mult_morphism,
     memoized,
     morphism_from_flat,
+    omega,
     proj_cover,
     proj_sum,
     projective,
     projective_paths,
     projsum_hom_rows,
+    radical,
     resolution_step,
-    rst,
     sample_modules,
     simple,
+    top,
 )
 from ardom.verify import SUITES, _entry_verdicts
 
@@ -276,9 +280,10 @@ def test_a_shared_cover_may_target_a_bit_identical_twin(fresh_corpus_table):
     m = simple(tbl, 1)
     twin = ModuleRep(tbl, m.dims, [a.copy() for a in m.mats], label="twin")
     first = resolution_step(m)
-    ps, cover, parts = resolution_step(twin)
-    assert (ps, cover, parts) == first
+    ps, cover = resolution_step(twin)
+    assert (ps, cover) == first
     assert cover.target is m and cover.target.signature() == twin.signature()
+    assert omega(twin) is omega(m)
     assert proj_cover(twin)[1].target is twin  # the unshared builder
 
 
@@ -353,20 +358,19 @@ def reference_sample(tbl, seed, size):
         for v in range(nv):
             push(make(tbl, v))
     for v in range(nv):
-        parts = rst(projective(tbl, v))
-        push(parts.radical)
-        push(parts.top)
+        push(radical(projective(tbl, v))[0])
+        push(top(projective(tbl, v))[0])
     for v in range(nv):
         mod = simple(tbl, v)
         for depth in range(1, 4):
-            mod = factorize(proj_cover(mod)[1]).kernel
+            mod = kernel(proj_cover(mod)[1])[0]
             push(mod, label=f"syz^{depth}(S_{tbl.quiver.vertices[v]})")
             if mod.is_zero:
                 break
     for v in range(nv):
         mod = simple(tbl, v)
         for depth in range(1, 4):
-            mod = factorize(inj_hull(mod)[1]).cokernel
+            mod = cokernel(inj_hull(mod)[1])[0]
             push(mod, label=f"cosyz^{depth}(S_{tbl.quiver.vertices[v]})")
             if mod.is_zero:
                 break
@@ -387,7 +391,7 @@ def reference_sample(tbl, seed, size):
             continue
         coeffs = rng.integers(0, tbl.field.p, size=rows.shape[0])
         fmor = morphism_from_flat(ps.module, tgt, coeffs @ rows % tbl.field.p)
-        push(factorize(fmor).cokernel, label=f"sample[{len(out)}]")
+        push(cokernel(fmor)[0], label=f"sample[{len(out)}]")
     return out
 
 
@@ -420,17 +424,82 @@ def test_no_module_shared_through_the_memo_is_relabelled(name, fresh_corpus_tabl
         min_proj_resolution(m, 3)
     for v in range(len(tbl.quiver.vertices)):
         assert all(syzygy(simple(tbl, v), k).label.startswith("ker(") for k in range(1, 5))
-    kernels = [
-        val[2].kernel for key, val in tbl._memo.items()
-        if key[0] == "resolution_step" and "_kernel" in vars(val[2])
-    ]
+    kernels = [val[0] for key, val in tbl._memo.items() if key[0] == "omega"]
     assert kernels and all(k.label.startswith("ker(") for k in kernels)
     assert not any(m is k for m in sample for k in kernels)
 
 
 def test_relabeled_copies_leave_the_module_alone(fresh_corpus_table):
     tbl = fresh_corpus_table("nak-233", 101)
-    kernel = resolution_step(simple(tbl, 0))[2].kernel
-    copy = kernel.relabeled("syz^1(S_v1)")
-    assert kernel.label.startswith("ker(") and copy.label == "syz^1(S_v1)"
-    assert copy.mats is kernel.mats and copy.signature() == kernel.signature()
+    syz = omega(simple(tbl, 0))[0]
+    copy = syz.relabeled("syz^1(S_v1)")
+    assert syz.label.startswith("ker(") and copy.label == "syz^1(S_v1)"
+    assert copy.mats is syz.mats and copy.signature() == syz.signature()
+
+
+# ---------------------------------------------------------------------------
+# the syzygy is built only when read, once per module signature
+# ---------------------------------------------------------------------------
+
+
+def count_kernels(monkeypatch):
+    """The signature of every module that ``kernel`` is asked for a
+    kernel of a map into."""
+    built = []
+    original = ardom.modules.kernel
+
+    def counting(fmor):
+        built.append(fmor.target.signature())
+        return original(fmor)
+
+    monkeypatch.setattr(ardom.modules, "kernel", counting)
+    return built
+
+
+@pytest.mark.parametrize("name", ["auslander-x2", "nak-233", "comm-square"])
+def test_projectivity_and_hulls_build_no_syzygy(name, monkeypatch, fresh_corpus_table):
+    tbl = fresh_corpus_table(name, 101)
+    built = count_kernels(monkeypatch)
+    for v in range(len(tbl.quiver.vertices)):
+        for m in (simple(tbl, v), projective(tbl, v), injective(tbl, v)):
+            is_projective(m)
+            is_injective(m)
+            inj_hull(m)
+    assert not built
+    assert any(key[0] == "resolution_step" for key in tbl._memo)
+    assert not any(key[0] == "omega" for t in (tbl, opposite(tbl)) for key in t._memo)
+
+
+@pytest.mark.parametrize("name", ["auslander-x3", "nak-233", "kronecker"])
+def test_reading_a_syzygy_builds_no_cokernel(name, monkeypatch, fresh_corpus_table):
+    tbl = fresh_corpus_table(name, 101)
+    quotients = []
+    original = ardom.linalg.PrimeField.quotient_by_rowspace
+
+    def counting(self, sub, n):
+        quotients.append(n)
+        return original(self, sub, n)
+
+    monkeypatch.setattr(ardom.linalg.PrimeField, "quotient_by_rowspace", counting)
+    for v in range(len(tbl.quiver.vertices)):
+        for m in (simple(tbl, v), injective(tbl, v)):
+            syzygy(m, 4)
+            min_proj_resolution(m, 4)
+    assert any(key[0] == "omega" for key in tbl._memo)
+    assert not quotients
+
+
+@pytest.mark.parametrize("name", ["nak-233", "auslander-x3", "comm-square"])
+def test_omega_builds_each_syzygy_once_per_signature(name, monkeypatch, fresh_corpus_table):
+    tbl = fresh_corpus_table(name, 101)
+    built = count_kernels(monkeypatch)
+    for v in range(len(tbl.quiver.vertices)):
+        m = simple(tbl, v)
+        twin = ModuleRep(tbl, m.dims, [a.copy() for a in m.mats], label="twin")
+        for k in range(1, 6):
+            assert syzygy(twin, k) is syzygy(m, k)
+        min_proj_resolution(m, 5)
+        min_proj_resolution(injective(tbl, v), 5)
+        syzygy(injective(tbl, v), 5)
+    entries = [key for key in tbl._memo if key[0] == "omega"]
+    assert built and len(built) == len(set(built)) == len(entries)

@@ -12,16 +12,18 @@ from ardom.modules import (
     ModuleFileError,
     ModuleMorphism,
     ModuleRep,
+    cokernel,
     direct_sum,
     dual,
-    factorize,
     hom_basis,
     identity_morphism,
+    image,
     inj_hull,
     injective,
     is_injective,
     is_isomorphic,
     is_projective,
+    kernel,
     left_mult_morphism,
     parse_module,
     proj_cover,
@@ -32,13 +34,15 @@ from ardom.modules import (
     projsum_map_from_elements,
     projsum_morphism,
     quotient_by_rows,
+    radical,
     regular,
-    rst,
     sample_modules,
     serialize_module,
     simple,
+    socle,
     submodule_from_rows,
     sum_inclusions,
+    top,
     validate,
     zero_module,
     zero_morphism,
@@ -224,11 +228,11 @@ def test_factorize_a2_inclusion(a2):
     p1, p2 = projective(a2, 0), projective(a2, 1)
     hb = hom_basis(p2, p1)
     f = hb.morphisms[0]
-    parts = factorize(f)
-    assert parts.kernel.total_dim == 0
-    assert parts.image.dims == (0, 1)
-    assert parts.cokernel.dims == (1, 0)  # = S(v1)
-    assert validate(parts.cokernel) is None
+    assert kernel(f)[0].total_dim == 0
+    assert image(f)[0].dims == (0, 1)
+    coker = cokernel(f)[0]
+    assert coker.dims == (1, 0)  # = S(v1)
+    assert validate(coker) is None
 
 
 def test_factorize_exactness(dim5, nak32):
@@ -241,29 +245,23 @@ def test_factorize_exactness(dim5, nak32):
                 if hb.dim == 0:
                     continue
                 f = hb.combo(rng.integers(0, tbl.field.p, size=hb.dim))
-                parts = factorize(f)
-                assert parts.kernel.total_dim + parts.image.total_dim == m.total_dim
-                assert parts.image.total_dim + parts.cokernel.total_dim == n.total_dim
-                # the factorization recomposes to f, and boundary composites die
-                refactored = parts.image_projection.compose(parts.image_inclusion)
+                ker, ker_incl = kernel(f)
+                im, im_incl, im_proj = image(f)
+                coker, coker_proj, sections = cokernel(f)
+                assert ker.total_dim + im.total_dim == m.total_dim
+                assert im.total_dim + coker.total_dim == n.total_dim
+                # the image recomposes to f, and boundary composites die
+                refactored = im_proj.compose(im_incl)
                 assert all(
                     np.array_equal(x, y) for x, y in zip(refactored.mats, f.mats)
                 )
-                assert parts.kernel_inclusion.compose(f).is_zero
-                assert f.compose(parts.cokernel_projection).is_zero
-                for piece in (parts.kernel, parts.image, parts.cokernel):
+                assert ker_incl.compose(f).is_zero
+                assert f.compose(coker_proj).is_zero
+                # each section is a right inverse of the projection
+                for s, b, d in zip(sections, coker_proj.mats, coker.dims):
+                    assert np.array_equal(tbl.field.mul(s, b), tbl.field.eye(d))
+                for piece in (ker, im, coker):
                     assert validate(piece) is None
-
-
-FACTORIZATION_PARTS = (
-    "kernel",
-    "kernel_inclusion",
-    "image",
-    "image_inclusion",
-    "image_projection",
-    "cokernel",
-    "cokernel_projection",
-)
 
 
 def sampled_morphisms(tbl, seed=0, count=12):
@@ -293,26 +291,21 @@ def sampled_morphisms(tbl, seed=0, count=12):
     return out
 
 
-def eager_factorization(fmor):
-    """Every part of factorize(fmor), built at once from the row bases."""
+def reference_parts(fmor):
+    """Kernel, image and cokernel of fmor with their maps, each built
+    directly from the row bases: [(function, expected tuple)]."""
     f = fmor.field
     m, n = fmor.source, fmor.target
     ker_rows = [f.left_kernel_basis(b) for b in fmor.mats]
     im_rows = [f.row_space_basis(b) for b in fmor.mats]
-    kernel, kernel_inclusion = submodule_from_rows(m, ker_rows, label=f"ker({m.label})")
-    image, image_inclusion = submodule_from_rows(n, im_rows, label=f"im({m.label})")
+    im, im_incl = submodule_from_rows(n, im_rows, label=f"im({m.label})")
     coords = [f.coords_in_rowspace(r, b) for r, b in zip(im_rows, fmor.mats)]
-    image_projection = ModuleMorphism(m, image, coords)
-    cokernel, cokernel_projection = quotient_by_rows(n, im_rows, label=f"coker({m.label})")
-    return dict(
-        kernel=kernel,
-        kernel_inclusion=kernel_inclusion,
-        image=image,
-        image_inclusion=image_inclusion,
-        image_projection=image_projection,
-        cokernel=cokernel,
-        cokernel_projection=cokernel_projection,
-    )
+    coker, coker_proj, _ = quotient_by_rows(n, im_rows, label=f"coker({m.label})")
+    return [
+        (kernel, submodule_from_rows(m, ker_rows, label=f"ker({m.label})")),
+        (image, (im, im_incl, ModuleMorphism(m, im, coords))),
+        (cokernel, (coker, coker_proj)),
+    ]
 
 
 def assert_bit_identical(x, y):
@@ -329,15 +322,10 @@ def assert_bit_identical(x, y):
 
 def test_factorize_parts_match_eager_reference(corpus_table):
     for fmor in sampled_morphisms(corpus_table):
-        ref = eager_factorization(fmor)
-        for name in FACTORIZATION_PARTS:
-            first = factorize(fmor)
-            assert_bit_identical(getattr(first, name), ref[name])
-            last = factorize(fmor)
-            for other in FACTORIZATION_PARTS:
-                if other != name:
-                    getattr(last, other)
-            assert_bit_identical(getattr(last, name), ref[name])
+        for function, want in reference_parts(fmor):
+            got = function(fmor)
+            for x, y in zip(got, want):  # the cokernel's sections are checked above
+                assert_bit_identical(x, y)
 
 
 def count_calls(monkeypatch, owner, name):
@@ -358,11 +346,11 @@ def test_factorize_builds_only_the_parts_read(corpus_table, monkeypatch):
     kernel_calls = count_calls(monkeypatch, PrimeField, "left_kernel_basis")
     quotient_calls = count_calls(monkeypatch, PrimeField, "quotient_by_rowspace")
     for fmor in morphisms:
-        factorize(fmor).cokernel
+        cokernel(fmor)
     assert quotient_calls and not kernel_calls
     quotient_calls.clear()
     for fmor in morphisms:
-        factorize(fmor).kernel
+        kernel(fmor)
     assert kernel_calls and not quotient_calls
 
 
@@ -378,28 +366,32 @@ def test_rows_not_closed_under_arrows_raise(a2):
 
 
 def test_rst_projective_a2(a2):
-    parts = rst(projective(a2, 0))
-    assert parts.top.dims == (1, 0)
-    assert parts.radical.dims == (0, 1)
-    assert parts.socle.dims == (0, 1)  # radical and socle agree here
+    p1 = projective(a2, 0)
+    assert top(p1)[0].dims == (1, 0)
+    assert radical(p1)[0].dims == (0, 1)
+    assert socle(p1)[0].dims == (0, 1)  # radical and socle agree here
+    assert [radical(p1)[0].label, top(p1)[0].label, socle(p1)[0].label] == [
+        "rad(P(v1))", "top(P(v1))", "soc(P(v1))"
+    ]
 
 
 def test_rst_regular_nak22(nak22):
-    parts = rst(regular(nak22))
-    assert parts.top.dims == (1, 1)
+    assert top(regular(nak22))[0].dims == (1, 1)
 
 
 def test_rst_structure(dim5, nak32):
     for tbl in (dim5, nak32):
         for m in sample_modules(tbl, seed=4, size=6):
-            parts = rst(m)
-            assert parts.top_projection.is_surjective_map()
-            assert parts.radical_inclusion.is_injective_map()
-            assert parts.radical_inclusion.compose(parts.top_projection).is_zero
-            assert parts.radical.total_dim + parts.top.total_dim == m.total_dim
+            rad, rad_incl = radical(m)
+            tp, tp_proj, _ = top(m)
+            soc = socle(m)[0]
+            assert tp_proj.is_surjective_map()
+            assert rad_incl.is_injective_map()
+            assert rad_incl.compose(tp_proj).is_zero
+            assert rad.total_dim + tp.total_dim == m.total_dim
             # socle is killed by every arrow
-            assert all(not np.any(mat) for mat in parts.socle.mats)
-            for piece in (parts.radical, parts.socle, parts.top):
+            assert all(not np.any(mat) for mat in soc.mats)
+            for piece in (rad, soc, tp):
                 assert validate(piece) is None
 
 
@@ -408,7 +400,7 @@ def test_rst_builds_only_the_parts_read(corpus_table, monkeypatch):
     socle_calls = count_calls(monkeypatch, PrimeField, "left_kernel_basis")
     top_calls = count_calls(monkeypatch, PrimeField, "quotient_by_rowspace")
     for m in mods:
-        rst(m).radical
+        radical(m)
     assert not socle_calls and not top_calls
 
 
@@ -421,7 +413,7 @@ def test_proj_cover_simple_a2(a2):
     ps, cover = proj_cover(simple(a2, 0))
     assert ps.vertices == (0,)
     assert cover.is_surjective_map()
-    assert factorize(cover).kernel.dims == (0, 1)
+    assert kernel(cover)[0].dims == (0, 1)
 
 
 def test_proj_cover_minimality(dim5, nak32):
@@ -431,10 +423,10 @@ def test_proj_cover_minimality(dim5, nak32):
             ps, cover = proj_cover(m)
             assert cover.is_surjective_map()
             # kernel sits inside rad P: its rows lie in the radical row space
-            parts = factorize(cover)
-            rad_p = rst(ps.module).radical_inclusion
+            inclusion = kernel(cover)[1]
+            rad_p = radical(ps.module)[1]
             for v in range(len(m.dims)):
-                rows = parts.kernel_inclusion.mats[v]
+                rows = inclusion.mats[v]
                 assert f.coords_in_rowspace(rad_p.mats[v], rows) is not None
 
 
@@ -443,7 +435,7 @@ def test_proj_cover_generators_are_radical_quotient_sections(corpus_table):
     for m in sample_modules(corpus_table, seed=0, size=24):
         ps, cover = proj_cover(m)
         assert cover.is_surjective_map()
-        rad = rst(m).radical_inclusion
+        rad = radical(m)[1]
         expected = [
             (v, row)
             for v in range(len(m.dims))
@@ -471,7 +463,7 @@ def test_syzygy_of_a_cover_solves_no_system(name, monkeypatch, fresh_corpus_tabl
     mods = [simple(tbl, v) for v in range(nv)] + [injective(tbl, v) for v in range(nv)]
     covers = [proj_cover(m)[1] for m in mods + sample_modules(tbl, seed=0, size=24)]
     calls = count_calls(monkeypatch, PrimeField, "solve")
-    syzygies = [factorize(cover).kernel for cover in covers]
+    syzygies = [kernel(cover)[0] for cover in covers]
     assert not calls
     assert any(not s.is_zero for s in syzygies)
 
@@ -482,14 +474,14 @@ def test_inj_hull_socle_iso(dim5, nak32, a2):
             hull, emb = inj_hull(m)
             assert emb.is_injective_map()
             assert is_injective(hull)
-            soc_m = rst(m)
-            soc_i = rst(hull)
-            assert soc_m.socle.dims == soc_i.socle.dims
-            composed = soc_m.socle_inclusion.compose(emb)
+            soc_m, incl_m = socle(m)
+            soc_i, incl_i = socle(hull)
+            assert soc_m.dims == soc_i.dims
+            composed = incl_m.compose(emb)
             f = tbl.field
             for v in range(len(m.dims)):
-                coords = f.coords_in_rowspace(soc_i.socle_inclusion.mats[v], composed.mats[v])
-                assert coords is not None and f.rank(coords) == soc_m.socle.dims[v]
+                coords = f.coords_in_rowspace(incl_i.mats[v], composed.mats[v])
+                assert coords is not None and f.rank(coords) == soc_m.dims[v]
 
 
 def test_projectivity_and_injectivity_a2(a2):
@@ -509,7 +501,7 @@ def test_nak32_regular_not_injective(nak32):
     # soc P(v2) = S(v1), so an injective P(v2) would be a copy of I(v1);
     # the dimensions 2 vs 3 rule that out.
     p2 = projective(nak32, 1)
-    assert rst(p2).socle.dims == (1, 0)
+    assert socle(p2)[0].dims == (1, 0)
     assert injective(nak32, 0).total_dim == 3
     assert p2.total_dim == 2
     assert not is_injective(p2)
@@ -582,8 +574,7 @@ def test_unchecked_constructions_match_the_checked_constructor(a2, dim5):
         built = [dual(m) for m in mods]
         built += [direct_sum(tbl, mods[:3]), direct_sum(tbl, [])]
         for m in mods:
-            parts = rst(m)
-            built += [parts.radical, parts.top, parts.socle]
+            built += [radical(m)[0], top(m)[0], socle(m)[0]]
             built.append(quotient_by_rows(m, [f.eye(d) for d in m.dims])[0])
         for m in built:
             q = m.algebra.quiver

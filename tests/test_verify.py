@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 from collections import Counter
 
 import pytest
@@ -359,3 +360,32 @@ def test_run_suite_starts_at_most_one_worker_per_entry(corpus, monkeypatch):
     assert started == [2]  # one entry: no pool at all
     with pytest.raises(ValueError, match="jobs"):
         run_suite(subset, suites=("main",), jobs=0)
+
+
+# --- the corpus over other primes ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def statuses_over_101():
+    verdicts, _ = run_suite(load_corpus(CORPUS_ROOT), suites=SUITES, ns=(1, 2, 3))
+    return [(v.algebra, v.check, v.status) for v in verdicts]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_corpus_replay_over_small_primes(p, statuses_over_101, tmp_path):
+    # every corpus algebra is presented over GF(101); read each over GF(p)
+    root = tmp_path / "corpus"
+    shutil.copytree(CORPUS_ROOT, root)
+    for entry in load_corpus(str(root)):
+        path = root / entry.file
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert sum(line.strip() == "field 101" for line in lines) == 1, entry.entry_id
+        path.write_text(
+            "".join(f"field {p}\n" if line.strip() == "field 101" else line for line in lines),
+            encoding="utf-8",
+        )
+    entries = load_corpus(str(root))
+    assert all(e.load_table().field.p == p for e in entries)
+    verdicts, _ = run_suite(entries, suites=SUITES, ns=(1, 2, 3))
+    assert len(verdicts) == 78
+    assert [(v.algebra, v.check, v.status) for v in verdicts] == statuses_over_101
