@@ -354,6 +354,9 @@ class AlgebraTable:
         for rank, i in enumerate(order):
             self._lexrank[i] = rank
         self.rules: dict[tuple[int, ...], dict] = {}
+        # an upper bound on the rule LHS lengths: it only grows, also when
+        # completion drops a rule, and bounds the search in _find_redex
+        self._longest_lhs = 0
         self._memo: dict = {}
         self._opposite: Optional[AlgebraTable] = None
         self._complete()
@@ -393,10 +396,16 @@ class AlgebraTable:
     # -- rewriting -----------------------------------------------------------
 
     def _find_redex(self, word: tuple[int, ...]):
-        """Leftmost, then shortest, occurrence of a rule LHS inside word."""
+        """Leftmost, then shortest, occurrence of a rule LHS inside word.
+
+        Only subwords no longer than ``_longest_lhs`` can be one, so a table
+        without rules (a path algebra, linear A_n) scans nothing.
+        """
+        if not self.rules:
+            return None
         n = len(word)
         for start in range(n):
-            for stop in range(start + 2, n + 1):
+            for stop in range(start + 2, min(n, start + self._longest_lhs) + 1):
                 lhs = word[start:stop]
                 if lhs in self.rules:
                     return start, stop, lhs
@@ -491,6 +500,7 @@ class AlgebraTable:
             el = self.el_add(el, other_rhs, -1)
             pending.append(el)
         self.rules[lw] = rhs
+        self._longest_lhs = max(self._longest_lhs, len(lw))
         self._memo.clear()
 
     def _complete(self):

@@ -42,6 +42,7 @@ from .modules import (
     resolution_step,
     simple,
     submodule_from_rows,
+    yoneda_block,
     zero_module,
 )
 
@@ -185,14 +186,23 @@ def syzygy(m: ModuleRep, k: int = 1) -> ModuleRep:
     Degree i of the minimal resolution of m is degree 0 of Ω^i m: P_i is
     the cover of Ω^i m and d_i is d_1 of Ω^{i-1} m.  Each step is the shared
     :func:`omega` of a module signature, so resolutions whose syzygies
-    coincide compute each step once.
+    coincide compute each step once.  For the same reason Ω^j m for j >= 1
+    depends only on the signature of Ω^{j-1} m: once a signature repeats
+    with period q, whole periods are skipped, and a large k costs at most
+    one walk into the cycle and once around it.
     """
     if k < 0:
         raise ValueError("negative syzygy degree")
-    for _ in range(k):
-        if m.is_zero:
-            break
+    seen = {}  # signature of Ω^j m -> j, for the steps j >= 1 taken so far
+    j = 0
+    while j < k and not m.is_zero:
         m = omega(m)[0]
+        j += 1
+        sig = m.signature()
+        if sig in seen:
+            period = j - seen[sig]
+            j += (k - j) // period * period
+        seen[sig] = j
     return m
 
 
@@ -318,9 +328,12 @@ def ext_dim(m: ModuleRep, n: ModuleRep, i: int) -> int:
 def ext_graded(m: ModuleRep, i: int, v: int) -> tuple:
     """(cocycles, quotient) of Ext^i(m, P(v)) in generator coordinates: the
     kernel rows of the shared cochain matrix out of Hom(P_i, P(v)), and their
-    quotient by the coboundaries (none in degree 0, where this is Hom(m, P(v)))."""
+    quotient by the coboundaries (none in degree 0, where this is Hom(m, P(v))).
+    Degree i >= 2 is degree 1 of Ω^{i-1} m, and is read there."""
     if i < 0:
         raise ValueError("negative Ext degree")
+    if i >= 2:
+        return ext_graded(syzygy(m, i - 1), 1, v)
     f = m.algebra.field
     pv = projective(m.algebra, v)
     cocycles = f.kernel_basis(_cochain(syzygy(m, i), pv)[0].T)
@@ -360,10 +373,14 @@ def ext_module(m: ModuleRep, i: int) -> ModuleRep:
     The regular module splits vertexwise, so the Ext group is graded by
     Ext^i(m, P(v)) (:func:`ext_graded`), the vertex decomposition, and for
     an arrow a: v -> w the opposite arrow acts by post-composition with left
-    multiplication P(w) -> P(v).  Degree 0 is the plain Hom-dual m*.
+    multiplication P(w) -> P(v).  Degree 0 is the plain Hom-dual m*.  Degree
+    i >= 2 is Ext^1(Ω^{i-1} m, A), relabelled, so modules whose syzygies
+    coincide share one Ext module.
     """
     if i < 0:
         raise ValueError("negative Ext degree")
+    if i >= 2:
+        return ext_module(syzygy(m, i - 1), 1).relabeled(f"Ext{i}({m.label},A)")
     tbl = m.algebra
     q = tbl.quiver
     if syzygy(m, i).is_zero:
@@ -423,6 +440,13 @@ def tau_inverse(m: ModuleRep) -> ModuleRep:
 # ---------------------------------------------------------------------------
 # the evaluation map and its torsion kernel
 # ---------------------------------------------------------------------------
+
+
+@memoized
+def _yoneda_to_projective(tbl: AlgebraTable, vertices: tuple, v: int) -> np.ndarray:
+    """:func:`yoneda_block` of ⊕_j P(vertices[j]) into P(v), kept per
+    (vertices, v): the torsion of every module with that top reads it."""
+    return yoneda_block(proj_sum(tbl, vertices), projective(tbl, v))
 
 
 def _star_with_bases(m: ModuleRep):
@@ -530,19 +554,45 @@ def torsion(m: ModuleRep) -> ModuleRep:
 
     x lies in that kernel exactly when φ(x) = 0 for every φ: m -> A, and
     A is the sum of the P(v), so t(m) is the intersection of the kernels of
-    all of Hom(m, A): at vertex u, the left kernel of the blocks φ_u of
-    every ``hom_basis(m, P(v))`` morphism, side by side.  The canonical
-    kernel basis depends only on that subspace, so the module is
-    bit-identical to ``evaluation_and_torsion(m).torsion``.
+    all of Hom(m, A): at vertex u, the left kernel of the blocks φ_u of a
+    spanning set of every Hom(m, P(v)), side by side.
+
+    No Hom system is solved.  Hom(m, P(v)) is the degree-0 cocycles of the
+    minimal presentation, ``ext_graded(m, 0, v)[0]``: the maps g: P_0 -> P(v)
+    that vanish on Ω m, in generator coordinates, which
+    :func:`yoneda_block` turns into morphisms.  Each g is cover·φ for one φ,
+    so φ_u = s_u·g_u for any section s_u of the cover at u.  The blocks φ_u
+    span the same column space as those of ``hom_basis(m, P(v))``, and the
+    canonical kernel basis depends only on it, so the module is
+    bit-identical to ``evaluation_and_torsion(m).torsion``.  A projective
+    m, read off its cover, is torsionless and skips all of this.
     """
     tbl = m.algebra
     f = tbl.field
-    bases = [hom_basis(m, projective(tbl, v)) for v in range(len(tbl.quiver.vertices))]
-    rows = []
-    for u, d in enumerate(m.dims):
-        blocks = [g.mats[u] for hb in bases for g in hb.morphisms]
-        side_by_side = np.concatenate(blocks, axis=1) if blocks else f.zeros(d, 0)
-        rows.append(f.left_kernel_basis(side_by_side))
+    if is_projective(m):  # a summand of a free module: nothing dies in m**
+        return submodule_from_rows(m, [f.zeros(0, d) for d in m.dims], label=f"t({m.label})")[0]
+    p0, cover = resolution_step(m)
+    sections = [f.solve_left(c, f.eye(d)) for c, d in zip(cover.mats, m.dims)]
+    if any(s is None for s in sections):
+        raise InvariantError("the projective cover is not onto")
+    blocks = [[] for _ in m.dims]
+    for v in range(len(tbl.quiver.vertices)):
+        cocycles = ext_graded(m, 0, v)[0]
+        if not cocycles.shape[0]:
+            continue
+        pv = projective(tbl, v)
+        maps = f.mul(cocycles, _yoneda_to_projective(tbl, p0.vertices, v))
+        at = 0
+        for u, s in enumerate(sections):
+            d0, dv = p0.module.dims[u], pv.dims[u]
+            g = maps[:, at : at + d0 * dv].reshape(len(maps), d0, dv)
+            at += d0 * dv
+            # the blocks g_u of all cocycles side by side, then through s_u
+            blocks[u].append(f.mul(s, g.transpose(1, 0, 2).reshape(d0, len(maps) * dv)))
+    rows = [
+        f.left_kernel_basis(np.concatenate(b, axis=1) if b else f.zeros(d, 0))
+        for b, d in zip(blocks, m.dims)
+    ]
     return submodule_from_rows(m, rows, label=f"t({m.label})")[0]
 
 

@@ -60,6 +60,7 @@ __all__ = [
     "proj_sum",
     "projsum_morphism",
     "projsum_hom_rows",
+    "yoneda_block",
     "projsum_map_elements",
     "projsum_map_from_elements",
     "left_mult_morphism",
@@ -761,17 +762,15 @@ def _projsum_morphism(ps: ProjSum, target: ModuleRep, starts: dict) -> ModuleMor
     return ModuleMorphism._trusted(ps.module, target, mats)
 
 
-def projsum_hom_rows(ps: ProjSum, n: ModuleRep) -> np.ndarray:
-    """The flattened rows of ``hom_basis(ps.module, n)``, by Yoneda.
+def yoneda_block(ps: ProjSum, n: ModuleRep) -> np.ndarray:
+    """Hom(ps.module, n) from generator coordinates to flattened morphisms,
+    by Yoneda.
 
-    Hom(⊕_j P(u_j), N) = ⊕_j N_{u_j}: the morphism sending copy j's
-    generator to basis vector k of N_{u_j} (and the other generators to 0)
-    has row k of the action of path on N at each label (j, path).  Those
-    morphisms span the Hom space, and the canonical kernel basis that
-    ``hom_basis`` returns is the unique basis of that space which is the
-    identity on its free columns, the columns that are last nonzero entries
-    of some vector.  Those are the pivots of the rref with the columns
-    reversed, so reversing that rref's rows and columns gives the same rows.
+    Hom(⊕_j P(u_j), N) = ⊕_j N_{u_j}: row k of copy j's block of rows is
+    the morphism sending copy j's generator to basis vector k of N_{u_j}
+    (and the other generators to 0), which has row k of the action of path
+    on N at each label (j, path).  So a vector c of generator coordinates
+    is the morphism ``c @ block``.
     """
     tbl = n.algebra
     f = tbl.field
@@ -787,7 +786,20 @@ def projsum_hom_rows(ps: ProjSum, n: ModuleRep) -> np.ndarray:
         for i, (j, path) in enumerate(ps.labels[w]):
             at = offsets[w] + i * d
             spanning[starts[j] : starts[j + 1], at : at + d] = actions[path]
-    r, pivots = f.rref(spanning[:, ::-1])
+    return spanning
+
+
+def projsum_hom_rows(ps: ProjSum, n: ModuleRep) -> np.ndarray:
+    """The flattened rows of ``hom_basis(ps.module, n)``, by Yoneda.
+
+    The rows of :func:`yoneda_block` span the Hom space, and the canonical
+    kernel basis that ``hom_basis`` returns is the unique basis of that
+    space which is the identity on its free columns, the columns that are
+    last nonzero entries of some vector.  Those are the pivots of the rref
+    with the columns reversed, so reversing that rref's rows and columns
+    gives the same rows.
+    """
+    r, pivots = n.algebra.field.rref(yoneda_block(ps, n)[:, ::-1])
     return np.ascontiguousarray(r[: len(pivots)][::-1, ::-1])
 
 

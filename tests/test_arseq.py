@@ -307,6 +307,18 @@ def test_the_construction_solves_no_hom_system(monkeypatch):
     assert calls == []
 
 
+def test_torsion_solves_no_hom_system(monkeypatch):
+    calls = count_hom_systems(monkeypatch)
+    checked = nonzero = 0
+    for entry in load_corpus(CORPUS):
+        tbl = entry.load_table()  # a fresh table: nothing is memoised yet
+        for m in sample_modules(tbl, seed=9, size=16):
+            nonzero += not ardom.homology.torsion(m).is_zero
+            checked += 1
+    assert checked > 100 and nonzero > 10
+    assert calls == []
+
+
 def _assert_actions_match_the_ext_module(v_module, vertex):
     data = ext1_with_end_action(v_module, vertex)
     e = ext_module(v_module, 1)

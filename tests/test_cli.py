@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -473,3 +474,89 @@ def test_console_script_entry_point_runs_info():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["algebra"] == "ka2"
+
+
+# sha256 of `ardom torsion ALG` stdout (the torsion of each simple, with its
+# module_text) for every corpus entry, recorded before torsion was read off the
+# degree-0 cocycles of the minimal presentation, when it solved one Hom system
+# per vertex.  The route changed, the bytes may not.
+TORSION_SHA256 = {
+    "auslander-x2": "3da24481e8f5604a3e9cf35b458d4fc15e900d9f2d63fc363ee982f2c45f92fa",
+    "auslander-x3": "866eb833e85a6de9aa7eba2a4613214df52d367633fff7bb8c8caf2169df0bc7",
+    "comm-square": "d0636ab5e8c08a21e51f3105568b6ceb511f6a5038179baef59724c0e278be5d",
+    "ka2": "4e539aa4be4cc8203b8d075d77e8cff64bb6869d513c67d1bd5f0236edd5551e",
+    "kronecker": "0bbd0522798dfdfdade71b1d20d1e46e9ec319fad5a0892e1e4995efc6c910fb",
+    "linear-a3": "e3b454fe5aa8e3661b513cf5fa27c2251e7119b38a5bccc88c2e7fc87c2debd2",
+    "linear-a4": "14d1950ab82bbe41ae632aa13a56c915e7a87422a93e2a597c2144139ee87e82",
+    "nak-22": "0ec473b5ee079b67c9cbeefcaa0367fc48598a30b700b1731cff6a6c7651832c",
+    "nak-233": "e8aea0f724a02874c202828c9f32464d477543168a9c1f64c85cf8fd4de5dcc2",
+    "nak-32": "aff4b08dcab39a56963b74ef7b0f8be256b09677b355fc01c905a785cf4dd433",
+    "nak-33": "bee4a34d92dfbb507a2ed292a4ccaeb70d68aba5d334cd3f41290b26108201d8",
+    "nak-344": "8d9d25fccd4e63ea1e9fe5dd5cb7af0f8e191dfd0335bed4764092ac21f1b047",
+    "nak-432": "c1458b1ff04963fb85f12d0bcba7d84d75f1adc8adc52326cf4167e03370046f",
+    "wild3": "771af1ba197d5f3f84f5a9a36fe15d2f5e8e7d26f80e81157b6675b34d459b79",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TORSION_SHA256))
+def test_torsion_output_is_byte_identical_to_the_golden_digest(capsys, name):
+    assert main(["torsion", alg(name)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TORSION_SHA256[name]
+
+
+# sha256 of `ardom grade ALG --sample-index K --ext-degree D` stdout, recorded
+# when Ext^D was read at degree D of the resolution of the module itself.  It
+# is now degree 1 of the (D-1)-th syzygy.  auslander-x3 sample 3 is P(v1);
+# sample 20 has nonzero Ext^1 and Ext^2, the nak-233 samples nonzero Ext^3 or
+# Ext^4.
+GRADE_EXT_SHA256 = {
+    ("auslander-x3", 3, 1): "ffa6c3602ff57860e13c8bba5a6e1064fe4c74cb4ac28fe4c711759186b6537a",
+    ("auslander-x3", 3, 2): "8a4e01dffe7edb31fb89eb382a4d1204dd3d7bbcf1fa718cc8fd88d449bb7705",
+    ("auslander-x3", 3, 3): "511f4316661aea30e6f8284371c28ab11bf29b14560c55a4b8d1b7d083b0f2dd",
+    ("auslander-x3", 3, 4): "2c446eddc641d8bc3f851cf3247416edf066a814f9e7d5c45c29c8b918903eb0",
+    ("auslander-x3", 20, 1): "3c96cb44e27a69ca74aef3673420a71ed1b0f3d9383da02f1a21ed7838a1f522",
+    ("auslander-x3", 20, 2): "04f57cff643720a7420b06fe46588534664794c7c2272b205671e712a3104735",
+    ("auslander-x3", 20, 3): "0d0092469a15805f95b36830625908d6222fc1e9478ab78fb9fc5c94dbb1cfdd",
+    ("auslander-x3", 20, 4): "2d3b13284c33817ade6794f9ae81db411a9a7577929cd1a790dd47816bf4d311",
+    ("nak-233", 7, 1): "0cd87e729b760d29a6c6d2717e251daa396f4138cd761296aa5ca8aed5af1b75",
+    ("nak-233", 7, 2): "06b2cfa62dbaab126a30e9cdf79724de9ca1b0576311f4ff4306f20dbd73267d",
+    ("nak-233", 7, 3): "bd441d8f6370831b02a8aa371071f2a524a0d479a67f972204ff1078590ddde1",
+    ("nak-233", 7, 4): "2c671c25e7c4d9063ff0d36f1814b6ac9f631c367db9229c29bded59ed7bec94",
+    ("nak-233", 13, 1): "ddba9a6fc7ba7d1d9568e47fd2f52ca1ceb977ae3c04ea154586be4a265c1f6a",
+    ("nak-233", 13, 2): "d1114895fd02b8874842ba0d956c10ceafbefb752f4519d92f5e8fa99e868ee6",
+    ("nak-233", 13, 3): "64a864e243c273046c7f18fbb193b926b73e46394d7067a5888d33f5213f70dc",
+    ("nak-233", 13, 4): "13f3f3bf8408c5c35a644000e467781f7a6c087b9f04ea3404709d95abc9eec3",
+}
+
+
+@pytest.mark.parametrize("name, index, degree", sorted(GRADE_EXT_SHA256))
+def test_grade_ext_output_is_byte_identical_to_the_golden_digest(capsys, name, index, degree):
+    argv = ["grade", alg(name), "--sample-index", str(index), "--ext-degree", str(degree)]
+    main(argv)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GRADE_EXT_SHA256[name, index, degree]
+
+
+# The syzygies of these simples repeat with period 2 from degree 1 on, so
+# Ext^(10^9 + r) is Ext^(2 + r).  Degrees 2..5 resolve to Ω^4 at most, before
+# any period is skipped, so they are a plain walk.  Over nak-233, S(v2) has
+# nonzero Ext exactly in even degrees, so four consecutive degrees tell a
+# skip by a wrong period from the right one.
+@pytest.mark.parametrize("name, index", [("nak-22", 0), ("nak-233", 1)])
+def test_ext_degree_far_past_the_period_returns_at_once(capsys, name, index):
+    def result(degree):
+        started = time.perf_counter()
+        code, lines = run(
+            capsys, "grade", alg(name), "--sample-index", str(index), "--ext-degree", str(degree)
+        )
+        elapsed = time.perf_counter() - started
+        (rec,) = records(lines)
+        assert rec["invariant"] == f"grade-ext{degree}"
+        return code, rec["result"], elapsed
+
+    for r in range(4):
+        code, value, _ = result(2 + r)
+        huge_code, huge_value, elapsed = result(10**9 + r)
+        assert elapsed < 2.0
+        assert (huge_code, huge_value) == (code, value)

@@ -176,6 +176,23 @@ def test_cosyzygy_of_regular_selfinjective(nak22):
     assert len(res.terms) == 1 and res.complete
 
 
+@pytest.mark.parametrize("name", ["nak-22", "nak-233", "nak-32", "nak-432", "wild3"])
+def test_syzygy_skipping_periods_is_the_plain_walk(name, fresh_corpus_table):
+    for m in sample_modules(fresh_corpus_table(name, 101), seed=4, size=20):
+        walk = m
+        for k in range(13):
+            assert syzygy(m, k) is walk
+            if not walk.is_zero:
+                walk = ardom.homology.omega(walk)[0]
+
+
+def test_some_syzygy_walk_skips_a_period(fresh_corpus_table):
+    # Ω^1 and Ω^3 of S(v2) over nak-233 coincide, so syzygy(·, 12) skips
+    m = simple(fresh_corpus_table("nak-233", 101), 1)
+    assert syzygy(m, 1).signature() == syzygy(m, 3).signature()
+    assert syzygy(m, 12) is syzygy(m, 2) is not syzygy(m, 1)
+
+
 def test_min_proj_resolution_bad_cap(a2):
     with pytest.raises(ValueError):
         min_proj_resolution(simple(a2, 0), -1)
@@ -615,6 +632,71 @@ def test_torsion_builds_no_dual(monkeypatch, fresh_corpus_table):
     assert not calls
     evaluation_and_torsion(mods[0])
     assert calls  # the counter does see the double-dual route
+
+
+CORPUS_IDS = sorted(entry.entry_id for entry in load_corpus(CORPUS))
+
+
+def torsion_signatures(tbl):
+    """(route, reference) torsion signatures over the sample of tbl."""
+    mods = sample_modules(tbl)
+    return (
+        [torsion(m).signature() for m in mods],
+        [evaluation_and_torsion(m).torsion.signature() for m in mods],
+    )
+
+
+@pytest.mark.parametrize("side", ["algebra", "opposite"])
+@pytest.mark.parametrize("name", CORPUS_IDS)
+def test_torsion_is_the_evaluation_kernel_on_every_corpus_side(name, side, fresh_corpus_table):
+    tbl = fresh_corpus_table(name, 101)
+    got, want = torsion_signatures(tbl if side == "algebra" else opposite(tbl))
+    assert got and got == want
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize(
+    "series, cyclic", [([2, 2], True), ([3, 2], True), ([3, 3, 2], True), ([2, 2, 1], False)]
+)
+def test_torsion_is_the_evaluation_kernel_over_small_fields(series, cyclic, p):
+    got, want = torsion_signatures(nakayama_from_kupisch(series, cyclic, p=p))
+    assert got and got == want
+
+
+def reference_ext_graded(m, i, v):
+    """Ext^i(m, P(v)) read at degree i of the resolution of m itself."""
+    f = m.algebra.field
+    pv = projective(m.algebra, v)
+    cocycles = f.kernel_basis(ardom.homology._cochain(syzygy(m, i), pv)[0].T)
+    coords = f.coords_in_rowspace(cocycles, ardom.homology._cochain(syzygy(m, i - 1), pv)[0])
+    return cocycles, f.quotient_by_rowspace(coords, cocycles.shape[0])
+
+
+@pytest.mark.parametrize("name", ["auslander-x3", "comm-square", "nak-233", "nak-344", "nak-432"])
+def test_higher_ext_is_degree_one_of_the_syzygy(name, fresh_corpus_table):
+    tbl = fresh_corpus_table(name, 101)
+    q = tbl.quiver
+    nonzero = 0
+    for m in sample_modules(tbl, seed=3, size=24):
+        for i in range(2, 5):
+            syz = syzygy(m, i - 1)
+            e = ext_module(m, i)
+            assert e.label == f"Ext{i}({m.label},A)"
+            assert e.signature() == ext_module(syz, 1).signature()
+            for v in range(len(q.vertices)):
+                got, ref = ext_graded(m, i, v), reference_ext_graded(m, i, v)
+                assert got is ext_graded(syz, 1, v)
+                assert np.array_equal(got[0], ref[0])
+                assert np.array_equal(got[1].proj, ref[1].proj)
+                assert got[1].dim == e.dims[v] == ext_dim(m, projective(tbl, v), i)
+            # the degree-i assembly of the Ext module, by post-composition
+            mats = [
+                post_compose(m, i, q.arrow_target(a), q.arrow_source(a), arrow_left_mult(tbl, a))
+                for a in range(len(q.arrows))
+            ]
+            assert all(np.array_equal(x, y) for x, y in zip(e.mats, mats, strict=True))
+            nonzero += not e.is_zero
+    assert nonzero
 
 
 # ---------------------------------------------------------------------------
