@@ -727,7 +727,8 @@ def nakayama_from_kupisch(
     ``c[i]`` is the composition length of the i-th indecomposable projective.
     Cyclic case: vertices on an oriented cycle, requires every c_i >= 2 and
     c_{i+1} >= c_i - 1 cyclically.  Linear case: an A_m line, requires
-    c_m = 1, c_i >= 2 for i < m and the same descent condition.
+    c_m = 1, c_i >= 2 for i < m and the same descent condition, which
+    together keep c_i within the m - i + 1 vertices left on the line.
     The relations kill the length-c_i path starting at vertex i, so the
     dimension is the series sum.  The table is flagged selfinjective exactly
     when the series is cyclic and constant.
@@ -735,25 +736,23 @@ def nakayama_from_kupisch(
     series = [int(x) for x in c]
     m = len(series)
     if m == 0:
-        raise ValueError("empty Kupisch series")
+        raise InputError("empty Kupisch series")
     if any(x < 1 for x in series):
-        raise ValueError("Kupisch series entries must be >= 1")
+        raise InputError("Kupisch series entries must be >= 1")
     if cyclic:
         if any(x < 2 for x in series):
-            raise ValueError("cyclic Kupisch series requires every entry >= 2")
+            raise InputError("cyclic Kupisch series requires every entry >= 2")
         for i in range(m):
             if series[(i + 1) % m] < series[i] - 1:
-                raise ValueError("inadmissible Kupisch series (descends by more than 1)")
+                raise InputError("inadmissible Kupisch series (descends by more than 1)")
     else:
         if series[-1] != 1:
-            raise ValueError("linear Kupisch series must end with 1")
+            raise InputError("linear Kupisch series must end with 1")
         if any(x < 2 for x in series[:-1]):
-            raise ValueError("linear Kupisch series requires entries >= 2 before the last")
+            raise InputError("linear Kupisch series requires entries >= 2 before the last")
         for i in range(m - 1):
             if series[i + 1] < series[i] - 1:
-                raise ValueError("inadmissible Kupisch series (descends by more than 1)")
-        if any(series[i] > m - i for i in range(m)):
-            raise ValueError("linear Kupisch series entry exceeds the remaining line length")
+                raise InputError("inadmissible Kupisch series (descends by more than 1)")
 
     vertices = tuple(f"v{i + 1}" for i in range(m))
     n_arrows = m if cyclic else m - 1

@@ -71,7 +71,7 @@ class Ext1Data:
     def class_coords(self, f: ModuleMorphism) -> np.ndarray:
         """Coordinates in the Ext^1 basis of the class of a cocycle f: P_1 → U."""
         tbl = self.v_module.algebra
-        ps1 = resolution_step(syzygy(self.v_module))[0]
+        ps1 = _presentation(self.v_module)[1]
         shape = (ps1.module.dims, projective(tbl, self.vertex).dims)
         if (f.source.dims, f.target.dims) != shape or f.defect() is not None:
             raise ArSequenceError("the class map is not a morphism P_1 → U")
@@ -92,7 +92,7 @@ def _cocycle(v_module: ModuleRep, vertex: int, coeffs) -> ModuleMorphism:
     """The cocycle P_1 → P(vertex) of the Ext^1 class with coordinates
     ``coeffs``: a map out of P_1 is fixed by its generator images."""
     fld = v_module.algebra.field
-    ps1 = resolution_step(syzygy(v_module))[0]
+    ps1 = _presentation(v_module)[1]
     cocycles, quot = ext_graded(v_module, 1, vertex)
     row = fld.mul(fld.mul(np.reshape(coeffs, (1, -1)), quot.section), cocycles)[0]
     u = projective(v_module.algebra, vertex)

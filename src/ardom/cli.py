@@ -24,6 +24,7 @@ from .arseq import failure_witness, has_n_tf_ar_sequences
 from .corpus import load_corpus
 from .homology import (
     DEFAULT_CAP,
+    CappedNat,
     domdim_algebra,
     domdim_module,
     ext_module,
@@ -288,14 +289,7 @@ def _capped_exit(results) -> int:
 
 def _invariant_text(r):
     head = f"{r['invariant']}({r.get('module') or r['algebra']})"
-    res = r["result"]
-    if res["kind"] == "exact":
-        val = str(res["value"])
-    elif res["kind"] == "at_least":
-        val = f">={res['value']}"
-    else:
-        val = "inf (" + res.get("certificate", "") + ")"
-    return f"{head} = {val}"
+    return f"{head} = {CappedNat(**r['result'])}"
 
 
 def _cmd_invariant(args, cap):

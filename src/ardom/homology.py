@@ -1,9 +1,11 @@
 """Homological invariants over bound quiver algebras.
 
-Minimal projective resolutions and injective coresolutions, Ext dimensions,
-the transpose and the translates D·Tr / Tr·D, the evaluation map with its
-torsion kernel, and the capped numeric invariants (grade, dominant, global,
-Gorenstein dimension).
+Syzygies Ω^k M and the minimal presentation P_1 -> P_0 -> M, from which
+every degree of a minimal resolution is read (degree i of M is degree 0 of
+Ω^i M; an injective coresolution is the dual of the opposite side's
+resolution), Ext dimensions, the transpose and the translates D·Tr / Tr·D,
+the evaluation map with its torsion kernel, and the capped numeric
+invariants (grade, dominant, global, Gorenstein dimension).
 
 Unbounded searches are capped (default 30) and report their outcome through
 :class:`CappedNat`, which keeps "exact n", "at least n", and
@@ -50,11 +52,7 @@ __all__ = [
     "DEFAULT_CAP",
     "CappedNat",
     "InvariantError",
-    "Resolution",
-    "min_proj_resolution",
-    "min_inj_coresolution",
     "syzygy",
-    "cosyzygy",
     "ext_dim",
     "ext_graded",
     "post_compose",
@@ -158,26 +156,8 @@ class CappedNat:
 
 
 # ---------------------------------------------------------------------------
-# minimal projective resolutions
+# syzygies and the minimal presentation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Resolution:
-    """A minimal projective resolution or injective coresolution segment.
-
-    Projective case: maps[0] is the augmentation P_0 ->> target and maps[i]
-    the differential P_i -> P_{i-1}.  Injective case: maps[0] is the
-    embedding target -> I_0 and maps[i] the differential I_{i-1} -> I_i.
-    ``complete`` records whether the chain reached zero within the cap.
-    """
-
-    target: ModuleRep
-    terms: tuple
-    maps: tuple
-    injective_case: bool
-    cap: int
-    complete: bool
 
 
 def syzygy(m: ModuleRep, k: int = 1) -> ModuleRep:
@@ -204,52 +184,6 @@ def syzygy(m: ModuleRep, k: int = 1) -> ModuleRep:
             j += (k - j) // period * period
         seen[sig] = j
     return m
-
-
-def cosyzygy(m: ModuleRep, k: int = 1) -> ModuleRep:
-    cos = syzygy(dual(m), k)
-    return dual(cos, label=f"cosyz^{k}({m.label})")
-
-
-def min_proj_resolution(m: ModuleRep, cap: int = DEFAULT_CAP) -> Resolution:
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-    terms, maps = [], []
-    syz, inclusion = m, None
-    while len(terms) <= cap and not syz.is_zero:
-        ps, cover = resolution_step(syz)
-        terms.append(ps.module)
-        maps.append(cover if inclusion is None else cover.compose(inclusion))
-        syz, inclusion = omega(syz)
-    return Resolution(
-        target=m,
-        terms=tuple(terms),
-        maps=tuple(maps),
-        injective_case=False,
-        cap=cap,
-        complete=syz.is_zero,
-    )
-
-
-def min_inj_coresolution(m: ModuleRep, cap: int = DEFAULT_CAP) -> Resolution:
-    """Dualize the minimal projective resolution of the dual module."""
-    res = min_proj_resolution(dual(m), cap)
-    terms = tuple(dual(t, label=f"I_{i}({m.label})") for i, t in enumerate(res.terms))
-    maps = []
-    if res.maps:
-        aug = res.maps[0]  # P_0 ->> D(m) over the opposite algebra
-        maps.append(ModuleMorphism(m, terms[0], [b.T for b in aug.mats]))
-        for i in range(1, len(res.maps)):
-            d = res.maps[i]  # P_i -> P_{i-1}
-            maps.append(ModuleMorphism(terms[i - 1], terms[i], [b.T for b in d.mats]))
-    return Resolution(
-        target=m,
-        terms=terms,
-        maps=tuple(maps),
-        injective_case=True,
-        cap=cap,
-        complete=res.complete,
-    )
 
 
 @memoized

@@ -14,6 +14,7 @@ import pytest
 from ardom.algebra import (
     AlgebraTable,
     CompletionError,
+    InputError,
     Path,
     PresentationError,
     Quiver,
@@ -460,16 +461,17 @@ def test_nakayama_cyclic_32():
 
 
 def test_nakayama_inadmissible():
-    with pytest.raises(ValueError):
-        nakayama_from_kupisch([3, 1], cyclic=True)  # cyclic entries must be >= 2
-    with pytest.raises(ValueError):
-        nakayama_from_kupisch([4, 2], cyclic=True)  # descends by more than 1
-    with pytest.raises(ValueError):
-        nakayama_from_kupisch([2, 2], cyclic=False)  # linear must end with 1
-    with pytest.raises(ValueError):
-        nakayama_from_kupisch([3, 1], cyclic=False)  # longer than the line
-    with pytest.raises(ValueError):
-        nakayama_from_kupisch([], cyclic=True)
+    for series, cyclic, why in [
+        ([3, 1], True, "every entry >= 2"),
+        ([4, 2], True, "descends by more than 1"),
+        ([2, 2], False, "must end with 1"),
+        ([3, 1], False, "descends by more than 1"),  # c_1 > c_2 + 1
+        ([1, 1], False, "entries >= 2 before the last"),
+        ([0, 2], True, "entries must be >= 1"),
+        ([], True, "empty"),
+    ]:
+        with pytest.raises(InputError, match=why):
+            nakayama_from_kupisch(series, cyclic=cyclic)
 
 
 def test_nakayama_dimension_is_series_sum():

@@ -67,6 +67,19 @@ def test_gldim_capped_is_inconclusive_exit(capsys):
     assert rec["result"] == {"kind": "at_least", "value": 31}
 
 
+@pytest.mark.parametrize(
+    "command, name, code, line",
+    [
+        ("gldim", "ka2", 0, "gldim(ka2) = 1"),
+        ("gldim", "nak-233", 3, "gldim(nak-233) = >=31"),
+        ("domdim", "nak-22", 0, "domdim(nak-22) = inf (selfinjective flag)"),
+    ],
+)
+def test_invariant_text_line(command, name, code, line, capsys):
+    # exact, at least and certified infinite, as CappedNat prints them
+    assert run(capsys, command, alg(name), "--format", "text") == (code, [line])
+
+
 def test_domdim_of_module_file_matches_library(capsys):
     mod_file = os.path.join(CORPUS, "modules", "kronecker", "preproj-23.mod")
     code, lines = run(capsys, "domdim", alg("kronecker"), "--module", mod_file)
