@@ -30,6 +30,7 @@ from .modules import (
     dual_regular,
     cokernel,
     hom_basis,
+    injective,
     is_isomorphic,
     is_projective,
     kernel,
@@ -549,9 +550,12 @@ def grade(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
 def domdim_module(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
     """Number of leading projective terms of the minimal injective coresolution.
 
-    Certified infinite when the coresolution terminates with all terms
-    projective or when a cosyzygy repeats (up to isomorphism) while all
-    terms so far are projective; otherwise capped.
+    The j-th term is the dual of the cover of the j-th cosyzygy's dual,
+    ⊕ I(v) over the cover's vertices v, and by Krull–Schmidt it is
+    projective iff each I(v) is, so each distinct I(v) is asked once,
+    through its memoised cover.  Certified infinite when the coresolution
+    terminates with all terms projective or when a cosyzygy repeats (up to
+    isomorphism) while all terms so far are projective; otherwise capped.
     """
     if m.is_zero:
         return CappedNat.infinite("zero module")
@@ -559,7 +563,7 @@ def domdim_module(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
     earlier = []
     for j in range(cap + 1):
         ps, _ = resolution_step(cos)
-        if not is_projective(dual(ps.module)):
+        if not all(is_projective(injective(m.algebra, v)) for v in dict.fromkeys(ps.vertices)):
             return CappedNat.exact(j)
         cos = omega(cos)[0]
         if cos.is_zero:
@@ -630,9 +634,9 @@ def torsion_free_failure_degree(m: ModuleRep, n: int):
     nonzero, or None when all of them vanish (m is n-torsion-free)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if is_projective(m):
+        return None  # Tr m = 0, and Tr m = 0 only then
     tr = transpose(m)
-    if tr.is_zero:
-        return None
     areg = regular(tr.algebra)
     for i in range(1, n + 1):
         if ext_dim(tr, areg, i) != 0:

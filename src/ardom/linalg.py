@@ -251,9 +251,14 @@ class PrimeField:
                 break
         return r, tuple(pivots)
 
-    def rank(self, m: np.ndarray) -> int:
+    def pivot_columns(self, m: np.ndarray) -> tuple[int, ...]:
+        """The pivot columns of the rref of m, without building its rows as
+        an array."""
         small = self._small_rref(m)
-        return len(self.rref(m)[1] if small is None else small[1])
+        return self.rref(m)[1] if small is None else small[1]
+
+    def rank(self, m: np.ndarray) -> int:
+        return len(self.pivot_columns(m))
 
     def row_space_basis(self, m: np.ndarray) -> np.ndarray:
         """Nonzero rows of the rref: a deterministic basis of the row space."""

@@ -510,26 +510,29 @@ def image(fmor: ModuleMorphism) -> tuple:
 
 def cokernel(fmor: ModuleMorphism) -> tuple:
     """(C, projection, sections): the quotient of fmor's target by its image
-    (see :func:`quotient_by_rows`), labelled ``coker(<source label>)``."""
-    return quotient_by_rows(fmor.target, _image_rows(fmor), label=f"coker({fmor.source.label})")
+    (see :func:`quotient_by_rows`), labelled ``coker(<source label>)``.
+
+    The image at v is the row space of the block f_v, and the quotient
+    depends only on that row space, so the blocks go in as they are and
+    each is reduced once."""
+    return quotient_by_rows(fmor.target, fmor.mats, label=f"coker({fmor.source.label})")
+
+
+def _arrow_actions_into(m: ModuleRep, w: int) -> np.ndarray:
+    """The actions on m of the arrows into w, stacked: a matrix whose row
+    space is the radical m·rad A at w."""
+    into = m.algebra.quiver.arrows_into(w)
+    if len(into) == 1:
+        return m.mats[into[0]]
+    if into:
+        return np.concatenate([m.mats[a] for a in into], axis=0)
+    return m.algebra.field.zeros(0, m.dims[w])
 
 
 def _radical_rows(m: ModuleRep) -> list:
-    """Per vertex w, the rref basis of the radical m·rad A at w: the row
-    space of the stacked actions of the arrows into w."""
+    """Per vertex w, the rref basis of the radical m·rad A at w."""
     f = m.algebra.field
-    q = m.algebra.quiver
-    rows = []
-    for w in range(len(m.dims)):
-        into = q.arrows_into(w)
-        if len(into) == 1:
-            stacked = m.mats[into[0]]
-        elif into:
-            stacked = np.concatenate([m.mats[a] for a in into], axis=0)
-        else:
-            stacked = f.zeros(0, m.dims[w])
-        rows.append(f.row_space_basis(stacked))
-    return rows
+    return [f.row_space_basis(_arrow_actions_into(m, w)) for w in range(len(m.dims))]
 
 
 def radical(m: ModuleRep) -> tuple:
@@ -715,7 +718,11 @@ def _proj_sum(tbl: AlgebraTable, vertices: tuple) -> ProjSum:
         tuple((j, path) for j in range(len(vertices)) for path in paths[j][w])
         for w in range(nv)
     )
-    module = direct_sum(tbl, projs, label="+".join(f"P({tbl.quiver.vertices[v]})" for v in vertices) or "0")
+    label = "+".join(f"P({tbl.quiver.vertices[v]})" for v in vertices) or "0"
+    if len(projs) == 1:
+        module = projs[0].relabeled(label)  # the sum of one block is that block
+    else:
+        module = direct_sum(tbl, projs, label=label)
     first = []
     at = [0] * nv
     for j in range(len(vertices)):
@@ -879,22 +886,24 @@ def arrow_left_mult(tbl: AlgebraTable, a: int) -> ModuleMorphism:
 def proj_cover(m: ModuleRep) -> tuple:
     """(P, cover) with P = ⊕ P(v)^{dim top(m)_v}; ker(cover) ⊆ rad P.
 
-    Builds the cover afresh on every call; :func:`resolution_step` keeps one
-    per module signature.
+    The top at v is read off the pivot columns of the stacked actions of
+    the arrows into v, whose row space is the radical at v: the copies of
+    P(v) are its non-pivot columns, and each sends its generator to that
+    standard basis vector of m_v, the canonical section of the top
+    projection.  Builds the cover afresh on every call;
+    :func:`resolution_step` keeps one per module signature.
     """
     tbl = m.algebra
     f = tbl.field
-    # canonical section of the top projection: the standard basis vectors at
-    # the non-pivot columns of the radical rows, which are already in rref
     vertices = []
     starts = {}
-    for v, rows in enumerate(_radical_rows(m)):
-        if len(rows) == m.dims[v]:
+    for v, d in enumerate(m.dims):
+        pivots = f.pivot_columns(_arrow_actions_into(m, v))
+        if len(pivots) == d:
             continue  # the top is zero at v
-        free = np.ones(m.dims[v], dtype=bool)
-        if len(rows):
-            free[np.argmax(rows != 0, axis=1)] = False  # the first nonzero of each row
-        starts[v] = f.eye(m.dims[v])[free]
+        free = np.ones(d, dtype=bool)
+        free[list(pivots)] = False
+        starts[v] = f.eye(d)[free]
         vertices += [v] * len(starts[v])
     ps = proj_sum(tbl, vertices)
     return ps, _projsum_morphism(ps, m, starts)
@@ -951,10 +960,11 @@ _EXHAUSTIVE_BUDGET = 200_000
 def is_isomorphic(m: ModuleRep, n: ModuleRep, seed: int = 0, trials: int = 64):
     """True / False / None (undetermined).
 
-    Equal dims, then seeded random search for an invertible combination of a
-    hom basis; definitive False when dims or dim End differ or the search
-    space is small enough to exhaust; None when the bounded search cannot
-    decide (never silently False).
+    Equal dims and equal tops, then seeded random search for an invertible
+    combination of a hom basis; definitive False when dims, tops (the
+    vertices of the shared covers of :func:`resolution_step`) or dim End
+    differ or the search space is small enough to exhaust; None when the
+    bounded search cannot decide (never silently False).
     """
     if m.algebra is not n.algebra:
         raise ValueError("is_isomorphic: algebra mismatch")
@@ -962,6 +972,9 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, seed: int = 0, trials: int = 64):
         return False
     if m.total_dim == 0:
         return True
+    # isomorphic modules have isomorphic tops; covers list them in vertex order
+    if resolution_step(m)[0].vertices != resolution_step(n)[0].vertices:
+        return False
     hom = hom_basis(m, n)
     if hom.dim == 0:
         return False

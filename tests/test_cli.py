@@ -444,14 +444,25 @@ def test_verify_output_is_byte_identical_to_the_golden_digest(capsys):
 # records, exit 0.  Like VERIFY_N_1_3_SHA256, a change that alters this output
 # on purpose updates the digest and says why in CHANGES.md.
 SCAN_M4_L6_SHA256 = "14f2d2051b0991e8dc89360308158385877802b47147912f750dab437854ad0b"
+# `--simples 5 --max-len 6 --question`: 79 records, exit 0; the longest
+# dominant-dimension loops of the scans that tier-1 runs
+SCAN_M5_L6_SHA256 = "78f377cb0514512c302087268e71eccc08b7e8a6119d1affd3b4716f116b019c"
+
+
+def assert_scan_digest(capsys, simples, max_len, lines, digest):
+    code = main(["scan", "nakayama", "--simples", simples, "--max-len", max_len, "--question"])
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert code == 0
 
 
 def test_scan_output_is_byte_identical_to_the_golden_digest(capsys):
-    code = main(["scan", "nakayama", "--simples", "4", "--max-len", "6", "--question"])
-    out = capsys.readouterr().out
-    assert len(out.splitlines()) == 36
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SCAN_M4_L6_SHA256
-    assert code == 0
+    assert_scan_digest(capsys, "4", "6", 36, SCAN_M4_L6_SHA256)
+
+
+def test_larger_scan_output_is_byte_identical_to_the_golden_digest(capsys):
+    assert_scan_digest(capsys, "5", "6", 79, SCAN_M5_L6_SHA256)
 
 
 def test_scan_output_is_the_same_under_python_O():

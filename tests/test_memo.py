@@ -19,21 +19,26 @@ from ardom.arseq import almost_split_from_projective
 from ardom.corpus import load_corpus
 from ardom.homology import (
     DEFAULT_CAP,
+    CappedNat,
+    domdim_algebra,
     ext_dim,
     ext_module,
     _presentation,
     syzygy,
     torsion,
+    torsion_free_failure_degree,
     transpose,
 )
 from ardom.modules import (
     ModuleRep,
     arrow_left_mult,
     cokernel,
+    direct_sum,
     dual,
     inj_hull,
     injective,
     is_injective,
+    is_isomorphic,
     is_projective,
     kernel,
     left_mult_morphism,
@@ -46,12 +51,13 @@ from ardom.modules import (
     projective_paths,
     projsum_hom_rows,
     radical,
+    regular,
     resolution_step,
     sample_modules,
     simple,
     top,
 )
-from ardom.verify import SUITES, _entry_verdicts
+from ardom.verify import SUITES, _cyclic_series, _entry_verdicts
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 KRONECKER_TEXT = "field 101\nvertices v1 v2\narrow a v1 v2\narrow b v1 v2\n"
@@ -523,3 +529,98 @@ def test_omega_builds_each_syzygy_once_per_signature(name, monkeypatch, fresh_co
         syzygy(injective(tbl, v), 5)
     entries = [key for key in tbl._memo if key[0] == "omega"]
     assert built and len(built) == len(set(built)) == len(entries)
+
+
+# ---------------------------------------------------------------------------
+# projectivity and tops read off the shared covers
+# ---------------------------------------------------------------------------
+
+CORPUS_IDS = sorted(entry.entry_id for entry in load_corpus(CORPUS))
+# the cyclic Kupisch series of the benchmark's Nakayama scan, (m, L) = (4, 6), (5, 5)
+SCAN_SERIES = [s for m, top_len in ((4, 6), (5, 5)) for s in _cyclic_series(m, top_len)]
+
+
+def domdim_through_dual_sums(m, cap, dual_sums):
+    """domdim_module as it asked before: is the dual of each whole cover
+    sum projective?  Notes the signature of each such sum of two or more
+    summands in ``dual_sums``."""
+    cos = dual(m)
+    earlier = []
+    for j in range(cap + 1):
+        ps, _ = resolution_step(cos)
+        term = dual(ps.module)
+        if len(ps.vertices) > 1:
+            dual_sums.add(term.signature())
+        if not is_projective(term):
+            return CappedNat.exact(j)
+        cos = omega(cos)[0]
+        if cos.is_zero:
+            return CappedNat.infinite("finite coresolution with all terms projective")
+        if any(is_isomorphic(prev, cos) is True for prev in earlier):
+            return CappedNat.infinite("periodic coresolution among projectives")
+        earlier.append(cos)
+    return CappedNat.at_least(cap + 1)
+
+
+def domdim_table(name, fresh_corpus_table):
+    """A corpus entry by id, or a cyclic Nakayama algebra by its Kupisch
+    series written as ``c1-c2-...``."""
+    if name in CORPUS_IDS:
+        return fresh_corpus_table(name, 101)
+    return nakayama_from_kupisch([int(c) for c in name.split("-")], cyclic=True)
+
+
+@pytest.mark.parametrize("name", CORPUS_IDS + ["-".join(map(str, s)) for s in SCAN_SERIES])
+def test_domdim_covers_no_dual_projective_sum(name, monkeypatch, fresh_corpus_table):
+    # the j-th term ⊕ I(v) is projective iff each I(v) is, so on the
+    # algebra's own side domdim covers only its indecomposable injectives
+    tbl = domdim_table(name, fresh_corpus_table)
+    covered = count_covers(monkeypatch)
+    got = domdim_algebra(tbl)
+    new = set(covered)
+    injectives = {injective(tbl, v).signature() for v in range(len(tbl.quiver.vertices))}
+    assert {sig for sig in new if sig[0] == id(tbl)} <= injectives
+    if "selfinjective" in tbl.flags or "symmetric" in tbl.flags:
+        return
+    dual_sums = set()
+    assert domdim_through_dual_sums(regular(tbl), DEFAULT_CAP, dual_sums) == got
+    assert dual_sums and not dual_sums & new
+
+
+@pytest.mark.parametrize("name", ["ka2", "auslander-x3", "nak-233", "comm-square"])
+def test_torsion_freeness_of_a_projective_builds_no_transpose(name, fresh_corpus_table):
+    # Tr P = 0, so no presentation or transpose of P is needed
+    tbl = fresh_corpus_table(name, 101)
+    for v in range(len(tbl.quiver.vertices)):
+        for n in (1, 2, 5):
+            assert torsion_free_failure_degree(projective(tbl, v), n) is None
+    assert not any(key[0] in ("transpose", "_presentation") for key in tbl._memo)
+
+
+def test_isomorphism_across_different_tops_solves_no_hom_system(monkeypatch, fresh_corpus_table):
+    tbl = fresh_corpus_table("ka2", 101)
+    calls = []
+    original = ardom.modules.hom_basis
+
+    def counting(m, n):
+        calls.append((m.label, n.label))
+        return original(m, n)
+
+    monkeypatch.setattr(ardom.modules, "hom_basis", counting)
+    p0, semisimple = projective(tbl, 0), direct_sum(tbl, [simple(tbl, 0), simple(tbl, 1)])
+    assert p0.dims == semisimple.dims == (1, 1)
+    assert is_isomorphic(p0, semisimple) is False
+    assert not calls
+    assert is_isomorphic(projective(tbl, 1), simple(tbl, 1)) is True
+
+
+@pytest.mark.parametrize("name", ["ka2", "auslander-x3", "nak-233", "comm-square"])
+def test_a_sum_of_one_projective_shares_its_blocks(name, fresh_corpus_table):
+    tbl = fresh_corpus_table(name, 101)
+    for v in range(len(tbl.quiver.vertices)):
+        p = projective(tbl, v)
+        one = proj_sum(tbl, (v,)).module
+        assert all(a is b for a, b in zip(one.mats, p.mats, strict=True))
+        ref = direct_sum(tbl, [p])
+        assert (one.dims, one.label, one.signature()) == (ref.dims, ref.label, ref.signature())
+        assert all(a.dtype == b.dtype and a.shape == b.shape for a, b in zip(one.mats, ref.mats))

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 import ardom.modules
 from ardom.algebra import Path, table_from_file, table_from_text
+from ardom.corpus import load_corpus
 from ardom.linalg import PrimeField
 from ardom.modules import (
     ModuleFileError,
     ModuleMorphism,
     ModuleRep,
+    _radical_rows,
     cokernel,
     direct_sum,
     dual,
@@ -49,6 +51,7 @@ from ardom.modules import (
 )
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+CORPUS_IDS = sorted(entry.entry_id for entry in load_corpus(CORPUS))
 
 
 @pytest.fixture(scope="module", params=["ka2", "auslander-x2"])
@@ -300,22 +303,22 @@ def reference_parts(fmor):
     im_rows = [f.row_space_basis(b) for b in fmor.mats]
     im, im_incl = submodule_from_rows(n, im_rows, label=f"im({m.label})")
     coords = [f.coords_in_rowspace(r, b) for r, b in zip(im_rows, fmor.mats)]
-    coker, coker_proj, _ = quotient_by_rows(n, im_rows, label=f"coker({m.label})")
     return [
         (kernel, submodule_from_rows(m, ker_rows, label=f"ker({m.label})")),
         (image, (im, im_incl, ModuleMorphism(m, im, coords))),
-        (cokernel, (coker, coker_proj)),
+        (cokernel, quotient_by_rows(n, im_rows, label=f"coker({m.label})")),
     ]
 
 
 def assert_bit_identical(x, y):
+    """Two modules, two morphisms or two tuples of blocks (sections)."""
     if isinstance(x, ModuleRep):
         assert x.signature() == y.signature()
         assert x.label == y.label
-    else:
+    elif isinstance(x, ModuleMorphism):
         assert x.source.signature() == y.source.signature()
         assert x.target.signature() == y.target.signature()
-    for a, b in zip(x.mats, y.mats, strict=True):
+    for a, b in zip(*((x, y) if isinstance(x, tuple) else (x.mats, y.mats)), strict=True):
         assert a.shape == b.shape and a.dtype == b.dtype == np.int64
         assert np.array_equal(a, b)
 
@@ -323,8 +326,7 @@ def assert_bit_identical(x, y):
 def test_factorize_parts_match_eager_reference(corpus_table):
     for fmor in sampled_morphisms(corpus_table):
         for function, want in reference_parts(fmor):
-            got = function(fmor)
-            for x, y in zip(got, want):  # the cokernel's sections are checked above
+            for x, y in zip(function(fmor), want, strict=True):
                 assert_bit_identical(x, y)
 
 
@@ -445,6 +447,33 @@ def test_proj_cover_generators_are_radical_quotient_sections(corpus_table):
         assert [v for v, _ in generators] == [v for v, _ in expected]
         for (_, got), (_, want) in zip(generators, expected):
             assert np.array_equal(got, want)
+
+
+def cover_read_off_the_radical_rows(m):
+    """(vertices, generator rows by vertex) of the cover of m, read off the
+    rref rows of its radical: the first nonzero of each row is a pivot, and
+    each non-pivot column is the generator of one copy of P(v)."""
+    f = m.algebra.field
+    vertices, starts = [], {}
+    for v, rows in enumerate(_radical_rows(m)):
+        free = np.ones(m.dims[v], dtype=bool)
+        if len(rows):
+            free[np.argmax(rows != 0, axis=1)] = False
+        starts[v] = f.eye(m.dims[v])[free]
+        vertices += [v] * len(starts[v])
+    return tuple(vertices), starts
+
+
+@pytest.mark.parametrize("name", CORPUS_IDS)
+def test_proj_cover_reads_the_top_off_the_radical_rows(name, fresh_corpus_table):
+    tbl = fresh_corpus_table(name, 101)
+    for m in sample_modules(tbl):
+        ps, cover = proj_cover(m)
+        vertices, starts = cover_read_off_the_radical_rows(m)
+        assert ps.vertices == vertices
+        for v, start in starts.items():
+            generators = [ps.gen_pos[j] for j, u in enumerate(ps.vertices) if u == v]
+            assert np.array_equal(cover.mats[v][generators], start)
 
 
 def test_proj_cover_builds_no_radical_submodule(corpus_table, monkeypatch):
