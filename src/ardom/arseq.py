@@ -47,6 +47,7 @@ __all__ = [
     "ext1_with_end_action",
     "almost_split_from_projective",
     "has_n_tf_ar_sequences",
+    "ar_report",
     "first_failure",
     "failure_witness",
 ]
@@ -221,38 +222,71 @@ def almost_split_from_projective(tbl: AlgebraTable, vertex: int, choice: int = 0
     return seq
 
 
+def _sweep(tbl: AlgebraTable, n: int):
+    """Yield (vertex name, term, degree) in report order.
+
+    A vertex whose projective is injective yields one item with term None;
+    every other vertex builds (and checks) its almost split sequence and
+    yields its terms U, X, V in turn, each with None (the required Ext groups
+    vanish) or the first degree where one does not.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    for vertex in range(len(tbl.quiver.vertices)):
+        name = tbl.quiver.vertices[vertex]
+        if is_injective(projective(tbl, vertex)):
+            yield name, None, None
+            continue
+        seq = almost_split_from_projective(tbl, vertex)
+        for term_name, term in (("U", seq.u), ("X", seq.x), ("V", seq.v)):
+            yield name, term_name, torsion_free_failure_degree(term, n)
+
+
+def _until_failure(items):
+    """The items up to and including the first one with a degree."""
+    for item in items:
+        yield item
+        if item[2] is not None:
+            return
+
+
+def _verdict_and_report(items):
+    """(verdict, report) from sweep items: one entry per vertex reached, a
+    ``vacuous`` note when none was tested, verdict False iff some term fails."""
+    report = []
+    for name, term_name, degree in items:
+        if term_name is None:
+            report.append({"vertex": name, "skipped": "projective is injective"})
+            continue
+        if term_name == "U":
+            report.append({"vertex": name, "terms": {}})
+        report[-1]["terms"][term_name] = degree
+    if all("terms" not in entry for entry in report):
+        report.append({"note": "vacuous: every projective is injective"})
+    return first_failure(report) is None, report
+
+
 def has_n_tf_ar_sequences(tbl: AlgebraTable, n: int):
     """Whether every AR sequence starting at a projective is n-torsion-free.
 
     Returns (verdict, report): verdict is a plain bool (the underlying Ext
     computations are exact), vacuously True when every projective is
-    injective.  The report lists one entry per vertex: skipped vertices carry
-    a ``skipped`` reason; tested vertices map each term U, X, V to None (all
-    required Ext groups vanish) or to the first degree where one does not.
+    injective.  One failing term refutes the claim, so the sweep stops
+    there: a False report ends at the failing vertex, whose entry holds its
+    terms U, X, V up to and including the failing one.  A True report is the
+    full :func:`ar_report`.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    report = []
-    verdict = True
-    tested = 0
-    for vertex in range(len(tbl.quiver.vertices)):
-        u = projective(tbl, vertex)
-        name = tbl.quiver.vertices[vertex]
-        if is_injective(u):
-            report.append({"vertex": name, "skipped": "projective is injective"})
-            continue
-        tested += 1
-        seq = almost_split_from_projective(tbl, vertex)
-        entry = {"vertex": name, "terms": {}}
-        for term_name, term in (("U", seq.u), ("X", seq.x), ("V", seq.v)):
-            bad = torsion_free_failure_degree(term, n)
-            entry["terms"][term_name] = bad
-            if bad is not None:
-                verdict = False
-        report.append(entry)
-    if tested == 0:
-        report.append({"note": "vacuous: every projective is injective"})
-    return verdict, report
+    return _verdict_and_report(_until_failure(_sweep(tbl, n)))
+
+
+def ar_report(tbl: AlgebraTable, n: int):
+    """(verdict, report) of the full sweep: the verdict of
+    :func:`has_n_tf_ar_sequences`, and one entry per vertex.  Skipped vertices
+    carry a ``skipped`` reason; tested vertices map each term U, X, V to None
+    (all required Ext groups vanish) or to the first degree where one does
+    not.  Every almost split sequence is built and checked.
+    """
+    return _verdict_and_report(_sweep(tbl, n))
 
 
 def first_failure(report):

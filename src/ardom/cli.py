@@ -20,7 +20,7 @@ import os
 import sys
 
 from .algebra import DEFAULT_MAX_PATH_LENGTH, InputError, table_from_file
-from .arseq import failure_witness, has_n_tf_ar_sequences
+from .arseq import ar_report, failure_witness
 from .corpus import load_corpus
 from .homology import (
     DEFAULT_CAP,
@@ -420,7 +420,7 @@ def _cmd_ar_check(args, cap):
     if args.n < 1:
         raise InputError("--n must be >= 1")
     tbl = _load(args)
-    holds, report = has_n_tf_ar_sequences(tbl, args.n)
+    holds, report = ar_report(tbl, args.n)
     record = {
         "kind": "ar-check",
         "algebra": tbl.label,

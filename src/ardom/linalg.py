@@ -79,12 +79,14 @@ class Quotient:
     ``proj`` is an n×q matrix: coset coordinates of a row vector v are
     ``v @ proj``.  ``section`` is a q×n matrix whose rows are the canonical
     coset representatives (the non-pivot standard basis vectors), so
-    ``section @ proj`` is the q×q identity.
+    ``section @ proj`` is the q×q identity.  ``free`` lists those non-pivot
+    columns: ``section @ a`` is the row selection ``a[free]``.
     """
 
     dim: int
     proj: np.ndarray
     section: np.ndarray
+    free: list
 
 
 @dataclass(frozen=True)
@@ -392,18 +394,36 @@ class PrimeField:
             raise ValueError(f"quotient_by_rowspace: {sub.shape} rows are not in k^{n}")
         small = self._small_rref(sub)
         r, pivots = self.rref(sub) if small is None else small
+        return self._quotient_by_pivot_rows(r, pivots, n)
+
+    def quotient_by_rref(self, rows: np.ndarray, n: int) -> Quotient:
+        """k^n modulo the span of ``rows``, which are already the nonzero
+        rows of a reduced row echelon form (as :meth:`row_space_basis` gives
+        them): each row's pivot is its first nonzero, so nothing is
+        eliminated.  The result equals ``quotient_by_rowspace(rows, n)``.
+        """
+        if rows.shape[1] != n:
+            raise ValueError(f"quotient_by_rref: {rows.shape} rows are not in k^{n}")
+        r = rows.tolist()
+        pivots = tuple(next(j for j, x in enumerate(row) if x) for row in r)
+        return self._quotient_by_pivot_rows(r, pivots, n)
+
+    def _quotient_by_pivot_rows(self, r, pivots: tuple, n: int) -> Quotient:
+        """The quotient of k^n by the span of reduced rows whose first
+        ``len(pivots)`` rows are the pivot rows: an array (a large matrix,
+        reduced with numpy) or int lists."""
         if not pivots:
-            return Quotient(dim=n, proj=self.eye(n), section=self.eye(n))
+            return Quotient(dim=n, proj=self.eye(n), section=self.eye(n), free=list(range(n)))
         pivot_set = set(pivots)
         free = [j for j in range(n) if j not in pivot_set]
         q = len(free)
         section = self.zeros(q, n)
         section[np.arange(q), free] = 1
-        if small is None:
+        if isinstance(r, np.ndarray):
             reducer = self.eye(n)
             rows = list(pivots)
             reducer[rows] = (reducer[rows] - r[: len(pivots)]) % self.p
-            return Quotient(dim=q, proj=reducer[:, free], section=section)
+            return Quotient(dim=q, proj=reducer[:, free], section=section, free=free)
         p = self.p
         proj = []
         pivot_rows = dict(zip(pivots, r))
@@ -417,4 +437,5 @@ class PrimeField:
             else:
                 row = [-pivot_row[f] % p for f in free]
             proj.append(row)
-        return Quotient(dim=q, proj=np.array(proj, dtype=np.int64).reshape(n, q), section=section)
+        proj = np.array(proj, dtype=np.int64).reshape(n, q)
+        return Quotient(dim=q, proj=proj, section=section, free=free)

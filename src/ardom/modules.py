@@ -464,16 +464,23 @@ def quotient_by_rows(m: ModuleRep, rows_per_vertex, label: str = "") -> tuple:
     given rows; ``sections[v]`` is the right inverse of the projection at v
     whose rows are the canonical coset representatives."""
     f = m.algebra.field
+    quots = [
+        f.quotient_by_rowspace(_as_row_block(rows_per_vertex[v], d, f.p), d)
+        for v, d in enumerate(m.dims)
+    ]
+    return _quotient_module(m, quots, label)
+
+
+def _quotient_module(m: ModuleRep, quots, label: str) -> tuple:
+    """:func:`quotient_by_rows` from the quotient of each vertex space."""
+    f = m.algebra.field
     q = m.algebra.quiver
-    quots = []
-    for v in range(len(m.dims)):
-        rows = _as_row_block(rows_per_vertex[v], m.dims[v], f.p)
-        quots.append(f.quotient_by_rowspace(rows, m.dims[v]))
     dims = tuple(qt.dim for qt in quots)
     mats = []
     for a in range(len(q.arrows)):
         v, w = q.arrow_source(a), q.arrow_target(a)
-        mats.append(f.mul(f.mul(quots[v].section, m.mats[a]), quots[w].proj))
+        # the section picks the free rows of the arrow's matrix
+        mats.append(f.mul(m.mats[a][quots[v].free], quots[w].proj))
     quo = ModuleRep._trusted(m.algebra, dims, mats, label=label)
     proj = ModuleMorphism._trusted(m, quo, [qt.proj for qt in quots])
     return quo, proj, tuple(qt.section for qt in quots)
@@ -1087,7 +1094,9 @@ def _sample_modules(tbl: AlgebraTable, seed: int, size: int) -> tuple:
         if key in images:
             continue  # the same cokernel again, which push would drop
         images.add(key)
-        push(quotient_by_rows(tgt, im_rows)[0], label=f"sample[{len(out)}]")
+        # the image rows are in rref already: quotient by them as they are
+        quots = [f.quotient_by_rref(r, d) for r, d in zip(im_rows, tgt.dims)]
+        push(_quotient_module(tgt, quots, "")[0], label=f"sample[{len(out)}]")
     return tuple(out)
 
 

@@ -5,14 +5,17 @@ import sys
 import numpy as np
 import pytest
 
+import ardom.arseq
 import ardom.homology
 import ardom.modules
 from ardom.algebra import nakayama_from_kupisch, reverse_path, table_from_text
 from ardom.arseq import (
+    ArSequence,
     ArSequenceError,
     _cocycle,
     _rad_end_paths,
     almost_split_from_projective,
+    ar_report,
     ext1_with_end_action,
     failure_witness,
     first_failure,
@@ -263,6 +266,110 @@ def test_sweep_never_blames_starting_term(a2, kronecker, dim5, nak32, nak344):
             for entry in report:
                 if "terms" in entry:
                     assert entry["terms"]["U"] is None
+
+
+def sweep_cases():
+    """(fresh table, degrees n): every corpus entry with n = 1..4 and every
+    cyclic Nakayama series with m <= 4 simples and entries <= 5, at n = 2m."""
+    cases = [(e.load_table(), (1, 2, 3, 4)) for e in load_corpus(CORPUS)]
+    cases += [
+        (nakayama_from_kupisch(list(series), cyclic=True), (2 * m,))
+        for m in (1, 2, 3, 4)
+        for series in _cyclic_series(m, 5)
+    ]
+    return cases
+
+
+def test_early_sweep_agrees_with_the_full_report():
+    held = failed = 0
+    for tbl, ns in sweep_cases():
+        for n in ns:
+            verdict, report = has_n_tf_ar_sequences(tbl, n)
+            full_verdict, full = ar_report(tbl, n)
+            assert verdict is full_verdict
+            assert failure_witness(report) == failure_witness(full)
+            if verdict:
+                assert report == full
+                held += 1
+                continue
+            # the full report cut after its first failing term
+            *head, last = report
+            assert head == full[: len(head)]
+            want = list(full[len(head)]["terms"].items())
+            got = list(last["terms"].items())
+            assert last["vertex"] == full[len(head)]["vertex"]
+            assert got == want[: len(got)] and got[-1][1] is not None
+            failed += 1
+    assert held >= 20 and failed >= 40
+
+
+def count_constructions(monkeypatch):
+    """The vertices at which the sweep asks for an almost split sequence."""
+    calls = []
+    original = ardom.arseq.almost_split_from_projective
+
+    def counted(tbl, vertex, *args):
+        calls.append(tbl.quiver.vertices[vertex])
+        return original(tbl, vertex, *args)
+
+    monkeypatch.setattr(ardom.arseq, "almost_split_from_projective", counted)
+    return calls
+
+
+def test_sweep_builds_one_sequence_when_the_first_vertex_fails(monkeypatch, fresh_corpus_table):
+    calls = count_constructions(monkeypatch)
+    wild3 = fresh_corpus_table("wild3", 101)
+    verdict, report = has_n_tf_ar_sequences(wild3, 1)
+    assert verdict is False
+    assert calls == ["v1"]
+    assert report == [{"vertex": "v1", "terms": {"U": None, "X": 1}}]
+    calls.clear()
+    verdict, report = ar_report(wild3, 1)
+    assert verdict is False
+    assert calls == ["v1", "v2", "v3"]  # the full sweep tests every vertex
+    assert failure_witness(report) == {"vertex": "v1", "term": "X", "degree": 1}
+
+
+def test_sweep_tests_x_before_failing_at_v(monkeypatch, fresh_corpus_table):
+    calls = count_constructions(monkeypatch)
+    tested = []
+    original = ardom.arseq.torsion_free_failure_degree
+
+    def counted(m, n):
+        tested.append(m)
+        return original(m, n)
+
+    monkeypatch.setattr(ardom.arseq, "torsion_free_failure_degree", counted)
+    square = fresh_corpus_table("comm-square", 101)
+    verdict, report = has_n_tf_ar_sequences(square, 1)
+    assert verdict is False
+    assert calls == ["q"]  # P(p) is injective
+    seq = almost_split_from_projective(square, 1)
+    assert [id(m) for m in tested] == [id(seq.u), id(seq.x), id(seq.v)]
+    assert report[-1] == {"vertex": "q", "terms": {"U": None, "X": None, "V": 1}}
+    assert report[:-1] == [{"vertex": "p", "skipped": "projective is injective"}]
+
+
+def test_full_report_builds_and_checks_every_sequence(monkeypatch):
+    checked = []
+    original = ArSequence.check
+
+    def counted(seq):
+        checked.append((seq.u.algebra, seq.vertex))
+        return original(seq)
+
+    monkeypatch.setattr(ArSequence, "check", counted)
+    total = 0
+    for tbl, ns in sweep_cases():
+        want = _noninjective_vertices(tbl)
+        _, report = ar_report(tbl, ns[0])
+        assert [e["vertex"] for e in report if "terms" in e] == [
+            tbl.quiver.vertices[v] for v in want
+        ]
+        assert all(list(e["terms"]) == ["U", "X", "V"] for e in report if "terms" in e)
+        assert [v for t, v in checked if t is tbl] == want
+        total += len(want)
+    assert len(checked) == total == 69
 
 
 # ---------------------------------------------------------------------------

@@ -529,6 +529,64 @@ def test_torsion_output_is_byte_identical_to_the_golden_digest(capsys, name):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TORSION_SHA256[name]
 
 
+# sha256 of `ardom ar-check ALG --n N` stdout for every corpus entry and
+# N = 1..3, recorded when the sweep still built every almost split sequence
+# for every caller.  `ar-check` prints the full report, every vertex and every
+# term, so a sweep that stops early must not reach it.
+AR_CHECK_SHA256 = {
+    ("auslander-x2", 1): "c29d2888373f61ab82c2933ca964eddef76d802af94d985d40d5c8dcfd953250",
+    ("auslander-x2", 2): "004123de46b7e03091d6b6f9a481181c412d42d6dc641a807a8024ea08b18b66",
+    ("auslander-x2", 3): "9f0018f12077d0479de90562ca2a86aa4a087435b58df69e4e4b9aba488fbcd4",
+    ("auslander-x3", 1): "cd56e4aeda0b5f8fa8a53a035b9635e271076e9827fd1c97a7430afb1b4d34b4",
+    ("auslander-x3", 2): "c45b73093c46e54d8e3e02c3ac65d703da2a16ed307db076cfcfeeed148d2e04",
+    ("auslander-x3", 3): "ae7a349ab96e99173570e095cc102804a1da1855ede9a7e1740d209b00f399e5",
+    ("comm-square", 1): "2a2d6439e1d21717a15b78d1088aa24b6b263013c399842536504edea4c5b408",
+    ("comm-square", 2): "b92af653c5718558501c4060fc36f5a05e192c20d29dd0aefb722b0fe8df631d",
+    ("comm-square", 3): "2d5a3b67ed59407c5d777dbf2cdcfaea31b95762be9078053dfdb8fe1d5664b1",
+    ("ka2", 1): "e8835bfa034c3bd457d9b59463a1170e13f517d867a4b8ea44d43c29da5aaf98",
+    ("ka2", 2): "7802211480035a1b1bc532fbb731374757a6213d3645274e661444e4c5299389",
+    ("ka2", 3): "c87c736311db441f1821f3540706322121251915bac972992a8781b9ef47f73b",
+    ("kronecker", 1): "789765895bb406ccca349c52bca29a7783b64636e83f9abf8ffe0f6969add1fe",
+    ("kronecker", 2): "65f28907101e43ad76fc36603172947b0b28e6ba119ba51bca2472ff61da02a8",
+    ("kronecker", 3): "bc6476a64316556666345392fe902139884f1b0bd1d40dd5c7a3c34671f18654",
+    ("linear-a3", 1): "752f60ddf182faa4e6733d140e794a79eb1bd279bf5500e1ab6e1dc99da7c86e",
+    ("linear-a3", 2): "7a38471c62f6b2d20bb28f511feddaf61ce0ec0e15cca2d6d31ad7e1a9b73de6",
+    ("linear-a3", 3): "007b19e736ba6f481db923858d98b0fc820a7a451b85bb085d431c21205e6820",
+    ("linear-a4", 1): "a85755dc1d4f1566c412f20faede26966ceee7c815f4f52e5328857e87d54a52",
+    ("linear-a4", 2): "c1e415f2527e72970cf80179745d1287622607324ca7bea0b8205d83bddf71cf",
+    ("linear-a4", 3): "47df151dfe1d1f038d8f3db32af5dfcbf51caaf40638471dc5c1503f4390864f",
+    ("nak-22", 1): "2e5beb4577a507f971e887c676388ad0e8629af63215879692fa3864f806dea1",
+    ("nak-22", 2): "01545767398475157a393adfcf3ca8e0eab555c9c20c653e2e1196a4184ff322",
+    ("nak-22", 3): "fcd6f28db8fae9ba7a7b6700abc0e619de3e62c10e4b7f9240349bdaf46b946c",
+    ("nak-233", 1): "e0050e6d98deca931c42e4b4c34f94e2877330421ca44095a6e2f34816ca8852",
+    ("nak-233", 2): "6902e38544f33e2b33f3ba7262c1b1df9d37f598db64e5eec508f70b5e6f12c2",
+    ("nak-233", 3): "abea9f0316071447e9e5b853afa9ccb1f2381ffc391bc8deb863e804bd048a4c",
+    ("nak-32", 1): "472f87c546f56c831c0aec8162f31f348f19e75d12185b89ff6851799c96d963",
+    ("nak-32", 2): "4e57475c9b3acd8f7d447234d92c81daaf849b3ae7016ad1e6dec2f546881cc6",
+    ("nak-32", 3): "12269f510a93c6847b819dd1394d88b107e82fe9d4aadeba6c82907ef57f9d64",
+    ("nak-33", 1): "e36b9ac70e1cb4c822140d695ac981e10e4d72fa662de60c9f44152d154bb6cb",
+    ("nak-33", 2): "60e848af20159f134e1cdad386b426ac11be9b27cffab3e6f73ce2a640e7ca2e",
+    ("nak-33", 3): "ce9dfc830e4f107a558d6efef416cc5e2cbab08fe6b730b1384291ba3fd18174",
+    ("nak-344", 1): "4e70462f997c62b60a9d5aad2a761f37d10d6e6c5b2627368822c0b79e0455af",
+    ("nak-344", 2): "b2c5914f7b8c0e6699ee946c0a450571ee80fedb794ce59a09cb9cec53d95cf5",
+    ("nak-344", 3): "7b7f60a62ccc1fc363412c29363a741d9cc5158bd49e3ed6b909238a2de74ad8",
+    ("nak-432", 1): "4d8d12455f4c50791ddd15e8b185590bddd5bed64203dd7acedc3b1bcda4a09d",
+    ("nak-432", 2): "4712bcef38783c814893b3951a91bdd981fde4bbe144c0ca06d2e46020db2a37",
+    ("nak-432", 3): "edcd13763382383d906180f88a529ccef64cde19e57c627160b9879c81985952",
+    ("wild3", 1): "f9ba4121dcb72b166588ab69802d7bc2d665982fcde7feabd3f3ecd60541bfc6",
+    ("wild3", 2): "0ba196b1e742c938c810da916a77c4e1df0be3199561d67c61822723791f0ecd",
+    ("wild3", 3): "89fe4471945d5adb84e9fadc633b3b3c8c37b4ca56d7a7458ed7fbf4776d95d8",
+}
+
+
+@pytest.mark.parametrize("name, n", sorted(AR_CHECK_SHA256))
+def test_ar_check_output_is_byte_identical_to_the_golden_digest(capsys, name, n):
+    code = main(["ar-check", alg(name), "--n", str(n)])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == AR_CHECK_SHA256[name, n]
+    assert code == (0 if json.loads(out)["holds"] else 1)
+
+
 # sha256 of `ardom grade ALG --sample-index K --ext-degree D` stdout, recorded
 # when Ext^D was read at degree D of the resolution of the module itself.  It
 # is now degree 1 of the (D-1)-th syzygy.  auslander-x3 sample 3 is P(v1);

@@ -224,6 +224,37 @@ def test_quotient_projection_section(m):
     assert not np.any(F101.mul(m, q.proj))
 
 
+def assert_same_quotient(got, want):
+    assert got.dim == want.dim and got.free == want.free
+    for a, b in ((got.proj, want.proj), (got.section, want.section)):
+        assert a.shape == b.shape and a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b)
+
+
+@given(matrices(p=101))
+@settings(max_examples=100)
+def test_quotient_by_rref_rows_matches_the_quotient_by_their_span(m):
+    n = m.shape[1]
+    want = F101.quotient_by_rowspace(m, n)
+    assert_same_quotient(F101.quotient_by_rref(F101.row_space_basis(m), n), want)
+    # the section is the row selection at the free columns
+    assert np.array_equal(want.section, F101.eye(n)[want.free])
+
+
+@pytest.mark.parametrize("shape", [(12, 20), (20, 12), (16, 16)])
+def test_quotient_by_rref_rows_of_a_large_matrix(shape):
+    # above the list-elimination cut-off quotient_by_rowspace reduces with numpy
+    rng = np.random.default_rng(sum(shape))
+    rank = min(shape) - 3
+    m = F5.mul(rng.integers(0, 5, size=(shape[0], rank)), rng.integers(0, 5, size=(rank, shape[1])))
+    assert np.count_nonzero(m) > 128
+    n = shape[1]
+    basis = F5.row_space_basis(m)
+    want = F5.quotient_by_rowspace(m, n)
+    assert want.dim == n - basis.shape[0]
+    assert_same_quotient(F5.quotient_by_rref(basis, n), want)
+
+
 def test_row_space_basis_spans():
     m = F5.mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     b = F5.row_space_basis(m)
@@ -240,6 +271,7 @@ SHAPE_ERRORS = [
     ("solve", lambda f: f.solve(f.eye(2), f.zeros(3, 1))),
     ("inverse", lambda f: f.inverse(f.mat([[1, 2, 3]]))),
     ("quotient_by_rowspace", lambda f: f.quotient_by_rowspace(f.eye(2), 3)),
+    ("quotient_by_rref", lambda f: f.quotient_by_rref(f.eye(2), 3)),
 ]
 
 

@@ -13,6 +13,8 @@ from ardom.modules import (
     ModuleFileError,
     ModuleMorphism,
     ModuleRep,
+    _image_rows,
+    _quotient_module,
     _radical_rows,
     cokernel,
     direct_sum,
@@ -848,6 +850,27 @@ def test_combo_equals_the_old_fold(p, fresh_corpus_table):
                 for a, b in zip(got.mats, want.mats, strict=True):
                     assert a.shape == b.shape and a.dtype == b.dtype == np.int64
                     assert np.array_equal(a, b)
+
+
+def test_sampled_cokernels_are_read_off_the_rref_image_rows(corpus_table, monkeypatch):
+    # the sampler's dedup key holds the image rows in rref; its cokernel takes
+    # them as they are, with the bytes of quotient_by_rows and no elimination
+    f = corpus_table.field
+    morphisms = sampled_morphisms(corpus_table)
+    rows = [_image_rows(fmor) for fmor in morphisms]
+    want = [quotient_by_rows(fmor.target, r, label="s") for fmor, r in zip(morphisms, rows)]
+    calls = count_calls(monkeypatch, PrimeField, "quotient_by_rowspace")
+    for fmor, r, (quo, proj, sections) in zip(morphisms, rows, want, strict=True):
+        quots = [f.quotient_by_rref(b, d) for b, d in zip(r, fmor.target.dims)]
+        got = _quotient_module(fmor.target, quots, "s")
+        for x, y in zip(got, (quo, proj, sections), strict=True):
+            assert_bit_identical(x, y)
+        q = corpus_table.quiver
+        for a, mat in enumerate(quo.mats):
+            v, w = q.arrow_source(a), q.arrow_target(a)
+            section_product = f.mul(f.mul(sections[v], fmor.target.mats[a]), quots[w].proj)
+            assert np.array_equal(mat, section_product)
+    assert not calls
 
 
 def test_proj_cover_reduces_nothing_twice(corpus_table, monkeypatch):
