@@ -5,8 +5,9 @@ right module action satisfies m·(p*q) = (m·p)·q and representation matrices
 compose in path order.  Relations are completed to a confluent rewriting
 system on paths (leading terms under the length-then-lexicographic order
 rewritten to lower terms) by overlap completion; the algebra basis is the
-set of irreducible paths, which must stay finite below the configured path
-length cap.
+set of irreducible paths.  It must be finite, which is decided from the
+completed rules (Ufnarovski's criterion), and its paths must stay below the
+configured path length cap.
 
 An algebra element is a dict mapping ``Path`` to a nonzero coefficient in
 ``range(p)``.
@@ -61,7 +62,8 @@ class PresentationError(InputError):
 
 
 class CompletionError(InputError):
-    """Raised when the path basis is not verifiably finite at the cap."""
+    """Raised when the path basis is infinite, or not verifiably finite at
+    the cap."""
 
 
 class InvariantError(RuntimeError):
@@ -360,6 +362,13 @@ class AlgebraTable:
         self._memo: dict = {}
         self._opposite: Optional[AlgebraTable] = None
         self._complete()
+        cycle = _normal_cycle(quiver, self.rules)
+        if cycle is not None:
+            label = "*".join(quiver.arrows[a][0] for a in cycle)
+            raise CompletionError(
+                f"infinite-dimensional: every power of the path {label} is a "
+                f"normal word, so nonzero (a cycle of the Ufnarovski graph)"
+            )
         self._enumerate_basis()
 
     # -- monomial order ----------------------------------------------------
@@ -600,6 +609,63 @@ class AlgebraTable:
             f"AlgebraTable({self.label!r}, p={self.field.p}, "
             f"dim={self.dimension}, vertices={len(self.quiver.vertices)})"
         )
+
+
+def _normal_cycle(quiver: Quiver, tips) -> Optional[tuple[int, ...]]:
+    """A closed path all of whose powers are normal words, or None when
+    the normal words are finitely many.
+
+    The normal words are the paths of ``quiver`` with no subword in
+    ``tips`` (arrow-index tuples: the rule LHS of a completed table), and
+    they form the table's basis.  By Ufnarovski's criterion (Mat. Zametki
+    31, 1982) they are finitely many iff the graph of the normal words has
+    no cycle.  The graph is read here in its automaton form.  The state of
+    a normal path is its end vertex and its longest suffix that is a
+    proper prefix of a tip.  Appending an arrow a to a path in state
+    (v, u) gives a normal path iff no suffix of u + (a,) is a tip, and the
+    new state follows from u + (a,) alone.  Walks from the states (v, ())
+    spell the normal paths one to one, and there are at most
+    #vertices + Σ|tip| states, so the normal paths are infinitely many iff
+    a walk reaches a cycle; the arrows along that cycle are returned.
+    """
+    prefixes = {()} | {t[:i] for t in tips for i in range(len(t))}
+    outs, targets = quiver._out, quiver._targets  # what arrows_from / arrow_target read
+
+    def step(state, a):
+        word = state[1] + (a,)
+        suffixes = [word[i:] for i in range(len(word) + 1)]
+        if any(s in tips for s in suffixes):
+            return None
+        return targets[a], next(s for s in suffixes if s in prefixes)
+
+    done = set()
+    for v in range(len(quiver.vertices)):
+        start = (v, ())
+        if start in done:
+            continue
+        # iterative depth-first search; `trail` is the current walk
+        trail = [(start, None)]
+        on_trail = {start: 0}
+        todo = [iter(outs[v])]
+        while todo:
+            state = trail[-1][0]
+            a = next(todo[-1], None)
+            if a is None:
+                todo.pop()
+                done.add(state)
+                del on_trail[state]
+                trail.pop()
+                continue
+            nxt = step(state, a)
+            if nxt is None or nxt in done:
+                continue
+            if nxt in on_trail:
+                arrows = [arr for _, arr in trail[on_trail[nxt] + 1:]]
+                return tuple(arrows + [a])
+            on_trail[nxt] = len(trail)
+            trail.append((nxt, a))
+            todo.append(iter(outs[nxt[0]]))
+    return None
 
 
 def _contains(word: tuple[int, ...], sub: tuple[int, ...]) -> bool:

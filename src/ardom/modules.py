@@ -51,6 +51,7 @@ __all__ = [
     "direct_sum",
     "is_isomorphic",
     "sample_modules",
+    "nakayama_indecomposables",
     "zero_module",
     "identity_morphism",
     "zero_morphism",
@@ -1006,12 +1007,53 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, seed: int = 0, trials: int = 64):
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# indecomposables and sampling
 # ---------------------------------------------------------------------------
+
+
+@memoized
+def nakayama_indecomposables(tbl: AlgebraTable):
+    """Every indecomposable of a Nakayama algebra, or None for other quivers.
+
+    The quiver is Nakayama when at most one arrow enters and at most one
+    leaves each vertex.  Then every indecomposable is uniserial, isomorphic
+    to exactly one P(v)/rad^l P(v) with 1 <= l <= c_v = dim P(v)
+    (Assem–Simson–Skowroński, *Elements* vol. 1, Ch. V).  Returns
+    ``(v, l, module)`` triples by vertex, then length; each module is the
+    cokernel of rad^l P(v) -> P(v), for l up to the Loewy length of P(v).
+    The certificate is checked: each module has dimension l and top S(v),
+    and there are Σ c_v = dim A of them.
+    """
+    q = tbl.quiver
+    nv = len(q.vertices)
+    if any(len(q.arrows_into(v)) > 1 or len(q.arrows_from(v)) > 1 for v in range(nv)):
+        return None
+    out = []
+    for v in range(nv):
+        name = q.vertices[v]
+        sub, incl = radical(projective(tbl, v))
+        for length in itertools.count(1):
+            mod = cokernel(incl)[0].relabeled(f"P({name})/rad^{length}")
+            if mod.total_dim != length or resolution_step(mod)[0].vertices != (v,):
+                raise InvariantError(
+                    f"P({name})/rad^{length} is not uniserial of length {length} "
+                    f"with top S({name}): dims {mod.dims}"
+                )
+            out.append((v, length, mod))
+            if sub.is_zero:
+                break
+            sub, inner = radical(sub)
+            incl = inner.compose(incl)
+    if len(out) != tbl.dimension:
+        raise InvariantError(f"{len(out)} uniserials on an algebra of dimension {tbl.dimension}")
+    return tuple(out)
 
 
 def sample_modules(tbl: AlgebraTable, seed: int = 0, size: int = 64) -> list:
     """Deterministic-in-seed module sample; see the contract in the README.
+
+    ``ardom grade --sample-index`` reads it, and ``verify`` checks it where
+    it cannot list every indecomposable (:func:`nakayama_indecomposables`).
 
     Always includes (in order): simples, projectives, injectives, radicals
     and tops of projectives, syzygies and cosyzygies of simples to depth 3;

@@ -13,7 +13,6 @@ import json
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import product
 
 from .algebra import AlgebraTable, InputError, nakayama_from_kupisch
 from .arseq import failure_witness, has_n_tf_ar_sequences
@@ -31,7 +30,14 @@ from .homology import (
     pdim,
     torsion,
 )
-from .modules import dual_regular, regular, sample_modules, simple
+from .modules import (
+    dual_regular,
+    nakayama_indecomposables,
+    regular,
+    sample_modules,
+    serialize_module,
+    simple,
+)
 
 __all__ = [
     "Verdict",
@@ -125,6 +131,14 @@ def _eq_capped(x: CappedNat, y: CappedNat):
     return None
 
 
+def _undecided(cap: int, *answers):
+    """The ``why`` of an inconclusive verdict: the statement of each
+    (answer, statement) pair whose three-valued answer is None; None when
+    every answer is decided."""
+    undecided = [what for answer, what in answers if answer is None]
+    return f"not decided at cap {cap}: {'; '.join(undecided)}" if undecided else None
+
+
 def _min_capped(values) -> CappedNat:
     exacts = [v.value for v in values if v.is_exact]
     bounds = [v.value for v in values if v.kind == "at_least"]
@@ -162,7 +176,11 @@ def verify_main_theorem(tbl: AlgebraTable, n: int, cap: int = DEFAULT_CAP) -> Ve
     }
     status = _status_from_equiv(lhs, rhs)
     if status == "inconclusive":
-        detail["why"] = f"a capped search was exhausted at cap {cap}"
+        detail["why"] = _undecided(
+            cap,
+            (dd.ge(n), f"domdim >= {n} (domdim {dd})"),
+            (mu.ge(n + 2), f"mueller >= {n + 2} (mueller {mu})"),
+        )
     if not lhs:
         witness = failure_witness(report)
         if witness is not None:
@@ -198,7 +216,11 @@ def verify_gendo_cor(tbl: AlgebraTable, n: int, cap: int = DEFAULT_CAP) -> Verdi
         )
     elif status == "inconclusive" or fk is None:
         status = "inconclusive"
-        detail["why"] = f"a capped search was exhausted at cap {cap}"
+        detail["why"] = _undecided(
+            cap,
+            (lhs, f"domdim >= {n + 2} (domdim {dd})"),
+            (fk, f"domdim == mueller ({dd} against {mu})"),
+        )
     return Verdict("gendo-corollary", tbl.label, status, detail)
 
 
@@ -239,6 +261,20 @@ def verify_gorenstein(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> Verdict:
     return Verdict("gorenstein", tbl.label, "pass" if ok else "fail", detail)
 
 
+def _module_set(tbl: AlgebraTable, seed: int, sample_size: int):
+    """(record, [(where, module)]): every indecomposable when the algebra is
+    Nakayama, else the seeded sample.  ``where`` names the module in a
+    witness: its top vertex and length, or its sample index."""
+    uniserials = nakayama_indecomposables(tbl)
+    if uniserials is not None:
+        names = tbl.quiver.vertices
+        items = [({"vertex": names[v], "length": l}, m) for v, l, m in uniserials]
+        return {"kind": "all indecomposables", "count": len(items)}, items
+    sample = sample_modules(tbl, seed=seed, size=sample_size)
+    items = [({"sample_index": idx}, m) for idx, m in enumerate(sample)]
+    return {"kind": "sampled", "size": len(items), "seed": seed}, items
+
+
 def verify_grade_formulas(
     tbl: AlgebraTable,
     cap: int = DEFAULT_CAP,
@@ -250,20 +286,27 @@ def verify_grade_formulas(
 
     (a) When domdim is positive (or certified infinite), it must equal the
         minimum over simples of the grade of their torsion submodule.
-    (b) grade(t(M)) >= domdim for every sampled module.
-    (c) grade(Ext^i(M, A)) >= domdim for i = 1..4 on the same sample.
+    (b) grade(t(M)) >= domdim for every module M.
+    (c) grade(Ext^i(M, A)) >= domdim for i = 1..4 and every module M.
     (d) When domdim = 0 and the algebra is hereditary but not a linear
         A_n path algebra, the minimum in (a) must be exactly 1.
+
+    (b) and (c) are additive in M, so they hold for every module once they
+    hold for every indecomposable.  The record's ``modules`` says which
+    modules were checked: none when domdim = 0, where both bounds read
+    grade >= 0 (``vacuous``); every indecomposable of a Nakayama algebra
+    (``all indecomposables``, a proof); otherwise the seeded sample
+    (``sampled``, evidence only).
     """
     dd = domdim_algebra(tbl, cap=cap)
-    detail = {"cap": cap, "seed": seed, "domdim": str(dd)}
+    detail = {"cap": cap, "domdim": str(dd)}
     grades = [
         grade(torsion(simple(tbl, v)), cap=cap)
         for v in range(len(tbl.quiver.vertices))
     ]
     min_grade = _min_capped(grades)
     detail["min_simple_grade"] = str(min_grade)
-    inconclusive = False
+    agree = True
 
     if dd.is_infinite or (dd.is_exact and dd.value >= 1):
         agree = _eq_capped(dd, min_grade)
@@ -274,8 +317,6 @@ def verify_grade_formulas(
                 "min_simple_grade": str(min_grade),
             }
             return Verdict("grade-formulas", tbl.label, "fail", detail)
-        if agree is None:
-            inconclusive = True
     elif dd.is_exact and dd.value == 0 and hereditary_nonlinear:
         if not (min_grade.is_exact and min_grade.value == 1):
             detail["witness"] = {
@@ -284,13 +325,15 @@ def verify_grade_formulas(
             }
             return Verdict("grade-formulas", tbl.label, "fail", detail)
         detail["zero_domdim_branch"] = "minimum grade is 1 as required"
-    elif not dd.is_exact:
-        inconclusive = True
 
-    sample = sample_modules(tbl, seed=seed, size=sample_size)
-    detail["sample_size"] = len(sample)
-    checked = 0
-    for idx, m in enumerate(sample):
+    if dd.is_exact and dd.value == 0:
+        # every grade is >= 0: (b) and (c) hold for every module
+        detail["modules"], items = {"kind": "vacuous"}, []
+    else:
+        detail["modules"], items = _module_set(tbl, seed, sample_size)
+    checked = open_bounds = 0
+    first_open = None
+    for idx, (where, m) in enumerate(items):
         bounds = [("torsion", grade(torsion(m), cap=cap))]
         for i in range(1, 5):
             bounds.append((f"ext{i}", grade(ext_module(m, i), cap=cap)))
@@ -299,19 +342,32 @@ def verify_grade_formulas(
             if ok is False:
                 detail["witness"] = {
                     "formula": "grade lower bound",
-                    "sample_index": idx,
+                    **where,
                     "module_dims": list(m.dims),
+                    "module_text": serialize_module(m),
                     "which": tag,
                     "grade": str(g),
                     "domdim": str(dd),
                 }
                 return Verdict("grade-formulas", tbl.label, "fail", detail)
             if ok is None:
-                inconclusive = True
+                open_bounds += 1
+                first_open = first_open or (
+                    f"grade of {tag} of {detail['modules']['kind']} module {idx} "
+                    f"({m.label}) >= domdim ({g} against {dd})"
+                )
             checked += 1
     detail["bounds_checked"] = checked
-    if inconclusive:
-        detail["why"] = f"a capped search was exhausted at cap {cap}"
+    if open_bounds > 1:
+        first_open += f", and {open_bounds - 1} more undecided bounds"
+    why = _undecided(
+        cap,
+        (agree, f"domdim == min simple torsion grade ({dd} against {min_grade})"),
+        (True if dd.is_exact or dd.is_infinite else None, f"domdim ({dd})"),
+        (None if first_open else True, first_open),
+    )
+    if why:
+        detail["why"] = why
         return Verdict("grade-formulas", tbl.label, "inconclusive", detail)
     return Verdict("grade-formulas", tbl.label, "pass", detail)
 
@@ -329,16 +385,16 @@ def verify_cor47(
     """
     gl = gldim(tbl, cap=cap)
     dd = domdim_algebra(tbl, cap=cap)
-    detail = {"cap": cap, "seed": seed, "gldim": str(gl), "domdim": str(dd)}
+    detail = {"cap": cap, "gldim": str(gl), "domdim": str(dd)}
     if not (gl.is_exact and dd.is_exact):
-        detail["why"] = "global or dominant dimension not exact at this cap"
+        detail["why"] = f"gldim {gl} or domdim {dd} not exact at cap {cap}"
         return Verdict("torsion-pdim", tbl.label, "inconclusive", detail)
     if gl.value < 2 or gl.value > dd.value:
         detail["witness"] = "precondition 2 <= gldim <= domdim does not hold"
         return Verdict("torsion-pdim", tbl.label, "fail", detail)
-    sample = sample_modules(tbl, seed=seed, size=sample_size)
+    detail["modules"], items = _module_set(tbl, seed, sample_size)
     nonzero = 0
-    for idx, m in enumerate(sample):
+    for where, m in items:
         t = torsion(m)
         if t.is_zero:
             continue
@@ -346,8 +402,9 @@ def verify_cor47(
         pd = pdim(t, cap=cap)
         if not (pd.is_exact and pd.value == gl.value):
             detail["witness"] = {
-                "sample_index": idx,
+                **where,
                 "module_dims": list(m.dims),
+                "module_text": serialize_module(m),
                 "torsion_dims": list(t.dims),
                 "pdim": str(pd),
                 "expected": gl.value,
@@ -355,7 +412,7 @@ def verify_cor47(
             return Verdict("torsion-pdim", tbl.label, "fail", detail)
     detail["nonzero_torsion_witnesses"] = nonzero
     if nonzero == 0:
-        detail["note"] = "no nonzero torsion found in sample"
+        detail["note"] = "no nonzero torsion found"
     return Verdict("torsion-pdim", tbl.label, "pass", detail)
 
 
@@ -365,18 +422,29 @@ def verify_cor47(
 
 
 def _cyclic_series(m: int, max_len: int):
-    """Admissible cyclic Kupisch series with m entries, up to rotation."""
-    seen = set()
+    """Admissible cyclic Kupisch series with m entries, up to rotation.
+
+    Each class is listed once, as its least rotation, in increasing order.
+    A least rotation starts at its smallest entry, so a prefix is extended
+    only by entries c_{i+1} >= max(c_0, c_i - 1), in increasing order; a
+    full tuple is kept when it also closes the cycle (c_0 >= c_{m-1} - 1)
+    and no rotation of it is smaller.
+    """
     out = []
-    for c in product(range(2, max_len + 1), repeat=m):
-        if any(c[(i + 1) % m] < c[i] - 1 for i in range(m)):
-            continue
-        canon = min(tuple(c[i:] + c[:i]) for i in range(m))
-        if canon in seen:
-            continue
-        seen.add(canon)
-        out.append(canon)
-    out.sort()
+
+    def extend(prefix):
+        if len(prefix) == m:
+            c = tuple(prefix)
+            if c[0] >= c[-1] - 1 and all(c <= c[i:] + c[:i] for i in range(1, m)):
+                out.append(c)
+            return
+        for nxt in range(max(prefix[0], prefix[-1] - 1), max_len + 1):
+            prefix.append(nxt)
+            extend(prefix)
+            prefix.pop()
+
+    for first in range(2, max_len + 1):
+        extend([first])
     return out
 
 

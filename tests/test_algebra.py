@@ -8,8 +8,11 @@ quotient dimension with plain linear algebra.
 import itertools
 import os
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ardom.algebra import (
     AlgebraTable,
@@ -18,6 +21,8 @@ from ardom.algebra import (
     Path,
     PresentationError,
     Quiver,
+    _contains,
+    _normal_cycle,
     make_path,
     nakayama_from_kupisch,
     opposite,
@@ -304,9 +309,104 @@ def test_comm_square_dimension_matches_oracle():
     assert quotient_dim_oracle(pres.quiver, pres.relations, 101, 3) == 9
 
 
-def test_loop_without_relations_hits_cap():
-    with pytest.raises(CompletionError, match="not verifiably finite-dimensional"):
+def test_loop_without_relations_is_decided_infinite():
+    with pytest.raises(CompletionError, match="every power of the path a is a normal word"):
         table_from_text("field 5\nvertices v\narrow a v v\n", max_path_length=10)
+
+
+def test_rule_longer_than_the_cap_is_rejected():
+    text = "field 5\nvertices v\narrow a v v\nrelation " + "*".join(["a"] * 12) + "\n"
+    with pytest.raises(CompletionError, match="not verifiably finite-dimensional"):
+        table_from_text(text, max_path_length=11)
+    assert table_from_text(text, max_path_length=12).dimension == 12
+
+
+TWO_LOOPS_TEXT = "field 101\nvertices v\narrow x v v\narrow y v v\n"
+
+
+@pytest.mark.parametrize(
+    "relations, cycles",
+    [
+        ((), {"x"}),  # the free algebra on two loops
+        (("x*y - y*x",), {"x", "y"}),  # k[x, y]
+        (("x*x", "y*y"), {"x*y", "y*x"}),  # (xy)^k survives
+        (("x*x", "y*x"), {"y"}),  # y^k survives
+    ],
+)
+def test_infinite_dimension_is_decided_before_the_basis_is_listed(
+    relations, cycles, monkeypatch
+):
+    # the basis enumeration would run until the default cap of 30 (2^30
+    # paths for two free loops); the decision must come first
+    def never(self):
+        raise AssertionError("the basis was enumerated")
+
+    monkeypatch.setattr(AlgebraTable, "_enumerate_basis", never)
+    text = TWO_LOOPS_TEXT + "".join(f"relation {r}\n" for r in relations)
+    with pytest.raises(CompletionError, match="infinite-dimensional") as err:
+        table_from_text(text)
+    assert re.search(r"every power of the path (\S+) is", str(err.value)).group(1) in cycles
+
+
+def _paths_of_length(quiver, length):
+    paths = [((), v) for v in range(len(quiver.vertices))]
+    for _ in range(length):
+        paths = [(w + (a,), quiver.arrow_target(a)) for w, v in paths for a in quiver.arrows_from(v)]
+    return [w for w, _ in paths]
+
+
+def _has_long_normal_paths(quiver, tips):
+    """The literal Ufnarovski graph: whether a normal path extends depends
+    only on its end vertex and its last d - 1 arrows (d the longest tip), so
+    walk those states.  A walk longer than the number of states repeats
+    one, and then normal paths of every length exist."""
+    keep = max((len(t) for t in tips), default=1) - 1
+    states = len(quiver.vertices) + sum(len(quiver.arrows) ** j for j in range(1, keep + 1))
+    frontier = {((), v) for v in range(len(quiver.vertices))}
+    for _ in range(states + 1):
+        frontier = {
+            ((w + (a,))[len(w) + 1 - keep:] if keep else (), quiver.arrow_target(a))
+            for w, v in frontier
+            for a in quiver.arrows_from(v)
+            if not any(w[i:] + (a,) in tips for i in range(len(w) + 1))
+        }
+    return bool(frontier)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_normal_cycle_agrees_with_the_literal_graph(data):
+    nv = data.draw(st.integers(1, 2))
+    ends = st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1))
+    arrows = data.draw(st.lists(ends, min_size=1, max_size=3))
+    quiver = Quiver(
+        tuple(f"v{i}" for i in range(nv)),
+        tuple((f"a{i}", f"v{s}", f"v{t}") for i, (s, t) in enumerate(arrows)),
+    )
+    words = _paths_of_length(quiver, 2) + _paths_of_length(quiver, 3)
+    tips = set(data.draw(st.lists(st.sampled_from(words), max_size=5))) if words else set()
+    cycle = _normal_cycle(quiver, tips)
+    assert (cycle is not None) == _has_long_normal_paths(quiver, tips)
+    if cycle is not None:
+        assert quiver.arrow_source(cycle[0]) == quiver.arrow_target(cycle[-1])
+        power = cycle * 8
+        assert not any(_contains(power, t) for t in tips)
+
+
+def test_corpus_and_scanned_tables_have_finitely_many_normal_words():
+    from ardom.corpus import load_corpus
+    from ardom.verify import _cyclic_series
+
+    corpus = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+    tables = [e.load_table() for e in load_corpus(corpus)]
+    tables += [
+        nakayama_from_kupisch(list(c), cyclic=True)
+        for m in range(1, 6)
+        for c in _cyclic_series(m, 6)
+    ]
+    for tbl in tables:
+        assert _normal_cycle(tbl.quiver, tbl.rules) is None
+        assert all(len(p) < tbl.max_path_length for p in tbl.basis)
 
 
 # -- multiplication ------------------------------------------------------------

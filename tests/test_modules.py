@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ardom.modules
-from ardom.algebra import Path, table_from_file, table_from_text
+from ardom.algebra import (
+    InvariantError,
+    Path,
+    nakayama_from_kupisch,
+    table_from_file,
+    table_from_text,
+)
 from ardom.corpus import load_corpus
 from ardom.linalg import PrimeField
 from ardom.modules import (
@@ -29,6 +35,7 @@ from ardom.modules import (
     is_projective,
     kernel,
     left_mult_morphism,
+    nakayama_indecomposables,
     parse_module,
     proj_cover,
     proj_sum,
@@ -40,6 +47,7 @@ from ardom.modules import (
     quotient_by_rows,
     radical,
     regular,
+    resolution_step,
     sample_modules,
     serialize_module,
     simple,
@@ -982,3 +990,53 @@ def test_map_from_elements_reads_the_normal_forms(name, p, fresh_corpus_table):
     wrong = [[{Path(0, (), 0): 1}]]
     with pytest.raises(ValueError, match="does not run"):
         projsum_map_from_elements(proj_sum(tbl, [1]), proj_sum(tbl, [1]), wrong)
+
+
+# --- the indecomposables of a Nakayama algebra -------------------------------
+
+NOT_NAKAYAMA = ("kronecker", "wild3", "auslander-x3", "comm-square")
+
+
+def _dims_and_top(m):
+    return m.dims, resolution_step(m)[0].vertices
+
+
+@pytest.mark.parametrize("name", ["ka2", "linear-a3", "linear-a4"])
+def test_uniserials_are_the_known_indecomposables(name):
+    entry = {e.entry_id: e for e in load_corpus(CORPUS)}[name]
+    known = sorted(_dims_and_top(m) for _, m in entry.load_known_indecomposables())
+    listed = nakayama_indecomposables(entry.load_table())
+    assert sorted(_dims_and_top(m) for _, _, m in listed) == known
+    for v, length, m in listed:
+        assert _dims_and_top(m)[1] == (v,) and m.total_dim == length
+
+
+def test_uniserials_number_the_dimension_of_the_algebra():
+    for entry in load_corpus(CORPUS):
+        tbl = entry.load_table()
+        listed = nakayama_indecomposables(tbl)
+        if entry.entry_id in NOT_NAKAYAMA:
+            assert listed is None
+            continue
+        # Σ c_v = Σ dim P(v) = dim A, with one module per (vertex, length)
+        assert len(listed) == tbl.dimension
+        assert len({(v, length) for v, length, _ in listed}) == len(listed)
+    from ardom.verify import _cyclic_series
+
+    for m in range(1, 5):
+        for series in _cyclic_series(m, 5):
+            listed = nakayama_indecomposables(nakayama_from_kupisch(list(series), cyclic=True))
+            assert len(listed) == sum(series)
+            assert [(v, length) for v, length, _ in listed] == [
+                (v, length) for v, c in enumerate(series) for length in range(1, c + 1)
+            ]
+
+
+def test_uniserial_certificate_violation_raises(monkeypatch):
+    # a cokernel that keeps all of P(v) breaks the length certificate
+    real = ardom.modules.cokernel
+    monkeypatch.setattr(
+        ardom.modules, "cokernel", lambda f: real(zero_morphism(f.source, f.target))
+    )
+    with pytest.raises(InvariantError, match="not uniserial of length 1"):
+        nakayama_indecomposables(nakayama_from_kupisch([3, 2], cyclic=True))

@@ -1,5 +1,6 @@
 """Tests for the verification suites and the Nakayama scan."""
 
+import itertools
 import json
 import os
 import shutil
@@ -9,7 +10,13 @@ import pytest
 
 from ardom.algebra import InputError
 from ardom.corpus import load_corpus
-from ardom.homology import CappedNat
+from ardom.homology import CappedNat, ext_module, grade, torsion
+from ardom.modules import (
+    nakayama_indecomposables,
+    projective,
+    sample_modules,
+    serialize_module,
+)
 from ardom.verify import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -109,6 +116,22 @@ def test_cyclic_series_enumeration():
     assert _cyclic_series(1, 3) == [(2,), (3,)]
 
 
+def _cyclic_series_by_product(m, max_len):
+    """The former enumerator: every tuple in range(2, max_len + 1)^m."""
+    seen = set()
+    for c in itertools.product(range(2, max_len + 1), repeat=m):
+        if all(c[(i + 1) % m] >= c[i] - 1 for i in range(m)):
+            seen.add(min(c[i:] + c[:i] for i in range(m)))
+    return sorted(seen)
+
+
+def test_cyclic_series_match_the_product_enumeration():
+    for m in range(1, 7):
+        for max_len in range(1, 8):
+            assert _cyclic_series(m, max_len) == _cyclic_series_by_product(m, max_len), (m, max_len)
+    assert [len(_cyclic_series(m, m)) for m in (6, 7)] == [210, 796]
+
+
 # --- individual checks on corpus entries ------------------------------------
 
 
@@ -198,21 +221,102 @@ def test_grade_formulas_details(by_id):
     assert selfinj.detail["min_simple_grade"].startswith("inf")
 
 
+# the module set each corpus entry's grade bounds run over: domdim 0 is
+# vacuous, a Nakayama quiver lists its Σ dim P(v) uniserials, and the two
+# representation-finite non-Nakayama entries fall back to the sample
+GRADE_ROUTES = {
+    "kronecker": {"kind": "vacuous"},
+    "wild3": {"kind": "vacuous"},
+    "auslander-x3": {"kind": "sampled", "size": 16, "seed": 0},
+    "comm-square": {"kind": "sampled", "size": 16, "seed": 0},
+}
+
+
 def test_grade_formulas_across_corpus(corpus):
     verdicts, code = run_suite(corpus, suites=("grade",), sample_size=16)
     assert code == EXIT_PASS
     assert len(verdicts) == len(corpus)
-    for v in verdicts:
+    for entry, v in zip(corpus, verdicts):
         assert v.status == "pass"
-        assert v.detail["bounds_checked"] == 5 * v.detail["sample_size"]
+        dim = entry.load_table().dimension
+        route = GRADE_ROUTES.get(entry.entry_id, {"kind": "all indecomposables", "count": dim})
+        assert v.detail["modules"] == route
+        per_route = {"vacuous": 0, "all indecomposables": dim, "sampled": 16}
+        assert v.detail["bounds_checked"] == 5 * per_route[route["kind"]]
+        assert "seed" not in v.detail and "sample_size" not in v.detail
 
 
 def test_cor47_on_auslander_entries(by_id):
-    for eid, expected_witnesses in (("auslander-x2", 6), ("auslander-x3", 9)):
+    for eid, route, expected_witnesses in (
+        ("auslander-x2", {"kind": "all indecomposables", "count": 5}, 2),
+        ("auslander-x3", {"kind": "sampled", "size": 32, "seed": 0}, 9),
+    ):
         v = verify_cor47(by_id[eid].load_table(), sample_size=32)
         assert v.status == "pass"
+        assert v.detail["modules"] == route
         assert v.detail["nonzero_torsion_witnesses"] == expected_witnesses
         assert v.detail["gldim"] == "2" and v.detail["domdim"] == "2"
+
+
+NAKAYAMA_IDS = ("ka2", "linear-a3", "linear-a4", "auslander-x2") + tuple(
+    f"nak-{s}" for s in ("22", "33", "32", "432", "344", "233")
+)
+
+
+def _bound_grades(m):
+    return [grade(torsion(m))] + [grade(ext_module(m, i)) for i in range(1, 5)]
+
+
+@pytest.mark.parametrize("eid", NAKAYAMA_IDS)
+def test_sampled_grades_are_bounded_by_the_uniserial_minimum(eid, by_id):
+    # additivity: every module is a sum of uniserials, so each of its five
+    # grades is at least the least one over the uniserials
+    tbl = by_id[eid].load_table()
+    uniserial = [_bound_grades(m) for _, _, m in nakayama_indecomposables(tbl)]
+    least = [_min_capped(column) for column in zip(*uniserial)]
+    for m in sample_modules(tbl, seed=0):
+        for g, bound in zip(_bound_grades(m), least):
+            assert _ge_capped(g, bound) is True, (m.label, str(g), str(bound))
+
+
+def test_a_failing_uniserial_is_named_in_the_witness(by_id, monkeypatch):
+    # pretend P(v1) = P(v1)/rad^3 of nak-32 is its own torsion: grade 0 < domdim 2
+    import ardom.verify
+
+    real = ardom.verify.torsion
+    monkeypatch.setattr(
+        ardom.verify, "torsion", lambda m: m if m.label == "P(v1)/rad^3" else real(m)
+    )
+    tbl = by_id["nak-32"].load_table()
+    v = verify_grade_formulas(tbl)
+    assert v.status == "fail"
+    w = v.detail["witness"]
+    assert (w["vertex"], w["length"], w["which"], w["grade"]) == ("v1", 3, "torsion", "0")
+    assert w["module_text"] == serialize_module(projective(tbl, 0))
+    assert "sample_index" not in w
+
+
+def test_inconclusive_verdicts_name_what_stayed_undecided(by_id):
+    nak344 = by_id["nak-344"].load_table()
+    v = verify_grade_formulas(nak344, cap=1)
+    assert v.status == "inconclusive"
+    assert v.detail["why"] == (
+        "not decided at cap 1: domdim (>=2); grade of torsion of all indecomposables "
+        "module 0 (P(v1)/rad^1) >= domdim (>=2 against >=2), and 14 more undecided bounds"
+    )
+    v = verify_grade_formulas(by_id["auslander-x3"].load_table(), cap=1, sample_size=8)
+    assert v.detail["why"] == (
+        "not decided at cap 1: domdim (>=2); grade of torsion of sampled module 0 (S(v1)) "
+        ">= domdim (>=2 against >=2), and 10 more undecided bounds"
+    )
+    v = verify_main_theorem(nak344, 2, cap=1)
+    assert v.status == "inconclusive"
+    assert v.detail["why"] == "not decided at cap 1: mueller >= 4 (mueller >=3)"
+    v = verify_gendo_cor(by_id["auslander-x2"].load_table(), 1, cap=1)
+    assert v.status == "inconclusive"
+    assert v.detail["why"] == (
+        "not decided at cap 1: domdim >= 3 (domdim >=2); domdim == mueller (>=2 against 2)"
+    )
 
 
 def test_cor47_precondition_failure(by_id):
