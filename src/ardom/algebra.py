@@ -6,8 +6,9 @@ compose in path order.  Relations are completed to a confluent rewriting
 system on paths (leading terms under the length-then-lexicographic order
 rewritten to lower terms) by overlap completion; the algebra basis is the
 set of irreducible paths.  It must be finite, which is decided from the
-completed rules (Ufnarovski's criterion), and its paths must stay below the
-configured path length cap.
+completed rules (Ufnarovski's criterion) before any basis path is listed.
+The configured path length cap bounds the rules that completion may create;
+it does not bound the basis paths.
 
 An algebra element is a dict mapping ``Path`` to a nonzero coefficient in
 ``range(p)``.
@@ -62,8 +63,8 @@ class PresentationError(InputError):
 
 
 class CompletionError(InputError):
-    """Raised when the path basis is infinite, or not verifiably finite at
-    the cap."""
+    """Raised when the path basis is infinite, or completion needs a rule
+    longer than the cap."""
 
 
 class InvariantError(RuntimeError):
@@ -568,12 +569,6 @@ class AlgebraTable:
                     # arrow can form a rule LHS
                     if any(word[i:] in self.rules for i in range(len(word) - 1)):
                         continue
-                    if len(word) >= self.max_path_length:
-                        raise CompletionError(
-                            f"not verifiably finite-dimensional at this cap "
-                            f"(irreducible path of length {len(word)} reaches "
-                            f"max_path_length={self.max_path_length})"
-                        )
                     nxt.append(Path(path.source, word, quiver.arrow_target(a)))
             frontier = nxt
         words.sort(key=self.path_key)

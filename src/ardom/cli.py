@@ -5,6 +5,14 @@ Subcommands either query a single invariant of one algebra (``info``,
 corpus-level machinery (``verify``, ``scan``).  Output is one JSON record
 per line by default; ``--format text`` switches to a readable rendering.
 
+Each subcommand takes only the shared options it reads:
+
+    --format                 every subcommand
+    --max-path-length L      info, domdim, grade, torsion, gldim, ar-check
+    --cap N (or $ARDOM_CAP)  domdim, grade, gldim, verify, scan
+    --seed, --sample-size    domdim, grade, torsion, gldim, verify
+    --jobs J                 verify
+
 Exit codes follow the suite runner: 0 all good, 1 a check failed, 2 bad
 input (an ``InputError`` or an unreadable file), 3 a capped computation
 could not decide, 4 an internal error: a failed internal check or any other
@@ -93,8 +101,21 @@ _nonnegative_int = _int_at_least(0, "non-negative")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
+        "--format", choices=("text", "json"), default="json", help="output format"
+    )
+    alg = argparse.ArgumentParser(add_help=False)
+    alg.add_argument("algebra", help="presentation file")
+    alg.add_argument(
+        "--max-path-length",
+        type=_positive_int,
+        default=DEFAULT_MAX_PATH_LENGTH,
+        metavar="L",
+        help="rewriting completion cap when reading the presentation",
+    )
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument(
         "--cap",
         type=int,
         default=None,
@@ -102,26 +123,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="search cap for unbounded invariants "
         f"(default: $ARDOM_CAP or {DEFAULT_CAP})",
     )
-    common.add_argument("--seed", type=_nonnegative_int, default=0, help="sampling seed")
-    common.add_argument(
+    sampled = argparse.ArgumentParser(add_help=False)
+    sampled.add_argument("--seed", type=_nonnegative_int, default=0, help="sampling seed")
+    sampled.add_argument(
         "--sample-size", type=_positive_int, default=64, metavar="K", help="modules per sample"
-    )
-    common.add_argument(
-        "--format", choices=("text", "json"), default="json", help="output format"
-    )
-    common.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        metavar="J",
-        help="parallel corpus workers (at most one per entry)",
-    )
-    common.add_argument(
-        "--max-path-length",
-        type=int,
-        default=DEFAULT_MAX_PATH_LENGTH,
-        metavar="L",
-        help="rewriting completion cap when reading presentations",
     )
 
     parser = argparse.ArgumentParser(
@@ -130,8 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("info", parents=[common], help="describe an algebra file")
-    p.add_argument("algebra", help="presentation file")
+    p = sub.add_parser("info", parents=[fmt, alg], help="describe an algebra file")
     p.set_defaults(func=_cmd_info)
 
     for name, blurb in (
@@ -140,8 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ("torsion", "torsion submodules of the simples (or of --module)"),
         ("gldim", "global dimension (with --module: its projective dimension)"),
     ):
-        p = sub.add_parser(name, parents=[common], help=blurb)
-        p.add_argument("algebra", help="presentation file")
+        parents = [fmt, alg, sampled] if name == "torsion" else [fmt, alg, capped, sampled]
+        p = sub.add_parser(name, parents=parents, help=blurb)
         target = p.add_mutually_exclusive_group()
         target.add_argument(
             "--module", metavar="FILE", help="module file over the algebra"
@@ -162,18 +166,19 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="grade the degree-D Ext module of the target "
                 "against the algebra instead of the target itself",
             )
-        p.set_defaults(func=_cmd_invariant, invariant=name)
+        p.set_defaults(func=_cmd_torsion if name == "torsion" else _cmd_invariant, invariant=name)
 
     p = sub.add_parser(
         "ar-check",
-        parents=[common],
+        parents=[fmt, alg],
         help="test whether all almost split sequences from projectives are n-torsion-free",
     )
-    p.add_argument("algebra", help="presentation file")
     p.add_argument("--n", type=int, required=True, help="torsion-free degree")
     p.set_defaults(func=_cmd_ar_check)
 
-    p = sub.add_parser("verify", parents=[common], help="run check suites over a corpus")
+    p = sub.add_parser(
+        "verify", parents=[fmt, capped, sampled], help="run check suites over a corpus"
+    )
     p.add_argument("corpus", help="corpus directory with manifest.json")
     p.add_argument(
         "--suite",
@@ -188,10 +193,17 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="A..B",
         help="torsion-free degrees for the main/gendo suites",
     )
+    p.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        metavar="J",
+        help="parallel corpus workers (at most one per entry)",
+    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
-        "scan", parents=[common], help="enumerate an algebra family hunting counterexamples"
+        "scan", parents=[fmt, capped], help="enumerate an algebra family hunting counterexamples"
     )
     p.add_argument("family", choices=("nakayama",))
     p.add_argument("--simples", type=int, required=True, metavar="M")
@@ -247,7 +259,7 @@ def _load_module(tbl, path):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_info(args, cap):
+def _cmd_info(args):
     tbl = _load(args)
     q = tbl.quiver
     record = {
@@ -279,144 +291,100 @@ def _cmd_info(args, cap):
     return EXIT_PASS
 
 
-def _capped_exit(results) -> int:
-    return (
-        EXIT_INCONCLUSIVE
-        if any(r["kind"] == "at_least" for r in results)
-        else EXIT_PASS
-    )
-
-
-def _invariant_text(r):
-    head = f"{r['invariant']}({r.get('module') or r['algebra']})"
-    return f"{head} = {CappedNat(**r['result'])}"
-
-
-def _cmd_invariant(args, cap):
-    tbl = _load(args)
-    name = args.invariant
+def _target(args, tbl):
+    """The module named by --module or --sample-index, or None for the algebra."""
     if args.module:
-        mod = _load_module(tbl, args.module)
-    elif args.sample_index is not None:
-        sample = sample_modules(tbl, seed=args.seed, size=args.sample_size)
-        if not 0 <= args.sample_index < len(sample):
-            raise InputError(
-                f"--sample-index {args.sample_index} out of range "
-                f"(sample has {len(sample)} modules)"
-            )
-        mod = sample[args.sample_index]
-    else:
-        mod = None
-
-    if name == "torsion":
-        targets = (
-            [(mod.label, mod)]
-            if mod is not None
-            else [(f"S({v})", simple(tbl, i)) for i, v in enumerate(tbl.quiver.vertices)]
+        return _load_module(tbl, args.module)
+    if args.sample_index is None:
+        return None
+    sample = sample_modules(tbl, seed=args.seed, size=args.sample_size)
+    if not 0 <= args.sample_index < len(sample):
+        raise InputError(
+            f"--sample-index {args.sample_index} out of range "
+            f"(sample has {len(sample)} modules)"
         )
-        records = []
-        for label, m in targets:
-            t = torsion(m)
-            records.append(
-                {
-                    "kind": "torsion",
-                    "algebra": tbl.label,
-                    "module": label,
-                    "module_dims": list(m.dims),
-                    "torsion_dims": list(t.dims),
-                    "is_zero": t.is_zero,
-                    "module_text": serialize_module(t),
-                }
-            )
+    return sample[args.sample_index]
 
-        def text(r):
-            tail = "zero" if r["is_zero"] else f"dims {r['torsion_dims']}"
-            return f"t({r['module']}) over {r['algebra']}: {tail}"
 
-        _emit(args, records, text)
-        return EXIT_PASS
+def _cmd_torsion(args):
+    tbl = _load(args)
+    mod = _target(args, tbl)
+    targets = (
+        [(mod.label, mod)]
+        if mod is not None
+        else [(f"S({v})", simple(tbl, i)) for i, v in enumerate(tbl.quiver.vertices)]
+    )
+    records = []
+    for label, m in targets:
+        t = torsion(m)
+        records.append(
+            {
+                "kind": "torsion",
+                "algebra": tbl.label,
+                "module": label,
+                "module_dims": list(m.dims),
+                "torsion_dims": list(t.dims),
+                "is_zero": t.is_zero,
+                "module_text": serialize_module(t),
+            }
+        )
 
-    if mod is not None:
-        if name == "domdim":
-            value = domdim_module(mod, cap=cap)
-            shown = "domdim"
-        elif name == "grade":
-            deg = getattr(args, "ext_degree", None)
-            if deg is not None:
-                if deg < 1:
-                    raise InputError("--ext-degree must be >= 1")
-                value = grade(ext_module(mod, deg), cap=cap)
-                shown = f"grade-ext{deg}"
-            else:
-                value = grade(mod, cap=cap)
-                shown = "grade"
-        else:  # gldim over a module file means its projective dimension
-            if mod.is_zero:
-                raise InputError("projective dimension of the zero module is undefined")
-            value = pdim(mod, cap=cap)
-            shown = "pdim"
-        record = {
+    def text(r):
+        tail = "zero" if r["is_zero"] else f"dims {r['torsion_dims']}"
+        return f"t({r['module']}) over {r['algebra']}: {tail}"
+
+    _emit(args, records, text)
+    return EXIT_PASS
+
+
+def _cmd_invariant(args):
+    tbl = _load(args)
+    mod = _target(args, tbl)
+    name, cap = args.invariant, args.cap
+    deg = getattr(args, "ext_degree", None)
+    if deg is not None and mod is None:
+        raise InputError("--ext-degree needs --module or --sample-index")
+    if deg is not None and deg < 1:
+        raise InputError("--ext-degree must be >= 1")
+
+    def record(shown, module, value):
+        return {
             "kind": "invariant",
             "invariant": shown,
             "algebra": tbl.label,
-            "module": mod.label,
+            "module": module,
             "cap": cap,
             "result": value.to_json(),
         }
-        if shown == "grade":
-            record["torsion_grade"] = grade(torsion(mod), cap=cap).to_json()
-        _emit(args, [record], _invariant_text)
-        return _capped_exit([record["result"]])
 
-    if getattr(args, "ext_degree", None) is not None:
-        raise InputError("--ext-degree needs --module or --sample-index")
+    if name == "grade" and mod is None:  # the per-simple torsion grades
+        grades = [grade(torsion(simple(tbl, i)), cap=cap) for i in range(len(tbl.quiver.vertices))]
+        records = [record("grade", f"t(S({v}))", g) for v, g in zip(tbl.quiver.vertices, grades)]
+        records.append(record("min-grade", None, _min_capped(grades)))
+    elif name == "grade" and deg is not None:
+        records = [record(f"grade-ext{deg}", mod.label, grade(ext_module(mod, deg), cap=cap))]
+    elif name == "grade":
+        records = [record("grade", mod.label, grade(mod, cap=cap))]
+        records[0]["torsion_grade"] = grade(torsion(mod), cap=cap).to_json()
+    elif mod is None:
+        value = domdim_algebra(tbl, cap=cap) if name == "domdim" else gldim(tbl, cap=cap)
+        records = [record(name, None, value)]
+    elif name == "domdim":
+        records = [record("domdim", mod.label, domdim_module(mod, cap=cap))]
+    else:  # gldim over a module file means its projective dimension
+        if mod.is_zero:
+            raise InputError("projective dimension of the zero module is undefined")
+        records = [record("pdim", mod.label, pdim(mod, cap=cap))]
 
-    if name == "domdim":
-        value = domdim_algebra(tbl, cap=cap)
-    elif name == "gldim":
-        value = gldim(tbl, cap=cap)
-    else:  # grade without a module: the per-simple torsion grades
-        records = []
-        grades = []
-        for i, v in enumerate(tbl.quiver.vertices):
-            g = grade(torsion(simple(tbl, i)), cap=cap)
-            grades.append(g)
-            records.append(
-                {
-                    "kind": "invariant",
-                    "invariant": "grade",
-                    "algebra": tbl.label,
-                    "module": f"t(S({v}))",
-                    "cap": cap,
-                    "result": g.to_json(),
-                }
-            )
-        records.append(
-            {
-                "kind": "invariant",
-                "invariant": "min-grade",
-                "algebra": tbl.label,
-                "module": None,
-                "cap": cap,
-                "result": _min_capped(grades).to_json(),
-            }
-        )
-        _emit(args, records, _invariant_text)
-        return _capped_exit([r["result"] for r in records])
+    def text(r):
+        return f"{r['invariant']}({r['module'] or r['algebra']}) = {CappedNat(**r['result'])}"
 
-    record = {
-        "kind": "invariant",
-        "invariant": name,
-        "algebra": tbl.label,
-        "module": None,
-        "cap": cap,
-        "result": value.to_json(),
-    }
-    _emit(args, [record], _invariant_text)
-    return _capped_exit([record["result"]])
+    _emit(args, records, text)
+    undecided = any(r["result"]["kind"] == "at_least" for r in records)
+    return EXIT_INCONCLUSIVE if undecided else EXIT_PASS
 
 
-def _cmd_ar_check(args, cap):
+def _cmd_ar_check(args):
     if args.n < 1:
         raise InputError("--n must be >= 1")
     tbl = _load(args)
@@ -452,14 +420,14 @@ def _cmd_ar_check(args, cap):
     return EXIT_PASS if holds else EXIT_FAIL
 
 
-def _cmd_verify(args, cap):
+def _cmd_verify(args):
     entries = load_corpus(args.corpus)
     suites = tuple(args.suite) if args.suite else SUITES
     verdicts, code = run_suite(
         entries,
         suites=suites,
         ns=args.n,
-        cap=cap,
+        cap=args.cap,
         seed=args.seed,
         sample_size=args.sample_size,
         jobs=args.jobs,
@@ -469,9 +437,9 @@ def _cmd_verify(args, cap):
     return code
 
 
-def _cmd_scan(args, cap):
+def _cmd_scan(args):
     verdict, rows = scan_nakayama_question(
-        args.simples, args.max_len, cap=cap, question=args.question
+        args.simples, args.max_len, cap=args.cap, question=args.question
     )
     if args.format == "json":
         for row in rows:
@@ -496,8 +464,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cap = _resolve_cap(args)
-        code = args.func(args, cap)
+        if "cap" in args:  # only the subcommands with --cap read ARDOM_CAP
+            args.cap = _resolve_cap(args)
+        code = args.func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

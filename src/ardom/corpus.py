@@ -2,9 +2,10 @@
 
 A corpus is a directory containing ``manifest.json`` plus the presentation
 files (and optional module files) it references.  The manifest pins each
-entry's classification and the invariant values expected of it, so a
-verification run can cross-check its own computations against the frozen
-record and so reports come out in a stable order.
+entry's classification and the invariant values expected of it, and its
+entry order fixes the order of reports.  A verification run does not read
+the expected values: ``tests/test_corpus.py`` cross-checks them against
+fresh computations through :func:`capped_matches`.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from .modules import (
     cokernel,
     hom_basis,
     injective,
-    is_isomorphic,
     is_projective,
     kernel,
     memoized,
@@ -554,13 +553,15 @@ def domdim_module(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
     ⊕ I(v) over the cover's vertices v, and by Krull–Schmidt it is
     projective iff each I(v) is, so each distinct I(v) is asked once,
     through its memoised cover.  Certified infinite when the coresolution
-    terminates with all terms projective or when a cosyzygy repeats (up to
-    isomorphism) while all terms so far are projective; otherwise capped.
+    terminates with all terms projective or when a cosyzygy's signature
+    repeats while all terms so far are projective (each cosyzygy depends only
+    on the signature of the one before, so the terms then cycle); otherwise
+    capped.
     """
     if m.is_zero:
         return CappedNat.infinite("zero module")
     cos = dual(m)  # coresolution of m = dual of the resolution of D(m)
-    earlier = []
+    seen = set()  # signatures of the cosyzygies so far
     for j in range(cap + 1):
         ps, _ = resolution_step(cos)
         if not all(is_projective(injective(m.algebra, v)) for v in dict.fromkeys(ps.vertices)):
@@ -568,10 +569,9 @@ def domdim_module(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
         cos = omega(cos)[0]
         if cos.is_zero:
             return CappedNat.infinite("finite coresolution with all terms projective")
-        for prev in earlier:
-            if is_isomorphic(prev, cos) is True:
-                return CappedNat.infinite("periodic coresolution among projectives")
-        earlier.append(cos)
+        if cos.signature() in seen:
+            return CappedNat.infinite("periodic coresolution among projectives")
+        seen.add(cos.signature())
     return CappedNat.at_least(cap + 1)
 
 

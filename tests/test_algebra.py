@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from ardom.algebra import (
     AlgebraTable,
+    DEFAULT_MAX_PATH_LENGTH,
     CompletionError,
     InputError,
     Path,
@@ -321,6 +322,16 @@ def test_rule_longer_than_the_cap_is_rejected():
     assert table_from_text(text, max_path_length=12).dimension == 12
 
 
+def test_a_proven_finite_basis_may_outgrow_the_cap():
+    # linear A_31 has no relations, so nothing is completed and the cap is
+    # never consulted; its paths of length 30 are listed once the basis is
+    # decided finite
+    tbl = nakayama_from_kupisch(range(31, 0, -1), cyclic=False)
+    assert tbl.max_path_length == DEFAULT_MAX_PATH_LENGTH == 30
+    assert tbl.dimension == 31 * 32 // 2 == 496
+    assert max(len(p.arrows) for p in tbl.basis) == 30
+
+
 TWO_LOOPS_TEXT = "field 101\nvertices v\narrow x v v\narrow y v v\n"
 
 
@@ -336,8 +347,8 @@ TWO_LOOPS_TEXT = "field 101\nvertices v\narrow x v v\narrow y v v\n"
 def test_infinite_dimension_is_decided_before_the_basis_is_listed(
     relations, cycles, monkeypatch
 ):
-    # the basis enumeration would run until the default cap of 30 (2^30
-    # paths for two free loops); the decision must come first
+    # the basis enumeration would never end (2^k paths of each length k for
+    # two free loops); the decision must come first
     def never(self):
         raise AssertionError("the basis was enumerated")
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the ardom command line interface."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import time
 
 import pytest
 
-from ardom.cli import main
+from ardom.cli import _build_parser, main
 from ardom.homology import domdim_module
 from ardom.modules import parse_module
 
@@ -349,6 +350,16 @@ def test_non_admissible_ideal_is_input_error(command, capsys, tmp_path):
     assert "not admissible" in captured.err
 
 
+# a subcommand rejects the shared options it does not read
+UNREAD_OPTIONS = [
+    ["info", "ALG", "--jobs", "2"],
+    ["verify", "--max-path-length", "40", "CORPUS"],
+    ["scan", "nakayama", "--simples", "2", "--max-len", "3", "--seed", "1"],
+    ["torsion", "ALG", "--cap", "3"],
+    ["ar-check", "ALG", "--n", "1", "--sample-size", "2"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -360,6 +371,9 @@ def test_non_admissible_ideal_is_input_error(command, capsys, tmp_path):
         ["verify", "--suite", "grade", "--seed", "-1", "CORPUS"],
         ["torsion", "ALG", "--sample-index", "0", "--seed", "-2"],
         ["verify", "--suite", "grade", "--sample-size", "-3", "CORPUS"],
+        ["info", "ALG", "--max-path-length", "0"],
+        ["info", "ALG", "--max-path-length", "-1"],
+        *UNREAD_OPTIONS,
     ],
 )
 def test_argument_and_file_errors_exit_2(argv, capsys, tmp_path):
@@ -376,7 +390,8 @@ def test_argument_and_file_errors_exit_2(argv, capsys, tmp_path):
         assert [line for line in err.splitlines() if "error: " in line] == [
             err.splitlines()[-1]
         ]
-        assert ": error: argument --" in err.splitlines()[-1]
+        expected = "unrecognized arguments: --" if argv in UNREAD_OPTIONS else "argument --"
+        assert f": error: {expected}" in err.splitlines()[-1]
     else:
         assert capsys.readouterr().err.startswith("error: ")
     assert code == 2
@@ -399,6 +414,37 @@ def test_bad_env_cap_is_input_error(capsys, monkeypatch):
     monkeypatch.setenv("ARDOM_CAP", "many")
     code = main(["gldim", alg("ka2")])
     assert code == 2
+
+
+def test_env_cap_is_read_only_by_subcommands_with_a_cap(capsys, monkeypatch):
+    monkeypatch.setenv("ARDOM_CAP", "many")
+    assert run(capsys, "torsion", alg("ka2"))[0] == 0
+    assert run(capsys, "info", alg("ka2"))[0] == 0
+
+
+# every option of each subcommand; the shared ones fill 30 slots
+SUBCOMMAND_OPTIONS = {
+    "info": "--format --max-path-length",
+    "domdim": "--format --max-path-length --cap --seed --sample-size --module --sample-index",
+    "grade": "--format --max-path-length --cap --seed --sample-size --module --sample-index "
+    "--ext-degree",
+    "torsion": "--format --max-path-length --seed --sample-size --module --sample-index",
+    "gldim": "--format --max-path-length --cap --seed --sample-size --module --sample-index",
+    "ar-check": "--format --max-path-length --n",
+    "verify": "--format --cap --seed --sample-size --jobs --suite --n",
+    "scan": "--format --cap --simples --max-len --question",
+}
+SHARED_OPTIONS = {"--format", "--max-path-length", "--cap", "--seed", "--sample-size", "--jobs"}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: {o for o in p._option_string_actions if o.startswith("--") and o != "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert got == {name: set(opts.split()) for name, opts in SUBCOMMAND_OPTIONS.items()}
+    assert sum(len(opts & SHARED_OPTIONS) for opts in got.values()) == 30
 
 
 @pytest.mark.skipif(shutil.which("ardom") is None, reason="ardom not on PATH")

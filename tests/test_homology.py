@@ -438,6 +438,17 @@ def test_domdim_periodic_certificate(nak33_unflagged):
     assert out.is_infinite and "periodic" in out.certificate
 
 
+@pytest.mark.parametrize(
+    "name, vertex", [("nak-22", 0), ("nak-22", 1), ("nak-33", 0), ("nak-33", 1), ("nak-233", 1)]
+)
+def test_simples_with_periodic_coresolutions(name, vertex, fresh_corpus_table):
+    # the cosyzygies of these simples cycle among projective terms; the cycle
+    # is seen when a cosyzygy's signature repeats
+    tbl = fresh_corpus_table(name, 101)
+    out = domdim_module(simple(tbl, vertex))
+    assert str(out) == "inf (periodic coresolution among projectives)"
+
+
 def test_domdim_zero_module(a2):
     assert domdim_module(zero_module(a2)).is_infinite
 
