@@ -1,13 +1,18 @@
-"""Almost split sequences starting at an indecomposable projective.
+"""Almost split sequences, and the indecomposables they knit together.
 
-For a non-injective projective U = P(v) the sequence 0 → U → X → V → 0 with
-V the inverse translate of U is constructed from an extension class: Ext^1
-is read off the minimal resolution P_1 → P_0 → V of V as cocycles P_1 → U
-modulo the maps that factor through d_1 (:func:`ext_graded`), the local ring
-End(U) = e_v·A·e_v acts by post-composition, and any nonzero element of the
-socle of that action represents the almost split extension.  A cocycle c
-factors through the cover P_1 ↠ ΩV, so the middle term is the pushout
-X = coker((c, −d_1): P_1 → U ⊕ P_0), the pushout along ΩV ⊆ P_0.
+For an indecomposable non-injective U with a basis of rad End(U), the
+sequence 0 → U → X → V → 0 with V = τ⁻¹U is constructed from an extension
+class: Ext^1(V, U) is read off the minimal presentation P_1 → P_0 → V of V as
+cocycles P_1 → U modulo the maps that factor through d_1
+(:func:`ext_classes`), End(U) acts by post-composition, and any nonzero
+element of the socle of that action represents the almost split extension.
+A cocycle c factors through the cover P_1 ↠ ΩV, so the middle term is the
+pushout X = coker((c, −d_1): P_1 → U ⊕ P_0), the pushout along ΩV ⊆ P_0.
+For U = P(v), rad End(U) = e_v·rad(A)·e_v is spanned by the cycles at v.
+
+:func:`knit_indecomposables` closes the projectives under these sequences
+and the other arrows of the Auslander–Reiten quiver; a finite closure is
+every indecomposable.
 """
 
 from __future__ import annotations
@@ -16,27 +21,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraTable
+from .algebra import AlgebraTable, InvariantError
 from .homology import (
     _presentation,
-    ext_graded,
+    ext_classes,
     post_compose,
     syzygy,
+    tau,
     tau_inverse,
     torsion_free_failure_degree,
 )
 from .modules import (
+    Indecomposable,
     ModuleMorphism,
     ModuleRep,
+    certify_local,
     cokernel,
     direct_sum,
+    indecomposable_summands,
     is_injective,
+    is_projective,
+    isomorphic_to,
     kernel,
     left_mult_morphism,
     memoized,
     projective,
     projsum_morphism,
+    radical,
     resolution_step,
+    socle,
     sum_inclusions,
 )
 
@@ -45,7 +58,10 @@ __all__ = [
     "ArSequence",
     "ArSequenceError",
     "ext1_with_end_action",
+    "projective_rad_end",
+    "almost_split",
     "almost_split_from_projective",
+    "knit_indecomposables",
     "has_n_tf_ar_sequences",
     "ar_report",
     "first_failure",
@@ -55,15 +71,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Ext1Data:
-    """Ext^1(V, U) for U = P(vertex) as cocycles P_1 → U modulo coboundaries,
-    with the rad End(U) action.
+    """Ext^1(V, U) as cocycles P_1 → U modulo coboundaries, with the
+    rad End(U) action.
 
-    Coordinates are in the :func:`ext_graded` basis; ``actions[r]`` is the
+    Coordinates are in the :func:`ext_classes` basis; ``actions[r]`` is the
     matrix (acting on coordinate rows) of post-composition with the r-th
     basis element of rad End(U).
     """
 
-    vertex: int
+    u: ModuleRep
     v_module: ModuleRep
     q0_cover: ModuleMorphism  # P_0 ->> V
     dim: int
@@ -73,10 +89,10 @@ class Ext1Data:
         """Coordinates in the Ext^1 basis of the class of a cocycle f: P_1 → U."""
         tbl = self.v_module.algebra
         ps1 = _presentation(self.v_module)[1]
-        shape = (ps1.module.dims, projective(tbl, self.vertex).dims)
+        shape = (ps1.module.dims, self.u.dims)
         if (f.source.dims, f.target.dims) != shape or f.defect() is not None:
             raise ArSequenceError("the class map is not a morphism P_1 → U")
-        cocycles, quot = ext_graded(self.v_module, 1, self.vertex)
+        cocycles, quot = ext_classes(self.v_module, self.u, 1)
         gens = np.concatenate([f.mats[u][ps1.gen_pos[s]] for s, u in enumerate(ps1.vertices)])
         coords = tbl.field.coords_in_rowspace(cocycles, gens.reshape(1, -1))
         if coords is None:
@@ -89,36 +105,37 @@ def _rad_end_paths(tbl: AlgebraTable, v: int):
     return [p for p in tbl.basis_paths_from(v) if p.target == v and len(p.arrows) >= 1]
 
 
-def _cocycle(v_module: ModuleRep, vertex: int, coeffs) -> ModuleMorphism:
-    """The cocycle P_1 → P(vertex) of the Ext^1 class with coordinates
+def projective_rad_end(tbl: AlgebraTable, v: int) -> list:
+    """rad End(P(v)) as endomorphisms: left multiplication by each cycle of
+    :func:`_rad_end_paths`."""
+    return [left_mult_morphism(tbl, {p: 1}, v, v) for p in _rad_end_paths(tbl, v)]
+
+
+def _cocycle(v_module: ModuleRep, u: ModuleRep, coeffs) -> ModuleMorphism:
+    """The cocycle P_1 → U of the Ext^1(V, U) class with coordinates
     ``coeffs``: a map out of P_1 is fixed by its generator images."""
     fld = v_module.algebra.field
     ps1 = _presentation(v_module)[1]
-    cocycles, quot = ext_graded(v_module, 1, vertex)
+    cocycles, quot = ext_classes(v_module, u, 1)
     row = fld.mul(fld.mul(np.reshape(coeffs, (1, -1)), quot.section), cocycles)[0]
-    u = projective(v_module.algebra, vertex)
     bounds = np.cumsum([0] + [u.dims[w] for w in ps1.vertices])
     return projsum_morphism(ps1, u, [row[a:b] for a, b in zip(bounds, bounds[1:])])
 
 
-def ext1_with_end_action(v_module: ModuleRep, vertex: int) -> Ext1Data:
-    """Ext^1(V, P(vertex)) with the rad End action, from V's resolution."""
-    tbl = v_module.algebra
+def ext1_with_end_action(v_module: ModuleRep, u: ModuleRep, rad_end) -> Ext1Data:
+    """Ext^1(V, U) with the action of ``rad_end``, a basis of rad End(U),
+    read off V's minimal presentation."""
     if syzygy(v_module).is_zero:
         raise ValueError("Ext^1 vanishes: the module has projective dimension 0")
-    dim = ext_graded(v_module, 1, vertex)[1].dim
+    dim = ext_classes(v_module, u, 1)[1].dim
     if dim == 0:
         raise ValueError("Ext^1 vanishes: every class lifts to the cover")
-    actions = tuple(
-        post_compose(v_module, 1, vertex, vertex, left_mult_morphism(tbl, {p: 1}, vertex, vertex))
-        for p in _rad_end_paths(tbl, vertex)
-    )
     return Ext1Data(
-        vertex=vertex,
+        u=u,
         v_module=v_module,
         q0_cover=resolution_step(v_module)[1],
         dim=dim,
-        actions=actions,
+        actions=tuple(post_compose(v_module, 1, r) for r in rad_end),
     )
 
 
@@ -128,7 +145,6 @@ class ArSequenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ArSequence:
-    vertex: int
     u: ModuleRep
     x: ModuleRep
     v: ModuleRep
@@ -171,31 +187,27 @@ def _socle_coords(data: Ext1Data) -> np.ndarray:
     return rows
 
 
-@memoized
-def almost_split_from_projective(tbl: AlgebraTable, vertex: int, choice: int = 0) -> ArSequence:
-    """The almost split sequence 0 → P(vertex) → X → τ⁻¹P(vertex) → 0.
+def almost_split(u: ModuleRep, rad_end, choice: int = 0) -> ArSequence:
+    """The almost split sequence 0 → U → X → τ⁻¹U → 0 of an indecomposable
+    non-injective U, given ``rad_end``, a basis of rad End(U).
 
     ``choice`` selects among deterministic nonzero socle elements (different
     choices produce isomorphic middle terms; exposed for exactly that test).
+    Every invariant of :meth:`ArSequence.check` is checked before returning.
     """
-    u = projective(tbl, vertex)
-    if is_injective(u):
-        raise ValueError(
-            f"projective at vertex {tbl.quiver.vertices[vertex]} is injective; "
-            "no almost split sequence starts there"
-        )
+    tbl = u.algebra
     fld = tbl.field
     v_mod = tau_inverse(u)
     if v_mod.is_zero:
-        raise ArSequenceError("the inverse translate of a non-injective projective is zero")
-    data = ext1_with_end_action(v_mod, vertex)
-    socle = _socle_coords(data)
-    candidates = [socle[i] for i in range(socle.shape[0])]
-    doubled = (2 * socle[0]) % fld.p
+        raise ArSequenceError(f"the inverse translate of the non-injective {u.label} is zero")
+    data = ext1_with_end_action(v_mod, u, rad_end)
+    socle_rows = _socle_coords(data)
+    candidates = [socle_rows[i] for i in range(socle_rows.shape[0])]
+    doubled = (2 * socle_rows[0]) % fld.p
     if np.any(doubled):  # zero over GF(2): that class would split
         candidates.append(doubled)
     xi = candidates[choice % len(candidates)]
-    class_map = _cocycle(v_mod, vertex, xi)
+    class_map = _cocycle(v_mod, u, xi)
     p0 = data.q0_cover.source
     total = direct_sum(tbl, [u, p0])
     incls, projs = sum_inclusions(tbl, [u, p0], total)
@@ -209,7 +221,6 @@ def almost_split_from_projective(tbl: AlgebraTable, vertex: int, choice: int = 0
     phi = projs[1].compose(data.q0_cover)
     surjection = ModuleMorphism(x, v_mod, [fld.mul(s, b) for s, b in zip(sections, phi.mats)])
     seq = ArSequence(
-        vertex=vertex,
         u=u,
         x=x,
         v=v_mod,
@@ -220,6 +231,111 @@ def almost_split_from_projective(tbl: AlgebraTable, vertex: int, choice: int = 0
     )
     seq.check()
     return seq
+
+
+@memoized
+def almost_split_from_projective(tbl: AlgebraTable, vertex: int, choice: int = 0) -> ArSequence:
+    """The almost split sequence 0 → P(vertex) → X → τ⁻¹P(vertex) → 0:
+    :func:`almost_split` with the cycle basis of :func:`projective_rad_end`."""
+    u = projective(tbl, vertex)
+    if is_injective(u):
+        raise ValueError(
+            f"projective at vertex {tbl.quiver.vertices[vertex]} is injective; "
+            "no almost split sequence starts there"
+        )
+    return almost_split(u, projective_rad_end(tbl, vertex), choice)
+
+
+@memoized
+def knit_indecomposables(tbl: AlgebraTable, limit: int):
+    """Every indecomposable module up to isomorphism, each certified, or None.
+
+    The list starts at the P(v) and is closed under the arrows of the
+    Auslander–Reiten quiver: for each listed U, the summands of τ⁻¹U and of
+    the middle term of its almost split sequence when U is not injective,
+    of U/soc U when it is; τU when U is not projective, the summands of
+    rad U when it is.  Each module is split into summands
+    (:func:`~ardom.modules.indecomposable_summands`); one isomorphic to a
+    listed module (:func:`~ardom.modules.isomorphic_to`) is not listed
+    again, the others are listed with their certificates.  τ and τ⁻¹ are
+    inverse on indecomposables, so τU is neither built nor matched when U
+    was listed as τ⁻¹ of a listed module, nor τ⁻¹U matched when τU was.  A finite list closed
+    this way is a union of components of the AR quiver that meets every
+    block, so by Auslander's theorem it is every indecomposable
+    (Assem–Simson–Skowroński, *Elements* vol. 1, Ch. IV).
+
+    Returns the :class:`~ardom.modules.Indecomposable` records, P(v) first,
+    the others labelled ``ind[i]`` in order of discovery.  None when the
+    list would pass ``limit`` modules, when a module would pass 2·dim A, the
+    size of the largest quotient the module sample draws, or when a
+    certificate fails (p | dim U, or a split not found).
+    """
+    nv = len(tbl.quiver.vertices)
+    if nv > limit:
+        return None
+    found = [certify_local(projective(tbl, v)) for v in range(nv)]
+    if any(cert is None for cert in found):
+        return None
+
+    def place(m: ModuleRep) -> list:
+        """The indices of m's summands in the list, listing the new ones."""
+        parts = indecomposable_summands(m, found)
+        if parts is None:
+            raise _GiveUp
+        out, start = [], len(found)
+        for part in parts:
+            # a listed summand comes back as its record; a new one may repeat
+            # one listed in this call (m = Y ⊕ Y)
+            at = next((j for j, known in enumerate(found) if known is part), None)
+            if at is None:
+                at = next(
+                    (j for j in range(start, len(found)) if isomorphic_to(part.module, found[j])),
+                    None,
+                )
+            if at is None:
+                if len(found) == limit or part.module.total_dim > 2 * tbl.dimension:
+                    raise _GiveUp
+                at = len(found)
+                found.append(Indecomposable(part.module.relabeled(f"ind[{at}]"), part.rad_end))
+            out.append(at)
+        return out
+
+    def place_translate(m: ModuleRep) -> int:
+        """The index of τU or τ⁻¹U, indecomposable with U."""
+        placed = place(m)
+        if len(placed) != 1:
+            raise InvariantError(f"a translate of an indecomposable has {len(placed)} summands")
+        return placed[0]
+
+    tau_of, tau_inverse_of = {}, {}  # i -> j: τ found[i] ≅ found[j], and back
+    at = 0
+    try:
+        while at < len(found):
+            u = found[at].module
+            if is_injective(u):
+                place(cokernel(socle(u)[1])[0])
+            else:
+                if at < nv:
+                    seq = almost_split_from_projective(tbl, at)
+                else:
+                    seq = almost_split(u, found[at].rad_end)
+                if at not in tau_inverse_of:
+                    v = place_translate(seq.v)
+                    tau_inverse_of[at], tau_of[v] = v, at
+                place(seq.x)
+            if is_projective(u):
+                place(radical(u)[0])
+            elif at not in tau_of:
+                t = place_translate(tau(u))
+                tau_of[at], tau_inverse_of[t] = t, at
+            at += 1
+    except _GiveUp:
+        return None
+    return tuple(found)
+
+
+class _GiveUp(Exception):
+    """The knitted list passes its budget, or a certificate fails."""
 
 
 def _sweep(tbl: AlgebraTable, n: int):

@@ -55,6 +55,7 @@ __all__ = [
     "syzygy",
     "ext_dim",
     "ext_graded",
+    "ext_classes",
     "post_compose",
     "ext_module",
     "transpose",
@@ -258,38 +259,42 @@ def ext_dim(m: ModuleRep, n: ModuleRep, i: int) -> int:
     return hom_dim - _cochain(syz, n)[1] - (_cochain(syzygy(m, i - 1), n)[1] if i >= 1 else 0)
 
 
-@memoized
 def ext_graded(m: ModuleRep, i: int, v: int) -> tuple:
-    """(cocycles, quotient) of Ext^i(m, P(v)) in generator coordinates: the
-    kernel rows of the shared cochain matrix out of Hom(P_i, P(v)), and their
-    quotient by the coboundaries (none in degree 0, where this is Hom(m, P(v))).
+    """:func:`ext_classes` of Ext^i(m, P(v)); in degree 0, Hom(m, P(v))."""
+    return ext_classes(m, projective(m.algebra, v), i)
+
+
+@memoized
+def ext_classes(m: ModuleRep, n: ModuleRep, i: int) -> tuple:
+    """(cocycles, quotient) of Ext^i(m, n) in generator coordinates: the
+    kernel rows of the shared cochain matrix out of Hom(P_i, N), and their
+    quotient by the coboundaries (none in degree 0, where this is Hom(m, N)).
     Degree i >= 2 is degree 1 of Ω^{i-1} m, and is read there."""
     if i < 0:
         raise ValueError("negative Ext degree")
     if i >= 2:
-        return ext_graded(syzygy(m, i - 1), 1, v)
+        return ext_classes(syzygy(m, i - 1), n, 1)
     f = m.algebra.field
-    pv = projective(m.algebra, v)
-    cocycles = f.kernel_basis(_cochain(syzygy(m, i), pv)[0].T)
+    cocycles = f.kernel_basis(_cochain(syzygy(m, i), n)[0].T)
     coords = f.zeros(0, cocycles.shape[0])
     if i >= 1:
-        coords = f.coords_in_rowspace(cocycles, _cochain(syzygy(m, i - 1), pv)[0])
+        coords = f.coords_in_rowspace(cocycles, _cochain(syzygy(m, i - 1), n)[0])
         if coords is None:
             raise InvariantError("cochain image escapes the kernel")
     quot = f.quotient_by_rowspace(coords, cocycles.shape[0])
-    if quot.dim != ext_dim(m, pv, i):
+    if quot.dim != ext_dim(m, n, i):
         raise InvariantError("graded Ext dimension mismatch")
     return cocycles, quot
 
 
-def post_compose(m: ModuleRep, i: int, v: int, w: int, lm: ModuleMorphism) -> np.ndarray:
-    """Post-composition with lm: P(v) -> P(w) as a matrix Ext^i(m, P(v)) ->
-    Ext^i(m, P(w)) on the :func:`ext_graded` bases; lm moves the block of a
+def post_compose(m: ModuleRep, i: int, lm: ModuleMorphism) -> np.ndarray:
+    """Post-composition with lm: N -> N' as a matrix Ext^i(m, N) ->
+    Ext^i(m, N') on the :func:`ext_classes` bases; lm moves the block of a
     cochain at each copy P(u) of P_i by its block at u."""
     if i < 0:
         raise ValueError("negative Ext degree")
     f = m.algebra.field
-    src, dst = ext_graded(m, i, v), ext_graded(m, i, w)
+    src, dst = ext_classes(m, lm.source, i), ext_classes(m, lm.target, i)
     if not src[1].dim or not dst[1].dim:
         return f.zeros(src[1].dim, dst[1].dim)
     lam = f.block_diag([lm.mats[u] for u in _presentation(syzygy(m, i))[0].vertices])
@@ -321,8 +326,7 @@ def ext_module(m: ModuleRep, i: int) -> ModuleRep:
         return zero_module(opposite(tbl), label=f"Ext{i}({m.label},A)")
     dims = [ext_graded(m, i, v)[1].dim for v in range(len(q.vertices))]
     mats = [
-        post_compose(m, i, q.arrow_target(a), q.arrow_source(a), arrow_left_mult(tbl, a))
-        for a in range(len(q.arrows))
+        post_compose(m, i, arrow_left_mult(tbl, a)) for a in range(len(q.arrows))
     ]
     return ModuleRep(opposite(tbl), dims, mats, label=f"Ext{i}({m.label},A)")
 

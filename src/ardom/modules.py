@@ -50,6 +50,10 @@ __all__ = [
     "dual",
     "direct_sum",
     "is_isomorphic",
+    "Indecomposable",
+    "certify_local",
+    "isomorphic_to",
+    "indecomposable_summands",
     "sample_modules",
     "nakayama_indecomposables",
     "zero_module",
@@ -381,7 +385,14 @@ class HomBasis:
 
 
 def hom_basis(m: ModuleRep, n: ModuleRep) -> HomBasis:
-    """Basis of Hom_A(m, n) as the kernel of one assembled linear system.
+    """Basis of Hom_A(m, n) as the kernel of one assembled linear system
+    (:func:`_hom_rows`), with each basis row as a morphism."""
+    rows = _hom_rows(m, n)
+    return HomBasis(m, n, tuple(morphism_from_flat(m, n, row) for row in rows), rows)
+
+
+def _hom_rows(m: ModuleRep, n: ModuleRep) -> np.ndarray:
+    """The flattened rows of :func:`hom_basis`, without the morphisms.
 
     Unknowns are the stacked row-major entries of all f_v; each arrow
     a: v -> w contributes the block equation M_a @ f_w - f_v @ N_a = 0,
@@ -392,33 +403,30 @@ def hom_basis(m: ModuleRep, n: ModuleRep) -> HomBasis:
         raise ValueError("hom_basis: modules live over different algebras")
     f = m.algebra.field
     q = m.algebra.quiver
-    nv = len(q.vertices)
-    sizes = [m.dims[v] * n.dims[v] for v in range(nv)]
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    total = int(offsets[-1])
+    sizes = [dm * dn for dm, dn in zip(m.dims, n.dims)]
+    offsets = np.cumsum([0] + sizes)
     rows = []
     for a in range(len(q.arrows)):
         v, w = q.arrow_source(a), q.arrow_target(a)
         r = m.dims[v] * n.dims[w]
         if r == 0:
             continue
-        # equation row (i, j) of block a, i < m.dims[v] and j < n.dims[w]
-        block = f.zeros(r, total)
-        i = np.arange(m.dims[v])[:, None, None]
-        j = np.arange(n.dims[w])[None, :, None]
-        eq = i * n.dims[w] + j
+        # equation row (i, j) of block a, i < m.dims[v] and j < n.dims[w];
+        # each unknown block is viewed as (equation i, j, unknown row, column)
+        block = f.zeros(r, int(offsets[-1]))
         if sizes[w]:
             # M_a kron I: unknown (s, j) of f_w with coefficient M_a[i, s]
-            s = np.arange(m.dims[w])[None, None, :]
-            block[eq, offsets[w] + s * n.dims[w] + j] = m.mats[a][:, None, :]
+            at = block[:, offsets[w] : offsets[w + 1]].reshape(m.dims[v], n.dims[w], m.dims[w], n.dims[w])
+            j = np.arange(n.dims[w])
+            at[:, j, :, j] = m.mats[a]
         if sizes[v]:
             # I kron N_a^T: unknown (i, l) of f_v with coefficient -N_a[l, j]
-            l = np.arange(n.dims[v])[None, None, :]
-            block[eq, offsets[v] + i * n.dims[v] + l] -= n.mats[a].T[None, :, :]
+            at = block[:, offsets[v] : offsets[v + 1]].reshape(m.dims[v], n.dims[w], m.dims[v], n.dims[v])
+            i = np.arange(m.dims[v])
+            at[i, :, i, :] -= n.mats[a].T
         rows.append(block % f.p)
-    system = np.concatenate(rows, axis=0) if rows else f.zeros(0, total)
-    rows = f.kernel_basis(system)
-    return HomBasis(m, n, tuple(morphism_from_flat(m, n, row) for row in rows), rows)
+    system = np.concatenate(rows, axis=0) if rows else f.zeros(0, int(offsets[-1]))
+    return f.kernel_basis(system)
 
 
 # ---------------------------------------------------------------------------
@@ -1007,6 +1015,226 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, seed: int = 0, trials: int = 64):
 
 
 # ---------------------------------------------------------------------------
+# certified indecomposables
+# ---------------------------------------------------------------------------
+
+# Seeded random endomorphisms tried on a module before its split is given up.
+_SPLIT_TRIALS = 16
+
+
+@dataclass(frozen=True)
+class Indecomposable:
+    """A module with a certificate that End(module) is local with residue
+    field k: ``rad_end`` is a basis of rad End(module), the endomorphisms of
+    trace 0.  Made by :func:`certify_local`."""
+
+    module: ModuleRep
+    rad_end: tuple
+
+
+def _vertex_blocks(rows: np.ndarray, m: ModuleRep, n: ModuleRep) -> list:
+    """Flattened morphisms m -> n (rows) as one (count, m_v, n_v) array per
+    vertex."""
+    out, at = [], 0
+    for dm, dn in zip(m.dims, n.dims):
+        out.append(rows[:, at : at + dm * dn].reshape(len(rows), dm, dn))
+        at += dm * dn
+    return out
+
+
+@memoized
+def _end_rows(m: ModuleRep) -> np.ndarray:
+    """The flattened rows of ``hom_basis(m, m)``, kept per module signature:
+    :func:`certify_local` and :func:`_fitting_split` both read them."""
+    return _hom_rows(m, m)
+
+
+def certify_local(m: ModuleRep) -> Optional[Indecomposable]:
+    """m with a basis of rad End(m), or None when the certificate fails.
+
+    With p ∤ dim m the trace is a nonzero functional on End(m) (tr 1 =
+    dim m), so R = {f : tr f = 0} has codimension 1 and End(m) = k·1 ⊕ R.
+    When every product of dim m elements of R is 0, R is nilpotent, so each
+    endomorphism λ·1 + r is invertible or (λ = 0) nilpotent: End(m) is local
+    with residue field k, m is indecomposable and R = rad End(m).  The
+    products are spanned degree by degree, R^{j+1} = R^j·R, from the vertex
+    blocks; a degree equal to the one before never shrinks again.  None for
+    the zero module, for p | dim m, and when R is not nilpotent (m is then
+    decomposable).
+    """
+    f = m.algebra.field
+    n = m.total_dim
+    if n == 0 or n % f.p == 0:
+        return None
+    rows = _end_rows(m)
+    traces = sum(np.trace(b, axis1=1, axis2=2) for b in _vertex_blocks(rows, m, m)) % f.p
+    rad = f.mul(f.left_kernel_basis(traces.reshape(-1, 1)), rows)
+    rad_blocks = _vertex_blocks(rad, m, m)
+    power = f.row_space_basis(rad)
+    for _ in range(n - 1):
+        if not len(power):
+            break
+        products = [
+            np.matmul(a[:, None], b[None]).reshape(len(a) * len(b), -1) % f.p
+            for a, b in zip(_vertex_blocks(power, m, m), rad_blocks)
+        ]
+        nxt = f.row_space_basis(np.concatenate(products, axis=1))
+        if np.array_equal(nxt, power):
+            return None
+        power = nxt
+    if len(power):
+        return None
+    return Indecomposable(m, tuple(morphism_from_flat(m, m, r) for r in rad))
+
+
+def isomorphic_to(m: ModuleRep, ind: Indecomposable) -> bool:
+    """Whether m is isomorphic to the certified indecomposable Z = ind.module;
+    never undecided.
+
+    m ≅ Z iff m and Z have the same dimension vector and tr(f∘g) ≠ 0 for
+    some f: m → Z and g: Z → m.  An isomorphism f with g = f⁻¹ gives tr 1 =
+    dim Z, nonzero mod p by the certificate.  Conversely f∘g with nonzero
+    trace lies outside the nilpotent rad End(Z), so it is invertible in the
+    local End(Z), g splits Z off m, and equal dimensions leave nothing
+    else.  The form is read on Hom bases, after tops and socles, which
+    isomorphic modules share, are compared.
+    """
+    z = ind.module
+    if m.dims != z.dims:
+        return False
+    if resolution_step(m)[0].vertices != resolution_step(z)[0].vertices:
+        return False
+    if resolution_step(dual(m))[0].vertices != resolution_step(dual(z))[0].vertices:
+        return False
+    fwd, back = _hom_rows(m, z), _hom_rows(z, m)
+    if not len(fwd) or not len(back):
+        return False
+    # tr(f∘g) = Σ_v Σ_ab f_v[a, b]·g_v[b, a]: pair f with g's transposed blocks
+    back_t = np.concatenate(
+        [blk.transpose(0, 2, 1).reshape(len(back), -1) for blk in _vertex_blocks(back, z, m)],
+        axis=1,
+    )
+    return bool(np.any(m.algebra.field.mul(fwd, back_t.T)))
+
+
+def _charpoly(a: np.ndarray, p: int) -> list:
+    """Coefficients (constant term first) of det(x·1 − a) over GF(p): a is
+    brought to upper Hessenberg form by similarities, then expanded along
+    its last column, one leading block at a time."""
+    n = len(a)
+    h = a.tolist()
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:  # conjugate by the transposition of rows/columns piv, j+1
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for row in h:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        inv = pow(h[j + 1][j], p - 2, p)
+        for i in range(j + 2, n):
+            t = h[i][j] * inv % p
+            if t:  # row i -= t·row j+1, then column j+1 += t·column i
+                h[i] = [(x - t * y) % p for x, y in zip(h[i], h[j + 1])]
+                for row in h:
+                    row[j + 1] = (row[j + 1] + t * row[i]) % p
+    polys = [[1]]  # polys[k]: characteristic polynomial of the leading k x k block
+    for k in range(1, n + 1):
+        prev = polys[k - 1]
+        nxt = [0] + prev  # x·polys[k-1]
+        for d, c in enumerate(prev):
+            nxt[d] = (nxt[d] - h[k - 1][k - 1] * c) % p
+        sub = 1  # product of the subdiagonal entries h[i][i-1] for i = k-1 down to t+1
+        for t in range(k - 2, -1, -1):
+            sub = sub * h[t + 1][t] % p
+            coeff = h[t][k - 1] * sub % p
+            if coeff:
+                for d, c in enumerate(polys[t]):
+                    nxt[d] = (nxt[d] - coeff * c) % p
+        polys.append(nxt)
+    return polys[n]
+
+
+def _eigenvalue(blocks, p: int) -> Optional[int]:
+    """The least λ in GF(p) that is an eigenvalue of some block, or None."""
+    xs = np.arange(p, dtype=np.int64)
+    for b in blocks:
+        if not len(b):
+            continue
+        values = np.zeros(p, dtype=np.int64)
+        for c in reversed(_charpoly(b, p)):  # Horner at every x at once
+            values = (values * xs + c) % p
+        roots = np.flatnonzero(values == 0)
+        if roots.size:
+            return int(roots[0])
+    return None
+
+
+def _fitting_split(m: ModuleRep, rng) -> Optional[tuple]:
+    """(K, I) with m = K ⊕ I both nonzero, or None when no trial splits m.
+
+    Fitting's lemma: for an endomorphism φ and ψ = φ − λ·1, m = ker ψ^N ⊕
+    im ψ^N with N = dim m, vertexwise, and ψ_v^{d_v} already has the final
+    kernel and image at v.  With λ an eigenvalue of φ the kernel is nonzero;
+    it is all of m exactly when ψ is nilpotent, and then the next seeded
+    random φ is tried.
+    """
+    f = m.algebra.field
+    rows = _end_rows(m)
+    for _ in range(_SPLIT_TRIALS):
+        coeffs = rng.integers(0, f.p, size=len(rows))
+        phi = morphism_from_flat(m, m, coeffs @ rows % f.p)
+        lam = _eigenvalue(phi.mats, f.p)
+        if lam is None:
+            continue
+        powers = []
+        for block, d in zip(phi.mats, m.dims):
+            psi = f.add(block, f.scale(-lam, f.eye(d)))
+            power = f.eye(d)
+            for _ in range(d):
+                power = f.mul(power, psi)
+            powers.append(power)
+        kernels = [f.left_kernel_basis(b) for b in powers]
+        if sum(len(k) for k in kernels) < m.total_dim:
+            images = [f.row_space_basis(b) for b in powers]
+            return (
+                submodule_from_rows(m, kernels, label=m.label)[0],
+                submodule_from_rows(m, images, label=m.label)[0],
+            )
+    return None
+
+
+def indecomposable_summands(m: ModuleRep, listed=(), seed: int = 0) -> Optional[list]:
+    """A Krull–Schmidt decomposition of m into certified indecomposables,
+    or None when a summand stays uncertified.
+
+    A summand isomorphic to one of ``listed`` (certified indecomposables,
+    :func:`isomorphic_to`) is returned as that record; any other is
+    certified by :func:`certify_local`, or else split by
+    :func:`_fitting_split` and its parts decomposed in turn, kernel part
+    first.  The seeded random endomorphisms only look for splits: every
+    summand returned carries a certificate, and a decomposable or (p | dim)
+    uncertifiable summand that no trial splits gives None, never an
+    uncertified answer.
+    """
+    rng = np.random.default_rng(seed)
+    out, todo = [], [m] if m.total_dim else []
+    while todo:
+        part = todo.pop()
+        cert = next((ind for ind in listed if isomorphic_to(part, ind)), None)
+        if cert is None:
+            cert = certify_local(part)
+        if cert is not None:
+            out.append(cert)
+            continue
+        halves = _fitting_split(part, rng)
+        if halves is None:
+            return None
+        todo.extend(reversed(halves))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # indecomposables and sampling
 # ---------------------------------------------------------------------------
 
@@ -1052,8 +1280,10 @@ def nakayama_indecomposables(tbl: AlgebraTable):
 def sample_modules(tbl: AlgebraTable, seed: int = 0, size: int = 64) -> list:
     """Deterministic-in-seed module sample; see the contract in the README.
 
-    ``ardom grade --sample-index`` reads it, and ``verify`` checks it where
-    it cannot list every indecomposable (:func:`nakayama_indecomposables`).
+    ``ardom grade --sample-index`` reads it, and ``verify`` checks it only
+    where it cannot list every indecomposable: on an algebra that is not
+    Nakayama (:func:`nakayama_indecomposables`) and whose AR quiver does not
+    knit within the sample size (``ardom.arseq.knit_indecomposables``).
 
     Always includes (in order): simples, projectives, injectives, radicals
     and tops of projectives, syzygies and cosyzygies of simples to depth 3;

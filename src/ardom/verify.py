@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .algebra import AlgebraTable, InputError, nakayama_from_kupisch
-from .arseq import failure_witness, has_n_tf_ar_sequences
+from .arseq import failure_witness, has_n_tf_ar_sequences, knit_indecomposables
 from .corpus import CorpusEntry, load_corpus
 from .homology import (
     DEFAULT_CAP,
@@ -263,12 +263,19 @@ def verify_gorenstein(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> Verdict:
 
 def _module_set(tbl: AlgebraTable, seed: int, sample_size: int):
     """(record, [(where, module)]): every indecomposable when the algebra is
-    Nakayama, else the seeded sample.  ``where`` names the module in a
-    witness: its top vertex and length, or its sample index."""
+    Nakayama (:func:`nakayama_indecomposables`) or when its AR quiver knits
+    within ``sample_size`` modules (:func:`knit_indecomposables`), else the
+    seeded sample of that size.  ``where`` names the module in a witness: its
+    top vertex and length, its index in the knitted list, or its sample
+    index."""
     uniserials = nakayama_indecomposables(tbl)
     if uniserials is not None:
         names = tbl.quiver.vertices
         items = [({"vertex": names[v], "length": l}, m) for v, l, m in uniserials]
+        return {"kind": "all indecomposables", "count": len(items)}, items
+    knitted = knit_indecomposables(tbl, sample_size)
+    if knitted is not None:
+        items = [({"indecomposable": i}, ind.module) for i, ind in enumerate(knitted)]
         return {"kind": "all indecomposables", "count": len(items)}, items
     sample = sample_modules(tbl, seed=seed, size=sample_size)
     items = [({"sample_index": idx}, m) for idx, m in enumerate(sample)]
@@ -294,9 +301,10 @@ def verify_grade_formulas(
     (b) and (c) are additive in M, so they hold for every module once they
     hold for every indecomposable.  The record's ``modules`` says which
     modules were checked: none when domdim = 0, where both bounds read
-    grade >= 0 (``vacuous``); every indecomposable of a Nakayama algebra
-    (``all indecomposables``, a proof); otherwise the seeded sample
-    (``sampled``, evidence only).
+    grade >= 0 (``vacuous``); every indecomposable, the uniserials of a
+    Nakayama algebra or the knitted AR quiver of a representation-finite
+    one that fits in ``sample_size`` modules (``all indecomposables``, a
+    proof); otherwise the seeded sample (``sampled``, evidence only).
     """
     dd = domdim_algebra(tbl, cap=cap)
     detail = {"cap": cap, "domdim": str(dd)}
@@ -381,7 +389,10 @@ def verify_cor47(
     """On an algebra with 2 <= gldim <= domdim, nonzero torsion has pdim gldim.
 
     The precondition is part of the check: an entry marked for this
-    corollary whose dimensions do not satisfy it fails outright.
+    corollary whose dimensions do not satisfy it fails outright.  pdim is
+    additive in the maximum and t(M ⊕ N) = t(M) ⊕ t(N), so the statement is
+    checked on the modules of the grade suite, ``modules`` in the record:
+    every indecomposable where they can be listed, else the sample.
     """
     gl = gldim(tbl, cap=cap)
     dd = domdim_algebra(tbl, cap=cap)

@@ -20,6 +20,7 @@ from ardom.arseq import (
     failure_witness,
     first_failure,
     has_n_tf_ar_sequences,
+    projective_rad_end,
 )
 from ardom.corpus import load_corpus
 from ardom.homology import _presentation, ext_dim, ext_module, tau_inverse
@@ -103,16 +104,16 @@ def test_ext1_data_matches_cochain_route(a2, kronecker, dim5):
     for tbl, vertex in [(a2, 1), (kronecker, 0), (kronecker, 1), (dim5, 0)]:
         u = projective(tbl, vertex)
         v = tau_inverse(u)
-        data = ext1_with_end_action(v, vertex)
+        data = ext1_with_end_action(v, u, projective_rad_end(tbl, vertex))
         assert data.dim == ext_dim(v, u, 1)
         assert data.dim >= 1
         for e in tbl.field.eye(data.dim):
-            assert _cocycle(v, vertex, e).defect() is None
+            assert _cocycle(v, u, e).defect() is None
 
 
 def test_ext1_rejects_projective_argument(a2):
     with pytest.raises(ValueError, match="projective dimension 0"):
-        ext1_with_end_action(projective(a2, 0), 1)
+        ext1_with_end_action(projective(a2, 0), projective(a2, 1), [])
 
 
 def test_ext1_route_disagreement_raises_without_asserts(monkeypatch):
@@ -120,14 +121,14 @@ def test_ext1_route_disagreement_raises_without_asserts(monkeypatch):
     v = tau_inverse(projective(tbl, 1))
     monkeypatch.setattr(ardom.homology, "ext_dim", lambda *args: -1)
     with pytest.raises(InvariantError, match="graded Ext dimension mismatch"):
-        ext1_with_end_action(v, 1)
+        ext1_with_end_action(v, projective(tbl, 1), projective_rad_end(tbl, 1))
 
 
 def test_ext1_rejects_vanishing_group(a2):
     # Hom(Omega S_1, P(v1)) is 1-dimensional, but every class lifts to the
     # cover because P(v1) is injective
     with pytest.raises(ValueError, match="lifts"):
-        ext1_with_end_action(simple(a2, 0), 0)
+        ext1_with_end_action(simple(a2, 0), projective(a2, 0), [])
 
 
 def test_rad_action_present_and_annihilating(nak54):
@@ -355,7 +356,7 @@ def test_full_report_builds_and_checks_every_sequence(monkeypatch):
     original = ArSequence.check
 
     def counted(seq):
-        checked.append((seq.u.algebra, seq.vertex))
+        checked.append((seq.u.algebra, seq.u.label))
         return original(seq)
 
     monkeypatch.setattr(ArSequence, "check", counted)
@@ -367,7 +368,9 @@ def test_full_report_builds_and_checks_every_sequence(monkeypatch):
             tbl.quiver.vertices[v] for v in want
         ]
         assert all(list(e["terms"]) == ["U", "X", "V"] for e in report if "terms" in e)
-        assert [v for t, v in checked if t is tbl] == want
+        assert [u for t, u in checked if t is tbl] == [
+            f"P({tbl.quiver.vertices[v]})" for v in want
+        ]
         total += len(want)
     assert len(checked) == total == 69
 
@@ -427,10 +430,11 @@ def test_torsion_solves_no_hom_system(monkeypatch):
 
 
 def _assert_actions_match_the_ext_module(v_module, vertex):
-    data = ext1_with_end_action(v_module, vertex)
+    tbl = v_module.algebra
+    data = ext1_with_end_action(v_module, projective(tbl, vertex), projective_rad_end(tbl, vertex))
     e = ext_module(v_module, 1)
     assert data.dim == e.dims[vertex]
-    paths = _rad_end_paths(v_module.algebra, vertex)
+    paths = _rad_end_paths(tbl, vertex)
     assert len(data.actions) == len(paths)
     for mat, z in zip(data.actions, paths):
         expected = e.element_matrix({reverse_path(z): 1}, vertex, vertex)
@@ -523,7 +527,7 @@ def test_class_coords_reads_only_cocycles(nak54):
     seq = almost_split_from_projective(nak54, 1)
     data = seq.ext_data
     for j, e in enumerate(np.eye(data.dim, dtype=np.int64)):
-        rep = _cocycle(seq.v, data.vertex, e)
+        rep = _cocycle(seq.v, seq.u, e)
         assert np.array_equal(data.class_coords(rep), e)
     with pytest.raises(ArSequenceError, match="not a morphism"):
         data.class_coords(zero_morphism(seq.u, seq.u))

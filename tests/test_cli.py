@@ -475,7 +475,7 @@ def test_selfinjective_flag_on_a_non_selfinjective_algebra_is_input_error(capsys
 # The digest of `ardom verify --n 1..3 corpus/`: 78 records, one of them
 # inconclusive (nak-233 gorenstein).  A change that alters this output on
 # purpose updates the digest and says why in CHANGES.md.
-VERIFY_N_1_3_SHA256 = "3fff009c55497731cd9d8106884c8c4525171a7a2afb4aa89a8f3e688baad66f"
+VERIFY_N_1_3_SHA256 = "51cdefc3444dba254299a866b05123b362735bd9054a3965b059f1450d24c3d6"
 
 
 def test_verify_output_is_byte_identical_to_the_golden_digest(capsys):
@@ -484,6 +484,17 @@ def test_verify_output_is_byte_identical_to_the_golden_digest(capsys):
     assert len(out.splitlines()) == 78
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_N_1_3_SHA256
     assert code == 3
+
+
+def test_default_verify_checks_every_indecomposable(capsys):
+    # every grade and torsion-pdim record proves its bounds: vacuous, or all
+    # indecomposables (uniserials or a knitted AR quiver), never a sample
+    main(["verify", "--n", "1..3", CORPUS])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    kinds = [r["detail"]["modules"]["kind"] for r in records if "modules" in r["detail"]]
+    assert len(kinds) == 16
+    assert set(kinds) == {"vacuous", "all indecomposables"}
+    assert "sampled" not in json.dumps(records)
 
 
 # The digest of `ardom scan nakayama --simples 4 --max-len 6 --question`: 36

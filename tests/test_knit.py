@@ -1,0 +1,225 @@
+"""Certified indecomposables and the knitted Auslander–Reiten quiver."""
+
+import os
+
+import numpy as np
+import pytest
+
+import ardom.arseq
+from ardom.algebra import nakayama_from_kupisch, table_from_text
+from ardom.arseq import (
+    ArSequenceError,
+    almost_split,
+    almost_split_from_projective,
+    knit_indecomposables,
+    projective_rad_end,
+)
+from ardom.corpus import load_corpus
+from ardom.homology import tau_inverse
+from ardom.modules import (
+    certify_local,
+    direct_sum,
+    indecomposable_summands,
+    is_isomorphic,
+    isomorphic_to,
+    nakayama_indecomposables,
+    projective,
+    sample_modules,
+    simple,
+)
+from ardom.verify import _cyclic_series
+
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+NAKAYAMA_IDS = ("ka2", "linear-a3", "linear-a4", "auslander-x2") + tuple(
+    f"nak-{s}" for s in ("22", "33", "32", "432", "344", "233")
+)
+
+
+@pytest.fixture(scope="module")
+def by_id():
+    return {e.entry_id: e for e in load_corpus(CORPUS)}
+
+
+# --- the certificates -------------------------------------------------------
+
+
+def test_local_certificate_on_projectives_and_sums(by_id):
+    tbl = by_id["auslander-x3"].load_table()
+    for v in range(3):
+        p = projective(tbl, v)
+        cert = certify_local(p)
+        assert cert is not None and cert.module is p
+        # rad End(P(v)) = e_v·rad(A)·e_v: one dimension less than End(P(v))
+        assert len(cert.rad_end) == len(projective_rad_end(tbl, v))
+        assert all(f.source is p and f.target is p for f in cert.rad_end)
+    assert certify_local(direct_sum(tbl, [simple(tbl, 0), simple(tbl, 0)])) is None
+    assert certify_local(direct_sum(tbl, [simple(tbl, 0), simple(tbl, 1)])) is None
+    assert certify_local(direct_sum(tbl, [projective(tbl, 0), projective(tbl, 0)])) is None
+
+
+def test_no_certificate_when_p_divides_the_dimension(fresh_corpus_table):
+    tbl = fresh_corpus_table("comm-square", 2)
+    assert certify_local(simple(tbl, 0)) is not None
+    assert certify_local(projective(tbl, 1)) is None  # dim 2, although indecomposable
+    assert indecomposable_summands(projective(tbl, 1)) is None
+
+
+def test_trace_form_matches_the_reference_isomorphism_search(by_id):
+    tbl = by_id["comm-square"].load_table()
+    listed = knit_indecomposables(tbl, 64)
+    for a in listed:
+        for b in listed:
+            assert isomorphic_to(a.module, b) is (a is b)
+            assert is_isomorphic(a.module, b.module) is (a is b)
+    # a relabelled, rebased copy is found
+    seq = almost_split_from_projective(tbl, 1)
+    (v,) = [ind for ind in listed if isomorphic_to(seq.v, ind)]
+    assert isomorphic_to(tau_inverse(projective(tbl, 1)), v)
+
+
+def test_fitting_splits_a_sum_into_certified_summands(by_id):
+    tbl = by_id["auslander-x3"].load_table()
+    parts = [projective(tbl, 0), simple(tbl, 1), projective(tbl, 0), projective(tbl, 2)]
+    total = direct_sum(tbl, parts)
+    found = indecomposable_summands(total)
+    assert found is not None and len(found) == 4
+    assert sorted(ind.module.dims for ind in found) == sorted(m.dims for m in parts)
+    for ind in found:
+        assert certify_local(ind.module) is not None
+        assert sum(isomorphic_to(ind.module, certify_local(m)) for m in parts) >= 1
+    # a listed summand comes back as that very record
+    known = [certify_local(simple(tbl, 1))]
+    again = indecomposable_summands(total, known)
+    assert sum(ind is known[0] for ind in again) == 1
+
+
+# --- the knitted lists ------------------------------------------------------
+
+# sorted dimension vectors of every indecomposable
+KNITTED_DIMS = {
+    "auslander-x3": [
+        (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 1), (0, 1, 2), (1, 0, 0), (1, 1, 0),
+        (1, 1, 0), (1, 1, 1), (1, 1, 1), (1, 1, 1), (1, 1, 1), (1, 1, 2), (1, 1, 2),
+        (1, 2, 1), (1, 2, 2), (1, 2, 2), (1, 2, 2), (1, 2, 2), (1, 2, 3), (2, 2, 2),
+    ],
+    "comm-square": [
+        (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 1, 1),
+        (1, 0, 0, 0), (1, 0, 1, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1),
+    ],
+}
+
+
+@pytest.mark.parametrize("eid, count, total", [("auslander-x3", 21, 70), ("comm-square", 11, 22)])
+def test_knitted_lists_are_pinned(eid, count, total, by_id):
+    tbl = by_id[eid].load_table()
+    listed = knit_indecomposables(tbl, 64)
+    assert len(listed) == count
+    assert sum(ind.module.total_dim for ind in listed) == total
+    assert sorted(ind.module.dims for ind in listed) == KNITTED_DIMS[eid]
+    nv = len(tbl.quiver.vertices)
+    assert [ind.module for ind in listed[:nv]] == [projective(tbl, v) for v in range(nv)]
+    assert [ind.module.label for ind in listed[nv:]] == [f"ind[{i}]" for i in range(nv, count)]
+    for i, a in enumerate(listed):
+        cert = certify_local(a.module)
+        assert cert is not None and len(cert.rad_end) == len(a.rad_end)
+        assert [j for j, b in enumerate(listed) if isomorphic_to(a.module, b)] == [i]
+    assert knit_indecomposables(tbl, 64) is listed
+    assert knit_indecomposables(tbl, count) is not None
+    assert knit_indecomposables(tbl, count - 1) is None
+
+
+@pytest.mark.parametrize("eid", ["auslander-x3", "comm-square"])
+def test_every_summand_of_the_sample_is_listed(eid, by_id):
+    tbl = by_id[eid].load_table()
+    listed = knit_indecomposables(tbl, 64)
+    summands = 0
+    for m in sample_modules(tbl, seed=0):
+        parts = indecomposable_summands(m)
+        assert parts is not None, m.label
+        for part in parts:
+            assert sum(isomorphic_to(part.module, ind) for ind in listed) == 1, m.label
+        assert sum(part.module.total_dim for part in parts) == m.total_dim
+        summands += len(parts)
+    assert summands >= 100
+
+
+def _assert_knit_matches_the_uniserials(tbl):
+    listed = knit_indecomposables(tbl, tbl.dimension)
+    assert listed is not None and len(listed) == tbl.dimension
+    uniserials = [certify_local(m) for _, _, m in nakayama_indecomposables(tbl)]
+    assert all(u is not None for u in uniserials)
+    for ind in listed:
+        assert sum(isomorphic_to(ind.module, u) for u in uniserials) == 1, ind.module.label
+    return listed
+
+
+@pytest.mark.parametrize("eid", NAKAYAMA_IDS)
+def test_knitting_a_nakayama_entry_finds_its_uniserials(eid, by_id):
+    entry = by_id[eid]
+    listed = _assert_knit_matches_the_uniserials(entry.load_table())
+    known = entry.load_known_indecomposables()
+    if entry.entry_id in ("ka2", "linear-a3", "linear-a4"):
+        assert len(known) == len(listed)
+        for _, m in known:
+            assert sum(isomorphic_to(m, ind) for ind in listed) == 1
+
+
+def test_knitting_every_small_cyclic_nakayama_algebra_finds_its_uniserials():
+    tables = 0
+    for m in range(1, 5):
+        for series in _cyclic_series(m, 5):
+            _assert_knit_matches_the_uniserials(nakayama_from_kupisch(list(series), cyclic=True))
+            tables += 1
+    assert tables == 48
+
+
+# --- where knitting gives up ------------------------------------------------
+
+
+def count_sequences(monkeypatch):
+    calls = []
+    original = ardom.arseq.almost_split
+
+    def counted(u, rad_end, *args):
+        calls.append(u.dims)
+        return original(u, rad_end, *args)
+
+    monkeypatch.setattr(ardom.arseq, "almost_split", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["kronecker", "wild3"])
+def test_representation_infinite_entries_do_not_knit(name, monkeypatch, fresh_corpus_table):
+    calls = count_sequences(monkeypatch)
+    tbl = fresh_corpus_table(name, 101)
+    assert knit_indecomposables(tbl, 64) is None
+    assert 1 <= len(calls) <= 64
+    assert knit_indecomposables(tbl, 64) is None
+    assert knit_indecomposables(tbl, 1) is None  # fewer than the projectives
+
+
+def test_a_gf2_copy_of_the_square_falls_back_to_the_sample(fresh_corpus_table):
+    from ardom.verify import verify_grade_formulas
+
+    tbl = fresh_corpus_table("comm-square", 2)
+    assert knit_indecomposables(tbl, 64) is None
+    v = verify_grade_formulas(tbl, sample_size=16)
+    assert v.status == "pass"
+    assert v.detail["modules"] == {"kind": "sampled", "size": 16, "seed": 0}
+
+
+def test_a_class_outside_the_socle_is_rejected(monkeypatch):
+    # a local algebra where rad End(A) moves Ext^1 classes: Ext^1 has
+    # dimension 4 and a one-dimensional socle
+    tbl = table_from_text(
+        "field 101\nvertices v\narrow x v v\narrow y v v\n"
+        "relation x*x\nrelation y*x\nrelation y*y*y\n",
+        label="local-xy",
+    )
+    u, rad_end = projective(tbl, 0), projective_rad_end(tbl, 0)
+    seq = almost_split(u, rad_end)
+    assert seq.ext_data.dim == 4
+    assert np.array_equal(ardom.arseq._socle_coords(seq.ext_data), [[0, 0, 0, 1]])
+    monkeypatch.setattr(ardom.arseq, "_socle_coords", lambda data: tbl.field.eye(data.dim)[2:3])
+    with pytest.raises(ArSequenceError, match="not annihilated by rad End"):
+        almost_split(u, rad_end)

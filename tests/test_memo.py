@@ -624,3 +624,36 @@ def test_a_sum_of_one_projective_shares_its_blocks(name, fresh_corpus_table):
         ref = direct_sum(tbl, [p])
         assert (one.dims, one.label, one.signature()) == (ref.dims, ref.label, ref.signature())
         assert all(a.dtype == b.dtype and a.shape == b.shape for a, b in zip(one.mats, ref.mats))
+
+
+def test_the_knitted_list_is_built_once_and_shares_the_projective_sequences(
+    monkeypatch, fresh_corpus_table
+):
+    import ardom.arseq
+    from ardom.arseq import ar_report, has_n_tf_ar_sequences, knit_indecomposables
+    from ardom.verify import verify_cor47, verify_grade_formulas
+
+    built = []
+    original = ardom.arseq.almost_split
+
+    def counted(u, rad_end, *args):
+        built.append(u.label)
+        return original(u, rad_end, *args)
+
+    monkeypatch.setattr(ardom.arseq, "almost_split", counted)
+    tbl = fresh_corpus_table("auslander-x3", 101)
+    grade = verify_grade_formulas(tbl)
+    cor47 = verify_cor47(tbl)
+    assert grade.detail["modules"] == cor47.detail["modules"] == {
+        "kind": "all indecomposables", "count": 21
+    }
+    # one sequence per non-injective indecomposable, the two projective ones
+    # through the memoised almost_split_from_projective
+    assert len(built) == 18 and sorted(built)[:2] == ["P(v1)", "P(v2)"]
+    assert sum(key[0] == "knit_indecomposables" for key in tbl._memo) == 1
+    listed = knit_indecomposables(tbl, 64)
+    assert [ind.module.label for ind in listed].count("P(v1)") == 1
+    for n in (1, 2, 3):
+        has_n_tf_ar_sequences(tbl, n)
+        ar_report(tbl, n)
+    assert len(built) == 18

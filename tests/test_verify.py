@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from ardom.algebra import InputError
+from ardom.arseq import knit_indecomposables
 from ardom.corpus import load_corpus
 from ardom.homology import CappedNat, ext_module, grade, torsion
 from ardom.modules import (
@@ -223,17 +224,17 @@ def test_grade_formulas_details(by_id):
 
 # the module set each corpus entry's grade bounds run over: domdim 0 is
 # vacuous, a Nakayama quiver lists its Σ dim P(v) uniserials, and the two
-# representation-finite non-Nakayama entries fall back to the sample
+# representation-finite non-Nakayama entries knit their AR quivers
 GRADE_ROUTES = {
     "kronecker": {"kind": "vacuous"},
     "wild3": {"kind": "vacuous"},
-    "auslander-x3": {"kind": "sampled", "size": 16, "seed": 0},
-    "comm-square": {"kind": "sampled", "size": 16, "seed": 0},
+    "auslander-x3": {"kind": "all indecomposables", "count": 21},
+    "comm-square": {"kind": "all indecomposables", "count": 11},
 }
 
 
 def test_grade_formulas_across_corpus(corpus):
-    verdicts, code = run_suite(corpus, suites=("grade",), sample_size=16)
+    verdicts, code = run_suite(corpus, suites=("grade",), sample_size=32)
     assert code == EXIT_PASS
     assert len(verdicts) == len(corpus)
     for entry, v in zip(corpus, verdicts):
@@ -241,15 +242,38 @@ def test_grade_formulas_across_corpus(corpus):
         dim = entry.load_table().dimension
         route = GRADE_ROUTES.get(entry.entry_id, {"kind": "all indecomposables", "count": dim})
         assert v.detail["modules"] == route
-        per_route = {"vacuous": 0, "all indecomposables": dim, "sampled": 16}
-        assert v.detail["bounds_checked"] == 5 * per_route[route["kind"]]
+        assert v.detail["bounds_checked"] == 5 * route.get("count", 0)
         assert "seed" not in v.detail and "sample_size" not in v.detail
+
+
+def test_an_algebra_that_does_not_knit_within_the_budget_is_sampled(by_id):
+    # auslander-x3 has 21 indecomposables: 16 modules do not hold them
+    v = verify_grade_formulas(by_id["auslander-x3"].load_table(), sample_size=16)
+    assert v.status == "pass"
+    assert v.detail["modules"] == {"kind": "sampled", "size": 16, "seed": 0}
+    assert v.detail["bounds_checked"] == 5 * 16
+
+
+def test_a_failing_knitted_module_is_named_in_the_witness(by_id, monkeypatch):
+    # pretend ind[5] of comm-square is its own torsion: grade 0 < domdim 1
+    import ardom.verify
+
+    real = ardom.verify.torsion
+    monkeypatch.setattr(ardom.verify, "torsion", lambda m: m if m.label == "ind[5]" else real(m))
+    tbl = by_id["comm-square"].load_table()
+    v = verify_grade_formulas(tbl)
+    assert v.status == "fail"
+    w = v.detail["witness"]
+    assert (w["indecomposable"], w["which"], w["grade"]) == (5, "torsion", "0")
+    listed = knit_indecomposables(tbl, 64)
+    assert w["module_dims"] == list(listed[5].module.dims)
+    assert w["module_text"] == serialize_module(listed[5].module)
 
 
 def test_cor47_on_auslander_entries(by_id):
     for eid, route, expected_witnesses in (
         ("auslander-x2", {"kind": "all indecomposables", "count": 5}, 2),
-        ("auslander-x3", {"kind": "sampled", "size": 32, "seed": 0}, 9),
+        ("auslander-x3", {"kind": "all indecomposables", "count": 21}, 14),
     ):
         v = verify_cor47(by_id[eid].load_table(), sample_size=32)
         assert v.status == "pass"
