@@ -10,9 +10,9 @@ A cocycle c factors through the cover P_1 ↠ ΩV, so the middle term is the
 pushout X = coker((c, −d_1): P_1 → U ⊕ P_0), the pushout along ΩV ⊆ P_0.
 For U = P(v), rad End(U) = e_v·rad(A)·e_v is spanned by the cycles at v.
 
-:func:`knit_indecomposables` closes the projectives under these sequences
-and the other arrows of the Auslander–Reiten quiver; a finite closure is
-every indecomposable.
+:func:`knit_indecomposables` closes the projectives under the targets of
+left almost split maps: the middle terms of these sequences, and I/soc I for
+an injective I; a finite closure is every indecomposable.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraTable, InvariantError
+from .algebra import AlgebraTable
 from .homology import (
     _presentation,
     ext_classes,
     post_compose,
     syzygy,
-    tau,
     tau_inverse,
     torsion_free_failure_degree,
 )
@@ -40,14 +39,12 @@ from .modules import (
     direct_sum,
     indecomposable_summands,
     is_injective,
-    is_projective,
     isomorphic_to,
     kernel,
     left_mult_morphism,
     memoized,
     projective,
     projsum_morphism,
-    radical,
     resolution_step,
     socle,
     sum_inclusions,
@@ -250,19 +247,24 @@ def almost_split_from_projective(tbl: AlgebraTable, vertex: int, choice: int = 0
 def knit_indecomposables(tbl: AlgebraTable, limit: int):
     """Every indecomposable module up to isomorphism, each certified, or None.
 
-    The list starts at the P(v) and is closed under the arrows of the
-    Auslander–Reiten quiver: for each listed U, the summands of τ⁻¹U and of
-    the middle term of its almost split sequence when U is not injective,
-    of U/soc U when it is; τU when U is not projective, the summands of
-    rad U when it is.  Each module is split into summands
+    The list S starts at the P(v) and is closed under the targets of left
+    almost split maps: for each listed U, the summands of the middle term of
+    its almost split sequence when U is not injective, of U/soc U when it
+    is.  Each module is split into summands
     (:func:`~ardom.modules.indecomposable_summands`); one isomorphic to a
     listed module (:func:`~ardom.modules.isomorphic_to`) is not listed
-    again, the others are listed with their certificates.  τ and τ⁻¹ are
-    inverse on indecomposables, so τU is neither built nor matched when U
-    was listed as τ⁻¹ of a listed module, nor τ⁻¹U matched when τU was.  A finite list closed
-    this way is a union of components of the AR quiver that meets every
-    block, so by Auslander's theorem it is every indecomposable
-    (Assem–Simson–Skowroński, *Elements* vol. 1, Ch. IV).
+    again, the others are listed with their certificates.
+
+    A finite S closed this way is every indecomposable.  Let b be the
+    largest length in S and M ∉ S indecomposable.  A nonzero map from a
+    listed X to M is not split mono (M ≇ X), so it factors through X's left
+    almost split map, whose targets are listed: it is a sum of composites
+    X → X' → M with X → X' irreducible and X' ∈ S.  After 2^b − 1 such steps
+    the map is a sum of composites of 2^b − 1 non-isomorphisms between
+    indecomposables of length ≤ b, followed by a map to M, and these vanish
+    by the Harada–Sai lemma.  So every map from S to M is zero; but M
+    receives a nonzero map from its projective cover, a sum of listed P(v).
+    Hence M ∈ S (Assem–Simson–Skowroński, *Elements* vol. 1, Ch. IV.5).
 
     Returns the :class:`~ardom.modules.Indecomposable` records, P(v) first,
     the others labelled ``ind[i]`` in order of discovery.  None when the
@@ -277,58 +279,31 @@ def knit_indecomposables(tbl: AlgebraTable, limit: int):
     if any(cert is None for cert in found):
         return None
 
-    def place(m: ModuleRep) -> list:
-        """The indices of m's summands in the list, listing the new ones."""
+    def place(m: ModuleRep) -> None:
+        """List the summands of m that are not listed yet."""
         parts = indecomposable_summands(m, found)
         if parts is None:
             raise _GiveUp
-        out, start = [], len(found)
+        start = len(found)
         for part in parts:
             # a listed summand comes back as its record; a new one may repeat
             # one listed in this call (m = Y ⊕ Y)
-            at = next((j for j, known in enumerate(found) if known is part), None)
-            if at is None:
-                at = next(
-                    (j for j in range(start, len(found)) if isomorphic_to(part.module, found[j])),
-                    None,
-                )
-            if at is None:
-                if len(found) == limit or part.module.total_dim > 2 * tbl.dimension:
-                    raise _GiveUp
-                at = len(found)
-                found.append(Indecomposable(part.module.relabeled(f"ind[{at}]"), part.rad_end))
-            out.append(at)
-        return out
+            if any(known is part for known in found) or any(
+                isomorphic_to(part.module, found[j]) for j in range(start, len(found))
+            ):
+                continue
+            if len(found) == limit or part.module.total_dim > 2 * tbl.dimension:
+                raise _GiveUp
+            found.append(Indecomposable(part.module.relabeled(f"ind[{len(found)}]"), part.rad_end))
 
-    def place_translate(m: ModuleRep) -> int:
-        """The index of τU or τ⁻¹U, indecomposable with U."""
-        placed = place(m)
-        if len(placed) != 1:
-            raise InvariantError(f"a translate of an indecomposable has {len(placed)} summands")
-        return placed[0]
-
-    tau_of, tau_inverse_of = {}, {}  # i -> j: τ found[i] ≅ found[j], and back
-    at = 0
     try:
-        while at < len(found):
-            u = found[at].module
-            if is_injective(u):
-                place(cokernel(socle(u)[1])[0])
+        for at, ind in enumerate(found):  # place() appends: the loop reaches the new ones
+            if is_injective(ind.module):
+                place(cokernel(socle(ind.module)[1])[0])
+            elif at < nv:
+                place(almost_split_from_projective(tbl, at).x)
             else:
-                if at < nv:
-                    seq = almost_split_from_projective(tbl, at)
-                else:
-                    seq = almost_split(u, found[at].rad_end)
-                if at not in tau_inverse_of:
-                    v = place_translate(seq.v)
-                    tau_inverse_of[at], tau_of[v] = v, at
-                place(seq.x)
-            if is_projective(u):
-                place(radical(u)[0])
-            elif at not in tau_of:
-                t = place_translate(tau(u))
-                tau_of[at], tau_inverse_of[t] = t, at
-            at += 1
+                place(almost_split(ind.module, ind.rad_end).x)
     except _GiveUp:
         return None
     return tuple(found)

@@ -20,6 +20,7 @@ from ardom.modules import (
     certify_local,
     direct_sum,
     indecomposable_summands,
+    is_injective,
     is_isomorphic,
     isomorphic_to,
     nakayama_indecomposables,
@@ -173,6 +174,69 @@ def test_knitting_every_small_cyclic_nakayama_algebra_finds_its_uniserials():
     assert tables == 48
 
 
+def _linear_series(m):
+    """The admissible linear Kupisch series with m simples."""
+    series = [(1,)]
+    for _ in range(m - 1):
+        series = [(c,) + s for s in series for c in range(2, s[0] + 2)]
+    return series
+
+
+def test_knitting_every_small_linear_nakayama_algebra_finds_its_uniserials():
+    tables = 0
+    for m in range(2, 6):
+        for series in _linear_series(m):
+            _assert_knit_matches_the_uniserials(nakayama_from_kupisch(list(series), cyclic=False))
+            tables += 1
+    assert tables == 22
+
+
+# Dynkin quivers: (vertices, arrows, number of positive roots)
+DYNKIN = {
+    "A3-zigzag": ("v1 v2 v3", ["v1 v2", "v3 v2"], 6),
+    "A4-alternating": ("v1 v2 v3 v4", ["v1 v2", "v3 v2", "v3 v4"], 10),
+    "D4-into-centre": ("c v1 v2 v3", ["v1 c", "v2 c", "v3 c"], 12),
+    "D4-one-out": ("c v1 v2 v3", ["v1 c", "v2 c", "c v3"], 12),
+    "D5": ("v1 v2 v3 v4 v5", ["v1 v2", "v2 v3", "v3 v4", "v3 v5"], 20),
+    "E6": ("v1 v2 v3 v4 v5 v6", ["v1 v2", "v2 v3", "v4 v3", "v5 v4", "v6 v3"], 36),
+}
+
+
+@pytest.mark.parametrize("name", DYNKIN)
+def test_knitting_a_dynkin_path_algebra_finds_one_module_per_positive_root(name):
+    # Gabriel's theorem: the indecomposables of a Dynkin path algebra are
+    # counted by the positive roots, whatever the orientation
+    vertices, arrows, roots = DYNKIN[name]
+    text = f"field 101\nvertices {vertices}\n" + "".join(
+        f"arrow a{i} {a}\n" for i, a in enumerate(arrows)
+    )
+    tbl = table_from_text(text, label=name)
+    listed = knit_indecomposables(tbl, 64)
+    assert listed is not None and len(listed) == roots
+    for i, a in enumerate(listed):
+        assert [j for j, b in enumerate(listed) if isomorphic_to(a.module, b)] == [i]
+
+
+@pytest.mark.parametrize("eid", ("auslander-x3", "comm-square") + NAKAYAMA_IDS)
+def test_the_inverse_translate_of_a_listed_module_is_one_listed_module(eid, by_id):
+    # the knit never places τ⁻¹U itself: it must still be indecomposable and
+    # listed, reached through the middle terms
+    tbl = by_id[eid].load_table()
+    listed = knit_indecomposables(tbl, 64)
+    nv = len(tbl.quiver.vertices)
+    sequences = 0
+    for i, ind in enumerate(listed):
+        if is_injective(ind.module):
+            continue
+        if i < nv:
+            seq = almost_split_from_projective(tbl, i)
+        else:
+            seq = almost_split(ind.module, ind.rad_end)
+        parts = indecomposable_summands(seq.v)
+        assert parts is not None and len(parts) == 1, ind.module.label
+        assert sum(isomorphic_to(parts[0].module, b) for b in listed) == 1, ind.module.label
+        sequences += 1
+    assert sequences == len(listed) - nv
 # --- where knitting gives up ------------------------------------------------
 
 

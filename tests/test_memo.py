@@ -657,3 +657,25 @@ def test_the_knitted_list_is_built_once_and_shares_the_projective_sequences(
         has_n_tf_ar_sequences(tbl, n)
         ar_report(tbl, n)
     assert len(built) == 18
+
+
+@pytest.mark.parametrize(
+    "name, systems, sequences", [("auslander-x3", 66, 18), ("comm-square", 29, 7)]
+)
+def test_a_fresh_knit_solves_a_pinned_number_of_hom_systems(
+    name, systems, sequences, monkeypatch, fresh_corpus_table
+):
+    import ardom.arseq
+    from ardom.arseq import knit_indecomposables
+
+    counts = {"_hom_rows": 0, "almost_split": 0}
+    for module, fn in ((ardom.modules, "_hom_rows"), (ardom.arseq, "almost_split")):
+        original = getattr(module, fn)
+
+        def counted(*args, _fn=fn, _original=original):
+            counts[_fn] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, fn, counted)
+    assert knit_indecomposables(fresh_corpus_table(name, 101), 64) is not None
+    assert counts == {"_hom_rows": systems, "almost_split": sequences}
