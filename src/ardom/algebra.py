@@ -19,6 +19,7 @@ from __future__ import annotations
 import warnings
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .linalg import PrimeField
@@ -134,23 +135,36 @@ class Quiver:
         return len(seen) == n
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(tuple):
     """A path in the quiver: source vertex, arrow indices, target vertex.
 
-    The empty arrow sequence is the trivial path e_v at ``source``.
+    The empty arrow sequence is the trivial path e_v at ``source``.  A path
+    is the tuple (source, arrows, target), so hashing and equality are the
+    tuple's, and never match a bare tuple of arrow indices; ``len`` counts
+    the arrows.
     """
 
-    source: int
-    arrows: tuple[int, ...]
-    target: int
+    __slots__ = ()
+
+    def __new__(cls, source: int, arrows: tuple[int, ...], target: int):
+        return tuple.__new__(cls, (source, arrows, target))
+
+    source = property(itemgetter(0))
+    arrows = property(itemgetter(1))
+    target = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return self[0], self[1], self[2]
 
     def __len__(self):
-        return len(self.arrows)
+        return len(self[1])
+
+    def __repr__(self):
+        return f"Path(source={self[0]!r}, arrows={self[1]!r}, target={self[2]!r})"
 
     @property
     def is_trivial(self) -> bool:
-        return not self.arrows
+        return not self[1]
 
 
 def make_path(quiver: Quiver, source: int, arrows: tuple[int, ...]) -> Path:
@@ -334,6 +348,12 @@ class AlgebraTable:
     path normal forms and products (``("nf", path)``, ``("product", a, b)``)
     and the results of ``modules.memoized`` functions over this table, so
     the table is safe to share read-only across worker processes/threads.
+
+    ``arrow_products`` records, for each basis path p and arrow a that
+    composes after it, the product p·a when listing the basis settles it:
+    the basis path p·a, or None when a monomial rule (right side 0) kills
+    it.  A product that a rule rewrites to other paths has no entry; ask
+    :meth:`multiply_paths` for it.
     """
 
     def __init__(
@@ -375,10 +395,11 @@ class AlgebraTable:
     # -- monomial order ----------------------------------------------------
 
     def word_key(self, word: tuple[int, ...]):
-        return (len(word), tuple(self._lexrank[a] for a in word))
+        return (len(word), tuple(map(self._lexrank.__getitem__, word)))
 
     def path_key(self, path: Path):
-        return (len(path.arrows), tuple(self._lexrank[a] for a in path.arrows), path.source)
+        word = path.arrows
+        return (len(word), tuple(map(self._lexrank.__getitem__, word)), path.source)
 
     def leading(self, element: dict) -> tuple[Path, int]:
         path = max(element, key=self.path_key)
@@ -521,6 +542,8 @@ class AlgebraTable:
                 # FIFO is fine: the fully interreduced system at the fixpoint
                 # is the reduced Groebner basis, unique for the chosen order.
                 self._add_rule_from(pending.pop(0), pending)
+            if not any(self.rules.values()):
+                break  # monomial rules: both sides of every overlap rewrite to 0
             # overlap pass
             new_elements = []
             for lhs1 in sorted(self.rules, key=self.word_key):
@@ -555,10 +578,11 @@ class AlgebraTable:
     # -- basis ------------------------------------------------------------------
 
     def _enumerate_basis(self):
-        quiver = self.quiver
+        quiver, rules = self.quiver, self.rules
         nv = len(quiver.vertices)
         frontier = [Path(v, (), v) for v in range(nv)]
         words: list[Path] = []
+        products: dict = {}
         while frontier:
             words.extend(frontier)
             nxt = []
@@ -566,11 +590,21 @@ class AlgebraTable:
                 for a in quiver.arrows_from(path.target):
                     word = path.arrows + (a,)
                     # path is irreducible, so only suffixes ending at the new
-                    # arrow can form a rule LHS
-                    if any(word[i:] in self.rules for i in range(len(word) - 1)):
-                        continue
-                    nxt.append(Path(path.source, word, quiver.arrow_target(a)))
+                    # arrow can form a rule LHS, and in a reduced system at
+                    # most one does (no LHS lies inside another)
+                    rhs = None
+                    for i in range(max(0, len(word) - self._longest_lhs), len(word) - 1):
+                        rhs = rules.get(word[i:])
+                        if rhs is not None:
+                            break
+                    if rhs is None:
+                        product = Path(path.source, word, quiver.arrow_target(a))
+                        nxt.append(product)
+                        products[path, a] = product
+                    elif not rhs:
+                        products[path, a] = None
             frontier = nxt
+        self.arrow_products = products
         words.sort(key=self.path_key)
         self.basis: tuple[Path, ...] = tuple(words)
         self.basis_index = {path: i for i, path in enumerate(words)}

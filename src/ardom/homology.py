@@ -44,6 +44,7 @@ from .modules import (
     resolution_step,
     simple,
     submodule_from_rows,
+    top_vertices,
     yoneda_block,
     zero_module,
 )
@@ -554,9 +555,10 @@ def domdim_module(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
     """Number of leading projective terms of the minimal injective coresolution.
 
     The j-th term is the dual of the cover of the j-th cosyzygy's dual,
-    ⊕ I(v) over the cover's vertices v, and by Krull–Schmidt it is
-    projective iff each I(v) is, so each distinct I(v) is asked once,
-    through its memoised cover.  Certified infinite when the coresolution
+    ⊕ I(v) over the vertices v of that dual's top (:func:`top_vertices`),
+    and by Krull–Schmidt it is projective iff each I(v) is, so each
+    distinct I(v) is asked once.  A cover is built only to step to the next
+    cosyzygy.  Certified infinite when the coresolution
     terminates with all terms projective or when a cosyzygy's signature
     repeats while all terms so far are projective (each cosyzygy depends only
     on the signature of the one before, so the terms then cycle); otherwise
@@ -567,8 +569,8 @@ def domdim_module(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
     cos = dual(m)  # coresolution of m = dual of the resolution of D(m)
     seen = set()  # signatures of the cosyzygies so far
     for j in range(cap + 1):
-        ps, _ = resolution_step(cos)
-        if not all(is_projective(injective(m.algebra, v)) for v in dict.fromkeys(ps.vertices)):
+        tops = dict.fromkeys(top_vertices(cos))
+        if not all(is_projective(injective(m.algebra, v)) for v in tops):
             return CappedNat.exact(j)
         cos = omega(cos)[0]
         if cos.is_zero:

@@ -136,7 +136,7 @@ class PrimeField:
 
     def block_diag(self, blocks) -> np.ndarray:
         """The blocks in order down the diagonal of one matrix, zero elsewhere."""
-        out = self.zeros(sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks))
+        out = self.zeros(sum([b.shape[0] for b in blocks]), sum([b.shape[1] for b in blocks]))
         r = c = 0
         for b in blocks:
             out[r : r + b.shape[0], c : c + b.shape[1]] = b

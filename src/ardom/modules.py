@@ -41,6 +41,7 @@ __all__ = [
     "radical",
     "top",
     "socle",
+    "top_vertices",
     "proj_cover",
     "resolution_step",
     "omega",
@@ -149,7 +150,7 @@ class ModuleRep:
         """Hashable structural identity (used for dedup, caching).  Built on
         the first call and kept: the blocks never change."""
         if self._signature is None:
-            self._signature = (id(self.algebra), self.dims, tuple(m.tobytes() for m in self.mats))
+            self._signature = (id(self.algebra), self.dims, tuple([m.tobytes() for m in self.mats]))
         return self._signature
 
     def __repr__(self):
@@ -211,8 +212,14 @@ def memoized(fn):
             bound.apply_defaults()
             args = bound.args
         first = args[0]
-        memo = (first if isinstance(first, AlgebraTable) else first.algebra)._memo
-        key = (name, *[a.signature() if isinstance(a, ModuleRep) else a for a in args])
+        if arity == 1:
+            if isinstance(first, ModuleRep):
+                memo, key = first.algebra._memo, (name, first.signature())
+            else:
+                memo, key = first._memo, (name, first)
+        else:
+            memo = (first if isinstance(first, AlgebraTable) else first.algebra)._memo
+            key = (name, *[a.signature() if isinstance(a, ModuleRep) else a for a in args])
         out = memo.get(key, _MISSING)
         if out is _MISSING:
             out = memo[key] = fn(*args)
@@ -608,18 +615,27 @@ def projective_paths(tbl: AlgebraTable, v: int) -> tuple:
 
 @memoized
 def projective(tbl: AlgebraTable, v: int) -> ModuleRep:
-    """e_v·A: vertex spaces spanned by basis paths from v, arrows concatenate."""
+    """e_v·A: vertex spaces spanned by basis paths from v, arrows concatenate.
+
+    Each product p·a of a basis path and an arrow is read off the table's
+    ``arrow_products`` record, made while the basis was listed; only a
+    product that a rule rewrites to other paths is multiplied out."""
     by_vertex = projective_paths(tbl, v)
-    dims = tuple(len(paths) for paths in by_vertex)
+    dims = tuple([len(paths) for paths in by_vertex])
     f = tbl.field
+    products = tbl.arrow_products
     mats = []
     for a in range(len(tbl.quiver.arrows)):
         src, tgt = tbl.quiver.arrow_source(a), tbl.quiver.arrow_target(a)
         mat = f.zeros(dims[src], dims[tgt])
-        arrow_path = Path(src, (a,), tgt)
+        index = by_vertex[tgt]
         for i, p in enumerate(by_vertex[src]):
-            for term, coeff in tbl.multiply_paths(p, arrow_path).items():
-                mat[i, by_vertex[tgt][term]] = coeff
+            product = products.get((p, a), _MISSING)
+            if product is _MISSING:  # a rule rewrites p·a to other paths
+                for term, coeff in tbl.multiply_paths(p, Path(src, (a,), tgt)).items():
+                    mat[i, index[term]] = coeff
+            elif product is not None:
+                mat[i, index[product]] = 1
         mats.append(mat)
     name = tbl.quiver.vertices[v]
     return ModuleRep(tbl, dims, mats, label=f"P({name})")
@@ -651,9 +667,9 @@ def direct_sum(tbl: AlgebraTable, mods: Sequence[ModuleRep], label: str = "") ->
             raise ValueError("direct_sum: algebra mismatch")
     f = tbl.field
     nv = len(tbl.quiver.vertices)
-    dims = tuple(sum(m.dims[v] for m in mods) for v in range(nv))
+    dims = tuple([sum([m.dims[v] for m in mods]) for v in range(nv)])
     mats = [f.block_diag([m.mats[a] for m in mods]) for a in range(len(tbl.quiver.arrows))]
-    label = label or "+".join(m.label for m in mods) or "0"
+    label = label or "+".join([m.label for m in mods]) or "0"
     return ModuleRep._trusted(tbl, dims, mats, label=label)
 
 
@@ -730,11 +746,11 @@ def _proj_sum(tbl: AlgebraTable, vertices: tuple) -> ProjSum:
     nv = len(tbl.quiver.vertices)
     projs = [projective(tbl, v) for v in vertices]
     paths = [projective_paths(tbl, v) for v in vertices]
-    labels = tuple(
-        tuple((j, path) for j in range(len(vertices)) for path in paths[j][w])
+    labels = tuple([
+        tuple([(j, path) for j in range(len(vertices)) for path in paths[j][w]])
         for w in range(nv)
-    )
-    label = "+".join(f"P({tbl.quiver.vertices[v]})" for v in vertices) or "0"
+    ])
+    label = "+".join([f"P({tbl.quiver.vertices[v]})" for v in vertices]) or "0"
     if len(projs) == 1:
         module = projs[0].relabeled(label)  # the sum of one block is that block
     else:
@@ -899,28 +915,38 @@ def arrow_left_mult(tbl: AlgebraTable, a: int) -> ModuleMorphism:
 # ---------------------------------------------------------------------------
 
 
-def proj_cover(m: ModuleRep) -> tuple:
-    """(P, cover) with P = ⊕ P(v)^{dim top(m)_v}; ker(cover) ⊆ rad P.
+@memoized
+def top_vertices(m: ModuleRep) -> tuple:
+    """The top of m as vertices: each v, in vertex order, dim m_v − rank of
+    the stacked actions of the arrows into v times, since their row space
+    is the radical at v.  The projective cover is the sum of the P(v) over
+    this list, so projectivity and tops are read here, with no cover built.
+    Kept per module signature."""
+    f = m.algebra.field
+    out = []
+    for v, d in enumerate(m.dims):
+        if d:
+            out += [v] * (d - f.rank(_arrow_actions_into(m, v)))
+    return tuple(out)
 
-    The top at v is read off the pivot columns of the stacked actions of
-    the arrows into v, whose row space is the radical at v: the copies of
-    P(v) are its non-pivot columns, and each sends its generator to that
-    standard basis vector of m_v, the canonical section of the top
-    projection.  Builds the cover afresh on every call;
-    :func:`resolution_step` keeps one per module signature.
+
+def proj_cover(m: ModuleRep) -> tuple:
+    """(P, cover) with P = ⊕ P(v) over :func:`top_vertices`; ker(cover) ⊆ rad P.
+
+    The copies of P(v) are the non-pivot columns of the stacked actions of
+    the arrows into v, and each sends its generator to that standard basis
+    vector of m_v, the canonical section of the top projection.  Builds the
+    cover afresh on every call; :func:`resolution_step` keeps one per module
+    signature.
     """
     tbl = m.algebra
     f = tbl.field
-    vertices = []
+    vertices = top_vertices(m)
     starts = {}
-    for v, d in enumerate(m.dims):
-        pivots = f.pivot_columns(_arrow_actions_into(m, v))
-        if len(pivots) == d:
-            continue  # the top is zero at v
-        free = np.ones(d, dtype=bool)
-        free[list(pivots)] = False
-        starts[v] = f.eye(d)[free]
-        vertices += [v] * len(starts[v])
+    for v in dict.fromkeys(vertices):
+        free = np.ones(m.dims[v], dtype=bool)
+        free[list(f.pivot_columns(_arrow_actions_into(m, v)))] = False
+        starts[v] = f.eye(m.dims[v])[free]
     ps = proj_sum(tbl, vertices)
     return ps, _projsum_morphism(ps, m, starts)
 
@@ -953,17 +979,16 @@ def inj_hull(m: ModuleRep) -> tuple:
 
 
 def is_projective(m: ModuleRep) -> bool:
-    if m.is_zero:
-        return True
-    ps, _ = resolution_step(m)
-    return ps.module.total_dim == m.total_dim
+    """Whether m is projective: its cover ⊕ P(v) over :func:`top_vertices`
+    maps onto m, so it is an isomorphism exactly when the dimensions agree.
+    No cover is built."""
+    paths_from = m.algebra.basis_paths_from
+    return sum([len(paths_from(v)) for v in top_vertices(m)]) == m.total_dim
 
 
 def is_injective(m: ModuleRep) -> bool:
-    if m.is_zero:
-        return True
-    ps, _ = resolution_step(dual(m))  # the hull is the dual of ps.module
-    return ps.module.total_dim == m.total_dim
+    """Whether m is injective: D m is projective over the opposite algebra."""
+    return is_projective(dual(m))
 
 
 # ---------------------------------------------------------------------------
@@ -977,10 +1002,10 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, seed: int = 0, trials: int = 64):
     """True / False / None (undetermined).
 
     Equal dims and equal tops, then seeded random search for an invertible
-    combination of a hom basis; definitive False when dims, tops (the
-    vertices of the shared covers of :func:`resolution_step`) or dim End
-    differ or the search space is small enough to exhaust; None when the
-    bounded search cannot decide (never silently False).
+    combination of a hom basis; definitive False when dims, tops
+    (:func:`top_vertices`) or dim End differ or the search space is small
+    enough to exhaust; None when the bounded search cannot decide (never
+    silently False).
     """
     if m.algebra is not n.algebra:
         raise ValueError("is_isomorphic: algebra mismatch")
@@ -988,8 +1013,8 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, seed: int = 0, trials: int = 64):
         return False
     if m.total_dim == 0:
         return True
-    # isomorphic modules have isomorphic tops; covers list them in vertex order
-    if resolution_step(m)[0].vertices != resolution_step(n)[0].vertices:
+    # isomorphic modules have isomorphic tops
+    if top_vertices(m) != top_vertices(n):
         return False
     hom = hom_basis(m, n)
     if hom.dim == 0:
@@ -1091,30 +1116,25 @@ def isomorphic_to(m: ModuleRep, ind: Indecomposable) -> bool:
     """Whether m is isomorphic to the certified indecomposable Z = ind.module;
     never undecided.
 
-    m ≅ Z iff m and Z have the same dimension vector and tr(f∘g) ≠ 0 for
-    some f: m → Z and g: Z → m.  An isomorphism f with g = f⁻¹ gives tr 1 =
-    dim Z, nonzero mod p by the certificate.  Conversely f∘g with nonzero
-    trace lies outside the nilpotent rad End(Z), so it is invertible in the
-    local End(Z), g splits Z off m, and equal dimensions leave nothing
-    else.  The form is read on Hom bases, after tops and socles, which
-    isomorphic modules share, are compared.
+    m ≅ Z iff some basis vector of Hom(m, Z) is invertible at every vertex.
+    Given an isomorphism φ: m → Z, Hom(m, Z) = φ·End(Z) = k·φ ⊕ φ·rad End(Z)
+    by the certificate (End(Z) local with residue field k), and φ·(λ + r)
+    is invertible iff λ ≠ 0.  So the maps that are not isomorphisms form a
+    hyperplane, which no basis lies in.  One Hom system is solved, after
+    tops and socles (:func:`top_vertices` of m and of D m), which isomorphic
+    modules share, are compared.
     """
     z = ind.module
-    if m.dims != z.dims:
+    if m.dims != z.dims or top_vertices(m) != top_vertices(z):
         return False
-    if resolution_step(m)[0].vertices != resolution_step(z)[0].vertices:
+    if top_vertices(dual(m)) != top_vertices(dual(z)):
         return False
-    if resolution_step(dual(m))[0].vertices != resolution_step(dual(z))[0].vertices:
-        return False
-    fwd, back = _hom_rows(m, z), _hom_rows(z, m)
-    if not len(fwd) or not len(back):
-        return False
-    # tr(f∘g) = Σ_v Σ_ab f_v[a, b]·g_v[b, a]: pair f with g's transposed blocks
-    back_t = np.concatenate(
-        [blk.transpose(0, 2, 1).reshape(len(back), -1) for blk in _vertex_blocks(back, z, m)],
-        axis=1,
+    f = m.algebra.field
+    rows = _hom_rows(m, z)
+    return any(
+        all(f_rank_full(f, block) for block in blocks)
+        for blocks in zip(*_vertex_blocks(rows, m, z))
     )
-    return bool(np.any(m.algebra.field.mul(fwd, back_t.T)))
 
 
 def _charpoly(a: np.ndarray, p: int) -> list:
@@ -1262,7 +1282,7 @@ def nakayama_indecomposables(tbl: AlgebraTable):
         sub, incl = radical(projective(tbl, v))
         for length in itertools.count(1):
             mod = cokernel(incl)[0].relabeled(f"P({name})/rad^{length}")
-            if mod.total_dim != length or resolution_step(mod)[0].vertices != (v,):
+            if mod.total_dim != length or top_vertices(mod) != (v,):
                 raise InvariantError(
                     f"P({name})/rad^{length} is not uniserial of length {length} "
                     f"with top S({name}): dims {mod.dims}"

@@ -7,6 +7,7 @@ quotient dimension with plain linear algebra.
 
 import itertools
 import os
+import pickle
 import random
 import re
 
@@ -418,6 +419,72 @@ def test_corpus_and_scanned_tables_have_finitely_many_normal_words():
     for tbl in tables:
         assert _normal_cycle(tbl.quiver, tbl.rules) is None
         assert all(len(p) < tbl.max_path_length for p in tbl.basis)
+
+
+def overlap_elements(tbl):
+    """The S-element of every overlap of two rule left-hand sides, as the
+    overlap pass of completion forms them."""
+    return [
+        tbl._overlap_element(lhs1, lhs2, width)
+        for lhs1 in tbl.rules
+        for lhs2 in tbl.rules
+        for width in range(1, min(len(lhs1), len(lhs2)))
+        if lhs1[len(lhs1) - width :] == lhs2[:width]
+    ]
+
+
+def test_monomial_rules_overlap_only_in_zero():
+    # completion skips the overlap pass when every rule is monomial
+    from ardom.corpus import load_corpus
+    from ardom.verify import _cyclic_series
+
+    corpus = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+    tables = [e.load_table() for e in load_corpus(corpus)]
+    tables = [tbl for tbl in tables if not any(tbl.rules.values())]
+    assert len(tables) == 12  # all but auslander-x3 and comm-square
+    tables += [
+        nakayama_from_kupisch(list(c), cyclic=True)
+        for m in range(1, 5)
+        for c in _cyclic_series(m, 6)
+    ]
+    overlaps = 0
+    for tbl in tables:
+        assert not any(tbl.rules.values())
+        elements = overlap_elements(tbl)
+        assert all(s == {} for s in elements)
+        overlaps += len(elements)
+    assert overlaps
+
+
+# -- paths ---------------------------------------------------------------------
+
+
+def test_a_path_is_a_tuple_with_the_dataclass_hash_equality_and_repr():
+    path = Path(0, (1, 2), 3)
+    assert (path.source, path.arrows, path.target) == (0, (1, 2), 3)
+    assert path == Path(0, (1, 2), 3) and hash(path) == hash(Path(0, (1, 2), 3))
+    # the frozen dataclass hashed the tuple of its fields
+    assert hash(path) == hash((0, (1, 2), 3))
+    assert path != Path(1, (1, 2), 3) and path != Path(0, (1,), 3) and path != Path(0, (1, 2), 2)
+    assert repr(path) == "Path(source=0, arrows=(1, 2), target=3)"
+    assert len(path) == 2 and len(Path(4, (), 4)) == 0
+    assert Path(4, (), 4).is_trivial and not path.is_trivial
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(path, protocol))
+        assert type(back) is Path and back == path and hash(back) == hash(path)
+        assert repr(back) == repr(path) and len(back) == 2
+
+
+def test_no_path_equals_a_rule_key():
+    for text in (DIM5_TEXT, COMM_SQUARE_TEXT):
+        tbl = table_from_text(text)
+        assert tbl.rules
+        for lhs in tbl.rules:
+            path = make_path(tbl.quiver, tbl.quiver.arrow_source(lhs[0]), lhs)
+            assert path.arrows == lhs and path != lhs and lhs != path
+            assert path not in tbl.rules and lhs not in tbl.basis_index
+    trivial = Path(0, (), 0)
+    assert trivial != () and trivial != (0,) and () not in {trivial}
 
 
 # -- multiplication ------------------------------------------------------------

@@ -504,6 +504,8 @@ SCAN_M4_L6_SHA256 = "14f2d2051b0991e8dc89360308158385877802b47147912f750dab43785
 # `--simples 5 --max-len 6 --question`: 79 records, exit 0; the longest
 # dominant-dimension loops of the scans that tier-1 runs
 SCAN_M5_L6_SHA256 = "78f377cb0514512c302087268e71eccc08b7e8a6119d1affd3b4716f116b019c"
+# `--simples 6 --max-len 6 --question`: 211 records, exit 0, about 2 s
+SCAN_M6_L6_SHA256 = "add427307b76a545639ea72605904284901e858569e9f1c065da89ea10b3cb71"
 
 
 def assert_scan_digest(capsys, simples, max_len, lines, digest):
@@ -520,6 +522,10 @@ def test_scan_output_is_byte_identical_to_the_golden_digest(capsys):
 
 def test_larger_scan_output_is_byte_identical_to_the_golden_digest(capsys):
     assert_scan_digest(capsys, "5", "6", 79, SCAN_M5_L6_SHA256)
+
+
+def test_six_simple_scan_output_is_byte_identical_to_the_golden_digest(capsys):
+    assert_scan_digest(capsys, "6", "6", 211, SCAN_M6_L6_SHA256)
 
 
 def test_scan_output_is_the_same_under_python_O():

@@ -17,8 +17,11 @@ from ardom.arseq import (
 from ardom.corpus import load_corpus
 from ardom.homology import tau_inverse
 from ardom.modules import (
+    ModuleRep,
     certify_local,
     direct_sum,
+    dual,
+    hom_basis,
     indecomposable_summands,
     is_injective,
     is_isomorphic,
@@ -27,6 +30,7 @@ from ardom.modules import (
     projective,
     sample_modules,
     simple,
+    top_vertices,
 )
 from ardom.verify import _cyclic_series
 
@@ -76,6 +80,26 @@ def test_trace_form_matches_the_reference_isomorphism_search(by_id):
     seq = almost_split_from_projective(tbl, 1)
     (v,) = [ind for ind in listed if isomorphic_to(seq.v, ind)]
     assert isomorphic_to(tau_inverse(projective(tbl, 1)), v)
+
+
+def test_maps_between_modules_with_equal_tops_and_socles_need_not_be_isomorphisms():
+    # Z, the regular Kronecker module of length 2 at 3, and m = R_3 ⊕ R_3
+    # share dimensions, top and socle, and Hom(m, Z) is 2-dimensional, but
+    # every map m → Z has rank 1 at both vertices
+    tbl = table_from_text("field 101\nvertices v1 v2\narrow a v1 v2\narrow b v1 v2\n")
+    z = ModuleRep(tbl, (2, 2), [np.eye(2), [[3, 1], [0, 3]]], label="R_3[2]")
+    m = ModuleRep(tbl, (2, 2), [np.eye(2), 3 * np.eye(2)], label="R_3+R_3")
+    cert = certify_local(z)
+    assert cert is not None
+    assert top_vertices(m) == top_vertices(z) == (0, 0)
+    assert top_vertices(dual(m)) == top_vertices(dual(z))
+    assert hom_basis(m, z).dim == 2
+    assert not isomorphic_to(m, cert) and is_isomorphic(m, z) is False
+    # Z written in other bases at v1 and v2 is found
+    f = tbl.field
+    g1, g2 = f.mat([[1, 1], [0, 1]]), f.mat([[2, 0], [1, 1]])
+    rebased = ModuleRep(tbl, (2, 2), [f.mul(f.mul(g1, a), f.inverse(g2)) for a in z.mats])
+    assert isomorphic_to(rebased, cert)
 
 
 def test_fitting_splits_a_sum_into_certified_summands(by_id):

@@ -56,6 +56,7 @@ from ardom.modules import (
     sample_modules,
     simple,
     top,
+    top_vertices,
 )
 from ardom.verify import SUITES, _cyclic_series, _entry_verdicts
 
@@ -280,21 +281,19 @@ def test_builders_whose_syzygies_coincide_share_each_cover(name, monkeypatch, fr
 
 
 @pytest.mark.parametrize("p", [2, 101])
-def test_is_projective_and_is_injective_read_the_shared_step(p, monkeypatch, fresh_corpus_table):
+def test_is_projective_and_is_injective_read_the_tops(p, monkeypatch, fresh_corpus_table):
     tbl = fresh_corpus_table("auslander-x2", p)
     covered = count_covers(monkeypatch)
     for v in range(len(tbl.quiver.vertices)):
         for m in (simple(tbl, v), projective(tbl, v), injective(tbl, v)):
-            is_projective(m)
-            is_injective(m)
             before = len(covered)
-            # P_0 and Ω of m and of its dual, whose cover is D of the hull
+            projective_m, injective_m = is_projective(m), is_injective(m)
+            assert len(covered) == before  # no cover built
+            # m and its dual, whose cover is D of the hull
             for side in (m, dual(m)):
-                resolution_step(side)
-                syzygy(side)
-            inj_hull(m)
-            assert is_projective(m) == (resolution_step(m)[0].module.dims == m.dims)
-            assert len(covered) == before
+                assert proj_cover(side)[0].vertices == top_vertices(side)
+            assert projective_m == (resolution_step(m)[0].module.total_dim == m.total_dim)
+            assert injective_m == (resolution_step(dual(m))[0].module.total_dim == m.total_dim)
     assert covered and len(covered) == len(set(covered))
 
 
@@ -490,7 +489,10 @@ def test_projectivity_and_hulls_build_no_syzygy(name, monkeypatch, fresh_corpus_
             is_injective(m)
             inj_hull(m)
     assert not built
-    assert any(key[0] == "resolution_step" for key in tbl._memo)
+    # projectivity reads tops; the hulls' covers live on the opposite side
+    assert any(key[0] == "top_vertices" for key in tbl._memo)
+    assert not any(key[0] == "resolution_step" for key in tbl._memo)
+    assert any(key[0] == "resolution_step" for key in opposite(tbl)._memo)
     assert not any(key[0] == "omega" for t in (tbl, opposite(tbl)) for key in t._memo)
 
 
@@ -660,7 +662,7 @@ def test_the_knitted_list_is_built_once_and_shares_the_projective_sequences(
 
 
 @pytest.mark.parametrize(
-    "name, systems, sequences", [("auslander-x3", 66, 18), ("comm-square", 29, 7)]
+    "name, systems, sequences", [("auslander-x3", 50, 18), ("comm-square", 22, 7)]
 )
 def test_a_fresh_knit_solves_a_pinned_number_of_hom_systems(
     name, systems, sequences, monkeypatch, fresh_corpus_table

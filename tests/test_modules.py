@@ -10,6 +10,7 @@ from ardom.algebra import (
     InvariantError,
     Path,
     nakayama_from_kupisch,
+    opposite,
     table_from_file,
     table_from_text,
 )
@@ -40,6 +41,7 @@ from ardom.modules import (
     proj_cover,
     proj_sum,
     projective,
+    projective_paths,
     projsum_hom_rows,
     projsum_map_elements,
     projsum_map_from_elements,
@@ -59,6 +61,7 @@ from ardom.modules import (
     zero_module,
     zero_morphism,
 )
+from ardom.verify import _cyclic_series
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 CORPUS_IDS = sorted(entry.entry_id for entry in load_corpus(CORPUS))
@@ -136,6 +139,60 @@ def test_projective_dim5(dim5):
     assert validate(p1) is None and validate(p2) is None
     # basis at v2 of P(v2) is {e2, b*a} in length order; b acts e2 -> b
     assert np.array_equal(p2.mats[1], [[1], [0]])
+
+
+def projective_by_products(tbl, v):
+    """The blocks of P(v) with every product p·a of a basis path and an
+    arrow multiplied out by ``multiply_paths``."""
+    q = tbl.quiver
+    index = projective_paths(tbl, v)
+    mats = []
+    for a in range(len(q.arrows)):
+        src, tgt = q.arrow_source(a), q.arrow_target(a)
+        mat = np.zeros((len(index[src]), len(index[tgt])), dtype=np.int64)
+        for i, path in enumerate(index[src]):
+            for term, c in tbl.multiply_paths(path, Path(src, (a,), tgt)).items():
+                mat[i, index[tgt][term]] = c
+        mats.append(mat)
+    return mats
+
+
+def assert_projectives_are_the_products(tbl):
+    for side in (tbl, opposite(tbl)):
+        for v in range(len(side.quiver.vertices)):
+            got, want = projective(side, v), projective_by_products(side, v)
+            assert got.dims == tuple(len(at) for at in projective_paths(side, v))
+            assert len(got.mats) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got.mats, want))
+
+
+def rewritten_products(tbl):
+    """(p, a) of the basis paths p and arrows a, on either side, whose
+    product a rule rewrites to other paths: those not in ``arrow_products``."""
+    return [
+        (path, a)
+        for side in (tbl, opposite(tbl))
+        for path in side.basis
+        for a in side.quiver.arrows_from(path.target)
+        if (path, a) not in side.arrow_products
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+@pytest.mark.parametrize("name", CORPUS_IDS)
+def test_projectives_read_the_product_record(name, p, fresh_corpus_table):
+    tbl = fresh_corpus_table(name, p)
+    assert_projectives_are_the_products(tbl)
+    # only the non-monomial entries multiply a product out
+    assert bool(rewritten_products(tbl)) == (name in ("auslander-x3", "comm-square"))
+
+
+def test_cyclic_nakayama_projectives_read_the_product_record():
+    for m in range(1, 5):
+        for series in _cyclic_series(m, 6):
+            tbl = nakayama_from_kupisch(list(series), cyclic=True)
+            assert_projectives_are_the_products(tbl)
+            assert not rewritten_products(tbl)
 
 
 def test_injective_a2(a2):
