@@ -4,7 +4,8 @@ Syzygies Ω^k M and the minimal presentation P_1 -> P_0 -> M, from which
 every degree of a minimal resolution is read (degree i of M is degree 0 of
 Ω^i M; an injective coresolution is the dual of the opposite side's
 resolution), Ext dimensions, the transpose and the translates D·Tr / Tr·D,
-the evaluation map with its torsion kernel, and the capped numeric
+the torsion submodule t(M) (the kernel of the evaluation map into the double
+dual, read without building it), n-torsion-freeness, and the capped numeric
 invariants (grade, dominant, global, Gorenstein dimension).
 
 Unbounded searches are capped (default 30) and report their outcome through
@@ -29,15 +30,12 @@ from .modules import (
     dual,
     dual_regular,
     cokernel,
-    hom_basis,
     injective,
     is_projective,
-    kernel,
     memoized,
     omega,
     proj_sum,
     projective,
-    projective_paths,
     projsum_map_elements,
     projsum_map_from_elements,
     regular,
@@ -62,8 +60,6 @@ __all__ = [
     "transpose",
     "tau",
     "tau_inverse",
-    "EvalData",
-    "evaluation_and_torsion",
     "torsion",
     "grade",
     "domdim_module",
@@ -74,7 +70,6 @@ __all__ = [
     "gorenstein_dim",
     "torsion_free_failure_degree",
     "is_n_torsion_free",
-    "is_n_torsion_free_via_dual",
     "domdim_R_via_mueller",
 ]
 
@@ -377,7 +372,7 @@ def tau_inverse(m: ModuleRep) -> ModuleRep:
 
 
 # ---------------------------------------------------------------------------
-# the evaluation map and its torsion kernel
+# torsion
 # ---------------------------------------------------------------------------
 
 
@@ -386,105 +381,6 @@ def _yoneda_to_projective(tbl: AlgebraTable, vertices: tuple, v: int) -> np.ndar
     """:func:`yoneda_block` of ⊕_j P(vertices[j]) into P(v), kept per
     (vertices, v): the torsion of every module with that top reads it."""
     return yoneda_block(proj_sum(tbl, vertices), projective(tbl, v))
-
-
-def _star_with_bases(m: ModuleRep):
-    """Hom(m, A) as a module over the opposite algebra.
-
-    Vertex space at v: Hom(m, P(v)), with the chosen hom_basis as basis.
-    The opposite arrow a°: w -> v (for a: v -> w) acts by post-composition
-    with the left-multiplication P(w) -> P(v) by the arrow.  Returns the
-    module together with the hom bases.
-    """
-    tbl = m.algebra
-    opp = opposite(tbl)
-    f = tbl.field
-    nv = len(tbl.quiver.vertices)
-    bases = [hom_basis(m, projective(tbl, v)) for v in range(nv)]
-    dims = [hb.dim for hb in bases]
-    mats = [None] * len(opp.quiver.arrows)
-    for a in range(len(tbl.quiver.arrows)):
-        v, w = tbl.quiver.arrow_source(a), tbl.quiver.arrow_target(a)
-        lm = arrow_left_mult(tbl, a)
-        mat = f.zeros(dims[w], dims[v])
-        for i, g in enumerate(bases[w].morphisms):
-            composed = g.compose(lm).flatten().reshape(1, -1)
-            coords = f.coords_in_rowspace(bases[v].rows, composed)
-            if coords is None:
-                raise InvariantError("post-composition leaves the hom basis span")
-            mat[i] = coords[0]
-        mats[a] = mat
-    star = ModuleRep(opp, dims, mats, label=f"{m.label}*")
-    return star, bases
-
-
-@dataclass(frozen=True)
-class EvalData:
-    evaluation: ModuleMorphism  # m -> m**
-    double_dual: ModuleRep
-    torsion: ModuleRep
-    torsion_inclusion: ModuleMorphism
-    torsionless: bool
-    reflexive: bool
-
-
-@memoized
-def evaluation_and_torsion(m: ModuleRep) -> EvalData:
-    """The canonical map into the double Hom-dual and its kernel.
-
-    m* is built by :func:`_star_with_bases`; m** is the same construction
-    applied over the opposite algebra, landing back over the original one.
-    The evaluation sends a basis vector x at vertex v to the functional
-    φ ↦ φ(x), expressed in the chosen basis of m** by reversing the path
-    coordinates of φ(x).
-    """
-    tbl = m.algebra
-    opp = opposite(tbl)
-    f = tbl.field
-    nv = len(tbl.quiver.vertices)
-    star, bases = _star_with_bases(m)
-    dstar, bases2 = _star_with_bases(star)
-    if dstar.algebra is not tbl:
-        raise InvariantError("the double dual lives over another algebra")
-    ev_mats = []
-    for v in range(nv):
-        mat = f.zeros(m.dims[v], dstar.dims[v])
-        for t in range(m.dims[v]):
-            # the morphism star -> P°(v) given by φ ↦ φ(e_t), in coordinates
-            pv = projective(opp, v)
-            blocks = []
-            for u in range(nv):
-                rows = f.zeros(star.dims[u], pv.dims[u])
-                for i, g in enumerate(bases[u].morphisms):
-                    val = g.mats[v][t]  # φ_i(e_t) over basis paths u -> v
-                    out_el = {}
-                    for path, c in zip(projective_paths(tbl, u)[v], val):
-                        c = int(c)
-                        if not c:
-                            continue
-                        rev = reverse_path(path)
-                        for q, c2 in opp.normal_form({rev: c}).items():
-                            out_el[q] = (out_el.get(q, 0) + c2) % f.p
-                    for q, c in out_el.items():
-                        rows[i, projective_paths(opp, v)[u][q]] = c
-                blocks.append(rows.reshape(-1))
-            flat = np.concatenate(blocks) if blocks else f.zeros(1, 0)[0]
-            coords = f.coords_in_rowspace(bases2[v].rows, flat.reshape(1, -1))
-            if coords is None:
-                raise InvariantError("evaluation image escaped the hom basis")
-            mat[t] = coords[0]
-        ev_mats.append(mat)
-    evaluation = ModuleMorphism(m, dstar, ev_mats)
-    t_mod, t_inclusion = kernel(evaluation)
-    t_mod.label = f"t({m.label})"
-    return EvalData(
-        evaluation=evaluation,
-        double_dual=dstar,
-        torsion=t_mod,
-        torsion_inclusion=t_inclusion,
-        torsionless=t_mod.is_zero,
-        reflexive=evaluation.is_isomorphism(),
-    )
 
 
 @memoized
@@ -501,10 +397,11 @@ def torsion(m: ModuleRep) -> ModuleRep:
     that vanish on Ω m, in generator coordinates, which
     :func:`yoneda_block` turns into morphisms.  Each g is cover·φ for one φ,
     so φ_u = s_u·g_u for any section s_u of the cover at u.  The blocks φ_u
-    span the same column space as those of ``hom_basis(m, P(v))``, and the
-    canonical kernel basis depends only on it, so the module is
-    bit-identical to ``evaluation_and_torsion(m).torsion``.  A projective
-    m, read off its cover, is torsionless and skips all of this.
+    span the same column space as those of any basis of Hom(m, P(v)), and
+    the canonical kernel basis depends only on it, so the module is
+    bit-identical to the kernel of the evaluation map into the double dual
+    (built in full by the reference route in ``tests/reference.py``).  A
+    projective m, read off its cover, is torsionless and skips all of this.
     """
     tbl = m.algebra
     f = tbl.field
@@ -631,7 +528,7 @@ def gorenstein_dim(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat:
 
 
 # ---------------------------------------------------------------------------
-# torsion-freeness, two routes
+# torsion-freeness
 # ---------------------------------------------------------------------------
 
 
@@ -653,21 +550,6 @@ def torsion_free_failure_degree(m: ModuleRep, n: int):
 def is_n_torsion_free(m: ModuleRep, n: int) -> bool:
     """Vanishing of Ext^i over the opposite algebra of (Tr m, A°), i = 1..n."""
     return torsion_free_failure_degree(m, n) is None
-
-
-def is_n_torsion_free_via_dual(m: ModuleRep, n: int) -> bool:
-    """The direct-definition route: Ext^i(DA, tau m) = 0 for i = 1..n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    tbl = m.algebra
-    da = dual_regular(tbl)
-    tm = tau(m)
-    if tm.is_zero:
-        return True
-    for i in range(1, n + 1):
-        if ext_dim(da, tm, i) != 0:
-            return False
-    return True
 
 
 def domdim_R_via_mueller(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat:

@@ -26,7 +26,6 @@ from .algebra import AlgebraTable, InputError, InvariantError, Path, opposite
 __all__ = [
     "ModuleRep",
     "ModuleMorphism",
-    "HomBasis",
     "ProjSum",
     "validate",
     "simple",
@@ -34,7 +33,6 @@ __all__ = [
     "injective",
     "regular",
     "dual_regular",
-    "hom_basis",
     "kernel",
     "image",
     "cokernel",
@@ -370,36 +368,10 @@ def morphism_from_flat(m: ModuleRep, n: ModuleRep, flat: np.ndarray) -> ModuleMo
     return ModuleMorphism._trusted(m, n, mats)
 
 
-@dataclass(frozen=True)
-class HomBasis:
-    """A basis of Hom(source, target): ``rows`` holds the flattened basis
-    morphisms, one row each (dim x sum of block sizes)."""
-
-    source: ModuleRep
-    target: ModuleRep
-    morphisms: tuple
-    rows: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.morphisms)
-
-    def combo(self, coeffs: Sequence[int]) -> ModuleMorphism:
-        """The combination sum_i coeffs[i] * morphisms[i], built as one morphism."""
-        p = self.source.algebra.field.p
-        c = np.array([int(x) % p for x in coeffs], dtype=np.int64)
-        return morphism_from_flat(self.source, self.target, c @ self.rows % p)
-
-
-def hom_basis(m: ModuleRep, n: ModuleRep) -> HomBasis:
-    """Basis of Hom_A(m, n) as the kernel of one assembled linear system
-    (:func:`_hom_rows`), with each basis row as a morphism."""
-    rows = _hom_rows(m, n)
-    return HomBasis(m, n, tuple(morphism_from_flat(m, n, row) for row in rows), rows)
-
-
 def _hom_rows(m: ModuleRep, n: ModuleRep) -> np.ndarray:
-    """The flattened rows of :func:`hom_basis`, without the morphisms.
+    """A basis of Hom_A(m, n) as flattened morphisms (one row each, the
+    ``flatten`` layout): the canonical kernel basis of one assembled
+    linear system.
 
     Unknowns are the stacked row-major entries of all f_v; each arrow
     a: v -> w contributes the block equation M_a @ f_w - f_v @ N_a = 0,
@@ -407,7 +379,7 @@ def _hom_rows(m: ModuleRep, n: ModuleRep) -> np.ndarray:
     vec(A @ X @ B) = (A kron B^T) vec(X).
     """
     if m.algebra is not n.algebra:
-        raise ValueError("hom_basis: modules live over different algebras")
+        raise ValueError("_hom_rows: modules live over different algebras")
     f = m.algebra.field
     q = m.algebra.quiver
     sizes = [dm * dn for dm, dn in zip(m.dims, n.dims)]
@@ -829,10 +801,10 @@ def yoneda_block(ps: ProjSum, n: ModuleRep) -> np.ndarray:
 
 
 def projsum_hom_rows(ps: ProjSum, n: ModuleRep) -> np.ndarray:
-    """The flattened rows of ``hom_basis(ps.module, n)``, by Yoneda.
+    """The flattened rows of ``_hom_rows(ps.module, n)``, by Yoneda.
 
     The rows of :func:`yoneda_block` span the Hom space, and the canonical
-    kernel basis that ``hom_basis`` returns is the unique basis of that
+    kernel basis that :func:`_hom_rows` returns is the unique basis of that
     space which is the identity on its free columns, the columns that are
     last nonzero entries of some vector.  Those are the pivots of the rref
     with the columns reversed, so reversing that rref's rows and columns
@@ -992,55 +964,7 @@ def is_injective(m: ModuleRep) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism testing
-# ---------------------------------------------------------------------------
-
-_EXHAUSTIVE_BUDGET = 200_000
-
-
-def is_isomorphic(m: ModuleRep, n: ModuleRep, seed: int = 0, trials: int = 64):
-    """True / False / None (undetermined).
-
-    Equal dims and equal tops, then seeded random search for an invertible
-    combination of a hom basis; definitive False when dims, tops
-    (:func:`top_vertices`) or dim End differ or the search space is small
-    enough to exhaust; None when the bounded search cannot decide (never
-    silently False).
-    """
-    if m.algebra is not n.algebra:
-        raise ValueError("is_isomorphic: algebra mismatch")
-    if m.dims != n.dims:
-        return False
-    if m.total_dim == 0:
-        return True
-    # isomorphic modules have isomorphic tops
-    if top_vertices(m) != top_vertices(n):
-        return False
-    hom = hom_basis(m, n)
-    if hom.dim == 0:
-        return False
-    p = m.algebra.field.p
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        coeffs = rng.integers(0, p, size=hom.dim)
-        if hom.combo(coeffs).is_isomorphism():
-            return True
-    if hom_basis(m, m).dim != hom_basis(n, n).dim:
-        return False  # dim End is an isomorphism invariant
-    if p**hom.dim <= _EXHAUSTIVE_BUDGET:
-        for coeffs in itertools.product(range(p), repeat=hom.dim):
-            if any(coeffs) and hom.combo(coeffs).is_isomorphism():
-                return True
-        return False
-    for _ in range(32 * trials):
-        coeffs = rng.integers(0, p, size=hom.dim)
-        if hom.combo(coeffs).is_isomorphism():
-            return True
-    return None
-
-
-# ---------------------------------------------------------------------------
-# certified indecomposables
+# certified indecomposables and isomorphism testing
 # ---------------------------------------------------------------------------
 
 # Seeded random endomorphisms tried on a module before its split is given up.
@@ -1069,7 +993,7 @@ def _vertex_blocks(rows: np.ndarray, m: ModuleRep, n: ModuleRep) -> list:
 
 @memoized
 def _end_rows(m: ModuleRep) -> np.ndarray:
-    """The flattened rows of ``hom_basis(m, m)``, kept per module signature:
+    """``_hom_rows(m, m)``, a basis of End(m), kept per module signature:
     :func:`certify_local` and :func:`_fitting_split` both read them."""
     return _hom_rows(m, m)
 
@@ -1254,6 +1178,43 @@ def indecomposable_summands(m: ModuleRep, listed=(), seed: int = 0) -> Optional[
     return out
 
 
+def is_isomorphic(m: ModuleRep, n: ModuleRep) -> Optional[bool]:
+    """True / False / None (undetermined), by Krull–Schmidt: m ≅ n iff
+    their indecomposable summands match one to one up to isomorphism
+    (Assem–Simson–Skowroński, *Elements* vol. 1, Ch. I.4).
+
+    Dims and tops (:func:`top_vertices`) are compared first.  Then m is
+    decomposed by :func:`indecomposable_summands` and its summands are
+    grouped into classes under :func:`isomorphic_to`, one representative
+    each.  n is decomposed with the representatives listed, so a summand of
+    n isomorphic to one comes back as that very record: m ≅ n iff each
+    representative comes back as often as its class has members, and
+    nothing else comes back.  None only when a summand of m or n cannot be
+    certified (see :func:`indecomposable_summands`), never a guess.
+    """
+    if m.algebra is not n.algebra:
+        raise ValueError("is_isomorphic: algebra mismatch")
+    if m.dims != n.dims or top_vertices(m) != top_vertices(n):
+        return False
+    summands = indecomposable_summands(m)
+    if summands is None:
+        return None
+    reps, counts = [], []
+    for s in summands:
+        i = next((i for i, r in enumerate(reps) if isomorphic_to(s.module, r)), None)
+        if i is None:
+            reps.append(s)
+            counts.append(1)
+        else:
+            counts[i] += 1
+    found = indecomposable_summands(n, reps)
+    if found is None:
+        return None
+    return len(found) == len(summands) and all(
+        sum(f is r for f in found) == c for r, c in zip(reps, counts)
+    )
+
+
 # ---------------------------------------------------------------------------
 # indecomposables and sampling
 # ---------------------------------------------------------------------------
@@ -1309,11 +1270,11 @@ def sample_modules(tbl: AlgebraTable, seed: int = 0, size: int = 64) -> list:
     and tops of projectives, syzygies and cosyzygies of simples to depth 3;
     then random cokernels of random morphisms between projective sums, until
     ``size`` entries.  Each random morphism is a random combination of the
-    Yoneda rows of :func:`projsum_hom_rows`, which equal the ``hom_basis``
-    rows, so no Hom system is solved.  Zero modules are dropped, duplicates
-    (bit-identical representations) appear once.  The sample is computed
-    once per table and arguments; each call returns a fresh list of the same
-    modules.
+    Yoneda rows of :func:`projsum_hom_rows`, which equal the
+    :func:`_hom_rows` rows, so no Hom system is solved.  Zero modules are
+    dropped, duplicates (bit-identical representations) appear once.  The
+    sample is computed once per table and arguments; each call returns a
+    fresh list of the same modules.
     """
     return list(_sample_modules(tbl, seed, size))
 

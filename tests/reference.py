@@ -1,0 +1,225 @@
+"""Reference routes the tests compare the product against.
+
+Each function here answers a question that ``ardom`` answers by another,
+exact route, and is kept only so that the tests can check the two agree:
+
+- :func:`hom_basis`, a basis of Hom(m, n) as morphisms, over the one
+  Kronecker solver ``ardom.modules._hom_rows`` (looked up on each call, so a
+  test that counts that solver's calls sees these too);
+- :func:`random_isomorphism_search`, a seeded random search for an
+  invertible combination of a Hom basis, against the Krull–Schmidt
+  ``ardom.modules.is_isomorphic``;
+- :func:`evaluation_and_torsion`, the evaluation map m -> m** into the
+  double Hom-dual built in full, whose kernel ``ardom.homology.torsion``
+  reads without building m**;
+- :func:`is_n_torsion_free_via_dual`, Ext^i(DA, τm) = 0 for i = 1..n,
+  against the transpose route ``ardom.homology.is_n_torsion_free``.
+
+Nothing here is memoised, and nothing here calls the routes it checks.
+"""
+
+import itertools
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+import ardom.modules
+from ardom.algebra import opposite, reverse_path
+from ardom.homology import InvariantError, ext_dim, tau
+from ardom.modules import (
+    ModuleMorphism,
+    ModuleRep,
+    arrow_left_mult,
+    dual_regular,
+    kernel,
+    morphism_from_flat,
+    projective,
+    projective_paths,
+    top_vertices,
+)
+
+
+@dataclass(frozen=True)
+class HomBasis:
+    """A basis of Hom(source, target): ``rows`` holds the flattened basis
+    morphisms, one row each (dim x sum of block sizes)."""
+
+    source: ModuleRep
+    target: ModuleRep
+    morphisms: tuple
+    rows: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return len(self.morphisms)
+
+    def combo(self, coeffs: Sequence[int]) -> ModuleMorphism:
+        """The combination sum_i coeffs[i] * morphisms[i], built as one morphism."""
+        p = self.source.algebra.field.p
+        c = np.array([int(x) % p for x in coeffs], dtype=np.int64)
+        return morphism_from_flat(self.source, self.target, c @ self.rows % p)
+
+
+def hom_basis(m: ModuleRep, n: ModuleRep) -> HomBasis:
+    """Basis of Hom_A(m, n) as the kernel of one assembled linear system
+    (``ardom.modules._hom_rows``), with each basis row as a morphism."""
+    rows = ardom.modules._hom_rows(m, n)
+    return HomBasis(m, n, tuple(morphism_from_flat(m, n, row) for row in rows), rows)
+
+
+_EXHAUSTIVE_BUDGET = 200_000
+
+
+def random_isomorphism_search(m: ModuleRep, n: ModuleRep, seed: int = 0, trials: int = 64):
+    """True / False / None (undetermined).
+
+    Equal dims and equal tops, then seeded random search for an invertible
+    combination of a hom basis; definitive False when dims, tops
+    (:func:`top_vertices`) or dim End differ or the search space is small
+    enough to exhaust; None when the bounded search cannot decide (never
+    silently False).
+    """
+    if m.algebra is not n.algebra:
+        raise ValueError("random_isomorphism_search: algebra mismatch")
+    if m.dims != n.dims:
+        return False
+    if m.total_dim == 0:
+        return True
+    # isomorphic modules have isomorphic tops
+    if top_vertices(m) != top_vertices(n):
+        return False
+    hom = hom_basis(m, n)
+    if hom.dim == 0:
+        return False
+    p = m.algebra.field.p
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        coeffs = rng.integers(0, p, size=hom.dim)
+        if hom.combo(coeffs).is_isomorphism():
+            return True
+    if hom_basis(m, m).dim != hom_basis(n, n).dim:
+        return False  # dim End is an isomorphism invariant
+    if p**hom.dim <= _EXHAUSTIVE_BUDGET:
+        for coeffs in itertools.product(range(p), repeat=hom.dim):
+            if any(coeffs) and hom.combo(coeffs).is_isomorphism():
+                return True
+        return False
+    for _ in range(32 * trials):
+        coeffs = rng.integers(0, p, size=hom.dim)
+        if hom.combo(coeffs).is_isomorphism():
+            return True
+    return None
+
+
+def _star_with_bases(m: ModuleRep):
+    """Hom(m, A) as a module over the opposite algebra.
+
+    Vertex space at v: Hom(m, P(v)), with the chosen hom_basis as basis.
+    The opposite arrow a°: w -> v (for a: v -> w) acts by post-composition
+    with the left-multiplication P(w) -> P(v) by the arrow.  Returns the
+    module together with the hom bases.
+    """
+    tbl = m.algebra
+    opp = opposite(tbl)
+    f = tbl.field
+    nv = len(tbl.quiver.vertices)
+    bases = [hom_basis(m, projective(tbl, v)) for v in range(nv)]
+    dims = [hb.dim for hb in bases]
+    mats = [None] * len(opp.quiver.arrows)
+    for a in range(len(tbl.quiver.arrows)):
+        v, w = tbl.quiver.arrow_source(a), tbl.quiver.arrow_target(a)
+        lm = arrow_left_mult(tbl, a)
+        mat = f.zeros(dims[w], dims[v])
+        for i, g in enumerate(bases[w].morphisms):
+            composed = g.compose(lm).flatten().reshape(1, -1)
+            coords = f.coords_in_rowspace(bases[v].rows, composed)
+            if coords is None:
+                raise InvariantError("post-composition leaves the hom basis span")
+            mat[i] = coords[0]
+        mats[a] = mat
+    star = ModuleRep(opp, dims, mats, label=f"{m.label}*")
+    return star, bases
+
+
+@dataclass(frozen=True)
+class EvalData:
+    evaluation: ModuleMorphism  # m -> m**
+    double_dual: ModuleRep
+    torsion: ModuleRep
+    torsion_inclusion: ModuleMorphism
+    torsionless: bool
+    reflexive: bool
+
+
+def evaluation_and_torsion(m: ModuleRep) -> EvalData:
+    """The canonical map into the double Hom-dual and its kernel.
+
+    m* is built by :func:`_star_with_bases`; m** is the same construction
+    applied over the opposite algebra, landing back over the original one.
+    The evaluation sends a basis vector x at vertex v to the functional
+    φ ↦ φ(x), expressed in the chosen basis of m** by reversing the path
+    coordinates of φ(x).
+    """
+    tbl = m.algebra
+    opp = opposite(tbl)
+    f = tbl.field
+    nv = len(tbl.quiver.vertices)
+    star, bases = _star_with_bases(m)
+    dstar, bases2 = _star_with_bases(star)
+    if dstar.algebra is not tbl:
+        raise InvariantError("the double dual lives over another algebra")
+    ev_mats = []
+    for v in range(nv):
+        mat = f.zeros(m.dims[v], dstar.dims[v])
+        for t in range(m.dims[v]):
+            # the morphism star -> P°(v) given by φ ↦ φ(e_t), in coordinates
+            pv = projective(opp, v)
+            blocks = []
+            for u in range(nv):
+                rows = f.zeros(star.dims[u], pv.dims[u])
+                for i, g in enumerate(bases[u].morphisms):
+                    val = g.mats[v][t]  # φ_i(e_t) over basis paths u -> v
+                    out_el = {}
+                    for path, c in zip(projective_paths(tbl, u)[v], val):
+                        c = int(c)
+                        if not c:
+                            continue
+                        rev = reverse_path(path)
+                        for q, c2 in opp.normal_form({rev: c}).items():
+                            out_el[q] = (out_el.get(q, 0) + c2) % f.p
+                    for q, c in out_el.items():
+                        rows[i, projective_paths(opp, v)[u][q]] = c
+                blocks.append(rows.reshape(-1))
+            flat = np.concatenate(blocks) if blocks else f.zeros(1, 0)[0]
+            coords = f.coords_in_rowspace(bases2[v].rows, flat.reshape(1, -1))
+            if coords is None:
+                raise InvariantError("evaluation image escaped the hom basis")
+            mat[t] = coords[0]
+        ev_mats.append(mat)
+    evaluation = ModuleMorphism(m, dstar, ev_mats)
+    t_mod, t_inclusion = kernel(evaluation)
+    t_mod.label = f"t({m.label})"
+    return EvalData(
+        evaluation=evaluation,
+        double_dual=dstar,
+        torsion=t_mod,
+        torsion_inclusion=t_inclusion,
+        torsionless=t_mod.is_zero,
+        reflexive=evaluation.is_isomorphism(),
+    )
+
+
+def is_n_torsion_free_via_dual(m: ModuleRep, n: int) -> bool:
+    """The direct-definition route: Ext^i(DA, tau m) = 0 for i = 1..n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    tbl = m.algebra
+    da = dual_regular(tbl)
+    tm = tau(m)
+    if tm.is_zero:
+        return True
+    for i in range(1, n + 1):
+        if ext_dim(da, tm, i) != 0:
+            return False
+    return True

@@ -23,7 +23,6 @@ from ardom.homology import (
     gorenstein_dim,
     grade,
     is_n_torsion_free,
-    is_n_torsion_free_via_dual,
     pdim,
     torsion,
     transpose,
@@ -45,6 +44,7 @@ from ardom.verify import (
     verify_gendo_cor,
     verify_main_theorem,
 )
+from reference import is_n_torsion_free_via_dual
 
 CORPUS_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 SEED = 0

@@ -447,15 +447,6 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     assert sum(len(opts & SHARED_OPTIONS) for opts in got.values()) == 30
 
 
-@pytest.mark.skipif(shutil.which("ardom") is None, reason="ardom not on PATH")
-def test_console_script():
-    proc = subprocess.run(
-        ["ardom", "info", alg("ka2")], capture_output=True, text=True
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["algebra"] == "ka2"
-
-
 @pytest.mark.parametrize("jobs", ["-3", "0", "two"])
 def test_jobs_below_one_is_input_error(capsys, jobs):
     with pytest.raises(SystemExit) as exc:

@@ -12,7 +12,8 @@ from ardom.homology import (
     gorenstein_dim,
 )
 from ardom.linalg import PrimeField
-from ardom.modules import hom_basis, is_projective, validate
+from ardom.modules import is_projective, validate
+from reference import hom_basis
 
 CORPUS_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 

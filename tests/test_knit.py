@@ -1,5 +1,6 @@
 """Certified indecomposables and the knitted Auslander–Reiten quiver."""
 
+import itertools
 import os
 
 import numpy as np
@@ -21,7 +22,6 @@ from ardom.modules import (
     certify_local,
     direct_sum,
     dual,
-    hom_basis,
     indecomposable_summands,
     is_injective,
     is_isomorphic,
@@ -33,6 +33,7 @@ from ardom.modules import (
     top_vertices,
 )
 from ardom.verify import _cyclic_series
+from reference import hom_basis, random_isomorphism_search
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 NAKAYAMA_IDS = ("ka2", "linear-a3", "linear-a4", "auslander-x2") + tuple(
@@ -67,6 +68,7 @@ def test_no_certificate_when_p_divides_the_dimension(fresh_corpus_table):
     assert certify_local(simple(tbl, 0)) is not None
     assert certify_local(projective(tbl, 1)) is None  # dim 2, although indecomposable
     assert indecomposable_summands(projective(tbl, 1)) is None
+    assert is_isomorphic(projective(tbl, 1), projective(tbl, 1)) is None
 
 
 def test_trace_form_matches_the_reference_isomorphism_search(by_id):
@@ -75,11 +77,36 @@ def test_trace_form_matches_the_reference_isomorphism_search(by_id):
     for a in listed:
         for b in listed:
             assert isomorphic_to(a.module, b) is (a is b)
-            assert is_isomorphic(a.module, b.module) is (a is b)
+            assert random_isomorphism_search(a.module, b.module) is (a is b)
     # a relabelled, rebased copy is found
     seq = almost_split_from_projective(tbl, 1)
     (v,) = [ind for ind in listed if isomorphic_to(seq.v, ind)]
     assert isomorphic_to(tau_inverse(projective(tbl, 1)), v)
+
+
+@pytest.mark.parametrize("name", ["comm-square", "auslander-x3"])
+def test_krull_schmidt_matches_the_reference_search_on_sums(name, by_id):
+    tbl = by_id[name].load_table()
+    listed = [ind.module for ind in knit_indecomposables(tbl, 64)]
+    for x, y in itertools.product(listed, repeat=2):
+        assert is_isomorphic(x, y) is random_isomorphism_search(x, y) is (x is y)
+    # X ⊕ Y ≅ Z ⊕ W iff {X, Y} = {Z, W}; sums of other dims or tops need no search
+    sums = {}
+    for i, j in itertools.combinations_with_replacement(range(len(listed)), 2):
+        s = direct_sum(tbl, [listed[i], listed[j]])
+        sums.setdefault((s.dims, top_vertices(s)), []).append(((i, j), s))
+        if i != j:
+            reordered = direct_sum(tbl, [listed[j], listed[i]])
+            assert is_isomorphic(s, reordered) is random_isomorphism_search(s, reordered) is True
+    decided = 0
+    for group in sums.values():
+        for ((p, s), (q, u)) in itertools.product(group, repeat=2):
+            got, want = is_isomorphic(s, u), random_isomorphism_search(s, u)
+            assert got is (p == q), (p, q)
+            if want is not None:
+                assert got is want, (p, q)
+                decided += p != q
+    assert decided
 
 
 def test_maps_between_modules_with_equal_tops_and_socles_need_not_be_isomorphisms():
@@ -94,7 +121,8 @@ def test_maps_between_modules_with_equal_tops_and_socles_need_not_be_isomorphism
     assert top_vertices(m) == top_vertices(z) == (0, 0)
     assert top_vertices(dual(m)) == top_vertices(dual(z))
     assert hom_basis(m, z).dim == 2
-    assert not isomorphic_to(m, cert) and is_isomorphic(m, z) is False
+    assert not isomorphic_to(m, cert) and random_isomorphism_search(m, z) is False
+    assert is_isomorphic(m, z) is False
     # Z written in other bases at v1 and v2 is found
     f = tbl.field
     g1, g2 = f.mat([[1, 1], [0, 1]]), f.mat([[2, 0], [1, 1]])
