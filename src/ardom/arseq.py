@@ -13,6 +13,11 @@ For U = P(v), rad End(U) = e_v·rad(A)·e_v is spanned by the cycles at v.
 :func:`knit_indecomposables` closes the projectives under the targets of
 left almost split maps: the middle terms of these sequences, and I/soc I for
 an injective I; a finite closure is every indecomposable.
+
+:func:`has_n_tf_ar_sequences` decides whether the sequences that start at
+projectives are n-torsion-free without building them, from D rad P(v) and
+D P(v) (:func:`_sweep`); :func:`ar_report` builds them as well and checks
+the degrees against their terms.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .algebra import AlgebraTable
 from .homology import (
     _presentation,
     ext_classes,
+    first_nonzero_ext,
     post_compose,
     syzygy,
     tau_inverse,
@@ -32,11 +38,13 @@ from .homology import (
 )
 from .modules import (
     Indecomposable,
+    InvariantError,
     ModuleMorphism,
     ModuleRep,
     certify_local,
     cokernel,
     direct_sum,
+    dual,
     indecomposable_summands,
     is_injective,
     isomorphic_to,
@@ -45,6 +53,7 @@ from .modules import (
     memoized,
     projective,
     projsum_morphism,
+    radical,
     resolution_step,
     socle,
     sum_inclusions,
@@ -314,23 +323,50 @@ class _GiveUp(Exception):
 
 
 def _sweep(tbl: AlgebraTable, n: int):
-    """Yield (vertex name, term, degree) in report order.
+    """Yield (vertex, term, degree) in report order, building no almost
+    split sequence and no transpose.
 
-    A vertex whose projective is injective yields one item with term None;
-    every other vertex builds (and checks) its almost split sequence and
-    yields its terms U, X, V in turn, each with None (the required Ext groups
-    vanish) or the first degree where one does not.
+    A vertex whose projective is injective yields one item with term None.
+    Every other vertex v yields the terms U, X, V of its almost split
+    sequence 0 → P → X → τ⁻¹P → 0, P = P(v), in turn, each with None (the
+    required Ext groups vanish) or the first degree where one does not.
+    Term M fails at the least i <= n with Ext^i(Tr M, A°) ≠ 0 over the
+    opposite algebra, and each Tr M is known up to projective summands,
+    which Ext^{>=1}(−, A°) does not see, by identities that hold over every
+    artin algebra (so over every GF(p)):
+
+    - U = P is projective, so Tr U = 0 and U never fails.
+    - V = τ⁻¹P = Tr D P.  P is not injective, so D P is indecomposable and
+      not projective, and Tr V = Tr Tr D P ≅ D P (Auslander–Reiten–Smalø,
+      *Representation Theory of Artin Algebras*, Ch. IV.1).  V fails at the
+      least i with Ext^i(D P, A°) ≠ 0.
+    - X.  An irreducible map out of P goes either to a projective Q, with P
+      a summand of rad Q, or to a non-projective Y.  Then τY → P is
+      irreducible too, so W = τY is a non-injective summand of rad P, as
+      the inclusion rad P ⊆ P is minimal right almost split.  The
+      valuations are symmetric under τ (ARS Ch. V.5 and VII.1;
+      Assem–Simson–Skowroński, *Elements* vol. 1, Ch. IV.3): Y = τ⁻¹W
+      occurs in X as often as W occurs in rad P.  So X ≅ τ⁻¹(rad P) ⊕
+      (projectives), τ⁻¹ killing the injective summands of rad P, whose
+      duals are projective; hence Tr X ≅ Tr Tr D rad P ≅ D rad P up to
+      projective summands.  X fails at the least i with
+      Ext^i(D rad P, A°) ≠ 0, and never when D rad P is projective
+      (rad P = 0 included).
+
+    :func:`ar_report` builds each sequence and checks these degrees against
+    its terms.  Items are yielded lazily, so a caller that stops at a
+    failing X never reads V.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     for vertex in range(len(tbl.quiver.vertices)):
-        name = tbl.quiver.vertices[vertex]
-        if is_injective(projective(tbl, vertex)):
-            yield name, None, None
+        p = projective(tbl, vertex)
+        if is_injective(p):
+            yield vertex, None, None
             continue
-        seq = almost_split_from_projective(tbl, vertex)
-        for term_name, term in (("U", seq.u), ("X", seq.x), ("V", seq.v)):
-            yield name, term_name, torsion_free_failure_degree(term, n)
+        yield vertex, "U", None
+        yield vertex, "X", first_nonzero_ext(dual(radical(p)[0]), n)
+        yield vertex, "V", first_nonzero_ext(dual(p), n)
 
 
 def _until_failure(items):
@@ -341,11 +377,12 @@ def _until_failure(items):
             return
 
 
-def _verdict_and_report(items):
+def _verdict_and_report(tbl: AlgebraTable, items):
     """(verdict, report) from sweep items: one entry per vertex reached, a
     ``vacuous`` note when none was tested, verdict False iff some term fails."""
     report = []
-    for name, term_name, degree in items:
+    for vertex, term_name, degree in items:
+        name = tbl.quiver.vertices[vertex]
         if term_name is None:
             report.append({"vertex": name, "skipped": "projective is injective"})
             continue
@@ -362,12 +399,14 @@ def has_n_tf_ar_sequences(tbl: AlgebraTable, n: int):
 
     Returns (verdict, report): verdict is a plain bool (the underlying Ext
     computations are exact), vacuously True when every projective is
-    injective.  One failing term refutes the claim, so the sweep stops
-    there: a False report ends at the failing vertex, whose entry holds its
-    terms U, X, V up to and including the failing one.  A True report is the
-    full :func:`ar_report`.
+    injective.  The degrees are read off D rad P(v) and D P(v) over the
+    opposite algebra (:func:`_sweep`); no sequence is built.  One failing
+    term refutes the claim, so the sweep stops there: a False report ends
+    at the failing vertex, whose entry holds its terms U, X, V up to and
+    including the failing one.  A True report is the full
+    :func:`ar_report`.
     """
-    return _verdict_and_report(_until_failure(_sweep(tbl, n)))
+    return _verdict_and_report(tbl, _until_failure(_sweep(tbl, n)))
 
 
 def ar_report(tbl: AlgebraTable, n: int):
@@ -375,9 +414,27 @@ def ar_report(tbl: AlgebraTable, n: int):
     :func:`has_n_tf_ar_sequences`, and one entry per vertex.  Skipped vertices
     carry a ``skipped`` reason; tested vertices map each term U, X, V to None
     (all required Ext groups vanish) or to the first degree where one does
-    not.  Every almost split sequence is built and checked.
+    not.
+
+    Every almost split sequence is also built and checked
+    (:meth:`ArSequence.check`), and each term's degree is read a second
+    time off its transpose (:func:`~ardom.homology.torsion_free_failure_degree`);
+    an :class:`~ardom.modules.InvariantError` is raised where that differs
+    from the degree the sweep read off D rad P(v) or D P(v).
     """
-    return _verdict_and_report(_sweep(tbl, n))
+    items = list(_sweep(tbl, n))
+    for vertex, term_name, degree in items:
+        if term_name == "U":  # the first item of a tested vertex
+            seq = almost_split_from_projective(tbl, vertex)
+            terms = {"U": seq.u, "X": seq.x, "V": seq.v}
+        if term_name is not None:
+            built = torsion_free_failure_degree(terms[term_name], n)
+            if built != degree:
+                raise InvariantError(
+                    f"term {term_name} at vertex {tbl.quiver.vertices[vertex]}: the sweep "
+                    f"reads degree {degree}, the built sequence {built}"
+                )
+    return _verdict_and_report(tbl, items)
 
 
 def first_failure(report):

@@ -68,6 +68,7 @@ __all__ = [
     "injdim",
     "gldim",
     "gorenstein_dim",
+    "first_nonzero_ext",
     "torsion_free_failure_degree",
     "is_n_torsion_free",
     "domdim_R_via_mueller",
@@ -532,19 +533,27 @@ def gorenstein_dim(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat:
 # ---------------------------------------------------------------------------
 
 
+def first_nonzero_ext(m: ModuleRep, n: int):
+    """Least 1 <= i <= n with Ext^i(m, A) nonzero, A the regular module of
+    m's own algebra, or None when all of them vanish."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    areg = regular(m.algebra)
+    for i in range(1, n + 1):
+        if ext_dim(m, areg, i) != 0:
+            return i
+    return None
+
+
 def torsion_free_failure_degree(m: ModuleRep, n: int):
     """Least 1 <= i <= n with Ext^i over the opposite algebra of (Tr m, A°)
-    nonzero, or None when all of them vanish (m is n-torsion-free)."""
+    nonzero, or None when all of them vanish (m is n-torsion-free):
+    :func:`first_nonzero_ext` of the transpose."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if is_projective(m):
         return None  # Tr m = 0, and Tr m = 0 only then
-    tr = transpose(m)
-    areg = regular(tr.algebra)
-    for i in range(1, n + 1):
-        if ext_dim(tr, areg, i) != 0:
-            return i
-    return None
+    return first_nonzero_ext(transpose(m), n)
 
 
 def is_n_torsion_free(m: ModuleRep, n: int) -> bool:

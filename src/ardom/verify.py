@@ -158,9 +158,11 @@ def verify_main_theorem(tbl: AlgebraTable, n: int, cap: int = DEFAULT_CAP) -> Ve
     """Torsion-free AR sequences against the two dominant dimensions.
 
     LHS: every almost split sequence starting at an indecomposable projective
-    has all three terms n-torsion-free.  RHS: the algebra's dominant
-    dimension is at least n and the endomorphism-ring dominant dimension
-    (by the classical formula) is at least n + 2.
+    has all three terms n-torsion-free, read off D rad P(v) and D P(v) by
+    :func:`~ardom.arseq.has_n_tf_ar_sequences` with no sequence built.
+    RHS: the algebra's dominant dimension is at least n and the
+    endomorphism-ring dominant dimension (by the classical formula) is at
+    least n + 2.
     """
     lhs, report = has_n_tf_ar_sequences(tbl, n)
     dd = domdim_algebra(tbl, cap=cap)

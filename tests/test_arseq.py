@@ -21,17 +21,26 @@ from ardom.arseq import (
     has_n_tf_ar_sequences,
     projective_rad_end,
 )
+from ardom.cli import main as cli_main
 from ardom.corpus import load_corpus
-from ardom.homology import _presentation, ext_dim, ext_module, tau_inverse
+from ardom.homology import (
+    _presentation,
+    ext_dim,
+    ext_module,
+    tau_inverse,
+    torsion_free_failure_degree,
+)
 from ardom.modules import (
     InvariantError,
     cokernel,
     direct_sum,
+    dual,
     identity_morphism,
     is_injective,
     is_isomorphic,
     kernel,
     projective,
+    radical,
     sample_modules,
     simple,
     sum_inclusions,
@@ -39,7 +48,7 @@ from ardom.modules import (
     zero_morphism,
 )
 from ardom.verify import _cyclic_series
-from reference import hom_basis, random_isomorphism_search
+from reference import hom_basis, is_n_torsion_free_via_dual, random_isomorphism_search
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -317,38 +326,84 @@ def count_constructions(monkeypatch):
     return calls
 
 
-def test_sweep_builds_one_sequence_when_the_first_vertex_fails(monkeypatch, fresh_corpus_table):
+def count_asked(monkeypatch):
+    """The modules over the opposite algebra whose Ext the sweep reads."""
+    asked = []
+    original = ardom.arseq.first_nonzero_ext
+
+    def counted(m, n):
+        asked.append(m)
+        return original(m, n)
+
+    monkeypatch.setattr(ardom.arseq, "first_nonzero_ext", counted)
+    return asked
+
+
+def test_sweep_builds_no_sequence_when_the_first_vertex_fails(monkeypatch, fresh_corpus_table):
     calls = count_constructions(monkeypatch)
+    asked = count_asked(monkeypatch)
     wild3 = fresh_corpus_table("wild3", 101)
     verdict, report = has_n_tf_ar_sequences(wild3, 1)
     assert verdict is False
-    assert calls == ["v1"]
+    assert calls == []  # the degrees are read off D rad P(v) and D P(v)
+    assert len(asked) == 1  # X fails, so V is never read
     assert report == [{"vertex": "v1", "terms": {"U": None, "X": 1}}]
     calls.clear()
     verdict, report = ar_report(wild3, 1)
     assert verdict is False
-    assert calls == ["v1", "v2", "v3"]  # the full sweep tests every vertex
+    assert calls == ["v1", "v2", "v3"]  # the full report builds every sequence
     assert failure_witness(report) == {"vertex": "v1", "term": "X", "degree": 1}
 
 
 def test_sweep_tests_x_before_failing_at_v(monkeypatch, fresh_corpus_table):
     calls = count_constructions(monkeypatch)
-    tested = []
-    original = ardom.arseq.torsion_free_failure_degree
-
-    def counted(m, n):
-        tested.append(m)
-        return original(m, n)
-
-    monkeypatch.setattr(ardom.arseq, "torsion_free_failure_degree", counted)
+    asked = count_asked(monkeypatch)
     square = fresh_corpus_table("comm-square", 101)
     verdict, report = has_n_tf_ar_sequences(square, 1)
     assert verdict is False
-    assert calls == ["q"]  # P(p) is injective
-    seq = almost_split_from_projective(square, 1)
-    assert [id(m) for m in tested] == [id(seq.u), id(seq.x), id(seq.v)]
+    assert calls == []
+    q = projective(square, 1)  # P(p) is injective, so nothing is asked there
+    assert [m.signature() for m in asked] == [
+        dual(radical(q)[0]).signature(),
+        dual(q).signature(),
+    ]
     assert report[-1] == {"vertex": "q", "terms": {"U": None, "X": None, "V": 1}}
     assert report[:-1] == [{"vertex": "p", "skipped": "projective is injective"}]
+
+
+def test_verdict_sweep_builds_no_sequence_and_no_transpose(monkeypatch):
+    built = count_constructions(monkeypatch)
+    original = ardom.arseq.almost_split
+    monkeypatch.setattr(
+        ardom.arseq, "almost_split", lambda *args: built.append("almost_split") or original(*args)
+    )
+    transposed = []
+    original_transpose = ardom.homology.transpose
+    monkeypatch.setattr(
+        ardom.homology, "transpose", lambda m: transposed.append(m.label) or original_transpose(m)
+    )
+    verdicts = [has_n_tf_ar_sequences(tbl, n)[0] for tbl, ns in sweep_cases() for n in ns]
+    assert True in verdicts and False in verdicts
+    assert built == [] and transposed == []
+    ar_report(nakayama_from_kupisch([3, 4, 4], cyclic=True), 2)
+    assert built and transposed  # the counters see the explicit route
+
+
+def test_full_report_cross_checks_the_sweep(monkeypatch, capsys, fresh_corpus_table):
+    original = ardom.arseq.first_nonzero_ext
+
+    def wrong(m, n):
+        return 1 if original(m, n) is None else None
+
+    square = fresh_corpus_table("comm-square", 101)
+    assert ar_report(square, 1)[0] is False
+    monkeypatch.setattr(ardom.arseq, "first_nonzero_ext", wrong)
+    with pytest.raises(InvariantError, match="the sweep reads degree 1"):
+        ar_report(square, 1)
+    assert cli_main(["ar-check", os.path.join(CORPUS, "comm-square.alg"), "--n", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: term X at vertex q")
 
 
 def test_full_report_builds_and_checks_every_sequence(monkeypatch):
@@ -373,6 +428,37 @@ def test_full_report_builds_and_checks_every_sequence(monkeypatch):
         ]
         total += len(want)
     assert len(checked) == total == 69
+
+
+def test_sweep_degrees_equal_those_of_the_built_terms(fresh_corpus_table):
+    """The identities of ``_sweep`` against the explicit route at n = 6: each
+    term of the built sequence, transposed, and on the corpus entries also
+    Ext^i(DA, τM) = 0 of ``tests/reference.py``."""
+    names = sorted(f[: -len(".alg")] for f in os.listdir(CORPUS) if f.endswith(".alg"))
+    cases = [(fresh_corpus_table(name, p), True) for name in names for p in (101, 2, 3, 5)]
+    cases += [(nakayama_from_kupisch(range(k, 0, -1), cyclic=False), False) for k in range(2, 9)]
+    cases += [
+        (nakayama_from_kupisch(list(series), cyclic=True), False)
+        for m, max_len in ((2, 7), (3, 7), (4, 7), (5, 6))
+        for series in _cyclic_series(m, max_len)
+    ]
+    n = 6
+    tested = 0
+    for tbl, via_dual in cases:
+        for vertex, term_name, degree in ardom.arseq._sweep(tbl, n):
+            if term_name is None:
+                continue
+            seq = almost_split_from_projective(tbl, vertex)
+            term = {"U": seq.u, "X": seq.x, "V": seq.v}[term_name]
+            where = (tbl.label, tbl.quiver.vertices[vertex], term_name)
+            assert torsion_free_failure_degree(term, n) == degree, where
+            if via_dual:
+                assert is_n_torsion_free_via_dual(term, n) is (degree is None), where
+                if degree is not None:
+                    assert is_n_torsion_free_via_dual(term, degree) is False, where
+                    assert degree == 1 or is_n_torsion_free_via_dual(term, degree - 1), where
+            tested += term_name == "U"
+    assert (len(cases), tested) == (217, 355)
 
 
 # ---------------------------------------------------------------------------
