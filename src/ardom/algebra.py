@@ -863,8 +863,6 @@ def nakayama_from_kupisch(
         if not cyclic and i + length > m - 1:
             continue  # the path of that length does not exist; nothing to kill
         word = tuple((i + j) % m for j in range(length))
-        if not cyclic and any(a >= n_arrows for a in word):
-            continue
         path = make_path(quiver, i, word)
         relations.append({path: 1})
 

@@ -7,12 +7,16 @@ cocycles P_1 → U modulo the maps that factor through d_1
 (:func:`ext_classes`), End(U) acts by post-composition, and any nonzero
 element of the socle of that action represents the almost split extension.
 A cocycle c factors through the cover P_1 ↠ ΩV, so the middle term is the
-pushout X = coker((c, −d_1): P_1 → U ⊕ P_0), the pushout along ΩV ⊆ P_0.
-For U = P(v), rad End(U) = e_v·rad(A)·e_v is spanned by the cycles at v.
+pushout X = coker((c, −d_1): P_1 → U ⊕ P_0), the pushout along ΩV ⊆ P_0,
+built at each vertex from the block [c_v | −d_1,v].
 
 :func:`knit_indecomposables` closes the projectives under the targets of
-left almost split maps: the middle terms of these sequences, and I/soc I for
-an injective I; a finite closure is every indecomposable.
+left almost split maps: the middle terms of these sequences, each built by
+:func:`almost_split` from the listed module's certified rad End basis
+(projectives included), and I/soc I for an injective I; a finite closure is
+every indecomposable.  :func:`almost_split_from_projective` passes the
+cycles at v, which span rad End(P(v)) = e_v·rad(A)·e_v, and serves
+:func:`ar_report`.
 
 :func:`has_n_tf_ar_sequences` decides whether the sequences that start at
 projectives are n-torsion-free without building them, from D rad P(v) and
@@ -32,7 +36,6 @@ from .homology import (
     ext_classes,
     first_nonzero_ext,
     post_compose,
-    syzygy,
     tau_inverse,
     torsion_free_failure_degree,
 )
@@ -56,14 +59,11 @@ from .modules import (
     radical,
     resolution_step,
     socle,
-    sum_inclusions,
 )
 
 __all__ = [
-    "Ext1Data",
     "ArSequence",
     "ArSequenceError",
-    "ext1_with_end_action",
     "projective_rad_end",
     "almost_split",
     "almost_split_from_projective",
@@ -73,37 +73,6 @@ __all__ = [
     "first_failure",
     "failure_witness",
 ]
-
-
-@dataclass(frozen=True)
-class Ext1Data:
-    """Ext^1(V, U) as cocycles P_1 → U modulo coboundaries, with the
-    rad End(U) action.
-
-    Coordinates are in the :func:`ext_classes` basis; ``actions[r]`` is the
-    matrix (acting on coordinate rows) of post-composition with the r-th
-    basis element of rad End(U).
-    """
-
-    u: ModuleRep
-    v_module: ModuleRep
-    q0_cover: ModuleMorphism  # P_0 ->> V
-    dim: int
-    actions: tuple
-
-    def class_coords(self, f: ModuleMorphism) -> np.ndarray:
-        """Coordinates in the Ext^1 basis of the class of a cocycle f: P_1 → U."""
-        tbl = self.v_module.algebra
-        ps1 = _presentation(self.v_module)[1]
-        shape = (ps1.module.dims, self.u.dims)
-        if (f.source.dims, f.target.dims) != shape or f.defect() is not None:
-            raise ArSequenceError("the class map is not a morphism P_1 → U")
-        cocycles, quot = ext_classes(self.v_module, self.u, 1)
-        gens = np.concatenate([f.mats[u][ps1.gen_pos[s]] for s, u in enumerate(ps1.vertices)])
-        coords = tbl.field.coords_in_rowspace(cocycles, gens.reshape(1, -1))
-        if coords is None:
-            raise ArSequenceError("the class map is not a cocycle P_1 → U")
-        return tbl.field.mul(coords, quot.proj)[0]
 
 
 def _rad_end_paths(tbl: AlgebraTable, v: int):
@@ -128,36 +97,38 @@ def _cocycle(v_module: ModuleRep, u: ModuleRep, coeffs) -> ModuleMorphism:
     return projsum_morphism(ps1, u, [row[a:b] for a, b in zip(bounds, bounds[1:])])
 
 
-def ext1_with_end_action(v_module: ModuleRep, u: ModuleRep, rad_end) -> Ext1Data:
-    """Ext^1(V, U) with the action of ``rad_end``, a basis of rad End(U),
-    read off V's minimal presentation."""
-    if syzygy(v_module).is_zero:
-        raise ValueError("Ext^1 vanishes: the module has projective dimension 0")
-    dim = ext_classes(v_module, u, 1)[1].dim
-    if dim == 0:
-        raise ValueError("Ext^1 vanishes: every class lifts to the cover")
-    return Ext1Data(
-        u=u,
-        v_module=v_module,
-        q0_cover=resolution_step(v_module)[1],
-        dim=dim,
-        actions=tuple(post_compose(v_module, 1, r) for r in rad_end),
-    )
-
-
 class ArSequenceError(RuntimeError):
     """A constructed almost split sequence fails one of its invariants."""
 
 
 @dataclass(frozen=True)
 class ArSequence:
+    """0 → U → X → V → 0 with the cocycle of its class and the action of
+    rad End(U) on Ext^1(V, U): ``actions[r]`` is the matrix, acting on
+    coordinate rows of the :func:`ext_classes` basis, of post-composition
+    with the r-th basis element of rad End(U)."""
+
     u: ModuleRep
     x: ModuleRep
     v: ModuleRep
     inclusion: ModuleMorphism  # U -> X
     surjection: ModuleMorphism  # X -> V
     class_map: ModuleMorphism  # a cocycle P_1 -> U representing the extension class
-    ext_data: Ext1Data
+    actions: tuple
+
+    def class_coords(self, f: ModuleMorphism) -> np.ndarray:
+        """Coordinates in the Ext^1(V, U) basis of the class of a cocycle f: P_1 → U."""
+        fld = self.v.algebra.field
+        ps1 = _presentation(self.v)[1]
+        shape = (ps1.module.dims, self.u.dims)
+        if (f.source.dims, f.target.dims) != shape or f.defect() is not None:
+            raise ArSequenceError("the class map is not a morphism P_1 → U")
+        cocycles, quot = ext_classes(self.v, self.u, 1)
+        gens = np.concatenate([f.mats[u][ps1.gen_pos[s]] for s, u in enumerate(ps1.vertices)])
+        coords = fld.coords_in_rowspace(cocycles, gens.reshape(1, -1))
+        if coords is None:
+            raise ArSequenceError("the class map is not a cocycle P_1 → U")
+        return fld.mul(coords, quot.proj)[0]
 
     def check(self) -> None:
         """Re-verify the structural invariants; raises ArSequenceError on failure."""
@@ -172,22 +143,19 @@ class ArSequence:
         ker = kernel(self.surjection)[0]
         if ker.total_dim != self.u.total_dim:
             raise ArSequenceError("the kernel of X -> V is not the image of U")
-        coords = self.ext_data.class_coords(self.class_map)
+        coords = self.class_coords(self.class_map)
         if not np.any(coords):
             raise ArSequenceError("extension class is zero: the sequence would split")
         fld = self.u.algebra.field
-        for mat in self.ext_data.actions:
+        for mat in self.actions:
             if np.any(fld.mul(coords.reshape(1, -1), mat)):
                 raise ArSequenceError("class not annihilated by rad End(U)")
 
 
-def _socle_coords(data: Ext1Data) -> np.ndarray:
-    """Basis rows of the joint kernel of the rad End(U) action matrices."""
-    fld = data.v_module.algebra.field
-    if not data.actions:
-        return fld.eye(data.dim)
-    spread = np.concatenate(data.actions, axis=1)
-    rows = fld.left_kernel_basis(spread)
+def _socle_coords(actions: tuple, dim: int, fld) -> np.ndarray:
+    """Basis rows of the joint kernel of the rad End(U) action matrices on
+    Ext^1 of dimension ``dim``; none (Ext^1 = 0 included) is an error."""
+    rows = fld.left_kernel_basis(np.concatenate(actions, axis=1)) if actions else fld.eye(dim)
     if rows.shape[0] == 0:
         raise ArSequenceError("empty Ext-socle: impossible for an AR starting term")
     return rows
@@ -206,35 +174,30 @@ def almost_split(u: ModuleRep, rad_end, choice: int = 0) -> ArSequence:
     v_mod = tau_inverse(u)
     if v_mod.is_zero:
         raise ArSequenceError(f"the inverse translate of the non-injective {u.label} is zero")
-    data = ext1_with_end_action(v_mod, u, rad_end)
-    socle_rows = _socle_coords(data)
+    actions = tuple(post_compose(v_mod, 1, r) for r in rad_end)
+    socle_rows = _socle_coords(actions, ext_classes(v_mod, u, 1)[1].dim, fld)
     candidates = [socle_rows[i] for i in range(socle_rows.shape[0])]
     doubled = (2 * socle_rows[0]) % fld.p
     if np.any(doubled):  # zero over GF(2): that class would split
         candidates.append(doubled)
-    xi = candidates[choice % len(candidates)]
-    class_map = _cocycle(v_mod, u, xi)
-    p0 = data.q0_cover.source
-    total = direct_sum(tbl, [u, p0])
-    incls, projs = sum_inclusions(tbl, [u, p0], total)
-    d1 = _presentation(v_mod)[3]
-    g = class_map.compose(incls[0]).add(d1.compose(incls[1]).scale(-1))
+    class_map = _cocycle(v_mod, u, candidates[choice % len(candidates)])
+    p0, _, _, d1 = _presentation(v_mod)
+    # X = coker((c, −d_1): P_1 → U ⊕ P_0), block [c_v | −d_1,v] at each vertex
+    g = ModuleMorphism._trusted(
+        d1.source,
+        direct_sum(tbl, [u, p0.module]),
+        [np.concatenate([c, (-d) % fld.p], axis=1) for c, d in zip(class_map.mats, d1.mats)],
+    )
     x, projection, sections = cokernel(g)
     x.label = f"X({u.label})"
-    inclusion = incls[0].compose(projection)
+    inclusion = ModuleMorphism._trusted(u, x, [pr[:k] for k, pr in zip(u.dims, projection.mats)])
     # the map U ⊕ P_0 -> V (zero on U, the cover on P_0) kills im(g), so it
     # descends along the quotient's section
-    phi = projs[1].compose(data.q0_cover)
-    surjection = ModuleMorphism(x, v_mod, [fld.mul(s, b) for s, b in zip(sections, phi.mats)])
-    seq = ArSequence(
-        u=u,
-        x=x,
-        v=v_mod,
-        inclusion=inclusion,
-        surjection=surjection,
-        class_map=class_map,
-        ext_data=data,
+    cover = resolution_step(v_mod)[1]
+    surjection = ModuleMorphism(
+        x, v_mod, [fld.mul(s[:, k:], b) for k, s, b in zip(u.dims, sections, cover.mats)]
     )
+    seq = ArSequence(u, x, v_mod, inclusion, surjection, class_map, actions)
     seq.check()
     return seq
 
@@ -258,8 +221,10 @@ def knit_indecomposables(tbl: AlgebraTable, limit: int):
 
     The list S starts at the P(v) and is closed under the targets of left
     almost split maps: for each listed U, the summands of the middle term of
-    its almost split sequence when U is not injective, of U/soc U when it
-    is.  Each module is split into summands
+    its almost split sequence when U is not injective, built by
+    :func:`almost_split` from the certified rad End(U) basis of U's record
+    (one rule for every listed module, the P(v) included), and of U/soc U
+    when U is injective.  Each module is split into summands
     (:func:`~ardom.modules.indecomposable_summands`); one isomorphic to a
     listed module (:func:`~ardom.modules.isomorphic_to`) is not listed
     again, the others are listed with their certificates.
@@ -306,11 +271,9 @@ def knit_indecomposables(tbl: AlgebraTable, limit: int):
             found.append(Indecomposable(part.module.relabeled(f"ind[{len(found)}]"), part.rad_end))
 
     try:
-        for at, ind in enumerate(found):  # place() appends: the loop reaches the new ones
+        for ind in found:  # place() appends: the loop reaches the new ones
             if is_injective(ind.module):
                 place(cokernel(socle(ind.module)[1])[0])
-            elif at < nv:
-                place(almost_split_from_projective(tbl, at).x)
             else:
                 place(almost_split(ind.module, ind.rad_end).x)
     except _GiveUp:

@@ -58,7 +58,6 @@ __all__ = [
     "zero_module",
     "identity_morphism",
     "zero_morphism",
-    "sum_inclusions",
     "submodule_from_rows",
     "quotient_by_rows",
     "proj_sum",
@@ -643,28 +642,6 @@ def direct_sum(tbl: AlgebraTable, mods: Sequence[ModuleRep], label: str = "") ->
     mats = [f.block_diag([m.mats[a] for m in mods]) for a in range(len(tbl.quiver.arrows))]
     label = label or "+".join([m.label for m in mods]) or "0"
     return ModuleRep._trusted(tbl, dims, mats, label=label)
-
-
-def sum_inclusions(tbl: AlgebraTable, mods: Sequence[ModuleRep], total: ModuleRep):
-    """Inclusion and projection morphisms of each summand of direct_sum."""
-    f = tbl.field
-    nv = len(tbl.quiver.vertices)
-    incls, projs = [], []
-    offsets = [0] * nv
-    for m in mods:
-        inc = []
-        prj = []
-        for v in range(nv):
-            block = f.zeros(m.dims[v], total.dims[v])
-            if m.dims[v]:
-                block[:, offsets[v] : offsets[v] + m.dims[v]] = f.eye(m.dims[v])
-            inc.append(block)
-            prj.append(block.T)
-        incls.append(ModuleMorphism(m, total, inc))
-        projs.append(ModuleMorphism(total, m, prj))
-        for v in range(nv):
-            offsets[v] += m.dims[v]
-    return incls, projs
 
 
 @memoized

@@ -246,15 +246,15 @@ def verify_gorenstein(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> Verdict:
         detail["note"] = "vacuous: Gorenstein dimension 0"
         return Verdict("gorenstein", tbl.label, "pass", detail)
     ext_g = ext_dim(dual_regular(tbl), regular(tbl), g.value)
-    ar_fails, report = has_n_tf_ar_sequences(tbl, g.value)
+    ar_holds, report = has_n_tf_ar_sequences(tbl, g.value)
     detail["ext_g_dim"] = ext_g
-    detail["ar_side"] = ar_fails
-    ok = ext_g != 0 and ar_fails is False
+    detail["ar_side"] = ar_holds
+    ok = ext_g != 0 and ar_holds is False
     if not ok:
         detail["witness"] = {
             "g": g.value,
             "ext_nonzero": ext_g != 0,
-            "ar_property_fails": not ar_fails,
+            "ar_property_fails": not ar_holds,
         }
     else:
         witness = failure_witness(report)

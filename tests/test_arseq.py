@@ -13,9 +13,9 @@ from ardom.arseq import (
     ArSequenceError,
     _cocycle,
     _rad_end_paths,
+    almost_split,
     almost_split_from_projective,
     ar_report,
-    ext1_with_end_action,
     failure_witness,
     first_failure,
     has_n_tf_ar_sequences,
@@ -25,13 +25,16 @@ from ardom.cli import main as cli_main
 from ardom.corpus import load_corpus
 from ardom.homology import (
     _presentation,
+    ext_classes,
     ext_dim,
     ext_module,
+    post_compose,
     tau_inverse,
     torsion_free_failure_degree,
 )
 from ardom.modules import (
     InvariantError,
+    ModuleMorphism,
     cokernel,
     direct_sum,
     dual,
@@ -41,9 +44,9 @@ from ardom.modules import (
     kernel,
     projective,
     radical,
+    resolution_step,
     sample_modules,
     simple,
-    sum_inclusions,
     validate,
     zero_morphism,
 )
@@ -93,7 +96,7 @@ def test_a2_sequence_is_short_exact(a2):
 
 def test_a2_class_is_nonzero(a2):
     seq = almost_split_from_projective(a2, 1)
-    coords = seq.ext_data.class_coords(seq.class_map)
+    coords = seq.class_coords(seq.class_map)
     assert np.any(coords)
 
 
@@ -111,32 +114,42 @@ def test_a2_injective_start_rejected(a2):
 def test_ext1_data_matches_cochain_route(a2, kronecker, dim5):
     for tbl, vertex in [(a2, 1), (kronecker, 0), (kronecker, 1), (dim5, 0)]:
         u = projective(tbl, vertex)
-        v = tau_inverse(u)
-        data = ext1_with_end_action(v, u, projective_rad_end(tbl, vertex))
-        assert data.dim == ext_dim(v, u, 1)
-        assert data.dim >= 1
-        for e in tbl.field.eye(data.dim):
+        seq = almost_split(u, projective_rad_end(tbl, vertex))
+        v = seq.v
+        dim = ext_classes(v, u, 1)[1].dim
+        assert dim == ext_dim(v, u, 1)
+        assert dim >= 1
+        assert all(mat.shape == (dim, dim) for mat in seq.actions)
+        for e in tbl.field.eye(dim):
             assert _cocycle(v, u, e).defect() is None
-
-
-def test_ext1_rejects_projective_argument(a2):
-    with pytest.raises(ValueError, match="projective dimension 0"):
-        ext1_with_end_action(projective(a2, 0), projective(a2, 1), [])
+            assert np.array_equal(seq.class_coords(_cocycle(v, u, e)), e)
 
 
 def test_ext1_route_disagreement_raises_without_asserts(monkeypatch):
     tbl = nakayama_from_kupisch([3, 2], cyclic=True)
-    v = tau_inverse(projective(tbl, 1))
+    u = projective(tbl, 1)
+    v = tau_inverse(u)
     monkeypatch.setattr(ardom.homology, "ext_dim", lambda *args: -1)
     with pytest.raises(InvariantError, match="graded Ext dimension mismatch"):
-        ext1_with_end_action(v, projective(tbl, 1), projective_rad_end(tbl, 1))
+        ext_classes(v, u, 1)
+    with pytest.raises(InvariantError, match="graded Ext dimension mismatch"):
+        almost_split(u, projective_rad_end(tbl, 1))
 
 
-def test_ext1_rejects_vanishing_group(a2):
-    # Hom(Omega S_1, P(v1)) is 1-dimensional, but every class lifts to the
-    # cover because P(v1) is injective
-    with pytest.raises(ValueError, match="lifts"):
-        ext1_with_end_action(simple(a2, 0), projective(a2, 0), [])
+def test_ext1_rejects_vanishing_group(monkeypatch, a2, nak54):
+    # Ext^1(τ⁻¹U, U) read as zero leaves no socle class to choose, with an
+    # empty rad End(U) (a2 at v2) and with one cycle acting (nak54 at v2)
+    def vanishing(m, n, i):
+        fld = m.algebra.field
+        return fld.zeros(0, 0), fld.quotient_by_rowspace(fld.zeros(0, 0), 0)
+
+    for module in (ardom.arseq, ardom.homology):
+        monkeypatch.setattr(module, "ext_classes", vanishing)
+    for tbl in (a2, nak54):
+        rad_end = projective_rad_end(tbl, 1)
+        assert len(rad_end) == (tbl is nak54)
+        with pytest.raises(ArSequenceError, match="empty Ext-socle"):
+            almost_split(projective(tbl, 1), rad_end)
 
 
 def test_rad_action_present_and_annihilating(nak54):
@@ -144,10 +157,9 @@ def test_rad_action_present_and_annihilating(nak54):
     # is not injective, so the radical of End acts through a real matrix
     assert not is_injective(projective(nak54, 1))
     seq = almost_split_from_projective(nak54, 1)
-    data = seq.ext_data
-    assert len(data.actions) == 1
-    assert data.actions[0].shape == (1, 1)
-    assert not np.any(data.actions[0])
+    assert len(seq.actions) == 1
+    assert seq.actions[0].shape == (1, 1)
+    assert not np.any(seq.actions[0])
     assert seq.u.dims == (2, 2)
     assert seq.x.dims == (4, 4)
     assert seq.v.dims == (2, 2)
@@ -191,7 +203,7 @@ def test_gf2_choices_are_nonzero_classes():
     tbl = nakayama_from_kupisch([2, 1], cyclic=False, p=2)
     for choice in (0, 1, 2):
         seq = almost_split_from_projective(tbl, 1, choice=choice)
-        assert np.any(seq.ext_data.class_coords(seq.class_map))
+        assert np.any(seq.class_coords(seq.class_map))
         # dim 2 = p: certify_local cannot certify X, so ask the reference search
         assert random_isomorphism_search(seq.x, projective(tbl, 0)) is True
 
@@ -513,26 +525,26 @@ def test_torsion_solves_no_hom_system(monkeypatch):
     assert calls == []
 
 
-def _assert_actions_match_the_ext_module(v_module, vertex):
+def _assert_actions_match_the_ext_module(v_module, vertex, actions):
+    """``actions``, post-composition on Ext^1(V, P(vertex)) with the cycles
+    at vertex, against their action on the Ext module Ext^1(V, A)."""
     tbl = v_module.algebra
-    data = ext1_with_end_action(v_module, projective(tbl, vertex), projective_rad_end(tbl, vertex))
     e = ext_module(v_module, 1)
-    assert data.dim == e.dims[vertex]
+    assert ext_classes(v_module, projective(tbl, vertex), 1)[1].dim == e.dims[vertex]
     paths = _rad_end_paths(tbl, vertex)
-    assert len(data.actions) == len(paths)
-    for mat, z in zip(data.actions, paths):
+    assert len(actions) == len(paths)
+    for mat, z in zip(actions, paths):
         expected = e.element_matrix({reverse_path(z): 1}, vertex, vertex)
         assert mat.shape == expected.shape
         assert np.array_equal(mat, expected)
-    return data
 
 
 def test_end_action_is_the_ext_module_action_on_ar_sequences(kronecker, dim5, nak54, nak344):
     checked = 0
     for tbl in (kronecker, dim5, nak54, nak344):
         for v in _noninjective_vertices(tbl):
-            u = projective(tbl, v)
-            _assert_actions_match_the_ext_module(tau_inverse(u), v)
+            seq = almost_split_from_projective(tbl, v)
+            _assert_actions_match_the_ext_module(seq.v, v, seq.actions)
             checked += bool(_rad_end_paths(tbl, v))
     assert checked >= 1  # nak54 at v2 carries a nonzero rad End
 
@@ -544,12 +556,17 @@ def test_end_action_is_the_ext_module_action_where_it_is_nonzero():
         "relation x*x\nrelation y*x\nrelation y*y*y\n",
         label="local-xy",
     )
+    seq = almost_split_from_projective(tbl, 0)
+    _assert_actions_match_the_ext_module(seq.v, 0, seq.actions)
+    assert any(np.any(a) for a in seq.actions)
     nonzero = 0
     for m in sample_modules(tbl, seed=1, size=24):
         if ext_dim(m, projective(tbl, 0), 1) == 0:
             continue
-        data = _assert_actions_match_the_ext_module(m, 0)
-        nonzero += any(np.any(a) for a in data.actions)
+        # the action almost_split reads, on Ext^1 of a sampled module
+        actions = [post_compose(m, 1, r) for r in projective_rad_end(tbl, 0)]
+        _assert_actions_match_the_ext_module(m, 0, actions)
+        nonzero += any(np.any(a) for a in actions)
     assert nonzero >= 1
 
 
@@ -609,18 +626,18 @@ def test_sequences_do_not_split_by_a_hom_route():
 
 def test_class_coords_reads_only_cocycles(nak54):
     seq = almost_split_from_projective(nak54, 1)
-    data = seq.ext_data
-    for j, e in enumerate(np.eye(data.dim, dtype=np.int64)):
+    dim = ext_classes(seq.v, seq.u, 1)[1].dim
+    for j, e in enumerate(np.eye(dim, dtype=np.int64)):
         rep = _cocycle(seq.v, seq.u, e)
-        assert np.array_equal(data.class_coords(rep), e)
+        assert np.array_equal(seq.class_coords(rep), e)
     with pytest.raises(ArSequenceError, match="not a morphism"):
-        data.class_coords(zero_morphism(seq.u, seq.u))
+        seq.class_coords(zero_morphism(seq.u, seq.u))
     # Hom(P_1, U) has a map that does not vanish on the image of d_2
     p1 = seq.class_map.source
     outcomes = []
     for g in hom_basis(p1, seq.u).morphisms:
         try:
-            data.class_coords(g)
+            seq.class_coords(g)
             outcomes.append("cocycle")
         except ArSequenceError as exc:
             assert "not a cocycle" in str(exc)
@@ -633,21 +650,51 @@ def test_class_coords_reads_only_cocycles(nak54):
 # ---------------------------------------------------------------------------
 
 
+def _sum_inclusions(mods, total):
+    """The inclusion and projection morphisms of each summand of
+    ``direct_sum(tbl, mods)``, built from identity blocks."""
+    fld = total.algebra.field
+    incls, projs = [], []
+    offsets = [0] * len(total.dims)
+    for m in mods:
+        inc = []
+        for v, d in enumerate(m.dims):
+            block = fld.zeros(d, total.dims[v])
+            block[:, offsets[v] : offsets[v] + d] = fld.eye(d)
+            inc.append(block)
+            offsets[v] += d
+        incls.append(ModuleMorphism(m, total, inc))
+        projs.append(ModuleMorphism(total, m, [b.T for b in inc]))
+    return incls, projs
+
+
 def solve_left_surjection(seq):
     """(blocks, sections differ): the blocks of X → V descended along right
     inverses of the cokernel projection that ``solve_left`` finds, with d_1
     read off the minimal presentation, and whether any of those right inverses differs
-    from the quotient's own section."""
+    from the quotient's own section.
+
+    The pushout is assembled from checked inclusions and projections of
+    U ⊕ P_0, (c, −d_1) = c·ι_U − d_1·ι_P0, and its X, U → X and (along the
+    quotient's own section) X → V must equal the construction's blocks."""
     tbl = seq.u.algebra
     fld = tbl.field
-    cover = seq.ext_data.q0_cover
+    cover = resolution_step(seq.v)[1]
     total = direct_sum(tbl, [seq.u, cover.source])
-    incls, projs = sum_inclusions(tbl, [seq.u, cover.source], total)
+    incls, projs = _sum_inclusions([seq.u, cover.source], total)
+    for i, inc in enumerate(incls):
+        for j, prj in enumerate(projs):
+            comp = inc.compose(prj)
+            assert comp.is_isomorphism() if i == j else comp.is_zero
     d1 = _presentation(seq.v)[3]
     g = seq.class_map.compose(incls[0]).add(d1.compose(incls[1]).scale(-1))
     x, projection, sections = cokernel(g)
     assert x.signature() == seq.x.signature()
+    for got, want in zip(seq.inclusion.mats, incls[0].compose(projection).mats, strict=True):
+        assert np.array_equal(got, want)
     phi = projs[1].compose(cover)
+    for got, own, target in zip(seq.surjection.mats, sections, phi.mats, strict=True):
+        assert np.array_equal(got, fld.mul(own, target))
     mats, differ = [], False
     for block, own, target in zip(projection.mats, sections, phi.mats, strict=True):
         section = fld.solve_left(block, fld.eye(block.shape[1]))

@@ -696,3 +696,68 @@ def test_ext_degree_far_past_the_period_returns_at_once(capsys, name, index):
         huge_code, huge_value, elapsed = result(10**9 + r)
         assert elapsed < 2.0
         assert (huge_code, huge_value) == (code, value)
+
+
+# --- the remaining forms and text renderings ---------------------------------
+
+
+def test_verify_takes_a_single_n(capsys):
+    code, lines = run(capsys, "verify", "--suite", "main", "--n", "2", CORPUS)
+    assert code == 0
+    recs = records(lines)
+    assert len(recs) == 14
+    assert all(r["check"] == "main-theorem" and r["detail"]["n"] == 2 for r in recs)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "main", "--n", "0", CORPUS])
+    assert exc.value.code == 2
+    assert "expected a positive value or A..B range, got '0'" in capsys.readouterr().err
+
+
+def test_negative_cap_is_input_error(capsys):
+    code = main(["domdim", alg("ka2"), "--cap", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: cap must be nonnegative\n"
+
+
+def test_torsion_text(capsys):
+    code, lines = run(capsys, "torsion", alg("ka2"), "--format", "text")
+    assert code == 0
+    assert lines == ["t(S(v1)) over ka2: dims [1, 0]", "t(S(v2)) over ka2: zero"]
+
+
+def test_ar_check_text_on_a_selfinjective_algebra_prints_the_vacuous_note(capsys):
+    code, lines = run(capsys, "ar-check", alg("nak-22"), "--n", "2", "--format", "text")
+    assert code == 0
+    assert lines == [
+        "2-torsion-free AR sequences over nak-22: hold",
+        "  v1: skipped (projective is injective)",
+        "  v2: skipped (projective is injective)",
+        "  vacuous: every projective is injective",
+    ]
+
+
+def test_scan_text(capsys, monkeypatch):
+    argv = ("scan", "nakayama", "--simples", "2", "--max-len", "3", "--question")
+    argv += ("--format", "text")
+    code, lines = run(capsys, *argv)
+    assert code == 0
+    assert lines[:3] == [
+        "series=[2, 2]  selfinjective=True  domdim=inf (selfinjective flag)",
+        "series=[2, 3]  selfinjective=False  domdim=2  tf_ar_at_2m=False",
+        "series=[3, 3]  selfinjective=True  domdim=inf (selfinjective flag)",
+    ]
+    assert lines[3].startswith("PASS  nakayama-scan    cyclic-nakayama-m2 bound=4")
+    assert len(lines) == 4
+    # a row that violates the bound is marked, and the verdict fails
+    import ardom.verify
+
+    monkeypatch.setattr(ardom.verify, "has_n_tf_ar_sequences", lambda tbl, n: (True, []))
+    code, lines = run(capsys, *argv)
+    assert code == 1
+    assert lines[1] == (
+        "series=[2, 3]  selfinjective=False  domdim=2  tf_ar_at_2m=True  "
+        "VIOLATES: 2m-torsion-free AR sequences without selfinjectivity"
+    )
+    assert lines[3].startswith("FAIL  nakayama-scan")

@@ -16,7 +16,7 @@ from ardom.arseq import (
     projective_rad_end,
 )
 from ardom.corpus import load_corpus
-from ardom.homology import tau_inverse
+from ardom.homology import ext_classes, tau_inverse
 from ardom.modules import (
     ModuleRep,
     certify_local,
@@ -334,8 +334,10 @@ def test_a_class_outside_the_socle_is_rejected(monkeypatch):
     )
     u, rad_end = projective(tbl, 0), projective_rad_end(tbl, 0)
     seq = almost_split(u, rad_end)
-    assert seq.ext_data.dim == 4
-    assert np.array_equal(ardom.arseq._socle_coords(seq.ext_data), [[0, 0, 0, 1]])
-    monkeypatch.setattr(ardom.arseq, "_socle_coords", lambda data: tbl.field.eye(data.dim)[2:3])
+    assert ext_classes(seq.v, u, 1)[1].dim == 4
+    assert np.array_equal(ardom.arseq._socle_coords(seq.actions, 4, tbl.field), [[0, 0, 0, 1]])
+    monkeypatch.setattr(
+        ardom.arseq, "_socle_coords", lambda actions, dim, fld: fld.eye(dim)[2:3]
+    )
     with pytest.raises(ArSequenceError, match="not annihilated by rad End"):
         almost_split(u, rad_end)

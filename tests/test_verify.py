@@ -8,15 +8,17 @@ from collections import Counter
 
 import pytest
 
+import ardom.verify
 from ardom.algebra import InputError
-from ardom.arseq import knit_indecomposables
+from ardom.arseq import has_n_tf_ar_sequences, knit_indecomposables
 from ardom.corpus import load_corpus
-from ardom.homology import CappedNat, ext_module, grade, torsion
+from ardom.homology import CappedNat, domdim_algebra, ext_module, grade, torsion
 from ardom.modules import (
     nakayama_indecomposables,
     projective,
     sample_modules,
     serialize_module,
+    zero_module,
 )
 from ardom.verify import (
     EXIT_FAIL,
@@ -517,3 +519,181 @@ def test_corpus_replay_over_small_primes(p, statuses_over_101, tmp_path):
     verdicts, _ = run_suite(entries, suites=SUITES, ns=(1, 2, 3))
     assert len(verdicts) == 78
     assert [(v.algebra, v.check, v.status) for v in verdicts] == statuses_over_101
+
+
+# --- failing and undecided branches, each reached by substituting one invariant ---
+
+
+def _entry_code(by_id, eid, suite, **kwargs):
+    """The exit code of ``run_suite`` over the single entry ``eid``."""
+    return run_suite([by_id[eid]], suites=(suite,), **kwargs)[1]
+
+
+def test_gendo_fails_when_domdim_disagrees_with_mueller(by_id, monkeypatch):
+    monkeypatch.setattr(
+        ardom.verify, "domdim_R_via_mueller", lambda tbl, cap=30: CappedNat.exact(3)
+    )
+    v = verify_gendo_cor(by_id["auslander-x2"].load_table(), 1)
+    assert v.status == "fail"
+    assert (v.detail["domdim"], v.detail["mueller"], v.detail["fang_koenig"]) == ("2", "3", False)
+    assert v.detail["witness"] == "dominant dimension disagrees with the Mueller formula"
+    assert "why" not in v.detail
+    assert _entry_code(by_id, "auslander-x2", "gendo", ns=(1,)) == EXIT_FAIL
+
+
+def test_gendo_fails_when_the_ar_side_disagrees(by_id, monkeypatch):
+    tbl = by_id["auslander-x2"].load_table()
+    # domdim 2 < n + 2 = 3 while the AR side is claimed to hold: no term to name
+    monkeypatch.setattr(ardom.verify, "has_n_tf_ar_sequences", lambda tbl, n: (True, []))
+    v = verify_gendo_cor(tbl, 1)
+    assert (v.status, v.detail["ar_side"]) == ("fail", True)
+    assert v.detail["witness"] == "AR sequences n-torsion-free although domdim < n + 2"
+    assert _entry_code(by_id, "auslander-x2", "gendo", ns=(1,)) == EXIT_FAIL
+    # both dimensions read 5 >= n + 2 while the AR side fails: the failing term
+    monkeypatch.setattr(ardom.verify, "has_n_tf_ar_sequences", has_n_tf_ar_sequences)
+    for name in ("domdim_algebra", "domdim_R_via_mueller"):
+        monkeypatch.setattr(ardom.verify, name, lambda tbl, cap=30: CappedNat.exact(5))
+    v = verify_gendo_cor(tbl, 1)
+    assert (v.status, v.detail["ar_side"], v.detail["fang_koenig"]) == ("fail", False, True)
+    assert v.detail["witness"] == {"vertex": "v1", "term": "X", "degree": 1}
+    assert _entry_code(by_id, "auslander-x2", "gendo", ns=(1,)) == EXIT_FAIL
+
+
+def test_gorenstein_dimension_zero_is_vacuous(by_id, monkeypatch):
+    monkeypatch.setattr(ardom.verify, "gorenstein_dim", lambda tbl, cap=30: CappedNat.exact(0))
+    v = verify_gorenstein(by_id["ka2"].load_table())
+    assert v.status == "pass"
+    assert v.detail == {"cap": 30, "gorenstein": "0", "note": "vacuous: Gorenstein dimension 0"}
+    assert _entry_code(by_id, "ka2", "gorenstein") == EXIT_PASS
+
+
+def test_gorenstein_fails_with_a_witness_of_each_side(by_id, monkeypatch):
+    tbl = by_id["ka2"].load_table()  # Gorenstein dimension 1
+    real_ext_dim = ardom.verify.ext_dim
+    monkeypatch.setattr(ardom.verify, "ext_dim", lambda m, n, i: 0)
+    v = verify_gorenstein(tbl)
+    assert (v.status, v.detail["ext_g_dim"], v.detail["ar_side"]) == ("fail", 0, False)
+    assert v.detail["witness"] == {"g": 1, "ext_nonzero": False, "ar_property_fails": True}
+    assert "failing_term" not in v.detail
+    assert _entry_code(by_id, "ka2", "gorenstein") == EXIT_FAIL
+    monkeypatch.setattr(ardom.verify, "has_n_tf_ar_sequences", lambda tbl, n: (True, []))
+    v = verify_gorenstein(tbl)
+    assert v.detail["witness"] == {"g": 1, "ext_nonzero": False, "ar_property_fails": False}
+    monkeypatch.setattr(ardom.verify, "ext_dim", real_ext_dim)
+    v = verify_gorenstein(tbl)
+    assert (v.status, v.detail["ext_g_dim"], v.detail["ar_side"]) == ("fail", 1, True)
+    assert v.detail["witness"] == {"g": 1, "ext_nonzero": True, "ar_property_fails": False}
+    assert _entry_code(by_id, "ka2", "gorenstein") == EXIT_FAIL
+
+
+def test_grade_formula_a_fails_with_a_witness(by_id, monkeypatch):
+    monkeypatch.setattr(ardom.verify, "domdim_algebra", lambda tbl, cap=30: CappedNat.exact(3))
+    v = verify_grade_formulas(by_id["ka2"].load_table())
+    assert v.status == "fail"
+    assert v.detail["witness"] == {
+        "formula": "domdim == min grade of simple torsion",
+        "domdim": "3",
+        "min_simple_grade": "1",
+    }
+    assert "modules" not in v.detail and "bounds_checked" not in v.detail
+    assert _entry_code(by_id, "ka2", "grade") == EXIT_FAIL
+
+
+def test_grade_formula_d_fails_on_a_hereditary_entry(by_id, monkeypatch):
+    # the Kronecker algebra: domdim 0, hereditary and not linear A_n
+    monkeypatch.setattr(ardom.verify, "grade", lambda m, cap=30: CappedNat.exact(2))
+    v = verify_grade_formulas(by_id["kronecker"].load_table(), hereditary_nonlinear=True)
+    assert v.status == "fail"
+    assert v.detail["witness"] == {
+        "formula": "hereditary non-linear entries have minimum grade 1",
+        "min_simple_grade": "2",
+    }
+    assert "zero_domdim_branch" not in v.detail
+    assert _entry_code(by_id, "kronecker", "grade") == EXIT_FAIL
+
+
+def test_torsion_pdim_is_inconclusive_below_the_dimensions(by_id):
+    v = verify_cor47(by_id["auslander-x2"].load_table(), cap=1)
+    assert v.status == "inconclusive"
+    assert v.detail == {
+        "cap": 1,
+        "gldim": ">=2",
+        "domdim": ">=2",
+        "why": "gldim >=2 or domdim >=2 not exact at cap 1",
+    }
+    assert _entry_code(by_id, "auslander-x2", "cor47", cap=1) == EXIT_INCONCLUSIVE
+
+
+def test_torsion_pdim_fails_with_the_module_as_witness(by_id, monkeypatch):
+    monkeypatch.setattr(ardom.verify, "pdim", lambda m, cap=30: CappedNat.exact(3))
+    tbl = by_id["auslander-x2"].load_table()
+    v = verify_cor47(tbl)
+    assert v.status == "fail"
+    w = v.detail["witness"]
+    assert sorted(w) == sorted(
+        ["vertex", "length", "module_dims", "module_text", "torsion_dims", "pdim", "expected"]
+    )
+    assert (w["pdim"], w["expected"]) == ("3", 2)
+    names = tbl.quiver.vertices
+    (module,) = [
+        m
+        for top, length, m in nakayama_indecomposables(tbl)
+        if (names[top], length) == (w["vertex"], w["length"])
+    ]
+    assert w["module_text"] == serialize_module(module)
+    assert w["module_dims"] == list(module.dims)
+    assert w["torsion_dims"] == list(torsion(module).dims)
+    assert any(w["torsion_dims"])
+    assert "nonzero_torsion_witnesses" not in v.detail
+    assert _entry_code(by_id, "auslander-x2", "cor47") == EXIT_FAIL
+
+
+def test_torsion_pdim_notes_when_no_torsion_is_found(by_id, monkeypatch):
+    monkeypatch.setattr(ardom.verify, "torsion", lambda m: zero_module(m.algebra))
+    v = verify_cor47(by_id["auslander-x2"].load_table())
+    assert v.status == "pass"
+    assert v.detail["nonzero_torsion_witnesses"] == 0
+    assert v.detail["note"] == "no nonzero torsion found"
+    assert _entry_code(by_id, "auslander-x2", "cor47") == EXIT_PASS
+
+
+def _scan_code(capsys, *extra):
+    from ardom.cli import main
+
+    code = main(["scan", "nakayama", "--simples", "2", "--max-len", "3", "--question", *extra])
+    capsys.readouterr()
+    return code
+
+
+def test_scan_rows_are_inconclusive_below_the_dominant_dimension(capsys):
+    verdict, rows = scan_nakayama_question(2, 3, cap=1)
+    assert verdict.status == "inconclusive"
+    assert "note" not in verdict.detail and "witness" not in verdict.detail
+    (row,) = [r for r in rows if not r["selfinjective"]]
+    assert (row["series"], row["domdim"]) == ([2, 3], ">=2")
+    assert row["note"] == "dominant dimension undecided at this cap"
+    assert _scan_code(capsys, "--cap", "1") == EXIT_INCONCLUSIVE
+
+
+def test_scan_rows_fail_on_either_violation(capsys, monkeypatch):
+    # dominant dimension 2m = 4 on the non-selfinjective [2, 3]
+    monkeypatch.setattr(ardom.verify, "domdim_algebra", lambda tbl, cap=30: CappedNat.exact(4))
+    verdict, rows = scan_nakayama_question(2, 3)
+    assert verdict.status == "fail"
+    (row,) = [r for r in rows if not r["selfinjective"]]
+    assert row["violates"] == "domdim >= 2m on a non-selfinjective algebra"
+    assert row["tf_ar_at_2m"] is False and "first_failure" in row
+    assert verdict.detail["witness"] == row
+    assert "note" not in verdict.detail
+    assert _scan_code(capsys) == EXIT_FAIL
+    # 2m-torsion-free AR sequences on it, with its real dominant dimension
+    monkeypatch.setattr(ardom.verify, "domdim_algebra", domdim_algebra)
+    monkeypatch.setattr(ardom.verify, "has_n_tf_ar_sequences", lambda tbl, n: (True, []))
+    verdict, rows = scan_nakayama_question(2, 3)
+    assert verdict.status == "fail"
+    (row,) = [r for r in rows if not r["selfinjective"]]
+    assert (row["domdim"], row["tf_ar_at_2m"]) == ("2", True)
+    assert row["violates"] == "2m-torsion-free AR sequences without selfinjectivity"
+    assert "first_failure" not in row
+    assert verdict.detail["witness"] == row
+    assert _scan_code(capsys) == EXIT_FAIL
