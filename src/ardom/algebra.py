@@ -354,6 +354,11 @@ class AlgebraTable:
     the basis path p·a, or None when a monomial rule (right side 0) kills
     it.  A product that a rule rewrites to other paths has no entry; ask
     :meth:`multiply_paths` for it.
+
+    ``_dimension`` is for :func:`opposite` alone, which knows the dimension
+    already: with it the cycle search that decides finite dimension is
+    skipped, and listing the basis raises :class:`InvariantError` once it
+    lists more words than that, or at the end if it listed fewer.
     """
 
     def __init__(
@@ -364,6 +369,7 @@ class AlgebraTable:
         flags: frozenset = frozenset(),
         max_path_length: int = DEFAULT_MAX_PATH_LENGTH,
         label: str = "",
+        _dimension: Optional[int] = None,
     ):
         self.quiver = quiver
         self.field = fld
@@ -383,14 +389,14 @@ class AlgebraTable:
         self._memo: dict = {}
         self._opposite: Optional[AlgebraTable] = None
         self._complete()
-        cycle = _normal_cycle(quiver, self.rules)
+        cycle = None if _dimension is not None else _normal_cycle(quiver, self.rules)
         if cycle is not None:
             label = "*".join(quiver.arrows[a][0] for a in cycle)
             raise CompletionError(
                 f"infinite-dimensional: every power of the path {label} is a "
                 f"normal word, so nonzero (a cycle of the Ufnarovski graph)"
             )
-        self._enumerate_basis()
+        self._enumerate_basis(_dimension)
 
     # -- monomial order ----------------------------------------------------
 
@@ -577,7 +583,10 @@ class AlgebraTable:
 
     # -- basis ------------------------------------------------------------------
 
-    def _enumerate_basis(self):
+    def _enumerate_basis(self, dimension: Optional[int] = None):
+        """List the normal words by length.  With ``dimension``, the words
+        must number exactly that many: a longer list stops at the first
+        length past it, so a basis that never ends is never listed."""
         quiver, rules = self.quiver, self.rules
         nv = len(quiver.vertices)
         frontier = [Path(v, (), v) for v in range(nv)]
@@ -585,6 +594,10 @@ class AlgebraTable:
         products: dict = {}
         while frontier:
             words.extend(frontier)
+            if dimension is not None and len(words) > dimension:
+                raise InvariantError(
+                    f"{self.label}: more than {dimension} normal words, the known dimension"
+                )
             nxt = []
             for path in frontier:
                 for a in quiver.arrows_from(path.target):
@@ -604,13 +617,18 @@ class AlgebraTable:
                     elif not rhs:
                         products[path, a] = None
             frontier = nxt
+        if dimension is not None and len(words) != dimension:
+            raise InvariantError(
+                f"{self.label}: {len(words)} normal words, not the known dimension {dimension}"
+            )
         self.arrow_products = products
         words.sort(key=self.path_key)
         self.basis: tuple[Path, ...] = tuple(words)
         self.basis_index = {path: i for i, path in enumerate(words)}
-        self._paths_from = [
-            tuple(p for p in words if p.source == v) for v in range(nv)
-        ]
+        paths_from = [[] for _ in range(nv)]
+        for p in words:  # one pass, in basis order
+            paths_from[p.source].append(p)
+        self._paths_from = [tuple(paths) for paths in paths_from]
 
     @property
     def dimension(self) -> int:
@@ -784,7 +802,9 @@ def opposite(tbl: AlgebraTable) -> AlgebraTable:
     """The opposite algebra: arrows and relation paths reversed.
 
     Completion re-runs on the reversed presentation, and the result is
-    cached both ways so ``opposite(opposite(tbl)) is tbl``.
+    cached both ways so ``opposite(opposite(tbl)) is tbl``.  The opposite
+    has the dimension of ``tbl``, so no cycle search decides that it is
+    finite: listing its basis checks the count instead.
     """
     if tbl._opposite is not None:
         return tbl._opposite
@@ -800,6 +820,7 @@ def opposite(tbl: AlgebraTable) -> AlgebraTable:
         flags=tbl.flags,
         max_path_length=tbl.max_path_length,
         label=tbl.label + "^op",
+        _dimension=tbl.dimension,
     )
     tbl._opposite = opp
     opp._opposite = tbl

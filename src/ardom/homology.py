@@ -31,6 +31,7 @@ from .modules import (
     dual_regular,
     cokernel,
     injective,
+    is_injective,
     is_projective,
     memoized,
     omega,
@@ -449,6 +450,10 @@ def grade(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
     return CappedNat.at_least(cap + 1)
 
 
+_FINITE = "finite coresolution with all terms projective"
+_PERIODIC = "periodic coresolution among projectives"
+
+
 def domdim_module(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
     """Number of leading projective terms of the minimal injective coresolution.
 
@@ -464,25 +469,77 @@ def domdim_module(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
     """
     if m.is_zero:
         return CappedNat.infinite("zero module")
+    return _coresolution_walk(m, cap)
+
+
+def _coresolution_walk(m: ModuleRep, cap: int, certify: bool = True) -> CappedNat:
+    """:func:`domdim_module` of a nonzero m.  Without ``certify`` the walk
+    stops once term ``cap`` is read, and builds no cosyzygy after it, so it
+    certifies no infinite value there: enough where only an exact value up
+    to ``cap`` counts."""
     cos = dual(m)  # coresolution of m = dual of the resolution of D(m)
     seen = set()  # signatures of the cosyzygies so far
     for j in range(cap + 1):
         tops = dict.fromkeys(top_vertices(cos))
         if not all(is_projective(injective(m.algebra, v)) for v in tops):
             return CappedNat.exact(j)
+        if j == cap and not certify:
+            break
         cos = omega(cos)[0]
         if cos.is_zero:
-            return CappedNat.infinite("finite coresolution with all terms projective")
+            return CappedNat.infinite(_FINITE)
         if cos.signature() in seen:
-            return CappedNat.infinite("periodic coresolution among projectives")
+            return CappedNat.infinite(_PERIODIC)
         seen.add(cos.signature())
     return CappedNat.at_least(cap + 1)
 
 
 def domdim_algebra(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat:
+    """domdim A, the least domdim P(v) over the non-injective P(v).
+
+    Minimal injective coresolutions are additive: the injective envelope
+    of M ⊕ N is E(M) ⊕ E(N), so the cosyzygies of M ⊕ N are those of M and
+    N side by side (Assem–Simson–Skowroński, *Elements* vol. 1, I.5).  For
+    A = ⊕_v P(v), the j-th term of the coresolution of A is the sum over v
+    of the j-th terms of the P(v), and by Krull–Schmidt it is projective iff
+    every summand is.  So the first non-projective term of A comes at the
+    least j at which some P(v) has one, and D(A) is never resolved whole.
+    A projective-injective P(v) has the coresolution P(v) -> 0, with no
+    non-projective term, and is skipped.  Each P(v) walks up to ``cap``
+    until one has an exact value; each later one walks only through the
+    terms below the least exact value so far, since only those can lower
+    it, and builds no cosyzygy past them.
+
+    Values combine as the whole-module walk combines them: the least
+    exact value if any; infinite when every summand is, periodic if one
+    of them is; otherwise at least ``cap + 1``.
+    """
     if "selfinjective" in tbl.flags or "symmetric" in tbl.flags:
         return CappedNat.infinite("selfinjective flag")
-    return domdim_module(regular(tbl), cap)
+    least = None  # the least exact value so far
+    capped = False
+    certificates = set()
+    for v in range(len(tbl.quiver.vertices)):
+        pv = projective(tbl, v)
+        if is_injective(pv):
+            continue
+        if least is None:
+            got = _coresolution_walk(pv, cap)
+        else:
+            got = _coresolution_walk(pv, least - 1, certify=False)
+        if got.is_exact:
+            least = got.value
+            if least == 0:
+                break
+        elif got.is_infinite:
+            certificates.add(got.certificate)
+        else:
+            capped = True
+    if least is not None:
+        return CappedNat.exact(least)
+    if capped:
+        return CappedNat.at_least(cap + 1)
+    return CappedNat.infinite(_PERIODIC if _PERIODIC in certificates else _FINITE)
 
 
 def pdim(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:

@@ -580,8 +580,11 @@ def projective_paths(tbl: AlgebraTable, v: int) -> tuple:
     nv = len(tbl.quiver.vertices)
     if not 0 <= v < nv:
         raise ValueError(f"unknown vertex index {v}")
-    paths = [[p for p in tbl.basis_paths_from(v) if p.target == w] for w in range(nv)]
-    return tuple({p: i for i, p in enumerate(at)} for at in paths)
+    by_target = tuple({} for _ in range(nv))
+    for p in tbl.basis_paths_from(v):
+        index = by_target[p.target]
+        index[p] = len(index)
+    return by_target
 
 
 @memoized
@@ -590,7 +593,10 @@ def projective(tbl: AlgebraTable, v: int) -> ModuleRep:
 
     Each product p·a of a basis path and an arrow is read off the table's
     ``arrow_products`` record, made while the basis was listed; only a
-    product that a rule rewrites to other paths is multiplied out."""
+    product that a rule rewrites to other paths is multiplied out.  The
+    blocks are shaped by :func:`projective_paths` and hold 0/1 entries and
+    normal-form coefficients, already reduced mod p, so the module is built
+    trusted."""
     by_vertex = projective_paths(tbl, v)
     dims = tuple([len(paths) for paths in by_vertex])
     f = tbl.field
@@ -609,7 +615,7 @@ def projective(tbl: AlgebraTable, v: int) -> ModuleRep:
                 mat[i, index[product]] = 1
         mats.append(mat)
     name = tbl.quiver.vertices[v]
-    return ModuleRep(tbl, dims, mats, label=f"P({name})")
+    return ModuleRep._trusted(tbl, dims, mats, label=f"P({name})")
 
 
 def dual(m: ModuleRep, label: str = "") -> ModuleRep:

@@ -13,9 +13,15 @@ exact route, and is kept only so that the tests can check the two agree:
   double Hom-dual built in full, whose kernel ``ardom.homology.torsion``
   reads without building m**;
 - :func:`is_n_torsion_free_via_dual`, Ext^i(DA, τm) = 0 for i = 1..n,
-  against the transpose route ``ardom.homology.is_n_torsion_free``.
+  against the transpose route ``ardom.homology.is_n_torsion_free``;
+- :func:`domdim_whole`, the dominant dimension of A read off the
+  coresolution of the regular module as one module, against the summand
+  route ``ardom.homology.domdim_algebra``.
 
 Nothing here is memoised, and nothing here calls the routes it checks.
+:func:`domdim_whole` walks the one coresolution walk there is,
+``domdim_module``, but on A whole, so it checks the split into the P(v)
+and how their values combine.
 """
 
 import itertools
@@ -26,7 +32,7 @@ import numpy as np
 
 import ardom.modules
 from ardom.algebra import opposite, reverse_path
-from ardom.homology import InvariantError, ext_dim, tau
+from ardom.homology import DEFAULT_CAP, CappedNat, InvariantError, domdim_module, ext_dim, tau
 from ardom.modules import (
     ModuleMorphism,
     ModuleRep,
@@ -36,6 +42,7 @@ from ardom.modules import (
     morphism_from_flat,
     projective,
     projective_paths,
+    regular,
     top_vertices,
 )
 
@@ -223,3 +230,11 @@ def is_n_torsion_free_via_dual(m: ModuleRep, n: int) -> bool:
         if ext_dim(da, tm, i) != 0:
             return False
     return True
+
+
+def domdim_whole(tbl, cap: int = DEFAULT_CAP) -> CappedNat:
+    """domdim A from the minimal injective coresolution of A = ⊕_v P(v)
+    walked as one module, D(A) resolved whole."""
+    if "selfinjective" in tbl.flags or "symmetric" in tbl.flags:
+        return CappedNat.infinite("selfinjective flag")
+    return domdim_module(regular(tbl), cap)

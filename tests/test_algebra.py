@@ -15,11 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ardom.algebra
 from ardom.algebra import (
     AlgebraTable,
     DEFAULT_MAX_PATH_LENGTH,
     CompletionError,
     InputError,
+    InvariantError,
     Path,
     PresentationError,
     Quiver,
@@ -612,6 +614,70 @@ def test_opposite_dimension_always_preserved():
     for text in (A2_TEXT, KRONECKER_TEXT, DIM5_TEXT, COMM_SQUARE_TEXT):
         tbl = table_from_text(text)
         assert opposite(tbl).dimension == tbl.dimension
+
+
+def test_the_opposite_lists_the_table_of_the_full_constructor(monkeypatch):
+    # opposite() knows the dimension, so it runs no cycle search, yet it
+    # must complete and list the same table as the constructor that does
+    from ardom.corpus import load_corpus
+    from ardom.verify import _cyclic_series
+
+    searched = []
+    original = ardom.algebra._normal_cycle
+
+    def counting(quiver, tips):
+        searched.append(quiver)
+        return original(quiver, tips)
+
+    monkeypatch.setattr(ardom.algebra, "_normal_cycle", counting)
+    corpus = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+    tables = [e.load_table() for e in load_corpus(corpus)]
+    tables += [
+        nakayama_from_kupisch(list(c), cyclic=True) for m in range(1, 5) for c in _cyclic_series(m, 6)
+    ]
+    opposites = [opposite(tbl) for tbl in tables]
+    assert len(searched) == len(tables)
+    for tbl, opp in zip(tables, opposites):
+        full = AlgebraTable(
+            opp.quiver,
+            opp.field,
+            opp.relations,
+            flags=opp.flags,
+            max_path_length=opp.max_path_length,
+            label=opp.label,
+        )
+        assert searched[-1] is opp.quiver
+        assert opp.rules == full.rules, tbl.label
+        assert opp.basis == full.basis, tbl.label
+        assert opp.arrow_products == full.arrow_products, tbl.label
+        assert opposite(opp) is tbl and opposite(tbl) is opp
+
+
+@pytest.mark.parametrize("wrong", [-1, 1])
+def test_an_opposite_of_the_wrong_dimension_raises(wrong, monkeypatch):
+    tbl = nakayama_from_kupisch([3, 2], cyclic=True)
+    monkeypatch.setattr(AlgebraTable, "dimension", property(lambda t: len(t.basis) + wrong))
+    for _ in range(2):  # nothing is cached by the failed attempt
+        with pytest.raises(InvariantError, match="normal words"):
+            opposite(tbl)
+
+
+def test_a_wrong_completion_of_the_opposite_cannot_list_forever(monkeypatch):
+    # with no rules the opposite of a cyclic Nakayama algebra is the path
+    # algebra of an oriented cycle, with infinitely many normal words; the
+    # listing must stop at the known dimension, long before 1,000 paths
+    tbl = nakayama_from_kupisch([3, 2], cyclic=True)
+    made = itertools.count()
+
+    def counted(*args):
+        if next(made) == 1_000:
+            raise AssertionError("the opposite's basis listing ran on")
+        return Path(*args)
+
+    monkeypatch.setattr(AlgebraTable, "_complete", lambda t: None)
+    monkeypatch.setattr(ardom.algebra, "Path", counted)
+    with pytest.raises(InvariantError, match="more than 5 normal words"):
+        opposite(tbl)
 
 
 # -- Nakayama generator ----------------------------------------------------------------

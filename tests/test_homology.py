@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import numpy as np
@@ -52,6 +53,7 @@ from ardom.modules import (
     validate,
     zero_module,
 )
+from ardom.verify import _cyclic_series
 import reference
 from reference import evaluation_and_torsion, hom_basis, is_n_torsion_free_via_dual
 
@@ -458,6 +460,46 @@ def test_domdim_capped(dim5):
     assert not out.is_exact and not out.is_infinite
     assert out.value == 2
     assert out.ge(2) is True and out.ge(3) is None
+
+
+def linear_series(m):
+    """Every admissible linear Kupisch series with m entries: the last is 1,
+    the others at least 2, none descends by more than 1, and entry i (from
+    0) is at most m - i, the vertices left on the line."""
+    ranges = [range(2, m - i + 1) for i in range(m - 1)] + [range(1, 2)]
+    return [
+        c for c in itertools.product(*ranges) if all(c[i + 1] >= c[i] - 1 for i in range(m - 1))
+    ]
+
+
+def test_domdim_by_summands_equals_the_whole_module(fresh_corpus_table, nak33_unflagged):
+    # the summand route against D(A) resolved whole (tests/reference.py), in
+    # kind, value and certificate, at small caps where the kinds differ
+    names = sorted(f[: -len(".alg")] for f in os.listdir(CORPUS) if f.endswith(".alg"))
+    tables = [lambda name=name, p=p: fresh_corpus_table(name, p)
+              for name in names for p in (101, 2, 3, 5)]
+    tables += [lambda c=c: nakayama_from_kupisch(c, cyclic=True)
+               for m in range(1, 6) for c in _cyclic_series(m, 6)]
+    tables += [lambda c=c: nakayama_from_kupisch(c, cyclic=False)
+               for m in range(1, 7) for c in linear_series(m)]
+    kinds = set()
+    for build in tables:
+        for cap in (0, 1, 2, 3):
+            tbl = build()  # fresh, so the summand route starts from an empty memo
+            got = domdim_algebra(tbl, cap)
+            assert got == reference.domdim_whole(tbl, cap), (tbl.label, cap)
+            kinds.add((got.kind, got.certificate))
+    assert kinds == {
+        ("exact", ""),
+        ("at_least", ""),
+        ("infinite", "selfinjective flag"),
+        ("infinite", "finite coresolution with all terms projective"),  # the field, A_1
+    }
+    # every P(v) projective-injective, with no flag to short-circuit
+    for cap in (0, 1, 2, 3):
+        got = domdim_algebra(nak33_unflagged, cap)
+        assert got == reference.domdim_whole(nak33_unflagged, cap)
+        assert str(got) == "inf (finite coresolution with all terms projective)"
 
 
 # ---------------------------------------------------------------------------

@@ -160,11 +160,18 @@ def projective_by_products(tbl, v):
 
 def assert_projectives_are_the_products(tbl):
     for side in (tbl, opposite(tbl)):
+        p = side.field.p
         for v in range(len(side.quiver.vertices)):
             got, want = projective(side, v), projective_by_products(side, v)
             assert got.dims == tuple(len(at) for at in projective_paths(side, v))
             assert len(got.mats) == len(want)
             assert all(np.array_equal(a, b) for a, b in zip(got.mats, want))
+            # P(v) is built trusted: the checked constructor must change no bit
+            checked = ModuleRep(side, got.dims, got.mats, label=got.label)
+            assert all(type(d) is int for d in got.dims)
+            assert all(b.dtype == np.int64 and ((0 <= b) & (b < p)).all() for b in got.mats)
+            assert checked.signature() == got.signature()
+            assert validate(got) is None
 
 
 def rewritten_products(tbl):
