@@ -40,6 +40,7 @@ from .homology import (
     torsion_free_failure_degree,
 )
 from .modules import (
+    _yoneda_to_projective,
     Indecomposable,
     InvariantError,
     ModuleMorphism,
@@ -52,9 +53,10 @@ from .modules import (
     is_injective,
     isomorphic_to,
     kernel,
-    left_mult_morphism,
     memoized,
+    morphism_from_flat,
     projective,
+    projective_paths,
     projsum_morphism,
     radical,
     resolution_step,
@@ -82,8 +84,10 @@ def _rad_end_paths(tbl: AlgebraTable, v: int):
 
 def projective_rad_end(tbl: AlgebraTable, v: int) -> list:
     """rad End(P(v)) as endomorphisms: left multiplication by each cycle of
-    :func:`_rad_end_paths`."""
-    return [left_mult_morphism(tbl, {p: 1}, v, v) for p in _rad_end_paths(tbl, v)]
+    :func:`_rad_end_paths`, its row in the Yoneda block of P(v) into itself."""
+    pv, index = projective(tbl, v), projective_paths(tbl, v)[v]
+    block = _yoneda_to_projective(tbl, (v,), v)
+    return [morphism_from_flat(pv, pv, block[index[p]]) for p in _rad_end_paths(tbl, v)]
 
 
 def _cocycle(v_module: ModuleRep, u: ModuleRep, coeffs) -> ModuleMorphism:

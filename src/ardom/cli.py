@@ -54,7 +54,6 @@ from .verify import (
     EXIT_INTERNAL,
     EXIT_PASS,
     SUITES,
-    _min_capped,
     run_suite,
     scan_nakayama_question,
 )
@@ -360,7 +359,7 @@ def _cmd_invariant(args):
     if name == "grade" and mod is None:  # the per-simple torsion grades
         grades = [grade(torsion(simple(tbl, i)), cap=cap) for i in range(len(tbl.quiver.vertices))]
         records = [record("grade", f"t(S({v}))", g) for v, g in zip(tbl.quiver.vertices, grades)]
-        records.append(record("min-grade", None, _min_capped(grades)))
+        records.append(record("min-grade", None, CappedNat.least(grades)))
     elif name == "grade" and deg is not None:
         records = [record(f"grade-ext{deg}", mod.label, grade(ext_module(mod, deg), cap=cap))]
     elif name == "grade":

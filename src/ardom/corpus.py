@@ -22,6 +22,7 @@ __all__ = ["CorpusError", "CorpusEntry", "load_corpus", "MANIFEST_NAME"]
 MANIFEST_NAME = "manifest.json"
 
 _EXPECTED_KEYS = {"dim", "selfinjective", "domdim", "gldim", "mueller", "gorenstein"}
+_CLASSIFICATIONS = {"auslander", "hereditary", "linear-an", "nakayama"}
 
 
 class CorpusError(InputError):
@@ -74,6 +75,12 @@ def _expect_str(raw, what: str) -> str:
     return raw
 
 
+def _expect_str_list(raw, what: str) -> tuple:
+    if not isinstance(raw, list) or not all(isinstance(x, str) and x for x in raw):
+        raise CorpusError(f"{what} must be a list of non-empty strings, got {raw!r}")
+    return tuple(raw)
+
+
 def load_corpus(root: str) -> list:
     """All entries of the corpus at ``root``, in manifest order."""
     if not os.path.isdir(root):
@@ -105,14 +112,23 @@ def load_corpus(root: str) -> list:
         unknown = set(expected) - _EXPECTED_KEYS
         if unknown:
             raise CorpusError(f"{entry_id}: unknown expected keys {sorted(unknown)}")
+        classification = _expect_str_list(
+            raw.get("classification", []), f"{entry_id}: classification"
+        )
+        unknown = set(classification) - _CLASSIFICATIONS
+        if unknown:
+            raise CorpusError(f"{entry_id}: unknown classification labels {sorted(unknown)}")
+        known = _expect_str_list(
+            raw.get("known_indecomposables", []), f"{entry_id}: known_indecomposables"
+        )
         entries.append(
             CorpusEntry(
                 entry_id=entry_id,
                 file=file_name,
                 root=os.path.abspath(root),
-                classification=tuple(raw.get("classification", ())),
+                classification=classification,
                 expected=dict(expected),
-                known_indecomposables=tuple(raw.get("known_indecomposables", ())),
+                known_indecomposables=known,
             )
         )
     return entries

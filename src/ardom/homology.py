@@ -23,6 +23,7 @@ import numpy as np
 
 from .algebra import AlgebraTable, opposite, reverse_path
 from .modules import (
+    _yoneda_to_projective,
     InvariantError,
     ModuleMorphism,
     ModuleRep,
@@ -44,7 +45,6 @@ from .modules import (
     simple,
     submodule_from_rows,
     top_vertices,
-    yoneda_block,
     zero_module,
 )
 
@@ -54,7 +54,6 @@ __all__ = [
     "InvariantError",
     "syzygy",
     "ext_dim",
-    "ext_graded",
     "ext_classes",
     "post_compose",
     "ext_module",
@@ -119,24 +118,37 @@ class CappedNat:
     def is_infinite(self) -> bool:
         return self.kind == "infinite"
 
-    def ge(self, n: int):
-        """True / False / None (None: the cap was too small to decide)."""
-        if self.kind == "infinite":
+    def ge(self, other):
+        """self >= other as True / False / None (None: a cap was too small
+        to decide).  ``other`` is a CappedNat or an int n, read as exact(n)."""
+        other = _capped(other)
+        if self.is_infinite:
             return True
-        if self.kind == "exact":
-            return self.value >= n
-        return True if self.value >= n else None
+        if other.is_infinite or self.value < other.value:
+            return False if self.is_exact else None
+        return True if other.is_exact else None
 
-    def lt(self, n: int):
-        g = self.ge(n)
-        return None if g is None else not g
-
-    def eq(self, n: int):
-        if self.kind == "infinite":
+    def eq(self, other):
+        """self == other, three-valued like :meth:`ge`: both ways >=."""
+        other = _capped(other)
+        both = (self.ge(other), other.ge(self))
+        if False in both:
             return False
-        if self.kind == "exact":
-            return self.value == n
-        return False if self.value > n else None
+        return True if both == (True, True) else None
+
+    @staticmethod
+    def least(values) -> "CappedNat":
+        """The least of ``values`` as far as their caps pin it down: an
+        exact value when one lies below every lower bound, else at least
+        the least bound or value; infinite when every value is."""
+        values = list(values)
+        exacts = [v.value for v in values if v.is_exact]
+        bounds = [v.value for v in values if v.kind == "at_least"]
+        if not exacts and not bounds:
+            return CappedNat.infinite("all components certified infinite")
+        if exacts and (not bounds or min(bounds) > min(exacts)):
+            return CappedNat.exact(min(exacts))
+        return CappedNat.at_least(min(bounds + exacts))
 
     def __str__(self):
         if self.kind == "exact":
@@ -152,6 +164,10 @@ class CappedNat:
         if self.certificate:
             out["certificate"] = self.certificate
         return out
+
+
+def _capped(x) -> CappedNat:
+    return x if isinstance(x, CappedNat) else CappedNat.exact(x)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +250,7 @@ def _cochain(m: ModuleRep, n: ModuleRep) -> tuple:
     """(matrix, rank) of Hom(P_0, N) -> Hom(P_1, N) for the minimal
     presentation of m, in generator coordinates (see :func:`_cochain_matrix`).
     Degree j of the resolution of m is degree 0 of its syzygy, so
-    :func:`ext_dim` and :func:`ext_graded` read Hom(P_j, N) -> Hom(P_{j+1}, N)
+    :func:`ext_dim` and :func:`ext_classes` read Hom(P_j, N) -> Hom(P_{j+1}, N)
     as ``_cochain(syzygy(m, j), n)``."""
     p0, p1, elements, _ = _presentation(m)
     mat = _cochain_matrix(p0, p1, elements, n)
@@ -255,11 +271,6 @@ def ext_dim(m: ModuleRep, n: ModuleRep, i: int) -> int:
     syz = syzygy(m, i)
     hom_dim = sum(n.dims[v] for v in _presentation(syz)[0].vertices)
     return hom_dim - _cochain(syz, n)[1] - (_cochain(syzygy(m, i - 1), n)[1] if i >= 1 else 0)
-
-
-def ext_graded(m: ModuleRep, i: int, v: int) -> tuple:
-    """:func:`ext_classes` of Ext^i(m, P(v)); in degree 0, Hom(m, P(v))."""
-    return ext_classes(m, projective(m.algebra, v), i)
 
 
 @memoized
@@ -308,7 +319,7 @@ def ext_module(m: ModuleRep, i: int) -> ModuleRep:
     """Ext^i(m, A) as a right module over the opposite algebra.
 
     The regular module splits vertexwise, so the Ext group is graded by
-    Ext^i(m, P(v)) (:func:`ext_graded`), the vertex decomposition, and for
+    Ext^i(m, P(v)) (:func:`ext_classes`), the vertex decomposition, and for
     an arrow a: v -> w the opposite arrow acts by post-composition with left
     multiplication P(w) -> P(v).  Degree 0 is the plain Hom-dual m*.  Degree
     i >= 2 is Ext^1(Ω^{i-1} m, A), relabelled, so modules whose syzygies
@@ -322,7 +333,7 @@ def ext_module(m: ModuleRep, i: int) -> ModuleRep:
     q = tbl.quiver
     if syzygy(m, i).is_zero:
         return zero_module(opposite(tbl), label=f"Ext{i}({m.label},A)")
-    dims = [ext_graded(m, i, v)[1].dim for v in range(len(q.vertices))]
+    dims = [ext_classes(m, projective(tbl, v), i)[1].dim for v in range(len(q.vertices))]
     mats = [
         post_compose(m, i, arrow_left_mult(tbl, a)) for a in range(len(q.arrows))
     ]
@@ -379,13 +390,6 @@ def tau_inverse(m: ModuleRep) -> ModuleRep:
 
 
 @memoized
-def _yoneda_to_projective(tbl: AlgebraTable, vertices: tuple, v: int) -> np.ndarray:
-    """:func:`yoneda_block` of ⊕_j P(vertices[j]) into P(v), kept per
-    (vertices, v): the torsion of every module with that top reads it."""
-    return yoneda_block(proj_sum(tbl, vertices), projective(tbl, v))
-
-
-@memoized
 def torsion(m: ModuleRep) -> ModuleRep:
     """t(m), the kernel of the evaluation m -> m**, without building m**.
 
@@ -395,7 +399,7 @@ def torsion(m: ModuleRep) -> ModuleRep:
     spanning set of every Hom(m, P(v)), side by side.
 
     No Hom system is solved.  Hom(m, P(v)) is the degree-0 cocycles of the
-    minimal presentation, ``ext_graded(m, 0, v)[0]``: the maps g: P_0 -> P(v)
+    minimal presentation, ``ext_classes(m, P(v), 0)[0]``: the maps g: P_0 -> P(v)
     that vanish on Ω m, in generator coordinates, which
     :func:`yoneda_block` turns into morphisms.  Each g is cover·φ for one φ,
     so φ_u = s_u·g_u for any section s_u of the cover at u.  The blocks φ_u
@@ -415,10 +419,10 @@ def torsion(m: ModuleRep) -> ModuleRep:
         raise InvariantError("the projective cover is not onto")
     blocks = [[] for _ in m.dims]
     for v in range(len(tbl.quiver.vertices)):
-        cocycles = ext_graded(m, 0, v)[0]
+        pv = projective(tbl, v)
+        cocycles = ext_classes(m, pv, 0)[0]
         if not cocycles.shape[0]:
             continue
-        pv = projective(tbl, v)
         maps = f.mul(cocycles, _yoneda_to_projective(tbl, p0.vertices, v))
         at = 0
         for u, s in enumerate(sections):
@@ -443,11 +447,8 @@ def grade(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
     """Least i with Ext^i(m, A) nonzero; infinite for the zero module."""
     if m.is_zero:
         return CappedNat.infinite("zero module")
-    a = regular(m.algebra)
-    for i in range(cap + 1):
-        if ext_dim(m, a, i) > 0:
-            return CappedNat.exact(i)
-    return CappedNat.at_least(cap + 1)
+    i = first_nonzero_ext(m, cap, start=0)
+    return CappedNat.at_least(cap + 1) if i is None else CappedNat.exact(i)
 
 
 _FINITE = "finite coresolution with all terms projective"
@@ -590,13 +591,13 @@ def gorenstein_dim(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat:
 # ---------------------------------------------------------------------------
 
 
-def first_nonzero_ext(m: ModuleRep, n: int):
-    """Least 1 <= i <= n with Ext^i(m, A) nonzero, A the regular module of
-    m's own algebra, or None when all of them vanish."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def first_nonzero_ext(m: ModuleRep, n: int, start: int = 1):
+    """Least start <= i <= n with Ext^i(m, A) nonzero, A the regular module
+    of m's own algebra, or None when all of them vanish (or n < start).
+    The one Ext-degree search: :func:`grade` from degree 0, the
+    torsion-freeness degrees and :func:`domdim_R_via_mueller` from 1."""
     areg = regular(m.algebra)
-    for i in range(1, n + 1):
+    for i in range(start, n + 1):
         if ext_dim(m, areg, i) != 0:
             return i
     return None
@@ -628,8 +629,5 @@ def domdim_R_via_mueller(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat
     da = dual_regular(tbl)
     if is_projective(da):
         return CappedNat.infinite("dual regular module is projective")
-    areg = regular(tbl)
-    for i in range(1, cap + 1):
-        if ext_dim(da, areg, i) != 0:
-            return CappedNat.exact(i + 1)
-    return CappedNat.at_least(cap + 2)
+    i = first_nonzero_ext(da, cap)
+    return CappedNat.at_least(cap + 2) if i is None else CappedNat.exact(i + 1)

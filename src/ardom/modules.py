@@ -66,7 +66,6 @@ __all__ = [
     "yoneda_block",
     "projsum_map_elements",
     "projsum_map_from_elements",
-    "left_mult_morphism",
     "parse_module",
     "serialize_module",
     "ModuleFileError",
@@ -835,34 +834,23 @@ def projsum_map_from_elements(ps_src: ProjSum, ps_tgt: ProjSum, elements) -> Mod
     return projsum_morphism(ps_src, ps_tgt.module, gen_rows)
 
 
-def left_mult_morphism(tbl: AlgebraTable, element: dict, src: int, dst: int) -> ModuleMorphism:
-    """Left multiplication P(src) -> P(dst) by an element of e_dst·A·e_src.
-
-    Right-module morphisms e_src·A -> e_dst·A are exactly left
-    multiplications by such elements.
-    """
-    f = tbl.field
-    psrc, pdst = projective(tbl, src), projective(tbl, dst)
-    src_paths, dst_index = projective_paths(tbl, src), projective_paths(tbl, dst)
-    nv = len(tbl.quiver.vertices)
-    mats = []
-    for w in range(nv):
-        mat = f.zeros(psrc.dims[w], pdst.dims[w])
-        for i, q in enumerate(src_paths[w]):
-            for elpath, coeff in element.items():
-                if elpath.source != dst or elpath.target != src:
-                    raise ValueError(f"element path {elpath} does not run {dst} -> {src}")
-                for term, c2 in tbl.multiply_paths(elpath, q).items():
-                    mat[i, dst_index[w][term]] = (mat[i, dst_index[w][term]] + coeff * c2) % f.p
-        mats.append(mat)
-    return ModuleMorphism(psrc, pdst, mats)
+@memoized
+def _yoneda_to_projective(tbl: AlgebraTable, vertices: tuple, v: int) -> np.ndarray:
+    """:func:`yoneda_block` of ⊕_j P(vertices[j]) into P(v), kept per
+    (vertices, v): the torsion of every module with that top reads it.  For
+    one vertex w, the row of a basis path q: v -> w is the morphism
+    P(w) -> P(v) sending e_w to q, left multiplication by q."""
+    return yoneda_block(proj_sum(tbl, vertices), projective(tbl, v))
 
 
 @memoized
 def arrow_left_mult(tbl: AlgebraTable, a: int) -> ModuleMorphism:
-    """Left multiplication P(w) -> P(v) by the arrow a: v -> w."""
+    """Left multiplication P(w) -> P(v) by the arrow a: v -> w, the row of
+    a in the Yoneda block of P(w) into P(v)."""
     v, w = tbl.quiver.arrow_source(a), tbl.quiver.arrow_target(a)
-    return left_mult_morphism(tbl, {Path(v, (a,), w): 1}, src=w, dst=v)
+    row = projective_paths(tbl, v)[w][Path(v, (a,), w)]
+    block = _yoneda_to_projective(tbl, (w,), v)
+    return morphism_from_flat(projective(tbl, w), projective(tbl, v), block[row])
 
 
 # ---------------------------------------------------------------------------

@@ -101,52 +101,12 @@ def _status_from_equiv(lhs, rhs) -> str:
     return "pass" if lhs == rhs else "fail"
 
 
-def _ge_capped(x: CappedNat, bound: CappedNat):
-    """x >= bound as a three-valued answer."""
-    if bound.is_infinite:
-        if x.is_infinite:
-            return True
-        return False if x.is_exact else None
-    if bound.is_exact:
-        return x.ge(bound.value)
-    # bound is only known to be >= value
-    if x.is_infinite:
-        return True
-    if x.is_exact and x.value < bound.value:
-        return False
-    return None
-
-
-def _eq_capped(x: CappedNat, y: CappedNat):
-    if x.is_infinite or y.is_infinite:
-        if x.is_infinite and y.is_infinite:
-            return True
-        other = y if x.is_infinite else x
-        return False if other.is_exact else None
-    if x.is_exact and y.is_exact:
-        return x.value == y.value
-    exact, bounded = (x, y) if x.is_exact else (y, x) if y.is_exact else (None, None)
-    if exact is not None and bounded.value > exact.value:
-        return False
-    return None
-
-
 def _undecided(cap: int, *answers):
     """The ``why`` of an inconclusive verdict: the statement of each
     (answer, statement) pair whose three-valued answer is None; None when
     every answer is decided."""
     undecided = [what for answer, what in answers if answer is None]
     return f"not decided at cap {cap}: {'; '.join(undecided)}" if undecided else None
-
-
-def _min_capped(values) -> CappedNat:
-    exacts = [v.value for v in values if v.is_exact]
-    bounds = [v.value for v in values if v.kind == "at_least"]
-    if not exacts and not bounds:
-        return CappedNat.infinite("all components certified infinite")
-    if exacts and (not bounds or min(bounds) > min(exacts)):
-        return CappedNat.exact(min(exacts))
-    return CappedNat.at_least(min(bounds + exacts))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +164,7 @@ def verify_gendo_cor(tbl: AlgebraTable, n: int, cap: int = DEFAULT_CAP) -> Verdi
     mu = domdim_R_via_mueller(tbl, cap=cap)
     ar_side, report = has_n_tf_ar_sequences(tbl, n)
     lhs = dd.ge(n + 2)
-    fk = _eq_capped(dd, mu)
+    fk = dd.eq(mu)
     detail.update(
         {"domdim": str(dd), "mueller": str(mu), "ar_side": ar_side, "fang_koenig": fk}
     )
@@ -314,12 +274,12 @@ def verify_grade_formulas(
         grade(torsion(simple(tbl, v)), cap=cap)
         for v in range(len(tbl.quiver.vertices))
     ]
-    min_grade = _min_capped(grades)
+    min_grade = CappedNat.least(grades)
     detail["min_simple_grade"] = str(min_grade)
     agree = True
 
     if dd.is_infinite or (dd.is_exact and dd.value >= 1):
-        agree = _eq_capped(dd, min_grade)
+        agree = dd.eq(min_grade)
         if agree is False:
             detail["witness"] = {
                 "formula": "domdim == min grade of simple torsion",
@@ -348,7 +308,7 @@ def verify_grade_formulas(
         for i in range(1, 5):
             bounds.append((f"ext{i}", grade(ext_module(m, i), cap=cap)))
         for tag, g in bounds:
-            ok = _ge_capped(g, dd)
+            ok = g.ge(dd)
             if ok is False:
                 detail["witness"] = {
                     "formula": "grade lower bound",

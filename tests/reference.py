@@ -16,7 +16,11 @@ exact route, and is kept only so that the tests can check the two agree:
   against the transpose route ``ardom.homology.is_n_torsion_free``;
 - :func:`domdim_whole`, the dominant dimension of A read off the
   coresolution of the regular module as one module, against the summand
-  route ``ardom.homology.domdim_algebra``.
+  route ``ardom.homology.domdim_algebra``;
+- :func:`left_mult_morphism`, left multiplication P(src) -> P(dst) by an
+  algebra element, multiplied out path by path, against the Yoneda rows
+  that ``ardom.modules.arrow_left_mult`` and
+  ``ardom.arseq.projective_rad_end`` read.
 
 Nothing here is memoised, and nothing here calls the routes it checks.
 :func:`domdim_whole` walks the one coresolution walk there is,
@@ -238,3 +242,26 @@ def domdim_whole(tbl, cap: int = DEFAULT_CAP) -> CappedNat:
     if "selfinjective" in tbl.flags or "symmetric" in tbl.flags:
         return CappedNat.infinite("selfinjective flag")
     return domdim_module(regular(tbl), cap)
+
+
+def left_mult_morphism(tbl, element: dict, src: int, dst: int) -> ModuleMorphism:
+    """Left multiplication P(src) -> P(dst) by an element of e_dst·A·e_src,
+    each basis path of P(src) multiplied by each path of the element.
+
+    Right-module morphisms e_src·A -> e_dst·A are exactly left
+    multiplications by such elements.
+    """
+    f = tbl.field
+    psrc, pdst = projective(tbl, src), projective(tbl, dst)
+    src_paths, dst_index = projective_paths(tbl, src), projective_paths(tbl, dst)
+    mats = []
+    for w in range(len(tbl.quiver.vertices)):
+        mat = f.zeros(psrc.dims[w], pdst.dims[w])
+        for i, q in enumerate(src_paths[w]):
+            for elpath, coeff in element.items():
+                if elpath.source != dst or elpath.target != src:
+                    raise ValueError(f"element path {elpath} does not run {dst} -> {src}")
+                for term, c2 in tbl.multiply_paths(elpath, q).items():
+                    mat[i, dst_index[w][term]] = (mat[i, dst_index[w][term]] + coeff * c2) % f.p
+        mats.append(mat)
+    return ModuleMorphism(psrc, pdst, mats)

@@ -14,6 +14,7 @@ from ardom.cli import main
 from ardom.corpus import load_corpus
 from ardom.homology import (
     DEFAULT_CAP,
+    CappedNat,
     domdim_algebra,
     domdim_module,
     domdim_R_via_mueller,
@@ -38,7 +39,6 @@ from ardom.modules import (
     simple,
 )
 from ardom.verify import (
-    _min_capped,
     run_suite,
     verify_cor47,
     verify_gendo_cor,
@@ -72,7 +72,7 @@ def test_hereditary_examples_have_domdim_zero_and_min_grade_one(by_id):
         tbl = by_id[eid].load_table()
         dd = domdim_algebra(tbl)
         assert dd.is_exact and dd.value == 0, eid
-        mg = _min_capped(_simple_torsion_grades(tbl))
+        mg = CappedNat.least(_simple_torsion_grades(tbl))
         assert mg.is_exact and mg.value == 1, eid
 
 
@@ -132,7 +132,7 @@ def test_grade_equalities_and_lower_bounds_at_positive_domdim(corpus):
         if not (dd.is_exact and 1 <= dd.value < DEFAULT_CAP):
             continue
         entries_hit += 1
-        mg = _min_capped(_simple_torsion_grades(tbl))
+        mg = CappedNat.least(_simple_torsion_grades(tbl))
         assert mg.is_exact and mg.value == dd.value, entry.entry_id
         sample = sample_modules(tbl, seed=SEED, size=50)
         assert len(sample) >= 50

@@ -274,6 +274,19 @@ def test_manifest_entry_that_is_not_an_object_is_input_error(capsys, tmp_path):
     assert "must be an object" in capsys.readouterr().err
 
 
+def test_manifest_classification_that_is_a_string_is_input_error(capsys, tmp_path):
+    # read as a tuple of characters, this entry used to run no cor47 check
+    # and exit 0 with no output
+    shutil.copy(alg("auslander-x3"), tmp_path)
+    manifest = {"entries": [{"id": "ax3", "file": "auslander-x3.alg", "classification": "auslander"}]}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    code = main(["verify", "--suite", "cor47", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "ax3: classification must be a list of non-empty strings" in captured.err
+
+
 def test_verify_output_is_the_same_under_python_O(tmp_path):
     root = tmp_path / "corpus"
     root.mkdir()

@@ -109,6 +109,38 @@ def test_manifest_shapes_that_are_not_objects(tmp_path):
         load_corpus(str(tmp_path))
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("classification", '"auslander"', "classification must be a list of non-empty strings"),
+        ("classification", '["auslander", 3]', "classification must be a list of non-empty strings"),
+        ("classification", '[""]', "classification must be a list of non-empty strings"),
+        ("classification", '["auslander", "tilted"]', r"unknown classification labels \['tilted'\]"),
+        ("known_indecomposables", '"modules/x/s.mod"', "known_indecomposables must be a list"),
+        ("known_indecomposables", '{"a": 1}', "known_indecomposables must be a list"),
+        ("known_indecomposables", "[null]", "known_indecomposables must be a list"),
+    ],
+)
+def test_manifest_string_lists_are_checked(tmp_path, key, value, message):
+    # a string used to be read as its tuple of characters, so an entry
+    # classified "auslander" ran no cor47 check and nothing said so
+    (tmp_path / "manifest.json").write_text(
+        f'{{"entries": [{{"id": "x", "file": "x.alg", "{key}": {value}}}]}}'
+    )
+    with pytest.raises(CorpusError, match=f"^x: {message}"):
+        load_corpus(str(tmp_path))
+
+
+def test_every_known_classification_label_loads(tmp_path):
+    labels = '["auslander", "hereditary", "linear-an", "nakayama"]'
+    (tmp_path / "manifest.json").write_text(
+        f'{{"entries": [{{"id": "x", "file": "x.alg", "classification": {labels}}}]}}'
+    )
+    (entry,) = load_corpus(str(tmp_path))
+    assert entry.classification == ("auslander", "hereditary", "linear-an", "nakayama")
+    assert entry.known_indecomposables == ()
+
+
 # ---------------------------------------------------------------------------
 # the 14-dimensional endomorphism algebra, pinned to structure constants
 # ---------------------------------------------------------------------------

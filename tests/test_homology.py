@@ -1,8 +1,11 @@
 import itertools
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ardom.homology
 import ardom.modules
@@ -15,7 +18,7 @@ from ardom.homology import (
     domdim_module,
     domdim_R_via_mueller,
     ext_dim,
-    ext_graded,
+    ext_classes,
     ext_module,
     gldim,
     gorenstein_dim,
@@ -103,15 +106,105 @@ def test_cappednat_ge_trichotomy():
     assert CappedNat.at_least(31).ge(5) is True
     assert CappedNat.at_least(31).ge(40) is None
     assert CappedNat.infinite("flag").ge(10 ** 9) is True
+    # x < n reads as not x >= n
+    assert CappedNat.exact(2).ge(3) is False
+    assert CappedNat.infinite("flag").ge(3) is True
 
 
-def test_cappednat_eq_lt():
-    assert CappedNat.exact(2).eq(2) is True
-    assert CappedNat.at_least(5).eq(3) is False
-    assert CappedNat.at_least(5).eq(7) is None
-    assert CappedNat.infinite("flag").eq(7) is False
-    assert CappedNat.exact(2).lt(3) is True
-    assert CappedNat.infinite("flag").lt(3) is False
+def test_cappednat_ge_capped_bound():
+    exact = CappedNat.exact
+    at_least = CappedNat.at_least
+    inf = CappedNat.infinite("test")
+    assert exact(3).ge(exact(2)) is True
+    assert exact(1).ge(exact(2)) is False
+    assert inf.ge(exact(5)) is True
+    assert exact(4).ge(inf) is False
+    assert at_least(9).ge(inf) is None
+    assert inf.ge(inf) is True
+    assert inf.ge(at_least(7)) is True
+    assert exact(2).ge(at_least(7)) is False
+    assert exact(8).ge(at_least(7)) is None  # bound may exceed 8
+    assert at_least(3).ge(at_least(7)) is None
+
+
+def test_cappednat_eq_branches():
+    exact = CappedNat.exact
+    at_least = CappedNat.at_least
+    inf = CappedNat.infinite("test")
+    assert exact(2).eq(2) is True
+    assert at_least(5).eq(3) is False
+    assert at_least(5).eq(7) is None
+    assert inf.eq(7) is False
+    assert exact(2).eq(exact(2)) is True
+    assert exact(2).eq(exact(3)) is False
+    assert inf.eq(inf) is True
+    assert inf.eq(exact(4)) is False
+    assert inf.eq(at_least(4)) is None
+    assert exact(2).eq(at_least(5)) is False  # bound already above
+    assert exact(7).eq(at_least(5)) is None
+    assert at_least(1).eq(at_least(9)) is None
+
+
+def test_cappednat_least():
+    exact = CappedNat.exact
+    at_least = CappedNat.at_least
+    inf = CappedNat.infinite("test")
+    got = CappedNat.least([exact(3), exact(1), inf])
+    assert got.is_exact and got.value == 1
+    # an exact value only wins when every lower bound already exceeds it
+    got = CappedNat.least([exact(3), at_least(5)])
+    assert got.is_exact and got.value == 3
+    got = CappedNat.least([exact(3), at_least(2)])
+    assert got.kind == "at_least" and got.value == 2
+    got = CappedNat.least([inf, inf])
+    assert got.is_infinite
+    assert got.certificate == "all components certified infinite"
+    assert CappedNat.least(iter([exact(4), exact(2)])) == exact(2)
+
+
+def _possible(x):
+    """The values a CappedNat allows, those past 8 left out: any finite
+    value there behaves alike against values up to 6."""
+    if x.is_infinite:
+        return {math.inf}
+    if x.is_exact:
+        return {x.value}
+    return set(range(x.value, 9)) | {math.inf}
+
+
+def _three_valued(answers):
+    answers = list(answers)
+    return True if all(answers) else False if not any(answers) else None
+
+
+capped_values = st.one_of(
+    st.builds(CappedNat.exact, st.integers(0, 6)),
+    st.builds(CappedNat.at_least, st.integers(0, 6)),
+    st.just(CappedNat.infinite("test")),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=capped_values, y=capped_values, z=capped_values, n=st.integers(0, 6))
+def test_cappednat_comparisons_agree_with_the_values_they_allow(x, y, z, n):
+    exact = CappedNat.exact
+    assert x.ge(n) is x.ge(exact(n))
+    assert x.eq(n) is x.eq(exact(n))
+    assert x.eq(y) is y.eq(x)
+    pairs = list(itertools.product(_possible(x), _possible(y)))
+    assert x.ge(y) is _three_valued(a >= b for a, b in pairs)
+    assert x.eq(y) is _three_valued(a == b for a, b in pairs)
+    # least agrees with pairwise ge: >= n exactly when every value is, never
+    # decided against the values, and it allows every least of them
+    values = [x, y, z]
+    low = CappedNat.least(values)
+    pairwise = [v.ge(n) for v in values]
+    everywhere = False if False in pairwise else None if None in pairwise else True
+    assert (low.ge(n) is True) == (everywhere is True)
+    assert low.ge(n) in (None, everywhere)
+    assert all(v.ge(low) is not False for v in values)
+    choices = itertools.product(*map(_possible, values))
+    assert {min(c) for c in choices} <= _possible(low)
 
 
 def test_cappednat_str_and_certificate():
@@ -220,7 +313,7 @@ def test_negative_degrees_raise(nak32):
     lm = arrow_left_mult(nak32, 0)
     for call in (
         lambda: syzygy(s, -1),
-        lambda: ext_graded(s, -1, 0),
+        lambda: ext_classes(s, projective(nak32, 0), -1),
         lambda: post_compose(s, -1, lm),
     ):
         with pytest.raises(ValueError, match="negative"):
@@ -728,7 +821,7 @@ def test_torsion_is_the_evaluation_kernel_over_small_fields(series, cyclic, p):
     assert got and got == want
 
 
-def reference_ext_graded(m, i, v):
+def reference_ext_classes(m, i, v):
     """Ext^i(m, P(v)) read at degree i of the resolution of m itself."""
     f = m.algebra.field
     pv = projective(m.algebra, v)
@@ -749,8 +842,9 @@ def test_higher_ext_is_degree_one_of_the_syzygy(name, fresh_corpus_table):
             assert e.label == f"Ext{i}({m.label},A)"
             assert e.signature() == ext_module(syz, 1).signature()
             for v in range(len(q.vertices)):
-                got, ref = ext_graded(m, i, v), reference_ext_graded(m, i, v)
-                assert got is ext_graded(syz, 1, v)
+                pv = projective(tbl, v)
+                got, ref = ext_classes(m, pv, i), reference_ext_classes(m, i, v)
+                assert got is ext_classes(syz, pv, 1)
                 assert np.array_equal(got[0], ref[0])
                 assert np.array_equal(got[1].proj, ref[1].proj)
                 assert got[1].dim == e.dims[v] == ext_dim(m, projective(tbl, v), i)

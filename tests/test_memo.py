@@ -41,7 +41,6 @@ from ardom.modules import (
     is_isomorphic,
     is_projective,
     kernel,
-    left_mult_morphism,
     memoized,
     morphism_from_flat,
     omega,
@@ -59,6 +58,7 @@ from ardom.modules import (
     top_vertices,
 )
 from ardom.verify import SUITES, _cyclic_series, _entry_verdicts
+from reference import left_mult_morphism
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 KRONECKER_TEXT = "field 101\nvertices v1 v2\narrow a v1 v2\narrow b v1 v2\n"
@@ -184,7 +184,7 @@ def test_homology_results_are_shared_by_modules_with_one_signature(fresh_corpus_
     assert checked == 12
 
 
-def test_arrow_left_mult_is_built_once_per_arrow(monkeypatch):
+def test_arrow_left_mult_is_built_once_per_arrow():
     tbl = table_from_text(DIM5_TEXT)
     for a, (name, _, _) in enumerate(tbl.quiver.arrows):
         v, w = tbl.quiver.arrow_source(a), tbl.quiver.arrow_target(a)
@@ -193,19 +193,24 @@ def test_arrow_left_mult_is_built_once_per_arrow(monkeypatch):
         assert all((x == y).all() for x, y in zip(lm.mats, direct.mats)), name
         assert arrow_left_mult(tbl, a) is lm
 
+    # each arrow a: v -> w reads its row off the one Yoneda block of P(w)
+    # into P(v), and the Ext modules build no other block
     fresh = table_from_text(DIM5_TEXT)
-    calls = []
-    original = ardom.modules.left_mult_morphism
+    q = fresh.quiver
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def blocks():
+        return [key[2:] for key in fresh._memo if key[0] == "_yoneda_to_projective"]
 
-    monkeypatch.setattr(ardom.modules, "left_mult_morphism", counting)
     for m in sample_modules(fresh, size=16):
         for i in range(3):
             ext_module(m, i)
-    assert 0 < len(calls) <= len(fresh.quiver.arrows)
+    built = [key[2] for key in fresh._memo if key[0] == "arrow_left_mult"]
+    assert 0 < len(built) <= len(q.arrows)
+    expected = {((q.arrow_target(a),), q.arrow_source(a)) for a in built}
+    assert sorted(blocks()) == sorted(expected)
+    for m in sample_modules(fresh, seed=1, size=16):
+        ext_module(m, 1)
+    assert sorted(blocks()) == sorted(expected)
 
 
 def test_projective_paths_replace_the_per_module_memo(fresh_corpus_table):

@@ -15,6 +15,7 @@ from ardom.algebra import (
     table_from_file,
     table_from_text,
 )
+from ardom.arseq import _rad_end_paths, projective_rad_end
 from ardom.corpus import load_corpus
 from ardom.linalg import PrimeField
 from ardom.modules import (
@@ -24,6 +25,7 @@ from ardom.modules import (
     _image_rows,
     _quotient_module,
     _radical_rows,
+    arrow_left_mult,
     cokernel,
     direct_sum,
     dual,
@@ -35,7 +37,6 @@ from ardom.modules import (
     is_isomorphic,
     is_projective,
     kernel,
-    left_mult_morphism,
     nakayama_indecomposables,
     parse_module,
     proj_cover,
@@ -62,7 +63,7 @@ from ardom.modules import (
 )
 from ardom.verify import _cyclic_series
 import reference
-from reference import hom_basis
+from reference import hom_basis, left_mult_morphism
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 CORPUS_IDS = sorted(entry.entry_id for entry in load_corpus(CORPUS))
@@ -813,6 +814,44 @@ def test_left_mult_morphism_dim5(dim5):
     assert f.compose(g).mats[1].tolist() == left_mult_morphism(
         dim5, prod, src=1, dst=1
     ).mats[1].tolist()
+
+
+def _same_bits(got, want):
+    return (
+        got.source.signature() == want.source.signature()
+        and got.target.signature() == want.target.signature()
+        and all(
+            x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+            for x, y in zip(got.mats, want.mats, strict=True)
+        )
+    )
+
+
+@pytest.mark.parametrize("side", ["algebra", "opposite"])
+def test_left_multiplications_read_off_yoneda_rows_match_the_reference(side):
+    """arrow_left_mult and projective_rad_end, read off Yoneda rows, against
+    left multiplication multiplied out path by path, on every corpus entry
+    and its opposite."""
+    arrows = cycles = 0
+    for entry in load_corpus(CORPUS):
+        tbl = entry.load_table()
+        if side == "opposite":
+            tbl = opposite(tbl)
+        q = tbl.quiver
+        for a in range(len(q.arrows)):
+            v, w = q.arrow_source(a), q.arrow_target(a)
+            want = left_mult_morphism(tbl, {Path(v, (a,), w): 1}, src=w, dst=v)
+            assert _same_bits(arrow_left_mult(tbl, a), want), (entry.entry_id, a)
+            arrows += 1
+        for v in range(len(q.vertices)):
+            got = projective_rad_end(tbl, v)
+            paths = _rad_end_paths(tbl, v)
+            assert len(got) == len(paths)
+            for lm, p in zip(got, paths):
+                assert lm.defect() is None
+                assert _same_bits(lm, left_mult_morphism(tbl, {p: 1}, v, v)), (entry.entry_id, v)
+                cycles += 1
+    assert (arrows, cycles) == (36, 10)
 
 
 # ---------------------------------------------------------------------------

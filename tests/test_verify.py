@@ -27,10 +27,7 @@ from ardom.verify import (
     SUITES,
     Verdict,
     _cyclic_series,
-    _eq_capped,
-    _ge_capped,
     _kleene_and,
-    _min_capped,
     run_suite,
     scan_nakayama_question,
     verify_cor47,
@@ -62,52 +59,6 @@ def test_kleene_and_truth_table():
     assert _kleene_and(False, None) is False  # False dominates the unknown
     assert _kleene_and(True, None) is None
     assert _kleene_and() is True
-
-
-def test_ge_capped_branches():
-    exact = CappedNat.exact
-    at_least = CappedNat.at_least
-    inf = CappedNat.infinite("test")
-    assert _ge_capped(exact(3), exact(2)) is True
-    assert _ge_capped(exact(1), exact(2)) is False
-    assert _ge_capped(inf, exact(5)) is True
-    assert _ge_capped(exact(4), inf) is False
-    assert _ge_capped(at_least(9), inf) is None
-    assert _ge_capped(inf, inf) is True
-    assert _ge_capped(inf, at_least(7)) is True
-    assert _ge_capped(exact(2), at_least(7)) is False
-    assert _ge_capped(exact(8), at_least(7)) is None  # bound may exceed 8
-    assert _ge_capped(at_least(3), at_least(7)) is None
-
-
-def test_eq_capped_branches():
-    exact = CappedNat.exact
-    at_least = CappedNat.at_least
-    inf = CappedNat.infinite("test")
-    assert _eq_capped(exact(2), exact(2)) is True
-    assert _eq_capped(exact(2), exact(3)) is False
-    assert _eq_capped(inf, inf) is True
-    assert _eq_capped(inf, exact(4)) is False
-    assert _eq_capped(inf, at_least(4)) is None
-    assert _eq_capped(exact(2), at_least(5)) is False  # bound already above
-    assert _eq_capped(exact(7), at_least(5)) is None
-    assert _eq_capped(at_least(1), at_least(9)) is None
-
-
-def test_min_capped():
-    exact = CappedNat.exact
-    at_least = CappedNat.at_least
-    inf = CappedNat.infinite("test")
-    got = _min_capped([exact(3), exact(1), inf])
-    assert got.is_exact and got.value == 1
-    # an exact value only wins when every lower bound already exceeds it
-    got = _min_capped([exact(3), at_least(5)])
-    assert got.is_exact and got.value == 3
-    got = _min_capped([exact(3), at_least(2)])
-    assert got.kind == "at_least" and got.value == 2
-    got = _min_capped([inf, inf])
-    assert got.is_infinite
-    assert "infinite" in got.certificate
 
 
 def test_cyclic_series_enumeration():
@@ -299,10 +250,10 @@ def test_sampled_grades_are_bounded_by_the_uniserial_minimum(eid, by_id):
     # grades is at least the least one over the uniserials
     tbl = by_id[eid].load_table()
     uniserial = [_bound_grades(m) for _, _, m in nakayama_indecomposables(tbl)]
-    least = [_min_capped(column) for column in zip(*uniserial)]
+    least = [CappedNat.least(column) for column in zip(*uniserial)]
     for m in sample_modules(tbl, seed=0):
         for g, bound in zip(_bound_grades(m), least):
-            assert _ge_capped(g, bound) is True, (m.label, str(g), str(bound))
+            assert g.ge(bound) is True, (m.label, str(g), str(bound))
 
 
 def test_a_failing_uniserial_is_named_in_the_witness(by_id, monkeypatch):
