@@ -106,6 +106,13 @@ def test_cappednat_ge_trichotomy():
     assert CappedNat.at_least(31).ge(5) is True
     assert CappedNat.at_least(31).ge(40) is None
     assert CappedNat.infinite("flag").ge(10 ** 9) is True
+
+
+def test_cappednat_eq_lt():
+    assert CappedNat.exact(2).eq(2) is True
+    assert CappedNat.at_least(5).eq(3) is False
+    assert CappedNat.at_least(5).eq(7) is None
+    assert CappedNat.infinite("flag").eq(7) is False
     # x < n reads as not x >= n
     assert CappedNat.exact(2).ge(3) is False
     assert CappedNat.infinite("flag").ge(3) is True
@@ -131,10 +138,6 @@ def test_cappednat_eq_branches():
     exact = CappedNat.exact
     at_least = CappedNat.at_least
     inf = CappedNat.infinite("test")
-    assert exact(2).eq(2) is True
-    assert at_least(5).eq(3) is False
-    assert at_least(5).eq(7) is None
-    assert inf.eq(7) is False
     assert exact(2).eq(exact(2)) is True
     assert exact(2).eq(exact(3)) is False
     assert inf.eq(inf) is True
