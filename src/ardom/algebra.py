@@ -345,9 +345,9 @@ class AlgebraTable:
 
     Treat instances as immutable: every attribute is written once during
     construction.  The one private dict ``_memo`` is a cache only: it holds
-    path normal forms and products (``("nf", path)``, ``("product", a, b)``)
-    and the results of ``modules.memoized`` functions over this table, so
-    the table is safe to share read-only across worker processes/threads.
+    path normal forms (``("nf", path)``, which products read too) and the
+    results of ``modules.memoized`` functions over this table, so the table
+    is safe to share read-only across worker processes/threads.
 
     ``arrow_products`` records, for each basis path p and arrow a that
     composes after it, the product p·a when listing the basis settles it:
@@ -484,12 +484,7 @@ class AlgebraTable:
     def multiply_paths(self, a: Path, b: Path) -> dict:
         if a.target != b.source:
             return {}
-        memo, key = self._memo, ("product", a, b)
-        cached = memo.get(key)
-        if cached is None:
-            cached = self.normal_form_path(Path(a.source, a.arrows + b.arrows, b.target))
-            memo[key] = cached
-        return dict(cached)
+        return self.normal_form_path(Path(a.source, a.arrows + b.arrows, b.target))
 
     def multiply(self, x: dict, y: dict) -> dict:
         out: dict[Path, int] = {}

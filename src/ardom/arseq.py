@@ -51,15 +51,14 @@ from .modules import (
     dual,
     indecomposable_summands,
     is_injective,
-    isomorphic_to,
     kernel,
     memoized,
     morphism_from_flat,
+    proj_cover,
     projective,
     projective_paths,
     projsum_morphism,
     radical,
-    resolution_step,
     socle,
 )
 
@@ -197,7 +196,7 @@ def almost_split(u: ModuleRep, rad_end, choice: int = 0) -> ArSequence:
     inclusion = ModuleMorphism._trusted(u, x, [pr[:k] for k, pr in zip(u.dims, projection.mats)])
     # the map U ⊕ P_0 -> V (zero on U, the cover on P_0) kills im(g), so it
     # descends along the quotient's section
-    cover = resolution_step(v_mod)[1]
+    cover = proj_cover(v_mod)[1]
     surjection = ModuleMorphism(
         x, v_mod, [fld.mul(s[:, k:], b) for k, s, b in zip(u.dims, sections, cover.mats)]
     )
@@ -256,37 +255,23 @@ def knit_indecomposables(tbl: AlgebraTable, limit: int):
     found = [certify_local(projective(tbl, v)) for v in range(nv)]
     if any(cert is None for cert in found):
         return None
-
-    def place(m: ModuleRep) -> None:
-        """List the summands of m that are not listed yet."""
+    for ind in found:  # the loop reaches the records it appends
+        if is_injective(ind.module):
+            m = cokernel(socle(ind.module)[1])[0]
+        else:
+            m = almost_split(ind.module, ind.rad_end).x
         parts = indecomposable_summands(m, found)
         if parts is None:
-            raise _GiveUp
-        start = len(found)
-        for part in parts:
-            # a listed summand comes back as its record; a new one may repeat
-            # one listed in this call (m = Y ⊕ Y)
-            if any(known is part for known in found) or any(
-                isomorphic_to(part.module, found[j]) for j in range(start, len(found))
-            ):
+            return None
+        # a listed summand comes back as its record, and isomorphic new ones
+        # (m = Y ⊕ Y) as one record, listed once
+        for part in {id(part): part for part in parts}.values():
+            if any(known is part for known in found):
                 continue
             if len(found) == limit or part.module.total_dim > 2 * tbl.dimension:
-                raise _GiveUp
+                return None
             found.append(Indecomposable(part.module.relabeled(f"ind[{len(found)}]"), part.rad_end))
-
-    try:
-        for ind in found:  # place() appends: the loop reaches the new ones
-            if is_injective(ind.module):
-                place(cokernel(socle(ind.module)[1])[0])
-            else:
-                place(almost_split(ind.module, ind.rad_end).x)
-    except _GiveUp:
-        return None
     return tuple(found)
-
-
-class _GiveUp(Exception):
-    """The knitted list passes its budget, or a certificate fails."""
 
 
 def _sweep(tbl: AlgebraTable, n: int):

@@ -36,12 +36,12 @@ from .modules import (
     is_projective,
     memoized,
     omega,
+    proj_cover,
     proj_sum,
     projective,
     projsum_map_elements,
     projsum_map_from_elements,
     regular,
-    resolution_step,
     simple,
     submodule_from_rows,
     top_vertices,
@@ -100,8 +100,8 @@ class CappedNat:
         return CappedNat("exact", int(n))
 
     @staticmethod
-    def at_least(n: int, note: str = "") -> "CappedNat":
-        return CappedNat("at_least", int(n), note)
+    def at_least(n: int) -> "CappedNat":
+        return CappedNat("at_least", int(n))
 
     @staticmethod
     def infinite(certificate: str) -> "CappedNat":
@@ -139,14 +139,14 @@ class CappedNat:
     @staticmethod
     def least(values) -> "CappedNat":
         """The least of ``values`` as far as their caps pin it down: an
-        exact value when one lies below every lower bound, else at least
+        exact value when one lies at or below every lower bound, else at least
         the least bound or value; infinite when every value is."""
         values = list(values)
         exacts = [v.value for v in values if v.is_exact]
         bounds = [v.value for v in values if v.kind == "at_least"]
         if not exacts and not bounds:
             return CappedNat.infinite("all components certified infinite")
-        if exacts and (not bounds or min(bounds) > min(exacts)):
+        if exacts and (not bounds or min(bounds) >= min(exacts)):
             return CappedNat.exact(min(exacts))
         return CappedNat.at_least(min(bounds + exacts))
 
@@ -208,9 +208,9 @@ def _presentation(m: ModuleRep) -> tuple:
     of e_{V_t}·A·e_{U_s}.  P_1 is the empty sum when m is projective.
     Shared by :func:`_cochain`, :func:`transpose` and the almost split
     sequences."""
-    p0, _ = resolution_step(m)
+    p0, _ = proj_cover(m)
     syz, inclusion = omega(m)
-    p1, cover = resolution_step(syz)
+    p1, cover = proj_cover(syz)
     d1 = cover.compose(inclusion)
     return p0, p1, projsum_map_elements(p1, p0, d1), d1
 
@@ -358,12 +358,7 @@ def transpose(m: ModuleRep) -> ModuleRep:
     if not ps1.vertices:  # projective module: presentation has P_1 = 0
         return zero_module(opp, label=f"Tr({m.label})")
     y = [
-        [
-            opp.normal_form(
-                {reverse_path(p): c for p, c in x[t][s].items()}
-            )
-            for t in range(len(ps0.vertices))
-        ]
+        [{reverse_path(p): c for p, c in x[t][s].items()} for t in range(len(ps0.vertices))]
         for s in range(len(ps1.vertices))
     ]
     src = proj_sum(opp, ps0.vertices)
@@ -413,7 +408,7 @@ def torsion(m: ModuleRep) -> ModuleRep:
     f = tbl.field
     if is_projective(m):  # a summand of a free module: nothing dies in m**
         return submodule_from_rows(m, [f.zeros(0, d) for d in m.dims], label=f"t({m.label})")[0]
-    p0, cover = resolution_step(m)
+    p0, cover = proj_cover(m)
     sections = [f.solve_left(c, f.eye(d)) for c, d in zip(cover.mats, m.dims)]
     if any(s is None for s in sections):
         raise InvariantError("the projective cover is not onto")
@@ -583,7 +578,7 @@ def gorenstein_dim(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat:
             )
         return right
     bound = min(right.value, left.value)
-    return CappedNat.at_least(bound, "not verified Gorenstein at cap")
+    return CappedNat.at_least(bound)
 
 
 # ---------------------------------------------------------------------------

@@ -167,29 +167,22 @@ class PrimeField:
         preserved exactly.
         """
         r = np.array(m, dtype=np.int64)
-        rows, cols = r.shape
-        if r.size == 0:
-            return r, ()
         r %= self.p
-        nonzeros = np.count_nonzero(r)
-        if not nonzeros:
-            return r, ()
-        if nonzeros <= _LIST_ELIMINATION_NONZEROS:
-            a, pivots = self._rref_lists(r.tolist(), rows, cols)
-            return np.array(a, dtype=np.int64), pivots
-        return self._rref_array(r, rows, cols)
+        small = self._small_rref(r)
+        if small is None:
+            return self._rref_array(r, *r.shape)
+        rows, pivots = small
+        return (np.array(rows, dtype=np.int64) if pivots else r), pivots
 
-    def _small_rref(self, m: np.ndarray) -> Optional[tuple[list, tuple[int, ...]]]:
-        """(rows, pivots) of the rref of a small matrix, or None for a large one.
+    def _small_rref(self, r: np.ndarray) -> Optional[tuple[list, tuple[int, ...]]]:
+        """(rows, pivots) of the rref of a small matrix r reduced mod p, or
+        None for a large one.
 
         The rows are int lists, the first ``len(pivots)`` of them the pivot
         rows.  An empty or zero matrix gives ``([], ())``; a matrix with more
-        than ``_LIST_ELIMINATION_NONZEROS`` nonzero residues gives None, and
+        than ``_LIST_ELIMINATION_NONZEROS`` nonzero entries gives None, and
         the caller reduces it with numpy.
         """
-        if m.size == 0:
-            return [], ()
-        r = np.mod(m, self.p)
         nonzeros = np.count_nonzero(r)
         if not nonzeros:
             return [], ()
@@ -256,7 +249,7 @@ class PrimeField:
     def pivot_columns(self, m: np.ndarray) -> tuple[int, ...]:
         """The pivot columns of the rref of m, without building its rows as
         an array."""
-        small = self._small_rref(m)
+        small = self._small_rref(m % self.p)
         return self.rref(m)[1] if small is None else small[1]
 
     def rank(self, m: np.ndarray) -> int:
@@ -274,7 +267,7 @@ class PrimeField:
         free column f, with entry 1 at f and −rref[i, f] at pivot column i.
         """
         cols = m.shape[1]
-        small = self._small_rref(m)
+        small = self._small_rref(m % self.p)
         r, pivots = self.rref(m) if small is None else small
         if not pivots:
             return self.eye(cols)
@@ -316,7 +309,7 @@ class PrimeField:
         if m.shape[0] == 0:
             return self.zeros(ncols, width)
         aug = np.concatenate([m, rhs], axis=1)
-        small = self._small_rref(aug)
+        small = self._small_rref(aug % self.p)
         r, pivots = self.rref(aug) if small is None else small
         if pivots and pivots[-1] >= ncols:
             return None
@@ -392,7 +385,7 @@ class PrimeField:
         """
         if sub.shape[1] != n:
             raise ValueError(f"quotient_by_rowspace: {sub.shape} rows are not in k^{n}")
-        small = self._small_rref(sub)
+        small = self._small_rref(sub % self.p)
         r, pivots = self.rref(sub) if small is None else small
         return self._quotient_by_pivot_rows(r, pivots, n)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import inspect
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -41,7 +42,6 @@ __all__ = [
     "socle",
     "top_vertices",
     "proj_cover",
-    "resolution_step",
     "omega",
     "inj_hull",
     "is_projective",
@@ -873,14 +873,18 @@ def top_vertices(m: ModuleRep) -> tuple:
     return tuple(out)
 
 
+@memoized
 def proj_cover(m: ModuleRep) -> tuple:
-    """(P, cover) with P = ⊕ P(v) over :func:`top_vertices`; ker(cover) ⊆ rad P.
+    """(P, cover) with P = ⊕ P(v) over :func:`top_vertices`; ker(cover) ⊆ rad P:
+    one step of the minimal projective resolution of m.
 
     The copies of P(v) are the non-pivot columns of the stacked actions of
     the arrows into v, and each sends its generator to that standard basis
-    vector of m_v, the canonical section of the top projection.  Builds the
-    cover afresh on every call; :func:`resolution_step` keeps one per module
-    signature.
+    vector of m_v, the canonical section of the top projection.  Kept once
+    per module signature, so the cover may target a bit-identical module
+    other than m; like every memoised result it is shared, so nothing in it
+    may be changed, labels included.  The kernel of the cover is
+    :func:`omega`, built only when read.
     """
     tbl = m.algebra
     f = tbl.field
@@ -895,27 +899,15 @@ def proj_cover(m: ModuleRep) -> tuple:
 
 
 @memoized
-def resolution_step(m: ModuleRep) -> tuple:
-    """(P, cover): one step of the minimal projective resolution of m.
-
-    ``proj_cover(m)``, kept once per module signature, so the cover may
-    target a bit-identical module other than m; like every memoised result
-    it is shared, so nothing in it may be changed, labels included.  The
-    kernel of the cover is :func:`omega`, built only when read.
-    """
-    return proj_cover(m)
-
-
-@memoized
 def omega(m: ModuleRep) -> tuple:
     """(Ω m, inclusion): the kernel of the shared cover of m, kept once per
     module signature."""
-    return kernel(resolution_step(m)[1])
+    return kernel(proj_cover(m)[1])
 
 
 def inj_hull(m: ModuleRep) -> tuple:
     """(I, embedding): the dual of the opposite-side projective cover."""
-    ps, cover = resolution_step(dual(m))
+    ps, cover = proj_cover(dual(m))
     hull = dual(ps.module, label=f"E({m.label})")
     embedding = ModuleMorphism(m, hull, [b.T for b in cover.mats])
     return hull, embedding
@@ -1119,33 +1111,37 @@ def _fitting_split(m: ModuleRep, rng) -> Optional[tuple]:
     return None
 
 
-def indecomposable_summands(m: ModuleRep, listed=(), seed: int = 0) -> Optional[list]:
+def indecomposable_summands(m: ModuleRep, listed=()) -> Optional[list]:
     """A Krull–Schmidt decomposition of m into certified indecomposables,
-    or None when a summand stays uncertified.
+    one record per isomorphism class, or None when a summand stays
+    uncertified.
 
     A summand isomorphic to one of ``listed`` (certified indecomposables,
-    :func:`isomorphic_to`) is returned as that record; any other is
-    certified by :func:`certify_local`, or else split by
-    :func:`_fitting_split` and its parts decomposed in turn, kernel part
-    first.  The seeded random endomorphisms only look for splits: every
+    :func:`isomorphic_to`) or to a summand already certified in this call
+    is returned as that record; any other is certified by
+    :func:`certify_local`, or else split by :func:`_fitting_split` and its
+    parts decomposed in turn, kernel part first.  ``listed`` itself is not
+    changed.  The seeded random endomorphisms only look for splits: every
     summand returned carries a certificate, and a decomposable or (p | dim)
     uncertifiable summand that no trial splits gives None, never an
     uncertified answer.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
+    known = list(listed)
     out, todo = [], [m] if m.total_dim else []
     while todo:
         part = todo.pop()
-        cert = next((ind for ind in listed if isomorphic_to(part, ind)), None)
+        cert = next((ind for ind in known if isomorphic_to(part, ind)), None)
         if cert is None:
             cert = certify_local(part)
-        if cert is not None:
-            out.append(cert)
-            continue
-        halves = _fitting_split(part, rng)
-        if halves is None:
-            return None
-        todo.extend(reversed(halves))
+            if cert is None:
+                halves = _fitting_split(part, rng)
+                if halves is None:
+                    return None
+                todo.extend(reversed(halves))
+                continue
+            known.append(cert)
+        out.append(cert)
     return out
 
 
@@ -1155,13 +1151,11 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep) -> Optional[bool]:
     (Assem–Simson–Skowroński, *Elements* vol. 1, Ch. I.4).
 
     Dims and tops (:func:`top_vertices`) are compared first.  Then m is
-    decomposed by :func:`indecomposable_summands` and its summands are
-    grouped into classes under :func:`isomorphic_to`, one representative
-    each.  n is decomposed with the representatives listed, so a summand of
-    n isomorphic to one comes back as that very record: m ≅ n iff each
-    representative comes back as often as its class has members, and
-    nothing else comes back.  None only when a summand of m or n cannot be
-    certified (see :func:`indecomposable_summands`), never a guess.
+    decomposed by :func:`indecomposable_summands`, one record per
+    isomorphism class, and n is decomposed with those records listed, so a
+    summand of n isomorphic to one comes back as that very record: m ≅ n
+    iff both decompositions hold each record equally often.  None only when
+    a summand of m or n cannot be certified, never a guess.
     """
     if m.algebra is not n.algebra:
         raise ValueError("is_isomorphic: algebra mismatch")
@@ -1170,20 +1164,10 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep) -> Optional[bool]:
     summands = indecomposable_summands(m)
     if summands is None:
         return None
-    reps, counts = [], []
-    for s in summands:
-        i = next((i for i, r in enumerate(reps) if isomorphic_to(s.module, r)), None)
-        if i is None:
-            reps.append(s)
-            counts.append(1)
-        else:
-            counts[i] += 1
-    found = indecomposable_summands(n, reps)
+    found = indecomposable_summands(n, {id(s): s for s in summands}.values())
     if found is None:
         return None
-    return len(found) == len(summands) and all(
-        sum(f is r for f in found) == c for r, c in zip(reps, counts)
-    )
+    return Counter(map(id, summands)) == Counter(map(id, found))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ reported as such rather than coerced to a boolean.
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -71,12 +70,10 @@ class Verdict:
     detail: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        record = OrderedDict()
-        record["check"] = self.check
-        record["algebra"] = self.algebra
-        record["status"] = self.status
-        record["detail"] = self.detail
-        return json.dumps(record, sort_keys=True)
+        return json.dumps(
+            {"check": self.check, "algebra": self.algebra, "status": self.status, "detail": self.detail},
+            sort_keys=True,
+        )
 
     def to_text(self) -> str:
         mark = {"pass": "PASS", "fail": "FAIL", "inconclusive": "????"}[self.status]

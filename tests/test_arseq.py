@@ -42,9 +42,9 @@ from ardom.modules import (
     is_injective,
     is_isomorphic,
     kernel,
+    proj_cover,
     projective,
     radical,
-    resolution_step,
     sample_modules,
     simple,
     validate,
@@ -679,7 +679,7 @@ def solve_left_surjection(seq):
     quotient's own section) X → V must equal the construction's blocks."""
     tbl = seq.u.algebra
     fld = tbl.field
-    cover = resolution_step(seq.v)[1]
+    cover = proj_cover(seq.v)[1]
     total = direct_sum(tbl, [seq.u, cover.source])
     incls, projs = _sum_inclusions([seq.u, cover.source], total)
     for i, inc in enumerate(incls):

@@ -47,10 +47,10 @@ from ardom.modules import (
     is_isomorphic,
     is_projective,
     kernel,
+    proj_cover,
     projective,
     radical,
     regular,
-    resolution_step,
     sample_modules,
     simple,
     validate,
@@ -154,8 +154,10 @@ def test_cappednat_least():
     inf = CappedNat.infinite("test")
     got = CappedNat.least([exact(3), exact(1), inf])
     assert got.is_exact and got.value == 1
-    # an exact value only wins when every lower bound already exceeds it
+    # an exact value wins when no lower bound lies below it
     got = CappedNat.least([exact(3), at_least(5)])
+    assert got.is_exact and got.value == 3
+    got = CappedNat.least([exact(3), at_least(3)])
     assert got.is_exact and got.value == 3
     got = CappedNat.least([exact(3), at_least(2)])
     assert got.kind == "at_least" and got.value == 2
@@ -206,8 +208,11 @@ def test_cappednat_comparisons_agree_with_the_values_they_allow(x, y, z, n):
     assert (low.ge(n) is True) == (everywhere is True)
     assert low.ge(n) in (None, everywhere)
     assert all(v.ge(low) is not False for v in values)
-    choices = itertools.product(*map(_possible, values))
-    assert {min(c) for c in choices} <= _possible(low)
+    lows = {min(c) for c in itertools.product(*map(_possible, values))}
+    assert lows <= _possible(low)
+    # and it is exact when every choice of values has one finite least
+    if len(lows) == 1 and math.inf not in lows:
+        assert low == CappedNat.exact(*lows)
 
 
 def test_cappednat_str_and_certificate():
@@ -224,19 +229,19 @@ def test_cappednat_str_and_certificate():
 
 
 # degree i of the resolution of m is degree 0 of Ω^i m: P_i is
-# resolution_step(syzygy(m, i))[0] and d_i is _presentation(syzygy(m, i - 1))[3]
+# proj_cover(syzygy(m, i))[0] and d_i is _presentation(syzygy(m, i - 1))[3]
 
 
 def test_resolution_of_simple_a2(a2):
     m = simple(a2, 0)
-    assert [resolution_step(syzygy(m, i))[0].module.dims for i in range(2)] == [(1, 1), (0, 1)]
+    assert [proj_cover(syzygy(m, i))[0].module.dims for i in range(2)] == [(1, 1), (0, 1)]
     assert syzygy(m, 2).is_zero
     assert pdim(simple(a2, 0)).eq(1)
 
 
 def test_resolution_of_projective_is_length_zero(dim5):
     m = projective(dim5, 0)
-    assert resolution_step(m)[0].module.dims == m.dims
+    assert proj_cover(m)[0].module.dims == m.dims
     assert syzygy(m, 1).is_zero and not _presentation(m)[1].vertices
     assert pdim(projective(dim5, 0)).eq(0)
 
@@ -246,12 +251,12 @@ def test_resolution_exactness_and_minimality(dim5, nak32):
         f = tbl.field
         for m in sample_modules(tbl, seed=21, size=5):
             # augmentation P_0 ->> m, then d_1, ..., d_4
-            maps = [resolution_step(m)[1]]
+            maps = [proj_cover(m)[1]]
             maps += [_presentation(syzygy(m, i - 1))[3] for i in range(1, 5)]
             assert maps[0].is_surjective_map()
             for i in range(1, len(maps)):
-                assert maps[i].source is resolution_step(syzygy(m, i))[0].module
-                assert maps[i].target is resolution_step(syzygy(m, i - 1))[0].module
+                assert maps[i].source is proj_cover(syzygy(m, i))[0].module
+                assert maps[i].target is proj_cover(syzygy(m, i - 1))[0].module
                 assert maps[i].defect() is None
                 # composites vanish, ranks match up
                 comp = maps[i].compose(maps[i - 1])
@@ -271,7 +276,7 @@ def test_inj_coresolution_mirror(dim5, nak32):
     for tbl in (dim5, nak32):
         for m in sample_modules(tbl, seed=22, size=4):
             dm = dual(m)
-            aug = resolution_step(dm)[1]
+            aug = proj_cover(dm)[1]
             maps = [ModuleMorphism(m, dual(aug.source), [b.T for b in aug.mats])]
             for i in range(1, 4):
                 d = _presentation(syzygy(dm, i - 1))[3]
@@ -280,7 +285,7 @@ def test_inj_coresolution_mirror(dim5, nak32):
             for i, fmor in enumerate(maps):
                 assert fmor.defect() is None
                 assert fmor.target.algebra is tbl and is_injective(fmor.target)
-                assert fmor.target.dims == resolution_step(syzygy(dm, i))[0].module.dims
+                assert fmor.target.dims == proj_cover(syzygy(dm, i))[0].module.dims
                 if i:
                     assert maps[i - 1].compose(fmor).is_zero
                     # exact at I_{i-1}: kernel of the next map = image of the last

@@ -146,6 +146,25 @@ def test_fitting_splits_a_sum_into_certified_summands(by_id):
     assert sum(ind is known[0] for ind in again) == 1
 
 
+@pytest.mark.parametrize("eid", ["auslander-x3", "comm-square", "nak-344"])
+def test_isomorphic_summands_come_back_as_one_record(eid, by_id):
+    tbl = by_id[eid].load_table()
+    listed = [ind.module for ind in knit_indecomposables(tbl, 64)]
+    for y in listed:
+        parts = indecomposable_summands(direct_sum(tbl, [y, y]))
+        assert len(parts) == 2 and parts[0] is parts[1], y.label
+        assert parts[0].module.dims == y.dims
+    decided = 0
+    for y, z in itertools.combinations(listed, 2):
+        yz, zy, yy = (direct_sum(tbl, pair) for pair in ([y, z], [z, y], [y, y]))
+        for other, want in ((zy, True), (yy, False)):
+            assert is_isomorphic(yz, other) is want, (y.label, z.label)
+            reference = random_isomorphism_search(yz, other)
+            assert reference in (None, want), (y.label, z.label)
+            decided += reference is not None
+    assert decided
+
+
 # --- the knitted lists ------------------------------------------------------
 
 # sorted dimension vectors of every indecomposable

@@ -51,7 +51,6 @@ from ardom.modules import (
     projsum_hom_rows,
     radical,
     regular,
-    resolution_step,
     sample_modules,
     simple,
     top,
@@ -249,69 +248,59 @@ def test_every_public_name_resolves(name):
 # ---------------------------------------------------------------------------
 
 
-def count_covers(monkeypatch):
-    """The signature of every module that proj_cover builds a cover for."""
-    covered = []
-    original = ardom.modules.proj_cover
-
-    def counting(m):
-        covered.append(m.signature())
-        return original(m)
-
-    monkeypatch.setattr(ardom.modules, "proj_cover", counting)
-    return covered
+def covers(tbl):
+    """The signature of every module whose cover sits in the memo of tbl or
+    of its opposite: proj_cover builds one per signature, on a miss."""
+    return [key[1] for t in (tbl, opposite(tbl)) for key in t._memo if key[0] == "proj_cover"]
 
 
 @pytest.mark.parametrize("name", ["nak-233", "auslander-x3", "comm-square"])
-def test_builders_whose_syzygies_coincide_share_each_cover(name, monkeypatch, fresh_corpus_table):
+def test_builders_whose_syzygies_coincide_share_each_cover(name, fresh_corpus_table):
     # degree i of the resolution of Ω m is degree i + 1 of the resolution of m
     tbl = fresh_corpus_table(name, 101)
-    covered = count_covers(monkeypatch)
     shifted_pairs = 0
     for v in range(len(tbl.quiver.vertices)):
         m = simple(tbl, v)
-        terms = [resolution_step(syzygy(m, i))[0] for i in range(5)]
+        terms = [proj_cover(syzygy(m, i))[0] for i in range(5)]
         syz = syzygy(m)
         if syz.is_zero:
             continue
-        before = len(covered)
+        before = len(covers(tbl))
         assert all(syzygy(syz, k) is syzygy(m, k + 1) for k in range(5))
-        shifted = [resolution_step(syzygy(syz, i))[0] for i in range(4)]
-        assert len(covered) == before
+        shifted = [proj_cover(syzygy(syz, i))[0] for i in range(4)]
+        assert len(covers(tbl)) == before
         assert syzygy(syz, 4).is_zero == syzygy(m, 5).is_zero
         assert all(x is y for x, y in zip(shifted, terms[1:], strict=True))
         shifted_pairs += 1
     assert shifted_pairs
-    assert covered and len(covered) == len(set(covered))
+    assert covers(tbl)
 
 
 @pytest.mark.parametrize("p", [2, 101])
-def test_is_projective_and_is_injective_read_the_tops(p, monkeypatch, fresh_corpus_table):
+def test_is_projective_and_is_injective_read_the_tops(p, fresh_corpus_table):
     tbl = fresh_corpus_table("auslander-x2", p)
-    covered = count_covers(monkeypatch)
     for v in range(len(tbl.quiver.vertices)):
         for m in (simple(tbl, v), projective(tbl, v), injective(tbl, v)):
-            before = len(covered)
+            before = len(covers(tbl))
             projective_m, injective_m = is_projective(m), is_injective(m)
-            assert len(covered) == before  # no cover built
+            assert len(covers(tbl)) == before  # no cover built
             # m and its dual, whose cover is D of the hull
             for side in (m, dual(m)):
                 assert proj_cover(side)[0].vertices == top_vertices(side)
-            assert projective_m == (resolution_step(m)[0].module.total_dim == m.total_dim)
-            assert injective_m == (resolution_step(dual(m))[0].module.total_dim == m.total_dim)
-    assert covered and len(covered) == len(set(covered))
+            assert projective_m == (proj_cover(m)[0].module.total_dim == m.total_dim)
+            assert injective_m == (proj_cover(dual(m))[0].module.total_dim == m.total_dim)
+    assert covers(tbl)
 
 
 def test_a_shared_cover_may_target_a_bit_identical_twin(fresh_corpus_table):
     tbl = fresh_corpus_table("nak-233", 3)
     m = simple(tbl, 1)
     twin = ModuleRep(tbl, m.dims, [a.copy() for a in m.mats], label="twin")
-    first = resolution_step(m)
-    ps, cover = resolution_step(twin)
+    first = proj_cover(m)
+    ps, cover = proj_cover(twin)
     assert (ps, cover) == first
     assert cover.target is m and cover.target.signature() == twin.signature()
     assert omega(twin) is omega(m)
-    assert proj_cover(twin)[1].target is twin  # the unshared builder
 
 
 @pytest.mark.parametrize("name", ["auslander-x3", "nak-233"])
@@ -496,8 +485,8 @@ def test_projectivity_and_hulls_build_no_syzygy(name, monkeypatch, fresh_corpus_
     assert not built
     # projectivity reads tops; the hulls' covers live on the opposite side
     assert any(key[0] == "top_vertices" for key in tbl._memo)
-    assert not any(key[0] == "resolution_step" for key in tbl._memo)
-    assert any(key[0] == "resolution_step" for key in opposite(tbl)._memo)
+    assert not any(key[0] == "proj_cover" for key in tbl._memo)
+    assert any(key[0] == "proj_cover" for key in opposite(tbl)._memo)
     assert not any(key[0] == "omega" for t in (tbl, opposite(tbl)) for key in t._memo)
 
 
@@ -554,7 +543,7 @@ def domdim_through_dual_sums(m, cap, dual_sums):
     cos = dual(m)
     earlier = []
     for j in range(cap + 1):
-        ps, _ = resolution_step(cos)
+        ps, _ = proj_cover(cos)
         term = dual(ps.module)
         if len(ps.vertices) > 1:
             dual_sums.add(term.signature())
@@ -578,13 +567,12 @@ def domdim_table(name, fresh_corpus_table):
 
 
 @pytest.mark.parametrize("name", CORPUS_IDS + ["-".join(map(str, s)) for s in SCAN_SERIES])
-def test_domdim_covers_no_dual_projective_sum(name, monkeypatch, fresh_corpus_table):
+def test_domdim_covers_no_dual_projective_sum(name, fresh_corpus_table):
     # the j-th term ⊕ I(v) is projective iff each I(v) is, so on the
     # algebra's own side domdim covers only its indecomposable injectives
     tbl = domdim_table(name, fresh_corpus_table)
-    covered = count_covers(monkeypatch)
     got = domdim_algebra(tbl)
-    new = set(covered)
+    new = set(covers(tbl))
     injectives = {injective(tbl, v).signature() for v in range(len(tbl.quiver.vertices))}
     assert {sig for sig in new if sig[0] == id(tbl)} <= injectives
     if "selfinjective" in tbl.flags or "symmetric" in tbl.flags:

@@ -50,7 +50,6 @@ from ardom.modules import (
     quotient_by_rows,
     radical,
     regular,
-    resolution_step,
     sample_modules,
     serialize_module,
     simple,
@@ -1129,7 +1128,7 @@ NOT_NAKAYAMA = ("kronecker", "wild3", "auslander-x3", "comm-square")
 
 
 def _dims_and_top(m):
-    return m.dims, resolution_step(m)[0].vertices
+    return m.dims, proj_cover(m)[0].vertices
 
 
 @pytest.mark.parametrize("name", ["ka2", "linear-a3", "linear-a4"])

@@ -1,14 +1,17 @@
-"""The benchmark harness under ``perfbench/`` imports from ``ardom``; a change
-to the package that drops or reshapes one of those names would only show
-when the benchmark runs.  These tests read the harness source, without
-importing or running it, and check each such name against the package."""
+"""The benchmark harness under ``perfbench/`` imports from ``ardom`` and
+traces its functions by name; a change to the package that drops or
+reshapes one of those names would only show when the benchmark runs.  These
+tests read the harness source, without importing or running it, and check
+each such name against the package."""
 
 import ast
 import importlib
 import inspect
 import os
 
-WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+WORKLOADS = os.path.join(PERFBENCH, "workloads.py")
+TRACER = os.path.join(PERFBENCH, "tracer.py")
 
 # the names the harness is known to read; the parse below must find them all
 EXPECTED = {
@@ -25,9 +28,32 @@ EXPECTED = {
 }
 
 
-def _tree():
-    with open(WORKLOADS, encoding="utf-8") as fh:
-        return ast.parse(fh.read(), filename=WORKLOADS)
+# the traced keys that name no function of the package any more; the
+# tracer's key lists are to drop or rename them (the benchmark upkeep in
+# ROADMAP.md), and a rename in the package that orphans another key fails
+# here
+ORPHANED_TRACE_KEYS = {
+    "arseq:Ext1Data.class_coords",
+    "arseq:_cokernel_section",
+    "arseq:_first_nonvanishing_degree",
+    "arseq:ext1_with_end_action",
+    "homology:_ProjResBuilder.__init__",
+    "homology:_ProjResBuilder.differential",
+    "homology:_ProjResBuilder.extend",
+    "homology:_ProjResBuilder.syzygy",
+    "homology:_ProjResBuilder.term",
+    "homology:_builder",
+    "homology:cosyzygy",
+    "homology:evaluation_and_torsion",
+    "homology:min_inj_coresolution",
+    "homology:min_proj_resolution",
+    "modules:hom_basis",
+}
+
+
+def _tree(path=WORKLOADS):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
 
 
 def test_every_name_the_benchmark_imports_from_ardom_resolves():
@@ -59,3 +85,32 @@ def test_entry_verdicts_accepts_the_benchmark_call():
     for call in calls:
         assert len(call.args) == 6
         signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
+
+
+def _traced(layer, name):
+    """Whether the tracer wraps ``layer:name``: a function defined in
+    ``ardom.<layer>``, or a method in the own namespace of a class defined
+    there."""
+    module = importlib.import_module(f"ardom.{layer}")
+    owner, _, attr = name.rpartition(".")
+    obj = vars(module).get(owner or name)
+    if getattr(obj, "__module__", None) != module.__name__:
+        return False
+    if owner:
+        return inspect.isclass(obj) and inspect.isfunction(vars(obj).get(attr))
+    return inspect.isfunction(obj)
+
+
+def test_only_the_known_trace_keys_name_no_function():
+    keys = [
+        (node.args[0].value, arg.value)
+        for node in ast.walk(_tree(TRACER))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_keys"
+        for arg in node.args[1:]
+    ]
+    assert len(keys) > len(ORPHANED_TRACE_KEYS)
+    assert {f"{layer}:{name}" for layer, name in keys if not _traced(layer, name)} == (
+        ORPHANED_TRACE_KEYS
+    )
