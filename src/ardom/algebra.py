@@ -355,10 +355,11 @@ class AlgebraTable:
     it.  A product that a rule rewrites to other paths has no entry; ask
     :meth:`multiply_paths` for it.
 
-    ``_dimension`` is for :func:`opposite` alone, which knows the dimension
-    already: with it the cycle search that decides finite dimension is
-    skipped, and listing the basis raises :class:`InvariantError` once it
-    lists more words than that, or at the end if it listed fewer.
+    ``_dimension`` is for constructors that know the dimension already
+    (:func:`opposite`, :func:`nakayama_from_kupisch`): with it the cycle
+    search that decides finite dimension is skipped, and listing the basis
+    raises :class:`InvariantError` once it lists more words than that, or at
+    the end if it listed fewer.
     """
 
     def __init__(
@@ -841,8 +842,9 @@ def nakayama_from_kupisch(
     c_m = 1, c_i >= 2 for i < m and the same descent condition, which
     together keep c_i within the m - i + 1 vertices left on the line.
     The relations kill the length-c_i path starting at vertex i, so the
-    dimension is the series sum.  The table is flagged selfinjective exactly
-    when the series is cyclic and constant.
+    dimension is the series sum, which listing the basis checks in place of
+    the cycle search.  The table is flagged selfinjective exactly when the
+    series is cyclic and constant.
     """
     series = [int(x) for x in c]
     m = len(series)
@@ -886,17 +888,12 @@ def nakayama_from_kupisch(
     if cyclic and len(set(series)) == 1:
         flags.add("selfinjective")
     shape = "cyclic" if cyclic else "linear"
-    tbl = AlgebraTable(
+    return AlgebraTable(
         quiver,
         fld,
         tuple(relations),
         flags=frozenset(flags),
         max_path_length=max_path_length,
         label=f"nakayama-{shape}-{'-'.join(map(str, series))}",
+        _dimension=sum(series),
     )
-    if tbl.dimension != sum(series):
-        raise InvariantError(
-            f"Kupisch series dimension check failed: dimension {tbl.dimension}, "
-            f"series sum {sum(series)}"
-        )
-    return tbl

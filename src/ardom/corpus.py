@@ -14,14 +14,20 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .algebra import AlgebraTable, DEFAULT_MAX_PATH_LENGTH, InputError, table_from_text
+from .algebra import AlgebraTable, InputError, table_from_text
 from .modules import ModuleRep, parse_module
 
 __all__ = ["CorpusError", "CorpusEntry", "load_corpus", "MANIFEST_NAME"]
 
 MANIFEST_NAME = "manifest.json"
 
-_EXPECTED_KEYS = {"dim", "selfinjective", "domdim", "gldim", "mueller", "gorenstein"}
+# the shape each expected value must have, checked by _well_shaped
+_CAPPED_SHAPE = '{"kind": "exact" or "at_least", "value": an int >= 0} or {"kind": "infinite"}'
+_EXPECTED_SHAPES = {
+    "dim": "an int >= 1",
+    "selfinjective": "a bool",
+    **dict.fromkeys(("domdim", "gldim", "mueller", "gorenstein"), _CAPPED_SHAPE),
+}
 _CLASSIFICATIONS = {"auslander", "hereditary", "linear-an", "nakayama"}
 
 
@@ -39,7 +45,7 @@ class CorpusEntry:
     known_indecomposables: tuple = ()
     _table: AlgebraTable = field(default=None, repr=False, compare=False)
 
-    def load_table(self, max_path_length: int = DEFAULT_MAX_PATH_LENGTH) -> AlgebraTable:
+    def load_table(self) -> AlgebraTable:
         if self._table is None:
             path = os.path.join(self.root, self.file)
             try:
@@ -47,7 +53,7 @@ class CorpusEntry:
                     text = fh.read()
             except OSError as exc:
                 raise CorpusError(f"{self.entry_id}: cannot read {path}: {exc}") from exc
-            self._table = table_from_text(text, max_path_length, label=self.entry_id)
+            self._table = table_from_text(text, label=self.entry_id)
         return self._table
 
     def load_known_indecomposables(self) -> list:
@@ -81,6 +87,18 @@ def _expect_str_list(raw, what: str) -> tuple:
     return tuple(raw)
 
 
+def _well_shaped(key: str, raw) -> bool:
+    if key == "selfinjective":
+        return isinstance(raw, bool)
+    if key == "dim":
+        return isinstance(raw, int) and not isinstance(raw, bool) and raw >= 1
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if kind == "infinite":
+        return "value" not in raw
+    value = raw.get("value") if kind in ("exact", "at_least") else None
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def load_corpus(root: str) -> list:
     """All entries of the corpus at ``root``, in manifest order."""
     if not os.path.isdir(root):
@@ -109,9 +127,13 @@ def load_corpus(root: str) -> list:
         expected = raw.get("expected", {})
         if not isinstance(expected, dict):
             raise CorpusError(f"{entry_id}: expected must be an object, got {expected!r}")
-        unknown = set(expected) - _EXPECTED_KEYS
+        unknown = set(expected) - set(_EXPECTED_SHAPES)
         if unknown:
             raise CorpusError(f"{entry_id}: unknown expected keys {sorted(unknown)}")
+        for key, value in expected.items():
+            if not _well_shaped(key, value):
+                shape = _EXPECTED_SHAPES[key]
+                raise CorpusError(f"{entry_id}: expected {key} must be {shape}, got {value!r}")
         classification = _expect_str_list(
             raw.get("classification", []), f"{entry_id}: classification"
         )

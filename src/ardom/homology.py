@@ -27,13 +27,13 @@ from .modules import (
     InvariantError,
     ModuleMorphism,
     ModuleRep,
-    arrow_left_mult,
     dual,
     dual_regular,
     cokernel,
     injective,
     is_injective,
     is_projective,
+    kernel,
     memoized,
     omega,
     proj_cover,
@@ -41,6 +41,7 @@ from .modules import (
     projective,
     projsum_map_elements,
     projsum_map_from_elements,
+    quotient_by_rows,
     regular,
     simple,
     submodule_from_rows,
@@ -206,8 +207,8 @@ def _presentation(m: ModuleRep) -> tuple:
     """(P_0, P_1, elements, d_1): the minimal presentation P_1 -> P_0 -> m,
     with d_1 also decoded by :func:`projsum_map_elements` into elements[t][s]
     of e_{V_t}·A·e_{U_s}.  P_1 is the empty sum when m is projective.
-    Shared by :func:`_cochain`, :func:`transpose` and the almost split
-    sequences."""
+    Shared by :func:`_cochain`, :func:`_dual_presentation` and the almost
+    split sequences."""
     p0, _ = proj_cover(m)
     syz, inclusion = omega(m)
     p1, cover = proj_cover(syz)
@@ -318,26 +319,31 @@ def post_compose(m: ModuleRep, i: int, lm: ModuleMorphism) -> np.ndarray:
 def ext_module(m: ModuleRep, i: int) -> ModuleRep:
     """Ext^i(m, A) as a right module over the opposite algebra.
 
-    The regular module splits vertexwise, so the Ext group is graded by
-    Ext^i(m, P(v)) (:func:`ext_classes`), the vertex decomposition, and for
-    an arrow a: v -> w the opposite arrow acts by post-composition with left
-    multiplication P(w) -> P(v).  Degree 0 is the plain Hom-dual m*.  Degree
-    i >= 2 is Ext^1(Ω^{i-1} m, A), relabelled, so modules whose syzygies
-    coincide share one Ext module.
+    Hom_A(P(v), A) is P°(v), so the dualised resolution Hom_A(P_•, A) is a
+    complex of sums of opposite projectives whose maps are the
+    :func:`_dual_presentation` of each syzygy.  Degree 0 is ker d_1*, the
+    Hom-dual m*; degree 1 is ker d_2* / im d_1*, with d_2* the dual
+    presentation of Ω m.  Degree i >= 2 is Ext^1(Ω^{i-1} m, A), relabelled,
+    so modules whose syzygies coincide share one Ext module.
     """
     if i < 0:
         raise ValueError("negative Ext degree")
+    label = f"Ext{i}({m.label},A)"
     if i >= 2:
-        return ext_module(syzygy(m, i - 1), 1).relabeled(f"Ext{i}({m.label},A)")
-    tbl = m.algebra
-    q = tbl.quiver
+        return ext_module(syzygy(m, i - 1), 1).relabeled(label)
     if syzygy(m, i).is_zero:
-        return zero_module(opposite(tbl), label=f"Ext{i}({m.label},A)")
-    dims = [ext_classes(m, projective(tbl, v), i)[1].dim for v in range(len(q.vertices))]
-    mats = [
-        post_compose(m, i, arrow_left_mult(tbl, a)) for a in range(len(q.arrows))
-    ]
-    return ModuleRep(opposite(tbl), dims, mats, label=f"Ext{i}({m.label},A)")
+        return zero_module(opposite(m.algebra), label=label)
+    cocycles, inclusion = kernel(_dual_presentation(syzygy(m, i)))
+    if i == 0:
+        return cocycles.relabeled(label)
+    f = m.algebra.field
+    coboundaries = []
+    for basis, block in zip(inclusion.mats, _dual_presentation(m).mats):
+        coords = f.coords_in_rowspace(basis, block)
+        if coords is None:
+            raise InvariantError("a coboundary leaves the cocycles")
+        coboundaries.append(coords)
+    return quotient_by_rows(cocycles, coboundaries, label=label)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -346,27 +352,27 @@ def ext_module(m: ModuleRep, i: int) -> ModuleRep:
 
 
 @memoized
-def transpose(m: ModuleRep) -> ModuleRep:
-    """Cokernel over the opposite algebra of the reversed minimal presentation.
+def _dual_presentation(m: ModuleRep) -> ModuleMorphism:
+    """d_1* = Hom_A(d_1, A) for the minimal presentation P_1 -> P_0 -> m.
 
-    From P_1 -> P_0 -> m with the differential written as elements
-    x[t][s] in e_{V_t}·A·e_{U_s}, the reversed elements give the map
-    ⊕_t P°(V_t) -> ⊕_s P°(U_s) whose cokernel is returned.
+    With the differential written as elements x[t][s] in e_{V_t}·A·e_{U_s},
+    the reversed elements give the map ⊕_t P°(V_t) -> ⊕_s P°(U_s) over the
+    opposite algebra.  Shared by :func:`transpose` and :func:`ext_module`.
     """
     opp = opposite(m.algebra)
     ps0, ps1, x, _ = _presentation(m)
-    if not ps1.vertices:  # projective module: presentation has P_1 = 0
-        return zero_module(opp, label=f"Tr({m.label})")
     y = [
         [{reverse_path(p): c for p, c in x[t][s].items()} for t in range(len(ps0.vertices))]
         for s in range(len(ps1.vertices))
     ]
-    src = proj_sum(opp, ps0.vertices)
-    tgt = proj_sum(opp, ps1.vertices)
-    dop = projsum_map_from_elements(src, tgt, y)
-    out = cokernel(dop)[0]
-    out.label = f"Tr({m.label})"
-    return out
+    return projsum_map_from_elements(proj_sum(opp, ps0.vertices), proj_sum(opp, ps1.vertices), y)
+
+
+@memoized
+def transpose(m: ModuleRep) -> ModuleRep:
+    """Tr m, the cokernel of :func:`_dual_presentation` over the opposite
+    algebra; zero on projective modules, whose P_1 is 0."""
+    return cokernel(_dual_presentation(m))[0].relabeled(f"Tr({m.label})")
 
 
 def tau(m: ModuleRep) -> ModuleRep:

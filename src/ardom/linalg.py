@@ -387,24 +387,6 @@ class PrimeField:
             raise ValueError(f"quotient_by_rowspace: {sub.shape} rows are not in k^{n}")
         small = self._small_rref(sub % self.p)
         r, pivots = self.rref(sub) if small is None else small
-        return self._quotient_by_pivot_rows(r, pivots, n)
-
-    def quotient_by_rref(self, rows: np.ndarray, n: int) -> Quotient:
-        """k^n modulo the span of ``rows``, which are already the nonzero
-        rows of a reduced row echelon form (as :meth:`row_space_basis` gives
-        them): each row's pivot is its first nonzero, so nothing is
-        eliminated.  The result equals ``quotient_by_rowspace(rows, n)``.
-        """
-        if rows.shape[1] != n:
-            raise ValueError(f"quotient_by_rref: {rows.shape} rows are not in k^{n}")
-        r = rows.tolist()
-        pivots = tuple(next(j for j, x in enumerate(row) if x) for row in r)
-        return self._quotient_by_pivot_rows(r, pivots, n)
-
-    def _quotient_by_pivot_rows(self, r, pivots: tuple, n: int) -> Quotient:
-        """The quotient of k^n by the span of reduced rows whose first
-        ``len(pivots)`` rows are the pivot rows: an array (a large matrix,
-        reduced with numpy) or int lists."""
         if not pivots:
             return Quotient(dim=n, proj=self.eye(n), section=self.eye(n), free=list(range(n)))
         pivot_set = set(pivots)
@@ -412,7 +394,7 @@ class PrimeField:
         q = len(free)
         section = self.zeros(q, n)
         section[np.arange(q), free] = 1
-        if isinstance(r, np.ndarray):
+        if isinstance(r, np.ndarray):  # a large matrix, reduced with numpy
             reducer = self.eye(n)
             rows = list(pivots)
             reducer[rows] = (reducer[rows] - r[: len(pivots)]) % self.p

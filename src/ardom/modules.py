@@ -72,7 +72,6 @@ __all__ = [
     "InvariantError",
     "memoized",
     "projective_paths",
-    "arrow_left_mult",
 ]
 
 
@@ -450,17 +449,11 @@ def quotient_by_rows(m: ModuleRep, rows_per_vertex, label: str = "") -> tuple:
     given rows; ``sections[v]`` is the right inverse of the projection at v
     whose rows are the canonical coset representatives."""
     f = m.algebra.field
+    q = m.algebra.quiver
     quots = [
         f.quotient_by_rowspace(_as_row_block(rows_per_vertex[v], d, f.p), d)
         for v, d in enumerate(m.dims)
     ]
-    return _quotient_module(m, quots, label)
-
-
-def _quotient_module(m: ModuleRep, quots, label: str) -> tuple:
-    """:func:`quotient_by_rows` from the quotient of each vertex space."""
-    f = m.algebra.field
-    q = m.algebra.quiver
     dims = tuple(qt.dim for qt in quots)
     mats = []
     for a in range(len(q.arrows)):
@@ -480,17 +473,11 @@ def kernel(fmor: ModuleMorphism) -> tuple:
     return submodule_from_rows(fmor.source, rows, label=f"ker({fmor.source.label})")
 
 
-def _image_rows(fmor: ModuleMorphism) -> list:
-    """Per vertex, the rref basis of the row space of fmor's block."""
-    f = fmor.field
-    return [f.row_space_basis(b) for b in fmor.mats]
-
-
 def image(fmor: ModuleMorphism) -> tuple:
     """(I, inclusion, projection): the image of fmor as a submodule of its
     target, with fmor = projection followed by inclusion."""
     f = fmor.field
-    rows = _image_rows(fmor)
+    rows = [f.row_space_basis(b) for b in fmor.mats]
     im, incl = submodule_from_rows(fmor.target, rows, label=f"im({fmor.source.label})")
     mats = []
     for v, (basis, block) in enumerate(zip(rows, fmor.mats)):
@@ -841,16 +828,6 @@ def _yoneda_to_projective(tbl: AlgebraTable, vertices: tuple, v: int) -> np.ndar
     one vertex w, the row of a basis path q: v -> w is the morphism
     P(w) -> P(v) sending e_w to q, left multiplication by q."""
     return yoneda_block(proj_sum(tbl, vertices), projective(tbl, v))
-
-
-@memoized
-def arrow_left_mult(tbl: AlgebraTable, a: int) -> ModuleMorphism:
-    """Left multiplication P(w) -> P(v) by the arrow a: v -> w, the row of
-    a in the Yoneda block of P(w) into P(v)."""
-    v, w = tbl.quiver.arrow_source(a), tbl.quiver.arrow_target(a)
-    row = projective_paths(tbl, v)[w][Path(v, (a,), w)]
-    block = _yoneda_to_projective(tbl, (w,), v)
-    return morphism_from_flat(projective(tbl, w), projective(tbl, v), block[row])
 
 
 # ---------------------------------------------------------------------------
@@ -1279,7 +1256,6 @@ def _sample_modules(tbl: AlgebraTable, seed: int, size: int) -> tuple:
     rng = np.random.default_rng(seed)
     attempts = 0
     hom_rows = {}  # (verts0, verts1) -> (source sum, target module, Yoneda rows)
-    images = set()  # (verts1, image rows): cokernels already taken
     while len(out) < size and attempts < 40 * size:
         attempts += 1
         mult0 = rng.integers(0, 3, size=nv)
@@ -1297,14 +1273,7 @@ def _sample_modules(tbl: AlgebraTable, seed: int, size: int) -> tuple:
             continue
         coeffs = rng.integers(0, f.p, size=rows.shape[0])
         fmor = morphism_from_flat(ps.module, tgt, coeffs @ rows % f.p)
-        im_rows = _image_rows(fmor)
-        key = (verts1, tuple(r.tobytes() for r in im_rows))
-        if key in images:
-            continue  # the same cokernel again, which push would drop
-        images.add(key)
-        # the image rows are in rref already: quotient by them as they are
-        quots = [f.quotient_by_rref(r, d) for r, d in zip(im_rows, tgt.dims)]
-        push(_quotient_module(tgt, quots, "")[0], label=f"sample[{len(out)}]")
+        push(cokernel(fmor)[0], label=f"sample[{len(out)}]")
     return tuple(out)
 
 

@@ -19,8 +19,11 @@ exact route, and is kept only so that the tests can check the two agree:
   route ``ardom.homology.domdim_algebra``;
 - :func:`left_mult_morphism`, left multiplication P(src) -> P(dst) by an
   algebra element, multiplied out path by path, against the Yoneda rows
-  that ``ardom.modules.arrow_left_mult`` and
-  ``ardom.arseq.projective_rad_end`` read.
+  that :func:`arrow_left_mult` and ``ardom.arseq.projective_rad_end`` read;
+- :func:`ext_module_by_post_composition`, Ext^i(m, A) graded by the
+  Ext^i(m, P(v)) of :func:`ext_classes_of_the_resolution`, each opposite
+  arrow acting by post-composition with :func:`arrow_left_mult`, against
+  ``ardom.homology.ext_module``, the cohomology of the dualised resolution.
 
 Nothing here is memoised, and nothing here calls the routes it checks.
 :func:`domdim_whole` walks the one coresolution walk there is,
@@ -35,19 +38,29 @@ from typing import Sequence
 import numpy as np
 
 import ardom.modules
-from ardom.algebra import opposite, reverse_path
-from ardom.homology import DEFAULT_CAP, CappedNat, InvariantError, domdim_module, ext_dim, tau
+from ardom.algebra import Path, opposite, reverse_path
+from ardom.homology import (
+    DEFAULT_CAP,
+    CappedNat,
+    InvariantError,
+    domdim_module,
+    ext_dim,
+    syzygy,
+    tau,
+)
 from ardom.modules import (
     ModuleMorphism,
     ModuleRep,
-    arrow_left_mult,
     dual_regular,
     kernel,
     morphism_from_flat,
+    proj_sum,
     projective,
     projective_paths,
     regular,
     top_vertices,
+    yoneda_block,
+    zero_module,
 )
 
 
@@ -265,3 +278,62 @@ def left_mult_morphism(tbl, element: dict, src: int, dst: int) -> ModuleMorphism
                     mat[i, dst_index[w][term]] = (mat[i, dst_index[w][term]] + coeff * c2) % f.p
         mats.append(mat)
     return ModuleMorphism(psrc, pdst, mats)
+
+
+def arrow_left_mult(tbl, a: int) -> ModuleMorphism:
+    """Left multiplication P(w) -> P(v) by the arrow a: v -> w, the row of
+    a in the Yoneda block of P(w) into P(v)."""
+    v, w = tbl.quiver.arrow_source(a), tbl.quiver.arrow_target(a)
+    row = projective_paths(tbl, v)[w][Path(v, (a,), w)]
+    block = yoneda_block(proj_sum(tbl, (w,)), projective(tbl, v))
+    return morphism_from_flat(projective(tbl, w), projective(tbl, v), block[row])
+
+
+def ext_classes_of_the_resolution(m: ModuleRep, i: int, v: int) -> tuple:
+    """(cocycles, quotient) of Ext^i(m, P(v)), read at degree i of the
+    minimal resolution of m itself: the kernel rows of the cochain matrix
+    out of Hom(P_i, P(v)) in generator coordinates, and their quotient by
+    the coboundaries (none in degree 0)."""
+    f = m.algebra.field
+    pv = projective(m.algebra, v)
+    cocycles = f.kernel_basis(ardom.homology._cochain(syzygy(m, i), pv)[0].T)
+    coords = f.zeros(0, cocycles.shape[0])
+    if i >= 1:
+        coords = f.coords_in_rowspace(cocycles, ardom.homology._cochain(syzygy(m, i - 1), pv)[0])
+        if coords is None:
+            raise InvariantError("cochain image escapes the kernel")
+    return cocycles, f.quotient_by_rowspace(coords, cocycles.shape[0])
+
+
+def ext_module_by_post_composition(m: ModuleRep, i: int) -> ModuleRep:
+    """Ext^i(m, A) over the opposite algebra, built vertex by vertex.
+
+    The vertex space at v is Ext^i(m, P(v)) on the basis of
+    :func:`ext_classes_of_the_resolution`.  The opposite of an arrow
+    a: v -> w acts by post-composition with left multiplication
+    P(w) -> P(v) by a, which moves the block of a cocycle at each copy P(u)
+    of P_i by its block at u.  Degree i >= 2 is degree 1 of Ω^{i-1} m,
+    relabelled.
+    """
+    tbl = m.algebra
+    f = tbl.field
+    label = f"Ext{i}({m.label},A)"
+    if i >= 2:
+        return ext_module_by_post_composition(syzygy(m, i - 1), 1).relabeled(label)
+    if syzygy(m, i).is_zero:
+        return zero_module(opposite(tbl), label=label)
+    classes = [ext_classes_of_the_resolution(m, i, v) for v in range(len(tbl.quiver.vertices))]
+    tops = ardom.homology._presentation(syzygy(m, i))[0].vertices
+    mats = []
+    for a in range(len(tbl.quiver.arrows)):
+        src, src_quot = classes[tbl.quiver.arrow_target(a)]
+        dst, dst_quot = classes[tbl.quiver.arrow_source(a)]
+        if not src_quot.dim or not dst_quot.dim:
+            mats.append(f.zeros(src_quot.dim, dst_quot.dim))
+            continue
+        lam = f.block_diag([arrow_left_mult(tbl, a).mats[u] for u in tops])
+        coords = f.coords_in_rowspace(dst, f.mul(f.mul(src_quot.section, src), lam))
+        if coords is None:
+            raise InvariantError("post-composition leaves the cocycle space")
+        mats.append(f.mul(coords, dst_quot.proj))
+    return ModuleRep(opposite(tbl), [quot.dim for _, quot in classes], mats, label=label)

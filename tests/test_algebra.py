@@ -267,19 +267,19 @@ def test_nakayama_from_kupisch_sets_its_flag_without_the_check():
 
 
 def test_kupisch_dimension_check_is_an_internal_error(monkeypatch, capsys):
-    import ardom.algebra
-    from ardom.algebra import InvariantError
     from ardom.cli import main
     from ardom.verify import EXIT_INPUT_ERROR, EXIT_INTERNAL
 
-    monkeypatch.setattr(ardom.algebra.AlgebraTable, "dimension", property(lambda self: -1))
-    with pytest.raises(InvariantError, match="Kupisch series dimension check") as exc:
+    # with no rules a cyclic quiver has a normal word of every length, so
+    # listing the basis passes the series sum and stops there
+    monkeypatch.setattr(AlgebraTable, "_complete", lambda self: None)
+    with pytest.raises(InvariantError, match="more than 5 normal words") as exc:
         nakayama_from_kupisch([3, 2], cyclic=True)
     assert not isinstance(exc.value, ValueError)
     # an internal error is not reported as bad input (exit 2), but as exit 4
     code = main(["scan", "nakayama", "--simples", "2", "--max-len", "3"])
     assert code == EXIT_INTERNAL != EXIT_INPUT_ERROR
-    assert capsys.readouterr().err.startswith("internal error: Kupisch series dimension check")
+    assert re.match(r"internal error: \S+: more than \d+ normal words", capsys.readouterr().err)
 
 
 # -- completion ---------------------------------------------------------------
@@ -616,41 +616,76 @@ def test_opposite_dimension_always_preserved():
         assert opposite(tbl).dimension == tbl.dimension
 
 
-def test_the_opposite_lists_the_table_of_the_full_constructor(monkeypatch):
+def assert_lists_the_table_of_the_full_constructor(tbl, searched):
+    """tbl, built with its dimension known, against the constructor that
+    runs the cycle search (which appends the quiver to ``searched``)."""
+    full = AlgebraTable(
+        tbl.quiver,
+        tbl.field,
+        tbl.relations,
+        flags=tbl.flags,
+        max_path_length=tbl.max_path_length,
+        label=tbl.label,
+    )
+    assert searched[-1] is tbl.quiver
+    assert tbl.rules == full.rules, tbl.label
+    assert tbl.basis == full.basis, tbl.label
+    assert tbl.arrow_products == full.arrow_products, tbl.label
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The quivers of the cycle searches run while the test lasts."""
+    out = []
+    original = ardom.algebra._normal_cycle
+
+    def counting(quiver, tips):
+        out.append(quiver)
+        return original(quiver, tips)
+
+    monkeypatch.setattr(ardom.algebra, "_normal_cycle", counting)
+    return out
+
+
+def test_the_opposite_lists_the_table_of_the_full_constructor(searched):
     # opposite() knows the dimension, so it runs no cycle search, yet it
     # must complete and list the same table as the constructor that does
     from ardom.corpus import load_corpus
     from ardom.verify import _cyclic_series
 
-    searched = []
-    original = ardom.algebra._normal_cycle
-
-    def counting(quiver, tips):
-        searched.append(quiver)
-        return original(quiver, tips)
-
-    monkeypatch.setattr(ardom.algebra, "_normal_cycle", counting)
     corpus = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
     tables = [e.load_table() for e in load_corpus(corpus)]
+    assert len(searched) == len(tables)  # only the tables read from files search
     tables += [
         nakayama_from_kupisch(list(c), cyclic=True) for m in range(1, 5) for c in _cyclic_series(m, 6)
     ]
     opposites = [opposite(tbl) for tbl in tables]
-    assert len(searched) == len(tables)
+    assert len(searched) == 14
     for tbl, opp in zip(tables, opposites):
-        full = AlgebraTable(
-            opp.quiver,
-            opp.field,
-            opp.relations,
-            flags=opp.flags,
-            max_path_length=opp.max_path_length,
-            label=opp.label,
-        )
-        assert searched[-1] is opp.quiver
-        assert opp.rules == full.rules, tbl.label
-        assert opp.basis == full.basis, tbl.label
-        assert opp.arrow_products == full.arrow_products, tbl.label
+        assert_lists_the_table_of_the_full_constructor(opp, searched)
         assert opposite(opp) is tbl and opposite(tbl) is opp
+
+
+def linear_kupisch_series(m: int):
+    """Every admissible linear Kupisch series with m entries."""
+    for head in itertools.product(range(2, m + 1), repeat=m - 1):
+        series = head + (1,)
+        if all(series[i + 1] >= series[i] - 1 for i in range(m - 1)):
+            yield series
+
+
+def test_nakayama_tables_list_the_table_of_the_full_constructor(searched):
+    # nakayama_from_kupisch knows the dimension, the series sum, so it runs
+    # no cycle search either
+    from ardom.verify import _cyclic_series
+
+    series = [(c, True) for m in range(1, 6) for c in _cyclic_series(m, 6)]
+    series += [(c, False) for m in range(1, 7) for c in linear_kupisch_series(m)]
+    for c, cyclic in series:
+        tbl = nakayama_from_kupisch(c, cyclic)
+        assert not searched and tbl.dimension == sum(c)
+        assert_lists_the_table_of_the_full_constructor(tbl, searched)
+        searched.clear()
 
 
 @pytest.mark.parametrize("wrong", [-1, 1])

@@ -322,15 +322,19 @@ def test_bad_degree_is_input_error(capsys):
 
 def test_internal_check_failure_exits_4(capsys, monkeypatch):
     import ardom.homology
+    import ardom.modules
     from ardom.verify import EXIT_INTERNAL
 
-    monkeypatch.setattr(ardom.homology, "ext_dim", lambda *args: -1)
+    def no_cocycles(fmor):  # a kernel that lost its rows
+        return ardom.modules.submodule_from_rows(fmor.source, [[] for _ in fmor.source.dims])
+
+    monkeypatch.setattr(ardom.homology, "kernel", no_cocycles)
     code = main(["grade", alg("ka2"), "--sample-index", "0", "--ext-degree", "1"])
     captured = capsys.readouterr()
     assert code == EXIT_INTERNAL == 4
     assert captured.out == ""
     (line,) = captured.err.splitlines()
-    assert line == "internal error: graded Ext dimension mismatch"
+    assert line == "internal error: a coboundary leaves the cocycles"
 
 
 def test_plain_value_error_inside_the_engine_exits_4(capsys, monkeypatch):

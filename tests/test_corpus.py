@@ -226,3 +226,56 @@ def test_auslander_x3_presentation_matches_structure_constants(corpus):
     assert tbl.dimension == 14
     assert tbl.quiver.vertices == ("v1", "v2", "v3")
     assert "gendo_symmetric" in tbl.flags
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("dim", "0"),
+        ("dim", "true"),
+        ("dim", '"6"'),
+        ("dim", "6.0"),
+        ("selfinjective", "0"),
+        ("selfinjective", '"false"'),
+        ("domdim", '"banana"'),
+        ("domdim", '{"kind": "exact"}'),
+        ("domdim", '{"value": 2}'),
+        ("domdim", "[1]"),
+        ("gldim", '{"kind": "at_least", "value": -1}'),
+        ("gldim", '{"kind": "exact", "value": 2.5}'),
+        ("mueller", '{"kind": "infinite", "value": 3}'),
+        ("gorenstein", '{"kind": "maybe", "value": 1}'),
+        ("gorenstein", '{"kind": "exact", "value": true}'),
+    ],
+)
+def test_expected_values_are_shape_checked(tmp_path, key, value):
+    (tmp_path / "manifest.json").write_text(
+        f'{{"entries": [{{"id": "x", "file": "x.alg", "expected": {{"{key}": {value}}}}}]}}'
+    )
+    with pytest.raises(CorpusError, match=f"^x: expected {key} must be"):
+        load_corpus(str(tmp_path))
+
+
+def test_well_shaped_expected_values_load(tmp_path):
+    expected = (
+        '{"dim": 1, "selfinjective": false, "domdim": {"kind": "infinite"}, '
+        '"gldim": {"kind": "at_least", "value": 0}, "mueller": {"kind": "exact", "value": 0}}'
+    )
+    (tmp_path / "manifest.json").write_text(
+        f'{{"entries": [{{"id": "x", "file": "x.alg", "expected": {expected}}}]}}'
+    )
+    (entry,) = load_corpus(str(tmp_path))
+    assert entry.expected["gldim"] == {"kind": "at_least", "value": 0}
+
+
+def test_verify_rejects_a_misshapen_expected_value(tmp_path, capsys):
+    from ardom.cli import main
+    from ardom.verify import EXIT_INPUT_ERROR
+
+    with open(os.path.join(CORPUS_ROOT, "ka2.alg"), encoding="utf-8") as fh:
+        (tmp_path / "ka2.alg").write_text(fh.read())
+    (tmp_path / "manifest.json").write_text(
+        '{"entries": [{"id": "ka2", "file": "ka2.alg", "expected": {"domdim": "banana"}}]}'
+    )
+    assert main(["verify", "--n", "1", str(tmp_path)]) == EXIT_INPUT_ERROR == 2
+    assert capsys.readouterr().err.startswith("error: ka2: expected domdim must be")

@@ -231,12 +231,16 @@ def assert_same_quotient(got, want):
         assert np.array_equal(a, b)
 
 
+# A cokernel quotients by the blocks of its morphism as they are; the same
+# quotient by their rref rows is what keeps its bytes a function of the image.
+
+
 @given(matrices(p=101))
 @settings(max_examples=100)
 def test_quotient_by_rref_rows_matches_the_quotient_by_their_span(m):
     n = m.shape[1]
     want = F101.quotient_by_rowspace(m, n)
-    assert_same_quotient(F101.quotient_by_rref(F101.row_space_basis(m), n), want)
+    assert_same_quotient(F101.quotient_by_rowspace(F101.row_space_basis(m), n), want)
     # the section is the row selection at the free columns
     assert np.array_equal(want.section, F101.eye(n)[want.free])
 
@@ -252,7 +256,7 @@ def test_quotient_by_rref_rows_of_a_large_matrix(shape):
     basis = F5.row_space_basis(m)
     want = F5.quotient_by_rowspace(m, n)
     assert want.dim == n - basis.shape[0]
-    assert_same_quotient(F5.quotient_by_rref(basis, n), want)
+    assert_same_quotient(F5.quotient_by_rowspace(basis, n), want)
 
 
 def test_row_space_basis_spans():
@@ -271,7 +275,6 @@ SHAPE_ERRORS = [
     ("solve", lambda f: f.solve(f.eye(2), f.zeros(3, 1))),
     ("inverse", lambda f: f.inverse(f.mat([[1, 2, 3]]))),
     ("quotient_by_rowspace", lambda f: f.quotient_by_rowspace(f.eye(2), 3)),
-    ("quotient_by_rref", lambda f: f.quotient_by_rref(f.eye(2), 3)),
 ]
 
 

@@ -31,7 +31,6 @@ from ardom.homology import (
 )
 from ardom.modules import (
     ModuleRep,
-    arrow_left_mult,
     cokernel,
     direct_sum,
     dual,
@@ -57,7 +56,7 @@ from ardom.modules import (
     top_vertices,
 )
 from ardom.verify import SUITES, _cyclic_series, _entry_verdicts
-from reference import left_mult_morphism
+from reference import arrow_left_mult, left_mult_morphism
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 KRONECKER_TEXT = "field 101\nvertices v1 v2\narrow a v1 v2\narrow b v1 v2\n"
@@ -183,33 +182,34 @@ def test_homology_results_are_shared_by_modules_with_one_signature(fresh_corpus_
     assert checked == 12
 
 
-def test_arrow_left_mult_is_built_once_per_arrow():
+def test_the_reference_arrow_left_mult_is_left_multiplication():
     tbl = table_from_text(DIM5_TEXT)
     for a, (name, _, _) in enumerate(tbl.quiver.arrows):
         v, w = tbl.quiver.arrow_source(a), tbl.quiver.arrow_target(a)
         lm = arrow_left_mult(tbl, a)
         direct = left_mult_morphism(tbl, {Path(v, (a,), w): 1}, src=w, dst=v)
         assert all((x == y).all() for x, y in zip(lm.mats, direct.mats)), name
-        assert arrow_left_mult(tbl, a) is lm
 
-    # each arrow a: v -> w reads its row off the one Yoneda block of P(w)
-    # into P(v), and the Ext modules build no other block
-    fresh = table_from_text(DIM5_TEXT)
-    q = fresh.quiver
 
-    def blocks():
-        return [key[2:] for key in fresh._memo if key[0] == "_yoneda_to_projective"]
+def test_ext_modules_and_transposes_share_one_dual_presentation(fresh_corpus_table):
+    # Ext^0 and Ext^1 of m and Tr m all read d_1* of m, and Ext^1 reads d_2*,
+    # which is d_1* of Ω m; no Yoneda block or arrow multiplication is kept
+    tbl = fresh_corpus_table("auslander-x3", 101)
 
-    for m in sample_modules(fresh, size=16):
+    def dual_presentations():
+        return {key[1] for key in tbl._memo if key[0] == "_dual_presentation"}
+
+    mods = sample_modules(tbl, size=16)
+    for m in mods:
         for i in range(3):
             ext_module(m, i)
-    built = [key[2] for key in fresh._memo if key[0] == "arrow_left_mult"]
-    assert 0 < len(built) <= len(q.arrows)
-    expected = {((q.arrow_target(a),), q.arrow_source(a)) for a in built}
-    assert sorted(blocks()) == sorted(expected)
-    for m in sample_modules(fresh, seed=1, size=16):
-        ext_module(m, 1)
-    assert sorted(blocks()) == sorted(expected)
+    assert not any(key[0] in ("_yoneda_to_projective", "arrow_left_mult") for key in tbl._memo)
+    syzygies = [syzygy(m, j) for m in mods for j in range(3)]
+    shared = {s.signature() for s in syzygies if not s.is_zero}
+    assert dual_presentations() == shared
+    for m in mods:
+        transpose(m)
+    assert dual_presentations() == shared
 
 
 def test_projective_paths_replace_the_per_module_memo(fresh_corpus_table):

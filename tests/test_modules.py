@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import os
 
 import numpy as np
@@ -22,10 +23,7 @@ from ardom.modules import (
     ModuleFileError,
     ModuleMorphism,
     ModuleRep,
-    _image_rows,
-    _quotient_module,
     _radical_rows,
-    arrow_left_mult,
     cokernel,
     direct_sum,
     dual,
@@ -62,7 +60,7 @@ from ardom.modules import (
 )
 from ardom.verify import _cyclic_series
 import reference
-from reference import hom_basis, left_mult_morphism
+from reference import arrow_left_mult, hom_basis, left_mult_morphism
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 CORPUS_IDS = sorted(entry.entry_id for entry in load_corpus(CORPUS))
@@ -828,9 +826,9 @@ def _same_bits(got, want):
 
 @pytest.mark.parametrize("side", ["algebra", "opposite"])
 def test_left_multiplications_read_off_yoneda_rows_match_the_reference(side):
-    """arrow_left_mult and projective_rad_end, read off Yoneda rows, against
-    left multiplication multiplied out path by path, on every corpus entry
-    and its opposite."""
+    """The reference arrow_left_mult and projective_rad_end, read off Yoneda
+    rows, against left multiplication multiplied out path by path, on every
+    corpus entry and its opposite."""
     arrows = cycles = 0
     for entry in load_corpus(CORPUS):
         tbl = entry.load_table()
@@ -990,25 +988,21 @@ def test_combo_equals_the_old_fold(p, fresh_corpus_table):
                     assert np.array_equal(a, b)
 
 
-def test_sampled_cokernels_are_read_off_the_rref_image_rows(corpus_table, monkeypatch):
-    # the sampler's dedup key holds the image rows in rref; its cokernel takes
-    # them as they are, with the bytes of quotient_by_rows and no elimination
-    f = corpus_table.field
-    morphisms = sampled_morphisms(corpus_table)
-    rows = [_image_rows(fmor) for fmor in morphisms]
-    want = [quotient_by_rows(fmor.target, r, label="s") for fmor, r in zip(morphisms, rows)]
-    calls = count_calls(monkeypatch, PrimeField, "quotient_by_rowspace")
-    for fmor, r, (quo, proj, sections) in zip(morphisms, rows, want, strict=True):
-        quots = [f.quotient_by_rref(b, d) for b, d in zip(r, fmor.target.dims)]
-        got = _quotient_module(fmor.target, quots, "s")
-        for x, y in zip(got, (quo, proj, sections), strict=True):
-            assert_bit_identical(x, y)
-        q = corpus_table.quiver
-        for a, mat in enumerate(quo.mats):
-            v, w = q.arrow_source(a), q.arrow_target(a)
-            section_product = f.mul(f.mul(sections[v], fmor.target.mats[a]), quots[w].proj)
-            assert np.array_equal(mat, section_product)
-    assert not calls
+# sha256 of the labels, dimension vectors and blocks of sample_modules(seed,
+# size 64) over each corpus entry, seeds 0..2 in turn, in manifest order
+SAMPLE_SHA256 = "0753edf75fdaf6f968d63b425f6af1d1fc65a7004fcfe16da287384761a3d9de"
+
+
+def test_the_corpus_samples_keep_their_bytes():
+    digest = hashlib.sha256()
+    for entry in load_corpus(CORPUS):
+        tbl = entry.load_table()
+        for seed in range(3):
+            for m in sample_modules(tbl, seed=seed, size=64):
+                digest.update(f"{m.label} {m.dims}".encode())
+                for block in m.mats:
+                    digest.update(block.tobytes())
+    assert digest.hexdigest() == SAMPLE_SHA256
 
 
 def test_proj_cover_reduces_nothing_twice(corpus_table, monkeypatch):

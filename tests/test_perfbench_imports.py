@@ -1,13 +1,17 @@
 """The benchmark harness under ``perfbench/`` imports from ``ardom`` and
 traces its functions by name; a change to the package that drops or
-reshapes one of those names would only show when the benchmark runs.  These
-tests read the harness source, without importing or running it, and check
-each such name against the package."""
+reshapes one of those names would only show when the benchmark runs.  Most
+tests here read the harness source, without importing or running it, and
+check each such name against the package; the last one runs the tracer."""
 
 import ast
+import dataclasses
 import importlib
+import importlib.util
 import inspect
+import json
 import os
+import sys
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 WORKLOADS = os.path.join(PERFBENCH, "workloads.py")
@@ -114,3 +118,67 @@ def test_only_the_known_trace_keys_name_no_function():
     assert {f"{layer}:{name}" for layer, name in keys if not _traced(layer, name)} == (
         ORPHANED_TRACE_KEYS
     )
+
+
+def _load_tracer():
+    """perfbench/tracer.py, loaded by path as a module of its own."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bound_functions():
+    """Every callable bound by name in an ardom namespace, and every function
+    in the own namespace of a class defined there, by (owner, name)."""
+    out = {}
+    for ns_name, ns in sorted(sys.modules.items()):
+        if ns_name.split(".")[0] != "ardom":
+            continue
+        for name, obj in vars(ns).items():
+            if callable(obj):
+                out[ns_name, name] = obj
+            if inspect.isclass(obj) and obj.__module__ == ns_name:
+                for attr, fn in vars(obj).items():
+                    if inspect.isfunction(fn):
+                        out[f"{ns_name}.{name}", attr] = fn
+    return out
+
+
+def _traced_workload_output():
+    """The records of the first 8 corpus entries, as ``ardom verify --n 1..3``
+    prints them, and one sweep of small cyclic Nakayama algebras, each on
+    fresh tables."""
+    from ardom.algebra import nakayama_from_kupisch
+    from ardom.arseq import first_failure, has_n_tf_ar_sequences
+    from ardom.corpus import load_corpus
+    from ardom.homology import DEFAULT_CAP, domdim_algebra
+    from ardom.verify import SUITES, _cyclic_series, _entry_verdicts
+
+    corpus = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+    out = []
+    for entry in load_corpus(corpus)[:8]:
+        fresh = dataclasses.replace(entry, _table=None)
+        out += [v.to_json() for v in _entry_verdicts(fresh, SUITES, (1, 2, 3), DEFAULT_CAP, 0, 64)]
+    for series in _cyclic_series(4, 5):
+        tbl = nakayama_from_kupisch(series, cyclic=True)
+        row = [list(series), str(domdim_algebra(tbl))]
+        if "selfinjective" not in tbl.flags:
+            tf, report = has_n_tf_ar_sequences(tbl, 8)
+            row += [tf, first_failure(report)]
+        out.append(json.dumps(row))
+    return out
+
+
+def test_a_traced_run_prints_what_an_untraced_run_prints():
+    tracer = _load_tracer()
+    plain = _traced_workload_output()
+    bound = _bound_functions()
+    t = tracer.Tracer()
+    with t:
+        assert _bound_functions() != bound  # the tracer did rebind functions
+        traced = _traced_workload_output()
+    assert traced == plain
+    assert set(tracer.missing_keys(t)) == ORPHANED_TRACE_KEYS
+    assert tracer.layer_metrics(t)["verify.self_s"][0] > 0
+    assert _bound_functions() == bound
