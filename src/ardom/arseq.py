@@ -40,7 +40,6 @@ from .homology import (
     torsion_free_failure_degree,
 )
 from .modules import (
-    _yoneda_to_projective,
     Indecomposable,
     InvariantError,
     ModuleMorphism,
@@ -55,11 +54,13 @@ from .modules import (
     memoized,
     morphism_from_flat,
     proj_cover,
+    proj_sum,
     projective,
     projective_paths,
     projsum_morphism,
     radical,
     socle,
+    yoneda_block,
 )
 
 __all__ = [
@@ -85,7 +86,7 @@ def projective_rad_end(tbl: AlgebraTable, v: int) -> list:
     """rad End(P(v)) as endomorphisms: left multiplication by each cycle of
     :func:`_rad_end_paths`, its row in the Yoneda block of P(v) into itself."""
     pv, index = projective(tbl, v), projective_paths(tbl, v)[v]
-    block = _yoneda_to_projective(tbl, (v,), v)
+    block = yoneda_block(proj_sum(tbl, (v,)), pv)
     return [morphism_from_flat(pv, pv, block[index[p]]) for p in _rad_end_paths(tbl, v)]
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import AlgebraTable, opposite, reverse_path
 from .modules import (
-    _yoneda_to_projective,
+    _path_actions,
     InvariantError,
     ModuleMorphism,
     ModuleRep,
@@ -315,7 +315,6 @@ def post_compose(m: ModuleRep, i: int, lm: ModuleMorphism) -> np.ndarray:
     return f.mul(coords, dst[1].proj)
 
 
-@memoized
 def ext_module(m: ModuleRep, i: int) -> ModuleRep:
     """Ext^i(m, A) as a right module over the opposite algebra.
 
@@ -323,14 +322,20 @@ def ext_module(m: ModuleRep, i: int) -> ModuleRep:
     complex of sums of opposite projectives whose maps are the
     :func:`_dual_presentation` of each syzygy.  Degree 0 is ker d_1*, the
     Hom-dual m*; degree 1 is ker d_2* / im d_1*, with d_2* the dual
-    presentation of Ω m.  Degree i >= 2 is Ext^1(Ω^{i-1} m, A), relabelled,
-    so modules whose syzygies coincide share one Ext module.
+    presentation of Ω m.  Degree i >= 2 is Ext^1(Ω^{i-1} m, A), so modules
+    whose syzygies coincide share one Ext module.  Kept per module
+    signature, under each caller's label.
     """
     if i < 0:
         raise ValueError("negative Ext degree")
+    return _ext_module(m, i).relabeled(f"Ext{i}({m.label},A)")
+
+
+@memoized
+def _ext_module(m: ModuleRep, i: int) -> ModuleRep:
     label = f"Ext{i}({m.label},A)"
     if i >= 2:
-        return ext_module(syzygy(m, i - 1), 1).relabeled(label)
+        return _ext_module(syzygy(m, i - 1), 1).relabeled(label)
     if syzygy(m, i).is_zero:
         return zero_module(opposite(m.algebra), label=label)
     cocycles, inclusion = kernel(_dual_presentation(syzygy(m, i)))
@@ -368,10 +373,15 @@ def _dual_presentation(m: ModuleRep) -> ModuleMorphism:
     return projsum_map_from_elements(proj_sum(opp, ps0.vertices), proj_sum(opp, ps1.vertices), y)
 
 
-@memoized
 def transpose(m: ModuleRep) -> ModuleRep:
     """Tr m, the cokernel of :func:`_dual_presentation` over the opposite
-    algebra; zero on projective modules, whose P_1 is 0."""
+    algebra; zero on projective modules, whose P_1 is 0.  Kept per module
+    signature, under each caller's label."""
+    return _transpose(m).relabeled(f"Tr({m.label})")
+
+
+@memoized
+def _transpose(m: ModuleRep) -> ModuleRep:
     return cokernel(_dual_presentation(m))[0].relabeled(f"Tr({m.label})")
 
 
@@ -390,26 +400,30 @@ def tau_inverse(m: ModuleRep) -> ModuleRep:
 # ---------------------------------------------------------------------------
 
 
-@memoized
 def torsion(m: ModuleRep) -> ModuleRep:
     """t(m), the kernel of the evaluation m -> m**, without building m**.
 
-    x lies in that kernel exactly when φ(x) = 0 for every φ: m -> A, and
-    A is the sum of the P(v), so t(m) is the intersection of the kernels of
-    all of Hom(m, A): at vertex u, the left kernel of the blocks φ_u of a
-    spanning set of every Hom(m, P(v)), side by side.
+    x lies in that kernel exactly when φ(x) = 0 for every φ: m -> A, so at
+    vertex u, t(m) is the left kernel ∩_φ {y : y·φ_u = 0} of the blocks φ_u
+    of a basis of Hom(m, A), side by side.  It depends only on the column
+    space of the stacked φ_u, and Hom(m, A) = ⊕_v Hom(m, P(v)), so it is
+    the same as over the bases of all the Hom(m, P(v)) together.
 
-    No Hom system is solved.  Hom(m, P(v)) is the degree-0 cocycles of the
-    minimal presentation, ``ext_classes(m, P(v), 0)[0]``: the maps g: P_0 -> P(v)
-    that vanish on Ω m, in generator coordinates, which
-    :func:`yoneda_block` turns into morphisms.  Each g is cover·φ for one φ,
-    so φ_u = s_u·g_u for any section s_u of the cover at u.  The blocks φ_u
-    span the same column space as those of any basis of Hom(m, P(v)), and
-    the canonical kernel basis depends only on it, so the module is
-    bit-identical to the kernel of the evaluation map into the double dual
-    (built in full by the reference route in ``tests/reference.py``).  A
-    projective m, read off its cover, is torsionless and skips all of this.
+    No Hom system is solved: Hom(m, A) is ``ext_classes(m, A, 0)[0]``, the
+    maps g: P_0 -> A that vanish on Ω m in generator coordinates, which
+    Yoneda turns into morphisms in one pass over P_0's basis paths (A is
+    too large next to Hom(m, A) to build :func:`yoneda_block` rows).  Each
+    g is cover·φ for one φ, so φ_u = s_u·g_u for any section s_u of the
+    cover at u.  The canonical kernel basis depends only on the column
+    space, so the module is bit-identical to the kernel of the evaluation
+    map into the double dual (``tests/reference.py``).  A projective m is
+    torsionless.  Kept per module signature, under each caller's label.
     """
+    return _torsion(m).relabeled(f"t({m.label})")
+
+
+@memoized
+def _torsion(m: ModuleRep) -> ModuleRep:
     tbl = m.algebra
     f = tbl.field
     if is_projective(m):  # a summand of a free module: nothing dies in m**
@@ -418,24 +432,23 @@ def torsion(m: ModuleRep) -> ModuleRep:
     sections = [f.solve_left(c, f.eye(d)) for c, d in zip(cover.mats, m.dims)]
     if any(s is None for s in sections):
         raise InvariantError("the projective cover is not onto")
-    blocks = [[] for _ in m.dims]
-    for v in range(len(tbl.quiver.vertices)):
-        pv = projective(tbl, v)
-        cocycles = ext_classes(m, pv, 0)[0]
-        if not cocycles.shape[0]:
-            continue
-        maps = f.mul(cocycles, _yoneda_to_projective(tbl, p0.vertices, v))
-        at = 0
-        for u, s in enumerate(sections):
-            d0, dv = p0.module.dims[u], pv.dims[u]
-            g = maps[:, at : at + d0 * dv].reshape(len(maps), d0, dv)
-            at += d0 * dv
-            # the blocks g_u of all cocycles side by side, then through s_u
-            blocks[u].append(f.mul(s, g.transpose(1, 0, 2).reshape(d0, len(maps) * dv)))
-    rows = [
-        f.left_kernel_basis(np.concatenate(b, axis=1) if b else f.zeros(d, 0))
-        for b, d in zip(blocks, m.dims)
-    ]
+    areg = regular(tbl)
+    cocycles = ext_classes(m, areg, 0)[0]
+    # every cocycle at once as a map P_0 -> A: the basis path q of copy j
+    # goes to copy j's block of generator coordinates times the action of q
+    acted, at = {}, 0
+    for j, u in enumerate(p0.vertices):
+        start = cocycles[:, at : at + areg.dims[u]]
+        at += areg.dims[u]
+        for path, x in _path_actions(areg, start, tbl.basis_paths_from(u)).items():
+            acted[j, path] = x
+    rows = []
+    for s, labels, da in zip(sections, p0.labels, areg.dims):
+        # the blocks g_u of all cocycles side by side, then through s_u
+        side_by_side = f.zeros(len(labels), len(cocycles) * da)
+        for i, label in enumerate(labels):
+            side_by_side[i] = acted[label].ravel()
+        rows.append(f.left_kernel_basis(f.mul(s, side_by_side)))
     return submodule_from_rows(m, rows, label=f"t({m.label})")[0]
 
 

@@ -132,7 +132,9 @@ class PrimeField:
         return np.zeros((rows, cols), dtype=np.int64)
 
     def eye(self, n: int) -> np.ndarray:
-        return np.eye(n, dtype=np.int64)
+        out = np.zeros((n, n), dtype=np.int64)
+        out.ravel()[:: n + 1] = 1  # the diagonal, in one strided write
+        return out
 
     def block_diag(self, blocks) -> np.ndarray:
         """The blocks in order down the diagonal of one matrix, zero elsewhere."""
@@ -351,7 +353,7 @@ class PrimeField:
             if cols is not None:
                 target = vecs % self.p
                 x = target[:, cols]
-                return x if np.array_equal(self.mul(x, basis), target) else None
+                return x if (self.mul(x, basis) == target).all() else None
         return self.solve_left(basis, vecs)
 
     def _unit_columns(self, rows: list) -> Optional[list]:

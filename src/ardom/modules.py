@@ -116,7 +116,10 @@ class ModuleRep:
         return out
 
     def relabeled(self, label: str) -> "ModuleRep":
-        """The same module (same blocks and signature) under another label."""
+        """The same module (same blocks and signature) under another label;
+        the module itself when it already carries that label."""
+        if label == self.label:
+            return self
         out = ModuleRep._trusted(self.algebra, self.dims, self.mats, label)
         out._signature = self._signature
         return out
@@ -821,15 +824,6 @@ def projsum_map_from_elements(ps_src: ProjSum, ps_tgt: ProjSum, elements) -> Mod
     return projsum_morphism(ps_src, ps_tgt.module, gen_rows)
 
 
-@memoized
-def _yoneda_to_projective(tbl: AlgebraTable, vertices: tuple, v: int) -> np.ndarray:
-    """:func:`yoneda_block` of ⊕_j P(vertices[j]) into P(v), kept per
-    (vertices, v): the torsion of every module with that top reads it.  For
-    one vertex w, the row of a basis path q: v -> w is the morphism
-    P(w) -> P(v) sending e_w to q, left multiplication by q."""
-    return yoneda_block(proj_sum(tbl, vertices), projective(tbl, v))
-
-
 # ---------------------------------------------------------------------------
 # covers and hulls
 # ---------------------------------------------------------------------------
@@ -949,7 +943,9 @@ def certify_local(m: ModuleRep) -> Optional[Indecomposable]:
     products are spanned degree by degree, R^{j+1} = R^j·R, from the vertex
     blocks; a degree equal to the one before never shrinks again.  None for
     the zero module, for p | dim m, and when R is not nilpotent (m is then
-    decomposable).
+    decomposable).  A product of nonzero trace refuses at once: when R is
+    nilpotent every product in it is nilpotent, of trace 0, so only a
+    module the chain would refuse is refused earlier.
     """
     f = m.algebra.field
     n = m.total_dim
@@ -967,6 +963,9 @@ def certify_local(m: ModuleRep) -> Optional[Indecomposable]:
             np.matmul(a[:, None], b[None]).reshape(len(a) * len(b), -1) % f.p
             for a, b in zip(_vertex_blocks(power, m, m), rad_blocks)
         ]
+        traces = sum(prod[:, :: d + 1].sum(axis=1) for prod, d in zip(products, m.dims))
+        if np.any(traces % f.p):  # a product that is not nilpotent
+            return None
         nxt = f.row_space_basis(np.concatenate(products, axis=1))
         if np.array_equal(nxt, power):
             return None

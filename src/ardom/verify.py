@@ -241,6 +241,17 @@ def _module_set(tbl: AlgebraTable, seed: int, sample_size: int):
     return {"kind": "sampled", "size": len(items), "seed": seed}, items
 
 
+def _sampled(modules: dict, sample_size: int):
+    """The ``why`` of a record whose bounds held on a sample only (evidence,
+    not a proof); None for any other module set."""
+    if modules.get("kind") != "sampled":
+        return None
+    return (
+        f"checked on a sample of {modules['size']} modules (seed {modules['seed']}) only: "
+        f"the AR quiver did not knit within --sample-size {sample_size}"
+    )
+
+
 def verify_grade_formulas(
     tbl: AlgebraTable,
     cap: int = DEFAULT_CAP,
@@ -263,7 +274,8 @@ def verify_grade_formulas(
     grade >= 0 (``vacuous``); every indecomposable, the uniserials of a
     Nakayama algebra or the knitted AR quiver of a representation-finite
     one that fits in ``sample_size`` modules (``all indecomposables``, a
-    proof); otherwise the seeded sample (``sampled``, evidence only).
+    proof); otherwise the seeded sample (``sampled``), on which a failing
+    module fails the record and anything else leaves it inconclusive.
     """
     dd = domdim_algebra(tbl, cap=cap)
     detail = {"cap": cap, "domdim": str(dd)}
@@ -333,6 +345,7 @@ def verify_grade_formulas(
         (True if dd.is_exact or dd.is_infinite else None, f"domdim ({dd})"),
         (None if first_open else True, first_open),
     )
+    why = "; ".join(filter(None, [why, _sampled(detail["modules"], sample_size)]))
     if why:
         detail["why"] = why
         return Verdict("grade-formulas", tbl.label, "inconclusive", detail)
@@ -351,7 +364,8 @@ def verify_cor47(
     corollary whose dimensions do not satisfy it fails outright.  pdim is
     additive in the maximum and t(M ⊕ N) = t(M) ⊕ t(N), so the statement is
     checked on the modules of the grade suite, ``modules`` in the record:
-    every indecomposable where they can be listed, else the sample.
+    every indecomposable where they can be listed, else the sample, which
+    can fail the record but leaves a pass inconclusive.
     """
     gl = gldim(tbl, cap=cap)
     dd = domdim_algebra(tbl, cap=cap)
@@ -383,6 +397,10 @@ def verify_cor47(
     detail["nonzero_torsion_witnesses"] = nonzero
     if nonzero == 0:
         detail["note"] = "no nonzero torsion found"
+    why = _sampled(detail["modules"], sample_size)
+    if why:
+        detail["why"] = why
+        return Verdict("torsion-pdim", tbl.label, "inconclusive", detail)
     return Verdict("torsion-pdim", tbl.label, "pass", detail)
 
 

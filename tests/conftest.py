@@ -3,6 +3,8 @@ import os
 import pytest
 
 from ardom.algebra import nakayama_from_kupisch, table_from_text
+from ardom.arseq import knit_indecomposables
+from ardom.modules import direct_sum, nakayama_indecomposables, sample_modules
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -80,3 +82,25 @@ def fresh_corpus_table():
         return table_from_text(text, label=f"{name}@{p}")
 
     return read
+
+
+@pytest.fixture(scope="session")
+def differential_modules():
+    """The modules a differential test runs over: every listed
+    indecomposable (the uniserials of a Nakayama algebra, else the knitted
+    AR quiver when it knits within 64 modules), 8 sampled modules at each of
+    seeds 0, 1 and 2, and the sums Y ⊕ Z of neighbouring listed modules
+    (sampled ones where none are listed)."""
+
+    def build(tbl):
+        uniserials = nakayama_indecomposables(tbl)
+        if uniserials is not None:
+            listed = [m for _, _, m in uniserials]
+        else:
+            listed = [ind.module for ind in knit_indecomposables(tbl, 64) or ()]
+        sampled = [m for seed in (0, 1, 2) for m in sample_modules(tbl, seed=seed, size=8)]
+        base = listed or sampled
+        sums = [direct_sum(tbl, [y, z]) for y, z in zip(base, base[1:] + base[:1])]
+        return listed + sampled + sums
+
+    return build

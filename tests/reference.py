@@ -23,7 +23,13 @@ exact route, and is kept only so that the tests can check the two agree:
 - :func:`ext_module_by_post_composition`, Ext^i(m, A) graded by the
   Ext^i(m, P(v)) of :func:`ext_classes_of_the_resolution`, each opposite
   arrow acting by post-composition with :func:`arrow_left_mult`, against
-  ``ardom.homology.ext_module``, the cohomology of the dualised resolution.
+  ``ardom.homology.ext_module``, the cohomology of the dualised resolution;
+- :func:`torsion_per_vertex`, t(m) from one Hom(m, P(v)) system per vertex
+  v, against ``ardom.homology.torsion``, which reads all of Hom(m, A) from
+  one system;
+- :func:`rad_end_by_the_chain`, the local certificate decided by the chain
+  of radical powers alone, against ``ardom.modules.certify_local``, which
+  also refuses at the first product of nonzero trace.
 
 Nothing here is memoised, and nothing here calls the routes it checks.
 :func:`domdim_whole` walks the one coresolution walk there is,
@@ -54,10 +60,12 @@ from ardom.modules import (
     dual_regular,
     kernel,
     morphism_from_flat,
+    proj_cover,
     proj_sum,
     projective,
     projective_paths,
     regular,
+    submodule_from_rows,
     top_vertices,
     yoneda_block,
     zero_module,
@@ -337,3 +345,65 @@ def ext_module_by_post_composition(m: ModuleRep, i: int) -> ModuleRep:
             raise InvariantError("post-composition leaves the cocycle space")
         mats.append(f.mul(coords, dst_quot.proj))
     return ModuleRep(opposite(tbl), [quot.dim for _, quot in classes], mats, label=label)
+
+
+def torsion_per_vertex(m: ModuleRep) -> ModuleRep:
+    """t(m) as the intersection of the kernels of all of Hom(m, A), with
+    Hom(m, P(v)) read vertex by vertex: the cocycles of
+    :func:`ext_classes_of_the_resolution` in degree 0, turned into maps
+    P_0 -> P(v) by one Yoneda block each, brought down to m through a
+    section of the cover; at each vertex u the left kernel of all their
+    blocks side by side."""
+    tbl = m.algebra
+    f = tbl.field
+    label = f"t({m.label})"
+    p0, cover = proj_cover(m)
+    if p0.module.dims == m.dims:  # projective: torsionless
+        return submodule_from_rows(m, [f.zeros(0, d) for d in m.dims], label=label)[0]
+    sections = [f.solve_left(c, f.eye(d)) for c, d in zip(cover.mats, m.dims)]
+    blocks = [[] for _ in m.dims]
+    for v in range(len(tbl.quiver.vertices)):
+        pv = projective(tbl, v)
+        cocycles = ext_classes_of_the_resolution(m, 0, v)[0]
+        if not cocycles.shape[0]:
+            continue
+        maps = f.mul(cocycles, yoneda_block(proj_sum(tbl, p0.vertices), pv))
+        at = 0
+        for u, s in enumerate(sections):
+            d0, dv = p0.module.dims[u], pv.dims[u]
+            g = maps[:, at : at + d0 * dv].reshape(len(maps), d0, dv)
+            at += d0 * dv
+            blocks[u].append(f.mul(s, g.transpose(1, 0, 2).reshape(d0, len(maps) * dv)))
+    rows = [
+        f.left_kernel_basis(np.concatenate(b, axis=1) if b else f.zeros(d, 0))
+        for b, d in zip(blocks, m.dims)
+    ]
+    return submodule_from_rows(m, rows, label=label)[0]
+
+
+def rad_end_by_the_chain(m: ModuleRep):
+    """The flattened basis of rad End(m), the trace-zero endomorphisms, when
+    they span a nilpotent ideal, else None (also for the zero module and for
+    p | dim m).  Nilpotency is decided by the chain of powers R^{j+1} =
+    R^j·R alone: None once a power repeats, or when R^{dim m} is not 0."""
+    f = m.algebra.field
+    n = m.total_dim
+    if n == 0 or n % f.p == 0:
+        return None
+    blocks = ardom.modules._vertex_blocks
+    rows = ardom.modules._hom_rows(m, m)
+    traces = sum(np.trace(b, axis1=1, axis2=2) for b in blocks(rows, m, m)) % f.p
+    rad = f.mul(f.left_kernel_basis(traces.reshape(-1, 1)), rows)
+    power = f.row_space_basis(rad)
+    for _ in range(n - 1):
+        if not len(power):
+            break
+        products = [
+            np.matmul(a[:, None], b[None]).reshape(len(a) * len(b), -1) % f.p
+            for a, b in zip(blocks(power, m, m), blocks(rad, m, m))
+        ]
+        nxt = f.row_space_basis(np.concatenate(products, axis=1))
+        if np.array_equal(nxt, power):
+            return None
+        power = nxt
+    return None if len(power) else rad

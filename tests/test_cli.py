@@ -194,8 +194,12 @@ def test_verify_repeated_suites_and_text(capsys):
         "16",
         CORPUS,
     )
-    assert code == 0
-    assert all(line.startswith("PASS") for line in lines)
+    # auslander-x3 does not knit within 16 modules, so its cor47 record
+    # rests on a sample and stays undecided
+    assert code == 3
+    undecided = [line for line in lines if not line.startswith("PASS")]
+    assert len(undecided) == 1
+    assert undecided[0].startswith("????  torsion-pdim     auslander-x3 ")
 
 
 def test_scan_cli(capsys):

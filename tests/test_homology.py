@@ -845,6 +845,56 @@ def test_torsion_matches_the_evaluation_kernel(name, p, fresh_corpus_table):
         assert torsion(m) is t  # kept in the table's cache
 
 
+DIFFERENTIAL_IDS = ["ka2", "auslander-x2", "auslander-x3", "comm-square", "nak-233", "kronecker"]
+
+
+@pytest.mark.parametrize("p", [101, 2, 3, 5])
+@pytest.mark.parametrize("name", DIFFERENTIAL_IDS)
+def test_torsion_from_one_hom_system_is_the_per_vertex_torsion(
+    name, p, fresh_corpus_table, differential_modules
+):
+    # Hom(m, A) read whole spans what the Hom(m, P(v)) span together, so the
+    # canonical left kernels agree bit for bit, with the double dual's too
+    tbl = fresh_corpus_table(name, p)
+    nonzero = 0
+    for m in differential_modules(tbl):
+        got = torsion(m)
+        for want in (reference.torsion_per_vertex(m), evaluation_and_torsion(m).torsion):
+            assert (got.label, got.dims) == (want.label, want.dims), m.label
+            for a, b in zip(got.mats, want.mats, strict=True):
+                assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b), m.label
+        nonzero += not got.is_zero
+    assert nonzero
+
+
+def test_torsion_solves_one_hom_system_and_keeps_no_yoneda_block(fresh_corpus_table):
+    # Hom(m, A) is read against A alone, never against one P(v) at a time
+    tbl = fresh_corpus_table("auslander-x3", 101)
+    for m in sample_modules(tbl, size=16):
+        torsion(m)
+    targets = {key[2] for key in tbl._memo if key[0] in ("ext_classes", "_cochain")}
+    assert targets == {regular(tbl).signature()}
+    assert not any("yoneda" in key[0] for key in tbl._memo)
+
+
+def test_a_memoised_module_takes_each_callers_label(fresh_corpus_table):
+    tbl = fresh_corpus_table("auslander-x2", 101)
+    s = simple(tbl, 1)
+    first, second = s.relabeled("first"), s.relabeled("second")
+    routes = (
+        (lambda m: ext_module(m, 1), "Ext1({},A)"),
+        (torsion, "t({})"),
+        (transpose, "Tr({})"),
+    )
+    for route, name in routes:
+        a = route(first)
+        assert a.label == name.format("first") and route(first) is a  # the label agrees
+        b = route(second)
+        assert b.label == name.format("second") and b is not a  # it differs: a copy
+        assert b.mats is a.mats and b.signature() == a.signature()
+        assert route(first).label == name.format("first")
+
+
 def test_torsion_builds_no_dual(monkeypatch, fresh_corpus_table):
     tbl = fresh_corpus_table("auslander-x2", 3)
     mods = sample_modules(tbl)

@@ -2,11 +2,13 @@
 
 import itertools
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import ardom.arseq
+import ardom.modules
 from ardom.algebra import nakayama_from_kupisch, table_from_text
 from ardom.arseq import (
     ArSequenceError,
@@ -17,6 +19,7 @@ from ardom.arseq import (
 )
 from ardom.corpus import load_corpus
 from ardom.homology import ext_classes, tau_inverse
+from ardom.linalg import PrimeField
 from ardom.modules import (
     ModuleRep,
     certify_local,
@@ -33,6 +36,7 @@ from ardom.modules import (
     top_vertices,
 )
 from ardom.verify import _cyclic_series
+import reference
 from reference import hom_basis, random_isomorphism_search
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
@@ -69,6 +73,73 @@ def test_no_certificate_when_p_divides_the_dimension(fresh_corpus_table):
     assert certify_local(projective(tbl, 1)) is None  # dim 2, although indecomposable
     assert indecomposable_summands(projective(tbl, 1)) is None
     assert is_isomorphic(projective(tbl, 1), projective(tbl, 1)) is None
+
+
+def count_row_spaces(monkeypatch):
+    """A list that gets one entry per ``PrimeField.row_space_basis`` call."""
+    calls = []
+    original = PrimeField.row_space_basis
+    monkeypatch.setattr(
+        PrimeField, "row_space_basis", lambda self, m: calls.append(1) or original(self, m)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("p", [101, 2, 3, 5])
+@pytest.mark.parametrize(
+    "name", ["ka2", "auslander-x2", "auslander-x3", "comm-square", "nak-233", "kronecker"]
+)
+def test_the_trace_refusal_answers_as_the_chain_of_powers(
+    name, p, monkeypatch, fresh_corpus_table, differential_modules
+):
+    # a product of nonzero trace is not nilpotent, so refusing there refuses
+    # only what the chain refuses.  On m = Y ⊕ Z with p ∤ dim Y·dim Z·dim m,
+    # r = e_Y − (dim Y / dim m)·1 lies in R and tr r² = dim Y·dim Z / dim m
+    # is not 0, so the first products refuse; where p | dim Y, e_Y itself
+    # has trace 0 and the chain must decide
+    tbl = fresh_corpus_table(name, p)
+    mods = differential_modules(tbl)
+    spans = count_row_spaces(monkeypatch)
+    answers = Counter()
+    for m in mods:
+        before = len(spans)
+        cert = certify_local(m)
+        calls = len(spans) - before
+        want = reference.rad_end_by_the_chain(m)
+        if want is None:
+            assert cert is None, m.label
+            answers[("p | dim m", "trace", "chain")[min(calls, 2)]] += 1
+        else:
+            assert cert is not None and cert.module is m, m.label
+            got = np.array([r.flatten() for r in cert.rad_end], dtype=np.int64)
+            assert np.array_equal(got.reshape(want.shape), want), m.label
+            answers["certified"] += 1
+    assert answers["certified"]
+    if p == 101:  # every dimension here is below 101
+        assert answers["trace"] and not answers["chain"]
+    if p == 2:
+        assert answers["chain"]
+
+
+def test_refused_middle_terms_stop_at_the_first_products(monkeypatch, fresh_corpus_table):
+    # the knit of auslander-x3 refuses 13 decomposable modules, each on a
+    # product of nonzero trace before a second power is spanned
+    tbl = fresh_corpus_table("auslander-x3", 101)
+    spans = count_row_spaces(monkeypatch)
+    refused = []
+    original = ardom.modules.certify_local
+
+    def counted(m):
+        before = len(spans)
+        cert = original(m)
+        if cert is None:
+            refused.append(len(spans) - before)
+        return cert
+
+    monkeypatch.setattr(ardom.modules, "certify_local", counted)
+    monkeypatch.setattr(ardom.arseq, "certify_local", counted)
+    assert len(knit_indecomposables(tbl, 64)) == 21
+    assert refused == [1] * 13
 
 
 def test_trace_form_matches_the_reference_isomorphism_search(by_id):
@@ -339,8 +410,9 @@ def test_a_gf2_copy_of_the_square_falls_back_to_the_sample(fresh_corpus_table):
     tbl = fresh_corpus_table("comm-square", 2)
     assert knit_indecomposables(tbl, 64) is None
     v = verify_grade_formulas(tbl, sample_size=16)
-    assert v.status == "pass"
+    assert v.status == "inconclusive"  # a sample is no proof
     assert v.detail["modules"] == {"kind": "sampled", "size": 16, "seed": 0}
+    assert v.detail["why"].endswith("the AR quiver did not knit within --sample-size 16")
 
 
 def test_a_class_outside_the_socle_is_rejected(monkeypatch):

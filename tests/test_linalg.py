@@ -96,6 +96,17 @@ def test_rref_empty():
     assert piv == ()
 
 
+def test_eye_is_a_fresh_writable_identity():
+    for n in range(6):
+        a, b = F5.eye(n), F5.eye(n)
+        assert a.dtype == np.int64 and a.shape == (n, n) and a.flags.writeable
+        assert np.array_equal(a, np.eye(n, dtype=np.int64))
+        assert a is not b and not np.shares_memory(a, b)
+        if n:
+            a[0, 0] = 3
+            assert b[0, 0] == 1 and np.array_equal(F5.eye(n), np.eye(n, dtype=np.int64))
+
+
 # -- kernel -----------------------------------------------------------------
 
 

@@ -182,3 +182,22 @@ def test_a_traced_run_prints_what_an_untraced_run_prints():
     assert set(tracer.missing_keys(t)) == ORPHANED_TRACE_KEYS
     assert tracer.layer_metrics(t)["verify.self_s"][0] > 0
     assert _bound_functions() == bound
+
+
+def test_a_traced_pooled_verify_prints_what_an_untraced_one_prints(capsys):
+    # the process-pool path of run_suite, which the benchmark's -j2 workload
+    # runs under the tracer: the tracer rebinds verify.ProcessPoolExecutor
+    from ardom import cli
+
+    corpus = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+    argv = ["verify", "--jobs", "2", "--suite", "main", "--n", "1", corpus]
+    tracer = _load_tracer()
+    code = cli.main(argv)
+    plain = capsys.readouterr().out
+    bound = _bound_functions()
+    t = tracer.Tracer()
+    with t:
+        assert cli.main(argv) == code
+    assert capsys.readouterr().out == plain
+    assert tracer.layer_metrics(t)["verify.pool_s"][0] > 0
+    assert _bound_functions() == bound

@@ -199,12 +199,49 @@ def test_grade_formulas_across_corpus(corpus):
         assert "seed" not in v.detail and "sample_size" not in v.detail
 
 
+SAMPLED_WHY = (
+    "checked on a sample of 16 modules (seed 0) only: "
+    "the AR quiver did not knit within --sample-size 16"
+)
+
+
 def test_an_algebra_that_does_not_knit_within_the_budget_is_sampled(by_id):
-    # auslander-x3 has 21 indecomposables: 16 modules do not hold them
-    v = verify_grade_formulas(by_id["auslander-x3"].load_table(), sample_size=16)
-    assert v.status == "pass"
+    # auslander-x3 has 21 indecomposables: 16 modules do not hold them, and
+    # bounds that hold on a sample prove nothing
+    tbl = by_id["auslander-x3"].load_table()
+    v = verify_grade_formulas(tbl, sample_size=16)
+    assert v.status == "inconclusive"
     assert v.detail["modules"] == {"kind": "sampled", "size": 16, "seed": 0}
     assert v.detail["bounds_checked"] == 5 * 16
+    assert v.detail["why"] == SAMPLED_WHY
+    v = verify_cor47(tbl, sample_size=16)
+    assert v.status == "inconclusive"
+    assert v.detail["modules"] == {"kind": "sampled", "size": 16, "seed": 0}
+    assert v.detail["why"] == SAMPLED_WHY
+    assert run_suite([by_id["auslander-x3"]], suites=("grade",), sample_size=16)[1] == (
+        EXIT_INCONCLUSIVE
+    )
+
+
+def test_a_failing_sampled_module_fails_the_record(by_id, monkeypatch):
+    # a counterexample is a proof, sample or not
+    tbl = by_id["auslander-x3"].load_table()
+    sample = sample_modules(tbl, seed=0, size=16)
+    # pretend a sampled module of grade 0, not simple, is its own torsion:
+    # 0 < domdim 2
+    idx, first = next(
+        (i, m) for i, m in enumerate(sample) if m.total_dim > 1 and grade(m) == CappedNat.exact(0)
+    )
+    real = ardom.verify.torsion
+    monkeypatch.setattr(ardom.verify, "torsion", lambda m: m if m is first else real(m))
+    v = verify_grade_formulas(tbl, sample_size=16)
+    assert v.status == "fail" and "why" not in v.detail
+    assert (v.detail["witness"]["sample_index"], v.detail["witness"]["which"]) == (idx, "torsion")
+    monkeypatch.setattr(ardom.verify, "torsion", real)
+    monkeypatch.setattr(ardom.verify, "pdim", lambda m, cap=30: CappedNat.exact(3))
+    v = verify_cor47(tbl, sample_size=16)
+    assert v.status == "fail" and "why" not in v.detail
+    assert "sample_index" in v.detail["witness"]
 
 
 def test_a_failing_knitted_module_is_named_in_the_witness(by_id, monkeypatch):
@@ -284,7 +321,8 @@ def test_inconclusive_verdicts_name_what_stayed_undecided(by_id):
     v = verify_grade_formulas(by_id["auslander-x3"].load_table(), cap=1, sample_size=8)
     assert v.detail["why"] == (
         "not decided at cap 1: domdim (>=2); grade of torsion of sampled module 0 (S(v1)) "
-        ">= domdim (>=2 against >=2), and 10 more undecided bounds"
+        ">= domdim (>=2 against >=2), and 10 more undecided bounds; checked on a sample of "
+        "8 modules (seed 0) only: the AR quiver did not knit within --sample-size 8"
     )
     v = verify_main_theorem(nak344, 2, cap=1)
     assert v.status == "inconclusive"
@@ -370,7 +408,9 @@ def test_run_suite_all_suites_deterministic(corpus):
     verdicts, code = run_suite(corpus, **kwargs)
     assert code == EXIT_INCONCLUSIVE  # nak-233's Gorenstein dimension is open
     assert len(verdicts) == 78
-    assert Counter(v.status for v in verdicts) == {"pass": 77, "inconclusive": 1}
+    # and auslander-x3 does not knit within 16 modules: its grade and cor47
+    # records rest on a sample
+    assert Counter(v.status for v in verdicts) == {"pass": 75, "inconclusive": 3}
     again, code2 = run_suite(corpus, **kwargs)
     assert code2 == code
     assert [v.to_json() for v in verdicts] == [v.to_json() for v in again]
@@ -469,7 +509,21 @@ def test_corpus_replay_over_small_primes(p, statuses_over_101, tmp_path):
     assert all(e.load_table().field.p == p for e in entries)
     verdicts, _ = run_suite(entries, suites=SUITES, ns=(1, 2, 3))
     assert len(verdicts) == 78
-    assert [(v.algebra, v.check, v.status) for v in verdicts] == statuses_over_101
+    # over GF(2) and GF(3) neither auslander-x3 nor comm-square knits, and
+    # a record that rests on a sample is inconclusive where GF(101) passes
+    sampled = [
+        (v.algebra, v.check) for v in verdicts if v.detail.get("modules", {}).get("kind") == "sampled"
+    ]
+    assert sampled == [
+        ("auslander-x3", "grade-formulas"),
+        ("auslander-x3", "torsion-pdim"),
+        ("comm-square", "grade-formulas"),
+    ]
+    expected = [
+        (a, c, "inconclusive" if (a, c) in sampled else status)
+        for a, c, status in statuses_over_101
+    ]
+    assert [(v.algebra, v.check, v.status) for v in verdicts] == expected
 
 
 # --- failing and undecided branches, each reached by substituting one invariant ---
