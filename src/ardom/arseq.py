@@ -128,7 +128,7 @@ class ArSequence:
         if (f.source.dims, f.target.dims) != shape or f.defect() is not None:
             raise ArSequenceError("the class map is not a morphism P_1 → U")
         cocycles, quot = ext_classes(self.v, self.u, 1)
-        gens = np.concatenate([f.mats[u][ps1.gen_pos[s]] for s, u in enumerate(ps1.vertices)])
+        gens = np.concatenate([f.mats[u][ps1.first[s][u]] for s, u in enumerate(ps1.vertices)])
         coords = fld.coords_in_rowspace(cocycles, gens.reshape(1, -1))
         if coords is None:
             raise ArSequenceError("the class map is not a cocycle P_1 → U")

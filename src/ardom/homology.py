@@ -23,7 +23,8 @@ import numpy as np
 
 from .algebra import AlgebraTable, opposite, reverse_path
 from .modules import (
-    _path_actions,
+    _split_by_copy,
+    _yoneda_maps,
     InvariantError,
     ModuleMorphism,
     ModuleRep,
@@ -411,8 +412,9 @@ def torsion(m: ModuleRep) -> ModuleRep:
 
     No Hom system is solved: Hom(m, A) is ``ext_classes(m, A, 0)[0]``, the
     maps g: P_0 -> A that vanish on Ω m in generator coordinates, which
-    Yoneda turns into morphisms in one pass over P_0's basis paths (A is
-    too large next to Hom(m, A) to build :func:`yoneda_block` rows).  Each
+    ``modules._yoneda_maps`` turns into morphisms side by side in one pass
+    over P_0's basis paths (A is too large next to Hom(m, A) to build
+    :func:`yoneda_block` rows).  Each
     g is cover·φ for one φ, so φ_u = s_u·g_u for any section s_u of the
     cover at u.  The canonical kernel basis depends only on the column
     space, so the module is bit-identical to the kernel of the evaluation
@@ -434,21 +436,9 @@ def _torsion(m: ModuleRep) -> ModuleRep:
         raise InvariantError("the projective cover is not onto")
     areg = regular(tbl)
     cocycles = ext_classes(m, areg, 0)[0]
-    # every cocycle at once as a map P_0 -> A: the basis path q of copy j
-    # goes to copy j's block of generator coordinates times the action of q
-    acted, at = {}, 0
-    for j, u in enumerate(p0.vertices):
-        start = cocycles[:, at : at + areg.dims[u]]
-        at += areg.dims[u]
-        for path, x in _path_actions(areg, start, tbl.basis_paths_from(u)).items():
-            acted[j, path] = x
-    rows = []
-    for s, labels, da in zip(sections, p0.labels, areg.dims):
-        # the blocks g_u of all cocycles side by side, then through s_u
-        side_by_side = f.zeros(len(labels), len(cocycles) * da)
-        for i, label in enumerate(labels):
-            side_by_side[i] = acted[label].ravel()
-        rows.append(f.left_kernel_basis(f.mul(s, side_by_side)))
+    # every cocycle at once as a map P_0 -> A, the blocks g_u side by side
+    maps = _yoneda_maps(p0, areg, _split_by_copy(p0, cocycles, areg.dims), len(cocycles))
+    rows = [f.left_kernel_basis(f.mul(s, g)) for s, g in zip(sections, maps)]
     return submodule_from_rows(m, rows, label=f"t({m.label})")[0]
 
 
@@ -558,14 +548,21 @@ def domdim_algebra(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat:
 
 
 def pdim(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
-    """Projective dimension via resolution termination."""
+    """Projective dimension via resolution termination.  Ω of a module
+    depends only on its signature, so once a syzygy's signature repeats
+    the resolution cycles and never ends: the walk stops there with the
+    value it would reach at the cap."""
     if m.is_zero:
         raise ValueError("projective dimension of the zero module is undefined")
     syz = m
+    seen = set()  # signatures of the syzygies so far
     for i in range(cap + 1):
         syz = syzygy(syz)
         if syz.is_zero:
             return CappedNat.exact(i)
+        if syz.signature() in seen:
+            break
+        seen.add(syz.signature())
     return CappedNat.at_least(cap + 1)
 
 

@@ -25,7 +25,7 @@ No floating point is involved at any step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -94,7 +94,6 @@ class PrimeField:
     """GF(p) together with every exact matrix routine the package needs."""
 
     p: int
-    _inverses: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_probable_prime(self.p):
@@ -111,11 +110,7 @@ class PrimeField:
         x = int(x) % self.p
         if x == 0:
             raise ZeroDivisionError("inverse of 0 in GF(p)")
-        cached = self._inverses.get(x)
-        if cached is None:
-            cached = pow(x, self.p - 2, self.p)
-            self._inverses[x] = cached
-        return cached
+        return pow(x, self.p - 2, self.p)
 
     # -- matrix construction ---------------------------------------------
 

@@ -652,63 +652,85 @@ def dual_regular(tbl: AlgebraTable) -> ModuleRep:
 
 
 # ---------------------------------------------------------------------------
-# projective sums with labelled path bases
+# projective sums and maps out of them
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ProjSum:
-    """A direct sum of indecomposable projectives with generator bookkeeping.
+    """A direct sum of indecomposable projectives with its basis layout.
 
     ``vertices[j]`` is the source vertex of copy j.  At each vertex w the
     module's basis is the concatenation over copies j of the basis paths
-    vertices[j] -> w, recorded in ``labels[w]`` as (copy, path) pairs.
-    ``first[j][w]`` is the position of copy j's first label at w, so the
-    label (j, path) sits at ``first[j][w]`` plus the position of path in
-    ``projective_paths(tbl, vertices[j])[w]``.  ``gen_pos[j]`` locates copy
-    j's generator (its trivial path) inside the basis at vertices[j].
+    vertices[j] -> w in basis order, so copy j's path q sits at
+    ``first[j][w]`` plus the position of q in
+    ``projective_paths(tbl, vertices[j])[w]``.  The trivial path is the
+    first basis path v -> v, so copy j's generator sits at
+    ``first[j][vertices[j]]``.
     """
 
     module: ModuleRep
     vertices: tuple
-    labels: tuple
     first: tuple
-    gen_pos: tuple
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.vertices
 
 
 def proj_sum(tbl: AlgebraTable, vertices: Sequence[int]) -> ProjSum:
-    """⊕_j P(vertices[j]) with its labelled path basis; any sequence of ints."""
+    """⊕_j P(vertices[j]) with its basis layout; any sequence of ints."""
     return _proj_sum(tbl, tuple(int(v) for v in vertices))
 
 
 @memoized
 def _proj_sum(tbl: AlgebraTable, vertices: tuple) -> ProjSum:
-    nv = len(tbl.quiver.vertices)
     projs = [projective(tbl, v) for v in vertices]
-    paths = [projective_paths(tbl, v) for v in vertices]
-    labels = tuple([
-        tuple([(j, path) for j in range(len(vertices)) for path in paths[j][w]])
-        for w in range(nv)
-    ])
     label = "+".join([f"P({tbl.quiver.vertices[v]})" for v in vertices]) or "0"
     if len(projs) == 1:
         module = projs[0].relabeled(label)  # the sum of one block is that block
     else:
         module = direct_sum(tbl, projs, label=label)
     first = []
-    at = [0] * nv
-    for j in range(len(vertices)):
-        first.append(tuple(at))
-        at = [a + len(by_target) for a, by_target in zip(at, paths[j])]
-    gen_pos = tuple(
-        first[j][v] + next(i for i, p in enumerate(paths[j][v]) if p.is_trivial)
-        for j, v in enumerate(vertices)
-    )
-    return ProjSum(module, vertices, labels, tuple(first), gen_pos)
+    at = (0,) * len(tbl.quiver.vertices)
+    for pv in projs:
+        first.append(at)
+        at = tuple([a + d for a, d in zip(at, pv.dims)])
+    return ProjSum(module, vertices, tuple(first))
+
+
+def _yoneda_maps(ps: ProjSum, target: ModuleRep, starts: dict, k: int) -> list:
+    """k maps ps.module -> target side by side, by Yoneda: a map out of a
+    sum of projectives is fixed by the images of its generators.
+
+    ``starts[u]`` stacks the k generator images of each copy of P(u), in
+    copy order: rows of target at u, reduced mod p.  At each vertex w the
+    result is a (ps.module.dims[w], k·target.dims[w]) matrix; the row of
+    copy j's basis path q holds q's images under the k maps, copy j's
+    generator images times the action of q.  The copies of one vertex go
+    through its basis paths together, each path one product from its
+    prefix (see :func:`_path_actions`).
+    """
+    tbl = target.algebra
+    mats = [tbl.field.zeros(d, k * target.dims[w]) for w, d in enumerate(ps.module.dims)]
+    for u, start in starts.items():
+        first = [ps.first[j] for j, v in enumerate(ps.vertices) if v == u]
+        index = projective_paths(tbl, u)
+        for path, acted in _path_actions(target, start, tbl.basis_paths_from(u)).items():
+            w = path.target
+            i = index[w][path]
+            rows = acted.reshape(len(first), k * target.dims[w])
+            for r, at in enumerate(first):
+                mats[w][at[w] + i] = rows[r]
+    return mats
+
+
+def _split_by_copy(ps: ProjSum, coords: np.ndarray, dims) -> dict:
+    """The ``starts`` of :func:`_yoneda_maps` for k = len(coords) maps given
+    in generator coordinates: copy j owns the next dims[vertices[j]]
+    columns of ``coords``, and the blocks of the copies of each vertex u
+    are stacked in copy order."""
+    bounds = np.cumsum([0] + [dims[u] for u in ps.vertices])
+    blocks = {}
+    for j, u in enumerate(ps.vertices):
+        blocks.setdefault(u, []).append(coords[:, bounds[j] : bounds[j + 1]])
+    return {u: np.concatenate(b) for u, b in blocks.items()}
 
 
 def projsum_morphism(ps: ProjSum, target: ModuleRep, gen_rows) -> ModuleMorphism:
@@ -720,56 +742,24 @@ def projsum_morphism(ps: ProjSum, target: ModuleRep, gen_rows) -> ModuleMorphism
         rows = [np.asarray(gen_rows[j], dtype=np.int64).reshape(-1)
                 for j, v in enumerate(ps.vertices) if v == u]
         starts[u] = np.array(rows, dtype=np.int64).reshape(len(rows), target.dims[u]) % p
-    return _projsum_morphism(ps, target, starts)
-
-
-def _projsum_morphism(ps: ProjSum, target: ModuleRep, starts: dict) -> ModuleMorphism:
-    """projsum_morphism with the generator rows of the copies of each vertex
-    u stacked, in copy order and reduced mod p, as ``starts[u]``.
-
-    The row at label (j, path) is copy j's generator row times the action
-    of path.  The copies of one vertex go through its basis paths together,
-    each path one product from its prefix (see :func:`_path_actions`).
-    """
-    tbl = target.algebra
-    f = tbl.field
-    mats = [f.zeros(d, target.dims[w]) for w, d in enumerate(ps.module.dims)]
-    for u, start in starts.items():
-        first = [ps.first[j] for j, v in enumerate(ps.vertices) if v == u]
-        index = projective_paths(tbl, u)
-        for path, acted in _path_actions(target, start, tbl.basis_paths_from(u)).items():
-            w = path.target
-            i = index[w][path]
-            for r, at in enumerate(first):
-                mats[w][at[w] + i] = acted[r]
-    return ModuleMorphism._trusted(ps.module, target, mats)
+    return ModuleMorphism._trusted(ps.module, target, _yoneda_maps(ps, target, starts, 1))
 
 
 def yoneda_block(ps: ProjSum, n: ModuleRep) -> np.ndarray:
     """Hom(ps.module, n) from generator coordinates to flattened morphisms,
     by Yoneda.
 
-    Hom(⊕_j P(u_j), N) = ⊕_j N_{u_j}: row k of copy j's block of rows is
-    the morphism sending copy j's generator to basis vector k of N_{u_j}
-    (and the other generators to 0), which has row k of the action of path
-    on N at each label (j, path).  So a vector c of generator coordinates
-    is the morphism ``c @ block``.
+    Hom(⊕_j P(u_j), N) = ⊕_j N_{u_j}: row r of the block is the morphism
+    sending generator coordinate r to 1 and the others to 0, that is the
+    :func:`_yoneda_maps` of the identity coordinates, each flattened.  So
+    a vector c of generator coordinates is the morphism ``c @ block``.
     """
-    tbl = n.algebra
-    f = tbl.field
-    nv = len(tbl.quiver.vertices)
-    offsets = np.cumsum([0] + [ps.module.dims[w] * n.dims[w] for w in range(nv)])
-    starts = np.cumsum([0] + [n.dims[u] for u in ps.vertices])
-    spanning = f.zeros(int(starts[-1]), int(offsets[-1]))
-    actions = {}  # copies of one projective share their paths
-    for u in dict.fromkeys(ps.vertices):
-        actions.update(_path_actions(n, f.eye(n.dims[u]), tbl.basis_paths_from(u)))
-    for w in range(nv):
-        d = n.dims[w]
-        for i, (j, path) in enumerate(ps.labels[w]):
-            at = offsets[w] + i * d
-            spanning[starts[j] : starts[j + 1], at : at + d] = actions[path]
-    return spanning
+    k = sum([n.dims[u] for u in ps.vertices])
+    maps = _yoneda_maps(ps, n, _split_by_copy(ps, n.algebra.field.eye(k), n.dims), k)
+    return np.concatenate([
+        g.reshape(len(g), k, d).transpose(1, 0, 2).reshape(k, len(g) * d)
+        for g, d in zip(maps, n.dims)
+    ], axis=1)
 
 
 def projsum_hom_rows(ps: ProjSum, n: ModuleRep) -> np.ndarray:
@@ -792,13 +782,16 @@ def projsum_map_elements(ps_src: ProjSum, ps_tgt: ProjSum, d: ModuleMorphism):
     Returns elements[t][s] in e_{V(t)}·A·e_{U(s)} (V = ps_tgt.vertices,
     U = ps_src.vertices) with d(gen_s) = sum_t gen_t · elements[t][s].
     """
+    tbl = ps_tgt.module.algebra
     out = [[{} for _ in ps_src.vertices] for _ in ps_tgt.vertices]
     for s, u in enumerate(ps_src.vertices):
-        row = d.mats[u][ps_src.gen_pos[s]]
-        for i, (t, path) in enumerate(ps_tgt.labels[u]):
-            c = int(row[i])
-            if c:
-                out[t][s][path] = c
+        row = d.mats[u][ps_src.first[s][u]]
+        for t, v in enumerate(ps_tgt.vertices):
+            at = ps_tgt.first[t][u]
+            for path, i in projective_paths(tbl, v)[u].items():
+                c = int(row[at + i])
+                if c:
+                    out[t][s][path] = c
     return out
 
 
@@ -866,7 +859,7 @@ def proj_cover(m: ModuleRep) -> tuple:
         free[list(f.pivot_columns(_arrow_actions_into(m, v)))] = False
         starts[v] = f.eye(m.dims[v])[free]
     ps = proj_sum(tbl, vertices)
-    return ps, _projsum_morphism(ps, m, starts)
+    return ps, ModuleMorphism._trusted(ps.module, m, _yoneda_maps(ps, m, starts, 1))
 
 
 @memoized
@@ -1285,12 +1278,18 @@ class ModuleFileError(InputError):
     pass
 
 
+# The most matrix entries, Σ over arrows of dims[src]·dims[tgt], that a
+# module file's dims line may imply: omitted arrows become zero blocks.
+MAX_MODULE_ENTRIES = 10**6
+
+
 def parse_module(text: str, tbl: AlgebraTable, label: str = "module") -> ModuleRep:
     """Parse the module file format (see docs/formats.md).
 
       dims <d_1> ... <d_n>        # one entry per vertex, in table order
       arrow <name> <entries...>   # row-major dims[src] x dims[tgt] block
-    Arrows with zero-sized or all-zero matrices may be omitted.
+    Arrows with zero-sized or all-zero matrices may be omitted.  A dims
+    line that implies more than ``MAX_MODULE_ENTRIES`` entries is refused.
     """
     dims = None
     mats = {}
@@ -1313,6 +1312,11 @@ def parse_module(text: str, tbl: AlgebraTable, label: str = "module") -> ModuleR
                 raise ModuleFileError(f"line {lineno}: dimensions must be integers") from None
             if any(d < 0 for d in dims):
                 raise ModuleFileError(f"line {lineno}: negative dimension")
+            implied = sum([dims[q.arrow_source(a)] * dims[q.arrow_target(a)] for a in range(len(q.arrows))])
+            if implied > MAX_MODULE_ENTRIES:
+                raise ModuleFileError(
+                    f"line {lineno}: dims imply {implied} matrix entries, more than {MAX_MODULE_ENTRIES}"
+                )
         elif toks[0] == "arrow":
             if dims is None:
                 raise ModuleFileError(f"line {lineno}: dims line must come first")

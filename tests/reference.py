@@ -29,7 +29,13 @@ exact route, and is kept only so that the tests can check the two agree:
   one system;
 - :func:`rad_end_by_the_chain`, the local certificate decided by the chain
   of radical powers alone, against ``ardom.modules.certify_local``, which
-  also refuses at the first product of nonzero trace.
+  also refuses at the first product of nonzero trace;
+- :func:`projsum_labels`, a (copy, path) label per basis position of a
+  projective sum, and the routes over it, each map built one at a time:
+  :func:`projsum_gen_pos`, :func:`one_yoneda_map`,
+  :func:`yoneda_block_by_labels` and :func:`projsum_map_elements_by_labels`,
+  against ``ardom.modules._yoneda_maps``, which builds k maps side by side
+  from the sum's ``first`` layout alone, and the callers that read it.
 
 Nothing here is memoised, and nothing here calls the routes it checks.
 :func:`domdim_whole` walks the one coresolution walk there is,
@@ -55,6 +61,7 @@ from ardom.homology import (
     tau,
 )
 from ardom.modules import (
+    _path_actions,
     ModuleMorphism,
     ModuleRep,
     dual_regular,
@@ -351,9 +358,9 @@ def torsion_per_vertex(m: ModuleRep) -> ModuleRep:
     """t(m) as the intersection of the kernels of all of Hom(m, A), with
     Hom(m, P(v)) read vertex by vertex: the cocycles of
     :func:`ext_classes_of_the_resolution` in degree 0, turned into maps
-    P_0 -> P(v) by one Yoneda block each, brought down to m through a
-    section of the cover; at each vertex u the left kernel of all their
-    blocks side by side."""
+    P_0 -> P(v) by one :func:`yoneda_block_by_labels` each, brought down
+    to m through a section of the cover; at each vertex u the left kernel
+    of all their blocks side by side."""
     tbl = m.algebra
     f = tbl.field
     label = f"t({m.label})"
@@ -367,7 +374,7 @@ def torsion_per_vertex(m: ModuleRep) -> ModuleRep:
         cocycles = ext_classes_of_the_resolution(m, 0, v)[0]
         if not cocycles.shape[0]:
             continue
-        maps = f.mul(cocycles, yoneda_block(proj_sum(tbl, p0.vertices), pv))
+        maps = f.mul(cocycles, yoneda_block_by_labels(proj_sum(tbl, p0.vertices), pv))
         at = 0
         for u, s in enumerate(sections):
             d0, dv = p0.module.dims[u], pv.dims[u]
@@ -407,3 +414,80 @@ def rad_end_by_the_chain(m: ModuleRep):
             return None
         power = nxt
     return None if len(power) else rad
+
+
+def projsum_labels(ps) -> tuple:
+    """At each vertex w, the (copy, path) label of each basis position of
+    ps.module: copy j's basis paths vertices[j] -> w in basis order, the
+    copies in order."""
+    tbl = ps.module.algebra
+    paths = [projective_paths(tbl, v) for v in ps.vertices]
+    return tuple(
+        tuple([(j, path) for j in range(len(ps.vertices)) for path in paths[j][w]])
+        for w in range(len(tbl.quiver.vertices))
+    )
+
+
+def projsum_gen_pos(ps) -> tuple:
+    """The basis position of each copy's generator, its trivial path
+    looked up among the labels at its vertex."""
+    labels = projsum_labels(ps)
+    return tuple(
+        next(i for i, (c, q) in enumerate(labels[v]) if c == j and q.is_trivial)
+        for j, v in enumerate(ps.vertices)
+    )
+
+
+def one_yoneda_map(ps, target: ModuleRep, starts: dict) -> ModuleMorphism:
+    """The one morphism ps.module -> target whose generator rows for the
+    copies of each vertex u are stacked, in copy order and reduced mod p,
+    as ``starts[u]``: the row at label (j, path) is copy j's generator row
+    times the action of path."""
+    tbl = target.algebra
+    f = tbl.field
+    mats = [f.zeros(d, target.dims[w]) for w, d in enumerate(ps.module.dims)]
+    for u, start in starts.items():
+        first = [ps.first[j] for j, v in enumerate(ps.vertices) if v == u]
+        index = projective_paths(tbl, u)
+        for path, acted in _path_actions(target, start, tbl.basis_paths_from(u)).items():
+            w = path.target
+            i = index[w][path]
+            for r, at in enumerate(first):
+                mats[w][at[w] + i] = acted[r]
+    return ModuleMorphism(ps.module, target, mats)
+
+
+def yoneda_block_by_labels(ps, n: ModuleRep) -> np.ndarray:
+    """Hom(ps.module, n) from generator coordinates to flattened morphisms:
+    row k of copy j's block of rows is the morphism sending copy j's
+    generator to basis vector k of N_{u_j} and the other generators to 0,
+    which has row k of the action of path on N at each label (j, path)."""
+    tbl = n.algebra
+    f = tbl.field
+    nv = len(tbl.quiver.vertices)
+    offsets = np.cumsum([0] + [ps.module.dims[w] * n.dims[w] for w in range(nv)])
+    starts = np.cumsum([0] + [n.dims[u] for u in ps.vertices])
+    spanning = f.zeros(int(starts[-1]), int(offsets[-1]))
+    actions = {}  # copies of one projective share their paths
+    for u in dict.fromkeys(ps.vertices):
+        actions.update(_path_actions(n, f.eye(n.dims[u]), tbl.basis_paths_from(u)))
+    for w, labels in enumerate(projsum_labels(ps)):
+        d = n.dims[w]
+        for i, (j, path) in enumerate(labels):
+            at = offsets[w] + i * d
+            spanning[starts[j] : starts[j + 1], at : at + d] = actions[path]
+    return spanning
+
+
+def projsum_map_elements_by_labels(ps_src, ps_tgt, d: ModuleMorphism):
+    """elements[t][s] with d(gen_s) = sum_t gen_t · elements[t][s], read
+    off the generator rows of d at the labels of ps_tgt."""
+    out = [[{} for _ in ps_src.vertices] for _ in ps_tgt.vertices]
+    labels = projsum_labels(ps_tgt)
+    for s, u in enumerate(ps_src.vertices):
+        row = d.mats[u][projsum_gen_pos(ps_src)[s]]
+        for i, (t, path) in enumerate(labels[u]):
+            c = int(row[i])
+            if c:
+                out[t][s][path] = c
+    return out

@@ -388,6 +388,7 @@ UNREAD_OPTIONS = [
         ["scan", "nakayama", "--simples", "2", "--max-len", "1"],
         ["ar-check", "ALG", "--n", "-1"],
         ["gldim", "ALG", "--module", "ZERO"],
+        ["torsion", "ALG", "--module", "HUGE"],
         ["info", "BINARY"],
         ["verify", "--suite", "grade", "--seed", "-1", "CORPUS"],
         ["torsion", "ALG", "--sample-index", "0", "--seed", "-2"],
@@ -399,8 +400,10 @@ UNREAD_OPTIONS = [
 )
 def test_argument_and_file_errors_exit_2(argv, capsys, tmp_path):
     (tmp_path / "zero.mod").write_text("dims 0 0\n")
+    (tmp_path / "huge.mod").write_text("dims 10000000000 10000000000\n")  # no zero blocks that big
     (tmp_path / "binary.alg").write_bytes(b"\xff\xfe field 101\n")
     paths = {"ALG": alg("ka2"), "ZERO": str(tmp_path / "zero.mod"), "CORPUS": CORPUS}
+    paths["HUGE"] = str(tmp_path / "huge.mod")
     paths["BINARY"] = str(tmp_path / "binary.alg")
     try:
         code = main([paths.get(arg, arg) for arg in argv])

@@ -628,6 +628,18 @@ def test_gldim_capped_selfinjective(nak22):
     assert not out.is_exact and out.value >= 6
 
 
+def test_pdim_stops_at_the_first_repeated_syzygy(monkeypatch):
+    """Over the selfinjective nak-22, Ω swaps the two simples: each pdim
+    takes three Ω steps, the third a repeat, whatever the cap."""
+    tbl = nakayama_from_kupisch([2, 2], cyclic=True)
+    calls = []
+    original = ardom.homology.omega
+    monkeypatch.setattr(ardom.homology, "omega", lambda m: calls.append(m) or original(m))
+    cap = 10**4
+    assert gldim(tbl, cap=cap) == CappedNat.at_least(cap + 1)
+    assert len(calls) == 2 * 3
+
+
 def test_injdim_dual_route(dim5):
     # injective dimension via duals: injectives have injdim 0
     for v in range(2):

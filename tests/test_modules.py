@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import hashlib
+import itertools
 import os
 
 import numpy as np
@@ -516,7 +518,7 @@ def test_proj_cover_generators_are_radical_quotient_sections(corpus_table):
             for v in range(len(m.dims))
             for row in f.quotient_by_rowspace(rad.mats[v], m.dims[v]).section
         ]
-        generators = [(v, cover.mats[v][ps.gen_pos[j]]) for j, v in enumerate(ps.vertices)]
+        generators = [(v, cover.mats[v][ps.first[j][v]]) for j, v in enumerate(ps.vertices)]
         assert [v for v, _ in generators] == [v for v, _ in expected]
         for (_, got), (_, want) in zip(generators, expected):
             assert np.array_equal(got, want)
@@ -545,7 +547,7 @@ def test_proj_cover_reads_the_top_off_the_radical_rows(name, fresh_corpus_table)
         vertices, starts = cover_read_off_the_radical_rows(m)
         assert ps.vertices == vertices
         for v, start in starts.items():
-            generators = [ps.gen_pos[j] for j, u in enumerate(ps.vertices) if u == v]
+            generators = [ps.first[j][v] for j, u in enumerate(ps.vertices) if u == v]
             assert np.array_equal(cover.mats[v][generators], start)
 
 
@@ -781,8 +783,81 @@ def test_the_reference_routes_import_none_of_the_routes_they_check():
 def test_proj_sum_generator_positions(a2):
     ps = proj_sum(a2, [1, 0, 1])
     assert ps.module.dims == (1, 3)
-    assert ps.gen_pos == (0, 0, 2)
-    assert [lbl[0] for lbl in ps.labels[1]] == [0, 1, 2]
+    assert ps.first == ((0, 0), (0, 1), (1, 2))
+    assert reference.projsum_gen_pos(ps) == (0, 0, 2)
+    assert [lbl[0] for lbl in reference.projsum_labels(ps)[1]] == [0, 1, 2]
+
+
+def test_proj_sum_keeps_one_layout(fresh_corpus_table):
+    """The layout is (module, vertices, first) alone: the trivial path is
+    the first basis path v -> v, so copy j's generator sits at
+    first[j][vertices[j]], where the labelled layout puts it."""
+    assert [fl.name for fl in dataclasses.fields(ardom.modules.ProjSum)] == ["module", "vertices", "first"]
+    for name in CORPUS_IDS:
+        tbl = fresh_corpus_table(name, 101)
+        nv = len(tbl.quiver.vertices)
+        for v in range(nv):
+            assert next(iter(projective_paths(tbl, v)[v])) == Path(v, (), v)
+        ps = proj_sum(tbl, list(range(nv)) + [nv - 1, 0])
+        assert reference.projsum_gen_pos(ps) == tuple(ps.first[j][v] for j, v in enumerate(ps.vertices))
+
+
+def _some_sums(tbl, rng):
+    """The empty sum, each P(v) alone and three sums with repeated vertices."""
+    nv = len(tbl.quiver.vertices)
+    sums = [(), *[(v,) for v in range(nv)]]
+    for size in (2, 3, 4):
+        vertices = rng.integers(0, nv, size=size)
+        vertices[-1] = vertices[0]
+        sums.append(tuple(vertices))
+    return [proj_sum(tbl, vertices) for vertices in sums]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+@pytest.mark.parametrize("name", CORPUS_IDS)
+def test_yoneda_maps_are_the_single_maps_side_by_side(name, p, fresh_corpus_table):
+    tbl = fresh_corpus_table(name, p)
+    rng = np.random.default_rng(p)
+    targets = [regular(tbl), *sample_modules(tbl, seed=1, size=3)]
+    for ps in _some_sums(tbl, rng):
+        for target, k in itertools.product(targets, [0, 1, 3]):
+            d = target.dims
+            bounds = np.cumsum([0] + [d[u] for u in ps.vertices])
+            coords = rng.integers(0, p, size=(k, bounds[-1]))
+            maps = ardom.modules._yoneda_maps(
+                ps, target, ardom.modules._split_by_copy(ps, coords, d), k)
+            assert [g.shape for g in maps] == [(a, k * b) for a, b in zip(ps.module.dims, d)]
+            for r in range(k):
+                gens = [coords[r, a:b] for a, b in zip(bounds, bounds[1:])]
+                single = projsum_morphism(ps, target, gens)
+                starts = {
+                    u: np.array([g for g, v in zip(gens, ps.vertices) if v == u]).reshape(
+                        ps.vertices.count(u), d[u])
+                    for u in set(ps.vertices)
+                }
+                want = reference.one_yoneda_map(ps, target, starts)
+                assert single.defect() is None
+                for w, g in enumerate(maps):
+                    block = g[:, r * d[w] : (r + 1) * d[w]]
+                    assert np.array_equal(block, single.mats[w])
+                    assert np.array_equal(block, want.mats[w])
+            assert np.array_equal(ardom.modules.yoneda_block(ps, target),
+                                  reference.yoneda_block_by_labels(ps, target))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+@pytest.mark.parametrize("name", CORPUS_IDS)
+def test_map_elements_read_off_the_first_layout(name, p, fresh_corpus_table):
+    tbl = fresh_corpus_table(name, p)
+    rng = np.random.default_rng(p + 1)
+    sums = _some_sums(tbl, rng)
+    for ps_src, ps_tgt in itertools.product(sums[::2], sums[1::2]):
+        rows = [rng.integers(0, p, size=ps_tgt.module.dims[u]) for u in ps_src.vertices]
+        d = projsum_morphism(ps_src, ps_tgt.module, rows)
+        got = projsum_map_elements(ps_src, ps_tgt, d)
+        assert got == reference.projsum_map_elements_by_labels(ps_src, ps_tgt, d)
+        back = projsum_map_from_elements(ps_src, ps_tgt, got)
+        assert all(np.array_equal(x, y) for x, y in zip(back.mats, d.mats))
 
 
 def test_projsum_morphism_hits_generators(dim5):
@@ -796,7 +871,7 @@ def test_projsum_morphism_hits_generators(dim5):
     f = projsum_morphism(ps, target, rows)
     assert f.defect() is None
     for j, v in enumerate(ps.vertices):
-        assert np.array_equal(f.mats[v][ps.gen_pos[j]], rows[j])
+        assert np.array_equal(f.mats[v][ps.first[j][v]], rows[j])
 
 
 def test_left_mult_morphism_dim5(dim5):
@@ -1057,8 +1132,8 @@ def test_prefix_products_equal_arrow_by_arrow_products(name, p, fresh_corpus_tab
         if not m.is_zero:
             ps, cover = proj_cover(m)
             for w in range(nv):
-                for i, (j, path) in enumerate(ps.labels[w]):
-                    gen = cover.mats[ps.vertices[j]][ps.gen_pos[j]]
+                for i, (j, path) in enumerate(reference.projsum_labels(ps)[w]):
+                    gen = cover.mats[ps.vertices[j]][ps.first[j][ps.vertices[j]]]
                     assert np.array_equal(cover.mats[w][i], gen @ arrow_by_arrow(m, path) % p)
             assert cover.defect() is None
 
@@ -1072,7 +1147,7 @@ def old_map_from_elements(ps_src, ps_tgt, elements):
         row = np.zeros(ps_tgt.module.dims[u], dtype=np.int64)
         for t, v in enumerate(ps_tgt.vertices):
             if elements[t][s]:
-                row = (row + ps_tgt.module.element_matrix(elements[t][s], v, u)[ps_tgt.gen_pos[t]]) % p
+                row = (row + ps_tgt.module.element_matrix(elements[t][s], v, u)[ps_tgt.first[t][v]]) % p
         rows.append(row)
     return projsum_morphism(ps_src, ps_tgt.module, rows)
 
