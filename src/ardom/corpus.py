@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field
 
 from .algebra import AlgebraTable, InputError, table_from_text
-from .modules import ModuleRep, parse_module
+from .modules import parse_module
 
 __all__ = ["CorpusError", "CorpusEntry", "load_corpus", "MANIFEST_NAME"]
 

@@ -6,14 +6,15 @@ Matrices are plain numpy ``int64`` arrays with entries reduced into
 * vectors are ROWS and linear maps act by right multiplication ``x @ m``,
 * elimination is fully deterministic (scan columns left to right, pivot on
   the first row with a nonzero entry), so every output is bit-reproducible,
-* elimination is size-selected: matrices with at most
-  ``_LIST_ELIMINATION_NONZEROS`` nonzero entries are reduced on Python
-  ``int`` lists (numpy's per-call overhead dominates there), the others
-  with numpy row operations.  Both paths return the same bytes, because
-  the reduced row echelon form of a matrix is unique.  Every derived
-  routine (rank, kernels, solves, inverses, quotients) reduces its input
-  once this way, and on the list path builds its output from the int
-  lists with one ``np.array`` call,
+* each input gets one elimination, in ``_eliminate``: it is reduced mod p
+  once, and matrices with at most ``_LIST_ELIMINATION_NONZEROS`` nonzero
+  entries are reduced on Python ``int`` lists (numpy's per-call overhead
+  dominates there), the others with numpy row operations.  Both paths
+  return the same bytes, because the reduced row echelon form of a matrix
+  is unique.  Every routine reads that one elimination either as pivots
+  and rref rows (rref, rank, row spaces) or as the canonical kernel basis
+  (kernels; a quotient's projection is the kernel of the subspace,
+  transposed; a solve is read off the kernel of ``[m | rhs]``),
 * coordinates in a small basis whose rows each have a unit column (an
   entry 1 where every other row has 0), as rref rows and canonical kernel
   rows do, are read off those columns and checked by one product,
@@ -163,28 +164,24 @@ class PrimeField:
         the first not-yet-used row with a nonzero entry.  The row space is
         preserved exactly.
         """
-        r = np.array(m, dtype=np.int64)
-        r %= self.p
-        small = self._small_rref(r)
-        if small is None:
-            return self._rref_array(r, *r.shape)
-        rows, pivots = small
-        return (np.array(rows, dtype=np.int64) if pivots else r), pivots
+        r, pivots = self._eliminate(m)
+        return np.asarray(r, dtype=np.int64), pivots
 
-    def _small_rref(self, r: np.ndarray) -> Optional[tuple[list, tuple[int, ...]]]:
-        """(rows, pivots) of the rref of a small matrix r reduced mod p, or
-        None for a large one.
+    def _eliminate(self, m) -> tuple:
+        """(rows, pivots) of the rref of m, from one reduction mod p.
 
-        The rows are int lists, the first ``len(pivots)`` of them the pivot
-        rows.  An empty or zero matrix gives ``([], ())``; a matrix with more
-        than ``_LIST_ELIMINATION_NONZEROS`` nonzero entries gives None, and
-        the caller reduces it with numpy.
+        A zero or empty matrix gives its reduced array and no pivots.  A
+        matrix with at most ``_LIST_ELIMINATION_NONZEROS`` nonzero entries is
+        reduced on int lists and gives all its rows as lists, the others are
+        reduced with numpy and give an array; either way the first
+        ``len(pivots)`` rows are the pivot rows.
         """
+        r = np.remainder(m, self.p, dtype=np.int64)
         nonzeros = np.count_nonzero(r)
         if not nonzeros:
-            return [], ()
+            return r, ()
         if nonzeros > _LIST_ELIMINATION_NONZEROS:
-            return None
+            return self._rref_array(r, *r.shape)
         return self._rref_lists(r.tolist(), *r.shape)
 
     def _rref_lists(self, a: list, rows: int, cols: int) -> tuple[list, tuple[int, ...]]:
@@ -243,39 +240,25 @@ class PrimeField:
                 break
         return r, tuple(pivots)
 
-    def pivot_columns(self, m: np.ndarray) -> tuple[int, ...]:
-        """The pivot columns of the rref of m, without building its rows as
-        an array."""
-        small = self._small_rref(m % self.p)
-        return self.rref(m)[1] if small is None else small[1]
+    def _kernel(self, m) -> tuple[np.ndarray, list]:
+        """The canonical kernel basis of m and its free columns, in order.
 
-    def rank(self, m: np.ndarray) -> int:
-        return len(self.pivot_columns(m))
-
-    def row_space_basis(self, m: np.ndarray) -> np.ndarray:
-        """Nonzero rows of the rref: a deterministic basis of the row space."""
-        r, pivots = self.rref(m)
-        return r[: len(pivots)]
-
-    def kernel_basis(self, m: np.ndarray) -> np.ndarray:
-        """Basis of the right null space {v : m·v = 0}, one row per vector.
-
-        Row count is cols(m) − rank(m).  The basis is canonical: one row per
-        free column f, with entry 1 at f and −rref[i, f] at pivot column i.
+        One row per free column f, with entry 1 at f and −rref[i, f] at
+        pivot column i, so each row vanishes on the row space of m and the
+        rows are the identity on the free columns.
         """
         cols = m.shape[1]
-        small = self._small_rref(m % self.p)
-        r, pivots = self.rref(m) if small is None else small
+        r, pivots = self._eliminate(m)
         if not pivots:
-            return self.eye(cols)
+            return self.eye(cols), list(range(cols))
         pivot_set = set(pivots)
         free = [j for j in range(cols) if j not in pivot_set]
-        if small is None:
+        if isinstance(r, np.ndarray):  # a large matrix, reduced with numpy
             k = self.zeros(len(free), cols)
             k[np.arange(len(free)), free] = 1
             if free:
                 k[:, list(pivots)] = -r[: len(pivots), free].T % self.p
-            return k
+            return k, free
         p = self.p
         k = []
         for f in free:
@@ -284,11 +267,32 @@ class PrimeField:
             for pc, pivot_row in zip(pivots, r):
                 row[pc] = -pivot_row[f] % p
             k.append(row)
-        return np.array(k, dtype=np.int64).reshape(len(free), cols)
+        return np.array(k, dtype=np.int64).reshape(len(free), cols), free
+
+    def pivot_columns(self, m: np.ndarray) -> tuple[int, ...]:
+        """The pivot columns of the rref of m, without building its rows as
+        an array."""
+        return self._eliminate(m)[1]
+
+    def rank(self, m: np.ndarray) -> int:
+        return len(self._eliminate(m)[1])
+
+    def row_space_basis(self, m: np.ndarray) -> np.ndarray:
+        """Nonzero rows of the rref: a deterministic basis of the row space."""
+        r, pivots = self._eliminate(m)
+        return np.asarray(r[: len(pivots)], dtype=np.int64)
+
+    def kernel_basis(self, m: np.ndarray) -> np.ndarray:
+        """Basis of the right null space {v : m·v = 0}, one row per vector.
+
+        Row count is cols(m) − rank(m).  The basis is canonical: one row per
+        free column f, with entry 1 at f and −rref[i, f] at pivot column i.
+        """
+        return self._kernel(m)[0]
 
     def left_kernel_basis(self, m: np.ndarray) -> np.ndarray:
         """Basis (rows) of {x : x·m = 0}."""
-        return self.kernel_basis(m.T)
+        return self._kernel(m.T)[0]
 
     def solve(self, m: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
         """One exact solution x of m·x = rhs, or None if inconsistent.
@@ -296,6 +300,10 @@ class PrimeField:
         rhs may be a matrix (one system per column).  The particular
         solution sets every free variable to 0, so it is deterministic;
         the full solution set is x + span of kernel_basis(m) columns.
+
+        It is read off the canonical kernel of [m | rhs]: the system is
+        consistent exactly when every rhs column is free, and then minus
+        the kernel row of rhs column c, on m's columns, solves column c.
         """
         rhs = np.asarray(rhs, dtype=np.int64)
         if rhs.ndim == 1:
@@ -303,22 +311,11 @@ class PrimeField:
         if m.shape[0] != rhs.shape[0]:
             raise ValueError(f"solve: {m.shape} matrix with {rhs.shape} right-hand side")
         ncols, width = m.shape[1], rhs.shape[1]
-        if m.shape[0] == 0:
-            return self.zeros(ncols, width)
-        aug = np.concatenate([m, rhs], axis=1)
-        small = self._small_rref(aug % self.p)
-        r, pivots = self.rref(aug) if small is None else small
-        if pivots and pivots[-1] >= ncols:
+        k, free = self._kernel(np.concatenate([m, rhs], axis=1))
+        first = len(free) - width  # the kernel rows of the rhs columns
+        if first < 0 or (width and free[first] < ncols):
             return None
-        if small is None:
-            x = self.zeros(ncols, width)
-            if pivots:
-                x[list(pivots)] = r[: len(pivots), ncols:]
-            return x
-        x = [[0] * width for _ in range(ncols)]
-        for pc, pivot_row in zip(pivots, r):
-            x[pc] = pivot_row[ncols:]
-        return np.array(x, dtype=np.int64).reshape(ncols, width)
+        return -k[first:, :ncols].T % self.p
 
     def solve_left(self, m: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
         """One exact solution x of x·m = rhs (row-vector systems), or None."""
@@ -378,36 +375,12 @@ class PrimeField:
         """k^n modulo the row space of ``sub`` (a matrix with n columns).
 
         Deterministic: coset coordinates live on the non-pivot columns of
-        the rref of ``sub``.
+        the rref of ``sub``.  The projection is the canonical kernel basis
+        of ``sub``, transposed: its rows vanish on the row space and are the
+        identity on those free columns.
         """
         if sub.shape[1] != n:
             raise ValueError(f"quotient_by_rowspace: {sub.shape} rows are not in k^{n}")
-        small = self._small_rref(sub % self.p)
-        r, pivots = self.rref(sub) if small is None else small
-        if not pivots:
-            return Quotient(dim=n, proj=self.eye(n), section=self.eye(n), free=list(range(n)))
-        pivot_set = set(pivots)
-        free = [j for j in range(n) if j not in pivot_set]
-        q = len(free)
-        section = self.zeros(q, n)
-        section[np.arange(q), free] = 1
-        if isinstance(r, np.ndarray):  # a large matrix, reduced with numpy
-            reducer = self.eye(n)
-            rows = list(pivots)
-            reducer[rows] = (reducer[rows] - r[: len(pivots)]) % self.p
-            return Quotient(dim=q, proj=reducer[:, free], section=section, free=free)
-        p = self.p
-        proj = []
-        pivot_rows = dict(zip(pivots, r))
-        t = 0
-        for j in range(n):
-            pivot_row = pivot_rows.get(j)
-            if pivot_row is None:
-                row = [0] * q
-                row[t] = 1
-                t += 1
-            else:
-                row = [-pivot_row[f] % p for f in free]
-            proj.append(row)
-        proj = np.array(proj, dtype=np.int64).reshape(n, q)
-        return Quotient(dim=q, proj=proj, section=section, free=free)
+        k, free = self._kernel(sub)
+        # a C-ordered copy, like every other matrix here, and not a view on k
+        return Quotient(dim=len(free), proj=k.T.copy(), section=self.eye(n)[free], free=free)

@@ -18,7 +18,7 @@ import inspect
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -1278,8 +1278,9 @@ class ModuleFileError(InputError):
     pass
 
 
-# The most matrix entries, Σ over arrows of dims[src]·dims[tgt], that a
-# module file's dims line may imply: omitted arrows become zero blocks.
+# The most matrix entries, Σ over arrows of dims[src]·dims[tgt] plus Σ over
+# vertices of dims[v]², that a module file's dims line may imply: omitted
+# arrows become zero blocks, and the cover builds an identity at each vertex.
 MAX_MODULE_ENTRIES = 10**6
 
 
@@ -1313,6 +1314,7 @@ def parse_module(text: str, tbl: AlgebraTable, label: str = "module") -> ModuleR
             if any(d < 0 for d in dims):
                 raise ModuleFileError(f"line {lineno}: negative dimension")
             implied = sum([dims[q.arrow_source(a)] * dims[q.arrow_target(a)] for a in range(len(q.arrows))])
+            implied += sum([d * d for d in dims])
             if implied > MAX_MODULE_ENTRIES:
                 raise ModuleFileError(
                     f"line {lineno}: dims imply {implied} matrix entries, more than {MAX_MODULE_ENTRIES}"

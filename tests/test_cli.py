@@ -389,6 +389,7 @@ UNREAD_OPTIONS = [
         ["ar-check", "ALG", "--n", "-1"],
         ["gldim", "ALG", "--module", "ZERO"],
         ["torsion", "ALG", "--module", "HUGE"],
+        ["torsion", "ALG", "--module", "TALL"],
         ["info", "BINARY"],
         ["verify", "--suite", "grade", "--seed", "-1", "CORPUS"],
         ["torsion", "ALG", "--sample-index", "0", "--seed", "-2"],
@@ -401,9 +402,11 @@ UNREAD_OPTIONS = [
 def test_argument_and_file_errors_exit_2(argv, capsys, tmp_path):
     (tmp_path / "zero.mod").write_text("dims 0 0\n")
     (tmp_path / "huge.mod").write_text("dims 10000000000 10000000000\n")  # no zero blocks that big
+    (tmp_path / "tall.mod").write_text("dims 1000000 0\n")  # no arrow block, but a huge identity
     (tmp_path / "binary.alg").write_bytes(b"\xff\xfe field 101\n")
     paths = {"ALG": alg("ka2"), "ZERO": str(tmp_path / "zero.mod"), "CORPUS": CORPUS}
     paths["HUGE"] = str(tmp_path / "huge.mod")
+    paths["TALL"] = str(tmp_path / "tall.mod")
     paths["BINARY"] = str(tmp_path / "binary.alg")
     try:
         code = main([paths.get(arg, arg) for arg in argv])

@@ -233,6 +233,9 @@ def test_quotient_projection_section(m):
     assert np.array_equal(F101.mul(q.section, q.proj), F101.eye(q.dim))
     # the row space maps to zero in the quotient
     assert not np.any(F101.mul(m, q.proj))
+    # the projection is the canonical kernel basis, transposed
+    assert np.array_equal(q.proj, F101.kernel_basis(m).T)
+    assert np.array_equal(q.section, F101.eye(n)[q.free])
 
 
 def assert_same_quotient(got, want):

@@ -250,6 +250,7 @@ def all_outputs(f, m, seed):
         f.rank(m),
         f.solve(m, rhs),
         f.solve(m, consistent),
+        f.solve(m, f.zeros(rows, 0)),
         q.dim,
         q.proj,
         q.section,
@@ -277,6 +278,16 @@ def test_list_and_numpy_paths_give_identical_bytes(case, seed):
         mp.setattr(ardom.linalg, "_UNIT_COLUMN_ENTRIES", -1)
         large = all_outputs(f, m, seed)
     assert small == large
+
+
+def test_derived_routines_do_not_reenter_rref(monkeypatch):
+    # each routine reduces its input once, on either side of the cut-off
+    f = FIELDS[101]
+    m = np.random.default_rng(0).integers(1, 101, size=(12, 12))
+    assert np.count_nonzero(m) > _LIST_ELIMINATION_NONZEROS
+    want = all_outputs(f, m, 0) + [f.pivot_columns(m)]
+    monkeypatch.setattr(PrimeField, "rref", lambda *args: pytest.fail("rref called"))
+    assert all_outputs(f, m, 0) + [f.pivot_columns(m)] == want
 
 
 UNIT_COLUMN_BASES = {  # (basis, coordinates of two vectors) over GF(5)

@@ -233,6 +233,24 @@ def test_modules_and_arseq_have_no_assert_statements(name):
 
 
 @pytest.mark.parametrize("name", PACKAGE_MODULES)
+def test_every_imported_name_is_read_or_exported(name):
+    # an import left behind by a deletion is dead code the linters here miss
+    module = importlib.import_module(f"ardom.{name}")
+    tree = ast.parse(inspect.getsource(module))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    }
+    read = {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(imported - read - set(getattr(module, "__all__", ()))) == []
+
+
+@pytest.mark.parametrize("name", PACKAGE_MODULES)
 def test_every_public_name_resolves(name):
     # a stale __all__ entry left by a deletion breaks only the star-import
     module = importlib.import_module(f"ardom.{name}")
