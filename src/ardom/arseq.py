@@ -11,12 +11,15 @@ pushout X = coker((c, −d_1): P_1 → U ⊕ P_0), the pushout along ΩV ⊆ P_0
 built at each vertex from the block [c_v | −d_1,v].
 
 :func:`knit_indecomposables` closes the projectives under the targets of
-left almost split maps: the middle terms of these sequences, each built by
-:func:`almost_split` from the listed module's certified rad End basis
-(projectives included), and I/soc I for an injective I; a finite closure is
-every indecomposable.  :func:`almost_split_from_projective` passes the
-cycles at v, which span rad End(P(v)) = e_v·rad(A)·e_v, and serves
-:func:`ar_report`.
+left almost split maps; a finite closure is every indecomposable.  It reads
+the targets off the AR mesh (:func:`_knit`): every listed module certifies
+End/rad = k, so the successors of U are τ⁻¹ of its non-injective
+predecessors and the P(w) with U | rad P(w), and the predecessors of τ⁻¹U
+are the successors of U.  One τ⁻¹ is taken per listed non-injective module,
+and a sequence is built by :func:`almost_split` (I/soc I taken for an
+injective I) only for a module whose predecessors are not known yet.
+:func:`almost_split_from_projective` passes the cycles at v, which span
+rad End(P(v)) = e_v·rad(A)·e_v, and serves :func:`ar_report`.
 
 :func:`has_n_tf_ar_sequences` decides whether the sequences that start at
 projectives are n-torsion-free without building them, from D rad P(v) and
@@ -50,6 +53,7 @@ from .modules import (
     dual,
     indecomposable_summands,
     is_injective,
+    isomorphic_to,
     kernel,
     memoized,
     morphism_from_flat,
@@ -223,32 +227,63 @@ def almost_split_from_projective(tbl: AlgebraTable, vertex: int, choice: int = 0
 def knit_indecomposables(tbl: AlgebraTable, limit: int):
     """Every indecomposable module up to isomorphism, each certified, or None.
 
-    The list S starts at the P(v) and is closed under the targets of left
-    almost split maps: for each listed U, the summands of the middle term of
-    its almost split sequence when U is not injective, built by
-    :func:`almost_split` from the certified rad End(U) basis of U's record
-    (one rule for every listed module, the P(v) included), and of U/soc U
-    when U is injective.  Each module is split into summands
-    (:func:`~ardom.modules.indecomposable_summands`); one isomorphic to a
-    listed module (:func:`~ardom.modules.isomorphic_to`) is not listed
-    again, the others are listed with their certificates.
+    The :class:`~ardom.modules.Indecomposable` records of :func:`_knit`,
+    P(v) first, the others labelled ``ind[i]`` in order of discovery.  None
+    when the list would pass ``limit`` modules, when a module would pass
+    2·dim A, the size of the largest quotient the module sample draws, or
+    when a certificate fails (p | dim U, or a split not found).
+    """
+    knit = _knit(tbl, limit)
+    return None if knit is None else knit[0]
 
-    A finite S closed this way is every indecomposable.  Let b be the
-    largest length in S and M ∉ S indecomposable.  A nonzero map from a
-    listed X to M is not split mono (M ≇ X), so it factors through X's left
-    almost split map, whose targets are listed: it is a sum of composites
-    X → X' → M with X → X' irreducible and X' ∈ S.  After 2^b − 1 such steps
-    the map is a sum of composites of 2^b − 1 non-isomorphisms between
-    indecomposables of length ≤ b, followed by a map to M, and these vanish
-    by the Harada–Sai lemma.  So every map from S to M is zero; but M
-    receives a nonzero map from its projective cover, a sum of listed P(v).
-    Hence M ∈ S (Assem–Simson–Skowroński, *Elements* vol. 1, Ch. IV.5).
 
-    Returns the :class:`~ardom.modules.Indecomposable` records, P(v) first,
-    the others labelled ``ind[i]`` in order of discovery.  None when the
-    list would pass ``limit`` modules, when a module would pass 2·dim A, the
-    size of the largest quotient the module sample draws, or when a
-    certificate fails (p | dim U, or a split not found).
+def _knit(tbl: AlgebraTable, limit: int):
+    """(records, successors, inverse_translates) of the knitted AR quiver,
+    or None (the give-ups of :func:`knit_indecomposables`).
+
+    ``successors[i]`` lists, with multiplicity, the indices of the targets
+    of the left almost split map out of U = ``records[i]``: the summands of
+    the middle term of its almost split sequence when U is not injective,
+    of U/soc U when it is.  ``inverse_translates[i]`` is the index of τ⁻¹U
+    for every non-injective U.
+
+    The list S starts at the P(v) and the summands of each rad P(v)
+    (:func:`~ardom.modules.indecomposable_summands`), and every listed
+    non-injective U has τ⁻¹U (:func:`~ardom.homology.tau_inverse`)
+    identified against S (:func:`~ardom.modules.isomorphic_to`) or listed
+    with its certificate (:func:`~ardom.modules.certify_local`).  Every
+    record certifies End/rad = k, so the AR mesh gives the successors
+    without a sequence (Auslander–Reiten–Smalø, *Representation Theory of
+    Artin Algebras*, Ch. V.5 and VII.1; Assem–Simson–Skowroński, *Elements*
+    vol. 1, Ch. IV.4).  An irreducible map U → Y goes either to a
+    projective P(w), as often as U is a summand of rad P(w), the inclusion
+    rad P(w) ⊆ P(w) being minimal right almost split; or to Y = τ⁻¹W with
+    W → U irreducible, as often as W occurs in the middle term ending at U,
+    the valuations being symmetric under τ.  So with pred(U) the summands
+    of that middle term (of rad P(v) for U = P(v)):
+
+        succ(U) = τ⁻¹ pred(U) ⊕ (the P(w) with U | rad P(w)),
+        pred(τ⁻¹U) = succ(U),
+
+    τ⁻¹ dropping the injective predecessors.  Modules whose predecessors
+    are known are taken first, in index order; only when none is left is
+    the sequence of the least remaining module built, by
+    :func:`almost_split` from its record's rad End basis (U/soc U for an
+    injective U), and its middle term split.  That happens where the mesh
+    has no starting point, as on a τ-periodic orbit (the simples of a
+    selfinjective Nakayama algebra).
+
+    A finite S closed this way is every indecomposable, as every listed
+    module has its successors listed.  Let b be the largest length in S and
+    M ∉ S indecomposable.  A nonzero map from a listed X to M is not split
+    mono (M ≇ X), so it factors through X's left almost split map, whose
+    targets are listed: it is a sum of composites X → X' → M with X → X'
+    irreducible and X' ∈ S.  After 2^b − 1 such steps the map is a sum of
+    composites of 2^b − 1 non-isomorphisms between indecomposables of
+    length ≤ b, followed by a map to M, and these vanish by the Harada–Sai
+    lemma.  So every map from S to M is zero; but M receives a nonzero map
+    from its projective cover, a sum of listed P(v).  Hence M ∈ S
+    (Assem–Simson–Skowroński, *Elements* vol. 1, Ch. IV.5).
     """
     nv = len(tbl.quiver.vertices)
     if nv > limit:
@@ -256,23 +291,71 @@ def knit_indecomposables(tbl: AlgebraTable, limit: int):
     found = [certify_local(projective(tbl, v)) for v in range(nv)]
     if any(cert is None for cert in found):
         return None
-    for ind in found:  # the loop reaches the records it appends
-        if is_injective(ind.module):
-            m = cokernel(socle(ind.module)[1])[0]
-        else:
-            m = almost_split(ind.module, ind.rad_end).x
+    where = {id(ind): i for i, ind in enumerate(found)}  # found keeps each record alive
+
+    def listed(cert):
+        """The index of a new certified record, or None past ``limit`` or 2·dim A."""
+        if len(found) == limit or cert.module.total_dim > 2 * tbl.dimension:
+            return None
+        found.append(Indecomposable(cert.module.relabeled(f"ind[{len(found)}]"), cert.rad_end))
+        where[id(found[-1])] = len(found) - 1
+        return len(found) - 1
+
+    def summands(m):
+        """Indices of m's summands with multiplicity, new ones listed once; None on a give-up."""
         parts = indecomposable_summands(m, found)
         if parts is None:
             return None
-        # a listed summand comes back as its record, and isomorphic new ones
-        # (m = Y ⊕ Y) as one record, listed once
-        for part in {id(part): part for part in parts}.values():
-            if any(known is part for known in found):
-                continue
-            if len(found) == limit or part.module.total_dim > 2 * tbl.dimension:
+        new = {}  # a new record (isomorphic summands share one) -> its index, while parts holds it
+        out = []
+        for part in parts:
+            i = where.get(id(part), new.get(id(part)))
+            if i is None:
+                i = new[id(part)] = listed(part)
+                if i is None:
+                    return None
+            out.append(i)
+        return out
+
+    preds = {v: summands(radical(projective(tbl, v))[0]) for v in range(nv)}
+    if any(p is None for p in preds.values()):
+        return None
+    into_projectives = {}  # i -> the w with U_i | rad P(w), with multiplicity
+    for w in range(nv):
+        for i in preds[w]:
+            into_projectives.setdefault(i, []).append(w)
+    tau_inv, succs, translated = {}, {}, 0
+    while True:
+        while translated < len(found):  # τ⁻¹ of each listed module, those it lists included
+            u = found[translated].module
+            if not is_injective(u):
+                v = tau_inverse(u)
+                j = next((j for j, ind in enumerate(found) if isomorphic_to(v, ind)), None)
+                if j is None:
+                    cert = certify_local(v)
+                    j = None if cert is None else listed(cert)
+                    if j is None:
+                        return None
+                tau_inv[translated] = j
+            translated += 1
+        ready = next((i for i in range(len(found)) if i not in succs and i in preds), None)
+        if ready is not None:  # the mesh lists nothing new: each τ⁻¹ is listed already
+            succs[ready] = [tau_inv[w] for w in preds[ready] if w in tau_inv]
+            succs[ready] += into_projectives.get(ready, [])
+        else:
+            ready = next((i for i in range(len(found)) if i not in succs), None)
+            if ready is None:
+                return tuple(found), succs, tau_inv
+            ind = found[ready]
+            if ready in tau_inv:
+                m = almost_split(ind.module, ind.rad_end).x
+            else:
+                m = cokernel(socle(ind.module)[1])[0]
+            succs[ready] = summands(m)
+            if succs[ready] is None:
                 return None
-            found.append(Indecomposable(part.module.relabeled(f"ind[{len(found)}]"), part.rad_end))
-    return tuple(found)
+        if ready in tau_inv:
+            preds[tau_inv[ready]] = succs[ready]
 
 
 def _sweep(tbl: AlgebraTable, n: int):

@@ -606,11 +606,25 @@ def first_nonzero_ext(m: ModuleRep, n: int, start: int = 1):
     """Least start <= i <= n with Ext^i(m, A) nonzero, A the regular module
     of m's own algebra, or None when all of them vanish (or n < start).
     The one Ext-degree search: :func:`grade` from degree 0, the
-    torsion-freeness degrees and :func:`domdim_R_via_mueller` from 1."""
+    torsion-freeness degrees and :func:`domdim_R_via_mueller` from 1.
+
+    Ext^i(m, A) = Ext^1(Ω^{i−1} m, A) for i >= 1 depends only on the
+    signature of Ω^{i−1} m.  So once a degree i >= 1 reads zero and Ω^i m is
+    zero or repeats a syzygy whose degree already read zero, every later
+    degree is zero too, and the search stops there with None: a large n
+    costs at most one walk into the cycle of syzygies and once around it.
+    """
     areg = regular(m.algebra)
+    read_zero = set()  # signatures of the Ω^{i−1} m whose degree i >= 1 read zero
+    syz = syzygy(m, max(start, 1) - 1)  # Ω^{i−1} m for the first degree i >= 1
     for i in range(start, n + 1):
         if ext_dim(m, areg, i) != 0:
             return i
+        if i >= 1:
+            read_zero.add(syz.signature())
+            syz = omega(syz)[0]
+            if syz.is_zero or syz.signature() in read_zero:
+                return None
     return None
 
 

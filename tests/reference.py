@@ -35,7 +35,13 @@ exact route, and is kept only so that the tests can check the two agree:
   :func:`projsum_gen_pos`, :func:`one_yoneda_map`,
   :func:`yoneda_block_by_labels` and :func:`projsum_map_elements_by_labels`,
   against ``ardom.modules._yoneda_maps``, which builds k maps side by side
-  from the sum's ``first`` layout alone, and the callers that read it.
+  from the sum's ``first`` layout alone, and the callers that read it;
+- :func:`knit_by_sequences`, the AR quiver knitted with one almost split
+  sequence per listed non-injective module, against
+  ``ardom.arseq.knit_indecomposables``, which reads the successors off the
+  AR mesh and builds a sequence only where no mesh is known.  The
+  Krull–Schmidt splitter both share is passed in by the caller, since
+  other routes here check it.
 
 Nothing here is memoised, and nothing here calls the routes it checks.
 :func:`domdim_whole` walks the one coresolution walk there is,
@@ -51,6 +57,7 @@ import numpy as np
 
 import ardom.modules
 from ardom.algebra import Path, opposite, reverse_path
+from ardom.arseq import almost_split
 from ardom.homology import (
     DEFAULT_CAP,
     CappedNat,
@@ -62,9 +69,13 @@ from ardom.homology import (
 )
 from ardom.modules import (
     _path_actions,
+    Indecomposable,
     ModuleMorphism,
     ModuleRep,
+    certify_local,
+    cokernel,
     dual_regular,
+    is_injective,
     kernel,
     morphism_from_flat,
     proj_cover,
@@ -72,6 +83,7 @@ from ardom.modules import (
     projective,
     projective_paths,
     regular,
+    socle,
     submodule_from_rows,
     top_vertices,
     yoneda_block,
@@ -491,3 +503,40 @@ def projsum_map_elements_by_labels(ps_src, ps_tgt, d: ModuleMorphism):
             if c:
                 out[t][s][path] = c
     return out
+
+
+def knit_by_sequences(tbl, limit: int, split):
+    """(records, successors) of the AR quiver, or None on the same give-ups
+    as the knit: the projectives closed under the targets of left almost
+    split maps, each target read off a built sequence.  ``successors[i]``
+    lists, with multiplicity, the indices of the summands of the middle term
+    of ``almost_split(U, rad_end)`` for U = ``records[i]`` not injective, and
+    of U/soc U for U injective, as ``split(m, listed)`` returns them
+    (``ardom.modules.indecomposable_summands``): a listed summand as its
+    record, isomorphic new ones as one record, listed once."""
+    nv = len(tbl.quiver.vertices)
+    if nv > limit:
+        return None
+    found = [certify_local(projective(tbl, v)) for v in range(nv)]
+    if any(cert is None for cert in found):
+        return None
+    successors = []
+    for ind in found:  # the loop reaches the records it appends
+        if is_injective(ind.module):
+            m = cokernel(socle(ind.module)[1])[0]
+        else:
+            m = almost_split(ind.module, ind.rad_end).x
+        parts = split(m, found)
+        if parts is None:
+            return None
+        index = {id(known): j for j, known in enumerate(found)}
+        for part in parts:
+            if id(part) not in index:
+                if len(found) == limit or part.module.total_dim > 2 * tbl.dimension:
+                    return None
+                index[id(part)] = len(found)
+                found.append(
+                    Indecomposable(part.module.relabeled(f"ind[{len(found)}]"), part.rad_end)
+                )
+        successors.append([index[id(part)] for part in parts])
+    return tuple(found), successors

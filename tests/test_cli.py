@@ -157,6 +157,19 @@ def test_ar_check_negative(capsys):
     assert rec["first_failure"]["degree"] == 3
 
 
+def test_ar_check_stops_reading_degrees_once_the_syzygies_repeat(capsys):
+    # every degree past a zero or repeated syzygy repeats one read as zero,
+    # so a huge --n costs what --n 3 does and prints the same report
+    code, lines = run(capsys, "ar-check", alg("ka2"), "--n", "3")
+    start = time.perf_counter()
+    huge_code, huge_lines = run(capsys, "ar-check", alg("ka2"), "--n", "1000000000")
+    assert time.perf_counter() - start < 1.0
+    (rec,), (huge,) = records(lines), records(huge_lines)
+    assert code == huge_code == 1
+    assert huge["n"] == 1000000000
+    assert {**huge, "n": 3} == rec
+
+
 def test_ar_check_text(capsys):
     code, lines = run(capsys, "ar-check", alg("ka2"), "--n", "1", "--format", "text")
     assert code == 1

@@ -20,6 +20,7 @@ from ardom.homology import (
     ext_dim,
     ext_classes,
     ext_module,
+    first_nonzero_ext,
     gldim,
     gorenstein_dim,
     grade,
@@ -978,6 +979,31 @@ def test_higher_ext_is_degree_one_of_the_syzygy(name, fresh_corpus_table):
             assert all(np.array_equal(x, y) for x, y in zip(e.mats, mats, strict=True))
             nonzero += not e.is_zero
     assert nonzero
+
+
+@pytest.mark.parametrize("name", ["ka2", "auslander-x3", "comm-square", "nak-233", "nak-344"])
+def test_the_ext_search_stops_once_the_syzygies_repeat(name, monkeypatch, fresh_corpus_table):
+    # Ext^i(m, A) is Ext^1 of Ω^{i-1} m, so past a zero or repeated syzygy
+    # every degree repeats one read as zero: a huge n reads no more degrees
+    # than the syzygies take to close their cycle
+    tbl = fresh_corpus_table(name, 101)
+    areg = regular(tbl)
+    simples = [simple(tbl, v) for v in range(len(tbl.quiver.vertices))]
+    mods = sample_modules(tbl, seed=0, size=16) + simples
+    reads = []
+    original = ardom.homology.ext_dim
+    monkeypatch.setattr(
+        ardom.homology, "ext_dim", lambda m, n, i: reads.append(i) or original(m, n, i)
+    )
+    stopped = 0
+    for m in mods:
+        for start in (0, 1):
+            want = next((i for i in range(start, 41) if original(m, areg, i)), None)
+            reads.clear()
+            assert first_nonzero_ext(m, 10**5, start) == want, (m.label, start)
+            assert len(reads) <= 40, (m.label, start)
+            stopped += want is None
+    assert stopped
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from ardom.linalg import PrimeField
 from ardom.modules import (
     ModuleRep,
     certify_local,
+    cokernel,
     direct_sum,
     dual,
     indecomposable_summands,
@@ -33,6 +34,7 @@ from ardom.modules import (
     projective,
     sample_modules,
     simple,
+    socle,
     top_vertices,
 )
 from ardom.verify import _cyclic_series
@@ -122,8 +124,9 @@ def test_the_trace_refusal_answers_as_the_chain_of_powers(
 
 
 def test_refused_middle_terms_stop_at_the_first_products(monkeypatch, fresh_corpus_table):
-    # the knit of auslander-x3 refuses 13 decomposable modules, each on a
-    # product of nonzero trace before a second power is spanned
+    # the knit of auslander-x3 refuses 4 decomposable modules (two radicals
+    # of projectives and two built middle terms), each on a product of
+    # nonzero trace before a second power is spanned
     tbl = fresh_corpus_table("auslander-x3", 101)
     spans = count_row_spaces(monkeypatch)
     refused = []
@@ -139,7 +142,7 @@ def test_refused_middle_terms_stop_at_the_first_products(monkeypatch, fresh_corp
     monkeypatch.setattr(ardom.modules, "certify_local", counted)
     monkeypatch.setattr(ardom.arseq, "certify_local", counted)
     assert len(knit_indecomposables(tbl, 64)) == 21
-    assert refused == [1] * 13
+    assert refused == [1] * 4
 
 
 def test_trace_form_matches_the_reference_isomorphism_search(by_id):
@@ -341,44 +344,133 @@ DYNKIN = {
     "D4-one-out": ("c v1 v2 v3", ["v1 c", "v2 c", "c v3"], 12),
     "D5": ("v1 v2 v3 v4 v5", ["v1 v2", "v2 v3", "v3 v4", "v3 v5"], 20),
     "E6": ("v1 v2 v3 v4 v5 v6", ["v1 v2", "v2 v3", "v4 v3", "v5 v4", "v6 v3"], 36),
+    "E7": ("c a1 a2 b1 b2 b3 d", ["a2 a1", "a1 c", "b3 b2", "b2 b1", "b1 c", "d c"], 63),
+    "E8": (
+        "c a1 a2 b1 b2 b3 b4 d",
+        ["a2 a1", "a1 c", "b4 b3", "b3 b2", "b2 b1", "b1 c", "d c"],
+        120,
+    ),
 }
+
+
+def _dynkin_table(name, p=101):
+    vertices, arrows, _ = DYNKIN[name]
+    text = f"field {p}\nvertices {vertices}\n" + "".join(
+        f"arrow a{i} {a}\n" for i, a in enumerate(arrows)
+    )
+    return table_from_text(text, label=f"{name}@{p}")
 
 
 @pytest.mark.parametrize("name", DYNKIN)
 def test_knitting_a_dynkin_path_algebra_finds_one_module_per_positive_root(name):
     # Gabriel's theorem: the indecomposables of a Dynkin path algebra are
     # counted by the positive roots, whatever the orientation
-    vertices, arrows, roots = DYNKIN[name]
-    text = f"field 101\nvertices {vertices}\n" + "".join(
-        f"arrow a{i} {a}\n" for i, a in enumerate(arrows)
-    )
-    tbl = table_from_text(text, label=name)
-    listed = knit_indecomposables(tbl, 64)
-    assert listed is not None and len(listed) == roots
+    listed = knit_indecomposables(_dynkin_table(name), 128)
+    assert listed is not None and len(listed) == DYNKIN[name][2]
     for i, a in enumerate(listed):
         assert [j for j, b in enumerate(listed) if isomorphic_to(a.module, b)] == [i]
 
 
+CORPUS_IDS = sorted(name[: -len(".alg")] for name in os.listdir(CORPUS) if name.endswith(".alg"))
+# every corpus entry over four fields, six Dynkin quivers over two, and
+# every cyclic Nakayama algebra with at most 4 simples and Loewy length 5
+DIFFERENTIAL_CASES = (
+    [("corpus", name, p) for name in CORPUS_IDS for p in (2, 3, 5, 101)]
+    + [
+        ("dynkin", name, p)
+        for name in ("A4-alternating", "D4-into-centre", "D5", "E6", "E7", "E8")
+        for p in (2, 101)
+    ]
+    + [("nakayama", series, 101) for m in range(1, 5) for series in _cyclic_series(m, 5)]
+)
+
+
+def test_the_differential_cases_are_the_pinned_set():
+    assert len(CORPUS_IDS) == 14
+    assert len(DIFFERENTIAL_CASES) == len(set(DIFFERENTIAL_CASES)) == 116
+
+
+@pytest.mark.parametrize(
+    "kind, key, p",
+    DIFFERENTIAL_CASES,
+    ids=[f"{kind}-{'-'.join(map(str, key)) if kind == 'nakayama' else key}@{p}"
+         for kind, key, p in DIFFERENTIAL_CASES],
+)
+def test_the_mesh_knit_matches_the_knit_by_sequences(kind, key, p, fresh_corpus_table):
+    # the same modules, each with the successors its built sequence shows
+    if kind == "corpus":
+        tbl = fresh_corpus_table(key, p)
+    elif kind == "dynkin":
+        tbl = _dynkin_table(key, p)
+    else:
+        tbl = nakayama_from_kupisch(list(key), cyclic=True)
+    got = ardom.arseq._knit(tbl, 128)
+    want = reference.knit_by_sequences(tbl, 128, indecomposable_summands)
+    if want is None:
+        assert got is None
+        return
+    assert got is not None and len(got[0]) == len(want[0])
+    assert [ind.module.signature() for ind in knit_indecomposables(tbl, 128)] == [
+        ind.module.signature() for ind in got[0]
+    ]
+    to_want = []
+    for ind in got[0]:
+        (j,) = [j for j, b in enumerate(want[0]) if isomorphic_to(ind.module, b)]
+        to_want.append(j)
+    assert sorted(to_want) == list(range(len(want[0])))
+    for i, successors in got[1].items():
+        assert Counter(to_want[j] for j in successors) == Counter(want[1][to_want[i]])
+
+
+@pytest.mark.parametrize("eid", CORPUS_IDS)
+def test_the_mesh_is_the_middle_term_of_each_built_sequence(eid, by_id):
+    # succ(U) read off the mesh is the middle term of U's almost split
+    # sequence, summand by summand, and τ⁻¹U is the listed module indexed
+    tbl = by_id[eid].load_table()
+    knit = ardom.arseq._knit(tbl, 64)
+    if eid in ("kronecker", "wild3"):  # representation-infinite
+        assert knit is None
+        return
+    listed, successors, inverse_translates = knit
+    assert set(successors) == set(range(len(listed)))
+    injective = {i for i, ind in enumerate(listed) if is_injective(ind.module)}
+    assert set(inverse_translates) == set(range(len(listed))) - injective
+    index = {id(b): j for j, b in enumerate(listed)}
+    for i, ind in enumerate(listed):
+        if i in injective:
+            x = cokernel(socle(ind.module)[1])[0]
+        else:
+            x = almost_split(ind.module, ind.rad_end).x
+            v = tau_inverse(ind.module)
+            assert [j for j, b in enumerate(listed) if isomorphic_to(v, b)] == [
+                inverse_translates[i]
+            ], ind.module.label
+        parts = indecomposable_summands(x, listed)
+        assert parts is not None and all(id(part) in index for part in parts), ind.module.label
+        assert Counter(index[id(part)] for part in parts) == Counter(successors[i]), (
+            ind.module.label
+        )
+
+
 @pytest.mark.parametrize("eid", ("auslander-x3", "comm-square") + NAKAYAMA_IDS)
 def test_the_inverse_translate_of_a_listed_module_is_one_listed_module(eid, by_id):
-    # the knit never places τ⁻¹U itself: it must still be indecomposable and
-    # listed, reached through the middle terms
+    # τ⁻¹ is a bijection from the non-injective listed modules onto the
+    # non-projective ones, each τ⁻¹U indecomposable and listed once
     tbl = by_id[eid].load_table()
     listed = knit_indecomposables(tbl, 64)
     nv = len(tbl.quiver.vertices)
-    sequences = 0
-    for i, ind in enumerate(listed):
+    hit = []
+    for ind in listed:
         if is_injective(ind.module):
             continue
-        if i < nv:
-            seq = almost_split_from_projective(tbl, i)
-        else:
-            seq = almost_split(ind.module, ind.rad_end)
-        parts = indecomposable_summands(seq.v)
+        v = tau_inverse(ind.module)
+        parts = indecomposable_summands(v)
         assert parts is not None and len(parts) == 1, ind.module.label
-        assert sum(isomorphic_to(parts[0].module, b) for b in listed) == 1, ind.module.label
-        sequences += 1
-    assert sequences == len(listed) - nv
+        (j,) = [j for j, b in enumerate(listed) if isomorphic_to(parts[0].module, b)]
+        hit.append(j)
+    assert sorted(hit) == list(range(nv, len(listed)))
+
+
 # --- where knitting gives up ------------------------------------------------
 
 
@@ -399,7 +491,8 @@ def test_representation_infinite_entries_do_not_knit(name, monkeypatch, fresh_co
     calls = count_sequences(monkeypatch)
     tbl = fresh_corpus_table(name, 101)
     assert knit_indecomposables(tbl, 64) is None
-    assert 1 <= len(calls) <= 64
+    # the mesh walks the preprojective component past 2·dim A unbuilt
+    assert calls == []
     assert knit_indecomposables(tbl, 64) is None
     assert knit_indecomposables(tbl, 1) is None  # fewer than the projectives
 

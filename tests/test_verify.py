@@ -245,19 +245,19 @@ def test_a_failing_sampled_module_fails_the_record(by_id, monkeypatch):
 
 
 def test_a_failing_knitted_module_is_named_in_the_witness(by_id, monkeypatch):
-    # pretend ind[5] of comm-square is its own torsion: grade 0 < domdim 1
+    # pretend ind[4] of comm-square is its own torsion: grade 0 < domdim 1
     import ardom.verify
 
     real = ardom.verify.torsion
-    monkeypatch.setattr(ardom.verify, "torsion", lambda m: m if m.label == "ind[5]" else real(m))
+    monkeypatch.setattr(ardom.verify, "torsion", lambda m: m if m.label == "ind[4]" else real(m))
     tbl = by_id["comm-square"].load_table()
     v = verify_grade_formulas(tbl)
     assert v.status == "fail"
     w = v.detail["witness"]
-    assert (w["indecomposable"], w["which"], w["grade"]) == (5, "torsion", "0")
+    assert (w["indecomposable"], w["which"], w["grade"]) == (4, "torsion", "0")
     listed = knit_indecomposables(tbl, 64)
-    assert w["module_dims"] == list(listed[5].module.dims)
-    assert w["module_text"] == serialize_module(listed[5].module)
+    assert w["module_dims"] == list(listed[4].module.dims) == [0, 1, 1, 1]
+    assert w["module_text"] == serialize_module(listed[4].module)
 
 
 def test_cor47_on_auslander_entries(by_id):
