@@ -29,7 +29,6 @@ from .modules import (
     ModuleMorphism,
     ModuleRep,
     dual,
-    dual_regular,
     cokernel,
     injective,
     is_injective,
@@ -418,8 +417,11 @@ def torsion(m: ModuleRep) -> ModuleRep:
     g is cover·φ for one φ, so φ_u = s_u·g_u for any section s_u of the
     cover at u.  The canonical kernel basis depends only on the column
     space, so the module is bit-identical to the kernel of the evaluation
-    map into the double dual (``tests/reference.py``).  A projective m is
-    torsionless.  Kept per module signature, under each caller's label.
+    map into the double dual (``tests/reference.py``).  A module that
+    embeds in a projective is torsionless, so no system is read for a
+    projective m, nor for an m whose injective envelope, ⊕ I(v) over the
+    socle vertices :func:`top_vertices` of D m, is projective.  Kept per
+    module signature, under each caller's label.
     """
     return _torsion(m).relabeled(f"t({m.label})")
 
@@ -428,7 +430,10 @@ def torsion(m: ModuleRep) -> ModuleRep:
 def _torsion(m: ModuleRep) -> ModuleRep:
     tbl = m.algebra
     f = tbl.field
-    if is_projective(m):  # a summand of a free module: nothing dies in m**
+    # m embeds in a projective: nothing dies in m**
+    if is_projective(m) or all(
+        is_projective(injective(tbl, v)) for v in top_vertices(dual(m))
+    ):
         return submodule_from_rows(m, [f.zeros(0, d) for d in m.dims], label=f"t({m.label})")[0]
     p0, cover = proj_cover(m)
     sections = [f.solve_left(c, f.eye(d)) for c, d in zip(cover.mats, m.dims)]
@@ -499,6 +504,7 @@ def _coresolution_walk(m: ModuleRep, cap: int, certify: bool = True) -> CappedNa
     return CappedNat.at_least(cap + 1)
 
 
+@memoized
 def domdim_algebra(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat:
     """domdim A, the least domdim P(v) over the non-injective P(v).
 
@@ -517,7 +523,7 @@ def domdim_algebra(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat:
 
     Values combine as the whole-module walk combines them: the least
     exact value if any; infinite when every summand is, periodic if one
-    of them is; otherwise at least ``cap + 1``.
+    of them is; otherwise at least ``cap + 1``.  Kept per table and cap.
     """
     if "selfinjective" in tbl.flags or "symmetric" in tbl.flags:
         return CappedNat.infinite("selfinjective flag")
@@ -582,10 +588,33 @@ def gldim(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat:
     return CappedNat.exact(best)
 
 
+def _regular_injdim(tbl: AlgebraTable, cap: int) -> CappedNat:
+    """injdim A_A, read one indecomposable injective at a time.
+
+    D is a duality, so injdim A_A = pdim D(A_A) over the opposite algebra,
+    and D(A_A) = ⊕_v D P(v).  Minimal resolutions are additive: the cover
+    of M ⊕ N is the sum of the covers, so the syzygies of the sum are
+    those of M and N side by side and pdim(M ⊕ N) = max(pdim M, pdim N).
+    So injdim A_A is the exact maximum of the pdim D P(v) when every one is
+    exact; otherwise it is the first value that is not, which is at least
+    ``cap + 1`` like the walk of the whole sum.  Over the opposite table
+    this is injdim of the left regular module, the max of pdim I(v) over A.
+    """
+    best = 0
+    for v in range(len(tbl.quiver.vertices)):
+        d = pdim(dual(projective(tbl, v)), cap)
+        if not d.is_exact:
+            return d
+        best = max(best, d.value)
+    return CappedNat.exact(best)
+
+
 def gorenstein_dim(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat:
-    """Injective dimension of the regular module, required equal on both sides."""
-    right = injdim(regular(tbl), cap)
-    left = injdim(regular(opposite(tbl)), cap)
+    """Injective dimension of the regular module, required equal on both
+    sides; each side is :func:`_regular_injdim`, so D(A) is never resolved
+    whole, and the D P(v) are the modules the AR sweep resolves."""
+    right = _regular_injdim(tbl, cap)
+    left = _regular_injdim(opposite(tbl), cap)
     if right.is_exact and left.is_exact:
         if right.value != left.value:
             raise InvariantError(
@@ -644,15 +673,37 @@ def is_n_torsion_free(m: ModuleRep, n: int) -> bool:
     return torsion_free_failure_degree(m, n) is None
 
 
+@memoized
 def domdim_R_via_mueller(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat:
     """Dominant dimension of End(A ⊕ DA) by the classical formula.
 
     A ⊕ DA is a generator-cogenerator, so the dominant dimension of its
     endomorphism ring equals inf{i >= 1 : Ext^i(DA, A) != 0} + 1, and is
     infinite exactly when DA is projective (the selfinjective case).
+
+    D is a duality, so Ext^i_A(DA, A) ≅ Ext^i_{A°}(D A_A, A°) with
+    D A_A = ⊕_v D P(v), and Ext is additive in its first argument: the
+    least nonzero degree is the least :func:`first_nonzero_ext` of the
+    D P(v), the modules the AR sweep and the dominant dimension walk read.
+    An injective P(v) has D P(v) projective, with no Ext in degrees >= 1,
+    and is skipped.  DA is projective exactly when every P(v) is injective:
+    the P(v) are then as many pairwise non-isomorphic indecomposable
+    injectives as there are I(v).  After the first nonzero degree, each
+    later D P(v) is searched only below the least one so far, the only
+    degrees that can lower it.  Kept per table and cap.
     """
-    da = dual_regular(tbl)
-    if is_projective(da):
+    least = None  # the least nonzero degree so far
+    selfinjective = True
+    for v in range(len(tbl.quiver.vertices)):
+        pv = projective(tbl, v)
+        if is_injective(pv):
+            continue
+        selfinjective = False
+        i = first_nonzero_ext(dual(pv), cap if least is None else least - 1)
+        if i is not None:
+            least = i
+            if least == 1:
+                break
+    if selfinjective:
         return CappedNat.infinite("dual regular module is projective")
-    i = first_nonzero_ext(da, cap)
-    return CappedNat.at_least(cap + 2) if i is None else CappedNat.exact(i + 1)
+    return CappedNat.at_least(cap + 2) if least is None else CappedNat.exact(least + 1)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import inspect
 import itertools
+import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -895,6 +896,9 @@ def is_injective(m: ModuleRep) -> bool:
 # ---------------------------------------------------------------------------
 
 # Seeded random endomorphisms tried on a module before its split is given up.
+# Their coefficients come from the standard library's ``random.Random``: the
+# Krull–Schmidt splitter then never imports ``numpy.random``, a few ms in each
+# fresh process, which only the seeded module sample needs.
 _SPLIT_TRIALS = 16
 
 
@@ -1058,7 +1062,7 @@ def _fitting_split(m: ModuleRep, rng) -> Optional[tuple]:
     f = m.algebra.field
     rows = _end_rows(m)
     for _ in range(_SPLIT_TRIALS):
-        coeffs = rng.integers(0, f.p, size=len(rows))
+        coeffs = np.array([rng.randrange(f.p) for _ in range(len(rows))], dtype=np.int64)
         phi = morphism_from_flat(m, m, coeffs @ rows % f.p)
         lam = _eigenvalue(phi.mats, f.p)
         if lam is None:
@@ -1090,12 +1094,12 @@ def indecomposable_summands(m: ModuleRep, listed=()) -> Optional[list]:
     is returned as that record; any other is certified by
     :func:`certify_local`, or else split by :func:`_fitting_split` and its
     parts decomposed in turn, kernel part first.  ``listed`` itself is not
-    changed.  The seeded random endomorphisms only look for splits: every
-    summand returned carries a certificate, and a decomposable or (p | dim)
-    uncertifiable summand that no trial splits gives None, never an
-    uncertified answer.
+    changed.  The random endomorphisms, drawn from ``random.Random(0)``
+    afresh in each call, only look for splits: every summand returned
+    carries a certificate, and a decomposable or (p | dim) uncertifiable
+    summand that no trial splits gives None, never an uncertified answer.
     """
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     known = list(listed)
     out, todo = [], [m] if m.total_dim else []
     while todo:

@@ -13,7 +13,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .algebra import AlgebraTable, InputError, nakayama_from_kupisch
+from .algebra import AlgebraTable, InputError, nakayama_from_kupisch, opposite
 from .arseq import failure_witness, has_n_tf_ar_sequences, knit_indecomposables
 from .corpus import CorpusEntry, load_corpus
 from .homology import (
@@ -30,8 +30,9 @@ from .homology import (
     torsion,
 )
 from .modules import (
-    dual_regular,
+    dual,
     nakayama_indecomposables,
+    projective,
     regular,
     sample_modules,
     serialize_module,
@@ -188,7 +189,10 @@ def verify_gorenstein(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> Verdict:
 
     For a non-selfinjective algebra of exact Gorenstein dimension g >= 1,
     Ext^g of the dual regular module against the regular one must be nonzero
-    and the g-torsion-free AR property must fail.
+    and the g-torsion-free AR property must fail.  D is a duality, so
+    Ext^g_A(DA, A) ≅ Ext^g over the opposite algebra of (D A_A, A°), and
+    D A_A = ⊕_v D P(v): ``ext_g_dim`` is the sum of the Ext^g(D P(v), A°),
+    the modules that :func:`~ardom.homology.gorenstein_dim` resolves.
     """
     detail = {"cap": cap}
     if "selfinjective" in tbl.flags:
@@ -202,7 +206,10 @@ def verify_gorenstein(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> Verdict:
     if g.value == 0:
         detail["note"] = "vacuous: Gorenstein dimension 0"
         return Verdict("gorenstein", tbl.label, "pass", detail)
-    ext_g = ext_dim(dual_regular(tbl), regular(tbl), g.value)
+    areg = regular(opposite(tbl))
+    ext_g = sum(
+        ext_dim(dual(projective(tbl, v)), areg, g.value) for v in range(len(tbl.quiver.vertices))
+    )
     ar_holds, report = has_n_tf_ar_sequences(tbl, g.value)
     detail["ext_g_dim"] = ext_g
     detail["ar_side"] = ar_holds

@@ -17,6 +17,11 @@ exact route, and is kept only so that the tests can check the two agree:
 - :func:`domdim_whole`, the dominant dimension of A read off the
   coresolution of the regular module as one module, against the summand
   route ``ardom.homology.domdim_algebra``;
+- :func:`mueller_whole`, :func:`gorenstein_whole` and :func:`ext_g_whole`,
+  Müller's formula, the Gorenstein dimension and Ext^g(DA, A) with D(A)
+  resolved whole, against ``ardom.homology.domdim_R_via_mueller`` and
+  ``gorenstein_dim`` and the ``ext_g_dim`` of ``ardom.verify``, which read
+  them off the D P(v) one indecomposable injective at a time;
 - :func:`left_mult_morphism`, left multiplication P(src) -> P(dst) by an
   algebra element, multiplied out path by path, against the Yoneda rows
   that :func:`arrow_left_mult` and ``ardom.arseq.projective_rad_end`` read;
@@ -46,7 +51,9 @@ exact route, and is kept only so that the tests can check the two agree:
 Nothing here is memoised, and nothing here calls the routes it checks.
 :func:`domdim_whole` walks the one coresolution walk there is,
 ``domdim_module``, but on A whole, so it checks the split into the P(v)
-and how their values combine.
+and how their values combine; the whole-module Müller and Gorenstein
+routes likewise walk the one resolution and Ext search there are,
+``pdim`` and ``first_nonzero_ext``, on D(A) whole.
 """
 
 import itertools
@@ -64,6 +71,8 @@ from ardom.homology import (
     InvariantError,
     domdim_module,
     ext_dim,
+    first_nonzero_ext,
+    pdim,
     syzygy,
     tau,
 )
@@ -74,8 +83,10 @@ from ardom.modules import (
     ModuleRep,
     certify_local,
     cokernel,
+    dual,
     dual_regular,
     is_injective,
+    is_projective,
     kernel,
     morphism_from_flat,
     proj_cover,
@@ -282,6 +293,33 @@ def domdim_whole(tbl, cap: int = DEFAULT_CAP) -> CappedNat:
     if "selfinjective" in tbl.flags or "symmetric" in tbl.flags:
         return CappedNat.infinite("selfinjective flag")
     return domdim_module(regular(tbl), cap)
+
+
+def mueller_whole(tbl, cap: int = DEFAULT_CAP) -> CappedNat:
+    """domdim End(A ⊕ DA) by Müller's formula, 1 + the least i >= 1 with
+    Ext^i(DA, A) nonzero, D(A) resolved whole as a module over A."""
+    da = dual_regular(tbl)
+    if is_projective(da):
+        return CappedNat.infinite("dual regular module is projective")
+    i = first_nonzero_ext(da, cap)
+    return CappedNat.at_least(cap + 2) if i is None else CappedNat.exact(i + 1)
+
+
+def gorenstein_whole(tbl, cap: int = DEFAULT_CAP) -> CappedNat:
+    """The Gorenstein dimension from injdim A on both sides, each the pdim
+    of the dual of the whole regular module."""
+    right = pdim(dual(regular(tbl)), cap)
+    left = pdim(dual(regular(opposite(tbl))), cap)
+    if right.is_exact and left.is_exact:
+        if right.value != left.value:
+            raise InvariantError("one-sided finite injective dimensions disagree")
+        return right
+    return CappedNat.at_least(min(right.value, left.value))
+
+
+def ext_g_whole(tbl, g: int) -> int:
+    """dim Ext^g(DA, A) over A, D(A) resolved whole."""
+    return ext_dim(dual_regular(tbl), regular(tbl), g)
 
 
 def left_mult_morphism(tbl, element: dict, src: int, dst: int) -> ModuleMorphism:

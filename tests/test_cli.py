@@ -517,6 +517,55 @@ def test_verify_output_is_byte_identical_to_the_golden_digest(capsys):
     assert code == 3
 
 
+# Run as ``main`` in a fresh interpreter: the worker wrapper fails a
+# ``--jobs`` run whose workers load numpy.random, and the exit status fails a
+# run that loads it in the parent.  The wrapper lives in an importable module
+# so that a worker can unpickle it under any start method.
+NUMPY_RANDOM_PROBE = """
+import sys
+
+import ardom.verify
+from ardom.cli import main as cli_main
+
+entry_worker = ardom.verify._entry_worker
+
+
+def checked_worker(args):
+    rows = entry_worker(args)
+    if "numpy.random" in sys.modules:
+        raise RuntimeError("a verify worker loaded numpy.random")
+    return rows
+
+
+def main(argv):
+    ardom.verify._entry_worker = checked_worker
+    code = cli_main(argv)
+    return "verify loaded numpy.random" if "numpy.random" in sys.modules else code
+"""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_never_loads_numpy_random(jobs, tmp_path):
+    # only the seeded module sample draws from numpy.random; a verify whose
+    # grade suite knits or lists every indecomposable never imports it,
+    # which costs several ms in each fresh process and each worker
+    (tmp_path / "numpy_random_probe.py").write_text(NUMPY_RANDOM_PROBE)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([SRC, str(tmp_path)] + ([path] if path else [])),
+    )
+    probe = "import sys, numpy_random_probe\nsys.exit(numpy_random_probe.main(sys.argv[1:]))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "verify", "--jobs", jobs, "--n", "1..3", CORPUS],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == VERIFY_N_1_3_SHA256
+
+
 def test_default_verify_checks_every_indecomposable(capsys):
     # every grade and torsion-pdim record proves its bounds: vacuous, or all
     # indecomposables (uniserials or a knitted AR quiver), never a sample

@@ -56,7 +56,7 @@ from ardom.modules import (
     validate,
     zero_module,
 )
-from ardom.verify import _cyclic_series
+from ardom.verify import _cyclic_series, verify_gorenstein
 import reference
 from reference import (
     arrow_left_mult,
@@ -608,6 +608,41 @@ def test_domdim_by_summands_equals_the_whole_module(fresh_corpus_table, nak33_un
         assert str(got) == "inf (finite coresolution with all terms projective)"
 
 
+def test_mueller_and_gorenstein_by_summands_equal_the_whole_module(fresh_corpus_table):
+    # the routes through the D P(v) against D(A) resolved whole
+    # (tests/reference.py), in kind, value and certificate, and the ext_g_dim
+    # of the gorenstein record against Ext^g(DA, A) read whole
+    names = sorted(f[: -len(".alg")] for f in os.listdir(CORPUS) if f.endswith(".alg"))
+    tables = [lambda name=name, p=p: fresh_corpus_table(name, p)
+              for name in names for p in (101, 2, 3, 5)]
+    tables += [lambda c=c: nakayama_from_kupisch(c, cyclic=True)
+               for m in range(1, 5) for c in _cyclic_series(m, 6)]
+    tables += [lambda c=c: nakayama_from_kupisch(c, cyclic=False)
+               for m in range(1, 6) for c in linear_series(m)]
+    kinds, ext_g_read = set(), 0
+    for build in tables:
+        for cap in (0, 1, 2, 3, 30):
+            tbl = build()  # fresh, so the summand routes start from an empty memo
+            mu = domdim_R_via_mueller(tbl, cap)
+            g = gorenstein_dim(tbl, cap)
+            assert mu == reference.mueller_whole(tbl, cap), (tbl.label, cap)
+            assert g == reference.gorenstein_whole(tbl, cap), (tbl.label, cap)
+            kinds |= {("mueller", mu.kind, mu.certificate), ("gorenstein", g.kind)}
+            record = verify_gorenstein(tbl, cap).detail
+            if "ext_g_dim" in record:
+                assert record["ext_g_dim"] == reference.ext_g_whole(tbl, g.value), tbl.label
+                ext_g_read += 1
+    assert len(tables) * 5 == 720
+    assert kinds == {
+        ("mueller", "exact", ""),
+        ("mueller", "at_least", ""),
+        ("mueller", "infinite", "dual regular module is projective"),
+        ("gorenstein", "exact"),
+        ("gorenstein", "at_least"),
+    }
+    assert ext_g_read
+
+
 # ---------------------------------------------------------------------------
 # pdim / gldim / Gorenstein
 # ---------------------------------------------------------------------------
@@ -1026,7 +1061,7 @@ def test_ext_module_check_raises_without_asserts(monkeypatch):
 
 def test_gorenstein_disagreement_raises(monkeypatch, a2):
     sides = iter([CappedNat.exact(1), CappedNat.exact(2)])
-    monkeypatch.setattr(ardom.homology, "injdim", lambda m, cap: next(sides))
+    monkeypatch.setattr(ardom.homology, "_regular_injdim", lambda tbl, cap: next(sides))
     with pytest.raises(InvariantError, match="disagree"):
         gorenstein_dim(a2)
 

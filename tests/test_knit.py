@@ -471,6 +471,54 @@ def test_the_inverse_translate_of_a_listed_module_is_one_listed_module(eid, by_i
     assert sorted(hit) == list(range(nv, len(listed)))
 
 
+def tau_orbit_cycles(inverse_translates):
+    """The cycles of the partial map i -> index of τ⁻¹U_i, each as a set."""
+    cycles, seen = [], set()
+    for start in inverse_translates:
+        path, i = [], start
+        while i in inverse_translates and i not in seen:
+            seen.add(i)
+            path.append(i)
+            i = inverse_translates[i]
+        if i in path:
+            cycles.append(set(path[path.index(i):]))
+    return cycles
+
+
+KNIT_BUILD_CASES = [("corpus", name, p) for name in CORPUS_IDS for p in (2, 3, 5, 101)] + [
+    ("nakayama", series, 101) for m in range(1, 5) for series in _cyclic_series(m, 5)
+]
+
+
+def test_the_knit_builds_one_sequence_per_tau_periodic_orbit(monkeypatch, fresh_corpus_table):
+    # a sequence is built only where no mesh is known: once on each τ-orbit
+    # that is a cycle, where no walk back along τ reaches a projective, and
+    # nowhere else
+    calls = count_sequences(monkeypatch)
+    knitted = 0
+    for kind, key, p in KNIT_BUILD_CASES:
+        if kind == "corpus":
+            tbl = fresh_corpus_table(key, p)
+        else:
+            tbl = nakayama_from_kupisch(list(key), cyclic=True)
+        del calls[:]
+        knit = ardom.arseq._knit(tbl, 64)
+        if knit is None:
+            continue
+        knitted += 1
+        listed, _, inverse_translates = knit
+        cycles = tau_orbit_cycles(inverse_translates)
+        assert len(calls) == len(cycles), tbl.label
+        index = {id(ind.module): i for i, ind in enumerate(listed)}
+        built = [index[id(u)] for u in calls]
+        assert all(sum(i in cycle for i in built) == 1 for cycle in cycles), tbl.label
+        if tbl.label == "auslander-x3@101":
+            assert sorted(map(sorted, cycles)) == [
+                [3, 7, 9, 11], [4, 8, 10, 12], [13, 14, 15, 16], [17, 18, 19, 20]
+            ]
+    assert knitted == 73
+
+
 # --- where knitting gives up ------------------------------------------------
 
 
@@ -479,7 +527,7 @@ def count_sequences(monkeypatch):
     original = ardom.arseq.almost_split
 
     def counted(u, rad_end, *args):
-        calls.append(u.dims)
+        calls.append(u)
         return original(u, rad_end, *args)
 
     monkeypatch.setattr(ardom.arseq, "almost_split", counted)
