@@ -227,9 +227,14 @@ def parse_presentation(text: str) -> Presentation:
         if head == "field":
             if p is not None:
                 raise PresentationError("duplicate field line", lineno)
-            if len(rest) != 1 or not rest[0].isdigit():
+            if len(rest) != 1 or not rest[0].isdecimal():
                 raise PresentationError("expected: field <prime>", lineno)
-            p = int(rest[0])
+            try:
+                p = int(rest[0])
+            except ValueError as exc:  # past int()'s digit limit
+                raise PresentationError(
+                    f"field has too many digits ({len(rest[0])})", lineno
+                ) from exc
         elif head == "vertices":
             if not rest:
                 raise PresentationError("vertices line needs at least one name", lineno)
@@ -306,8 +311,13 @@ def _parse_relation(quiver: Quiver, fld: PrimeField, toks: list[str], lineno: in
     for sign, term in terms:
         factors = term.split("*")
         coeff = 1
-        if factors and factors[0].isdigit():
-            coeff = int(factors[0])
+        if factors and factors[0].isdecimal():
+            try:
+                coeff = int(factors[0])
+            except ValueError as exc:  # past int()'s digit limit
+                raise PresentationError(
+                    f"coefficient has too many digits ({len(factors[0])})", lineno
+                ) from exc
             factors = factors[1:]
         for f in factors:
             if f not in quiver.arrow_index:

@@ -109,7 +109,7 @@ def load_corpus(root: str) -> list:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past int()'s digit limit
             raise CorpusError(f"{manifest_path}: invalid JSON: {exc}") from exc
     raw_entries = manifest.get("entries") if isinstance(manifest, dict) else None
     if not isinstance(raw_entries, list) or not raw_entries:

@@ -17,6 +17,7 @@ are always exact.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +152,19 @@ class CappedNat:
             return CappedNat.exact(min(exacts))
         return CappedNat.at_least(min(bounds + exacts))
 
+    @staticmethod
+    def greatest(values) -> "CappedNat":
+        """The exact greatest of ``values`` when every one is exact, else the
+        first that is not, and no later one is read.  Every maximum the values
+        allow is allowed by that one; it is also the tightest answer when,
+        as for pdims capped at ``cap + 1``, a bound exceeds every exact value."""
+        best = 0
+        for v in values:
+            if not v.is_exact:
+                return v
+            best = max(best, v.value)
+        return CappedNat.exact(best)
+
     def __str__(self):
         if self.kind == "exact":
             return str(self.value)
@@ -180,26 +194,41 @@ def syzygy(m: ModuleRep, k: int = 1) -> ModuleRep:
     """Ω^k m, the kernel of the projective cover taken k times.
 
     Degree i of the minimal resolution of m is degree 0 of Ω^i m: P_i is
-    the cover of Ω^i m and d_i is d_1 of Ω^{i-1} m.  Each step is the shared
-    :func:`omega` of a module signature, so resolutions whose syzygies
-    coincide compute each step once.  For the same reason Ω^j m for j >= 1
-    depends only on the signature of Ω^{j-1} m: once a signature repeats
-    with period q, whole periods are skipped, and a large k costs at most
-    one walk into the cycle and once around it.
+    the cover of Ω^i m and d_i is d_1 of Ω^{i-1} m.  Read along
+    :func:`_walk`, so a large k costs at most one walk into the cycle of
+    syzygies and once around it.
     """
     if k < 0:
         raise ValueError("negative syzygy degree")
-    seen = {}  # signature of Ω^j m -> j, for the steps j >= 1 taken so far
-    j = 0
-    while j < k and not m.is_zero:
+    if k == 0:
+        return m
+    syz = m  # a zero m yields no step
+    for j, (syz, q) in enumerate(_walk(m), 1):
+        if j == k:
+            return syz
+        if q:
+            return syzygy(syz, (k - j) % q)
+    return syz
+
+
+def _walk(m: ModuleRep):
+    """(Ω^j m, q) for j = 1, 2, ...: the one syzygy walk, and the only place
+    that notices a repeat.  Each step is the shared :func:`omega` of a
+    module signature, so resolutions whose syzygies coincide compute each
+    step once, and Ω^{j+1} m depends only on the signature of Ω^j m.  So the
+    walk ends after a zero syzygy, and at the first Ω^j m whose signature
+    repeats that of Ω^{j−q} m (j − q >= 1), yielded with that q > 0: past
+    either it only repeats.  q is 0 on every other item; m itself is not
+    counted as seen, and a zero m yields nothing."""
+    seen = {}  # signature of Ω^j m -> j
+    for j in itertools.count(1):
+        if m.is_zero:
+            return
         m = omega(m)[0]
-        j += 1
-        sig = m.signature()
-        if sig in seen:
-            period = j - seen[sig]
-            j += (k - j) // period * period
-        seen[sig] = j
-    return m
+        q = j - seen.setdefault(m.signature(), j)
+        yield m, q
+        if q:
+            return
 
 
 @memoized
@@ -470,12 +499,10 @@ def domdim_module(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
     The j-th term is the dual of the cover of the j-th cosyzygy's dual,
     ⊕ I(v) over the vertices v of that dual's top (:func:`top_vertices`),
     and by Krull–Schmidt it is projective iff each I(v) is, so each
-    distinct I(v) is asked once.  A cover is built only to step to the next
-    cosyzygy.  Certified infinite when the coresolution
-    terminates with all terms projective or when a cosyzygy's signature
-    repeats while all terms so far are projective (each cosyzygy depends only
-    on the signature of the one before, so the terms then cycle); otherwise
-    capped.
+    distinct I(v) is asked once.  The cosyzygies are D m and its
+    :func:`_walk`.  Certified infinite when the coresolution terminates with
+    all terms projective or when the walk repeats while all terms so far are
+    projective (the terms then cycle); otherwise capped.
     """
     if m.is_zero:
         return CappedNat.infinite("zero module")
@@ -488,20 +515,36 @@ def _coresolution_walk(m: ModuleRep, cap: int, certify: bool = True) -> CappedNa
     certifies no infinite value there: enough where only an exact value up
     to ``cap`` counts."""
     cos = dual(m)  # coresolution of m = dual of the resolution of D(m)
-    seen = set()  # signatures of the cosyzygies so far
-    for j in range(cap + 1):
+    steps = itertools.chain([(cos, 0)], _walk(cos))
+    for j, (cos, q) in enumerate(itertools.islice(steps, cap + 1 + certify)):
+        if cos.is_zero or q:
+            return CappedNat.infinite(_PERIODIC if q else _FINITE)
+        if j > cap:  # read only to certify
+            break
         tops = dict.fromkeys(top_vertices(cos))
         if not all(is_projective(injective(m.algebra, v)) for v in tops):
             return CappedNat.exact(j)
-        if j == cap and not certify:
-            break
-        cos = omega(cos)[0]
-        if cos.is_zero:
-            return CappedNat.infinite(_FINITE)
-        if cos.signature() in seen:
-            return CappedNat.infinite(_PERIODIC)
-        seen.add(cos.signature())
     return CappedNat.at_least(cap + 1)
+
+
+def _least_over_summands(tbl: AlgebraTable, search, cap: int, floor: int = 0) -> list:
+    """The values ``search(P(v), bound)`` over the non-injective P(v), in
+    vertex order: the fold of a least value over the summands of A.
+    ``bound`` is ``cap`` until some value is exact, and then the least exact
+    value minus 1, since only values below it can lower it; the fold stops
+    once a value is ``floor``.  Every value past the first exact one is
+    exact or a bound at least the least exact value."""
+    values, bound = [], cap
+    for v in range(len(tbl.quiver.vertices)):
+        pv = projective(tbl, v)
+        if is_injective(pv):
+            continue
+        values.append(search(pv, bound))
+        if values[-1].is_exact:
+            bound = values[-1].value - 1
+            if bound < floor:
+                break
+    return values
 
 
 @memoized
@@ -516,10 +559,9 @@ def domdim_algebra(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat:
     every summand is.  So the first non-projective term of A comes at the
     least j at which some P(v) has one, and D(A) is never resolved whole.
     A projective-injective P(v) has the coresolution P(v) -> 0, with no
-    non-projective term, and is skipped.  Each P(v) walks up to ``cap``
-    until one has an exact value; each later one walks only through the
-    terms below the least exact value so far, since only those can lower
-    it, and builds no cosyzygy past them.
+    non-projective term, and is skipped.  The summands are folded by
+    :func:`_least_over_summands`; a walk below the first ``cap`` builds no
+    cosyzygy past its bound.
 
     Values combine as the whole-module walk combines them: the least
     exact value if any; infinite when every summand is, periodic if one
@@ -527,48 +569,24 @@ def domdim_algebra(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat:
     """
     if "selfinjective" in tbl.flags or "symmetric" in tbl.flags:
         return CappedNat.infinite("selfinjective flag")
-    least = None  # the least exact value so far
-    capped = False
-    certificates = set()
-    for v in range(len(tbl.quiver.vertices)):
-        pv = projective(tbl, v)
-        if is_injective(pv):
-            continue
-        if least is None:
-            got = _coresolution_walk(pv, cap)
-        else:
-            got = _coresolution_walk(pv, least - 1, certify=False)
-        if got.is_exact:
-            least = got.value
-            if least == 0:
-                break
-        elif got.is_infinite:
-            certificates.add(got.certificate)
-        else:
-            capped = True
-    if least is not None:
-        return CappedNat.exact(least)
-    if capped:
-        return CappedNat.at_least(cap + 1)
-    return CappedNat.infinite(_PERIODIC if _PERIODIC in certificates else _FINITE)
+    values = _least_over_summands(
+        tbl, lambda pv, bound: _coresolution_walk(pv, bound, certify=bound == cap), cap
+    )
+    if all(v.is_infinite for v in values):
+        periodic = any(v.certificate == _PERIODIC for v in values)
+        return CappedNat.infinite(_PERIODIC if periodic else _FINITE)
+    return CappedNat.least(values)
 
 
 def pdim(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
-    """Projective dimension via resolution termination.  Ω of a module
-    depends only on its signature, so once a syzygy's signature repeats
-    the resolution cycles and never ends: the walk stops there with the
-    value it would reach at the cap."""
+    """Projective dimension, the first zero syzygy of the :func:`_walk`.  A
+    walk that repeats never ends, and stops with the value it would reach
+    at the cap."""
     if m.is_zero:
         raise ValueError("projective dimension of the zero module is undefined")
-    syz = m
-    seen = set()  # signatures of the syzygies so far
-    for i in range(cap + 1):
-        syz = syzygy(syz)
+    for i, (syz, _) in enumerate(itertools.islice(_walk(m), cap + 1)):
         if syz.is_zero:
             return CappedNat.exact(i)
-        if syz.signature() in seen:
-            break
-        seen.add(syz.signature())
     return CappedNat.at_least(cap + 1)
 
 
@@ -577,15 +595,7 @@ def injdim(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
 
 
 def gldim(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat:
-    best = 0
-    capped = False
-    for v in range(len(tbl.quiver.vertices)):
-        d = pdim(simple(tbl, v), cap)
-        best = max(best, d.value)
-        capped = capped or not d.is_exact
-    if capped:
-        return CappedNat.at_least(best)
-    return CappedNat.exact(best)
+    return CappedNat.greatest(pdim(simple(tbl, v), cap) for v in range(len(tbl.quiver.vertices)))
 
 
 def _regular_injdim(tbl: AlgebraTable, cap: int) -> CappedNat:
@@ -594,19 +604,14 @@ def _regular_injdim(tbl: AlgebraTable, cap: int) -> CappedNat:
     D is a duality, so injdim A_A = pdim D(A_A) over the opposite algebra,
     and D(A_A) = ⊕_v D P(v).  Minimal resolutions are additive: the cover
     of M ⊕ N is the sum of the covers, so the syzygies of the sum are
-    those of M and N side by side and pdim(M ⊕ N) = max(pdim M, pdim N).
-    So injdim A_A is the exact maximum of the pdim D P(v) when every one is
-    exact; otherwise it is the first value that is not, which is at least
-    ``cap + 1`` like the walk of the whole sum.  Over the opposite table
-    this is injdim of the left regular module, the max of pdim I(v) over A.
+    those of M and N side by side and pdim(M ⊕ N) = max(pdim M, pdim N),
+    read by :meth:`CappedNat.greatest` like the walk of the whole sum.  Over
+    the opposite table this is injdim of the left regular module, the max
+    of pdim I(v) over A.
     """
-    best = 0
-    for v in range(len(tbl.quiver.vertices)):
-        d = pdim(dual(projective(tbl, v)), cap)
-        if not d.is_exact:
-            return d
-        best = max(best, d.value)
-    return CappedNat.exact(best)
+    return CappedNat.greatest(
+        pdim(dual(projective(tbl, v)), cap) for v in range(len(tbl.quiver.vertices))
+    )
 
 
 def gorenstein_dim(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat:
@@ -637,24 +642,22 @@ def first_nonzero_ext(m: ModuleRep, n: int, start: int = 1):
     The one Ext-degree search: :func:`grade` from degree 0, the
     torsion-freeness degrees and :func:`domdim_R_via_mueller` from 1.
 
-    Ext^i(m, A) = Ext^1(Ω^{i−1} m, A) for i >= 1 depends only on the
-    signature of Ω^{i−1} m.  So once a degree i >= 1 reads zero and Ω^i m is
-    zero or repeats a syzygy whose degree already read zero, every later
-    degree is zero too, and the search stops there with None: a large n
-    costs at most one walk into the cycle of syzygies and once around it.
+    Degree i >= 1 is read as Ext^1(Ω^{i−1} m, A) along the :func:`_walk`
+    from Ω^{start−1} m, and depends only on the signature of Ω^{i−1} m.  So
+    once that is zero or repeats, every later degree repeats one read as
+    zero, and the search stops there with None.
     """
     areg = regular(m.algebra)
-    read_zero = set()  # signatures of the Ω^{i−1} m whose degree i >= 1 read zero
-    syz = syzygy(m, max(start, 1) - 1)  # Ω^{i−1} m for the first degree i >= 1
-    for i in range(start, n + 1):
-        if ext_dim(m, areg, i) != 0:
+    if start == 0:
+        if n >= 0 and ext_dim(m, areg, 0):
+            return 0
+        start = 1
+    syz = syzygy(m, start - 1)
+    for i, (syz, q) in enumerate(itertools.chain([(syz, 0)], _walk(syz)), start):
+        if i > n or syz.is_zero or q:
+            return None
+        if ext_dim(syz, areg, 1):
             return i
-        if i >= 1:
-            read_zero.add(syz.signature())
-            syz = omega(syz)[0]
-            if syz.is_zero or syz.signature() in read_zero:
-                return None
-    return None
 
 
 def torsion_free_failure_degree(m: ModuleRep, n: int):
@@ -688,22 +691,16 @@ def domdim_R_via_mueller(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat
     An injective P(v) has D P(v) projective, with no Ext in degrees >= 1,
     and is skipped.  DA is projective exactly when every P(v) is injective:
     the P(v) are then as many pairwise non-isomorphic indecomposable
-    injectives as there are I(v).  After the first nonzero degree, each
-    later D P(v) is searched only below the least one so far, the only
-    degrees that can lower it.  Kept per table and cap.
+    injectives as there are I(v).  The D P(v) are folded by
+    :func:`_least_over_summands`.  Kept per table and cap.
     """
-    least = None  # the least nonzero degree so far
-    selfinjective = True
-    for v in range(len(tbl.quiver.vertices)):
-        pv = projective(tbl, v)
-        if is_injective(pv):
-            continue
-        selfinjective = False
-        i = first_nonzero_ext(dual(pv), cap if least is None else least - 1)
-        if i is not None:
-            least = i
-            if least == 1:
-                break
-    if selfinjective:
+
+    def search(pv, bound):
+        i = first_nonzero_ext(dual(pv), bound)
+        return CappedNat.at_least(bound + 1) if i is None else CappedNat.exact(i)
+
+    values = _least_over_summands(tbl, search, cap, floor=1)
+    if not values:
         return CappedNat.infinite("dual regular module is projective")
-    return CappedNat.at_least(cap + 2) if least is None else CappedNat.exact(least + 1)
+    least = CappedNat.least(values)
+    return CappedNat(least.kind, least.value + 1)

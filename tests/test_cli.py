@@ -354,6 +354,38 @@ def test_internal_check_failure_exits_4(capsys, monkeypatch):
     assert line == "internal error: a coboundary leaves the cocycles"
 
 
+LOOP = "vertices v\narrow x v v\n"
+BAD_INTEGERS = {
+    "superscript-field": "field \u00b2\n" + LOOP,
+    "superscript-coefficient": "field 101\n" + LOOP + "relation \u00b2*x*x\n",
+    "long-field": "field " + "7" * 5000 + "\n" + LOOP,
+    "long-coefficient": "field 101\n" + LOOP + "relation " + "1" * 5000 + "*x*x\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INTEGERS))
+def test_bad_integer_in_an_algebra_file_is_input_error(name, capsys, tmp_path):
+    # str.isdigit accepts "²" and int() rejects it, as it does past 4,300 digits
+    path = tmp_path / "bad.alg"
+    path.write_text(BAD_INTEGERS[name], encoding="utf-8")
+    code = main(["info", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_manifest_integer_past_the_digit_limit_is_input_error(capsys, tmp_path):
+    # json.load raises a plain ValueError here, not a JSONDecodeError
+    (tmp_path / "manifest.json").write_text('{"entries": ' + "9" * 5000 + "}")
+    code = main(["verify", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "invalid JSON" in captured.err
+
+
 def test_plain_value_error_inside_the_engine_exits_4(capsys, monkeypatch):
     import ardom.modules
     from ardom.verify import EXIT_INTERNAL

@@ -172,6 +172,25 @@ def test_cappednat_least():
     assert CappedNat.least(iter([exact(4), exact(2)])) == exact(2)
 
 
+def test_cappednat_greatest():
+    exact = CappedNat.exact
+    at_least = CappedNat.at_least
+    inf = CappedNat.infinite("test")
+    assert CappedNat.greatest([exact(3), exact(1), exact(4)]) == exact(4)
+    assert CappedNat.greatest([]) == exact(0)
+    # the first inexact value, whatever follows it
+    assert CappedNat.greatest([exact(3), at_least(31), exact(5)]) == at_least(31)
+    assert CappedNat.greatest([exact(3), inf, at_least(31)]) == inf
+    assert CappedNat.greatest([at_least(2), inf]) == at_least(2)
+
+    def values():  # a generator: nothing past the first inexact value is read
+        yield exact(2)
+        yield at_least(11)
+        raise AssertionError("read past the first inexact value")
+
+    assert CappedNat.greatest(values()) == at_least(11)
+
+
 def _possible(x):
     """The values a CappedNat allows, those past 8 left out: any finite
     value there behaves alike against values up to 6."""
@@ -218,6 +237,12 @@ def test_cappednat_comparisons_agree_with_the_values_they_allow(x, y, z, n):
     # and it is exact when every choice of values has one finite least
     if len(lows) == 1 and math.inf not in lows:
         assert low == CappedNat.exact(*lows)
+    # greatest is exact when every value is, and allows every greatest of them
+    high = CappedNat.greatest(values)
+    if all(v.is_exact for v in values):
+        assert high == CappedNat.exact(max(v.value for v in values))
+    highs = {max(c) for c in itertools.product(*map(_possible, values))}
+    assert highs <= _possible(high)
 
 
 def test_cappednat_str_and_certificate():
@@ -666,14 +691,43 @@ def test_gldim_capped_selfinjective(nak22):
 
 def test_pdim_stops_at_the_first_repeated_syzygy(monkeypatch):
     """Over the selfinjective nak-22, Ω swaps the two simples: each pdim
-    takes three Ω steps, the third a repeat, whatever the cap."""
+    takes three Ω steps, the third a repeat, whatever the cap, and gldim
+    stops at its first capped simple."""
     tbl = nakayama_from_kupisch([2, 2], cyclic=True)
     calls = []
     original = ardom.homology.omega
     monkeypatch.setattr(ardom.homology, "omega", lambda m: calls.append(m) or original(m))
     cap = 10**4
+    for v in range(2):
+        calls.clear()
+        assert pdim(simple(tbl, v), cap=cap) == CappedNat.at_least(cap + 1)
+        assert len(calls) == 3
+    calls.clear()
     assert gldim(tbl, cap=cap) == CappedNat.at_least(cap + 1)
-    assert len(calls) == 2 * 3
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("name", ["nak-22", "nak-33", "nak-233"])
+def test_every_consumer_of_the_walk_stops_at_its_repeat(name, monkeypatch, fresh_corpus_table):
+    # on a simple whose syzygies cycle, cap 10**4 takes no more Ω steps than
+    # cap 10: each search ends where the one syzygy walk repeats
+    calls = []
+    original = ardom.homology.omega
+    monkeypatch.setattr(ardom.homology, "omega", lambda m: calls.append(m) or original(m))
+    periodic = 0
+    for v in range(len(fresh_corpus_table(name, 101).quiver.vertices)):
+        if pdim(simple(fresh_corpus_table(name, 101), v), 10).is_exact:
+            continue
+        periodic += 1
+        for search in (domdim_module, grade, first_nonzero_ext):
+            steps = []
+            for cap in (10, 10**4):
+                m = simple(fresh_corpus_table(name, 101), v)  # fresh, so no memo hides a step
+                calls.clear()
+                search(m, cap)
+                steps.append(len(calls))
+            assert steps[0] == steps[1], (search.__name__, v, steps)
+    assert periodic
 
 
 def test_injdim_dual_route(dim5):

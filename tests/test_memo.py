@@ -250,6 +250,31 @@ def test_every_imported_name_is_read_or_exported(name):
     assert sorted(imported - read - set(getattr(module, "__all__", ()))) == []
 
 
+def test_every_private_function_is_read_in_the_package():
+    # a helper that a fold or a deletion leaves behind is dead code too
+    trees = {
+        name: ast.parse(inspect.getsource(importlib.import_module(f"ardom.{name}")))
+        for name in PACKAGE_MODULES
+    }
+    trees["__init__"] = ast.parse(inspect.getsource(ardom))
+    read = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    private = [
+        f"{name}.{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    assert private
+    assert [p for p in private if p.split(".")[1] not in read] == []
+
+
 @pytest.mark.parametrize("name", PACKAGE_MODULES)
 def test_every_public_name_resolves(name):
     # a stale __all__ entry left by a deletion breaks only the star-import
