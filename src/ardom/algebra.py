@@ -33,6 +33,8 @@ __all__ = [
     "PresentationError",
     "CompletionError",
     "InvariantError",
+    "is_ascii_int",
+    "ascii_int",
     "parse_presentation",
     "build_table",
     "table_from_text",
@@ -70,6 +72,21 @@ class CompletionError(InputError):
 
 class InvariantError(RuntimeError):
     """An internal check failed: two routes disagree, or a vector leaves its space."""
+
+
+def is_ascii_int(text: str, signed: bool = True) -> bool:
+    """The one rule for integers read from input: an optional sign (if
+    ``signed``), then the ASCII digits 0-9.  ``int()`` also takes other
+    Unicode digits, underscores and whitespace."""
+    digits = text[1:] if signed and text[:1] in ("+", "-") else text
+    return digits.isascii() and digits.isdigit()
+
+
+def ascii_int(text: str) -> int:
+    """``int(text)``, or ValueError where :func:`is_ascii_int` refuses it."""
+    if not is_ascii_int(text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -227,7 +244,7 @@ def parse_presentation(text: str) -> Presentation:
         if head == "field":
             if p is not None:
                 raise PresentationError("duplicate field line", lineno)
-            if len(rest) != 1 or not rest[0].isdecimal():
+            if len(rest) != 1 or not is_ascii_int(rest[0], signed=False):
                 raise PresentationError("expected: field <prime>", lineno)
             try:
                 p = int(rest[0])
@@ -311,7 +328,7 @@ def _parse_relation(quiver: Quiver, fld: PrimeField, toks: list[str], lineno: in
     for sign, term in terms:
         factors = term.split("*")
         coeff = 1
-        if factors and factors[0].isdecimal():
+        if is_ascii_int(factors[0], signed=False):
             try:
                 coeff = int(factors[0])
             except ValueError as exc:  # past int()'s digit limit

@@ -27,7 +27,7 @@ import json
 import os
 import sys
 
-from .algebra import DEFAULT_MAX_PATH_LENGTH, InputError, table_from_file
+from .algebra import DEFAULT_MAX_PATH_LENGTH, InputError, ascii_int, table_from_file
 from .arseq import ar_report, failure_witness
 from .corpus import load_corpus
 from .homology import (
@@ -66,11 +66,11 @@ def _parse_n_range(text: str):
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            lo, hi = int(lo), int(hi)
+            lo, hi = ascii_int(lo), ascii_int(hi)
             if lo < 1 or hi < lo:
                 raise ValueError
             return tuple(range(lo, hi + 1))
-        n = int(text)
+        n = ascii_int(text)
         if n < 1:
             raise ValueError
         return (n,)
@@ -85,7 +85,7 @@ def _int_at_least(low: int, kind: str):
 
     def parse(text: str) -> int:
         try:
-            n = int(text)
+            n = ascii_int(text)
         except ValueError:
             n = low - 1
         if n < low:
@@ -116,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     capped = argparse.ArgumentParser(add_help=False)
     capped.add_argument(
         "--cap",
-        type=int,
+        type=ascii_int,
         default=None,
         metavar="N",
         help="search cap for unbounded invariants "
@@ -151,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         target.add_argument(
             "--sample-index",
-            type=int,
+            type=ascii_int,
             metavar="I",
             help="regenerate module I of the deterministic sample "
             "(honors --seed and --sample-size) and compute on it",
@@ -159,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "grade":
             p.add_argument(
                 "--ext-degree",
-                type=int,
+                type=ascii_int,
                 default=None,
                 metavar="D",
                 help="grade the degree-D Ext module of the target "
@@ -172,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[fmt, alg],
         help="test whether all almost split sequences from projectives are n-torsion-free",
     )
-    p.add_argument("--n", type=int, required=True, help="torsion-free degree")
+    p.add_argument("--n", type=ascii_int, required=True, help="torsion-free degree")
     p.set_defaults(func=_cmd_ar_check)
 
     p = sub.add_parser(
@@ -205,8 +205,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "scan", parents=[fmt, capped], help="enumerate an algebra family hunting counterexamples"
     )
     p.add_argument("family", choices=("nakayama",))
-    p.add_argument("--simples", type=int, required=True, metavar="M")
-    p.add_argument("--max-len", type=int, required=True, metavar="L")
+    p.add_argument("--simples", type=ascii_int, required=True, metavar="M")
+    p.add_argument("--max-len", type=ascii_int, required=True, metavar="L")
     p.add_argument(
         "--question",
         action="store_true",
@@ -224,7 +224,7 @@ def _resolve_cap(args) -> int:
         env = os.environ.get("ARDOM_CAP", "")
         if env:
             try:
-                cap = int(env)
+                cap = ascii_int(env)
             except ValueError:
                 raise InputError(f"ARDOM_CAP must be an integer, got {env!r}") from None
         else:

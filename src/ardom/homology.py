@@ -442,7 +442,7 @@ def torsion(m: ModuleRep) -> ModuleRep:
     maps g: P_0 -> A that vanish on Ω m in generator coordinates, which
     ``modules._yoneda_maps`` turns into morphisms side by side in one pass
     over P_0's basis paths (A is too large next to Hom(m, A) to build
-    :func:`yoneda_block` rows).  Each
+    :func:`~ardom.modules.yoneda_block` rows).  Each
     g is cover·φ for one φ, so φ_u = s_u·g_u for any section s_u of the
     cover at u.  The canonical kernel basis depends only on the column
     space, so the module is bit-identical to the kernel of the evaluation

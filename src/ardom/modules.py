@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraTable, InputError, InvariantError, Path, opposite
+from .algebra import AlgebraTable, InputError, InvariantError, Path, opposite, ascii_int
 
 __all__ = [
     "ModuleRep",
@@ -1312,7 +1312,7 @@ def parse_module(text: str, tbl: AlgebraTable, label: str = "module") -> ModuleR
                     f"line {lineno}: expected {len(q.vertices)} dimensions"
                 )
             try:
-                dims = tuple(int(t) for t in toks[1:])
+                dims = tuple(map(ascii_int, toks[1:]))
             except ValueError:
                 raise ModuleFileError(f"line {lineno}: dimensions must be integers") from None
             if any(d < 0 for d in dims):
@@ -1342,7 +1342,7 @@ def parse_module(text: str, tbl: AlgebraTable, label: str = "module") -> ModuleR
                 )
             try:
                 # reduce as Python ints: entries may exceed the int64 range
-                vals = [int(t) % tbl.field.p for t in entries]
+                vals = [ascii_int(t) % tbl.field.p for t in entries]
             except ValueError:
                 raise ModuleFileError(f"line {lineno}: entries must be integers") from None
             mats[a] = np.array(vals, dtype=np.int64).reshape(r, c)

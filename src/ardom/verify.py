@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .algebra import AlgebraTable, InputError, nakayama_from_kupisch, opposite
 from .arseq import failure_witness, has_n_tf_ar_sequences, knit_indecomposables
-from .corpus import CorpusEntry, load_corpus
+from .corpus import CorpusEntry
 from .homology import (
     DEFAULT_CAP,
     CappedNat,
@@ -142,9 +143,7 @@ def verify_main_theorem(tbl: AlgebraTable, n: int, cap: int = DEFAULT_CAP) -> Ve
             (mu.ge(n + 2), f"mueller >= {n + 2} (mueller {mu})"),
         )
     if not lhs:
-        witness = failure_witness(report)
-        if witness is not None:
-            detail["witness"] = witness
+        detail["witness"] = failure_witness(report)
     return Verdict("main-theorem", tbl.label, status, detail)
 
 
@@ -221,9 +220,7 @@ def verify_gorenstein(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> Verdict:
             "ar_property_fails": not ar_holds,
         }
     else:
-        witness = failure_witness(report)
-        if witness is not None:
-            detail["failing_term"] = witness
+        detail["failing_term"] = failure_witness(report)
     return Verdict("gorenstein", tbl.label, "pass" if ok else "fail", detail)
 
 
@@ -264,7 +261,6 @@ def verify_grade_formulas(
     cap: int = DEFAULT_CAP,
     seed: int = 0,
     sample_size: int = 64,
-    hereditary_nonlinear: bool = False,
 ) -> Verdict:
     """Dominant dimension against grades of torsion and Ext modules.
 
@@ -273,7 +269,12 @@ def verify_grade_formulas(
     (b) grade(t(M)) >= domdim for every module M.
     (c) grade(Ext^i(M, A)) >= domdim for i = 1..4 and every module M.
     (d) When domdim = 0 and the algebra is hereditary but not a linear
-        A_n path algebra, the minimum in (a) must be exactly 1.
+        A_n path algebra, the minimum in (a) must be exactly 1.  The
+        hypothesis is read off the table: kQ/I with I admissible is
+        hereditary iff I = 0, so (d) runs on every relation-free table of
+        domdim 0.  A linear A_n has domdim 1 and never reaches it.  In a
+        non-semisimple kQ a vertex v that is not a sink has
+        Hom(S(v), A) = 0 and pdim S(v) = 1, so t(S(v)) = S(v) has grade 1.
 
     (b) and (c) are additive in M, so they hold for every module once they
     hold for every indecomposable.  The record's ``modules`` says which
@@ -303,7 +304,7 @@ def verify_grade_formulas(
                 "min_simple_grade": str(min_grade),
             }
             return Verdict("grade-formulas", tbl.label, "fail", detail)
-    elif dd.is_exact and dd.value == 0 and hereditary_nonlinear:
+    elif dd.is_exact and dd.value == 0 and not tbl.relations:
         if not (min_grade.is_exact and min_grade.value == 1):
             detail["witness"] = {
                 "formula": "hereditary non-linear entries have minimum grade 1",
@@ -485,9 +486,7 @@ def scan_nakayama_question(
                 row["violates"] = "2m-torsion-free AR sequences without selfinjectivity"
                 detail["witness"] = row
             else:
-                witness = failure_witness(report)
-                if witness is not None:
-                    row["first_failure"] = witness
+                row["first_failure"] = failure_witness(report)
         rows.append(row)
     detail["scanned"] = len(rows)
     if status == "pass":
@@ -516,29 +515,13 @@ def _entry_verdicts(entry: CorpusEntry, suites, ns, cap, seed, sample_size):
         elif suite == "gorenstein":
             out.append(verify_gorenstein(tbl, cap=cap))
         elif suite == "grade":
-            out.append(
-                verify_grade_formulas(
-                    tbl,
-                    cap=cap,
-                    seed=seed,
-                    sample_size=sample_size,
-                    hereditary_nonlinear=entry.is_classified("hereditary")
-                    and not entry.is_classified("linear-an"),
-                )
-            )
+            out.append(verify_grade_formulas(tbl, cap=cap, seed=seed, sample_size=sample_size))
         elif suite == "cor47":
             if entry.is_classified("auslander"):
                 out.append(verify_cor47(tbl, cap=cap, seed=seed, sample_size=sample_size))
         else:
             raise ValueError(f"unknown suite {suite!r}")
     return out
-
-
-def _entry_worker(args):
-    root, entry_id, suites, ns, cap, seed, sample_size = args
-    entries = {e.entry_id: e for e in load_corpus(root)}
-    verdicts = _entry_verdicts(entries[entry_id], suites, ns, cap, seed, sample_size)
-    return [(v.check, v.algebra, v.status, v.detail) for v in verdicts]
 
 
 def run_suite(
@@ -568,21 +551,17 @@ def run_suite(
     entries = list(entries)
     if not entries:
         raise InputError("empty corpus")
-    verdicts = []
     jobs = min(jobs, len(entries))
+    run = partial(
+        _entry_verdicts, suites=suites, ns=ns, cap=cap, seed=seed, sample_size=sample_size
+    )
     if jobs > 1:
-        payload = [
-            (e.root, e.entry_id, tuple(suites), tuple(ns), cap, seed, sample_size)
-            for e in entries
-        ]
+        # a worker loads its entry's table itself rather than unpickle one
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_entry_worker, payload):
-                verdicts.extend(Verdict(*row) for row in chunk)
+            chunks = list(pool.map(run, [replace(e, _table=None) for e in entries]))
     else:
-        for entry in entries:
-            verdicts.extend(
-                _entry_verdicts(entry, suites, ns, cap, seed, sample_size)
-            )
+        chunks = map(run, entries)
+    verdicts = [v for chunk in chunks for v in chunk]
     if any(v.status == "fail" for v in verdicts):
         code = EXIT_FAIL
     elif any(v.status == "inconclusive" for v in verdicts):

@@ -360,6 +360,11 @@ BAD_INTEGERS = {
     "superscript-coefficient": "field 101\n" + LOOP + "relation \u00b2*x*x\n",
     "long-field": "field " + "7" * 5000 + "\n" + LOOP,
     "long-coefficient": "field 101\n" + LOOP + "relation " + "1" * 5000 + "*x*x\n",
+    # str.isdecimal and int() read these as 101, 2 and 101, each of which
+    # makes a finite-dimensional algebra
+    "arabic-indic-field": "field \u0661\u0660\u0661\nvertices v\n",
+    "arabic-indic-coefficient": "field 101\n" + LOOP + "relation \u0662*x*x\n",
+    "fullwidth-field": "field \uff11\uff10\uff11\nvertices v\n",
 }
 
 
@@ -373,6 +378,54 @@ def test_bad_integer_in_an_algebra_file_is_input_error(name, capsys, tmp_path):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+# int() reads each of these as a number; a module file spells an integer
+# with an optional sign and the ASCII digits 0-9 only
+BAD_MODULE_INTEGERS = {
+    "arabic-indic-dims": "dims \u0661 0\n",
+    "underscore-dims": "dims 1_0 0\n",
+    "arabic-indic-entry": "dims 1 1\narrow a \u0663\n",
+    "underscore-entry": "dims 1 1\narrow a 1_0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MODULE_INTEGERS))
+def test_bad_integer_in_a_module_file_is_input_error(name, capsys, tmp_path):
+    path = tmp_path / "bad.mod"
+    path.write_text(BAD_MODULE_INTEGERS[name], encoding="utf-8")
+    code = main(["domdim", alg("ka2"), "--module", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: line ")
+    assert captured.err.endswith(" must be integers\n")
+
+
+@pytest.mark.parametrize("cap", ["\u0663", "1_0", "\uff13"])
+def test_env_cap_in_other_digits_is_input_error(cap, capsys, monkeypatch):
+    monkeypatch.setenv("ARDOM_CAP", cap)
+    code = main(["gldim", alg("ka2")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: ARDOM_CAP must be an integer, got {cap!r}\n"
+
+
+def test_signed_ascii_integers_keep_their_value(capsys, monkeypatch, tmp_path):
+    # the sign stays part of the rule: +2 reads as 2 in a flag, $ARDOM_CAP
+    # and a module file, and -1 reaches the range checks
+    code, lines = run(capsys, "gldim", alg("nak-233"), "--cap", "+2")
+    assert code == 3 and records(lines)[0]["cap"] == 2
+    monkeypatch.setenv("ARDOM_CAP", "+2")
+    code, lines = run(capsys, "gldim", alg("nak-233"))
+    assert code == 3 and records(lines)[0]["cap"] == 2
+    (tmp_path / "m.mod").write_text("dims +1 -0\narrow a\n")
+    code, lines = run(capsys, "domdim", alg("ka2"), "--module", str(tmp_path / "m.mod"))
+    assert code == 0 and records(lines)[0]["result"] == {"kind": "exact", "value": 0}
+    (tmp_path / "m.mod").write_text("dims 1 1\narrow a -100\n")  # -100 = 1 mod 101
+    code, lines = run(capsys, "domdim", alg("ka2"), "--module", str(tmp_path / "m.mod"))
+    assert code == 0
+    assert main(["domdim", alg("ka2"), "--cap", "-1"]) == 2
+    assert capsys.readouterr().err == "error: cap must be nonnegative\n"
 
 
 def test_manifest_integer_past_the_digit_limit_is_input_error(capsys, tmp_path):
@@ -416,6 +469,23 @@ def test_non_admissible_ideal_is_input_error(command, capsys, tmp_path):
     assert "not admissible" in captured.err
 
 
+# each flag spells an integer with an optional sign and the ASCII digits 0-9
+BAD_INTEGER_FLAGS = [
+    ["domdim", "ALG", "--cap", "\u0661"],
+    ["domdim", "ALG", "--cap", "1_0"],
+    ["grade", "ALG", "--sample-index", "\u0660"],
+    ["grade", "ALG", "--sample-index", "0", "--ext-degree", "\u0661"],
+    ["ar-check", "ALG", "--n", "\u0661"],
+    ["scan", "nakayama", "--simples", "\u0662", "--max-len", "3"],
+    ["scan", "nakayama", "--simples", "2", "--max-len", "\uff13"],
+    ["verify", "--n", "\u0661..\u0663", "CORPUS"],
+    ["verify", "--n", "\u0662", "CORPUS"],
+    ["verify", "--jobs", "\u0662", "CORPUS"],
+    ["verify", "--suite", "grade", "--seed", "\u0660", "CORPUS"],
+    ["verify", "--suite", "grade", "--sample-size", "1_6", "CORPUS"],
+    ["info", "ALG", "--max-path-length", "\u0663\u0660"],
+]
+
 # a subcommand rejects the shared options it does not read
 UNREAD_OPTIONS = [
     ["info", "ALG", "--jobs", "2"],
@@ -442,6 +512,7 @@ UNREAD_OPTIONS = [
         ["info", "ALG", "--max-path-length", "0"],
         ["info", "ALG", "--max-path-length", "-1"],
         *UNREAD_OPTIONS,
+        *BAD_INTEGER_FLAGS,
     ],
 )
 def test_argument_and_file_errors_exit_2(argv, capsys, tmp_path):
@@ -549,31 +620,69 @@ def test_verify_output_is_byte_identical_to_the_golden_digest(capsys):
     assert code == 3
 
 
-# Run as ``main`` in a fresh interpreter: the worker wrapper fails a
-# ``--jobs`` run whose workers load numpy.random, and the exit status fails a
-# run that loads it in the parent.  The wrapper lives in an importable module
-# so that a worker can unpickle it under any start method.
-NUMPY_RANDOM_PROBE = """
+# Run as ``main`` in a fresh interpreter.  The wrapper of the callable that
+# ``run_suite`` maps fails a ``--jobs`` run whose workers load numpy.random,
+# and the exit status fails a run that loads it in the parent.  Every
+# ``load_corpus`` the package can reach appends its process id to the file
+# named by $LOAD_CORPUS_LOG.  The probe lives in an importable module so that
+# a worker can unpickle the wrapper, and so patch its own ``load_corpus``,
+# under any start method.
+VERIFY_PROBE = """
+import os
 import sys
 
+import ardom.cli
+import ardom.corpus
 import ardom.verify
-from ardom.cli import main as cli_main
 
-entry_worker = ardom.verify._entry_worker
+entry_verdicts = ardom.verify._entry_verdicts
+load_corpus = ardom.corpus.load_corpus
 
 
-def checked_worker(args):
-    rows = entry_worker(args)
+def counted_load_corpus(root):
+    with open(os.environ["LOAD_CORPUS_LOG"], "a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    return load_corpus(root)
+
+
+for module in (ardom.cli, ardom.corpus, ardom.verify):
+    if hasattr(module, "load_corpus"):
+        module.load_corpus = counted_load_corpus
+
+
+def checked_verdicts(*args, **kwargs):
+    verdicts = entry_verdicts(*args, **kwargs)
     if "numpy.random" in sys.modules:
         raise RuntimeError("a verify worker loaded numpy.random")
-    return rows
+    return verdicts
 
 
 def main(argv):
-    ardom.verify._entry_worker = checked_worker
-    code = cli_main(argv)
+    ardom.verify._entry_verdicts = checked_verdicts
+    code = ardom.cli.main(argv)
     return "verify loaded numpy.random" if "numpy.random" in sys.modules else code
 """
+
+
+def _probed_verify(jobs, tmp_path):
+    """(process, load_corpus count) of ``verify --n 1..3`` under the probe."""
+    (tmp_path / "verify_probe.py").write_text(VERIFY_PROBE)
+    log = tmp_path / "load_corpus.log"
+    path = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([SRC, str(tmp_path)] + ([path] if path else [])),
+        LOAD_CORPUS_LOG=str(log),
+    )
+    probe = "import sys, verify_probe\nsys.exit(verify_probe.main(sys.argv[1:]))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "verify", "--jobs", jobs, "--n", "1..3", CORPUS],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    loads = log.read_text(encoding="utf-8").splitlines() if log.exists() else []
+    return proc, len(loads)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -581,21 +690,18 @@ def test_verify_never_loads_numpy_random(jobs, tmp_path):
     # only the seeded module sample draws from numpy.random; a verify whose
     # grade suite knits or lists every indecomposable never imports it,
     # which costs several ms in each fresh process and each worker
-    (tmp_path / "numpy_random_probe.py").write_text(NUMPY_RANDOM_PROBE)
-    path = os.environ.get("PYTHONPATH")
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.pathsep.join([SRC, str(tmp_path)] + ([path] if path else [])),
-    )
-    probe = "import sys, numpy_random_probe\nsys.exit(numpy_random_probe.main(sys.argv[1:]))\n"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe, "verify", "--jobs", jobs, "--n", "1..3", CORPUS],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc, _ = _probed_verify(jobs, tmp_path)
     assert proc.returncode == 3, proc.stderr
     assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == VERIFY_N_1_3_SHA256
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_reads_the_manifest_once(jobs, tmp_path):
+    # a pool worker gets its entry from the parent rather than reload the
+    # corpus for it
+    proc, loads = _probed_verify(jobs, tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert loads == 1
 
 
 def test_default_verify_checks_every_indecomposable(capsys):

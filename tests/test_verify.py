@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 import ardom.verify
-from ardom.algebra import InputError
+from ardom.algebra import InputError, table_from_text
 from ardom.arseq import has_n_tf_ar_sequences, knit_indecomposables
 from ardom.corpus import load_corpus
 from ardom.homology import CappedNat, domdim_algebra, ext_module, grade, torsion
@@ -158,9 +158,7 @@ def test_gorenstein_across_corpus(corpus):
 
 
 def test_grade_formulas_details(by_id):
-    kron = verify_grade_formulas(
-        by_id["kronecker"].load_table(), sample_size=8, hereditary_nonlinear=True
-    )
+    kron = verify_grade_formulas(by_id["kronecker"].load_table(), sample_size=8)
     assert kron.status == "pass"
     assert kron.detail["zero_domdim_branch"] == "minimum grade is 1 as required"
 
@@ -173,6 +171,37 @@ def test_grade_formulas_details(by_id):
     assert selfinj.status == "pass"
     assert selfinj.detail["domdim"].startswith("inf")
     assert selfinj.detail["min_simple_grade"].startswith("inf")
+
+
+# relation-free tables of domdim 0 that no manifest labels: kQ/I is
+# hereditary iff I = 0, so clause (d) reads its hypothesis off the table
+UNLABELLED_HEREDITARY = {
+    "a3-zigzag": "vertices v1 v2 v3\narrow a v1 v2\narrow b v3 v2\n",
+    "d4-into-centre": "vertices c x y z\narrow a x c\narrow b y c\narrow d z c\n",
+}
+
+
+@pytest.mark.parametrize(
+    "name, p", [("a3-zigzag", 101), ("a3-zigzag", 2), ("d4-into-centre", 101)]
+)
+def test_grade_formula_d_runs_on_every_relation_free_table_of_domdim_0(name, p):
+    tbl = table_from_text(f"field {p}\n" + UNLABELLED_HEREDITARY[name], label=name)
+    v = verify_grade_formulas(tbl)
+    assert v.status == "pass"
+    assert v.detail["domdim"] == "0" and v.detail["min_simple_grade"] == "1"
+    assert v.detail["zero_domdim_branch"] == "minimum grade is 1 as required"
+
+
+def test_grade_formula_d_skips_a_table_with_relations():
+    # a relation makes the algebra non-hereditary: domdim 0 alone is not (d)
+    text = (
+        "field 101\nvertices v1 v2 v3 v4\n"
+        "arrow a v1 v2\narrow b v2 v3\narrow c v4 v2\nrelation a*b\n"
+    )
+    tbl = table_from_text(text, label="a4-with-a-relation")
+    v = verify_grade_formulas(tbl)
+    assert v.status == "pass" and v.detail["domdim"] == "0"
+    assert "zero_domdim_branch" not in v.detail
 
 
 # the module set each corpus entry's grade bounds run over: domdim 0 is
@@ -607,7 +636,7 @@ def test_grade_formula_a_fails_with_a_witness(by_id, monkeypatch):
 def test_grade_formula_d_fails_on_a_hereditary_entry(by_id, monkeypatch):
     # the Kronecker algebra: domdim 0, hereditary and not linear A_n
     monkeypatch.setattr(ardom.verify, "grade", lambda m, cap=30: CappedNat.exact(2))
-    v = verify_grade_formulas(by_id["kronecker"].load_table(), hereditary_nonlinear=True)
+    v = verify_grade_formulas(by_id["kronecker"].load_table())
     assert v.status == "fail"
     assert v.detail["witness"] == {
         "formula": "hereditary non-linear entries have minimum grade 1",
