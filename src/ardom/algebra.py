@@ -16,8 +16,9 @@ An algebra element is a dict mapping ``Path`` to a nonzero coefficient in
 
 from __future__ import annotations
 
-import warnings
 import os
+import re
+import warnings
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional
@@ -35,6 +36,7 @@ __all__ = [
     "InvariantError",
     "is_ascii_int",
     "ascii_int",
+    "input_lines",
     "parse_presentation",
     "build_table",
     "table_from_text",
@@ -87,6 +89,38 @@ def ascii_int(text: str) -> int:
     if not is_ascii_int(text):
         raise ValueError(f"invalid integer {text!r}")
     return int(text)
+
+
+# Whitespace other than space and tab, and the C0/C1 controls that are not
+# whitespace: str.split() and str.splitlines() would cut a line at the
+# first kind and keep the second inside a token.
+_NOT_A_SEPARATOR = re.compile(r"[^\S \t]|[\x00-\x08\x0e-\x1f\x7f-\x9f]")
+
+
+def input_lines(text: str, error):
+    """(line number, tokens) of every line of an input file that holds more
+    than a comment.
+
+    The one rule for separators read from input: lines end at LF (one CR
+    before it is dropped), a ``#`` starts a comment, and tokens are
+    separated by ASCII spaces and tabs.  Any other whitespace or control
+    character before the comment raises ``error(message, line number,
+    column)``.
+    """
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw[:-1] if raw.endswith("\r") else raw
+        line = line.split("#", 1)[0]
+        bad = _NOT_A_SEPARATOR.search(line)
+        if bad is not None:
+            raise error(
+                f"whitespace or control character U+{ord(bad.group()):04X}: "
+                "only ASCII spaces and tabs separate tokens",
+                lineno,
+                bad.start() + 1,
+            )
+        toks = line.split()
+        if toks:
+            yield lineno, toks
 
 
 @dataclass(frozen=True)
@@ -224,10 +258,11 @@ def parse_presentation(text: str) -> Presentation:
                  | "relation" term (SIGN term)*
                  | "flags" FLAG*
       term      := (INT "*")? NAME ("*" NAME)+
-      SIGN      := "+" | "-"            (a separate whitespace token)
+      SIGN      := "+" | "-"            (a separate token)
       comment   := "#" anything
-    Unknown directives, unknown names, non-composing or non-parallel paths,
-    non-prime moduli and trailing garbage are all rejected.
+    Lines and tokens are split by :func:`input_lines`.  Unknown directives,
+    unknown names, non-composing or non-parallel paths, non-prime moduli and
+    trailing garbage are all rejected.
     """
     p: Optional[int] = None
     vertex_names: list[str] = []
@@ -235,11 +270,7 @@ def parse_presentation(text: str) -> Presentation:
     relation_lines: list[tuple[int, list[str]]] = []
     flags: set[str] = set()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    for lineno, toks in input_lines(text, PresentationError):
         head, rest = toks[0], toks[1:]
         if head == "field":
             if p is not None:
@@ -815,7 +846,7 @@ def table_from_text(
 
 
 def table_from_file(path, max_path_length: int = DEFAULT_MAX_PATH_LENGTH) -> AlgebraTable:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
     label = os.path.splitext(os.path.basename(str(path)))[0]
     return table_from_text(text, max_path_length, label)

@@ -247,7 +247,7 @@ def _load(args):
 
 
 def _load_module(tbl, path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
     label = os.path.splitext(os.path.basename(path))[0]
     return parse_module(text, tbl, label=label)

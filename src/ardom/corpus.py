@@ -49,7 +49,7 @@ class CorpusEntry:
         if self._table is None:
             path = os.path.join(self.root, self.file)
             try:
-                with open(path, "r", encoding="utf-8") as fh:
+                with open(path, "r", encoding="utf-8", newline="") as fh:
                     text = fh.read()
             except OSError as exc:
                 raise CorpusError(f"{self.entry_id}: cannot read {path}: {exc}") from exc
@@ -63,7 +63,7 @@ class CorpusEntry:
         for rel in self.known_indecomposables:
             path = os.path.join(self.root, rel)
             try:
-                with open(path, "r", encoding="utf-8") as fh:
+                with open(path, "r", encoding="utf-8", newline="") as fh:
                     text = fh.read()
             except OSError as exc:
                 raise CorpusError(f"{self.entry_id}: cannot read {path}: {exc}") from exc

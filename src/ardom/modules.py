@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraTable, InputError, InvariantError, Path, opposite, ascii_int
+from .algebra import AlgebraTable, InputError, InvariantError, Path, opposite, ascii_int, input_lines
 
 __all__ = [
     "ModuleRep",
@@ -1293,17 +1293,17 @@ def parse_module(text: str, tbl: AlgebraTable, label: str = "module") -> ModuleR
 
       dims <d_1> ... <d_n>        # one entry per vertex, in table order
       arrow <name> <entries...>   # row-major dims[src] x dims[tgt] block
+    Lines and tokens are split by :func:`~ardom.algebra.input_lines`.
     Arrows with zero-sized or all-zero matrices may be omitted.  A dims
     line that implies more than ``MAX_MODULE_ENTRIES`` entries is refused.
     """
     dims = None
     mats = {}
     q = tbl.quiver
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    def error(message, lineno, col):
+        return ModuleFileError(f"line {lineno}, col {col}: {message}")
+
+    for lineno, toks in input_lines(text, error):
         if toks[0] == "dims":
             if dims is not None:
                 raise ModuleFileError(f"line {lineno}: duplicate dims line")

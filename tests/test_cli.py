@@ -1,6 +1,7 @@
 """End-to-end tests of the ardom command line interface."""
 
 import argparse
+import glob
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ import time
 
 import pytest
 
+from ardom.algebra import input_lines
 from ardom.cli import _build_parser, main
 from ardom.homology import domdim_module
 from ardom.modules import parse_module
@@ -304,7 +306,8 @@ def test_manifest_classification_that_is_a_string_is_input_error(capsys, tmp_pat
     assert "ax3: classification must be a list of non-empty strings" in captured.err
 
 
-def test_verify_output_is_the_same_under_python_O(tmp_path):
+def ka2_corpus(tmp_path):
+    """A corpus of the one entry ka2, with its module list."""
     root = tmp_path / "corpus"
     root.mkdir()
     shutil.copy(alg("ka2"), root)
@@ -313,6 +316,11 @@ def test_verify_output_is_the_same_under_python_O(tmp_path):
         manifest = json.load(fh)
     manifest["entries"] = [e for e in manifest["entries"] if e["id"] == "ka2"]
     (root / "manifest.json").write_text(json.dumps(manifest))
+    return root
+
+
+def test_verify_output_is_the_same_under_python_O(tmp_path):
+    root = ka2_corpus(tmp_path)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     runs = [
@@ -426,6 +434,83 @@ def test_signed_ascii_integers_keep_their_value(capsys, monkeypatch, tmp_path):
     assert code == 0
     assert main(["domdim", alg("ka2"), "--cap", "-1"]) == 2
     assert capsys.readouterr().err == "error: cap must be nonnegative\n"
+
+
+# str.split() and str.splitlines() read each of these as a separator, so each
+# parsed as a valid file; only ASCII spaces and tabs separate tokens and only
+# LF ends a line.  (file, error line) pairs.
+BAD_SEPARATORS = {
+    "no-break-space-field": ("field\u00a0101\nvertices v1 v2\n", 1),
+    "em-space-vertices": ("field 101\nvertices\u2003v1 v2\n", 2),
+    "line-separator": ("field 101\nvertices v1 v2\u2028arrow a v1 v2\n", 2),
+    "lone-cr": ("field 101\rvertices v1\n", 1),
+    "nul": ("field 101\nvertices v1\x00\n", 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SEPARATORS))
+def test_bad_separator_in_an_algebra_file_is_input_error(name, capsys, tmp_path):
+    text, line = BAD_SEPARATORS[name]
+    path = tmp_path / "bad.alg"
+    path.write_bytes(text.encode("utf-8"))
+    code = main(["info", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: whitespace or control character U+")
+    assert f"(line {line}, col " in captured.err
+
+
+BAD_MODULE_SEPARATORS = {
+    "no-break-space-dims": ("dims 1\u00a00\n", 1),
+    "line-separator": ("dims 1 1\u2028arrow a 1\n", 1),
+    "vertical-tab": ("# simple at v1\ndims 1\x0b0\n", 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MODULE_SEPARATORS))
+def test_bad_separator_in_a_module_file_is_input_error(name, capsys, tmp_path):
+    text, line = BAD_MODULE_SEPARATORS[name]
+    path = tmp_path / "bad.mod"
+    path.write_bytes(text.encode("utf-8"))
+    code = main(["domdim", alg("ka2"), "--module", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: line {line}, col ")
+    assert "whitespace or control character U+" in captured.err
+
+
+def test_crlf_files_and_tab_separated_tokens_still_parse(capsys, tmp_path):
+    # a comment may hold any character
+    path = tmp_path / "ka2.alg"
+    path.write_bytes("# A2\u00a0\u2028\r\nfield\t101\r\nvertices v1\t \tv2\r\narrow a v1 v2 \r\n".encode())
+    assert run(capsys, "info", str(path)) == run(capsys, "info", alg("ka2"))
+    (tmp_path / "crlf").mkdir()
+    crlf, lf = tmp_path / "crlf" / "m.mod", tmp_path / "m.mod"
+    crlf.write_bytes(b"dims\t1 1\r\narrow a\t1\r\n")
+    lf.write_bytes(b"dims 1 1\narrow a 1\n")
+    code, lines = run(capsys, "domdim", str(path), "--module", str(crlf))
+    assert code == 0
+    assert (code, lines) == run(capsys, "domdim", alg("ka2"), "--module", str(lf))
+
+
+def test_every_corpus_file_reads_as_the_old_whitespace_split_read_it():
+    # the ASCII rule for separators changes nothing on the shipped corpus
+    def old_rule(text):
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            toks = raw.split("#", 1)[0].split()
+            if toks:
+                yield lineno, toks
+
+    paths = glob.glob(os.path.join(CORPUS, "*.alg")) + glob.glob(
+        os.path.join(CORPUS, "modules", "*", "*.mod")
+    )
+    assert len(paths) > 14
+    for path in paths:
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        assert list(input_lines(text, ValueError)) == list(old_rule(text)), path
 
 
 def test_manifest_integer_past_the_digit_limit_is_input_error(capsys, tmp_path):
@@ -624,9 +709,11 @@ def test_verify_output_is_byte_identical_to_the_golden_digest(capsys):
 # ``run_suite`` maps fails a ``--jobs`` run whose workers load numpy.random,
 # and the exit status fails a run that loads it in the parent.  Every
 # ``load_corpus`` the package can reach appends its process id to the file
-# named by $LOAD_CORPUS_LOG.  The probe lives in an importable module so that
-# a worker can unpickle the wrapper, and so patch its own ``load_corpus``,
-# under any start method.
+# named by $LOAD_CORPUS_LOG, and every entry run appends its process id to
+# $ENTRY_LOG.  At exit the probe writes to $POOL_LOG which of the process
+# pool's packages the parent loaded.  The probe lives in an importable module
+# so that a worker can unpickle the wrapper, and so patch its own
+# ``load_corpus``, under any start method.
 VERIFY_PROBE = """
 import os
 import sys
@@ -634,6 +721,8 @@ import sys
 import ardom.cli
 import ardom.corpus
 import ardom.verify
+
+POOL_PACKAGES = ("concurrent.futures", "multiprocessing")
 
 entry_verdicts = ardom.verify._entry_verdicts
 load_corpus = ardom.corpus.load_corpus
@@ -651,6 +740,8 @@ for module in (ardom.cli, ardom.corpus, ardom.verify):
 
 
 def checked_verdicts(*args, **kwargs):
+    with open(os.environ["ENTRY_LOG"], "a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()}\\n")
     verdicts = entry_verdicts(*args, **kwargs)
     if "numpy.random" in sys.modules:
         raise RuntimeError("a verify worker loaded numpy.random")
@@ -660,29 +751,38 @@ def checked_verdicts(*args, **kwargs):
 def main(argv):
     ardom.verify._entry_verdicts = checked_verdicts
     code = ardom.cli.main(argv)
+    with open(os.environ["POOL_LOG"], "w", encoding="utf-8") as fh:
+        fh.writelines(f"{name}\\n" for name in POOL_PACKAGES if name in sys.modules)
     return "verify loaded numpy.random" if "numpy.random" in sys.modules else code
 """
 
 
-def _probed_verify(jobs, tmp_path):
-    """(process, load_corpus count) of ``verify --n 1..3`` under the probe."""
+def _probed(tmp_path, *argv):
+    """(process, load_corpus process ids, entry process ids, pool packages
+    loaded) of ``ardom argv`` under the probe."""
     (tmp_path / "verify_probe.py").write_text(VERIFY_PROBE)
-    log = tmp_path / "load_corpus.log"
+    names = ("LOAD_CORPUS_LOG", "ENTRY_LOG", "POOL_LOG")
+    logs = {name: tmp_path / f"{name.lower()}.log" for name in names}
     path = os.environ.get("PYTHONPATH")
     env = dict(
         os.environ,
         PYTHONPATH=os.pathsep.join([SRC, str(tmp_path)] + ([path] if path else [])),
-        LOAD_CORPUS_LOG=str(log),
+        **{name: str(log) for name, log in logs.items()},
     )
     probe = "import sys, verify_probe\nsys.exit(verify_probe.main(sys.argv[1:]))\n"
     proc = subprocess.run(
-        [sys.executable, "-c", probe, "verify", "--jobs", jobs, "--n", "1..3", CORPUS],
-        capture_output=True,
-        text=True,
-        env=env,
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env
     )
-    loads = log.read_text(encoding="utf-8").splitlines() if log.exists() else []
-    return proc, len(loads)
+    read = [
+        log.read_text(encoding="utf-8").splitlines() if log.exists() else []
+        for log in logs.values()
+    ]
+    return (proc, *read)
+
+
+def _probed_verify(jobs, tmp_path, corpus=CORPUS):
+    """``_probed`` of ``verify --jobs jobs --n 1..3 corpus``."""
+    return _probed(tmp_path, "verify", "--jobs", jobs, "--n", "1..3", str(corpus))
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -690,7 +790,7 @@ def test_verify_never_loads_numpy_random(jobs, tmp_path):
     # only the seeded module sample draws from numpy.random; a verify whose
     # grade suite knits or lists every indecomposable never imports it,
     # which costs several ms in each fresh process and each worker
-    proc, _ = _probed_verify(jobs, tmp_path)
+    proc, *_ = _probed_verify(jobs, tmp_path)
     assert proc.returncode == 3, proc.stderr
     assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == VERIFY_N_1_3_SHA256
 
@@ -699,9 +799,45 @@ def test_verify_never_loads_numpy_random(jobs, tmp_path):
 def test_verify_reads_the_manifest_once(jobs, tmp_path):
     # a pool worker gets its entry from the parent rather than reload the
     # corpus for it
-    proc, loads = _probed_verify(jobs, tmp_path)
+    proc, loads, _, _ = _probed_verify(jobs, tmp_path)
     assert proc.returncode == 3, proc.stderr
-    assert loads == 1
+    assert len(loads) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--jobs", "1", "--n", "1..3", CORPUS],
+        ["scan", "nakayama", "--simples", "4", "--max-len", "6", "--question"],
+        ["domdim", alg("ka2")],
+    ],
+)
+def test_a_serial_run_never_loads_the_process_pool(argv, tmp_path):
+    # concurrent.futures and multiprocessing cost about 1.3 MB and 8-12 ms
+    # in every fresh process; only a verify that forks needs them
+    proc, _, entries, pool = _probed(tmp_path, *argv)
+    assert proc.returncode in (0, 3), proc.stderr
+    assert pool == []
+    if argv[0] == "verify":
+        assert len(entries) == 14
+
+
+def test_a_pool_of_jobs_over_one_entry_forks_nothing(tmp_path):
+    # run_suite starts at most one worker per entry, so no pool at all here
+    proc, loads, entries, pool = _probed_verify("4", tmp_path, ka2_corpus(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert pool == []
+    assert len(loads) == 1
+    assert entries == loads  # the one entry ran in the parent
+
+
+def test_verify_with_two_jobs_loads_the_pool_in_the_parent(tmp_path):
+    proc, loads, entries, pool = _probed_verify("2", tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == VERIFY_N_1_3_SHA256
+    assert pool == ["concurrent.futures", "multiprocessing"]
+    assert len(entries) == 14
+    assert not set(entries) & set(loads)  # every entry ran in a worker
 
 
 def test_default_verify_checks_every_indecomposable(capsys):
