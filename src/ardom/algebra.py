@@ -36,6 +36,7 @@ __all__ = [
     "InvariantError",
     "is_ascii_int",
     "ascii_int",
+    "read_input",
     "input_lines",
     "parse_presentation",
     "build_table",
@@ -95,6 +96,14 @@ def ascii_int(text: str) -> int:
 # whitespace: str.split() and str.splitlines() would cut a line at the
 # first kind and keep the second inside a token.
 _NOT_A_SEPARATOR = re.compile(r"[^\S \t]|[\x00-\x08\x0e-\x1f\x7f-\x9f]")
+
+
+def read_input(path) -> str:
+    """The text of an input file: the one rule for opening one.  It is read
+    as UTF-8 with no newline translation, so a lone CR reaches
+    :func:`input_lines` and is refused there rather than read as a line end."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return fh.read()
 
 
 def input_lines(text: str, error):
@@ -787,7 +796,8 @@ def build_table(
 ) -> AlgebraTable:
     """The table of a parsed presentation.  The ideal must be admissible, and
     ``selfinjective`` and ``symmetric`` (which implies it) short-circuit
-    invariants, so D(A) must be projective."""
+    invariants, so A_A must be injective, asked of one P(v) at a time as
+    domdim and Müller's formula ask it: D(A) is never built."""
     tbl = AlgebraTable(
         pres.quiver,
         pres.field,
@@ -797,9 +807,9 @@ def build_table(
         label=label,
     )
     _check_admissible(tbl)
-    from .modules import dual_regular, is_projective  # modules imports this module
+    from .modules import is_injective, projective  # modules imports this module
     for flag in sorted(tbl.flags & {"selfinjective", "symmetric"}):
-        if not is_projective(dual_regular(tbl)):
+        if not all(is_injective(projective(tbl, v)) for v in range(len(tbl.quiver.vertices))):
             raise PresentationError(f"flag {flag} does not hold: D(A) is not projective")
     return tbl
 
@@ -846,10 +856,8 @@ def table_from_text(
 
 
 def table_from_file(path, max_path_length: int = DEFAULT_MAX_PATH_LENGTH) -> AlgebraTable:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
     label = os.path.splitext(os.path.basename(str(path)))[0]
-    return table_from_text(text, max_path_length, label)
+    return table_from_text(read_input(path), max_path_length, label)
 
 
 def opposite(tbl: AlgebraTable) -> AlgebraTable:

@@ -16,8 +16,8 @@ the targets off the AR mesh (:func:`_knit`): every listed module certifies
 End/rad = k, so the successors of U are τ⁻¹ of its non-injective
 predecessors and the P(w) with U | rad P(w), and the predecessors of τ⁻¹U
 are the successors of U.  One τ⁻¹ is taken per listed non-injective module,
-and a sequence is built by :func:`almost_split` (I/soc I taken for an
-injective I) only for a module whose predecessors are not known yet.
+and a sequence is built by :func:`almost_split` only for a module whose
+predecessors are not known yet, which is never an injective one.
 :func:`almost_split_from_projective` passes the cycles at v, which span
 rad End(P(v)) = e_v·rad(A)·e_v, and serves :func:`ar_report`.
 
@@ -63,7 +63,6 @@ from .modules import (
     projective_paths,
     projsum_morphism,
     radical,
-    socle,
     yoneda_block,
 )
 
@@ -230,8 +229,10 @@ def knit_indecomposables(tbl: AlgebraTable, limit: int):
     The :class:`~ardom.modules.Indecomposable` records of :func:`_knit`,
     P(v) first, the others labelled ``ind[i]`` in order of discovery.  None
     when the list would pass ``limit`` modules, when a module would pass
-    2·dim A, the size of the largest quotient the module sample draws, or
-    when a certificate fails (p | dim U, or a split not found).
+    2·dim A, the size of the largest quotient the module sample draws,
+    when a certificate fails (p | dim U, or a split not found), or when
+    the mesh would leave an injective module's successors to be built,
+    which :func:`_knit` shows never happens on an algebra that knits.
     """
     knit = _knit(tbl, limit)
     return None if knit is None else knit[0]
@@ -244,7 +245,8 @@ def _knit(tbl: AlgebraTable, limit: int):
     ``successors[i]`` lists, with multiplicity, the indices of the targets
     of the left almost split map out of U = ``records[i]``: the summands of
     the middle term of its almost split sequence when U is not injective,
-    of U/soc U when it is.  ``inverse_translates[i]`` is the index of τ⁻¹U
+    of U/soc U when it is, each read off the mesh or, on a τ-periodic orbit,
+    off a built sequence.  ``inverse_translates[i]`` is the index of τ⁻¹U
     for every non-injective U.
 
     The list S starts at the P(v) and the summands of each rad P(v)
@@ -268,10 +270,16 @@ def _knit(tbl: AlgebraTable, limit: int):
     τ⁻¹ dropping the injective predecessors.  Modules whose predecessors
     are known are taken first, in index order; only when none is left is
     the sequence of the least remaining module built, by
-    :func:`almost_split` from its record's rad End basis (U/soc U for an
-    injective U), and its middle term split.  That happens where the mesh
-    has no starting point, as on a τ-periodic orbit (the simples of a
-    selfinjective Nakayama algebra).
+    :func:`almost_split` from its record's rad End basis, and its middle
+    term split.  That happens where the mesh has no starting point, on a
+    τ-periodic orbit (the simples of a selfinjective Nakayama algebra).
+    Should the least remaining module be injective, the knit gives None
+    rather than build U/soc U, and no result changes.  On a
+    representation-finite algebra every τ-orbit is periodic or starts at a
+    projective, whose τ⁻¹-chain is listed and read off the mesh link by link
+    (pred(τ⁻¹U) = succ(U)) before any sequence is built, and an injective is
+    never τ-periodic, as τ⁻¹ kills it.  On a representation-infinite algebra
+    the closure never finishes, so the knit gives None whatever it builds.
 
     A finite S closed this way is every indecomposable, as every listed
     module has its successors listed.  Let b be the largest length in S and
@@ -346,12 +354,10 @@ def _knit(tbl: AlgebraTable, limit: int):
             ready = next((i for i in range(len(found)) if i not in succs), None)
             if ready is None:
                 return tuple(found), succs, tau_inv
+            if ready not in tau_inv:  # an injective: unreachable, see above
+                return None
             ind = found[ready]
-            if ready in tau_inv:
-                m = almost_split(ind.module, ind.rad_end).x
-            else:
-                m = cokernel(socle(ind.module)[1])[0]
-            succs[ready] = summands(m)
+            succs[ready] = summands(almost_split(ind.module, ind.rad_end).x)
             if succs[ready] is None:
                 return None
         if ready in tau_inv:

@@ -27,7 +27,7 @@ import json
 import os
 import sys
 
-from .algebra import DEFAULT_MAX_PATH_LENGTH, InputError, ascii_int, table_from_file
+from .algebra import DEFAULT_MAX_PATH_LENGTH, InputError, ascii_int, read_input, table_from_file
 from .arseq import ar_report, failure_witness
 from .corpus import load_corpus
 from .homology import (
@@ -54,6 +54,7 @@ from .verify import (
     EXIT_INTERNAL,
     EXIT_PASS,
     SUITES,
+    exit_code,
     run_suite,
     scan_nakayama_question,
 )
@@ -247,10 +248,8 @@ def _load(args):
 
 
 def _load_module(tbl, path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
     label = os.path.splitext(os.path.basename(path))[0]
-    return parse_module(text, tbl, label=label)
+    return parse_module(read_input(path), tbl, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +453,7 @@ def _cmd_scan(args):
                 bits.append(f"VIOLATES: {row['violates']}")
             print("  ".join(bits))
         print(verdict.to_text())
-    return {"pass": EXIT_PASS, "fail": EXIT_FAIL, "inconclusive": EXIT_INCONCLUSIVE}[
-        verdict.status
-    ]
+    return exit_code([verdict.status])
 
 
 def main(argv=None) -> int:

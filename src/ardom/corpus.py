@@ -14,7 +14,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .algebra import AlgebraTable, InputError, table_from_text
+from .algebra import AlgebraTable, InputError, read_input, table_from_text
 from .modules import parse_module
 
 __all__ = ["CorpusError", "CorpusEntry", "load_corpus", "MANIFEST_NAME"]
@@ -45,15 +45,16 @@ class CorpusEntry:
     known_indecomposables: tuple = ()
     _table: AlgebraTable = field(default=None, repr=False, compare=False)
 
+    def _read(self, rel: str) -> str:
+        path = os.path.join(self.root, rel)
+        try:
+            return read_input(path)
+        except OSError as exc:
+            raise CorpusError(f"{self.entry_id}: cannot read {path}: {exc}") from exc
+
     def load_table(self) -> AlgebraTable:
         if self._table is None:
-            path = os.path.join(self.root, self.file)
-            try:
-                with open(path, "r", encoding="utf-8", newline="") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise CorpusError(f"{self.entry_id}: cannot read {path}: {exc}") from exc
-            self._table = table_from_text(text, label=self.entry_id)
+            self._table = table_from_text(self._read(self.file), label=self.entry_id)
         return self._table
 
     def load_known_indecomposables(self) -> list:
@@ -61,14 +62,8 @@ class CorpusEntry:
         tbl = self.load_table()
         out = []
         for rel in self.known_indecomposables:
-            path = os.path.join(self.root, rel)
-            try:
-                with open(path, "r", encoding="utf-8", newline="") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise CorpusError(f"{self.entry_id}: cannot read {path}: {exc}") from exc
             name = os.path.splitext(os.path.basename(rel))[0]
-            out.append((name, parse_module(text, tbl, label=f"{self.entry_id}/{name}")))
+            out.append((name, parse_module(self._read(rel), tbl, label=f"{self.entry_id}/{name}")))
         return out
 
     def is_classified(self, *labels: str) -> bool:
@@ -85,6 +80,14 @@ def _expect_str_list(raw, what: str) -> tuple:
     if not isinstance(raw, list) or not all(isinstance(x, str) and x for x in raw):
         raise CorpusError(f"{what} must be a list of non-empty strings, got {raw!r}")
     return tuple(raw)
+
+
+def _inside(path: str, what: str) -> str:
+    """``path``, refused unless it is relative and stays inside the corpus directory."""
+    norm = os.path.normpath(path)
+    if os.path.isabs(path) or norm == os.pardir or norm.startswith(os.pardir + os.sep):
+        raise CorpusError(f"{what} must be a path inside the corpus directory, got {path!r}")
+    return path
 
 
 def _well_shaped(key: str, raw) -> bool:
@@ -106,11 +109,10 @@ def load_corpus(root: str) -> list:
     manifest_path = os.path.join(root, MANIFEST_NAME)
     if not os.path.isfile(manifest_path):
         raise CorpusError(f"no {MANIFEST_NAME} in {root}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or an int past int()'s digit limit
-            raise CorpusError(f"{manifest_path}: invalid JSON: {exc}") from exc
+    try:
+        manifest = json.loads(read_input(manifest_path))
+    except ValueError as exc:  # bad UTF-8, JSONDecodeError, or an int past int()'s digit limit
+        raise CorpusError(f"{manifest_path}: invalid JSON: {exc}") from exc
     raw_entries = manifest.get("entries") if isinstance(manifest, dict) else None
     if not isinstance(raw_entries, list) or not raw_entries:
         raise CorpusError(f"{manifest_path}: no entries")
@@ -123,7 +125,8 @@ def load_corpus(root: str) -> list:
         if entry_id in seen:
             raise CorpusError(f"duplicate corpus entry id {entry_id!r}")
         seen.add(entry_id)
-        file_name = _expect_str(raw.get("file"), f"{entry_id}: file")
+        what = f"{entry_id}: file"
+        file_name = _inside(_expect_str(raw.get("file"), what), what)
         expected = raw.get("expected", {})
         if not isinstance(expected, dict):
             raise CorpusError(f"{entry_id}: expected must be an object, got {expected!r}")
@@ -140,9 +143,10 @@ def load_corpus(root: str) -> list:
         unknown = set(classification) - _CLASSIFICATIONS
         if unknown:
             raise CorpusError(f"{entry_id}: unknown classification labels {sorted(unknown)}")
-        known = _expect_str_list(
-            raw.get("known_indecomposables", []), f"{entry_id}: known_indecomposables"
-        )
+        what = f"{entry_id}: known_indecomposables"
+        known = _expect_str_list(raw.get("known_indecomposables", []), what)
+        for rel in known:
+            _inside(rel, what)
         entries.append(
             CorpusEntry(
                 entry_id=entry_id,

@@ -48,6 +48,7 @@ __all__ = [
     "verify_cor47",
     "scan_nakayama_question",
     "run_suite",
+    "exit_code",
     "SUITES",
     "EXIT_PASS",
     "EXIT_FAIL",
@@ -61,6 +62,17 @@ EXIT_FAIL = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
+
+
+def exit_code(statuses) -> int:
+    """The exit code of a run whose verdicts have these statuses: 1 if one
+    fails, else 3 if one is inconclusive, else 0."""
+    statuses = set(statuses)
+    if "fail" in statuses:
+        return EXIT_FAIL
+    if "inconclusive" in statuses:
+        return EXIT_INCONCLUSIVE
+    return EXIT_PASS
 
 
 @dataclass
@@ -588,10 +600,4 @@ def run_suite(
     else:
         chunks = map(run, entries)
     verdicts = [v for chunk in chunks for v in chunk]
-    if any(v.status == "fail" for v in verdicts):
-        code = EXIT_FAIL
-    elif any(v.status == "inconclusive" for v in verdicts):
-        code = EXIT_INCONCLUSIVE
-    else:
-        code = EXIT_PASS
-    return verdicts, code
+    return verdicts, exit_code(v.status for v in verdicts)

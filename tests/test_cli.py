@@ -495,6 +495,85 @@ def test_crlf_files_and_tab_separated_tokens_still_parse(capsys, tmp_path):
     assert (code, lines) == run(capsys, "domdim", alg("ka2"), "--module", str(lf))
 
 
+def assert_one_error_line(capsys, argv, message, line=None):
+    """``ardom argv`` exits 2 with one ``error:`` line holding ``message``
+    and naming ``line``, and prints nothing to stdout."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (err,) = captured.err.splitlines()
+    assert err.startswith("error: ") and message in err
+    if line is not None:
+        assert f"line {line}" in err
+
+
+# (file, message, line named), each refused by parse_presentation
+BAD_PRESENTATIONS = {
+    "duplicate-field": ("field 101\nvertices v\nfield 101\n", "duplicate field line", 3),
+    "empty-vertices": ("field 101\nvertices\n", "vertices line needs at least one name", 2),
+    "bad-vertex-name": ("field 101\nvertices v 1w\n", "bad vertex name '1w'", 2),
+    "bad-arrow-name": ("field 101\nvertices v w\narrow a-b v w\n", "bad arrow name 'a-b'", 3),
+    "empty-relation": ("field 101\nvertices v\narrow x v v\nrelation  # none\n", "empty relation", 4),
+    "missing-field": ("vertices v w\narrow a v w\n", "missing field line", None),
+    "missing-vertices": ("# nothing but the field\nfield 101\n", "missing vertices line", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PRESENTATIONS))
+def test_bad_presentation_is_input_error(name, capsys, tmp_path):
+    text, message, line = BAD_PRESENTATIONS[name]
+    path = tmp_path / "bad.alg"
+    path.write_text(text, encoding="utf-8")
+    assert_one_error_line(capsys, ["info", str(path)], message, line)
+
+
+# module files over ka2 (vertices v1 v2, arrow a: v1 -> v2): (file, message,
+# line named), each refused by parse_module
+BAD_MODULES = {
+    "dims-count": ("dims 1 0 0\n", "expected 2 dimensions", 1),
+    "negative-dimension": ("# one\ndims 1 -1\n", "negative dimension", 2),
+    "arrow-before-dims": ("arrow a 1\ndims 1 1\n", "dims line must come first", 1),
+    "arrow-without-name": ("dims 1 1\narrow\n", "arrow line needs a name", 2),
+    "duplicate-arrow": ("dims 1 1\narrow a 1\narrow a 1\n", "duplicate arrow 'a'", 3),
+    "unknown-directive": ("dims 1 1\nmatrix a 1\n", "unknown directive 'matrix'", 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MODULES))
+def test_bad_module_file_is_input_error(name, capsys, tmp_path):
+    text, message, line = BAD_MODULES[name]
+    path = tmp_path / "bad.mod"
+    path.write_text(text, encoding="utf-8")
+    assert_one_error_line(capsys, ["domdim", alg("ka2"), "--module", str(path)], message, line)
+
+
+# manifests over a corpus holding ka2.alg: (entries, message), each refused
+# by load_corpus or when the entry's table is loaded
+BAD_MANIFESTS = {
+    "duplicate-id": (
+        [{"id": "ka2", "file": "ka2.alg"}, {"id": "ka2", "file": "ka2.alg"}],
+        "duplicate corpus entry id 'ka2'",
+    ),
+    "unknown-expected-key": (
+        [{"id": "ka2", "file": "ka2.alg", "expected": {"dim": 3, "rank": 2}}],
+        "ka2: unknown expected keys ['rank']",
+    ),
+    "unreadable-presentation": (
+        [{"id": "ka2", "file": "ka2.alg"}, {"id": "gone", "file": "gone.alg"}],
+        "gone: cannot read ",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MANIFESTS))
+def test_bad_manifest_entry_is_input_error(name, capsys, tmp_path):
+    entries, message = BAD_MANIFESTS[name]
+    shutil.copy(alg("ka2"), tmp_path)
+    (tmp_path / "manifest.json").write_text(json.dumps({"entries": entries}))
+    assert_one_error_line(capsys, ["verify", "--suite", "main", str(tmp_path)], message)
+
+
 def test_every_corpus_file_reads_as_the_old_whitespace_split_read_it():
     # the ASCII rule for separators changes nothing on the shipped corpus
     def old_rule(text):

@@ -1,4 +1,6 @@
+import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +131,43 @@ def test_manifest_string_lists_are_checked(tmp_path, key, value, message):
     )
     with pytest.raises(CorpusError, match=f"^x: {message}"):
         load_corpus(str(tmp_path))
+
+
+@pytest.mark.parametrize("key", ["file", "known_indecomposables"])
+@pytest.mark.parametrize("spelling", ["parent", "absolute"])
+def test_manifest_paths_stay_inside_the_corpus(key, spelling, tmp_path, capsys):
+    # both spellings used to be read, and verify exited 0 on them
+    from ardom.cli import main
+
+    root = tmp_path / "corpus"
+    (root / "modules").mkdir(parents=True)
+    with open(os.path.join(CORPUS_ROOT, "ka2.alg"), encoding="utf-8") as fh:
+        text = fh.read()
+    for folder in (root, tmp_path):
+        (folder / "ka2.alg").write_text(text)
+        (folder / "s.mod").write_text("dims 1 0\n")
+    # a path that passes through a subdirectory and back stays inside
+    good = {"id": "x", "file": "ka2.alg", "known_indecomposables": ["modules/../s.mod"]}
+    outside = {"file": "ka2.alg", "known_indecomposables": "s.mod"}[key]
+    outside = "../" + outside if spelling == "parent" else str(tmp_path / outside)
+    bad = dict(good, **{key: outside if key == "file" else [outside]})
+    (root / "manifest.json").write_text(json.dumps({"entries": [bad]}))
+    message = f"x: {key} must be a path inside the corpus directory, got {outside!r}"
+    with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+        load_corpus(str(root))
+    assert main(["verify", "--suite", "main", str(root)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    (root / "manifest.json").write_text(json.dumps({"entries": [good]}))
+    (entry,) = load_corpus(str(root))
+    assert [m.dims for _, m in entry.load_known_indecomposables()] == [(1, 0)]
+
+
+def test_the_shipped_manifest_paths_stay_inside_the_corpus(corpus):
+    root = os.path.realpath(CORPUS_ROOT)
+    for entry in corpus:
+        for rel in (entry.file, *entry.known_indecomposables):
+            path = os.path.realpath(os.path.join(entry.root, rel))
+            assert os.path.commonpath([root, path]) == root and os.path.isfile(path), rel
 
 
 def test_every_known_classification_label_loads(tmp_path):

@@ -486,16 +486,22 @@ def tau_orbit_cycles(inverse_translates):
 
 
 KNIT_BUILD_CASES = [("corpus", name, p) for name in CORPUS_IDS for p in (2, 3, 5, 101)] + [
-    ("nakayama", series, 101) for m in range(1, 5) for series in _cyclic_series(m, 5)
+    ("nakayama", series, 101) for m in range(1, 5) for series in _cyclic_series(m, 6)
 ]
+# the sequences the knit builds on each corpus entry that knits over GF(101)
+FALLBACK_COUNTS = {
+    "ka2": 0, "linear-a3": 0, "linear-a4": 0, "auslander-x2": 1, "auslander-x3": 4,
+    "comm-square": 0, "nak-22": 1, "nak-33": 2, "nak-32": 1, "nak-432": 1, "nak-344": 2,
+    "nak-233": 1,
+}
 
 
 def test_the_knit_builds_one_sequence_per_tau_periodic_orbit(monkeypatch, fresh_corpus_table):
     # a sequence is built only where no mesh is known: once on each τ-orbit
     # that is a cycle, where no walk back along τ reaches a projective, and
-    # nowhere else
+    # nowhere else, so never for an injective module, which no cycle holds
     calls = count_sequences(monkeypatch)
-    knitted = 0
+    knitted, built = 0, {}
     for kind, key, p in KNIT_BUILD_CASES:
         if kind == "corpus":
             tbl = fresh_corpus_table(key, p)
@@ -510,13 +516,17 @@ def test_the_knit_builds_one_sequence_per_tau_periodic_orbit(monkeypatch, fresh_
         cycles = tau_orbit_cycles(inverse_translates)
         assert len(calls) == len(cycles), tbl.label
         index = {id(ind.module): i for i, ind in enumerate(listed)}
-        built = [index[id(u)] for u in calls]
-        assert all(sum(i in cycle for i in built) == 1 for cycle in cycles), tbl.label
+        on = [index[id(u)] for u in calls]
+        assert all(sum(i in cycle for i in on) == 1 for cycle in cycles), tbl.label
         if tbl.label == "auslander-x3@101":
             assert sorted(map(sorted, cycles)) == [
                 [3, 7, 9, 11], [4, 8, 10, 12], [13, 14, 15, 16], [17, 18, 19, 20]
             ]
-    assert knitted == 73
+        if p == 101:
+            built[key] = len(calls)
+    assert knitted == 90
+    assert {key: built.pop(key) for key in FALLBACK_COUNTS} == FALLBACK_COUNTS
+    assert len(built) == 65 and sum(built.values()) == 163
 
 
 # --- where knitting gives up ------------------------------------------------
