@@ -53,19 +53,30 @@ KNOWN_FLAGS = ("selfinjective", "gendo_symmetric", "symmetric")
 
 
 class InputError(ValueError):
-    """Bad input: a malformed file, flag or argument.  The cli exits 2 on it."""
+    """Bad input: a malformed file, flag or argument.  The cli exits 2 on it.
+
+    ``line`` and ``col``, 1-based, locate the fault in its file, and
+    :func:`read_input` sets ``source`` to name the file.  ``__str__`` is the
+    one place that formats where a refusal points:
+    ``<source>: <message> (line N, col C)``, each part only where known."""
+
+    source = None
+
+    def __init__(self, message, line=None, col=None):
+        super().__init__(message, line, col)
+
+    def __str__(self):
+        message, line, col = self.args
+        if self.source is not None:
+            message = f"{self.source}: {message}"
+        if line is None:
+            return message
+        return f"{message} (line {line}" + ("" if col is None else f", col {col}") + ")"
 
 
 class PresentationError(InputError):
-    """Malformed presentation text; carries the offending line (1-based)."""
-
-    def __init__(self, message, line=None, col=None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", col {col}" if col is not None else "") + ")"
-        super().__init__(message + loc)
-        self.line = line
-        self.col = col
+    """Malformed presentation text, a flag that does not hold, or an ideal
+    that is not admissible."""
 
 
 class CompletionError(InputError):
@@ -98,12 +109,44 @@ def ascii_int(text: str) -> int:
 _NOT_A_SEPARATOR = re.compile(r"[^\S \t]|[\x00-\x08\x0e-\x1f\x7f-\x9f]")
 
 
-def read_input(path) -> str:
-    """The text of an input file: the one rule for opening one.  It is read
-    as UTF-8 with no newline translation, so a lone CR reaches
-    :func:`input_lines` and is refused there rather than read as a line end."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return fh.read()
+def read_input(path, parse, *args, source=None):
+    """``parse(text, *args)`` on the text of an input file: the one rule for
+    opening one and for naming it.  It is read as UTF-8 with no newline
+    translation, so a lone CR reaches :func:`input_lines` and is refused
+    there rather than read as a line end.  Every :class:`InputError` raised
+    while reading or parsing, and every warning, names ``source``, the path
+    by default."""
+    if source is None:
+        source = path
+    try:
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise InputError(f"cannot read: {exc.strerror or exc}") from None
+        with warnings.catch_warnings(record=True) as caught:
+            result = parse(_utf8(data), *args)
+    except InputError as exc:
+        exc.source = source
+        raise
+    for w in caught:
+        warnings.warn(f"{source}: {w.message}", w.category)
+    return result
+
+
+def _utf8(data: bytes) -> str:
+    """``data`` decoded as UTF-8, or an InputError at its first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad, reason = exc.start, exc.reason
+    # the bytes before the bad one decode, and no character spans a line end
+    start = data.rfind(b"\n", 0, bad) + 1
+    raise InputError(
+        f"not UTF-8 from byte 0x{data[bad]:02X}: {reason}",
+        data.count(b"\n", 0, bad) + 1,
+        len(data[start:bad].decode("utf-8")) + 1,
+    )
 
 
 def input_lines(text: str, error):
@@ -857,7 +900,7 @@ def table_from_text(
 
 def table_from_file(path, max_path_length: int = DEFAULT_MAX_PATH_LENGTH) -> AlgebraTable:
     label = os.path.splitext(os.path.basename(str(path)))[0]
-    return table_from_text(read_input(path), max_path_length, label)
+    return read_input(path, table_from_text, max_path_length, label)
 
 
 def opposite(tbl: AlgebraTable) -> AlgebraTable:

@@ -14,10 +14,11 @@ Each subcommand takes only the shared options it reads:
     --jobs J                 verify
 
 Exit codes follow the suite runner: 0 all good, 1 a check failed, 2 bad
-input (an ``InputError`` or an unreadable file), 3 a capped computation
-could not decide, 4 an internal error: a failed internal check or any other
-exception, which is a bug.  For plain invariant queries "could not decide"
-means the reported value is only a lower bound.
+input (an ``InputError``: a refused file, flag or argument, printed as one
+``error:`` line), 3 a capped computation could not decide, 4 an internal
+error: a failed internal check or any other exception, which is a bug.  For
+plain invariant queries "could not decide" means the reported value is only
+a lower bound.
 """
 
 from __future__ import annotations
@@ -100,12 +101,20 @@ _positive_int = _int_at_least(1, "positive")
 _nonnegative_int = _int_at_least(0, "non-negative")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line with an InputError, which :func:`main`
+    prints as its one ``error:`` line, in place of a usage block and an exit."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    fmt = argparse.ArgumentParser(add_help=False)
+    fmt = _Parser(add_help=False)
     fmt.add_argument(
         "--format", choices=("text", "json"), default="json", help="output format"
     )
-    alg = argparse.ArgumentParser(add_help=False)
+    alg = _Parser(add_help=False)
     alg.add_argument("algebra", help="presentation file")
     alg.add_argument(
         "--max-path-length",
@@ -114,22 +123,22 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="L",
         help="rewriting completion cap when reading the presentation",
     )
-    capped = argparse.ArgumentParser(add_help=False)
+    capped = _Parser(add_help=False)
     capped.add_argument(
         "--cap",
-        type=ascii_int,
+        type=_nonnegative_int,
         default=None,
         metavar="N",
         help="search cap for unbounded invariants "
         f"(default: $ARDOM_CAP or {DEFAULT_CAP})",
     )
-    sampled = argparse.ArgumentParser(add_help=False)
+    sampled = _Parser(add_help=False)
     sampled.add_argument("--seed", type=_nonnegative_int, default=0, help="sampling seed")
     sampled.add_argument(
         "--sample-size", type=_positive_int, default=64, metavar="K", help="modules per sample"
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ardom",
         description="Exact homological invariants of bound quiver algebras.",
     )
@@ -152,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         target.add_argument(
             "--sample-index",
-            type=ascii_int,
+            type=_nonnegative_int,
             metavar="I",
             help="regenerate module I of the deterministic sample "
             "(honors --seed and --sample-size) and compute on it",
@@ -160,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "grade":
             p.add_argument(
                 "--ext-degree",
-                type=ascii_int,
+                type=_positive_int,
                 default=None,
                 metavar="D",
                 help="grade the degree-D Ext module of the target "
@@ -173,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[fmt, alg],
         help="test whether all almost split sequences from projectives are n-torsion-free",
     )
-    p.add_argument("--n", type=ascii_int, required=True, help="torsion-free degree")
+    p.add_argument("--n", type=_positive_int, required=True, help="torsion-free degree")
     p.set_defaults(func=_cmd_ar_check)
 
     p = sub.add_parser(
@@ -206,8 +215,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "scan", parents=[fmt, capped], help="enumerate an algebra family hunting counterexamples"
     )
     p.add_argument("family", choices=("nakayama",))
-    p.add_argument("--simples", type=ascii_int, required=True, metavar="M")
-    p.add_argument("--max-len", type=ascii_int, required=True, metavar="L")
+    p.add_argument("--simples", type=_positive_int, required=True, metavar="M")
+    p.add_argument("--max-len", type=_positive_int, required=True, metavar="L")
     p.add_argument(
         "--question",
         action="store_true",
@@ -219,20 +228,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_cap(args) -> int:
+    """--cap, else $ARDOM_CAP read by the same rule, else the default."""
     if args.cap is not None:
-        cap = args.cap
-    else:
-        env = os.environ.get("ARDOM_CAP", "")
-        if env:
-            try:
-                cap = ascii_int(env)
-            except ValueError:
-                raise InputError(f"ARDOM_CAP must be an integer, got {env!r}") from None
-        else:
-            cap = DEFAULT_CAP
-    if cap < 0:
-        raise InputError("cap must be nonnegative")
-    return cap
+        return args.cap
+    env = os.environ.get("ARDOM_CAP", "")
+    try:
+        return _nonnegative_int(env) if env else DEFAULT_CAP
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"ARDOM_CAP: {exc}") from None
 
 
 def _emit(args, records, to_text):
@@ -249,7 +252,7 @@ def _load(args):
 
 def _load_module(tbl, path):
     label = os.path.splitext(os.path.basename(path))[0]
-    return parse_module(read_input(path), tbl, label=label)
+    return read_input(path, parse_module, tbl, label)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +299,7 @@ def _target(args, tbl):
     if args.sample_index is None:
         return None
     sample = sample_modules(tbl, seed=args.seed, size=args.sample_size)
-    if not 0 <= args.sample_index < len(sample):
+    if args.sample_index >= len(sample):
         raise InputError(
             f"--sample-index {args.sample_index} out of range "
             f"(sample has {len(sample)} modules)"
@@ -342,8 +345,6 @@ def _cmd_invariant(args):
     deg = getattr(args, "ext_degree", None)
     if deg is not None and mod is None:
         raise InputError("--ext-degree needs --module or --sample-index")
-    if deg is not None and deg < 1:
-        raise InputError("--ext-degree must be >= 1")
 
     def record(shown, module, value):
         return {
@@ -383,8 +384,6 @@ def _cmd_invariant(args):
 
 
 def _cmd_ar_check(args):
-    if args.n < 1:
-        raise InputError("--n must be >= 1")
     tbl = _load(args)
     holds, report = ar_report(tbl, args.n)
     record = {
@@ -456,26 +455,36 @@ def _cmd_scan(args):
     return exit_code([verdict.status])
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    """``warnings.showwarning`` for the cli: one ``warning:`` line, which
+    names the input (:func:`~ardom.algebra.read_input` prefixes its source)
+    rather than the package line that warned."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        if "cap" in args:  # only the subcommands with --cap read ARDOM_CAP
-            args.cap = _resolve_cap(args)
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # the reader went away (e.g. | head); not our error
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_PASS
-    except (InputError, OSError, UnicodeDecodeError) as exc:  # bad input
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except Exception as exc:  # failed internal checks and every other fault
-        message = " ".join(str(exc).split()) or type(exc).__name__
-        print(f"internal error: {message}", file=sys.stderr)
-        return EXIT_INTERNAL
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        try:
+            args = _build_parser().parse_args(argv)
+            if "cap" in args:  # only the subcommands with --cap read ARDOM_CAP
+                args.cap = _resolve_cap(args)
+            code = args.func(args)
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError:
+            # the reader went away (e.g. | head); not our error
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_PASS
+        except InputError as exc:  # bad input: a refused file, flag or argument
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        except Exception as exc:  # failed internal checks and every other fault
+            message = " ".join(str(exc).split()) or type(exc).__name__
+            print(f"internal error: {message}", file=sys.stderr)
+            return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .algebra import AlgebraTable, InputError, read_input, table_from_text
+from .algebra import DEFAULT_MAX_PATH_LENGTH, AlgebraTable, InputError, read_input, table_from_text
 from .modules import parse_module
 
 __all__ = ["CorpusError", "CorpusEntry", "load_corpus", "MANIFEST_NAME"]
@@ -45,16 +45,16 @@ class CorpusEntry:
     known_indecomposables: tuple = ()
     _table: AlgebraTable = field(default=None, repr=False, compare=False)
 
-    def _read(self, rel: str) -> str:
+    def _read(self, rel: str, parse, *args):
+        """``parse`` on the entry's file ``rel``; an error names ``<entry id>: <rel>``."""
         path = os.path.join(self.root, rel)
-        try:
-            return read_input(path)
-        except OSError as exc:
-            raise CorpusError(f"{self.entry_id}: cannot read {path}: {exc}") from exc
+        return read_input(path, parse, *args, source=f"{self.entry_id}: {rel}")
 
     def load_table(self) -> AlgebraTable:
         if self._table is None:
-            self._table = table_from_text(self._read(self.file), label=self.entry_id)
+            self._table = self._read(
+                self.file, table_from_text, DEFAULT_MAX_PATH_LENGTH, self.entry_id
+            )
         return self._table
 
     def load_known_indecomposables(self) -> list:
@@ -63,7 +63,7 @@ class CorpusEntry:
         out = []
         for rel in self.known_indecomposables:
             name = os.path.splitext(os.path.basename(rel))[0]
-            out.append((name, parse_module(self._read(rel), tbl, label=f"{self.entry_id}/{name}")))
+            out.append((name, self._read(rel, parse_module, tbl, f"{self.entry_id}/{name}")))
         return out
 
     def is_classified(self, *labels: str) -> bool:
@@ -102,6 +102,15 @@ def _well_shaped(key: str, raw) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
+    except ValueError as exc:  # an int past int()'s digit limit
+        raise CorpusError(f"invalid JSON: {exc}") from None
+
+
 def load_corpus(root: str) -> list:
     """All entries of the corpus at ``root``, in manifest order."""
     if not os.path.isdir(root):
@@ -109,10 +118,7 @@ def load_corpus(root: str) -> list:
     manifest_path = os.path.join(root, MANIFEST_NAME)
     if not os.path.isfile(manifest_path):
         raise CorpusError(f"no {MANIFEST_NAME} in {root}")
-    try:
-        manifest = json.loads(read_input(manifest_path))
-    except ValueError as exc:  # bad UTF-8, JSONDecodeError, or an int past int()'s digit limit
-        raise CorpusError(f"{manifest_path}: invalid JSON: {exc}") from exc
+    manifest = read_input(manifest_path, _parse_json)
     raw_entries = manifest.get("entries") if isinstance(manifest, dict) else None
     if not isinstance(raw_entries, list) or not raw_entries:
         raise CorpusError(f"{manifest_path}: no entries")

@@ -1279,7 +1279,7 @@ def _sample_modules(tbl: AlgebraTable, seed: int, size: int) -> tuple:
 
 
 class ModuleFileError(InputError):
-    pass
+    """A malformed module file, or one whose module breaks the relations."""
 
 
 # The most matrix entries, Σ over arrows of dims[src]·dims[tgt] plus Σ over
@@ -1300,54 +1300,50 @@ def parse_module(text: str, tbl: AlgebraTable, label: str = "module") -> ModuleR
     dims = None
     mats = {}
     q = tbl.quiver
-    def error(message, lineno, col):
-        return ModuleFileError(f"line {lineno}, col {col}: {message}")
 
-    for lineno, toks in input_lines(text, error):
+    for lineno, toks in input_lines(text, ModuleFileError):
         if toks[0] == "dims":
             if dims is not None:
-                raise ModuleFileError(f"line {lineno}: duplicate dims line")
+                raise ModuleFileError("duplicate dims line", lineno)
             if len(toks) != len(q.vertices) + 1:
-                raise ModuleFileError(
-                    f"line {lineno}: expected {len(q.vertices)} dimensions"
-                )
+                raise ModuleFileError(f"expected {len(q.vertices)} dimensions", lineno)
             try:
                 dims = tuple(map(ascii_int, toks[1:]))
             except ValueError:
-                raise ModuleFileError(f"line {lineno}: dimensions must be integers") from None
+                raise ModuleFileError("dimensions must be integers", lineno) from None
             if any(d < 0 for d in dims):
-                raise ModuleFileError(f"line {lineno}: negative dimension")
+                raise ModuleFileError("negative dimension", lineno)
             implied = sum([dims[q.arrow_source(a)] * dims[q.arrow_target(a)] for a in range(len(q.arrows))])
             implied += sum([d * d for d in dims])
             if implied > MAX_MODULE_ENTRIES:
                 raise ModuleFileError(
-                    f"line {lineno}: dims imply {implied} matrix entries, more than {MAX_MODULE_ENTRIES}"
+                    f"dims imply {implied} matrix entries, more than {MAX_MODULE_ENTRIES}", lineno
                 )
         elif toks[0] == "arrow":
             if dims is None:
-                raise ModuleFileError(f"line {lineno}: dims line must come first")
+                raise ModuleFileError("dims line must come first", lineno)
             if len(toks) < 2:
-                raise ModuleFileError(f"line {lineno}: arrow line needs a name")
+                raise ModuleFileError("arrow line needs a name", lineno)
             name = toks[1]
             if name not in q.arrow_index:
-                raise ModuleFileError(f"line {lineno}: unknown arrow {name!r}")
+                raise ModuleFileError(f"unknown arrow {name!r}", lineno)
             a = q.arrow_index[name]
             if a in mats:
-                raise ModuleFileError(f"line {lineno}: duplicate arrow {name!r}")
+                raise ModuleFileError(f"duplicate arrow {name!r}", lineno)
             r, c = dims[q.arrow_source(a)], dims[q.arrow_target(a)]
             entries = toks[2:]
             if len(entries) != r * c:
                 raise ModuleFileError(
-                    f"line {lineno}: arrow {name!r} needs {r * c} entries, got {len(entries)}"
+                    f"arrow {name!r} needs {r * c} entries, got {len(entries)}", lineno
                 )
             try:
                 # reduce as Python ints: entries may exceed the int64 range
                 vals = [ascii_int(t) % tbl.field.p for t in entries]
             except ValueError:
-                raise ModuleFileError(f"line {lineno}: entries must be integers") from None
+                raise ModuleFileError("entries must be integers", lineno) from None
             mats[a] = np.array(vals, dtype=np.int64).reshape(r, c)
         else:
-            raise ModuleFileError(f"line {lineno}: unknown directive {toks[0]!r}")
+            raise ModuleFileError(f"unknown directive {toks[0]!r}", lineno)
     if dims is None:
         raise ModuleFileError("missing dims line")
     full = []

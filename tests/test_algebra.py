@@ -259,6 +259,18 @@ def test_input_errors_share_one_base_class():
         assert not issubclass(error, ValueError)
 
 
+def test_an_input_error_formats_its_source_and_location_after_pickling():
+    # a corpus entry loaded in a pool worker reaches the cli pickled
+    err = PresentationError("unknown directive 'foo'", 3, 5)
+    assert str(err) == "unknown directive 'foo' (line 3, col 5)"
+    assert str(InputError("no field", 2)) == "no field (line 2)"
+    err.source = "bad: bad.alg"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(err, protocol))
+        assert type(back) is PresentationError
+        assert str(back) == "bad: bad.alg: unknown directive 'foo' (line 3, col 5)"
+
+
 def test_nakayama_from_kupisch_sets_its_flag_without_the_check():
     tbl = nakayama_from_kupisch([3, 3], cyclic=True)
     assert "selfinjective" in tbl.flags
@@ -580,6 +592,41 @@ def test_confluence_random_reduction_orders():
             expected = tbl.normal_form_path(path)
             got = reduce_random_order(tbl, path, rng)
             assert got == expected
+
+
+TWO_LOOPS = "field 101\nvertices v\narrow x v v\narrow y v v\n"
+
+
+def _agrees_with_random_reduction_orders(tbl, longest):
+    rng = random.Random(0)
+    for n in range(2, longest + 1):
+        for word in itertools.product(range(2), repeat=n):
+            path = Path(0, word, 0)
+            assert reduce_random_order(tbl, path, rng) == tbl.normal_form_path(path)
+
+
+def test_a_normal_form_whose_terms_cancel_is_zero():
+    # the rules y*x -> x*x + x*y and x*x*y -> -2*x*x*x take y*x*x to
+    # x*x*x + x*y*x, then to 2*x*x*x + x*x*y, then to 0
+    text = TWO_LOOPS + "relation y*y + 2*y*x\nrelation 100*x*x + y*x + 100*x*y\n"
+    tbl = table_from_text(text)
+    pres = parse_presentation(text)
+    assert tbl.dimension == quotient_dim_oracle(pres.quiver, pres.relations, 101, 5) == 6
+    x, y = (Path(0, (a,), 0) for a in range(2))
+    assert tbl.normal_form_path(Path(0, (1, 0, 0), 0)) == {}
+    assert tbl.multiply(tbl.multiply({y: 1}, {x: 1}), {x: 1}) == {}
+    _agrees_with_random_reduction_orders(tbl, 5)
+
+
+def test_completion_requeues_a_rule_whose_right_side_a_new_rule_reduces():
+    text = TWO_LOOPS + "relation 55*x*x + 64*x*y*x + 98*y*y\nrelation 72*x*x*y\n"
+    tbl = table_from_text(text)
+    assert tbl.dimension == 12
+    # every right side is left in normal form
+    for rhs in tbl.rules.values():
+        for term in rhs:
+            assert not any(_contains(term.arrows, lhs) for lhs in tbl.rules)
+    _agrees_with_random_reduction_orders(tbl, 5)
 
 
 # -- opposite ----------------------------------------------------------------------

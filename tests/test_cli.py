@@ -12,8 +12,9 @@ import time
 
 import pytest
 
-from ardom.algebra import input_lines
+from ardom.algebra import InputError, input_lines
 from ardom.cli import _build_parser, main
+from ardom.corpus import load_corpus
 from ardom.homology import domdim_module
 from ardom.modules import parse_module
 
@@ -255,9 +256,9 @@ def test_sample_index_errors(capsys):
     assert main(["grade", alg("ka2"), "--sample-index", "999"]) == 2
     assert main(["grade", alg("ka2"), "--ext-degree", "1"]) == 2
     assert main(["grade", alg("ka2"), "--sample-index", "0", "--ext-degree", "0"]) == 2
-    with pytest.raises(SystemExit) as exc:  # argparse rejects the combination
-        main(["grade", alg("ka2"), "--module", "x", "--sample-index", "1"])
-    assert exc.value.code == 2
+    capsys.readouterr()
+    argv = ["grade", alg("ka2"), "--module", "x", "--sample-index", "1"]  # argparse rejects it
+    assert_one_error_line(capsys, argv, "argument --sample-index: not allowed with argument --module")
 
 
 def test_module_entry_beyond_int64_is_reduced_mod_p(capsys, tmp_path):
@@ -338,11 +339,11 @@ def test_verify_output_is_the_same_under_python_O(tmp_path):
 
 
 def test_bad_degree_is_input_error(capsys):
-    code = main(["ar-check", alg("ka2"), "--n", "0"])
-    assert code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "main", "--n", "3..1", CORPUS])
-    assert exc.value.code == 2
+    argv = ["ar-check", alg("ka2"), "--n", "0"]
+    assert_one_error_line(capsys, argv, "argument --n: expected a positive integer, got '0'")
+    argv = ["verify", "--suite", "main", "--n", "3..1", CORPUS]
+    message = "argument --n: expected a positive value or A..B range, got '3..1'"
+    assert_one_error_line(capsys, argv, message)
 
 
 def test_internal_check_failure_exits_4(capsys, monkeypatch):
@@ -406,8 +407,8 @@ def test_bad_integer_in_a_module_file_is_input_error(name, capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: line ")
-    assert captured.err.endswith(" must be integers\n")
+    assert captured.err.startswith(f"error: {path}: ")
+    assert " must be integers (line " in captured.err
 
 
 @pytest.mark.parametrize("cap", ["\u0663", "1_0", "\uff13"])
@@ -415,7 +416,8 @@ def test_env_cap_in_other_digits_is_input_error(cap, capsys, monkeypatch):
     monkeypatch.setenv("ARDOM_CAP", cap)
     code = main(["gldim", alg("ka2")])
     assert code == 2
-    assert capsys.readouterr().err == f"error: ARDOM_CAP must be an integer, got {cap!r}\n"
+    message = f"ARDOM_CAP: expected a non-negative integer, got {cap!r}"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_signed_ascii_integers_keep_their_value(capsys, monkeypatch, tmp_path):
@@ -433,7 +435,8 @@ def test_signed_ascii_integers_keep_their_value(capsys, monkeypatch, tmp_path):
     code, lines = run(capsys, "domdim", alg("ka2"), "--module", str(tmp_path / "m.mod"))
     assert code == 0
     assert main(["domdim", alg("ka2"), "--cap", "-1"]) == 2
-    assert capsys.readouterr().err == "error: cap must be nonnegative\n"
+    message = "argument --cap: expected a non-negative integer, got '-1'"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # str.split() and str.splitlines() read each of these as a separator, so each
@@ -457,7 +460,7 @@ def test_bad_separator_in_an_algebra_file_is_input_error(name, capsys, tmp_path)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: whitespace or control character U+")
+    assert captured.err.startswith(f"error: {path}: whitespace or control character U+")
     assert f"(line {line}, col " in captured.err
 
 
@@ -477,8 +480,8 @@ def test_bad_separator_in_a_module_file_is_input_error(name, capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith(f"error: line {line}, col ")
-    assert "whitespace or control character U+" in captured.err
+    assert captured.err.startswith(f"error: {path}: whitespace or control character U+")
+    assert f"(line {line}, col " in captured.err
 
 
 def test_crlf_files_and_tab_separated_tokens_still_parse(capsys, tmp_path):
@@ -561,7 +564,7 @@ BAD_MANIFESTS = {
     ),
     "unreadable-presentation": (
         [{"id": "ka2", "file": "ka2.alg"}, {"id": "gone", "file": "gone.alg"}],
-        "gone: cannot read ",
+        "gone: gone.alg: cannot read: No such file or directory",
     ),
 }
 
@@ -572,6 +575,132 @@ def test_bad_manifest_entry_is_input_error(name, capsys, tmp_path):
     shutil.copy(alg("ka2"), tmp_path)
     (tmp_path / "manifest.json").write_text(json.dumps({"entries": entries}))
     assert_one_error_line(capsys, ["verify", "--suite", "main", str(tmp_path)], message)
+
+
+BAD_DIRECTIVE = "field 101\nvertices v\nfoo bar\n"
+LONG_ARROW_BLOCK = "dims 1 1\narrow a 1 2\n"  # over ka2, whose arrow a is 1 x 1
+
+
+def _manifest(*entries):
+    return json.dumps({"entries": [{"id": i, "file": f, **more} for i, f, more in entries]})
+
+
+# (files under the scratch folder D/, where "KA2" stands for ka2.alg, argv,
+# the one line on stderr).  argv None calls load_known_indecomposables,
+# which no subcommand reads.
+REFUSALS = {
+    "presentation-info": (
+        {"bad.alg": BAD_DIRECTIVE},
+        ["info", "D/bad.alg"],
+        "D/bad.alg: unknown directive 'foo' (line 3)",
+    ),
+    "presentation-corpus": (
+        {"c/bad.alg": BAD_DIRECTIVE, "c/manifest.json": _manifest(("bad", "bad.alg", {}))},
+        ["verify", "D/c"],
+        "bad: bad.alg: unknown directive 'foo' (line 3)",
+    ),
+    "presentation-corpus-jobs-2": (  # raised in a worker and pickled back
+        {
+            "c/ka2.alg": "KA2",
+            "c/bad.alg": BAD_DIRECTIVE,
+            "c/manifest.json": _manifest(("ka2", "ka2.alg", {}), ("bad", "bad.alg", {})),
+        },
+        ["verify", "--jobs", "2", "D/c"],
+        "bad: bad.alg: unknown directive 'foo' (line 3)",
+    ),
+    "module-file": (
+        {"m.mod": LONG_ARROW_BLOCK},
+        ["domdim", "KA2", "--module", "D/m.mod"],
+        "D/m.mod: arrow 'a' needs 1 entries, got 2 (line 2)",
+    ),
+    "known-indecomposable": (
+        {
+            "c/ka2.alg": "KA2",
+            "c/modules/m.mod": LONG_ARROW_BLOCK,
+            "c/manifest.json": _manifest(
+                ("ka2", "ka2.alg", {"known_indecomposables": ["modules/m.mod"]})
+            ),
+        },
+        None,
+        "ka2: modules/m.mod: arrow 'a' needs 1 entries, got 2 (line 2)",
+    ),
+    "non-utf8-presentation": (
+        {"b.alg": b"field 101\nvertices v\xff\n"},
+        ["info", "D/b.alg"],
+        "D/b.alg: not UTF-8 from byte 0xFF: invalid start byte (line 2, col 11)",
+    ),
+    "non-utf8-module": (
+        {"m.mod": b"# caf\xe9\ndims 1 0\n"},  # Latin-1
+        ["domdim", "KA2", "--module", "D/m.mod"],
+        "D/m.mod: not UTF-8 from byte 0xE9: invalid continuation byte (line 1, col 6)",
+    ),
+    "non-utf8-manifest": (
+        {"c/manifest.json": b'{"entries": [\n  "\xff"]}'},
+        ["verify", "D/c"],
+        "D/c/manifest.json: not UTF-8 from byte 0xFF: invalid start byte (line 2, col 4)",
+    ),
+    "manifest-json": (
+        {"c/manifest.json": '{"entries": [\n  1,,]}'},
+        ["verify", "D/c"],
+        "D/c/manifest.json: invalid JSON: Expecting value (line 2, col 5)",
+    ),
+    "infinite-dimensional-corpus-presentation": (
+        {"c/loop.alg": "field 101\n" + LOOP, "c/manifest.json": _manifest(("loop", "loop.alg", {}))},
+        ["verify", "D/c"],
+        "loop: loop.alg: infinite-dimensional: every power of the path x is a normal word, "
+        "so nonzero (a cycle of the Ufnarovski graph)",
+    ),
+    "unreadable-module-file": (
+        {},
+        ["domdim", "KA2", "--module", "D/gone.mod"],
+        "D/gone.mod: cannot read: No such file or directory",
+    ),
+    "jobs-0": (
+        {},
+        ["verify", "--jobs", "0", "D/c"],
+        "argument --jobs: expected a positive integer, got '0'",
+    ),
+    "missing-positional": ({}, ["info"], "the following arguments are required: algebra"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_every_refusal_is_one_located_error_line(name, capsys, tmp_path):
+    files, argv, expected = REFUSALS[name]
+    for rel, content in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if content == "KA2":
+            shutil.copy(alg("ka2"), path)
+        else:
+            path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+
+    def here(text):
+        return alg("ka2") if text == "KA2" else text.replace("D/", f"{tmp_path}/")
+
+    expected = "error: " + here(expected)
+    if argv is None:
+        (entry,) = load_corpus(str(tmp_path / "c"))
+        with pytest.raises(InputError) as exc:
+            entry.load_known_indecomposables()
+        assert f"error: {exc.value}" == expected  # the line main prints for it
+        return
+    code = main([here(arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [expected]
+
+
+def test_a_disconnected_quiver_warns_in_one_line_naming_the_file(capsys, tmp_path):
+    path = tmp_path / "two.alg"
+    path.write_text("field 101\nvertices a b\n")
+    code = main(["info", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["dimension"] == 2
+    message = "quiver is disconnected; invariants are computed per the whole table"
+    assert captured.err.splitlines() == [f"warning: {path}: {message}"]
 
 
 def test_every_corpus_file_reads_as_the_old_whitespace_split_read_it():
@@ -666,6 +795,7 @@ UNREAD_OPTIONS = [
         ["scan", "nakayama", "--simples", "0", "--max-len", "3"],
         ["scan", "nakayama", "--simples", "2", "--max-len", "1"],
         ["ar-check", "ALG", "--n", "-1"],
+        ["grade", "ALG", "--sample-index", "-1"],
         ["gldim", "ALG", "--module", "ZERO"],
         ["torsion", "ALG", "--module", "HUGE"],
         ["torsion", "ALG", "--module", "TALL"],
@@ -688,20 +818,16 @@ def test_argument_and_file_errors_exit_2(argv, capsys, tmp_path):
     paths["HUGE"] = str(tmp_path / "huge.mod")
     paths["TALL"] = str(tmp_path / "tall.mod")
     paths["BINARY"] = str(tmp_path / "binary.alg")
-    try:
-        code = main([paths.get(arg, arg) for arg in argv])
-    except SystemExit as exc:  # argparse: a usage line, then one error line
-        code = exc.code
-        err = capsys.readouterr().err
-        assert err.startswith("usage: ")
-        assert [line for line in err.splitlines() if "error: " in line] == [
-            err.splitlines()[-1]
-        ]
-        expected = "unrecognized arguments: --" if argv in UNREAD_OPTIONS else "argument --"
-        assert f": error: {expected}" in err.splitlines()[-1]
-    else:
-        assert capsys.readouterr().err.startswith("error: ")
+    code = main([paths.get(arg, arg) for arg in argv])
+    captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    (err,) = captured.err.splitlines()  # argparse's refusals too: no usage block
+    assert err.startswith("error: ")
+    if argv in UNREAD_OPTIONS:
+        assert err.startswith("error: unrecognized arguments: --")
+    elif argv in BAD_INTEGER_FLAGS:  # each integer flag is read by one rule
+        assert err.startswith("error: argument --") and ": expected a " in err
 
 
 def test_env_cap_override(capsys, monkeypatch):
@@ -756,10 +882,8 @@ def test_each_subcommand_takes_only_the_options_it_reads():
 
 @pytest.mark.parametrize("jobs", ["-3", "0", "two"])
 def test_jobs_below_one_is_input_error(capsys, jobs):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "main", "--jobs", jobs, CORPUS])
-    assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+    argv = ["verify", "--suite", "main", "--jobs", jobs, CORPUS]
+    assert_one_error_line(capsys, argv, "argument --jobs: ")
 
 
 def test_selfinjective_flag_on_a_non_selfinjective_algebra_is_input_error(capsys, tmp_path):
@@ -1149,10 +1273,8 @@ def test_verify_takes_a_single_n(capsys):
     recs = records(lines)
     assert len(recs) == 14
     assert all(r["check"] == "main-theorem" and r["detail"]["n"] == 2 for r in recs)
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "main", "--n", "0", CORPUS])
-    assert exc.value.code == 2
-    assert "expected a positive value or A..B range, got '0'" in capsys.readouterr().err
+    argv = ["verify", "--suite", "main", "--n", "0", CORPUS]
+    assert_one_error_line(capsys, argv, "expected a positive value or A..B range, got '0'")
 
 
 def test_negative_cap_is_input_error(capsys):
@@ -1160,7 +1282,7 @@ def test_negative_cap_is_input_error(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "error: cap must be nonnegative\n"
+    assert captured.err == "error: argument --cap: expected a non-negative integer, got '-1'\n"
 
 
 def test_torsion_text(capsys):

@@ -27,6 +27,7 @@ from ardom.modules import (
     direct_sum,
     dual,
     indecomposable_summands,
+    injective,
     is_injective,
     is_isomorphic,
     isomorphic_to,
@@ -202,6 +203,28 @@ def test_maps_between_modules_with_equal_tops_and_socles_need_not_be_isomorphism
     g1, g2 = f.mat([[1, 1], [0, 1]]), f.mat([[2, 0], [1, 1]])
     rebased = ModuleRep(tbl, (2, 2), [f.mul(f.mul(g1, a), f.inverse(g2)) for a in z.mats])
     assert isomorphic_to(rebased, cert)
+
+
+def test_modules_with_equal_tops_but_other_socles_are_not_isomorphic():
+    # over a -> b <- c, P(a) + S(c) and I(b) have dims (1, 1, 1) and tops
+    # {a, c}, but socles {b, c} and {b}
+    tbl = table_from_text("field 101\nvertices a b c\narrow x a b\narrow y c b\n")
+    m = direct_sum(tbl, [projective(tbl, 0), simple(tbl, 2)])
+    cert = certify_local(injective(tbl, 1))
+    assert m.dims == cert.module.dims == (1, 1, 1)
+    assert top_vertices(m) == top_vertices(cert.module) == (0, 2)
+    assert top_vertices(dual(m)) != top_vertices(dual(cert.module))
+    assert not isomorphic_to(m, cert)
+    assert is_isomorphic(m, cert.module) is False
+
+
+@pytest.mark.parametrize("eid, limit", [("auslander-x2", 2), ("auslander-x3", 13)])
+def test_the_knit_gives_up_when_a_summand_passes_the_limit(eid, limit, by_id):
+    # auslander-x2 passes it while it splits the radicals of the
+    # projectives, auslander-x3 while it splits the middle term of a sequence
+    tbl = by_id[eid].load_table()
+    assert ardom.arseq._knit(tbl, limit) is None
+    assert ardom.arseq._knit(tbl, 64) is not None
 
 
 def test_fitting_splits_a_sum_into_certified_summands(by_id):

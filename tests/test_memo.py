@@ -5,6 +5,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 
 import pytest
 
@@ -250,12 +251,57 @@ def test_every_imported_name_is_read_or_exported(name):
     assert sorted(imported - read - set(getattr(module, "__all__", ()))) == []
 
 
-def test_every_private_function_is_read_in_the_package():
-    # a helper that a fold or a deletion leaves behind is dead code too
-    trees = {
+def _package_trees():
+    return {
         name: ast.parse(inspect.getsource(importlib.import_module(f"ardom.{name}")))
         for name in PACKAGE_MODULES
     }
+
+
+def _writes_a_location(text: ast.JoinedStr) -> bool:
+    """Whether an f-string interpolates a line or column number."""
+    parts = text.values
+    for before, part in zip([None, *parts], parts):
+        if isinstance(part, ast.FormattedValue):
+            read = {n.id for n in ast.walk(part.value) if isinstance(n, ast.Name)}
+            lead = before.value if isinstance(before, ast.Constant) else ""
+            if read & {"line", "lineno", "col", "colno"} or re.search(r"\b(line|col)\W*$", lead):
+                return True
+    return False
+
+
+def test_input_errors_are_located_and_input_files_opened_in_one_place():
+    # InputError.__str__ is the one place that writes "(line N, col C)", and
+    # read_input the one place that opens an input file and names it
+    placed, opened = [], []
+    for name, tree in _package_trees().items():
+        formatter = [n for n in ast.walk(tree) if getattr(n, "name", None) == "InputError"]
+        allowed = {id(n) for cls in formatter for n in ast.walk(cls)}
+        placed += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.JoinedStr) and id(node) not in allowed and _writes_a_location(node)
+        ]
+        for func in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call) or func.name == "read_input":
+                    continue
+                callee = node.func
+                if isinstance(callee, ast.Attribute) and getattr(callee.value, "id", None) == "os":
+                    # a file descriptor: the cli points stdout at os.devnull on a broken pipe
+                    if callee.attr == "open" and ast.unparse(node.args[0]) == "os.devnull":
+                        continue
+                if getattr(callee, "id", getattr(callee, "attr", None)) in (
+                    "open", "read_text", "read_bytes"
+                ):
+                    opened.append(f"{name}.{func.name}:{node.lineno}")
+    assert placed == []
+    assert opened == []
+
+
+def test_every_private_function_is_read_in_the_package():
+    # a helper that a fold or a deletion leaves behind is dead code too
+    trees = _package_trees()
     trees["__init__"] = ast.parse(inspect.getsource(ardom))
     read = set()
     for node in (node for tree in trees.values() for node in ast.walk(tree)):
