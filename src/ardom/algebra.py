@@ -840,7 +840,8 @@ def build_table(
     """The table of a parsed presentation.  The ideal must be admissible, and
     ``selfinjective`` and ``symmetric`` (which implies it) short-circuit
     invariants, so A_A must be injective, asked of one P(v) at a time as
-    domdim and Müller's formula ask it: D(A) is never built."""
+    domdim and Müller's formula ask it, from its socle: neither D(A) nor
+    the opposite algebra is built."""
     tbl = AlgebraTable(
         pres.quiver,
         pres.field,

@@ -82,8 +82,8 @@ def _parse_n_range(text: str):
         ) from None
 
 
-def _int_at_least(low: int, kind: str):
-    """An argparse type: an integer >= low, described as a ``kind`` integer."""
+def _int_at_least(low: int, what: str):
+    """An argparse type: an integer >= low, described as ``what``."""
 
     def parse(text: str) -> int:
         try:
@@ -91,14 +91,14 @@ def _int_at_least(low: int, kind: str):
         except ValueError:
             n = low - 1
         if n < low:
-            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
         return n
 
     return parse
 
 
-_positive_int = _int_at_least(1, "positive")
-_nonnegative_int = _int_at_least(0, "non-negative")
+_positive_int = _int_at_least(1, "a positive integer")
+_nonnegative_int = _int_at_least(0, "a non-negative integer")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -216,7 +216,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("family", choices=("nakayama",))
     p.add_argument("--simples", type=_positive_int, required=True, metavar="M")
-    p.add_argument("--max-len", type=_positive_int, required=True, metavar="L")
+    p.add_argument(
+        "--max-len", type=_int_at_least(2, "a length of at least 2"), required=True, metavar="L"
+    )
     p.add_argument(
         "--question",
         action="store_true",

@@ -26,12 +26,12 @@ from .algebra import AlgebraTable, opposite, reverse_path
 from .modules import (
     _split_by_copy,
     _yoneda_maps,
+    _projective_injective_socles,
     InvariantError,
     ModuleMorphism,
     ModuleRep,
     dual,
     cokernel,
-    injective,
     is_injective,
     is_projective,
     kernel,
@@ -45,6 +45,7 @@ from .modules import (
     quotient_by_rows,
     regular,
     simple,
+    socle_vertices,
     submodule_from_rows,
     top_vertices,
     zero_module,
@@ -448,9 +449,10 @@ def torsion(m: ModuleRep) -> ModuleRep:
     space, so the module is bit-identical to the kernel of the evaluation
     map into the double dual (``tests/reference.py``).  A module that
     embeds in a projective is torsionless, so no system is read for a
-    projective m, nor for an m whose injective envelope, ⊕ I(v) over the
-    socle vertices :func:`top_vertices` of D m, is projective.  Kept per
-    module signature, under each caller's label.
+    projective m, nor for an m whose injective envelope, ⊕ I(v) over
+    :func:`~ardom.modules.socle_vertices`, is projective: each of its v is
+    in the table's set of v with I(v) projective.  Kept per module
+    signature, under each caller's label.
     """
     return _torsion(m).relabeled(f"t({m.label})")
 
@@ -460,9 +462,7 @@ def _torsion(m: ModuleRep) -> ModuleRep:
     tbl = m.algebra
     f = tbl.field
     # m embeds in a projective: nothing dies in m**
-    if is_projective(m) or all(
-        is_projective(injective(tbl, v)) for v in top_vertices(dual(m))
-    ):
+    if is_projective(m) or _projective_injective_socles(tbl).issuperset(socle_vertices(m)):
         return submodule_from_rows(m, [f.zeros(0, d) for d in m.dims], label=f"t({m.label})")[0]
     p0, cover = proj_cover(m)
     sections = [f.solve_left(c, f.eye(d)) for c, d in zip(cover.mats, m.dims)]
@@ -498,11 +498,14 @@ def domdim_module(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
 
     The j-th term is the dual of the cover of the j-th cosyzygy's dual,
     ⊕ I(v) over the vertices v of that dual's top (:func:`top_vertices`),
-    and by Krull–Schmidt it is projective iff each I(v) is, so each
-    distinct I(v) is asked once.  The cosyzygies are D m and its
-    :func:`_walk`.  Certified infinite when the coresolution terminates with
-    all terms projective or when the walk repeats while all terms so far are
-    projective (the terms then cycle); otherwise capped.
+    and by Krull–Schmidt it is projective iff each I(v) is, that is iff
+    each v lies in the table's set of v with I(v) projective, the socles of
+    the injective P(u); no I(v) is built.  The top of the first, D m, is
+    read as the socle of m (:func:`~ardom.modules.socle_vertices`), which
+    :func:`~ardom.modules.is_injective` reads too.  The cosyzygies are D m
+    and its :func:`_walk`.  Certified infinite when the coresolution
+    terminates with all terms projective or when the walk repeats while all
+    terms so far are projective (the terms then cycle); otherwise capped.
     """
     if m.is_zero:
         return CappedNat.infinite("zero module")
@@ -514,15 +517,19 @@ def _coresolution_walk(m: ModuleRep, cap: int, certify: bool = True) -> CappedNa
     stops once term ``cap`` is read, and builds no cosyzygy after it, so it
     certifies no infinite value there: enough where only an exact value up
     to ``cap`` counts."""
-    cos = dual(m)  # coresolution of m = dual of the resolution of D(m)
-    steps = itertools.chain([(cos, 0)], _walk(cos))
-    for j, (cos, q) in enumerate(itertools.islice(steps, cap + 1 + certify)):
+    # coresolution of m = dual of the resolution of D(m).  D m, and with it
+    # the opposite table, comes before the set, which builds every P(u), so
+    # their peaks do not add up (linear A_256: 138 MB the other way, 129 MB)
+    cos = dual(m)
+    projective_socles = _projective_injective_socles(m.algebra)
+    if not projective_socles.issuperset(socle_vertices(m)):  # the top of D m
+        return CappedNat.exact(0)
+    for j, (cos, q) in enumerate(itertools.islice(_walk(cos), cap + certify), 1):
         if cos.is_zero or q:
             return CappedNat.infinite(_PERIODIC if q else _FINITE)
         if j > cap:  # read only to certify
             break
-        tops = dict.fromkeys(top_vertices(cos))
-        if not all(is_projective(injective(m.algebra, v)) for v in tops):
+        if not projective_socles.issuperset(top_vertices(cos)):
             return CappedNat.exact(j)
     return CappedNat.at_least(cap + 1)
 

@@ -7,17 +7,20 @@ Matrices are plain numpy ``int64`` arrays with entries reduced into
 * elimination is fully deterministic (scan columns left to right, pivot on
   the first row with a nonzero entry), so every output is bit-reproducible,
 * each input gets one elimination, in ``_eliminate``: it is reduced mod p
-  once, and matrices with at most ``_LIST_ELIMINATION_NONZEROS`` nonzero
-  entries are reduced on Python ``int`` lists (numpy's per-call overhead
-  dominates there), the others with numpy row operations.  Both paths
-  return the same bytes, because the reduced row echelon form of a matrix
-  is unique.  Every routine reads that one elimination either as pivots
-  and rref rows (rref, rank, row spaces) or as the canonical kernel basis
+  once, and matrices with at most ``_LIST_ELIMINATION_NONZEROS`` entries,
+  or that many nonzero entries, are reduced on Python ``int`` lists
+  (numpy's per-call overhead dominates there), the others with numpy row
+  operations.  A matrix that small starts from ``tolist()`` and is reduced
+  on the lists, with no numpy call at all.  Both paths return the same
+  bytes, because the reduced row echelon form of a matrix is unique.
+  Every routine reads that one elimination either as pivots and rref
+  rows (rref, rank, row spaces) or as the canonical kernel basis
   (kernels; a quotient's projection is the kernel of the subspace,
   transposed; a solve is read off the kernel of ``[m | rhs]``),
 * coordinates in a small basis whose rows each have a unit column (an
   entry 1 where every other row has 0), as rref rows and canonical kernel
-  rows do, are read off those columns and checked by one product,
+  rows do, are read off those columns and checked by one product on int
+  lists,
 * zero-row and zero-column matrices are legal everywhere — empty vector
   spaces occur constantly as vertex spaces of representations.
 
@@ -37,15 +40,19 @@ __all__ = ["PrimeField", "Quotient", "is_probable_prime"]
 # scale (dimensions up to a few thousand).
 _MAX_MODULUS = 1 << 20
 
-# Largest count of nonzero entries reduced on Python lists rather than numpy
-# arrays.  Zero rows are never touched, so the list path's cost follows the
-# nonzero count, not the shape: on the benchmark workloads' inputs (sparse,
-# up to 254 x 202) and on random matrices of any density numpy overtakes it
-# between about 100 and 200 nonzero entries.
+# Largest count of entries, and of nonzero entries, reduced on Python lists
+# rather than numpy arrays.  A matrix with at most this many entries goes to
+# the lists from ``tolist()``, with no numpy reduction or count first; a
+# larger one is reduced with numpy, and goes to the lists when at most this
+# many entries are nonzero.  Zero rows are never touched, so the list path's
+# cost follows the nonzero count, not the shape: on the benchmark workloads'
+# inputs (sparse, up to 254 x 202) and on random matrices of any density
+# numpy overtakes it between about 100 and 200 nonzero entries.
 _LIST_ELIMINATION_NONZEROS = 128
 
 # Largest basis, in entries, that ``coords_in_rowspace`` scans for unit
-# columns before it falls back to elimination.
+# columns, and then reads coordinates off and checks on int lists, before it
+# falls back to elimination.
 _UNIT_COLUMN_ENTRIES = 64
 
 
@@ -171,18 +178,25 @@ class PrimeField:
         """(rows, pivots) of the rref of m, from one reduction mod p.
 
         A zero or empty matrix gives its reduced array and no pivots.  A
-        matrix with at most ``_LIST_ELIMINATION_NONZEROS`` nonzero entries is
-        reduced on int lists and gives all its rows as lists, the others are
-        reduced with numpy and give an array; either way the first
-        ``len(pivots)`` rows are the pivot rows.
+        matrix with at most ``_LIST_ELIMINATION_NONZEROS`` entries, or that
+        many nonzero entries, is reduced on int lists and gives all its rows
+        as lists, the others are reduced with numpy and give an array;
+        either way the first ``len(pivots)`` rows are the pivot rows.
         """
+        rows, cols = m.shape
+        if rows * cols <= _LIST_ELIMINATION_NONZEROS:
+            p = self.p
+            a = [[x % p for x in row] for row in m.tolist()]
+            if not any(map(any, a)):
+                return np.zeros((rows, cols), dtype=np.int64), ()
+            return self._rref_lists(a, rows, cols)
         r = np.remainder(m, self.p, dtype=np.int64)
         nonzeros = np.count_nonzero(r)
         if not nonzeros:
             return r, ()
         if nonzeros > _LIST_ELIMINATION_NONZEROS:
-            return self._rref_array(r, *r.shape)
-        return self._rref_lists(r.tolist(), *r.shape)
+            return self._rref_array(r, rows, cols)
+        return self._rref_lists(r.tolist(), rows, cols)
 
     def _rref_lists(self, a: list, rows: int, cols: int) -> tuple[list, tuple[int, ...]]:
         """rref of a nonzero matrix given as rows of ints in range(p), in place."""
@@ -328,7 +342,8 @@ class PrimeField:
         A small basis in which every row has a unit column (an entry 1 where
         every other row has 0), as rref rows and canonical kernel rows do,
         needs no elimination: its rows are independent, and X must be vecs
-        read on those columns, so one product decides membership.
+        read on those columns, so one product, on int lists, decides
+        membership.
         """
         vecs = np.asarray(vecs, dtype=np.int64)
         if vecs.ndim == 1:
@@ -341,11 +356,19 @@ class PrimeField:
         if k == 0:
             return None if np.any(vecs % self.p) else self.zeros(vecs.shape[0], 0)
         if basis.size <= _UNIT_COLUMN_ENTRIES:
-            cols = self._unit_columns(basis.tolist())
+            rows = basis.tolist()
+            cols = self._unit_columns(rows)
             if cols is not None:
-                target = vecs % self.p
-                x = target[:, cols]
-                return x if (self.mul(x, basis) == target).all() else None
+                p = self.p
+                out = []
+                for vec in vecs.tolist():
+                    x = [vec[c] % p for c in cols]
+                    # x·basis ≡ vec, one column at a time
+                    for j, y in enumerate(vec):
+                        if sum([c * row[j] for c, row in zip(x, rows)]) % p != y % p:
+                            return None
+                    out.append(x)
+                return np.array(out, dtype=np.int64)
         return self.solve_left(basis, vecs)
 
     def _unit_columns(self, rows: list) -> Optional[list]:

@@ -42,6 +42,7 @@ __all__ = [
     "top",
     "socle",
     "top_vertices",
+    "socle_vertices",
     "proj_cover",
     "omega",
     "inj_hull",
@@ -428,7 +429,9 @@ def submodule_from_rows(m: ModuleRep, rows_per_vertex, label: str = "") -> tuple
     """(S, inclusion) for the submodule spanned by the given rows.
 
     The rows at each vertex must be linearly independent.  Raises
-    ValueError when their span is not closed under every arrow action.
+    ValueError when their span is not closed under every arrow action.  An
+    arrow with no rows at its source, or into a vertex where m is zero, acts
+    by a block with no entries, and no product or closure check is made.
     """
     f = m.algebra.field
     q = m.algebra.quiver
@@ -437,6 +440,9 @@ def submodule_from_rows(m: ModuleRep, rows_per_vertex, label: str = "") -> tuple
     mats = []
     for a in range(len(q.arrows)):
         v, w = q.arrow_source(a), q.arrow_target(a)
+        if not dims[v] or not m.dims[w]:
+            mats.append(f.zeros(dims[v], dims[w]))
+            continue
         acted = f.mul(basis[v], m.mats[a])
         coords = f.coords_in_rowspace(basis[w], acted)
         if coords is None:
@@ -471,9 +477,11 @@ def quotient_by_rows(m: ModuleRep, rows_per_vertex, label: str = "") -> tuple:
 
 def kernel(fmor: ModuleMorphism) -> tuple:
     """(K, inclusion): the vertexwise kernel of fmor with the induced arrow
-    actions, labelled ``ker(<source label>)``."""
+    actions, labelled ``ker(<source label>)``.  A block with no columns has
+    the whole source space as its kernel, and one with no rows an empty
+    kernel: both are read off the shape, with no elimination."""
     f = fmor.field
-    rows = [f.left_kernel_basis(b) for b in fmor.mats]
+    rows = [f.left_kernel_basis(b) if b.size else f.eye(len(b)) for b in fmor.mats]
     return submodule_from_rows(fmor.source, rows, label=f"ker({fmor.source.label})")
 
 
@@ -529,18 +537,21 @@ def top(m: ModuleRep) -> tuple:
     return quotient_by_rows(m, _radical_rows(m), label=f"top({m.label})")
 
 
+def _arrow_actions_from(m: ModuleRep, v: int) -> np.ndarray:
+    """The actions on m of the arrows out of v, side by side: a matrix whose
+    left kernel is the socle of m at v."""
+    outs = m.algebra.quiver.arrows_from(v)
+    if len(outs) == 1:
+        return m.mats[outs[0]]
+    if outs:
+        return np.concatenate([m.mats[a] for a in outs], axis=1)
+    return m.algebra.field.zeros(m.dims[v], 0)
+
+
 def socle(m: ModuleRep) -> tuple:
     """(soc m, inclusion): the elements that every arrow annihilates."""
     f = m.algebra.field
-    q = m.algebra.quiver
-    rows = []
-    for v in range(len(m.dims)):
-        outs = q.arrows_from(v)
-        if outs:
-            spread = np.concatenate([m.mats[a] for a in outs], axis=1)
-        else:
-            spread = f.zeros(m.dims[v], 0)
-        rows.append(f.left_kernel_basis(spread))
+    rows = [f.left_kernel_basis(_arrow_actions_from(m, v)) for v in range(len(m.dims))]
     return submodule_from_rows(m, rows, label=f"soc({m.label})")
 
 
@@ -839,6 +850,43 @@ def top_vertices(m: ModuleRep) -> tuple:
 
 
 @memoized
+def socle_vertices(m: ModuleRep) -> tuple:
+    """The socle of m as vertices: each v, in vertex order, dim m_v − rank of
+    the actions of the arrows out of v side by side times, since their left
+    kernel is the socle at v.  The twin of :func:`top_vertices`, and equal
+    to ``top_vertices(dual(m))`` with no dual or opposite algebra built: the
+    injective envelope of m is the sum of the I(v) over this list.  Kept per
+    module signature."""
+    f = m.algebra.field
+    out = []
+    for v, d in enumerate(m.dims):
+        if d:
+            out += [v] * (d - f.rank(_arrow_actions_from(m, v)))
+    return tuple(out)
+
+
+@memoized
+def _injective_dims(tbl: AlgebraTable) -> tuple:
+    """dim I(v) for each vertex v, the number of basis paths ending at v;
+    kept per table."""
+    dims = [0] * len(tbl.quiver.vertices)
+    for path in tbl.basis:
+        dims[path.target] += 1
+    return tuple(dims)
+
+
+@memoized
+def _projective_injective_socles(tbl: AlgebraTable) -> frozenset:
+    """The vertices v with I(v) projective, kept per table.
+
+    An injective P(u) is indecomposable, so it is I(v) for its one socle
+    vertex v; and a projective I(v) is some P(u), then injective.  So these
+    are the socle vertices of the injective P(u), and no I(v) is built."""
+    projectives = [projective(tbl, u) for u in range(len(tbl.quiver.vertices))]
+    return frozenset([socle_vertices(pu)[0] for pu in projectives if is_injective(pu)])
+
+
+@memoized
 def proj_cover(m: ModuleRep) -> tuple:
     """(P, cover) with P = ⊕ P(v) over :func:`top_vertices`; ker(cover) ⊆ rad P:
     one step of the minimal projective resolution of m.
@@ -887,8 +935,11 @@ def is_projective(m: ModuleRep) -> bool:
 
 
 def is_injective(m: ModuleRep) -> bool:
-    """Whether m is injective: D m is projective over the opposite algebra."""
-    return is_projective(dual(m))
+    """Whether m is injective: m embeds in its injective envelope ⊕ I(v)
+    over :func:`socle_vertices`, so it is injective exactly when the
+    dimensions agree.  No dual module or opposite algebra is built."""
+    dims = _injective_dims(m.algebra)
+    return sum([dims[v] for v in socle_vertices(m)]) == m.total_dim
 
 
 # ---------------------------------------------------------------------------
@@ -981,13 +1032,13 @@ def isomorphic_to(m: ModuleRep, ind: Indecomposable) -> bool:
     by the certificate (End(Z) local with residue field k), and φ·(λ + r)
     is invertible iff λ ≠ 0.  So the maps that are not isomorphisms form a
     hyperplane, which no basis lies in.  One Hom system is solved, after
-    tops and socles (:func:`top_vertices` of m and of D m), which isomorphic
-    modules share, are compared.
+    tops and socles (:func:`top_vertices`, :func:`socle_vertices`), which
+    isomorphic modules share, are compared.
     """
     z = ind.module
     if m.dims != z.dims or top_vertices(m) != top_vertices(z):
         return False
-    if top_vertices(dual(m)) != top_vertices(dual(z)):
+    if socle_vertices(m) != socle_vertices(z):
         return False
     f = m.algebra.field
     rows = _hom_rows(m, z)

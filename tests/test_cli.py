@@ -843,6 +843,17 @@ def test_env_cap_override(capsys, monkeypatch):
     assert rec["cap"] == 5
 
 
+@pytest.mark.parametrize("value", ["1", "0", "-3"])
+def test_a_max_length_below_two_is_refused_by_its_flag(value, capsys):
+    # the parser names the flag; the library keeps its own check for callers
+    code = main(["scan", "nakayama", "--simples", "2", "--max-len", value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: argument --max-len: expected a length of at least 2, got '{value}'\n"
+    )
+
+
 def test_bad_env_cap_is_input_error(capsys, monkeypatch):
     monkeypatch.setenv("ARDOM_CAP", "many")
     code = main(["gldim", alg("ka2")])

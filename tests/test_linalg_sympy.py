@@ -2,8 +2,9 @@
 
 Every elimination routine of ``PrimeField`` is compared with an independent
 implementation, over GF(2), GF(3) and GF(101), on random matrices of both
-sides of the list-elimination cut-off and on empty and all-zero shapes, and
-each routine's list path is checked against its numpy path byte for byte.
+sides of the list-elimination cut-off and on empty, all-zero and tiny
+shapes, and each routine's list path is checked against its numpy path
+byte for byte.
 sympy is a development dependency; without it this module is skipped.
 """
 
@@ -76,6 +77,13 @@ EDGE_CASES = [
         np.zeros((0, 0), dtype=np.int64),
         np.zeros((3, 5), dtype=np.int64),
         np.full((2, 3), p, dtype=np.int64),
+        # tiny shapes, reduced on lists straight from tolist()
+        np.array([[-1]], dtype=np.int64),
+        np.array([[p]], dtype=np.int64),
+        np.array([[2 * p + 1]], dtype=np.int64),
+        dense_random(p, 1, 6, seed=p),
+        dense_random(p, 6, 1, seed=p),
+        dense_random(p, 2, 2, seed=p + 1),
         # the last matrix reduced on lists and the first reduced with numpy
         with_nonzeros(p, 16, 17, _LIST_ELIMINATION_NONZEROS, seed=p),
         with_nonzeros(p, 16, 17, _LIST_ELIMINATION_NONZEROS + 1, seed=p),
@@ -278,6 +286,48 @@ def test_list_and_numpy_paths_give_identical_bytes(case, seed):
         mp.setattr(ardom.linalg, "_UNIT_COLUMN_ENTRIES", -1)
         large = all_outputs(f, m, seed)
     assert small == large
+
+
+TINY_SHAPES = [(0, 5), (5, 0), (0, 0), (1, 1), (1, 4), (4, 1), (2, 3), (8, 16), (11, 11)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("shape", TINY_SHAPES)
+def test_the_list_route_of_eliminate_equals_the_numpy_route(shape, p):
+    # the list route reads tolist() with no numpy reduction; the numpy route
+    # reduces with np.remainder first, and, with the cut-off at 0, eliminates
+    # every nonzero matrix with numpy row operations
+    f = FIELDS[p]
+    assert shape[0] * shape[1] <= _LIST_ELIMINATION_NONZEROS
+    for seed in range(12):
+        # unreduced and negative entries, and every density down to zero
+        m = dense_random(p, *shape, seed=seed, density=seed % 4 / 3)
+        r, pivots = f._eliminate(m)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ardom.linalg, "_LIST_ELIMINATION_NONZEROS", 0)
+            r_np, pivots_np = f._eliminate(m)
+        got = np.asarray(r, dtype=np.int64).reshape(shape)
+        assert pivots == pivots_np
+        assert (got.shape, got.tobytes()) == (r_np.shape, r_np.tobytes())
+        if not pivots:  # a zero matrix is an array, which callers slice
+            assert isinstance(r, np.ndarray) and r.dtype == np.int64
+
+
+@given(gf_matrices(max_dim=8), st.integers(min_value=0, max_value=2**32 - 1))
+@with_edge_cases(0)
+@settings(max_examples=100, deadline=None)
+def test_small_coords_in_rowspace_equal_solve_left(case, seed):
+    p, m = case
+    f = FIELDS[p]
+    for basis, vecs in coords_cases(p, m, seed):
+        if not len(basis) or not len(vecs):
+            continue  # answered before any basis is read
+        # rows with unit columns are independent, so the solution is unique
+        x, want = f.coords_in_rowspace(basis, vecs), f.solve_left(basis, vecs)
+        if want is None:
+            assert x is None
+        else:
+            assert (x.dtype, x.shape, x.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def test_derived_routines_do_not_reenter_rref(monkeypatch):

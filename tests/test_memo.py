@@ -12,11 +12,12 @@ import pytest
 import numpy as np
 
 import ardom
+import ardom.arseq
 import ardom.homology
 import ardom.linalg
 import ardom.modules
 from ardom.algebra import Path, nakayama_from_kupisch, opposite, table_from_text
-from ardom.arseq import almost_split_from_projective
+from ardom.arseq import almost_split_from_projective, has_n_tf_ar_sequences
 from ardom.corpus import load_corpus
 from ardom.homology import (
     DEFAULT_CAP,
@@ -771,3 +772,61 @@ def test_a_fresh_knit_solves_a_pinned_number_of_hom_systems(
         monkeypatch.setattr(module, fn, counted)
     assert knit_indecomposables(fresh_corpus_table(name, 101), 64) is not None
     assert counts == {"_hom_rows": systems, "almost_split": sequences}
+
+
+# ---------------------------------------------------------------------------
+# thin modules: work that follows the nonzero data
+# ---------------------------------------------------------------------------
+
+
+def wrap_everywhere(monkeypatch, name, make):
+    """Replace the modules function ``name`` by ``make(original)`` in every
+    package namespace that bound it."""
+    original = getattr(ardom.modules, name)
+    wrapped = make(original)
+    for layer in (ardom.modules, ardom.homology, ardom.arseq):
+        if getattr(layer, name, None) is original:
+            monkeypatch.setattr(layer, name, wrapped)
+
+
+def test_a_thin_nakayama_algebra_builds_no_injective_and_eliminates_no_empty_block(monkeypatch):
+    # every vertex space of the modules of this walk has dimension at most 1
+    tbl = nakayama_from_kupisch([3, 3, 4, 4, 4], cyclic=True)
+    injectives, empty, calls, depth = [], [], [], [0]
+
+    def inside(original):
+        def run(*args, **kwargs):
+            calls.append(original.__name__)
+            depth[0] += 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return run
+
+    wrap_everywhere(monkeypatch, "kernel", inside)
+    wrap_everywhere(monkeypatch, "submodule_from_rows", inside)
+    wrap_everywhere(monkeypatch, "injective", lambda f: lambda *a: injectives.append(a) or f(*a))
+    field = ardom.linalg.PrimeField
+    eliminate, coords = field._eliminate, field.coords_in_rowspace
+
+    def counting(self, m):
+        if depth[0] and not m.size:
+            empty.append(m.shape)
+        return eliminate(self, m)
+
+    def reading(self, basis, vecs):
+        # an arrow whose acted rows have no entries is not read
+        if depth[0] and not np.size(vecs):
+            empty.append(("coords", basis.shape, np.shape(vecs)))
+        return coords(self, basis, vecs)
+
+    monkeypatch.setattr(field, "_eliminate", counting)
+    monkeypatch.setattr(field, "coords_in_rowspace", reading)
+    assert domdim_algebra(tbl).is_exact
+    assert has_n_tf_ar_sequences(tbl, 10)[0] is False
+    assert "kernel" in calls and "submodule_from_rows" in calls
+    assert not injectives
+    assert not any(key[0] == "injective" for t in (tbl, opposite(tbl)) for key in t._memo)
+    assert not empty

@@ -18,13 +18,14 @@ from ardom.algebra import (
     table_from_file,
     table_from_text,
 )
-from ardom.arseq import _rad_end_paths, projective_rad_end
+from ardom.arseq import _rad_end_paths, knit_indecomposables, projective_rad_end
 from ardom.corpus import load_corpus
 from ardom.linalg import PrimeField
 from ardom.modules import (
     ModuleFileError,
     ModuleMorphism,
     ModuleRep,
+    _projective_injective_socles,
     _radical_rows,
     cokernel,
     direct_sum,
@@ -54,8 +55,10 @@ from ardom.modules import (
     serialize_module,
     simple,
     socle,
+    socle_vertices,
     submodule_from_rows,
     top,
+    top_vertices,
     validate,
     zero_module,
     zero_morphism,
@@ -1239,3 +1242,118 @@ def test_uniserial_certificate_violation_raises(monkeypatch):
     )
     with pytest.raises(InvariantError, match="not uniserial of length 1"):
         nakayama_indecomposables(nakayama_from_kupisch([3, 2], cyclic=True))
+
+
+# ---------------------------------------------------------------------------
+# injectivity from the socle, against the route through D m
+# ---------------------------------------------------------------------------
+
+
+def listed_modules(tbl):
+    """Every simple, projective and injective, and the uniserials of a
+    Nakayama algebra or else the knitted modules, where the knit closes."""
+    nv = len(tbl.quiver.vertices)
+    mods = [make(tbl, v) for make in (simple, projective, injective) for v in range(nv)]
+    uniserials = nakayama_indecomposables(tbl)
+    if uniserials is not None:
+        return mods + [m for _, _, m in uniserials]
+    return mods + [ind.module for ind in knit_indecomposables(tbl, 64) or ()]
+
+
+@pytest.mark.parametrize("p", [101, 2, 3])
+@pytest.mark.parametrize("side", ["algebra", "opposite"])
+@pytest.mark.parametrize("name", CORPUS_IDS)
+def test_socles_and_injectivity_match_the_route_through_the_dual(name, side, p, fresh_corpus_table):
+    # 101 is the prime every corpus file names
+    tbl = fresh_corpus_table(name, p)
+    if side == "opposite":
+        tbl = opposite(tbl)
+    for m in listed_modules(tbl):
+        assert socle_vertices(m) == top_vertices(dual(m))
+        assert is_injective(m) == is_projective(dual(m))
+    nv = len(tbl.quiver.vertices)
+    assert _projective_injective_socles(tbl) == {
+        v for v in range(nv) if is_projective(injective(tbl, v))
+    }
+
+
+@pytest.mark.parametrize("name", CORPUS_IDS)
+def test_injectivity_of_the_projectives_builds_no_opposite(name, monkeypatch, fresh_corpus_table):
+    tbl = fresh_corpus_table(name, 101)
+    assert tbl._opposite is None
+    monkeypatch.setattr(ardom.modules, "dual", lambda *args: pytest.fail("dual called"))
+    for v in range(len(tbl.quiver.vertices)):
+        is_injective(projective(tbl, v))
+    _projective_injective_socles(tbl)
+    assert tbl._opposite is None
+
+
+@pytest.mark.parametrize("name", ["nak-22", "nak-33"])
+def test_checking_the_selfinjective_flag_builds_no_opposite(name):
+    tbl = table_from_file(os.path.join(CORPUS, name + ".alg"))
+    assert "selfinjective" in tbl.flags
+    assert tbl._opposite is None
+
+
+# ---------------------------------------------------------------------------
+# empty vertex spaces read off their shape
+# ---------------------------------------------------------------------------
+
+
+def kernel_by_blocks(fmor):
+    """(K, inclusion) as ``kernel`` built it before: a left kernel basis per
+    block, and a product and a coordinate read per arrow."""
+    f, m = fmor.field, fmor.source
+    q = m.algebra.quiver
+    rows = [f.left_kernel_basis(b) for b in fmor.mats]
+    mats = []
+    for a in range(len(q.arrows)):
+        v, w = q.arrow_source(a), q.arrow_target(a)
+        coords = f.coords_in_rowspace(rows[w], f.mul(rows[v], m.mats[a]))
+        assert coords is not None
+        mats.append(coords)
+    dims = tuple(len(r) for r in rows)
+    return ModuleRep(m.algebra, dims, mats, label=f"ker({m.label})"), rows
+
+
+def morphisms_with_empty_blocks(tbl):
+    """Covers, identities and zero maps to and from simples of every listed
+    module: each has blocks with no rows or no columns."""
+    nv = len(tbl.quiver.vertices)
+    for m in listed_modules(tbl):
+        yield proj_cover(m)[1]
+        yield identity_morphism(m)
+        for v in range(nv):
+            yield zero_morphism(m, simple(tbl, v))
+            yield zero_morphism(simple(tbl, v), m)
+
+
+@pytest.mark.parametrize("p", [2, 101])
+@pytest.mark.parametrize("name", ["ka2", "auslander-x3", "nak-233", "comm-square"])
+def test_kernels_with_empty_blocks_match_the_per_block_route(name, p, fresh_corpus_table):
+    tbl = fresh_corpus_table(name, p)
+    empty_blocks = 0
+    for fmor in morphisms_with_empty_blocks(tbl):
+        empty_blocks += sum(b.size == 0 for b in fmor.mats)
+        got, incl = kernel(fmor)
+        want, rows = kernel_by_blocks(fmor)
+        assert got.dims == want.dims and got.label == want.label
+        assert got.signature() == want.signature()
+        for x, y in zip(got.mats + incl.mats, want.mats + tuple(rows), strict=True):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        # no result block is a view on an input block, which it would pin
+        inputs = fmor.mats + fmor.source.mats + fmor.target.mats
+        assert not any(np.shares_memory(x, y) for x in got.mats + incl.mats for y in inputs)
+    assert empty_blocks
+
+
+def test_an_arrow_into_an_empty_submodule_at_a_nonzero_vertex_is_still_checked(dim5):
+    # P(v1) has a nonzero action of a: v1 -> v2, so the generator alone
+    # spans no submodule, while the rows at v1 and none at v2 skip nothing
+    pv = projective(dim5, 0)
+    a = dim5.quiver.arrow_index["a"]
+    assert pv.dims[1] and np.any(pv.mats[a])
+    gen = np.zeros((1, pv.dims[0]), dtype=np.int64)
+    gen[0, 0] = 1
+    with pytest.raises(ValueError, match="not closed under arrow a"):
+        submodule_from_rows(pv, [gen, np.zeros((0, pv.dims[1]), dtype=np.int64)])
