@@ -838,10 +838,8 @@ def build_table(
     label: str = "",
 ) -> AlgebraTable:
     """The table of a parsed presentation.  The ideal must be admissible, and
-    ``selfinjective`` and ``symmetric`` (which implies it) short-circuit
-    invariants, so A_A must be injective, asked of one P(v) at a time as
-    domdim and Müller's formula ask it, from its socle: neither D(A) nor
-    the opposite algebra is built."""
+    ``selfinjective`` and ``symmetric`` (which implies it) are claims checked
+    by :func:`~ardom.modules.is_selfinjective` that change no result."""
     tbl = AlgebraTable(
         pres.quiver,
         pres.field,
@@ -851,9 +849,9 @@ def build_table(
         label=label,
     )
     _check_admissible(tbl)
-    from .modules import is_injective, projective  # modules imports this module
+    from .modules import is_selfinjective  # modules imports this module
     for flag in sorted(tbl.flags & {"selfinjective", "symmetric"}):
-        if not all(is_injective(projective(tbl, v)) for v in range(len(tbl.quiver.vertices))):
+        if not is_selfinjective(tbl):
             raise PresentationError(f"flag {flag} does not hold: D(A) is not projective")
     return tbl
 

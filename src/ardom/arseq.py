@@ -43,6 +43,7 @@ from .homology import (
     torsion_free_failure_degree,
 )
 from .modules import (
+    _projective_injective_tops,
     Indecomposable,
     InvariantError,
     ModuleMorphism,
@@ -213,13 +214,12 @@ def almost_split(u: ModuleRep, rad_end, choice: int = 0) -> ArSequence:
 def almost_split_from_projective(tbl: AlgebraTable, vertex: int, choice: int = 0) -> ArSequence:
     """The almost split sequence 0 → P(vertex) → X → τ⁻¹P(vertex) → 0:
     :func:`almost_split` with the cycle basis of :func:`projective_rad_end`."""
-    u = projective(tbl, vertex)
-    if is_injective(u):
+    if vertex in _projective_injective_tops(tbl):
         raise ValueError(
             f"projective at vertex {tbl.quiver.vertices[vertex]} is injective; "
             "no almost split sequence starts there"
         )
-    return almost_split(u, projective_rad_end(tbl, vertex), choice)
+    return almost_split(projective(tbl, vertex), projective_rad_end(tbl, vertex), choice)
 
 
 @memoized
@@ -402,10 +402,10 @@ def _sweep(tbl: AlgebraTable, n: int):
     if n < 1:
         raise ValueError("n must be >= 1")
     for vertex in range(len(tbl.quiver.vertices)):
-        p = projective(tbl, vertex)
-        if is_injective(p):
+        if vertex in _projective_injective_tops(tbl):
             yield vertex, None, None
             continue
+        p = projective(tbl, vertex)
         yield vertex, "U", None
         yield vertex, "X", first_nonzero_ext(dual(radical(p)[0]), n)
         yield vertex, "V", first_nonzero_ext(dual(p), n)

@@ -27,12 +27,12 @@ from .modules import (
     _split_by_copy,
     _yoneda_maps,
     _projective_injective_socles,
+    _projective_injective_tops,
     InvariantError,
     ModuleMorphism,
     ModuleRep,
     dual,
     cokernel,
-    is_injective,
     is_projective,
     kernel,
     memoized,
@@ -518,8 +518,8 @@ def _coresolution_walk(m: ModuleRep, cap: int, certify: bool = True) -> CappedNa
     certifies no infinite value there: enough where only an exact value up
     to ``cap`` counts."""
     # coresolution of m = dual of the resolution of D(m).  D m, and with it
-    # the opposite table, comes before the set, which builds every P(u), so
-    # their peaks do not add up (linear A_256: 138 MB the other way, 129 MB)
+    # the opposite table, comes before the set builds every P(u), unless the
+    # fold of domdim_algebra built them first (linear A_256: 138 MB, else 129 MB)
     cos = dual(m)
     projective_socles = _projective_injective_socles(m.algebra)
     if not projective_socles.issuperset(socle_vertices(m)):  # the top of D m
@@ -543,10 +543,9 @@ def _least_over_summands(tbl: AlgebraTable, search, cap: int, floor: int = 0) ->
     exact or a bound at least the least exact value."""
     values, bound = [], cap
     for v in range(len(tbl.quiver.vertices)):
-        pv = projective(tbl, v)
-        if is_injective(pv):
+        if v in _projective_injective_tops(tbl):
             continue
-        values.append(search(pv, bound))
+        values.append(search(projective(tbl, v), bound))
         if values[-1].is_exact:
             bound = values[-1].value - 1
             if bound < floor:
@@ -574,8 +573,6 @@ def domdim_algebra(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat:
     exact value if any; infinite when every summand is, periodic if one
     of them is; otherwise at least ``cap + 1``.  Kept per table and cap.
     """
-    if "selfinjective" in tbl.flags or "symmetric" in tbl.flags:
-        return CappedNat.infinite("selfinjective flag")
     values = _least_over_summands(
         tbl, lambda pv, bound: _coresolution_walk(pv, bound, certify=bound == cap), cap
     )

@@ -48,6 +48,7 @@ __all__ = [
     "inj_hull",
     "is_projective",
     "is_injective",
+    "is_selfinjective",
     "dual",
     "direct_sum",
     "is_isomorphic",
@@ -876,14 +877,24 @@ def _injective_dims(tbl: AlgebraTable) -> tuple:
 
 
 @memoized
+def _projective_injective_tops(tbl: AlgebraTable) -> tuple:
+    """The vertices u with P(u) injective, in vertex order, kept per table."""
+    return tuple(u for u in range(len(tbl.quiver.vertices)) if is_injective(projective(tbl, u)))
+
+
+def is_selfinjective(tbl: AlgebraTable) -> bool:
+    """Whether A_A is injective: whether every P(u) is, read off the table."""
+    return len(_projective_injective_tops(tbl)) == len(tbl.quiver.vertices)
+
+
+@memoized
 def _projective_injective_socles(tbl: AlgebraTable) -> frozenset:
     """The vertices v with I(v) projective, kept per table.
 
     An injective P(u) is indecomposable, so it is I(v) for its one socle
     vertex v; and a projective I(v) is some P(u), then injective.  So these
     are the socle vertices of the injective P(u), and no I(v) is built."""
-    projectives = [projective(tbl, u) for u in range(len(tbl.quiver.vertices))]
-    return frozenset([socle_vertices(pu)[0] for pu in projectives if is_injective(pu)])
+    return frozenset([socle_vertices(projective(tbl, u))[0] for u in _projective_injective_tops(tbl)])
 
 
 @memoized

@@ -31,6 +31,7 @@ from .homology import (
 )
 from .modules import (
     dual,
+    is_selfinjective,
     nakayama_indecomposables,
     projective,
     regular,
@@ -205,9 +206,6 @@ def verify_gorenstein(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> Verdict:
     the modules that :func:`~ardom.homology.gorenstein_dim` resolves.
     """
     detail = {"cap": cap}
-    if "selfinjective" in tbl.flags:
-        detail["note"] = "vacuous: selfinjective"
-        return Verdict("gorenstein", tbl.label, "pass", detail)
     g = gorenstein_dim(tbl, cap=cap)
     detail["gorenstein"] = str(g)
     if g.is_infinite or not g.is_exact:
@@ -304,10 +302,11 @@ def verify_grade_formulas(
     ]
     min_grade = CappedNat.least(grades)
     detail["min_simple_grade"] = str(min_grade)
-    agree = True
+    agree, claim = True, None
 
     if dd.is_infinite or (dd.is_exact and dd.value >= 1):
         agree = dd.eq(min_grade)
+        claim = f"domdim == min simple torsion grade ({dd} against {min_grade})"
         if agree is False:
             detail["witness"] = {
                 "formula": "domdim == min grade of simple torsion",
@@ -316,13 +315,16 @@ def verify_grade_formulas(
             }
             return Verdict("grade-formulas", tbl.label, "fail", detail)
     elif dd.is_exact and dd.value == 0 and not tbl.relations:
-        if not (min_grade.is_exact and min_grade.value == 1):
+        agree = min_grade.eq(1)
+        claim = f"hereditary non-linear entries have minimum grade 1 ({min_grade})"
+        if agree is False:
             detail["witness"] = {
                 "formula": "hereditary non-linear entries have minimum grade 1",
                 "min_simple_grade": str(min_grade),
             }
             return Verdict("grade-formulas", tbl.label, "fail", detail)
-        detail["zero_domdim_branch"] = "minimum grade is 1 as required"
+        if agree:
+            detail["zero_domdim_branch"] = "minimum grade is 1 as required"
 
     if dd.is_exact and dd.value == 0:
         # every grade is >= 0: (b) and (c) hold for every module
@@ -360,7 +362,7 @@ def verify_grade_formulas(
         first_open += f", and {open_bounds - 1} more undecided bounds"
     why = _undecided(
         cap,
-        (agree, f"domdim == min simple torsion grade ({dd} against {min_grade})"),
+        (agree, claim),
         (True if dd.is_exact or dd.is_infinite else None, f"domdim ({dd})"),
         (None if first_open else True, first_open),
     )
@@ -474,7 +476,7 @@ def scan_nakayama_question(
     detail = {"simples": m, "max_len": max_len, "cap": cap, "bound": 2 * m}
     for series in _cyclic_series(m, max_len):
         tbl = nakayama_from_kupisch(list(series), cyclic=True)
-        selfinj = "selfinjective" in tbl.flags
+        selfinj = is_selfinjective(tbl)
         dd = domdim_algebra(tbl, cap=cap)
         row = {
             "series": list(series),
@@ -483,21 +485,21 @@ def scan_nakayama_question(
         }
         big = dd.ge(2 * m)
         if big is None:
-            status = "inconclusive"
             row["note"] = "dominant dimension undecided at this cap"
         elif big and not selfinj:
-            status = "fail"
             row["violates"] = "domdim >= 2m on a non-selfinjective algebra"
-            detail["witness"] = row
         if question and not selfinj:
             tf, report = has_n_tf_ar_sequences(tbl, 2 * m)
             row["tf_ar_at_2m"] = tf
             if tf:
-                status = "fail"
                 row["violates"] = "2m-torsion-free AR sequences without selfinjectivity"
-                detail["witness"] = row
             else:
                 row["first_failure"] = failure_witness(report)
+        if "violates" in row:  # fail outranks inconclusive, as in exit_code
+            status = "fail"
+            detail.setdefault("witness", row)
+        elif big is None and status == "pass":
+            status = "inconclusive"
         rows.append(row)
     detail["scanned"] = len(rows)
     if status == "pass":

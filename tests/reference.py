@@ -290,8 +290,6 @@ def is_n_torsion_free_via_dual(m: ModuleRep, n: int) -> bool:
 def domdim_whole(tbl, cap: int = DEFAULT_CAP) -> CappedNat:
     """domdim A from the minimal injective coresolution of A = ⊕_v P(v)
     walked as one module, D(A) resolved whole."""
-    if "selfinjective" in tbl.flags or "symmetric" in tbl.flags:
-        return CappedNat.infinite("selfinjective flag")
     return domdim_module(regular(tbl), cap)
 
 

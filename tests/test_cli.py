@@ -76,7 +76,7 @@ def test_gldim_capped_is_inconclusive_exit(capsys):
     [
         ("gldim", "ka2", 0, "gldim(ka2) = 1"),
         ("gldim", "nak-233", 3, "gldim(nak-233) = >=31"),
-        ("domdim", "nak-22", 0, "domdim(nak-22) = inf (selfinjective flag)"),
+        ("domdim", "nak-22", 0, "domdim(nak-22) = inf (finite coresolution with all terms projective)"),
     ],
 )
 def test_invariant_text_line(command, name, code, line, capsys):
@@ -318,6 +318,42 @@ def ka2_corpus(tmp_path):
     manifest["entries"] = [e for e in manifest["entries"] if e["id"] == "ka2"]
     (root / "manifest.json").write_text(json.dumps(manifest))
     return root
+
+
+def selfinjective_corpus(root, flagged):
+    """A corpus of nak-22 and nak-33, with their ``flags selfinjective``
+    line or without it."""
+    root.mkdir()
+    for name in ("nak-22", "nak-33"):
+        with open(alg(name), encoding="utf-8") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        (root / f"{name}.alg").write_text("".join(
+            line for line in lines if flagged or not line.startswith("flags")
+        ))
+    with open(os.path.join(CORPUS, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["entries"] = [e for e in manifest["entries"] if e["id"] in ("nak-22", "nak-33")]
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return root
+
+
+def test_a_selfinjective_flag_changes_no_output(capsys, tmp_path):
+    # the flag is a claim build_table checks: one algebra, one output
+    flagged = selfinjective_corpus(tmp_path / "flagged", True)
+    bare = selfinjective_corpus(tmp_path / "bare", False)
+    assert "flags" in (flagged / "nak-22.alg").read_text()
+    assert "flags" not in (bare / "nak-22.alg").read_text()
+    outputs = [run(capsys, "verify", "--n", "1..3", str(root)) for root in (flagged, bare)]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and len(outputs[0][1]) == 10
+    for name in ("nak-22", "nak-33"):
+        lines = [
+            run(capsys, "domdim", str(root / f"{name}.alg"), "--format", "text")
+            for root in (flagged, bare)
+        ]
+        assert lines[0] == lines[1] == (
+            0, [f"domdim({name}) = inf (finite coresolution with all terms projective)"]
+        )
 
 
 def test_verify_output_is_the_same_under_python_O(tmp_path):
@@ -908,7 +944,7 @@ def test_selfinjective_flag_on_a_non_selfinjective_algebra_is_input_error(capsys
 # The digest of `ardom verify --n 1..3 corpus/`: 78 records, one of them
 # inconclusive (nak-233 gorenstein).  A change that alters this output on
 # purpose updates the digest and says why in CHANGES.md.
-VERIFY_N_1_3_SHA256 = "51cdefc3444dba254299a866b05123b362735bd9054a3965b059f1450d24c3d6"
+VERIFY_N_1_3_SHA256 = "8f0a42d8cb8d90a027ded60de528978b01e253d4d4ec8e05a7e5a0c9f759e7a9"
 
 
 def test_verify_output_is_byte_identical_to_the_golden_digest(capsys):
@@ -1068,12 +1104,12 @@ def test_default_verify_checks_every_indecomposable(capsys):
 # The digest of `ardom scan nakayama --simples 4 --max-len 6 --question`: 36
 # records, exit 0.  Like VERIFY_N_1_3_SHA256, a change that alters this output
 # on purpose updates the digest and says why in CHANGES.md.
-SCAN_M4_L6_SHA256 = "14f2d2051b0991e8dc89360308158385877802b47147912f750dab437854ad0b"
+SCAN_M4_L6_SHA256 = "9540edf10a8128cb2351f65003d291e3bc7cc130987452c2193e7389eee9c2cd"
 # `--simples 5 --max-len 6 --question`: 79 records, exit 0; the longest
 # dominant-dimension loops of the scans that tier-1 runs
-SCAN_M5_L6_SHA256 = "78f377cb0514512c302087268e71eccc08b7e8a6119d1affd3b4716f116b019c"
+SCAN_M5_L6_SHA256 = "762383e5cde22f7549c84dc9fe80b5cd7d0d1edc10974776083c8c998b1ea8b6"
 # `--simples 6 --max-len 6 --question`: 211 records, exit 0, about 2 s
-SCAN_M6_L6_SHA256 = "add427307b76a545639ea72605904284901e858569e9f1c065da89ea10b3cb71"
+SCAN_M6_L6_SHA256 = "625370b4ceb5a2b8c957fbb6efc80cdebc5215a03b72f634143d99dfae35c447"
 
 
 def assert_scan_digest(capsys, simples, max_len, lines, digest):
@@ -1319,9 +1355,9 @@ def test_scan_text(capsys, monkeypatch):
     code, lines = run(capsys, *argv)
     assert code == 0
     assert lines[:3] == [
-        "series=[2, 2]  selfinjective=True  domdim=inf (selfinjective flag)",
+        "series=[2, 2]  selfinjective=True  domdim=inf (finite coresolution with all terms projective)",
         "series=[2, 3]  selfinjective=False  domdim=2  tf_ar_at_2m=False",
-        "series=[3, 3]  selfinjective=True  domdim=inf (selfinjective flag)",
+        "series=[3, 3]  selfinjective=True  domdim=inf (finite coresolution with all terms projective)",
     ]
     assert lines[3].startswith("PASS  nakayama-scan    cyclic-nakayama-m2 bound=4")
     assert len(lines) == 4

@@ -14,7 +14,7 @@ from ardom.homology import (
     gorenstein_dim,
 )
 from ardom.linalg import PrimeField
-from ardom.modules import is_projective, validate
+from ardom.modules import is_projective, is_selfinjective, validate
 from reference import hom_basis
 
 CORPUS_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
@@ -37,6 +37,7 @@ def test_every_presentation_builds_and_has_expected_dimension(corpus):
         tbl = entry.load_table()
         assert tbl.dimension == entry.expected["dim"], entry.entry_id
         assert ("selfinjective" in tbl.flags) == entry.expected["selfinjective"]
+        assert is_selfinjective(tbl) == entry.expected["selfinjective"], entry.entry_id
 
 
 def test_expected_invariants_match_computation(corpus):

@@ -12,10 +12,10 @@ ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 # sha256 of each demo's stdout; a change that alters a demo's output must
 # update its digest deliberately
 DEMO_SHA256 = {
-    "01_invariants_tour.py": "dc00460499b0e1dd4ee5f5156df127faaf0e60b1dfda20caff04e5b86bf77c7e",
+    "01_invariants_tour.py": "7e1ff5d1f58bf15cb90cabe1990ec578149bce55079e17cbba9c1651465b28d0",
     "02_almost_split_sequences.py": "fa7359549c54c73be23ffad9644b501d11ba2abf7ae3e65d2f32447908bdffee",
     "03_torsion_and_grades.py": "34ed42660581d8c8e1f5c3bb947d1fc09d863afd1f72d6c2352ffedc15c78fcd",
-    "04_verification_harness.py": "b6c6ed5c184442b34e1ab3ef58c0fe0f4b100f13b99da42b56f48480413b201a",
+    "04_verification_harness.py": "5478a4d63b99f65196033f4ec7e14b8dc707b68ed996a4221da2a06cb4c1b518",
 }
 
 

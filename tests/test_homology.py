@@ -555,9 +555,10 @@ def test_domdim_frozen_values(a2, dim5, kronecker, nak32):
     assert domdim_algebra(nak32).eq(2)
 
 
-def test_domdim_selfinjective_flag(nak22):
-    out = domdim_algebra(nak22)
-    assert out.is_infinite and "flag" in out.certificate
+def test_domdim_selfinjective_flag(nak22, nak22_unflagged):
+    # the flag is a checked claim: flagged and unflagged read the same value
+    assert "selfinjective" in nak22.flags and not nak22_unflagged.flags
+    assert domdim_algebra(nak22) == domdim_algebra(nak22_unflagged)
 
 
 def test_domdim_terminating_certificate(nak22_unflagged):
@@ -623,10 +624,10 @@ def test_domdim_by_summands_equals_the_whole_module(fresh_corpus_table, nak33_un
     assert kinds == {
         ("exact", ""),
         ("at_least", ""),
-        ("infinite", "selfinjective flag"),
-        ("infinite", "finite coresolution with all terms projective"),  # the field, A_1
+        # the selfinjective tables, flagged or not, and the field, A_1
+        ("infinite", "finite coresolution with all terms projective"),
     }
-    # every P(v) projective-injective, with no flag to short-circuit
+    # every P(v) projective-injective, with no flag
     for cap in (0, 1, 2, 3):
         got = domdim_algebra(nak33_unflagged, cap)
         assert got == reference.domdim_whole(nak33_unflagged, cap)

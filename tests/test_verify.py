@@ -142,7 +142,8 @@ def test_gorenstein_check_statuses(by_id):
 
     vac = verify_gorenstein(by_id["nak-22"].load_table())
     assert vac.status == "pass"
-    assert vac.detail["note"] == "vacuous: selfinjective"
+    assert vac.detail["gorenstein"] == "0"
+    assert vac.detail["note"] == "vacuous: Gorenstein dimension 0"
 
     und = verify_gorenstein(by_id["nak-233"].load_table())
     assert und.status == "inconclusive"
@@ -646,6 +647,27 @@ def test_grade_formula_d_fails_on_a_hereditary_entry(by_id, monkeypatch):
     assert _entry_code(by_id, "kronecker", "grade") == EXIT_FAIL
 
 
+@pytest.mark.parametrize("name", ["kronecker", "wild3"])
+def test_grade_formula_d_is_inconclusive_on_a_capped_grade(name, by_id):
+    # at cap 0 the least simple-torsion grade reads >=1: a bound, not a refutation
+    v = verify_grade_formulas(by_id[name].load_table(), cap=0)
+    assert v.status == "inconclusive"
+    assert v.detail["min_simple_grade"] == ">=1"
+    assert "witness" not in v.detail and "zero_domdim_branch" not in v.detail
+    assert v.detail["why"] == (
+        "not decided at cap 0: hereditary non-linear entries have minimum grade 1 (>=1)"
+    )
+    assert _entry_code(by_id, name, "grade", cap=0) == EXIT_INCONCLUSIVE
+
+
+def test_verify_at_cap_0_fails_no_record(capsys):
+    from ardom.cli import main
+
+    code = main(["verify", "--cap", "0", "--n", "1..3", CORPUS_ROOT])
+    statuses = {json.loads(line)["status"] for line in capsys.readouterr().out.splitlines()}
+    assert (code, "fail" in statuses) == (EXIT_INCONCLUSIVE, False)
+
+
 def test_torsion_pdim_is_inconclusive_below_the_dimensions(by_id):
     v = verify_cor47(by_id["auslander-x2"].load_table(), cap=1)
     assert v.status == "inconclusive"
@@ -731,3 +753,30 @@ def test_scan_rows_fail_on_either_violation(capsys, monkeypatch):
     assert "first_failure" not in row
     assert verdict.detail["witness"] == row
     assert _scan_code(capsys) == EXIT_FAIL
+
+
+def test_a_scan_that_fails_stays_failed_after_an_undecided_row(capsys, monkeypatch):
+    # [2, 3] violates the bound and the later [3, 3] is undecided: fail
+    # outranks inconclusive, and the witness is the first violating row
+    values = {
+        "nakayama-cyclic-2-3": CappedNat.exact(99),
+        "nakayama-cyclic-3-3": CappedNat.at_least(1),
+    }
+    monkeypatch.setattr(
+        ardom.verify,
+        "domdim_algebra",
+        lambda tbl, cap=30: values.get(tbl.label) or domdim_algebra(tbl, cap),
+    )
+    for question in (True, False):
+        verdict, rows = scan_nakayama_question(2, 3, question=question)
+        assert [r["domdim"] for r in rows[1:]] == ["99", ">=1"]
+        assert verdict.status == "fail"
+        assert verdict.detail["witness"] is rows[1]
+        assert rows[1]["violates"] == "domdim >= 2m on a non-selfinjective algebra"
+        assert "violates" not in rows[2] and "note" in rows[2]
+    assert _scan_code(capsys) == EXIT_FAIL
+    # a later violating row, [3, 4], leaves the witness at [2, 3]
+    monkeypatch.setattr(ardom.verify, "domdim_algebra", lambda tbl, cap=30: CappedNat.exact(99))
+    verdict, rows = scan_nakayama_question(2, 4, question=False)
+    assert [r["series"] for r in rows if "violates" in r] == [[2, 3], [3, 4]]
+    assert verdict.detail["witness"]["series"] == [2, 3]
