@@ -838,8 +838,9 @@ def build_table(
     label: str = "",
 ) -> AlgebraTable:
     """The table of a parsed presentation.  The ideal must be admissible, and
-    ``selfinjective`` and ``symmetric`` (which implies it) are claims checked
-    by :func:`~ardom.modules.is_selfinjective` that change no result."""
+    ``selfinjective`` and ``symmetric`` are claims checked here that change
+    no result: both need :func:`~ardom.modules.is_selfinjective`, and
+    ``symmetric`` also needs A weakly symmetric, each P(v) with socle S(v)."""
     tbl = AlgebraTable(
         pres.quiver,
         pres.field,
@@ -849,10 +850,21 @@ def build_table(
         label=label,
     )
     _check_admissible(tbl)
-    from .modules import is_selfinjective  # modules imports this module
+    # imported here: modules imports this module
+    from .modules import is_selfinjective, projective, socle_vertices
+
     for flag in sorted(tbl.flags & {"selfinjective", "symmetric"}):
         if not is_selfinjective(tbl):
             raise PresentationError(f"flag {flag} does not hold: D(A) is not projective")
+    if "symmetric" in tbl.flags:
+        names = tbl.quiver.vertices
+        for v in range(len(names)):
+            (w,) = socle_vertices(projective(tbl, v))  # P(v) is indecomposable injective
+            if w != v:
+                raise PresentationError(
+                    f"flag symmetric does not hold: P({names[v]}) has socle S({names[w]}), "
+                    "so A is not weakly symmetric"
+                )
     return tbl
 
 
@@ -883,7 +895,9 @@ def _check_admissible(tbl: AlgebraTable) -> None:
     for _ in range(tbl.dimension):
         if not power:
             break
-        power = span([tbl.multiply(x, {a: 1}) for x in power for a in arrows])
+        # most x·a are empty (a does not compose with x): each would be a zero row
+        products = [tbl.multiply(x, {a: 1}) for x in power for a in arrows]
+        power = span([product for product in products if product])
     if power:
         raise PresentationError(
             f"the ideal is not admissible: paths of length {tbl.dimension + 1} "

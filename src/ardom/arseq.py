@@ -197,7 +197,6 @@ def almost_split(u: ModuleRep, rad_end, choice: int = 0) -> ArSequence:
         [np.concatenate([c, (-d) % fld.p], axis=1) for c, d in zip(class_map.mats, d1.mats)],
     )
     x, projection, sections = cokernel(g)
-    x.label = f"X({u.label})"
     inclusion = ModuleMorphism._trusted(u, x, [pr[:k] for k, pr in zip(u.dims, projection.mats)])
     # the map U ⊕ P_0 -> V (zero on U, the cover on P_0) kills im(g), so it
     # descends along the quotient's section

@@ -345,6 +345,7 @@ def post_compose(m: ModuleRep, i: int, lm: ModuleMorphism) -> np.ndarray:
     return f.mul(coords, dst[1].proj)
 
 
+@memoized
 def ext_module(m: ModuleRep, i: int) -> ModuleRep:
     """Ext^i(m, A) as a right module over the opposite algebra.
 
@@ -354,23 +355,17 @@ def ext_module(m: ModuleRep, i: int) -> ModuleRep:
     Hom-dual m*; degree 1 is ker d_2* / im d_1*, with d_2* the dual
     presentation of Ω m.  Degree i >= 2 is Ext^1(Ω^{i-1} m, A), so modules
     whose syzygies coincide share one Ext module.  Kept per module
-    signature, under each caller's label.
+    signature.
     """
     if i < 0:
         raise ValueError("negative Ext degree")
-    return _ext_module(m, i).relabeled(f"Ext{i}({m.label},A)")
-
-
-@memoized
-def _ext_module(m: ModuleRep, i: int) -> ModuleRep:
-    label = f"Ext{i}({m.label},A)"
     if i >= 2:
-        return _ext_module(syzygy(m, i - 1), 1).relabeled(label)
+        return ext_module(syzygy(m, i - 1), 1)
     if syzygy(m, i).is_zero:
-        return zero_module(opposite(m.algebra), label=label)
+        return zero_module(opposite(m.algebra))
     cocycles, inclusion = kernel(_dual_presentation(syzygy(m, i)))
     if i == 0:
-        return cocycles.relabeled(label)
+        return cocycles
     f = m.algebra.field
     coboundaries = []
     for basis, block in zip(inclusion.mats, _dual_presentation(m).mats):
@@ -378,7 +373,7 @@ def _ext_module(m: ModuleRep, i: int) -> ModuleRep:
         if coords is None:
             raise InvariantError("a coboundary leaves the cocycles")
         coboundaries.append(coords)
-    return quotient_by_rows(cocycles, coboundaries, label=label)[0]
+    return quotient_by_rows(cocycles, coboundaries)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -403,21 +398,17 @@ def _dual_presentation(m: ModuleRep) -> ModuleMorphism:
     return projsum_map_from_elements(proj_sum(opp, ps0.vertices), proj_sum(opp, ps1.vertices), y)
 
 
+@memoized
 def transpose(m: ModuleRep) -> ModuleRep:
     """Tr m, the cokernel of :func:`_dual_presentation` over the opposite
     algebra; zero on projective modules, whose P_1 is 0.  Kept per module
-    signature, under each caller's label."""
-    return _transpose(m).relabeled(f"Tr({m.label})")
-
-
-@memoized
-def _transpose(m: ModuleRep) -> ModuleRep:
-    return cokernel(_dual_presentation(m))[0].relabeled(f"Tr({m.label})")
+    signature."""
+    return cokernel(_dual_presentation(m))[0]
 
 
 def tau(m: ModuleRep) -> ModuleRep:
     """D·Tr: zero exactly on modules with no non-projective summand."""
-    return dual(transpose(m), label=f"tau({m.label})")
+    return dual(transpose(m))
 
 
 def tau_inverse(m: ModuleRep) -> ModuleRep:
@@ -430,6 +421,7 @@ def tau_inverse(m: ModuleRep) -> ModuleRep:
 # ---------------------------------------------------------------------------
 
 
+@memoized
 def torsion(m: ModuleRep) -> ModuleRep:
     """t(m), the kernel of the evaluation m -> m**, without building m**.
 
@@ -452,18 +444,13 @@ def torsion(m: ModuleRep) -> ModuleRep:
     projective m, nor for an m whose injective envelope, ⊕ I(v) over
     :func:`~ardom.modules.socle_vertices`, is projective: each of its v is
     in the table's set of v with I(v) projective.  Kept per module
-    signature, under each caller's label.
+    signature.
     """
-    return _torsion(m).relabeled(f"t({m.label})")
-
-
-@memoized
-def _torsion(m: ModuleRep) -> ModuleRep:
     tbl = m.algebra
     f = tbl.field
     # m embeds in a projective: nothing dies in m**
     if is_projective(m) or _projective_injective_socles(tbl).issuperset(socle_vertices(m)):
-        return submodule_from_rows(m, [f.zeros(0, d) for d in m.dims], label=f"t({m.label})")[0]
+        return submodule_from_rows(m, [f.zeros(0, d) for d in m.dims])[0]
     p0, cover = proj_cover(m)
     sections = [f.solve_left(c, f.eye(d)) for c, d in zip(cover.mats, m.dims)]
     if any(s is None for s in sections):
@@ -473,7 +460,7 @@ def _torsion(m: ModuleRep) -> ModuleRep:
     # every cocycle at once as a map P_0 -> A, the blocks g_u side by side
     maps = _yoneda_maps(p0, areg, _split_by_copy(p0, cocycles, areg.dims), len(cocycles))
     rows = [f.left_kernel_basis(f.mul(s, g)) for s, g in zip(sections, maps)]
-    return submodule_from_rows(m, rows, label=f"t({m.label})")[0]
+    return submodule_from_rows(m, rows)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,12 @@ _MAX_MODULUS = 1 << 20
 # rather than numpy arrays.  A matrix with at most this many entries goes to
 # the lists from ``tolist()``, with no numpy reduction or count first; a
 # larger one is reduced with numpy, and goes to the lists when at most this
-# many entries are nonzero.  Zero rows are never touched, so the list path's
-# cost follows the nonzero count, not the shape: on the benchmark workloads'
-# inputs (sparse, up to 254 x 202) and on random matrices of any density
-# numpy overtakes it between about 100 and 200 nonzero entries.
+# many entries are nonzero.  The list path's cost is not the nonzero count:
+# at each column its pivot search reads the remaining rows, zero rows
+# included, until one is nonzero there, so a tall sparse matrix costs about
+# rows x columns reads.  On the benchmark workloads' inputs (sparse, up to
+# 254 x 202) and on random matrices of any density numpy overtakes it
+# between about 100 and 200 nonzero entries.
 _LIST_ELIMINATION_NONZEROS = 128
 
 # Largest basis, in entries, that ``coords_in_rowspace`` scans for unit

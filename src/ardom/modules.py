@@ -198,9 +198,11 @@ def memoized(fn):
     a module's algebra).  A call that raises stores nothing.
 
     Every caller with equal arguments gets the same object back, so a
-    result is shared: treat it, and every module or morphism inside it, as
-    immutable, labels included.  To show a module under another label,
-    take :meth:`ModuleRep.relabeled`.
+    result is shared and never changed: treat it, and every module or
+    morphism inside it, as immutable.  A derived module carries no label;
+    only the named modules (S(v), P(v), I(v), module files, listed and
+    sampled modules) do, each built under its name or named by
+    :meth:`ModuleRep.relabeled`, a copy.
     """
     sig = inspect.signature(fn)
     arity = len(sig.parameters)
@@ -229,11 +231,11 @@ def memoized(fn):
     return wrapper
 
 
-def zero_module(tbl: AlgebraTable, label: str = "0") -> ModuleRep:
+def zero_module(tbl: AlgebraTable) -> ModuleRep:
     nv = len(tbl.quiver.vertices)
     dims = (0,) * nv
     mats = [tbl.field.zeros(0, 0) for _ in tbl.quiver.arrows]
-    return ModuleRep(tbl, dims, mats, label=label)
+    return ModuleRep(tbl, dims, mats)
 
 
 def validate(m: ModuleRep) -> Optional[str]:
@@ -426,7 +428,7 @@ def _as_row_block(arr, width: int, p: int) -> np.ndarray:
     return np.mod(arr.reshape(-1, width), p)
 
 
-def submodule_from_rows(m: ModuleRep, rows_per_vertex, label: str = "") -> tuple:
+def submodule_from_rows(m: ModuleRep, rows_per_vertex) -> tuple:
     """(S, inclusion) for the submodule spanned by the given rows.
 
     The rows at each vertex must be linearly independent.  Raises
@@ -450,12 +452,12 @@ def submodule_from_rows(m: ModuleRep, rows_per_vertex, label: str = "") -> tuple
             arrow = q.arrows[a][0]
             raise ValueError(f"rows do not span a submodule: not closed under arrow {arrow}")
         mats.append(coords)
-    sub = ModuleRep._trusted(m.algebra, dims, mats, label=label)
+    sub = ModuleRep._trusted(m.algebra, dims, mats)
     incl = ModuleMorphism._trusted(sub, m, basis)
     return sub, incl
 
 
-def quotient_by_rows(m: ModuleRep, rows_per_vertex, label: str = "") -> tuple:
+def quotient_by_rows(m: ModuleRep, rows_per_vertex) -> tuple:
     """(Q, projection, sections) for the quotient of m by the span of the
     given rows; ``sections[v]`` is the right inverse of the projection at v
     whose rows are the canonical coset representatives."""
@@ -471,19 +473,19 @@ def quotient_by_rows(m: ModuleRep, rows_per_vertex, label: str = "") -> tuple:
         v, w = q.arrow_source(a), q.arrow_target(a)
         # the section picks the free rows of the arrow's matrix
         mats.append(f.mul(m.mats[a][quots[v].free], quots[w].proj))
-    quo = ModuleRep._trusted(m.algebra, dims, mats, label=label)
+    quo = ModuleRep._trusted(m.algebra, dims, mats)
     proj = ModuleMorphism._trusted(m, quo, [qt.proj for qt in quots])
     return quo, proj, tuple(qt.section for qt in quots)
 
 
 def kernel(fmor: ModuleMorphism) -> tuple:
     """(K, inclusion): the vertexwise kernel of fmor with the induced arrow
-    actions, labelled ``ker(<source label>)``.  A block with no columns has
-    the whole source space as its kernel, and one with no rows an empty
-    kernel: both are read off the shape, with no elimination."""
+    actions.  A block with no columns has the whole source space as its
+    kernel, and one with no rows an empty kernel: both are read off the
+    shape, with no elimination."""
     f = fmor.field
     rows = [f.left_kernel_basis(b) if b.size else f.eye(len(b)) for b in fmor.mats]
-    return submodule_from_rows(fmor.source, rows, label=f"ker({fmor.source.label})")
+    return submodule_from_rows(fmor.source, rows)
 
 
 def image(fmor: ModuleMorphism) -> tuple:
@@ -491,7 +493,7 @@ def image(fmor: ModuleMorphism) -> tuple:
     target, with fmor = projection followed by inclusion."""
     f = fmor.field
     rows = [f.row_space_basis(b) for b in fmor.mats]
-    im, incl = submodule_from_rows(fmor.target, rows, label=f"im({fmor.source.label})")
+    im, incl = submodule_from_rows(fmor.target, rows)
     mats = []
     for v, (basis, block) in enumerate(zip(rows, fmor.mats)):
         coords = f.coords_in_rowspace(basis, block)
@@ -503,12 +505,12 @@ def image(fmor: ModuleMorphism) -> tuple:
 
 def cokernel(fmor: ModuleMorphism) -> tuple:
     """(C, projection, sections): the quotient of fmor's target by its image
-    (see :func:`quotient_by_rows`), labelled ``coker(<source label>)``.
+    (see :func:`quotient_by_rows`).
 
     The image at v is the row space of the block f_v, and the quotient
     depends only on that row space, so the blocks go in as they are and
     each is reduced once."""
-    return quotient_by_rows(fmor.target, fmor.mats, label=f"coker({fmor.source.label})")
+    return quotient_by_rows(fmor.target, fmor.mats)
 
 
 def _arrow_actions_into(m: ModuleRep, w: int) -> np.ndarray:
@@ -530,12 +532,12 @@ def _radical_rows(m: ModuleRep) -> list:
 
 def radical(m: ModuleRep) -> tuple:
     """(rad m, inclusion): the submodule m·rad A."""
-    return submodule_from_rows(m, _radical_rows(m), label=f"rad({m.label})")
+    return submodule_from_rows(m, _radical_rows(m))
 
 
 def top(m: ModuleRep) -> tuple:
     """(top m, projection, sections): m modulo its radical."""
-    return quotient_by_rows(m, _radical_rows(m), label=f"top({m.label})")
+    return quotient_by_rows(m, _radical_rows(m))
 
 
 def _arrow_actions_from(m: ModuleRep, v: int) -> np.ndarray:
@@ -553,7 +555,7 @@ def socle(m: ModuleRep) -> tuple:
     """(soc m, inclusion): the elements that every arrow annihilates."""
     f = m.algebra.field
     rows = [f.left_kernel_basis(_arrow_actions_from(m, v)) for v in range(len(m.dims))]
-    return submodule_from_rows(m, rows, label=f"soc({m.label})")
+    return submodule_from_rows(m, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -620,27 +622,27 @@ def projective(tbl: AlgebraTable, v: int) -> ModuleRep:
     return ModuleRep._trusted(tbl, dims, mats, label=f"P({name})")
 
 
-def dual(m: ModuleRep, label: str = "") -> ModuleRep:
+def dual(m: ModuleRep) -> ModuleRep:
     """The k-dual as a right module over the opposite algebra.
 
     Same vertex dimensions; the reversed arrow acts by the transpose.
     """
     opp = opposite(m.algebra)
     mats = [m.mats[a].T for a in range(len(m.algebra.quiver.arrows))]
-    return ModuleRep._trusted(opp, m.dims, mats, label=label or f"D({m.label})")
+    return ModuleRep._trusted(opp, m.dims, mats)
 
 
 @memoized
 def injective(tbl: AlgebraTable, v: int) -> ModuleRep:
     """D of the opposite algebra's projective at v."""
     name = tbl.quiver.vertices[v]
-    mod = dual(projective(opposite(tbl), v), label=f"I({name})")
+    mod = dual(projective(opposite(tbl), v)).relabeled(f"I({name})")
     if mod.algebra is not tbl:
         raise InvariantError("the dual of an opposite projective lives over another algebra")
     return mod
 
 
-def direct_sum(tbl: AlgebraTable, mods: Sequence[ModuleRep], label: str = "") -> ModuleRep:
+def direct_sum(tbl: AlgebraTable, mods: Sequence[ModuleRep]) -> ModuleRep:
     for m in mods:
         if m.algebra is not tbl:
             raise ValueError("direct_sum: algebra mismatch")
@@ -648,20 +650,19 @@ def direct_sum(tbl: AlgebraTable, mods: Sequence[ModuleRep], label: str = "") ->
     nv = len(tbl.quiver.vertices)
     dims = tuple([sum([m.dims[v] for m in mods]) for v in range(nv)])
     mats = [f.block_diag([m.mats[a] for m in mods]) for a in range(len(tbl.quiver.arrows))]
-    label = label or "+".join([m.label for m in mods]) or "0"
-    return ModuleRep._trusted(tbl, dims, mats, label=label)
+    return ModuleRep._trusted(tbl, dims, mats)
 
 
 @memoized
 def regular(tbl: AlgebraTable) -> ModuleRep:
     mods = [projective(tbl, v) for v in range(len(tbl.quiver.vertices))]
-    return direct_sum(tbl, mods, label="A")
+    return direct_sum(tbl, mods)
 
 
 @memoized
 def dual_regular(tbl: AlgebraTable) -> ModuleRep:
     """D(A) as a right module: the dual of the opposite algebra's regular."""
-    return dual(regular(opposite(tbl)), label="DA")
+    return dual(regular(opposite(tbl)))
 
 
 # ---------------------------------------------------------------------------
@@ -695,11 +696,8 @@ def proj_sum(tbl: AlgebraTable, vertices: Sequence[int]) -> ProjSum:
 @memoized
 def _proj_sum(tbl: AlgebraTable, vertices: tuple) -> ProjSum:
     projs = [projective(tbl, v) for v in vertices]
-    label = "+".join([f"P({tbl.quiver.vertices[v]})" for v in vertices]) or "0"
-    if len(projs) == 1:
-        module = projs[0].relabeled(label)  # the sum of one block is that block
-    else:
-        module = direct_sum(tbl, projs, label=label)
+    # the sum of one block is that block
+    module = projs[0] if len(projs) == 1 else direct_sum(tbl, projs)
     first = []
     at = (0,) * len(tbl.quiver.vertices)
     for pv in projs:
@@ -907,8 +905,8 @@ def proj_cover(m: ModuleRep) -> tuple:
     vector of m_v, the canonical section of the top projection.  Kept once
     per module signature, so the cover may target a bit-identical module
     other than m; like every memoised result it is shared, so nothing in it
-    may be changed, labels included.  The kernel of the cover is
-    :func:`omega`, built only when read.
+    may be changed.  The kernel of the cover is :func:`omega`, built only
+    when read.
     """
     tbl = m.algebra
     f = tbl.field
@@ -932,7 +930,7 @@ def omega(m: ModuleRep) -> tuple:
 def inj_hull(m: ModuleRep) -> tuple:
     """(I, embedding): the dual of the opposite-side projective cover."""
     ps, cover = proj_cover(dual(m))
-    hull = dual(ps.module, label=f"E({m.label})")
+    hull = dual(ps.module)
     embedding = ModuleMorphism(m, hull, [b.T for b in cover.mats])
     return hull, embedding
 
@@ -1139,10 +1137,7 @@ def _fitting_split(m: ModuleRep, rng) -> Optional[tuple]:
         kernels = [f.left_kernel_basis(b) for b in powers]
         if sum(len(k) for k in kernels) < m.total_dim:
             images = [f.row_space_basis(b) for b in powers]
-            return (
-                submodule_from_rows(m, kernels, label=m.label)[0],
-                submodule_from_rows(m, images, label=m.label)[0],
-            )
+            return submodule_from_rows(m, kernels)[0], submodule_from_rows(m, images)[0]
     return None
 
 
@@ -1248,7 +1243,8 @@ def nakayama_indecomposables(tbl: AlgebraTable):
     return tuple(out)
 
 
-def sample_modules(tbl: AlgebraTable, seed: int = 0, size: int = 64) -> list:
+@memoized
+def sample_modules(tbl: AlgebraTable, seed: int = 0, size: int = 64) -> tuple:
     """Deterministic-in-seed module sample; see the contract in the README.
 
     ``ardom grade --sample-index`` reads it, and ``verify`` checks it only
@@ -1263,14 +1259,10 @@ def sample_modules(tbl: AlgebraTable, seed: int = 0, size: int = 64) -> list:
     Yoneda rows of :func:`projsum_hom_rows`, which equal the
     :func:`_hom_rows` rows, so no Hom system is solved.  Zero modules are
     dropped, duplicates (bit-identical representations) appear once.  The
-    sample is computed once per table and arguments; each call returns a
-    fresh list of the same modules.
+    sample is computed once per table and arguments.  The entries that are
+    not S(v), P(v) or I(v) are named copies: ``rad(P(v))``, ``top(P(v))``,
+    ``syz^d(S_v)``, ``cosyz^d(S_v)`` and ``sample[i]``.
     """
-    return list(_sample_modules(tbl, seed, size))
-
-
-@memoized
-def _sample_modules(tbl: AlgebraTable, seed: int, size: int) -> tuple:
     nv = len(tbl.quiver.vertices)
     f = tbl.field
     out = []
@@ -1283,7 +1275,6 @@ def _sample_modules(tbl: AlgebraTable, seed: int, size: int) -> tuple:
         if sig in seen:
             return
         seen.add(sig)
-        # a relabelled copy: mod may be a shared memo result
         out.append(mod.relabeled(label) if label else mod)
 
     for v in range(nv):
@@ -1292,9 +1283,9 @@ def _sample_modules(tbl: AlgebraTable, seed: int, size: int) -> tuple:
         push(projective(tbl, v))
     for v in range(nv):
         push(injective(tbl, v))
-    for v in range(nv):
-        push(radical(projective(tbl, v))[0])
-        push(top(projective(tbl, v))[0])
+    for v, name in enumerate(tbl.quiver.vertices):
+        push(radical(projective(tbl, v))[0], label=f"rad(P({name}))")
+        push(top(projective(tbl, v))[0], label=f"top(P({name}))")
     for v in range(nv):
         mod = simple(tbl, v)
         for depth in range(1, 4):

@@ -200,7 +200,7 @@ def _star_with_bases(m: ModuleRep):
                 raise InvariantError("post-composition leaves the hom basis span")
             mat[i] = coords[0]
         mats[a] = mat
-    star = ModuleRep(opp, dims, mats, label=f"{m.label}*")
+    star = ModuleRep(opp, dims, mats)
     return star, bases
 
 
@@ -261,7 +261,6 @@ def evaluation_and_torsion(m: ModuleRep) -> EvalData:
         ev_mats.append(mat)
     evaluation = ModuleMorphism(m, dstar, ev_mats)
     t_mod, t_inclusion = kernel(evaluation)
-    t_mod.label = f"t({m.label})"
     return EvalData(
         evaluation=evaluation,
         double_dual=dstar,
@@ -375,16 +374,14 @@ def ext_module_by_post_composition(m: ModuleRep, i: int) -> ModuleRep:
     :func:`ext_classes_of_the_resolution`.  The opposite of an arrow
     a: v -> w acts by post-composition with left multiplication
     P(w) -> P(v) by a, which moves the block of a cocycle at each copy P(u)
-    of P_i by its block at u.  Degree i >= 2 is degree 1 of Ω^{i-1} m,
-    relabelled.
+    of P_i by its block at u.  Degree i >= 2 is degree 1 of Ω^{i-1} m.
     """
     tbl = m.algebra
     f = tbl.field
-    label = f"Ext{i}({m.label},A)"
     if i >= 2:
-        return ext_module_by_post_composition(syzygy(m, i - 1), 1).relabeled(label)
+        return ext_module_by_post_composition(syzygy(m, i - 1), 1)
     if syzygy(m, i).is_zero:
-        return zero_module(opposite(tbl), label=label)
+        return zero_module(opposite(tbl))
     classes = [ext_classes_of_the_resolution(m, i, v) for v in range(len(tbl.quiver.vertices))]
     tops = ardom.homology._presentation(syzygy(m, i))[0].vertices
     mats = []
@@ -399,7 +396,7 @@ def ext_module_by_post_composition(m: ModuleRep, i: int) -> ModuleRep:
         if coords is None:
             raise InvariantError("post-composition leaves the cocycle space")
         mats.append(f.mul(coords, dst_quot.proj))
-    return ModuleRep(opposite(tbl), [quot.dim for _, quot in classes], mats, label=label)
+    return ModuleRep(opposite(tbl), [quot.dim for _, quot in classes], mats)
 
 
 def torsion_per_vertex(m: ModuleRep) -> ModuleRep:
@@ -411,10 +408,9 @@ def torsion_per_vertex(m: ModuleRep) -> ModuleRep:
     of all their blocks side by side."""
     tbl = m.algebra
     f = tbl.field
-    label = f"t({m.label})"
     p0, cover = proj_cover(m)
     if p0.module.dims == m.dims:  # projective: torsionless
-        return submodule_from_rows(m, [f.zeros(0, d) for d in m.dims], label=label)[0]
+        return submodule_from_rows(m, [f.zeros(0, d) for d in m.dims])[0]
     sections = [f.solve_left(c, f.eye(d)) for c, d in zip(cover.mats, m.dims)]
     blocks = [[] for _ in m.dims]
     for v in range(len(tbl.quiver.vertices)):
@@ -433,7 +429,7 @@ def torsion_per_vertex(m: ModuleRep) -> ModuleRep:
         f.left_kernel_basis(np.concatenate(b, axis=1) if b else f.zeros(d, 0))
         for b, d in zip(blocks, m.dims)
     ]
-    return submodule_from_rows(m, rows, label=label)[0]
+    return submodule_from_rows(m, rows)[0]
 
 
 def rad_end_by_the_chain(m: ModuleRep):

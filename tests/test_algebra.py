@@ -11,6 +11,7 @@ import pickle
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -234,6 +235,20 @@ def test_selfinjective_corpus_entries_still_load(name):
     assert "selfinjective" in tbl.flags
 
 
+@pytest.mark.parametrize("name, symmetric", [("nak-22", False), ("nak-33", True)])
+def test_the_symmetric_flag_needs_each_projective_to_have_its_own_socle(name, symmetric):
+    # the socles of P(v1), P(v2): S(v2), S(v1) on nak-22, S(v1), S(v2) on nak-33
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "corpus", name + ".alg")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read().replace("flags selfinjective", "flags symmetric")
+    if symmetric:
+        assert "symmetric" in table_from_text(text, label=name).flags
+    else:
+        message = re.escape("flag symmetric does not hold: P(v1) has socle S(v2)")
+        with pytest.raises(PresentationError, match=message):
+            table_from_text(text, label=name)
+
+
 @pytest.mark.parametrize(
     "relation, dimension",
     [("x*x*x - x*x*x*x", None), ("x*x - x*x*x", None), ("x*x*x", 3), ("x*x*x*x*x", 5)],
@@ -245,6 +260,26 @@ def test_only_admissible_ideals_build_a_table(relation, dimension):
             table_from_text(text)
     else:
         assert table_from_text(text).dimension == dimension
+
+
+def test_the_admissibility_check_reduces_no_zero_row(monkeypatch):
+    # x·a is spanned only where the arrow a composes with x: on the line A_24
+    # nearly every other product is empty, and each would be a zero row
+    n = 24
+    text = "field 101\nvertices " + " ".join(f"v{i}" for i in range(n)) + "\n"
+    text += "".join(f"arrow a{i} v{i} v{i + 1}\n" for i in range(n - 1))
+    tbl = table_from_text(text)
+    reduced = []
+    original = PrimeField.row_space_basis
+
+    def recorded(self, m):
+        reduced.append(np.array(m))
+        return original(self, m)
+
+    monkeypatch.setattr(PrimeField, "row_space_basis", recorded)
+    ardom.algebra._check_admissible(tbl)
+    assert len(reduced) == n  # R_1, ..., R_23 and the empty R_24
+    assert all(m.any(axis=1).all() for m in reduced)
 
 
 def test_input_errors_share_one_base_class():

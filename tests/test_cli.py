@@ -252,6 +252,30 @@ def test_sample_index_regenerates_witness_module(capsys):
     assert rec["invariant"] == "grade-ext2"
 
 
+# The module names ``grade --sample-index I`` prints on auslander-x3 at the
+# default seed and size: simples, projectives and injectives under their own
+# names, then the sampler's named entries.
+AUSLANDER_X3_SAMPLE_NAMES = [
+    *(f"{kind}(v{i})" for kind in "SPI" for i in (1, 2, 3)),
+    "rad(P(v1))",
+    "rad(P(v2))",
+    "cosyz^1(S_v1)",
+    "cosyz^1(S_v2)",
+    *(f"sample[{i}]" for i in range(13, 64)),
+]
+
+
+def test_sample_index_records_keep_their_module_names(capsys):
+    names = []
+    for index in range(len(AUSLANDER_X3_SAMPLE_NAMES)):
+        code, lines = run(capsys, "grade", alg("auslander-x3"), "--sample-index", str(index))
+        assert code == 0
+        (rec,) = records(lines)
+        names.append(rec["module"])
+    assert names == AUSLANDER_X3_SAMPLE_NAMES
+    assert main(["grade", alg("auslander-x3"), "--sample-index", str(len(names))]) == 2
+
+
 def test_sample_index_errors(capsys):
     assert main(["grade", alg("ka2"), "--sample-index", "999"]) == 2
     assert main(["grade", alg("ka2"), "--ext-degree", "1"]) == 2
@@ -939,6 +963,16 @@ def test_selfinjective_flag_on_a_non_selfinjective_algebra_is_input_error(capsys
     code = main(["domdim", str(path)])
     assert code == 2
     assert "flag selfinjective does not hold" in capsys.readouterr().err
+
+
+def test_symmetric_flag_on_a_selfinjective_algebra_that_is_not_weakly_symmetric(capsys, tmp_path):
+    # nak-22 is selfinjective, but P(v1) and P(v2) have socles S(v2) and S(v1)
+    with open(os.path.join(CORPUS, "nak-22.alg"), encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / "nak-22.alg"
+    path.write_text(text.replace("flags selfinjective", "flags symmetric"))
+    message = "flag symmetric does not hold: P(v1) has socle S(v2)"
+    assert_one_error_line(capsys, ["info", str(path)], message)
 
 
 # The digest of `ardom verify --n 1..3 corpus/`: 78 records, one of them

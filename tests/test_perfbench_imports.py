@@ -105,8 +105,9 @@ def _traced(layer, name):
     return inspect.isfunction(obj)
 
 
-def test_only_the_known_trace_keys_name_no_function():
-    keys = [
+def _trace_keys():
+    """(layer, name) of every key in the tracer's ``_keys`` lists."""
+    return [
         (node.args[0].value, arg.value)
         for node in ast.walk(_tree(TRACER))
         if isinstance(node, ast.Call)
@@ -114,10 +115,34 @@ def test_only_the_known_trace_keys_name_no_function():
         and node.func.id == "_keys"
         for arg in node.args[1:]
     ]
+
+
+def test_only_the_known_trace_keys_name_no_function():
+    keys = _trace_keys()
     assert len(keys) > len(ORPHANED_TRACE_KEYS)
     assert {f"{layer}:{name}" for layer, name in keys if not _traced(layer, name)} == (
         ORPHANED_TRACE_KEYS
     )
+
+
+# traced keys whose function is memoised: each must name the @memoized
+# function itself, since a private memoised twin behind a public wrapper
+# would move the work out from under the key
+MEMOISED_TRACE_KEYS = (
+    "homology:torsion",
+    "homology:ext_module",
+    "homology:transpose",
+    "modules:sample_modules",
+)
+
+
+def test_memoised_work_runs_under_its_trace_key():
+    keys = {f"{layer}:{name}" for layer, name in _trace_keys()}
+    for key in MEMOISED_TRACE_KEYS:
+        layer, name = key.split(":")
+        assert key in keys and _traced(layer, name), key
+        function = getattr(importlib.import_module(f"ardom.{layer}"), name)
+        assert hasattr(function, "__wrapped__"), key
 
 
 def _load_tracer():
