@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .linalg import PrimeField
 
 __all__ = [
@@ -868,6 +870,19 @@ def build_table(
     return tbl
 
 
+def _span(tbl: AlgebraTable, elements) -> list:
+    """The rref basis of the span of ``elements`` (normal forms), each row
+    as an element: its nonzero columns, in basis order."""
+    rows = tbl.field.zeros(len(elements), tbl.dimension)
+    for i, element in enumerate(elements):
+        for path, c in element.items():
+            rows[i, tbl.basis_index[path]] = c
+    return [
+        {tbl.basis[j]: int(row[j]) for j in np.flatnonzero(row)}
+        for row in tbl.field.row_space_basis(rows)
+    ]
+
+
 def _check_admissible(tbl: AlgebraTable) -> None:
     """Raise PresentationError unless the ideal of the table is admissible.
 
@@ -878,26 +893,15 @@ def _check_admissible(tbl: AlgebraTable) -> None:
     + ...  The powers of a nilpotent J shrink strictly until they vanish, so
     J^k = 0, and with it R_k = 0, for some k <= dim A + 1.
     """
-    q, f = tbl.quiver, tbl.field
+    q = tbl.quiver
     arrows = [Path(q.arrow_source(a), (a,), q.arrow_target(a)) for a in range(len(q.arrows))]
-
-    def span(elements) -> list:
-        rows = f.zeros(len(elements), tbl.dimension)
-        for i, element in enumerate(elements):
-            for path, c in element.items():
-                rows[i, tbl.basis_index[path]] = c
-        return [
-            {tbl.basis[j]: int(c) for j, c in enumerate(row) if c}
-            for row in f.row_space_basis(rows)
-        ]
-
-    power = span([tbl.normal_form_path(a) for a in arrows])
+    power = _span(tbl, [tbl.normal_form_path(a) for a in arrows])
     for _ in range(tbl.dimension):
         if not power:
             break
         # most x·a are empty (a does not compose with x): each would be a zero row
         products = [tbl.multiply(x, {a: 1}) for x in power for a in arrows]
-        power = span([product for product in products if product])
+        power = _span(tbl, [product for product in products if product])
     if power:
         raise PresentationError(
             f"the ideal is not admissible: paths of length {tbl.dimension + 1} "

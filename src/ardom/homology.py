@@ -1,9 +1,9 @@
 """Homological invariants over bound quiver algebras.
 
-Syzygies Ω^k M and the minimal presentation P_1 -> P_0 -> M, from which
-every degree of a minimal resolution is read (degree i of M is degree 0 of
-Ω^i M; an injective coresolution is the dual of the opposite side's
-resolution), Ext dimensions, the transpose and the translates D·Tr / Tr·D,
+Syzygies Ω^k M, whose minimal presentations P_1 -> P_0 -> M (built in
+:mod:`ardom.modules`) give every degree of a minimal resolution (degree i of
+M is degree 0 of Ω^i M; an injective coresolution is the dual of the
+opposite side's resolution), Ext dimensions, the transpose and the translates D·Tr / Tr·D,
 the torsion submodule t(M) (the kernel of the evaluation map into the double
 dual, read without building it), n-torsion-freeness, and the capped numeric
 invariants (grade, dominant, global, Gorenstein dimension).
@@ -24,8 +24,9 @@ import numpy as np
 
 from .algebra import AlgebraTable, opposite, reverse_path
 from .modules import (
-    _split_by_copy,
-    _yoneda_maps,
+    _cochain,
+    _hom_maps,
+    _presentation,
     _projective_injective_socles,
     _projective_injective_tops,
     InvariantError,
@@ -37,10 +38,8 @@ from .modules import (
     kernel,
     memoized,
     omega,
-    proj_cover,
     proj_sum,
     projective,
-    projsum_map_elements,
     projsum_map_from_elements,
     quotient_by_rows,
     regular,
@@ -187,7 +186,7 @@ def _capped(x) -> CappedNat:
 
 
 # ---------------------------------------------------------------------------
-# syzygies and the minimal presentation
+# syzygies
 # ---------------------------------------------------------------------------
 
 
@@ -232,60 +231,9 @@ def _walk(m: ModuleRep):
             return
 
 
-@memoized
-def _presentation(m: ModuleRep) -> tuple:
-    """(P_0, P_1, elements, d_1): the minimal presentation P_1 -> P_0 -> m,
-    with d_1 also decoded by :func:`projsum_map_elements` into elements[t][s]
-    of e_{V_t}·A·e_{U_s}.  P_1 is the empty sum when m is projective.
-    Shared by :func:`_cochain`, :func:`_dual_presentation` and the almost
-    split sequences."""
-    p0, _ = proj_cover(m)
-    syz, inclusion = omega(m)
-    p1, cover = proj_cover(syz)
-    d1 = cover.compose(inclusion)
-    return p0, p1, projsum_map_elements(p1, p0, d1), d1
-
-
 # ---------------------------------------------------------------------------
 # Ext dimensions
 # ---------------------------------------------------------------------------
-
-
-def _cochain_matrix(ps_tgt, ps_src, elements, n: ModuleRep):
-    """Matrix of Hom(P_{i-1}, N) -> Hom(P_i, N) in generator coordinates.
-
-    Hom(⊕_t P(V_t), N) = ⊕_t N_{V_t} by evaluation at the generators; the
-    induced map sends the row block at copy t through the action matrix of
-    elements[t][s] into the block at copy s.
-    """
-    f = n.algebra.field
-    rows = sum(n.dims[v] for v in ps_tgt.vertices)
-    cols = sum(n.dims[u] for u in ps_src.vertices)
-    out = f.zeros(rows, cols)
-    roff = 0
-    for t, v in enumerate(ps_tgt.vertices):
-        coff = 0
-        for s, u in enumerate(ps_src.vertices):
-            el = elements[t][s]
-            if el:
-                out[roff : roff + n.dims[v], coff : coff + n.dims[u]] = n.element_matrix(
-                    el, v, u
-                )
-            coff += n.dims[u]
-        roff += n.dims[v]
-    return out % f.p
-
-
-@memoized
-def _cochain(m: ModuleRep, n: ModuleRep) -> tuple:
-    """(matrix, rank) of Hom(P_0, N) -> Hom(P_1, N) for the minimal
-    presentation of m, in generator coordinates (see :func:`_cochain_matrix`).
-    Degree j of the resolution of m is degree 0 of its syzygy, so
-    :func:`ext_dim` and :func:`ext_classes` read Hom(P_j, N) -> Hom(P_{j+1}, N)
-    as ``_cochain(syzygy(m, j), n)``."""
-    p0, p1, elements, _ = _presentation(m)
-    mat = _cochain_matrix(p0, p1, elements, n)
-    return mat, m.algebra.field.rank(mat)
 
 
 @memoized
@@ -427,21 +375,15 @@ def torsion(m: ModuleRep) -> ModuleRep:
 
     x lies in that kernel exactly when φ(x) = 0 for every φ: m -> A, so at
     vertex u, t(m) is the left kernel ∩_φ {y : y·φ_u = 0} of the blocks φ_u
-    of a basis of Hom(m, A), side by side.  It depends only on the column
+    of a basis of Hom(m, A), side by side: the vertex blocks of
+    :func:`~ardom.modules._hom_maps` into A.  It depends only on the column
     space of the stacked φ_u, and Hom(m, A) = ⊕_v Hom(m, P(v)), so it is
-    the same as over the bases of all the Hom(m, P(v)) together.
-
-    No Hom system is solved: Hom(m, A) is ``ext_classes(m, A, 0)[0]``, the
-    maps g: P_0 -> A that vanish on Ω m in generator coordinates, which
-    ``modules._yoneda_maps`` turns into morphisms side by side in one pass
-    over P_0's basis paths (A is too large next to Hom(m, A) to build
-    :func:`~ardom.modules.yoneda_block` rows).  Each
-    g is cover·φ for one φ, so φ_u = s_u·g_u for any section s_u of the
-    cover at u.  The canonical kernel basis depends only on the column
-    space, so the module is bit-identical to the kernel of the evaluation
-    map into the double dual (``tests/reference.py``).  A module that
-    embeds in a projective is torsionless, so no system is read for a
-    projective m, nor for an m whose injective envelope, ⊕ I(v) over
+    the same as over the bases of all the Hom(m, P(v)) together.  The
+    canonical kernel basis depends only on the column space, so the module
+    is bit-identical to the kernel of the evaluation map into the double
+    dual (``tests/reference.py``).  A module that embeds in a projective is
+    torsionless, so no Hom space is read for a projective m, nor for an m
+    whose injective envelope, ⊕ I(v) over
     :func:`~ardom.modules.socle_vertices`, is projective: each of its v is
     in the table's set of v with I(v) projective.  Kept per module
     signature.
@@ -451,16 +393,8 @@ def torsion(m: ModuleRep) -> ModuleRep:
     # m embeds in a projective: nothing dies in m**
     if is_projective(m) or _projective_injective_socles(tbl).issuperset(socle_vertices(m)):
         return submodule_from_rows(m, [f.zeros(0, d) for d in m.dims])[0]
-    p0, cover = proj_cover(m)
-    sections = [f.solve_left(c, f.eye(d)) for c, d in zip(cover.mats, m.dims)]
-    if any(s is None for s in sections):
-        raise InvariantError("the projective cover is not onto")
-    areg = regular(tbl)
-    cocycles = ext_classes(m, areg, 0)[0]
-    # every cocycle at once as a map P_0 -> A, the blocks g_u side by side
-    maps = _yoneda_maps(p0, areg, _split_by_copy(p0, cocycles, areg.dims), len(cocycles))
-    rows = [f.left_kernel_basis(f.mul(s, g)) for s, g in zip(sections, maps)]
-    return submodule_from_rows(m, rows)[0]
+    maps = _hom_maps(m, regular(tbl))[1]
+    return submodule_from_rows(m, [f.left_kernel_basis(g) for g in maps])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,6 @@ __all__ = [
     "quotient_by_rows",
     "proj_sum",
     "projsum_morphism",
-    "projsum_hom_rows",
     "yoneda_block",
     "projsum_map_elements",
     "projsum_map_from_elements",
@@ -371,46 +370,6 @@ def morphism_from_flat(m: ModuleRep, n: ModuleRep, flat: np.ndarray) -> ModuleMo
         mats.append(flat[at : at + size].reshape(m.dims[v], n.dims[v]))
         at += size
     return ModuleMorphism._trusted(m, n, mats)
-
-
-def _hom_rows(m: ModuleRep, n: ModuleRep) -> np.ndarray:
-    """A basis of Hom_A(m, n) as flattened morphisms (one row each, the
-    ``flatten`` layout): the canonical kernel basis of one assembled
-    linear system.
-
-    Unknowns are the stacked row-major entries of all f_v; each arrow
-    a: v -> w contributes the block equation M_a @ f_w - f_v @ N_a = 0,
-    encoded with Kronecker products for the row-major vec convention
-    vec(A @ X @ B) = (A kron B^T) vec(X).
-    """
-    if m.algebra is not n.algebra:
-        raise ValueError("_hom_rows: modules live over different algebras")
-    f = m.algebra.field
-    q = m.algebra.quiver
-    sizes = [dm * dn for dm, dn in zip(m.dims, n.dims)]
-    offsets = np.cumsum([0] + sizes)
-    rows = []
-    for a in range(len(q.arrows)):
-        v, w = q.arrow_source(a), q.arrow_target(a)
-        r = m.dims[v] * n.dims[w]
-        if r == 0:
-            continue
-        # equation row (i, j) of block a, i < m.dims[v] and j < n.dims[w];
-        # each unknown block is viewed as (equation i, j, unknown row, column)
-        block = f.zeros(r, int(offsets[-1]))
-        if sizes[w]:
-            # M_a kron I: unknown (s, j) of f_w with coefficient M_a[i, s]
-            at = block[:, offsets[w] : offsets[w + 1]].reshape(m.dims[v], n.dims[w], m.dims[w], n.dims[w])
-            j = np.arange(n.dims[w])
-            at[:, j, :, j] = m.mats[a]
-        if sizes[v]:
-            # I kron N_a^T: unknown (i, l) of f_v with coefficient -N_a[l, j]
-            at = block[:, offsets[v] : offsets[v + 1]].reshape(m.dims[v], n.dims[w], m.dims[v], n.dims[v])
-            i = np.arange(m.dims[v])
-            at[i, :, i, :] -= n.mats[a].T
-        rows.append(block % f.p)
-    system = np.concatenate(rows, axis=0) if rows else f.zeros(0, int(offsets[-1]))
-    return f.kernel_basis(system)
 
 
 # ---------------------------------------------------------------------------
@@ -773,20 +732,6 @@ def yoneda_block(ps: ProjSum, n: ModuleRep) -> np.ndarray:
     ], axis=1)
 
 
-def projsum_hom_rows(ps: ProjSum, n: ModuleRep) -> np.ndarray:
-    """The flattened rows of ``_hom_rows(ps.module, n)``, by Yoneda.
-
-    The rows of :func:`yoneda_block` span the Hom space, and the canonical
-    kernel basis that :func:`_hom_rows` returns is the unique basis of that
-    space which is the identity on its free columns, the columns that are
-    last nonzero entries of some vector.  Those are the pivots of the rref
-    with the columns reversed, so reversing that rref's rows and columns
-    gives the same rows.
-    """
-    r, pivots = n.algebra.field.rref(yoneda_block(ps, n)[:, ::-1])
-    return np.ascontiguousarray(r[: len(pivots)][::-1, ::-1])
-
-
 def projsum_map_elements(ps_src: ProjSum, ps_tgt: ProjSum, d: ModuleMorphism):
     """Decode a morphism between projective sums into algebra elements.
 
@@ -927,6 +872,111 @@ def omega(m: ModuleRep) -> tuple:
     return kernel(proj_cover(m)[1])
 
 
+@memoized
+def _cover_sections(m: ModuleRep) -> tuple:
+    """Per vertex u, a right inverse s_u of the shared cover of m at u,
+    s_u·cover_u = 1; kept per module signature."""
+    f = m.algebra.field
+    sections = tuple(f.solve_left(c, f.eye(d)) for c, d in zip(proj_cover(m)[1].mats, m.dims))
+    if any(s is None for s in sections):
+        raise InvariantError("the projective cover is not onto")
+    return sections
+
+
+@memoized
+def _presentation(m: ModuleRep) -> tuple:
+    """(P_0, P_1, elements, d_1): the minimal presentation P_1 -> P_0 -> m,
+    with d_1 also decoded by :func:`projsum_map_elements` into elements[t][s]
+    of e_{V_t}·A·e_{U_s}.  P_1 is the empty sum when m is projective.
+    Shared by :func:`_cochain`, the dual presentation of ``ardom.homology``
+    and the almost split sequences."""
+    p0, _ = proj_cover(m)
+    syz, inclusion = omega(m)
+    p1, cover = proj_cover(syz)
+    d1 = cover.compose(inclusion)
+    return p0, p1, projsum_map_elements(p1, p0, d1), d1
+
+
+def _cochain_matrix(ps_tgt, ps_src, elements, n: ModuleRep):
+    """Matrix of Hom(P_{i-1}, N) -> Hom(P_i, N) in generator coordinates.
+
+    Hom(⊕_t P(V_t), N) = ⊕_t N_{V_t} by evaluation at the generators; the
+    induced map sends the row block at copy t through the action matrix of
+    elements[t][s] into the block at copy s.
+    """
+    f = n.algebra.field
+    rows = sum(n.dims[v] for v in ps_tgt.vertices)
+    cols = sum(n.dims[u] for u in ps_src.vertices)
+    out = f.zeros(rows, cols)
+    roff = 0
+    for t, v in enumerate(ps_tgt.vertices):
+        coff = 0
+        for s, u in enumerate(ps_src.vertices):
+            el = elements[t][s]
+            if el:
+                out[roff : roff + n.dims[v], coff : coff + n.dims[u]] = n.element_matrix(
+                    el, v, u
+                )
+            coff += n.dims[u]
+        roff += n.dims[v]
+    return out % f.p
+
+
+@memoized
+def _cochain(m: ModuleRep, n: ModuleRep) -> tuple:
+    """(matrix, rank) of Hom(P_0, N) -> Hom(P_1, N) for the minimal
+    presentation of m, in generator coordinates (see :func:`_cochain_matrix`).
+    Degree j of the resolution of m is degree 0 of its syzygy, so the Ext
+    routes of ``ardom.homology`` read Hom(P_j, N) -> Hom(P_{j+1}, N) as
+    ``_cochain(syzygy(m, j), n)``."""
+    p0, p1, elements, _ = _presentation(m)
+    mat = _cochain_matrix(p0, p1, elements, n)
+    return mat, m.algebra.field.rank(mat)
+
+
+def _hom_maps(m: ModuleRep, n: ModuleRep) -> tuple:
+    """(k, maps): a basis φ^1, ..., φ^k of Hom_A(m, n), read off the minimal
+    presentation P_1 -> P_0 -> m; ``maps[w]`` holds the blocks φ^i_w side by
+    side, an (m.dims[w], k·n.dims[w]) matrix.
+
+    Hom_A(P(v), N) = N·e_v (Assem–Simson–Skowroński, *Elements* vol. 1),
+    so Hom(P_0, N) is a sum of vertex spaces of N in generator coordinates,
+    and the maps that vanish on the image of P_1 are the kernel of the
+    cochain Hom(P_0, N) -> Hom(P_1, N) (:func:`_cochain`).  They are the
+    maps cover·φ, one for each φ: m -> N.  :func:`_yoneda_maps` builds them
+    side by side, and φ_w = s_w·(cover·φ)_w for the section s_w of
+    :func:`_cover_sections`.
+    """
+    if m.algebra is not n.algebra:
+        raise ValueError("_hom_maps: modules live over different algebras")
+    f = m.algebra.field
+    p0 = proj_cover(m)[0]
+    cocycles = f.kernel_basis(_cochain(m, n)[0].T)
+    k = len(cocycles)
+    maps = _yoneda_maps(p0, n, _split_by_copy(p0, cocycles, n.dims), k)
+    return k, [f.mul(s, g) for s, g in zip(_cover_sections(m), maps)]
+
+
+def _hom_rows(m: ModuleRep, n: ModuleRep) -> np.ndarray:
+    """A basis of Hom_A(m, n) as flattened morphisms (one row each, the
+    ``flatten`` layout): the :func:`_hom_maps` in canonical form.
+
+    The canonical form is the kernel basis of the linear system
+    M_a·f_w = f_v·N_a over all arrows a: v -> w, the unique basis of Hom(m,
+    n) that is the identity on its free columns, the columns that are last
+    nonzero entries of some vector.  Those are the pivots of the rref with
+    the columns reversed, so reversing that rref's rows and columns gives
+    the same rows, and no system is built.
+    """
+    k, maps = _hom_maps(m, n)
+    flat = np.concatenate([
+        g.reshape(dm, k, dn).transpose(1, 0, 2).reshape(k, dm * dn)
+        for g, dm, dn in zip(maps, m.dims, n.dims)
+    ], axis=1)
+    r, pivots = m.algebra.field.rref(flat[:, ::-1])
+    return np.ascontiguousarray(r[: len(pivots)][::-1, ::-1])
+
+
 def inj_hull(m: ModuleRep) -> tuple:
     """(I, embedding): the dual of the opposite-side projective cover."""
     ps, cover = proj_cover(dual(m))
@@ -984,7 +1034,8 @@ def _vertex_blocks(rows: np.ndarray, m: ModuleRep, n: ModuleRep) -> list:
 
 @memoized
 def _end_rows(m: ModuleRep) -> np.ndarray:
-    """``_hom_rows(m, m)``, a basis of End(m), kept per module signature:
+    """``_hom_rows(m, m)``, the canonical basis of End(m) read off the
+    minimal presentation of m, kept per module signature:
     :func:`certify_local` and :func:`_fitting_split` both read them."""
     return _hom_rows(m, m)
 
@@ -1040,9 +1091,9 @@ def isomorphic_to(m: ModuleRep, ind: Indecomposable) -> bool:
     Given an isomorphism φ: m → Z, Hom(m, Z) = φ·End(Z) = k·φ ⊕ φ·rad End(Z)
     by the certificate (End(Z) local with residue field k), and φ·(λ + r)
     is invertible iff λ ≠ 0.  So the maps that are not isomorphisms form a
-    hyperplane, which no basis lies in.  One Hom system is solved, after
-    tops and socles (:func:`top_vertices`, :func:`socle_vertices`), which
-    isomorphic modules share, are compared.
+    hyperplane, which no basis lies in.  One Hom basis, :func:`_hom_rows`,
+    is read, after tops and socles (:func:`top_vertices`,
+    :func:`socle_vertices`), which isomorphic modules share, are compared.
     """
     z = ind.module
     if m.dims != z.dims or top_vertices(m) != top_vertices(z):
@@ -1256,8 +1307,7 @@ def sample_modules(tbl: AlgebraTable, seed: int = 0, size: int = 64) -> tuple:
     and tops of projectives, syzygies and cosyzygies of simples to depth 3;
     then random cokernels of random morphisms between projective sums, until
     ``size`` entries.  Each random morphism is a random combination of the
-    Yoneda rows of :func:`projsum_hom_rows`, which equal the
-    :func:`_hom_rows` rows, so no Hom system is solved.  Zero modules are
+    :func:`_hom_rows` of the two sums, read once per pair.  Zero modules are
     dropped, duplicates (bit-identical representations) appear once.  The
     sample is computed once per table and arguments.  The entries that are
     not S(v), P(v) or I(v) are named copies: ``rad(P(v))``, ``top(P(v))``,
@@ -1304,7 +1354,7 @@ def sample_modules(tbl: AlgebraTable, seed: int = 0, size: int = 64) -> tuple:
 
     rng = np.random.default_rng(seed)
     attempts = 0
-    hom_rows = {}  # (verts0, verts1) -> (source sum, target module, Yoneda rows)
+    hom_rows = {}  # (verts0, verts1) -> (source sum, target sum, Hom rows)
     while len(out) < size and attempts < 40 * size:
         attempts += 1
         mult0 = rng.integers(0, 3, size=nv)
@@ -1314,14 +1364,14 @@ def sample_modules(tbl: AlgebraTable, seed: int = 0, size: int = 64) -> tuple:
         if not verts0 or not verts1:
             continue
         if (verts0, verts1) not in hom_rows:
-            ps = proj_sum(tbl, verts0)
+            src = proj_sum(tbl, verts0).module
             tgt = proj_sum(tbl, verts1).module
-            hom_rows[verts0, verts1] = ps, tgt, projsum_hom_rows(ps, tgt)
-        ps, tgt, rows = hom_rows[verts0, verts1]
+            hom_rows[verts0, verts1] = src, tgt, _hom_rows(src, tgt)
+        src, tgt, rows = hom_rows[verts0, verts1]
         if rows.shape[0] == 0:
             continue
         coeffs = rng.integers(0, f.p, size=rows.shape[0])
-        fmor = morphism_from_flat(ps.module, tgt, coeffs @ rows % f.p)
+        fmor = morphism_from_flat(src, tgt, coeffs @ rows % f.p)
         push(cokernel(fmor)[0], label=f"sample[{len(out)}]")
     return tuple(out)
 

@@ -471,6 +471,8 @@ def scan_nakayama_question(
         raise InputError("need at least one simple")
     if max_len < 2:
         raise InputError("max length must be at least 2")
+    if cap < 0:
+        raise InputError("cap must be >= 0")
     rows = []
     status = "pass"
     detail = {"simples": m, "max_len": max_len, "cap": cap, "bound": 2 * m}
@@ -569,7 +571,8 @@ def run_suite(
     sample_size: int = 64,
     jobs: int = 1,
 ):
-    """Run the selected suites over corpus entries, in manifest order.
+    """Run the selected suites over corpus entries, in manifest order; the
+    suites run in order of first appearance, and one named twice runs once.
 
     Returns (verdicts, exit_code).  Workers only parallelize independent
     entries, so at most one worker per entry is started; the merged report
@@ -581,10 +584,13 @@ def run_suite(
     """
     if jobs < 1:
         raise InputError("jobs must be >= 1")
+    if cap < 0:
+        raise InputError("cap must be >= 0")
     if seed < 0:
         raise InputError("seed must be >= 0")
     if sample_size < 1:
         raise InputError("sample_size must be >= 1")
+    suites = tuple(dict.fromkeys(suites))  # a repeated suite runs once
     for suite in suites:
         if suite not in SUITES:
             raise InputError(f"unknown suite {suite!r}")

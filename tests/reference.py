@@ -3,9 +3,10 @@
 Each function here answers a question that ``ardom`` answers by another,
 exact route, and is kept only so that the tests can check the two agree:
 
-- :func:`hom_basis`, a basis of Hom(m, n) as morphisms, over the one
-  Kronecker solver ``ardom.modules._hom_rows`` (looked up on each call, so a
-  test that counts that solver's calls sees these too);
+- :func:`hom_basis`, a basis of Hom(m, n) as morphisms, the kernel of
+  the Kronecker system that :func:`kronecker_hom_rows` assembles, against
+  ``ardom.modules._hom_rows``, which reads the same rows off the minimal
+  presentation by Yoneda;
 - :func:`random_isomorphism_search`, a seeded random search for an
   invertible combination of a Hom basis, against the Krull–Schmidt
   ``ardom.modules.is_isomorphic``;
@@ -123,10 +124,50 @@ class HomBasis:
         return morphism_from_flat(self.source, self.target, c @ self.rows % p)
 
 
+def kronecker_hom_rows(m: ModuleRep, n: ModuleRep) -> np.ndarray:
+    """A basis of Hom_A(m, n) as flattened morphisms (one row each, the
+    ``flatten`` layout): the canonical kernel basis of one assembled linear
+    system.
+
+    Unknowns are the stacked row-major entries of all f_v; each arrow
+    a: v -> w contributes the block equation M_a @ f_w - f_v @ N_a = 0,
+    encoded with Kronecker products for the row-major vec convention
+    vec(A @ X @ B) = (A kron B^T) vec(X).
+    """
+    if m.algebra is not n.algebra:
+        raise ValueError("kronecker_hom_rows: modules live over different algebras")
+    f = m.algebra.field
+    q = m.algebra.quiver
+    sizes = [dm * dn for dm, dn in zip(m.dims, n.dims)]
+    offsets = np.cumsum([0] + sizes)
+    rows = []
+    for a in range(len(q.arrows)):
+        v, w = q.arrow_source(a), q.arrow_target(a)
+        r = m.dims[v] * n.dims[w]
+        if r == 0:
+            continue
+        # equation row (i, j) of block a, i < m.dims[v] and j < n.dims[w];
+        # each unknown block is viewed as (equation i, j, unknown row, column)
+        block = f.zeros(r, int(offsets[-1]))
+        if sizes[w]:
+            # M_a kron I: unknown (s, j) of f_w with coefficient M_a[i, s]
+            at = block[:, offsets[w] : offsets[w + 1]].reshape(m.dims[v], n.dims[w], m.dims[w], n.dims[w])
+            j = np.arange(n.dims[w])
+            at[:, j, :, j] = m.mats[a]
+        if sizes[v]:
+            # I kron N_a^T: unknown (i, l) of f_v with coefficient -N_a[l, j]
+            at = block[:, offsets[v] : offsets[v + 1]].reshape(m.dims[v], n.dims[w], m.dims[v], n.dims[v])
+            i = np.arange(m.dims[v])
+            at[i, :, i, :] -= n.mats[a].T
+        rows.append(block % f.p)
+    system = np.concatenate(rows, axis=0) if rows else f.zeros(0, int(offsets[-1]))
+    return f.kernel_basis(system)
+
+
 def hom_basis(m: ModuleRep, n: ModuleRep) -> HomBasis:
     """Basis of Hom_A(m, n) as the kernel of one assembled linear system
-    (``ardom.modules._hom_rows``), with each basis row as a morphism."""
-    rows = ardom.modules._hom_rows(m, n)
+    (:func:`kronecker_hom_rows`), with each basis row as a morphism."""
+    rows = kronecker_hom_rows(m, n)
     return HomBasis(m, n, tuple(morphism_from_flat(m, n, row) for row in rows), rows)
 
 
@@ -442,7 +483,7 @@ def rad_end_by_the_chain(m: ModuleRep):
     if n == 0 or n % f.p == 0:
         return None
     blocks = ardom.modules._vertex_blocks
-    rows = ardom.modules._hom_rows(m, m)
+    rows = kronecker_hom_rows(m, m)
     traces = sum(np.trace(b, axis1=1, axis2=2) for b in blocks(rows, m, m)) % f.p
     rad = f.mul(f.left_kernel_basis(traces.reshape(-1, 1)), rows)
     power = f.row_space_basis(rad)

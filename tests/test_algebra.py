@@ -282,6 +282,41 @@ def test_the_admissibility_check_reduces_no_zero_row(monkeypatch):
     assert all(m.any(axis=1).all() for m in reduced)
 
 
+def dense_span(tbl, elements):
+    """The spans as first written: each rref row read over all dim A columns."""
+    rows = tbl.field.zeros(len(elements), tbl.dimension)
+    for i, element in enumerate(elements):
+        for path, c in element.items():
+            rows[i, tbl.basis_index[path]] = c
+    return [
+        {tbl.basis[j]: int(c) for j, c in enumerate(row) if c}
+        for row in tbl.field.row_space_basis(rows)
+    ]
+
+
+@pytest.mark.parametrize("name", ["ka2", "auslander-x3", "comm-square", "nak-233", "wild3"])
+def test_the_admissibility_spans_read_the_nonzero_columns_alone(name, monkeypatch):
+    # _span must give the dense reading's dicts, entries and order alike, on
+    # every power the check reads
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "corpus", name + ".alg")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    tbl = table_from_text(text)
+    seen = []
+    original = ardom.algebra._span
+
+    def compared(t, elements):
+        got = original(t, elements)
+        assert [list(x.items()) for x in got] == [list(x.items()) for x in dense_span(t, elements)]
+        assert all(type(c) is int for x in got for c in x.values())
+        seen.append(len(got))
+        return got
+
+    monkeypatch.setattr(ardom.algebra, "_span", compared)
+    ardom.algebra._check_admissible(tbl)
+    assert len(seen) >= 2 and seen[0] and seen[-1] == 0
+
+
 def test_input_errors_share_one_base_class():
     from ardom.algebra import InputError, InvariantError
     from ardom.arseq import ArSequenceError

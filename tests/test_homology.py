@@ -971,9 +971,11 @@ def test_torsion_from_one_hom_system_is_the_per_vertex_torsion(
 def test_torsion_solves_one_hom_system_and_keeps_no_yoneda_block(fresh_corpus_table):
     # Hom(m, A) is read against A alone, never against one P(v) at a time
     tbl = fresh_corpus_table("auslander-x3", 101)
-    for m in sample_modules(tbl, size=16):
+    mods = sample_modules(tbl, size=16)
+    before = set(tbl._memo)  # the sampler reads Hom rows between projective sums
+    for m in mods:
         torsion(m)
-    targets = {key[2] for key in tbl._memo if key[0] in ("ext_classes", "_cochain")}
+    targets = {key[2] for key in tbl._memo.keys() - before if key[0] in ("ext_classes", "_cochain")}
     assert targets == {regular(tbl).signature()}
     assert not any("yoneda" in key[0] for key in tbl._memo)
 
@@ -993,13 +995,14 @@ def test_torsion_builds_no_dual(monkeypatch, fresh_corpus_table):
     tbl = fresh_corpus_table("auslander-x2", 3)
     mods = sample_modules(tbl)
     calls = []
-    original = ardom.modules._hom_rows
+    for owner, name in ((ardom.modules, "_hom_rows"), (reference, "kronecker_hom_rows")):
+        original = getattr(owner, name)
 
-    def counted(m, n):
-        calls.append(m)
-        return original(m, n)
+        def counted(m, n, _original=original):
+            calls.append(m)
+            return _original(m, n)
 
-    monkeypatch.setattr(ardom.modules, "_hom_rows", counted)
+        monkeypatch.setattr(owner, name, counted)
     for m in mods:
         torsion(m)
     assert not calls

@@ -49,7 +49,6 @@ from ardom.modules import (
     proj_sum,
     projective,
     projective_paths,
-    projsum_hom_rows,
     radical,
     regular,
     sample_modules,
@@ -58,7 +57,7 @@ from ardom.modules import (
     top_vertices,
 )
 from ardom.verify import SUITES, _cyclic_series, _entry_verdicts
-from reference import arrow_left_mult, left_mult_morphism
+from reference import arrow_left_mult, kronecker_hom_rows, left_mult_morphism
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 KRONECKER_TEXT = "field 101\nvertices v1 v2\narrow a v1 v2\narrow b v1 v2\n"
@@ -149,13 +148,13 @@ def test_almost_split_default_choice_shares_one_entry():
 def test_sample_is_drawn_once_and_every_call_returns_one_tuple(monkeypatch):
     tbl = table_from_text(KRONECKER_TEXT)
     calls = []
-    original = ardom.modules.projsum_hom_rows
+    original = ardom.modules._hom_rows
 
-    def counting(ps, n):
+    def counting(m, n):
         calls.append(1)
-        return original(ps, n)
+        return original(m, n)
 
-    monkeypatch.setattr(ardom.modules, "projsum_hom_rows", counting)
+    monkeypatch.setattr(ardom.modules, "_hom_rows", counting)
     first = sample_modules(tbl)
     drawn = len(calls)
     assert drawn > 0
@@ -422,13 +421,13 @@ def test_a_cochain_matrix_is_built_once_per_module_target_and_degree(
     tbl = fresh_corpus_table(name, 101)
     m = simple(tbl, v0)
     built = []
-    original = ardom.homology._cochain_matrix
+    original = ardom.modules._cochain_matrix
 
     def counting(ps_tgt, ps_src, elements, n):
         built.append(n.signature())
         return original(ps_tgt, ps_src, elements, n)
 
-    monkeypatch.setattr(ardom.homology, "_cochain_matrix", counting)
+    monkeypatch.setattr(ardom.modules, "_cochain_matrix", counting)
     for v in range(nv):
         pv = projective(tbl, v)
         ext_dim(m, pv, i)
@@ -442,13 +441,13 @@ def test_a_cochain_matrix_is_built_once_per_module_target_and_degree(
 def test_each_minimal_presentation_is_decoded_once(monkeypatch):
     (entry,) = [e for e in load_corpus(CORPUS) if e.entry_id == "auslander-x3"]
     decoded = []
-    original = ardom.homology.projsum_map_elements
+    original = ardom.modules.projsum_map_elements
 
     def counting(ps_src, ps_tgt, d):
         decoded.append(d)
         return original(ps_src, ps_tgt, d)
 
-    monkeypatch.setattr(ardom.homology, "projsum_map_elements", counting)
+    monkeypatch.setattr(ardom.modules, "projsum_map_elements", counting)
     verdicts = _entry_verdicts(entry, SUITES, (1, 2, 3), DEFAULT_CAP, 0, 64)
     assert len(verdicts) == 9  # main and gendo at n = 1..3, gorenstein, grade, cor47
     tbl = entry.load_table()
@@ -464,8 +463,9 @@ def test_each_minimal_presentation_is_decoded_once(monkeypatch):
 
 
 def reference_sample(tbl, seed, size):
-    """The sample drawn as before: every cover, Yoneda row set and cokernel
-    built afresh, and labels set on the modules themselves."""
+    """The sample drawn as before: every cover, Hom basis (by the Kronecker
+    system) and cokernel built afresh, and labels set on the modules
+    themselves."""
     nv = len(tbl.quiver.vertices)
     out, seen = [], set()
 
@@ -509,7 +509,7 @@ def reference_sample(tbl, seed, size):
             continue
         ps = proj_sum(tbl, verts0)
         tgt = proj_sum(tbl, verts1).module
-        rows = projsum_hom_rows(ps, tgt)
+        rows = kronecker_hom_rows(ps.module, tgt)
         if rows.shape[0] == 0:
             continue
         coeffs = rng.integers(0, tbl.field.p, size=rows.shape[0])

@@ -418,6 +418,12 @@ def test_scan_nakayama_validation():
         scan_nakayama_question(2, 1)
 
 
+def test_scan_nakayama_refuses_a_negative_cap():
+    # read as a cap, -1 would leave every row inconclusive
+    with pytest.raises(InputError, match="cap must be >= 0"):
+        scan_nakayama_question(2, 3, cap=-1)
+
+
 # --- suite runner -----------------------------------------------------------
 
 
@@ -431,6 +437,23 @@ def test_run_suite_validation(corpus):
     for size in (0, -3):
         with pytest.raises(InputError, match="sample_size"):
             run_suite(corpus, suites=("grade",), sample_size=size)
+
+
+def test_run_suite_refuses_a_negative_cap(corpus):
+    # read as a cap, -1 would give inconclusive records with "domdim": ">=0"
+    for suites in (("main",), SUITES):
+        with pytest.raises(InputError, match="cap must be >= 0"):
+            run_suite(corpus, suites=suites, cap=-1)
+
+
+def test_a_repeated_suite_runs_once_in_order_of_first_appearance(corpus):
+    once = run_suite(corpus, suites=("gorenstein",))
+    twice = run_suite(corpus, suites=("gorenstein", "gorenstein"))
+    assert len(once[0]) == 14 and twice == once
+    subset = corpus[:3]
+    mixed = run_suite(subset, suites=("gorenstein", "main", "gorenstein", "main"))
+    assert mixed == run_suite(subset, suites=("gorenstein", "main"))
+    assert mixed[0][0] == once[0][0]  # gorenstein comes first, as named first
 
 
 def test_run_suite_all_suites_deterministic(corpus):
