@@ -3,10 +3,11 @@
 Syzygies Ω^k M, whose minimal presentations P_1 -> P_0 -> M (built in
 :mod:`ardom.modules`) give every degree of a minimal resolution (degree i of
 M is degree 0 of Ω^i M; an injective coresolution is the dual of the
-opposite side's resolution), Ext dimensions, the transpose and the translates D·Tr / Tr·D,
-the torsion submodule t(M) (the kernel of the evaluation map into the double
-dual, read without building it), n-torsion-freeness, and the capped numeric
-invariants (grade, dominant, global, Gorenstein dimension).
+opposite side's resolution), Ext dimensions, the transpose and the
+translates D·Tr / Tr·D, the torsion submodule t(M) (the kernel of the
+evaluation map into the double dual, read without building it),
+n-torsion-freeness, and the capped numeric invariants (grade, dominant,
+global, Gorenstein dimension).
 
 Unbounded searches are capped (default 30) and report their outcome through
 :class:`CappedNat`, which keeps "exact n", "at least n", and
