@@ -4,9 +4,11 @@ Paths compose left to right: ``p*q`` means "first traverse p, then q", so a
 right module action satisfies m·(p*q) = (m·p)·q and representation matrices
 compose in path order.  Relations are completed to a confluent rewriting
 system on paths (leading terms under the length-then-lexicographic order
-rewritten to lower terms) by overlap completion; the algebra basis is the
-set of irreducible paths.  It must be finite, which is decided from the
-completed rules (Ufnarovski's criterion) before any basis path is listed.
+rewritten to lower terms) by overlap completion, which a monomial ideal
+skips: its rules are its minimal relation paths.  The algebra basis is the
+set of irreducible paths, listed in that order.  It must be finite, which
+is decided from the completed rules (Ufnarovski's criterion) before any
+basis path is listed.
 The configured path length cap bounds the rules that completion may create;
 it does not bound the basis paths.
 
@@ -197,14 +199,18 @@ class Quiver:
         vertex_index = {v: i for i, v in enumerate(self.vertices)}
         sources = tuple(vertex_index[a[1]] for a in self.arrows)
         targets = tuple(vertex_index[a[2]] for a in self.arrows)
-        n = len(self.vertices)
+        out = [[] for _ in self.vertices]
+        into = [[] for _ in self.vertices]
+        for i, (s, t) in enumerate(zip(sources, targets)):
+            out[s].append(i)
+            into[t].append(i)
         derived = {
             "vertex_index": vertex_index,
             "arrow_index": {a[0]: i for i, a in enumerate(self.arrows)},
             "_sources": sources,
             "_targets": targets,
-            "_out": tuple(tuple(i for i, s in enumerate(sources) if s == v) for v in range(n)),
-            "_in": tuple(tuple(i for i, t in enumerate(targets) if t == v) for v in range(n)),
+            "_out": tuple(map(tuple, out)),
+            "_in": tuple(map(tuple, into)),
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -615,17 +621,7 @@ class AlgebraTable:
         if not nf:
             return
         lead, coeff = self.leading(nf)
-        if len(lead.arrows) < 2:
-            raise ValueError(
-                "internal error: completion produced a leading path of length < 2 "
-                "(the parsed ideal is not admissible)"
-            )
-        if len(lead.arrows) > self.max_path_length:
-            raise CompletionError(
-                f"not verifiably finite-dimensional at this cap "
-                f"(rewriting rule of length {len(lead.arrows)} exceeds "
-                f"max_path_length={self.max_path_length})"
-            )
+        self._check_lead_length(len(lead.arrows))
         inv = self.field.inv(coeff)
         rhs = {path: (-inv * c) % self.field.p for path, c in nf.items() if path != lead}
         # kick out every rule the new leading word would reduce, re-queue it
@@ -648,7 +644,49 @@ class AlgebraTable:
         self._longest_lhs = max(self._longest_lhs, len(lw))
         self._memo.clear()
 
+    def _check_lead_length(self, length: int):
+        """Refuse a new rule LHS of ``length`` arrows: below 2, or past the cap."""
+        if length < 2:
+            raise ValueError(
+                "internal error: completion produced a leading path of length < 2 "
+                "(the parsed ideal is not admissible)"
+            )
+        if length > self.max_path_length:
+            raise CompletionError(
+                f"not verifiably finite-dimensional at this cap "
+                f"(rewriting rule of length {length} exceeds "
+                f"max_path_length={self.max_path_length})"
+            )
+
     def _complete(self):
+        """Complete the relations to the reduced rewriting system ``rules``.
+
+        A monomial ideal, every relation a single path, needs no rewriting:
+        its reduced Gröbner basis is its set of minimal relation paths, each
+        rewritten to 0 (E. L. Green, "Noncommutative Gröbner bases, and
+        projective resolutions", Progr. Math. 173, 1999).  The relations are
+        taken in order.  One that contains a rule is dropped; otherwise its
+        length is checked, the rules that contain it are dropped, and it
+        becomes a rule with no right side.  That is what the rewriting loop
+        of :meth:`_add_rule_from` computes on such input: every normal form
+        is 0 or the path itself, and every stale rule it re-queues contains
+        the new one, so reduces to 0.  So ``rules`` (in its order),
+        ``_longest_lhs`` and the errors, in the order they are raised, are
+        the same.  Any other ideal is completed by that loop and the overlap
+        passes.
+        """
+        if all(len(element) == 1 for element in self.relations):
+            rules = self.rules
+            for element in self.relations:
+                word = next(iter(element)).arrows
+                if self._find_redex(word) is not None:
+                    continue
+                self._check_lead_length(len(word))
+                for lhs in [lhs for lhs in rules if _contains(lhs, word)]:
+                    del rules[lhs]
+                rules[word] = {}
+                self._longest_lhs = max(self._longest_lhs, len(word))
+            return
         pending: list[dict] = [dict(r) for r in self.relations]
         checked: set = set()
         while True:
@@ -692,11 +730,29 @@ class AlgebraTable:
     # -- basis ------------------------------------------------------------------
 
     def _enumerate_basis(self, dimension: Optional[int] = None):
-        """List the normal words by length.  With ``dimension``, the words
-        must number exactly that many: a longer list stops at the first
-        length past it, so a basis that never ends is never listed."""
-        quiver, rules = self.quiver, self.rules
+        """List the normal words by length, already in basis order.
+
+        Basis order is :meth:`path_key` order, and no sort is needed for
+        it.  The trivial paths come first, in vertex order.  The source of
+        a nonempty path is fixed by its first arrow, so from length 1 on
+        the order is the lexicographic order of the arrow ranks: the
+        length-1 words are sorted once by rank, and each longer length
+        extends the words of the length before, in order, by their
+        target's out-arrows in rank order.  A word extended by arrow a is
+        reducible only if a rule LHS ending in a is a suffix of it, since
+        the word before was irreducible, and in a reduced system at most
+        one is (no LHS lies inside another), so only those LHS are read.
+
+        With ``dimension``, the words must number exactly that many: a
+        longer list stops at the first length past it, so a basis that
+        never ends is never listed."""
+        quiver, rank = self.quiver, self._lexrank
         nv = len(quiver.vertices)
+        targets = quiver._targets  # what arrow_target reads
+        ranked_out = [sorted(quiver.arrows_from(v), key=rank.__getitem__) for v in range(nv)]
+        ending: dict[int, list] = {}  # rule (LHS, RHS) by the last arrow of the LHS
+        for lhs, rhs in self.rules.items():
+            ending.setdefault(lhs[-1], []).append((lhs, rhs))
         frontier = [Path(v, (), v) for v in range(nv)]
         words: list[Path] = []
         products: dict = {}
@@ -708,29 +764,27 @@ class AlgebraTable:
                 )
             nxt = []
             for path in frontier:
-                for a in quiver.arrows_from(path.target):
+                for a in ranked_out[path.target]:
                     word = path.arrows + (a,)
-                    # path is irreducible, so only suffixes ending at the new
-                    # arrow can form a rule LHS, and in a reduced system at
-                    # most one does (no LHS lies inside another)
                     rhs = None
-                    for i in range(max(0, len(word) - self._longest_lhs), len(word) - 1):
-                        rhs = rules.get(word[i:])
-                        if rhs is not None:
+                    for lhs, lhs_rhs in ending.get(a, ()):
+                        if word[-len(lhs) :] == lhs:
+                            rhs = lhs_rhs
                             break
                     if rhs is None:
-                        product = Path(path.source, word, quiver.arrow_target(a))
+                        product = Path(path.source, word, targets[a])
                         nxt.append(product)
                         products[path, a] = product
                     elif not rhs:
                         products[path, a] = None
+            if not frontier[0].arrows:  # nxt holds the length-1 words
+                nxt.sort(key=lambda p: rank[p.arrows[0]])
             frontier = nxt
         if dimension is not None and len(words) != dimension:
             raise InvariantError(
                 f"{self.label}: {len(words)} normal words, not the known dimension {dimension}"
             )
         self.arrow_products = products
-        words.sort(key=self.path_key)
         self.basis: tuple[Path, ...] = tuple(words)
         self.basis_index = {path: i for i, path in enumerate(words)}
         paths_from = [[] for _ in range(nv)]

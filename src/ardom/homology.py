@@ -186,6 +186,12 @@ def _capped(x) -> CappedNat:
     return x if isinstance(x, CappedNat) else CappedNat.exact(x)
 
 
+def _check_cap(cap: int) -> None:
+    """The one check of a capped invariant's cap, as for negative degrees."""
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
+
+
 # ---------------------------------------------------------------------------
 # syzygies
 # ---------------------------------------------------------------------------
@@ -405,6 +411,7 @@ def torsion(m: ModuleRep) -> ModuleRep:
 
 def grade(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
     """Least i with Ext^i(m, A) nonzero; infinite for the zero module."""
+    _check_cap(cap)
     if m.is_zero:
         return CappedNat.infinite("zero module")
     i = first_nonzero_ext(m, cap, start=0)
@@ -429,6 +436,7 @@ def domdim_module(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
     terminates with all terms projective or when the walk repeats while all
     terms so far are projective (the terms then cycle); otherwise capped.
     """
+    _check_cap(cap)
     if m.is_zero:
         return CappedNat.infinite("zero module")
     return _coresolution_walk(m, cap)
@@ -495,6 +503,7 @@ def domdim_algebra(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat:
     exact value if any; infinite when every summand is, periodic if one
     of them is; otherwise at least ``cap + 1``.  Kept per table and cap.
     """
+    _check_cap(cap)
     values = _least_over_summands(
         tbl, lambda pv, bound: _coresolution_walk(pv, bound, certify=bound == cap), cap
     )
@@ -508,6 +517,7 @@ def pdim(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
     """Projective dimension, the first zero syzygy of the :func:`_walk`.  A
     walk that repeats never ends, and stops with the value it would reach
     at the cap."""
+    _check_cap(cap)
     if m.is_zero:
         raise ValueError("projective dimension of the zero module is undefined")
     for i, (syz, _) in enumerate(itertools.islice(_walk(m), cap + 1)):
@@ -517,10 +527,12 @@ def pdim(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
 
 
 def injdim(m: ModuleRep, cap: int = DEFAULT_CAP) -> CappedNat:
+    _check_cap(cap)
     return pdim(dual(m), cap)
 
 
 def gldim(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat:
+    _check_cap(cap)
     return CappedNat.greatest(pdim(simple(tbl, v), cap) for v in range(len(tbl.quiver.vertices)))
 
 
@@ -544,6 +556,7 @@ def gorenstein_dim(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat:
     """Injective dimension of the regular module, required equal on both
     sides; each side is :func:`_regular_injdim`, so D(A) is never resolved
     whole, and the D P(v) are the modules the AR sweep resolves."""
+    _check_cap(cap)
     right = _regular_injdim(tbl, cap)
     left = _regular_injdim(opposite(tbl), cap)
     if right.is_exact and left.is_exact:
@@ -620,6 +633,7 @@ def domdim_R_via_mueller(tbl: AlgebraTable, cap: int = DEFAULT_CAP) -> CappedNat
     injectives as there are I(v).  The D P(v) are folded by
     :func:`_least_over_summands`.  Kept per table and cap.
     """
+    _check_cap(cap)
 
     def search(pv, bound):
         i = first_nonzero_ext(dual(pv), bound)

@@ -183,10 +183,17 @@ class PrimeField:
         matrix with at most ``_LIST_ELIMINATION_NONZEROS`` entries, or that
         many nonzero entries, is reduced on int lists and gives all its rows
         as lists, the others are reduced with numpy and give an array;
-        either way the first ``len(pivots)`` rows are the pivot rows.
+        either way the first ``len(pivots)`` rows are the pivot rows.  Of
+        the list-sized ones, a matrix with at most one entry is answered
+        from its shape and entry, with the values the lists would give:
+        ``[[1]]`` and pivot 0 for a nonzero entry.
         """
         rows, cols = m.shape
         if rows * cols <= _LIST_ELIMINATION_NONZEROS:
+            if rows * cols <= 1:  # read off the shape and the one entry, if any
+                if rows * cols and m.item() % self.p:
+                    return [[1]], (0,)
+                return np.zeros((rows, cols), dtype=np.int64), ()
             p = self.p
             a = [[x % p for x in row] for row in m.tolist()]
             if not any(map(any, a)):

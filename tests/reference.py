@@ -47,7 +47,14 @@ exact route, and is kept only so that the tests can check the two agree:
   ``ardom.arseq.knit_indecomposables``, which reads the successors off the
   AR mesh and builds a sequence only where no mesh is known.  The
   Krull–Schmidt splitter both share is passed in by the caller, since
-  other routes here check it.
+  other routes here check it;
+- :func:`basis_by_sort` and :func:`arrow_products_by_definition`, every
+  normal path of the quiver listed by brute force and sorted by
+  ``path_key``, and each product with an arrow read off it, against the
+  ordered one-pass listing of ``ardom.algebra.AlgebraTable``;
+- :func:`minimal_relation_paths`, the reduced rewriting system of a
+  monomial ideal read off containment of the relation paths, against the
+  completion of ``ardom.algebra.AlgebraTable``.
 
 Nothing here is memoised, and nothing here calls the routes it checks.
 :func:`domdim_whole` walks the one coresolution walk there is,
@@ -64,7 +71,7 @@ from typing import Sequence
 import numpy as np
 
 import ardom.modules
-from ardom.algebra import Path, opposite, reverse_path
+from ardom.algebra import CompletionError, Path, opposite, reverse_path
 from ardom.arseq import almost_split
 from ardom.homology import (
     DEFAULT_CAP,
@@ -613,3 +620,86 @@ def knit_by_sequences(tbl, limit: int, split):
                 )
         successors.append([index[id(part)] for part in parts])
     return tuple(found), successors
+
+
+def basis_by_sort(tbl) -> list:
+    """Every path of ``tbl``'s quiver with no rule LHS as a subword, listed
+    length by length from every arrow and then sorted by ``path_key``: the
+    basis by brute force.  The table must be finite-dimensional."""
+    q = tbl.quiver
+    arrows = [(a, q.vertex_index[s], q.vertex_index[t]) for a, (_, s, t) in enumerate(q.arrows)]
+
+    def normal(word):
+        n = len(word)
+        return not any(word[i:j] in tbl.rules for i in range(n) for j in range(i + 1, n + 1))
+
+    level = [Path(v, (), v) for v in range(len(q.vertices))]
+    paths = []
+    while level:
+        paths.extend(level)
+        level = [
+            Path(p.source, p.arrows + (a,), t)
+            for p in level
+            for a, s, t in arrows
+            if s == p.target and normal(p.arrows + (a,))
+        ]
+    return sorted(paths, key=tbl.path_key)
+
+
+def arrow_products_by_definition(tbl, basis) -> dict:
+    """For each basis path p and arrow a after it: the basis path p·a, or
+    None when a rule with right side 0 has its LHS inside p·a; no entry
+    when p·a is reducible by a rule with other paths on its right side."""
+    q = tbl.quiver
+    listed = set(basis)
+    out = {}
+    for p in basis:
+        for a, (_, s, t) in enumerate(q.arrows):
+            if q.vertex_index[s] != p.target:
+                continue
+            word = p.arrows + (a,)
+            product = Path(p.source, word, q.vertex_index[t])
+            n = len(word)
+            if product in listed:
+                out[p, a] = product
+            elif any(tbl.rules.get(word[i:j]) == {} for i in range(n) for j in range(i + 1, n + 1)):
+                out[p, a] = None
+    return out
+
+
+def minimal_relation_paths(relations, max_path_length: int):
+    """(rules, longest) of a monomial ideal, every relation a single path:
+    its reduced Gröbner basis, the minimal relation paths each rewritten to
+    0, in the order of their first occurrence, and the longest relation
+    path that no earlier one lies inside.
+
+    Read off containment alone.  Once some relations are read, the rules
+    are the minimal paths among them, each at its first occurrence.  So a
+    relation path becomes a rule iff no earlier relation path lies inside
+    it, and a rule stays iff no later one lies strictly inside it.  The
+    first relation path to become a rule that is shorter than 2 arrows,
+    or longer than the cap, is refused with the texts of
+    ``AlgebraTable._complete``."""
+    words = [next(iter(element)).arrows for element in relations]
+
+    def inside(sub, word):
+        return any(word[i : i + len(sub)] == sub for i in range(len(word) - len(sub) + 1))
+
+    ruled = [i for i, w in enumerate(words) if not any(inside(v, w) for v in words[:i])]
+    for i in ruled:
+        if len(words[i]) < 2:
+            raise ValueError(
+                "internal error: completion produced a leading path of length < 2 "
+                "(the parsed ideal is not admissible)"
+            )
+        if len(words[i]) > max_path_length:
+            raise CompletionError(
+                f"not verifiably finite-dimensional at this cap (rewriting rule of "
+                f"length {len(words[i])} exceeds max_path_length={max_path_length})"
+            )
+    rules = {
+        words[i]: {}
+        for i in ruled
+        if not any(inside(w, words[i]) and w != words[i] for w in words[i + 1 :])
+    }
+    return rules, max((len(words[i]) for i in ruled), default=0)

@@ -35,6 +35,7 @@ from ardom.algebra import (
     table_from_text,
 )
 from ardom.linalg import PrimeField
+import reference
 
 A2_TEXT = """
 # the path algebra of a single arrow
@@ -461,7 +462,7 @@ def _has_long_normal_paths(quiver, tips):
     frontier = {((), v) for v in range(len(quiver.vertices))}
     for _ in range(states + 1):
         frontier = {
-            ((w + (a,))[len(w) + 1 - keep:] if keep else (), quiver.arrow_target(a))
+            ((w + (a,))[-keep:] if keep else (), quiver.arrow_target(a))
             for w, v in frontier
             for a in quiver.arrows_from(v)
             if not any(w[i:] + (a,) in tips for i in range(len(w) + 1))
@@ -830,6 +831,133 @@ def test_a_wrong_completion_of_the_opposite_cannot_list_forever(monkeypatch):
     monkeypatch.setattr(ardom.algebra, "Path", counted)
     with pytest.raises(InvariantError, match="more than 5 normal words"):
         opposite(tbl)
+
+
+# -- the ordered listing and the monomial completion, against the oracles ---------
+
+
+def is_monomial(relations):
+    return all(len(element) == 1 for element in relations)
+
+
+def assert_matches_the_oracles(tbl):
+    """The table against the brute-force basis sorted by ``path_key``, the
+    products read off it and, for a monomial ideal, its minimal relation
+    paths.  A binomial ideal's rules are compared with those completed from
+    its relations in reverse order: the reduced Gröbner basis is unique."""
+    basis = reference.basis_by_sort(tbl)
+    assert tbl.basis == tuple(basis), tbl.label
+    assert tbl.basis_index == {p: i for i, p in enumerate(basis)}, tbl.label
+    assert tbl.arrow_products == reference.arrow_products_by_definition(tbl, basis), tbl.label
+    if is_monomial(tbl.relations):
+        rules, longest = reference.minimal_relation_paths(tbl.relations, tbl.max_path_length)
+        assert list(tbl.rules.items()) == list(rules.items()), tbl.label
+        assert tbl._longest_lhs == longest, tbl.label
+    else:
+        reordered = AlgebraTable(tbl.quiver, tbl.field, tbl.relations[::-1], _dimension=tbl.dimension)
+        assert tbl.rules == reordered.rules, tbl.label
+        assert tbl._longest_lhs >= max(map(len, tbl.rules)), tbl.label
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_corpus_tables_and_their_opposites_match_the_oracles(p, fresh_corpus_table):
+    corpus = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+    names = sorted(f[:-4] for f in os.listdir(corpus) if f.endswith(".alg"))
+    assert len(names) == 14
+    for name in names:
+        tbl = fresh_corpus_table(name, p)
+        assert_matches_the_oracles(tbl)
+        assert_matches_the_oracles(opposite(tbl))
+    assert sum(is_monomial(fresh_corpus_table(n, p).relations) for n in names) == 12
+
+
+def test_nakayama_tables_and_their_opposites_match_the_oracles():
+    from ardom.verify import _cyclic_series
+
+    series = [(c, True) for m in range(1, 6) for c in _cyclic_series(m, 6)]
+    series += [(c, False) for m in range(1, 7) for c in linear_kupisch_series(m)]
+    series += [(range(n, 0, -1), False) for n in range(1, 41)]  # linear A_n, no relations
+    for c, cyclic in series:
+        tbl = nakayama_from_kupisch(c, cyclic)
+        assert_matches_the_oracles(tbl)
+        assert_matches_the_oracles(opposite(tbl))
+
+
+def random_monomial_presentation(seed):
+    """A quiver of 1-3 vertices and 1-4 arrows, named in no rank order, up
+    to 6 relation paths of 1-4 arrows (1 rarely) and a cap of 2-6."""
+    rng = random.Random(seed)
+    vertices = tuple(f"v{i}" for i in range(rng.randint(1, 3)))
+    names = rng.sample("abcdxyz", rng.randint(1, 4))
+    quiver = Quiver(vertices, tuple((n, rng.choice(vertices), rng.choice(vertices)) for n in names))
+    fld = PrimeField(rng.choice((2, 3, 101)))
+    relations = []
+    for _ in range(rng.randint(0, 6)):
+        length = 1 if rng.random() < 0.03 else rng.randint(2, 4)
+        word = [rng.randrange(len(names))]
+        while len(word) < length and quiver.arrows_from(quiver.arrow_target(word[-1])):
+            word.append(rng.choice(quiver.arrows_from(quiver.arrow_target(word[-1]))))
+        if len(word) == length:
+            path = make_path(quiver, quiver.arrow_source(word[0]), tuple(word))
+            relations.append({path: rng.randrange(1, fld.p)})
+    return quiver, fld, tuple(relations), rng.randint(2, 6)
+
+
+def test_random_monomial_presentations_match_the_oracles():
+    outcomes = {"built": 0, "ValueError": 0, "CompletionError": 0, "infinite": 0}
+    for seed in range(400):
+        quiver, fld, relations, cap = random_monomial_presentation(seed)
+        try:
+            rules, _ = reference.minimal_relation_paths(relations, cap)
+        except (ValueError, CompletionError) as exc:
+            expected = exc
+        else:
+            cycle = _normal_cycle(quiver, rules)
+            assert (cycle is not None) == _has_long_normal_paths(quiver, set(rules))
+            expected = None
+            if cycle is not None:
+                label = "*".join(quiver.arrows[a][0] for a in cycle)
+                expected = CompletionError(
+                    f"infinite-dimensional: every power of the path {label} is a normal word, "
+                    "so nonzero (a cycle of the Ufnarovski graph)"
+                )
+        if expected is not None:
+            with pytest.raises(type(expected)) as err:
+                AlgebraTable(quiver, fld, relations, max_path_length=cap)
+            assert type(err.value) is type(expected) and str(err.value) == str(expected), seed
+            kind = "infinite" if "infinite" in str(expected) else type(expected).__name__
+            outcomes[kind] += 1
+            continue
+        tbl = AlgebraTable(quiver, fld, relations, max_path_length=cap, label=f"seed {seed}")
+        assert_matches_the_oracles(tbl)
+        assert_matches_the_oracles(opposite(tbl))
+        outcomes["built"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+@pytest.mark.parametrize("relations, refused", [(["a^12", "a^2"], True), (["a^2", "a^12"], False)])
+def test_monomial_relations_are_taken_in_order(relations, refused):
+    # a^12 is refused at cap 11 when it is read first; after a^2 it
+    # contains a rule and is dropped
+    text = "field 101\nvertices v\narrow a v v\n" + "".join(
+        "relation " + "*".join("a" * int(r[2:])) + "\n" for r in relations
+    )
+    if refused:
+        with pytest.raises(CompletionError, match=r"rule of length 12 exceeds max_path_length=11"):
+            table_from_text(text, max_path_length=11)
+    else:
+        tbl = table_from_text(text, max_path_length=11)
+        assert tbl.dimension == 2 and list(tbl.rules) == [(0, 0)]
+
+
+def test_nakayama_tables_are_listed_without_sorting_or_rewriting(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Nakayama table was sorted or rewritten")
+
+    monkeypatch.setattr(AlgebraTable, "path_key", refuse)
+    monkeypatch.setattr(AlgebraTable, "normal_form_path", refuse)
+    for c, cyclic in [([3, 2], True), ([4, 4, 3], True), ([3, 2, 1], False), (range(24, 0, -1), False)]:
+        opposite(nakayama_from_kupisch(c, cyclic))
 
 
 # -- Nakayama generator ----------------------------------------------------------------

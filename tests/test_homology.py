@@ -358,6 +358,29 @@ def test_negative_degrees_raise(nak32):
             call()
 
 
+CAPPED_INVARIANTS = {
+    "pdim": lambda tbl, cap: pdim(simple(tbl, 0), cap),
+    "injdim": lambda tbl, cap: injdim(simple(tbl, 0), cap),
+    "gldim": gldim,
+    "grade": lambda tbl, cap: grade(simple(tbl, 0), cap),
+    "domdim_module": lambda tbl, cap: domdim_module(simple(tbl, 0), cap),
+    "domdim_R_via_mueller": domdim_R_via_mueller,
+    "domdim_algebra": domdim_algebra,
+    "gorenstein_dim": gorenstein_dim,
+}
+
+
+@pytest.mark.parametrize("cap", [-1, -2, -5])
+@pytest.mark.parametrize("name", sorted(CAPPED_INVARIANTS))
+def test_a_negative_cap_is_refused(name, cap, fresh_corpus_table):
+    tbl = fresh_corpus_table("auslander-x2", 101)
+    for _ in range(2):  # a memoised call that raised stored nothing
+        with pytest.raises(ValueError, match=r"^cap must be >= 0$"):
+            CAPPED_INVARIANTS[name](tbl, cap)
+    assert not any(key[0] == name for key in tbl._memo)
+    assert isinstance(CAPPED_INVARIANTS[name](tbl, 0), CappedNat)  # cap 0 is a cap
+
+
 # ---------------------------------------------------------------------------
 # Ext
 # ---------------------------------------------------------------------------

@@ -75,6 +75,9 @@ EDGE_CASES = [
         np.zeros((0, 4), dtype=np.int64),
         np.zeros((4, 0), dtype=np.int64),
         np.zeros((0, 0), dtype=np.int64),
+        np.zeros((0, 1), dtype=np.int64),
+        np.zeros((1, 0), dtype=np.int64),
+        np.zeros((1, 1), dtype=np.int64),
         np.zeros((3, 5), dtype=np.int64),
         np.full((2, 3), p, dtype=np.int64),
         # tiny shapes, reduced on lists straight from tolist()
@@ -288,7 +291,11 @@ def test_list_and_numpy_paths_give_identical_bytes(case, seed):
     assert small == large
 
 
-TINY_SHAPES = [(0, 5), (5, 0), (0, 0), (1, 1), (1, 4), (4, 1), (2, 3), (8, 16), (11, 11)]
+# (1, 1), with its zero draws, (0, 1) and (1, 0) are answered from their
+# shape and entry on the list route; appended last, so the ids stay put
+TINY_SHAPES = [
+    (0, 5), (5, 0), (0, 0), (1, 1), (1, 4), (4, 1), (2, 3), (8, 16), (11, 11), (0, 1), (1, 0)
+]
 
 
 @pytest.mark.parametrize("p", PRIMES)
