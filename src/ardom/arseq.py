@@ -44,6 +44,8 @@ from .homology import (
 )
 from .modules import (
     _projective_injective_tops,
+    _split_by_copy,
+    _yoneda_maps,
     Indecomposable,
     InvariantError,
     ModuleMorphism,
@@ -57,14 +59,12 @@ from .modules import (
     isomorphic_to,
     kernel,
     memoized,
-    morphism_from_flat,
     proj_cover,
     proj_sum,
     projective,
     projective_paths,
     projsum_morphism,
     radical,
-    yoneda_block,
 )
 
 __all__ = [
@@ -88,21 +88,22 @@ def _rad_end_paths(tbl: AlgebraTable, v: int):
 
 def projective_rad_end(tbl: AlgebraTable, v: int) -> list:
     """rad End(P(v)) as endomorphisms: left multiplication by each cycle of
-    :func:`_rad_end_paths`, its row in the Yoneda block of P(v) into itself."""
+    :func:`_rad_end_paths`, the map sending P(v)'s generator to the cycle."""
     pv, index = projective(tbl, v), projective_paths(tbl, v)[v]
-    block = yoneda_block(proj_sum(tbl, (v,)), pv)
-    return [morphism_from_flat(pv, pv, block[index[p]]) for p in _rad_end_paths(tbl, v)]
+    ps, basis = proj_sum(tbl, (v,)), tbl.field.eye(pv.dims[v])
+    return [projsum_morphism(ps, pv, [basis[index[p]]]) for p in _rad_end_paths(tbl, v)]
 
 
 def _cocycle(v_module: ModuleRep, u: ModuleRep, coeffs) -> ModuleMorphism:
     """The cocycle P_1 → U of the Ext^1(V, U) class with coordinates
-    ``coeffs``: a map out of P_1 is fixed by its generator images."""
+    ``coeffs``: a map out of P_1 is fixed by its generator images, which
+    its coordinate row holds copy by copy."""
     fld = v_module.algebra.field
     ps1 = _presentation(v_module)[1]
     cocycles, quot = ext_classes(v_module, u, 1)
-    row = fld.mul(fld.mul(np.reshape(coeffs, (1, -1)), quot.section), cocycles)[0]
-    bounds = np.cumsum([0] + [u.dims[w] for w in ps1.vertices])
-    return projsum_morphism(ps1, u, [row[a:b] for a, b in zip(bounds, bounds[1:])])
+    row = fld.mul(fld.mul(np.reshape(coeffs, (1, -1)), quot.section), cocycles)
+    starts = _split_by_copy(ps1, row, u.dims)
+    return ModuleMorphism._trusted(ps1.module, u, _yoneda_maps(ps1, u, starts, 1))
 
 
 class ArSequenceError(RuntimeError):

@@ -245,7 +245,9 @@ def _walk(m: ModuleRep):
 
 @memoized
 def ext_dim(m: ModuleRep, n: ModuleRep, i: int) -> int:
-    """dim_k Ext^i(m, n) via the minimal projective resolution of m.
+    """dim_k Ext^i(m, n) via the minimal projective resolution of m: the
+    cocycles of the :func:`_cochain` out of Hom(P_i, N) less the rank,
+    rows less cocycles, of the one into it.
 
     The resolution is extended to degree i+1 on demand, so the answer is
     always exact for the requested degree.
@@ -254,9 +256,8 @@ def ext_dim(m: ModuleRep, n: ModuleRep, i: int) -> int:
         raise ValueError("negative Ext degree")
     if m.algebra is not n.algebra:
         raise ValueError("ext_dim: modules live over different algebras")
-    syz = syzygy(m, i)
-    hom_dim = sum(n.dims[v] for v in _presentation(syz)[0].vertices)
-    return hom_dim - _cochain(syz, n)[1] - (_cochain(syzygy(m, i - 1), n)[1] if i >= 1 else 0)
+    mat, prev = _cochain(syzygy(m, i - 1), n) if i else ((), ())
+    return len(_cochain(syzygy(m, i), n)[1]) - (len(mat) - len(prev))
 
 
 @memoized
@@ -270,7 +271,7 @@ def ext_classes(m: ModuleRep, n: ModuleRep, i: int) -> tuple:
     if i >= 2:
         return ext_classes(syzygy(m, i - 1), n, 1)
     f = m.algebra.field
-    cocycles = f.kernel_basis(_cochain(syzygy(m, i), n)[0].T)
+    cocycles = _cochain(syzygy(m, i), n)[1]
     coords = f.zeros(0, cocycles.shape[0])
     if i >= 1:
         coords = f.coords_in_rowspace(cocycles, _cochain(syzygy(m, i - 1), n)[0])

@@ -65,7 +65,6 @@ __all__ = [
     "quotient_by_rows",
     "proj_sum",
     "projsum_morphism",
-    "yoneda_block",
     "projsum_map_elements",
     "projsum_map_from_elements",
     "parse_module",
@@ -696,40 +695,27 @@ def _split_by_copy(ps: ProjSum, coords: np.ndarray, dims) -> dict:
     in generator coordinates: copy j owns the next dims[vertices[j]]
     columns of ``coords``, and the blocks of the copies of each vertex u
     are stacked in copy order."""
-    bounds = np.cumsum([0] + [dims[u] for u in ps.vertices])
-    blocks = {}
-    for j, u in enumerate(ps.vertices):
-        blocks.setdefault(u, []).append(coords[:, bounds[j] : bounds[j + 1]])
+    blocks, at = {}, 0
+    for u in ps.vertices:
+        blocks.setdefault(u, []).append(coords[:, at : at + dims[u]])
+        at += dims[u]
     return {u: np.concatenate(b) for u, b in blocks.items()}
 
 
 def projsum_morphism(ps: ProjSum, target: ModuleRep, gen_rows) -> ModuleMorphism:
     """The unique morphism ps.module -> target sending copy j's generator to
     the row vector gen_rows[j] (an element of target at vertices[j])."""
-    p = target.algebra.field.p
-    starts = {}
-    for u in dict.fromkeys(ps.vertices):
-        rows = [np.asarray(gen_rows[j], dtype=np.int64).reshape(-1)
-                for j, v in enumerate(ps.vertices) if v == u]
-        starts[u] = np.array(rows, dtype=np.int64).reshape(len(rows), target.dims[u]) % p
+    if len(gen_rows) != len(ps.vertices):
+        raise ValueError(
+            f"projsum_morphism: one row per copy, got {len(gen_rows)} for {len(ps.vertices)}")
+    rows = [np.asarray(g, dtype=np.int64).reshape(-1) for g in gen_rows]
+    for j, (u, row) in enumerate(zip(ps.vertices, rows)):
+        if len(row) != target.dims[u]:
+            raise ValueError(f"projsum_morphism: copy {j}, a P({u}), needs a row of length "
+                             f"{target.dims[u]}, got {len(row)}")
+    coords = np.concatenate([np.zeros(0, dtype=np.int64), *rows]) % target.algebra.field.p
+    starts = _split_by_copy(ps, coords.reshape(1, -1), target.dims)
     return ModuleMorphism._trusted(ps.module, target, _yoneda_maps(ps, target, starts, 1))
-
-
-def yoneda_block(ps: ProjSum, n: ModuleRep) -> np.ndarray:
-    """Hom(ps.module, n) from generator coordinates to flattened morphisms,
-    by Yoneda.
-
-    Hom(⊕_j P(u_j), N) = ⊕_j N_{u_j}: row r of the block is the morphism
-    sending generator coordinate r to 1 and the others to 0, that is the
-    :func:`_yoneda_maps` of the identity coordinates, each flattened.  So
-    a vector c of generator coordinates is the morphism ``c @ block``.
-    """
-    k = sum([n.dims[u] for u in ps.vertices])
-    maps = _yoneda_maps(ps, n, _split_by_copy(ps, n.algebra.field.eye(k), n.dims), k)
-    return np.concatenate([
-        g.reshape(len(g), k, d).transpose(1, 0, 2).reshape(k, len(g) * d)
-        for g, d in zip(maps, n.dims)
-    ], axis=1)
 
 
 def projsum_map_elements(ps_src: ProjSum, ps_tgt: ProjSum, d: ModuleMorphism):
@@ -924,14 +910,16 @@ def _cochain_matrix(ps_tgt, ps_src, elements, n: ModuleRep):
 
 @memoized
 def _cochain(m: ModuleRep, n: ModuleRep) -> tuple:
-    """(matrix, rank) of Hom(P_0, N) -> Hom(P_1, N) for the minimal
+    """(matrix, cocycles) of Hom(P_0, N) -> Hom(P_1, N) for the minimal
     presentation of m, in generator coordinates (see :func:`_cochain_matrix`).
+    ``cocycles`` is the canonical left kernel of the matrix, the one
+    elimination made per pair: its rank is ``len(matrix) - len(cocycles)``.
     Degree j of the resolution of m is degree 0 of its syzygy, so the Ext
     routes of ``ardom.homology`` read Hom(P_j, N) -> Hom(P_{j+1}, N) as
     ``_cochain(syzygy(m, j), n)``."""
     p0, p1, elements, _ = _presentation(m)
     mat = _cochain_matrix(p0, p1, elements, n)
-    return mat, m.algebra.field.rank(mat)
+    return mat, m.algebra.field.kernel_basis(mat.T)
 
 
 def _hom_maps(m: ModuleRep, n: ModuleRep) -> tuple:
@@ -941,17 +929,17 @@ def _hom_maps(m: ModuleRep, n: ModuleRep) -> tuple:
 
     Hom_A(P(v), N) = N·e_v (Assem–Simson–Skowroński, *Elements* vol. 1),
     so Hom(P_0, N) is a sum of vertex spaces of N in generator coordinates,
-    and the maps that vanish on the image of P_1 are the kernel of the
-    cochain Hom(P_0, N) -> Hom(P_1, N) (:func:`_cochain`).  They are the
-    maps cover·φ, one for each φ: m -> N.  :func:`_yoneda_maps` builds them
-    side by side, and φ_w = s_w·(cover·φ)_w for the section s_w of
-    :func:`_cover_sections`.
+    and the maps that vanish on the image of P_1 are the cocycles of the
+    cochain Hom(P_0, N) -> Hom(P_1, N), taken as :func:`_cochain` keeps
+    them.  They are the maps cover·φ, one for each φ: m -> N.
+    :func:`_yoneda_maps` builds them side by side, and φ_w = s_w·(cover·φ)_w
+    for the section s_w of :func:`_cover_sections`.
     """
     if m.algebra is not n.algebra:
         raise ValueError("_hom_maps: modules live over different algebras")
     f = m.algebra.field
     p0 = proj_cover(m)[0]
-    cocycles = f.kernel_basis(_cochain(m, n)[0].T)
+    cocycles = _cochain(m, n)[1]
     k = len(cocycles)
     maps = _yoneda_maps(p0, n, _split_by_copy(p0, cocycles, n.dims), k)
     return k, [f.mul(s, g) for s, g in zip(_cover_sections(m), maps)]

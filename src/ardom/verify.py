@@ -591,9 +591,14 @@ def run_suite(
     if sample_size < 1:
         raise InputError("sample_size must be >= 1")
     suites = tuple(dict.fromkeys(suites))  # a repeated suite runs once
+    if not suites:
+        raise InputError("no suite to run")
     for suite in suites:
         if suite not in SUITES:
             raise InputError(f"unknown suite {suite!r}")
+    ns = tuple(ns)
+    if not ns or any(type(n) is not int or n < 1 for n in ns):  # a bool is no n
+        raise InputError(f"ns must be one or more integers >= 1, got {ns!r}")
     entries = list(entries)
     if not entries:
         raise InputError("empty corpus")

@@ -105,7 +105,6 @@ from ardom.modules import (
     socle,
     submodule_from_rows,
     top_vertices,
-    yoneda_block,
     zero_module,
 )
 
@@ -395,7 +394,7 @@ def arrow_left_mult(tbl, a: int) -> ModuleMorphism:
     a in the Yoneda block of P(w) into P(v)."""
     v, w = tbl.quiver.arrow_source(a), tbl.quiver.arrow_target(a)
     row = projective_paths(tbl, v)[w][Path(v, (a,), w)]
-    block = yoneda_block(proj_sum(tbl, (w,)), projective(tbl, v))
+    block = yoneda_block_by_labels(proj_sum(tbl, (w,)), projective(tbl, v))
     return morphism_from_flat(projective(tbl, w), projective(tbl, v), block[row])
 
 

@@ -23,6 +23,7 @@ from ardom.homology import (
     DEFAULT_CAP,
     CappedNat,
     domdim_algebra,
+    ext_classes,
     ext_dim,
     ext_module,
     _presentation,
@@ -31,8 +32,10 @@ from ardom.homology import (
     torsion_free_failure_degree,
     transpose,
 )
+from ardom.linalg import PrimeField
 from ardom.modules import (
     ModuleRep,
+    _hom_rows,
     cokernel,
     direct_sum,
     dual,
@@ -436,6 +439,42 @@ def test_a_cochain_matrix_is_built_once_per_module_target_and_degree(
     assert ext_module(m, i).total_dim > 0
     assert len(built) == 3 * nv
     assert len(set(built)) == nv
+
+
+@pytest.mark.parametrize("name", ["auslander-x3", "comm-square", "nak-233", "kronecker"])
+def test_each_cochain_matrix_is_eliminated_once(name, monkeypatch, fresh_corpus_table):
+    # the cocycles kept with the matrix give its rank and every kernel read
+    tbl = fresh_corpus_table(name, 101)
+    built, ids = [], set()
+    original = ardom.modules._cochain_matrix
+
+    def keeping(*args):
+        built.append(original(*args))
+        ids.add(id(built[-1]))
+        return built[-1]
+
+    eliminated = []
+    eliminate = PrimeField._eliminate
+
+    def counting(self, m):
+        key = id(m.base) if id(m.base) in ids else id(m)  # the matrix or its transpose
+        if key in ids:
+            eliminated.append(key)
+        return eliminate(self, m)
+
+    monkeypatch.setattr(ardom.modules, "_cochain_matrix", keeping)
+    monkeypatch.setattr(PrimeField, "_eliminate", counting)
+    nv = len(tbl.quiver.vertices)
+    mods = [regular(tbl), *(simple(tbl, v) for v in range(nv)), *sample_modules(tbl, size=6)]
+    for m in mods:
+        for n in mods:
+            for i in range(3):
+                ext_dim(m, n, i)
+                ext_classes(m, n, i)
+            _hom_rows(m, n)
+            assert ext_classes(m, n, 0)[0] is ardom.modules._cochain(m, n)[1]
+    assert len(built) > len(mods)
+    assert sorted(eliminated) == sorted(ids)
 
 
 def test_each_minimal_presentation_is_decoded_once(monkeypatch):

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import os
+import re
 
 import numpy as np
 import pytest
@@ -844,8 +845,6 @@ def test_yoneda_maps_are_the_single_maps_side_by_side(name, p, fresh_corpus_tabl
                     block = g[:, r * d[w] : (r + 1) * d[w]]
                     assert np.array_equal(block, single.mats[w])
                     assert np.array_equal(block, want.mats[w])
-            assert np.array_equal(ardom.modules.yoneda_block(ps, target),
-                                  reference.yoneda_block_by_labels(ps, target))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 101])
@@ -875,6 +874,21 @@ def test_projsum_morphism_hits_generators(dim5):
     assert f.defect() is None
     for j, v in enumerate(ps.vertices):
         assert np.array_equal(f.mats[v][ps.first[j][v]], rows[j])
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1]], "one row per copy, got 1 for 2"),
+        ([[1], [1], [1]], "one row per copy, got 3 for 2"),
+        ([[1, 0], []], "copy 0, a P(0), needs a row of length 1, got 2"),
+        ([[1], [1, 1]], "copy 1, a P(0), needs a row of length 1, got 2"),
+    ],
+)
+def test_projsum_morphism_refuses_rows_of_the_wrong_shape(a2, rows, message):
+    # the rows would fill the right number of coordinates, in the wrong copies
+    with pytest.raises(ValueError, match=re.escape(message)):
+        projsum_morphism(proj_sum(a2, [0, 0]), regular(a2), rows)
 
 
 def test_left_mult_morphism_dim5(dim5):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import re
 import shutil
 from collections import Counter
 
@@ -444,6 +445,24 @@ def test_run_suite_refuses_a_negative_cap(corpus):
     for suites in (("main",), SUITES):
         with pytest.raises(InputError, match="cap must be >= 0"):
             run_suite(corpus, suites=suites, cap=-1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(suites=()), "no suite to run"),
+        (dict(ns=()), "ns must be one or more integers >= 1, got ()"),
+        (dict(ns=(0,)), "got (0,)"),
+        (dict(ns=(1, -2)), "got (1, -2)"),
+        (dict(ns=(1.0,)), "got (1.0,)"),
+        (dict(ns=("2",)), "got ('2',)"),
+        (dict(ns=(True,)), "got (True,)"),
+    ],
+)
+def test_run_suite_refuses_an_empty_run(corpus, kwargs, message):
+    # each would exit 0 with nothing checked, or fail past the input checks
+    with pytest.raises(InputError, match=re.escape(message)):
+        run_suite(corpus, **kwargs)
 
 
 def test_a_repeated_suite_runs_once_in_order_of_first_appearance(corpus):
