@@ -56,7 +56,6 @@ from .modules import (
     dual,
     indecomposable_summands,
     is_injective,
-    isomorphic_to,
     kernel,
     memoized,
     proj_cover,
@@ -251,9 +250,9 @@ def _knit(tbl: AlgebraTable, limit: int):
 
     The list S starts at the P(v) and the summands of each rad P(v)
     (:func:`~ardom.modules.indecomposable_summands`), and every listed
-    non-injective U has τ⁻¹U (:func:`~ardom.homology.tau_inverse`)
-    identified against S (:func:`~ardom.modules.isomorphic_to`) or listed
-    with its certificate (:func:`~ardom.modules.certify_local`).  Every
+    non-injective U has τ⁻¹U (:func:`~ardom.homology.tau_inverse`), which
+    is indecomposable, identified against S or listed with its certificate
+    by the same Krull–Schmidt splitter, as its one summand.  Every
     record certifies End/rad = k, so the AR mesh gives the successors
     without a sequence (Auslander–Reiten–Smalø, *Representation Theory of
     Artin Algebras*, Ch. V.5 and VII.1; Assem–Simson–Skowroński, *Elements*
@@ -337,14 +336,10 @@ def _knit(tbl: AlgebraTable, limit: int):
         while translated < len(found):  # τ⁻¹ of each listed module, those it lists included
             u = found[translated].module
             if not is_injective(u):
-                v = tau_inverse(u)
-                j = next((j for j, ind in enumerate(found) if isomorphic_to(v, ind)), None)
-                if j is None:
-                    cert = certify_local(v)
-                    j = None if cert is None else listed(cert)
-                    if j is None:
-                        return None
-                tau_inv[translated] = j
+                parts = summands(tau_inverse(u))
+                if parts is None:
+                    return None
+                (tau_inv[translated],) = parts  # τ⁻¹ of an indecomposable is indecomposable
             translated += 1
         ready = next((i for i in range(len(found)) if i not in succs and i in preds), None)
         if ready is not None:  # the mesh lists nothing new: each τ⁻¹ is listed already

@@ -1033,15 +1033,14 @@ def certify_local(m: ModuleRep) -> Optional[Indecomposable]:
 
     With p ∤ dim m the trace is a nonzero functional on End(m) (tr 1 =
     dim m), so R = {f : tr f = 0} has codimension 1 and End(m) = k·1 ⊕ R.
-    When every product of dim m elements of R is 0, R is nilpotent, so each
-    endomorphism λ·1 + r is invertible or (λ = 0) nilpotent: End(m) is local
-    with residue field k, m is indecomposable and R = rad End(m).  The
-    products are spanned degree by degree, R^{j+1} = R^j·R, from the vertex
-    blocks; a degree equal to the one before never shrinks again.  None for
-    the zero module, for p | dim m, and when R is not nilpotent (m is then
-    decomposable).  A product of nonzero trace refuses at once: when R is
-    nilpotent every product in it is nilpotent, of trace 0, so only a
-    module the chain would refuse is refused earlier.
+    When R is nilpotent, each endomorphism λ·1 + r is invertible or (λ = 0)
+    nilpotent: End(m) is local with residue field k, m is indecomposable and
+    R = rad End(m).  R is nilpotent iff the flag m ⊇ m·R ⊇ m·R² ⊇ … reaches
+    0, as an endomorphism is 0 iff it kills m.  The flag is spanned on the
+    vectors of m, one row space per vertex, m·R^{j+1} = (m·R^j)·R; it only
+    shrinks (m·R ⊆ m), so once its vertex dimensions repeat it is constant
+    and never reaches 0.  None for the zero module, for p | dim m, and when
+    R is not nilpotent (m is then decomposable).
     """
     f = m.algebra.field
     n = m.total_dim
@@ -1051,23 +1050,15 @@ def certify_local(m: ModuleRep) -> Optional[Indecomposable]:
     traces = sum(np.trace(b, axis1=1, axis2=2) for b in _vertex_blocks(rows, m, m)) % f.p
     rad = f.mul(f.left_kernel_basis(traces.reshape(-1, 1)), rows)
     rad_blocks = _vertex_blocks(rad, m, m)
-    power = f.row_space_basis(rad)
-    for _ in range(n - 1):
-        if not len(power):
-            break
-        products = [
-            np.matmul(a[:, None], b[None]).reshape(len(a) * len(b), -1) % f.p
-            for a, b in zip(_vertex_blocks(power, m, m), rad_blocks)
+    flag = [f.eye(d) for d in m.dims]
+    while any(len(w) for w in flag):
+        nxt = [
+            f.row_space_basis((w @ b).reshape(len(b) * len(w), d) % f.p)
+            for w, b, d in zip(flag, rad_blocks, m.dims)
         ]
-        traces = sum(prod[:, :: d + 1].sum(axis=1) for prod, d in zip(products, m.dims))
-        if np.any(traces % f.p):  # a product that is not nilpotent
+        if [len(w) for w in nxt] == [len(w) for w in flag]:
             return None
-        nxt = f.row_space_basis(np.concatenate(products, axis=1))
-        if np.array_equal(nxt, power):
-            return None
-        power = nxt
-    if len(power):
-        return None
+        flag = nxt
     return Indecomposable(m, tuple(morphism_from_flat(m, m, r) for r in rad))
 
 

@@ -572,7 +572,8 @@ def run_suite(
     jobs: int = 1,
 ):
     """Run the selected suites over corpus entries, in manifest order; the
-    suites run in order of first appearance, and one named twice runs once.
+    suites and the ns run in order of first appearance, and one named twice
+    runs once.
 
     Returns (verdicts, exit_code).  Workers only parallelize independent
     entries, so at most one worker per entry is started; the merged report
@@ -596,7 +597,7 @@ def run_suite(
     for suite in suites:
         if suite not in SUITES:
             raise InputError(f"unknown suite {suite!r}")
-    ns = tuple(ns)
+    ns = tuple(dict.fromkeys(ns))  # a repeated n runs once
     if not ns or any(type(n) is not int or n < 1 for n in ns):  # a bool is no n
         raise InputError(f"ns must be one or more integers >= 1, got {ns!r}")
     entries = list(entries)

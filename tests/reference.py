@@ -34,8 +34,9 @@ exact route, and is kept only so that the tests can check the two agree:
   v, against ``ardom.homology.torsion``, which reads all of Hom(m, A) from
   one system;
 - :func:`rad_end_by_the_chain`, the local certificate decided by the chain
-  of radical powers alone, against ``ardom.modules.certify_local``, which
-  also refuses at the first product of nonzero trace;
+  of radical powers R^{j+1} = R^j·R inside End(m), against
+  ``ardom.modules.certify_local``, which runs the flag m ⊇ m·R ⊇ m·R² ⊇ …
+  on the vectors of m;
 - :func:`projsum_labels`, a (copy, path) label per basis position of a
   projective sum, and the routes over it, each map built one at a time:
   :func:`projsum_gen_pos`, :func:`one_yoneda_map`,

@@ -475,6 +475,15 @@ def test_a_repeated_suite_runs_once_in_order_of_first_appearance(corpus):
     assert mixed[0][0] == once[0][0]  # gorenstein comes first, as named first
 
 
+def test_a_repeated_n_runs_once_in_order_of_first_appearance(corpus):
+    subset = corpus[:1]
+    once = run_suite(subset, suites=("main",), ns=(1,))
+    assert len(once[0]) == 1 and run_suite(subset, suites=("main",), ns=(1, 1)) == once
+    mixed = run_suite(subset, suites=("main",), ns=(2, 1, 2, 1))
+    assert [v.detail["n"] for v in mixed[0]] == [2, 1]
+    assert mixed == run_suite(subset, suites=("main",), ns=(2, 1))
+
+
 def test_run_suite_all_suites_deterministic(corpus):
     kwargs = dict(suites=SUITES, ns=(1, 2, 3), sample_size=16)
     verdicts, code = run_suite(corpus, **kwargs)
